@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from dataclasses import fields, replace
 
 import numpy as np
@@ -27,7 +26,7 @@ from .data import (
     read_idx,
     write_digit_corpus,
 )
-from .mi import CSV_COLUMNS
+from .mi import CSV_COLUMNS, read_points_jsonl
 from .nets import Network
 from .training import (
     DEFAULT_BETA_GRID,
@@ -123,9 +122,12 @@ def _cmd_eval(args) -> int:
     cfg = load_config(os.path.join(args.run_dir, "config.resolved"))
     enc = Network.load(os.path.join(args.run_dir, "encoder.net"))
     dec = Network.load(os.path.join(args.run_dir, "decoder.net"))
-    t0 = time.perf_counter()
+    # wall_clock_s means training time; carry it over from the run when known
+    trained = os.path.join(args.run_dir, "point.jsonl")
+    wall = (read_points_jsonl(trained)[0].wall_clock_s
+            if os.path.exists(trained) else float("nan"))
     ds = make_dataset(cfg.dataset, cfg.seed)
-    point = evaluate_run(cfg, enc, dec, ds, time.perf_counter() - t0)
+    point = evaluate_run(cfg, enc, dec, ds, wall)
     for line in _point_lines([point]):
         print(line)
     return 0

@@ -11,13 +11,16 @@ direct numerical checks here (`steepest_descent_check`,
 For layered networks the Fisher block of a layer is approximated by the
 Kronecker product A x G of the layer-input second moment A (bias handled by
 augmenting a constant 1) and the pre-activation gradient second moment G.
-Solves go through conjugate gradient with the factored, damped product
+Each factor is damped separately, so the layer's system is
 
-    FVP(V) = (G + lam I) V (A + lam I)
+    (G + lam I) V (A + lam I) = grad
 
-as the operator, so the damped system is (A + lam I) x (G + lam I) rather
-than A x G + lam I; the exact dense Fisher is kept only as a test oracle
-and is guarded to tiny networks.
+rather than (A x G + lam I) v = grad.  Its inverse is
+(G + lam I)^-1 grad (A + lam I)^-1, and the solve is exact: both damped
+factors are Cholesky-factored at every call and each layer block costs two
+triangular-pair solves (Martens & Grosse 2015, arXiv:1503.05671).
+Conjugate gradient remains only for dense Fisher matrices, and the exact
+dense Fisher is kept only as a test oracle, guarded to tiny networks.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .linalg import conjugate_gradient
 from .nets import Network
@@ -55,6 +59,13 @@ def split_flat(flat, shapes) -> list[np.ndarray]:
         blocks.append(flat[offset : offset + size].reshape(g_dim, a_dim))
         offset += size
     return blocks
+
+
+def _damped(m: np.ndarray, lam: float) -> np.ndarray:
+    """m + lam I, adding lam to the diagonal of a copy."""
+    out = np.array(m, dtype=np.float64)
+    out.flat[:: out.shape[0] + 1] += lam
+    return out
 
 
 # ---------------------------------------------------------------- K-FAC state
@@ -136,12 +147,9 @@ def fisher_vector_product(state: KfacState, v) -> np.ndarray:
         raise RuntimeError("KfacState has no factors yet; run kfac_update first")
     lam = state.damping
     blocks = split_flat(v, state.shapes)
-    out = []
-    for blk, a_f, g_f in zip(blocks, state.a_factors, state.g_factors):
-        a_d = a_f + lam * np.eye(a_f.shape[0])
-        g_d = g_f + lam * np.eye(g_f.shape[0])
-        out.append(g_d @ blk @ a_d)
-    return flatten_blocks(out)
+    return flatten_blocks([_damped(g_f, lam) @ blk @ _damped(a_f, lam)
+                           for blk, a_f, g_f in zip(blocks, state.a_factors,
+                                                    state.g_factors)])
 
 
 def kfac_dense_matrix(state: KfacState, damped: bool = False) -> np.ndarray:
@@ -160,9 +168,7 @@ def kfac_dense_matrix(state: KfacState, damped: bool = False) -> np.ndarray:
     out = np.zeros((n, n))
     offset = 0
     for a_f, g_f in zip(state.a_factors, state.g_factors):
-        a_d = a_f + lam * np.eye(a_f.shape[0])
-        g_d = g_f + lam * np.eye(g_f.shape[0])
-        blk = np.kron(g_d, a_d)
+        blk = np.kron(_damped(g_f, lam), _damped(a_f, lam))
         size = blk.shape[0]
         out[offset : offset + size, offset : offset + size] = blk
         offset += size
@@ -237,7 +243,13 @@ def _sigmoid_stable(s: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NaturalGradStep:
-    """A preconditioned direction with its solve diagnostics."""
+    """A preconditioned direction with its solve diagnostics.
+
+    `residual` is the relative residual ||F v - g|| / ||g|| of the damped
+    system actually solved (0 for a zero gradient); `iterations` counts
+    conjugate-gradient operator applications and is 0 for the direct
+    Kronecker solve.
+    """
 
     direction: np.ndarray
     residual: float
@@ -245,36 +257,75 @@ class NaturalGradStep:
     converged: bool
 
 
+def kfac_solve(state: KfacState, grad) -> tuple[np.ndarray, float]:
+    """Exact natural direction under the damped Kronecker factors.
+
+    Per layer block the direction is (G + lam I)^-1 grad (A + lam I)^-1,
+    computed from Cholesky factors of both damped factors.  The relative
+    residual ||(G + lam I) V (A + lam I) - grad|| / ||grad|| over all blocks
+    is recomputed from the same damped factors.
+
+    Returns:
+        (direction, residual), the direction flat in `grad`'s layout.
+
+    Raises:
+        FloatingPointError: if a damped factor is not numerically positive
+            definite (zero damping on a rank-deficient factor, or non-finite
+            statistics).
+    """
+    if state.a_factors is None:
+        raise RuntimeError("KfacState has no factors yet; run kfac_update first")
+    g = np.asarray(grad, dtype=np.float64).ravel()
+    lam = state.damping
+    blocks, sq_residual = [], 0.0
+    for i, (blk, a_f, g_f) in enumerate(zip(split_flat(g, state.shapes),
+                                            state.a_factors, state.g_factors)):
+        a_d, g_d = _damped(a_f, lam), _damped(g_f, lam)
+        try:
+            a_cho, g_cho = cho_factor(a_d), cho_factor(g_d)
+        except ValueError as exc:  # LinAlgError or non-finite entries
+            raise FloatingPointError(
+                f"layer {i}: damped K-FAC factor is not positive definite ({exc})"
+            ) from exc
+        # blk (A + lam I)^-1 = ((A + lam I)^-1 blk^T)^T, A being symmetric
+        v = cho_solve(g_cho, cho_solve(a_cho, blk.T).T)
+        sq_residual += float(np.sum((g_d @ v @ a_d - blk) ** 2))
+        blocks.append(v)
+    gnorm = float(np.linalg.norm(g))
+    residual = float(np.sqrt(sq_residual)) / gnorm if gnorm > 0.0 else 0.0
+    return flatten_blocks(blocks), residual
+
+
 def natural_gradient(fisher, grad, damping: float = 1e-3,
                      tol: float = 1e-6, max_iter: int = 50) -> NaturalGradStep:
     """Solve the damped Fisher system for the natural direction.
 
     Args:
-        fisher: either a KfacState (its internal per-factor damping applies
-            and `damping` is ignored) or a dense symmetric PSD matrix, in
-            which case the system is (F + damping I) v = grad.
+        fisher: either a KfacState, solved exactly by `kfac_solve` (its
+            internal per-factor damping applies and `damping` is ignored),
+            or a dense symmetric PSD matrix, solved by conjugate gradient
+            on (F + damping I) v = grad.
         grad: flat gradient vector.
-        tol: relative residual target for conjugate gradient.
-        max_iter: conjugate gradient iteration cap; on hitting it the best
-            iterate is returned with converged=False.
+        tol: relative residual at which a solve counts as converged; for
+            the dense route also the conjugate-gradient target.
+        max_iter: conjugate-gradient iteration cap (dense route only); on
+            hitting it the best iterate is returned with converged=False.
 
     Returns:
         NaturalGradStep with the direction and solve report.
     """
     g = np.asarray(grad, dtype=np.float64).ravel()
     if isinstance(fisher, KfacState):
-        res = conjugate_gradient(
-            lambda v: fisher_vector_product(fisher, v), g,
-            lam=0.0, tol=tol, max_iter=max_iter,
+        direction, residual = kfac_solve(fisher, g)
+        return NaturalGradStep(direction=direction, residual=residual,
+                               iterations=0, converged=residual <= tol)
+    f = np.asarray(fisher, dtype=np.float64)
+    if f.ndim != 2 or f.shape[0] != f.shape[1] or f.shape[0] != g.shape[0]:
+        raise ValueError(
+            f"fisher has shape {f.shape}, expected ({g.shape[0]}, {g.shape[0]})"
         )
-    else:
-        f = np.asarray(fisher, dtype=np.float64)
-        if f.ndim != 2 or f.shape[0] != f.shape[1] or f.shape[0] != g.shape[0]:
-            raise ValueError(
-                f"fisher has shape {f.shape}, expected ({g.shape[0]}, {g.shape[0]})"
-            )
-        res = conjugate_gradient(lambda v: f @ v, g, lam=damping,
-                                 tol=tol, max_iter=max_iter)
+    res = conjugate_gradient(lambda v: f @ v, g, lam=damping,
+                             tol=tol, max_iter=max_iter)
     return NaturalGradStep(direction=res.x, residual=res.residual,
                            iterations=res.iterations, converged=res.converged)
 

@@ -132,9 +132,7 @@ def draw_probes(rng, n_probes: int, batch: int, dim: int) -> np.ndarray:
     probe index so the loop can be parallelized or reordered freely."""
     if n_probes <= 0:
         raise ValueError(f"n_probes must be positive, got {n_probes}")
-    return np.stack(
-        [rng.substream(s).normal((batch, dim)) for s in range(n_probes)]
-    )
+    return rng.substream_normals(n_probes, (batch, dim))
 
 
 def _check_head(net, head_dim: int | None) -> int:

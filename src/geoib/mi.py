@@ -156,7 +156,11 @@ def inversion_probe(z_train, x_train, z_test, x_test, seed: int = 0,
 
 @dataclass(frozen=True)
 class InfoPlanePoint:
-    """One evaluated cell of the information plane."""
+    """One evaluated cell of the information plane.
+
+    `wall_clock_s` is the training time; nan means it is not known (a run
+    re-scored without its recorded point).
+    """
 
     beta: float
     k_dim: int
@@ -172,7 +176,7 @@ class InfoPlanePoint:
         for name in ("beta", "accuracy", "mi_xz_nats", "inversion_mse",
                      "wall_clock_s"):
             v = getattr(self, name)
-            if not np.isfinite(v):
+            if not np.isfinite(v) and not (name == "wall_clock_s" and np.isnan(v)):
                 raise ValueError(f"{name} must be finite, got {v!r}")
         if self.k_dim <= 0:
             raise ValueError(f"k_dim must be positive, got {self.k_dim}")

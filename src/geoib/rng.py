@@ -31,13 +31,41 @@ class Rng:
         key = np.array([self.seed, self.stream], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
+    def _substream_id(self, index: int) -> int:
+        return (int(index) + 1 + self.stream * 0x9E3779B9) & _MASK64
+
     def substream(self, index: int) -> "Rng":
         """A fresh, statistically independent stream keyed by `index`.
 
         Substream indices are offset by 1 so substream(0) never collides
         with the root stream of the same seed.
         """
-        return Rng(self.seed, stream=int(index) + 1 + self.stream * 0x9E3779B9)
+        return Rng(self.seed, stream=self._substream_id(index))
+
+    def substream_normals(self, count: int, shape: tuple) -> np.ndarray:
+        """(count, *shape) standard normals, row s drawn from substream s.
+
+        Equal to `np.stack([self.substream(s).normal(shape) for s in
+        range(count)])`, but one Philox generator is re-keyed to each
+        substream's (seed, stream) key at counter 0 instead of building a
+        generator per substream.
+        """
+        bitgen = np.random.Philox(0)
+        gen = np.random.Generator(bitgen)
+        out = np.empty((count,) + tuple(shape))
+        for s in range(count):
+            bitgen.state = {
+                "bit_generator": "Philox",
+                "state": {"counter": np.zeros(4, dtype=np.uint64),
+                          "key": np.array([self.seed, self._substream_id(s)],
+                                          dtype=np.uint64)},
+                "buffer": np.zeros(4, dtype=np.uint64),
+                "buffer_pos": 4,
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            gen.standard_normal(dtype=np.float64, out=out[s])
+        return out
 
     def normal(self, shape=None) -> np.ndarray:
         """Standard normal draw of the given shape (scalar if None)."""

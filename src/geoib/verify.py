@@ -27,6 +27,7 @@ from .fisher import (
     empirical_fisher_exact,
     fisher_vector_product,
     flatten_blocks,
+    kfac_dense_matrix,
     kfac_init,
     kfac_update,
     natural_gradient,
@@ -267,8 +268,10 @@ def check_gradients_fd(seed: int = 0, tol: float = 1e-4,
 
 def check_cg_vs_dense(seed: int = 0, tol_solve: float = 1e-8,
                       tol_fvp: float = 1e-12) -> CheckResult:
-    """CG on the exact damped Fisher reproduces the dense solve, and the
-    factored FVP agrees with the explicit Kronecker product."""
+    """CG on the exact damped Fisher reproduces the dense solve, the exact
+    Kronecker solve reproduces a dense solve of the materialized damped
+    Kronecker blocks, and the factored FVP agrees with the explicit
+    Kronecker product."""
     rng = Rng(seed, stream=10)
     net = Network(
         [LayerSpec(3, 4, "tanh"), LayerSpec(4, 3, "identity")], rng
@@ -282,7 +285,7 @@ def check_cg_vs_dense(seed: int = 0, tol_solve: float = 1e-8,
     dense = np.linalg.solve(fisher + lam * np.eye(net.n_params), g)
     err_solve = float(np.max(np.abs(step.direction - dense)))
 
-    # factored operator against the materialized Kronecker blocks
+    # factored operator and solve against the materialized Kronecker blocks
     state = kfac_init(net, damping=lam, ema_decay=0.0)
     out = net.forward(x, capture=True)
     net.backward(rng.normal(out.shape))
@@ -299,9 +302,13 @@ def check_cg_vs_dense(seed: int = 0, tol_solve: float = 1e-8,
         explicit[offset : offset + size] = blk @ v[offset : offset + size]
         offset += size
     err_fvp = float(np.max(np.abs(fvp - explicit)))
-    ok = err_solve < tol_solve and err_fvp < tol_fvp
+    kfac_dense = np.linalg.solve(kfac_dense_matrix(state, damped=True), g)
+    err_kfac = float(np.max(np.abs(natural_gradient(state, g).direction
+                                   - kfac_dense)))
+    ok = err_solve < tol_solve and err_kfac < tol_solve and err_fvp < tol_fvp
     return CheckResult("natural_gradient_solves", ok,
-                       f"cg_vs_dense={err_solve:.3e} fvp_vs_kron={err_fvp:.3e}")
+                       f"cg_vs_dense={err_solve:.3e} kfac_vs_kron={err_kfac:.3e} "
+                       f"fvp_vs_kron={err_fvp:.3e}")
 
 
 def check_steepest_descent(seed: int = 0, n_fishers: int = 20,

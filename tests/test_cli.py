@@ -80,6 +80,20 @@ def test_eval_subcommand_rescoring_matches_training(tmp_path, capsys):
     assert lines[0] == ",".join(CSV_COLUMNS)
     acc = float(lines[1].split(",")[2])
     assert acc == trained.accuracy
+    wall = float(lines[1].split(",")[CSV_COLUMNS.index("wall_clock_s")])
+    assert wall == trained.wall_clock_s
+
+
+def test_eval_without_point_file_reports_nan_wall_clock(tmp_path, capsys):
+    out = tmp_path / "run"
+    main(["train", "--dataset", "gauss_mixture:n=300,noise=0.14",
+          "--epochs", "1", "--k-dim", "4", "--enc-hidden", "8",
+          "--out", str(out)])
+    (out / "point.jsonl").unlink()
+    capsys.readouterr()
+    assert main(["eval", str(out)]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert np.isnan(float(row[CSV_COLUMNS.index("wall_clock_s")]))
 
 
 def test_sweep_subcommand_reports_cells(tmp_path, capsys):

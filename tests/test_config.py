@@ -55,6 +55,17 @@ def test_parse_booleans():
         parse_config_text("vib_natural_gradient = maybe")
 
 
+def test_legacy_solver_keys_are_ignored_with_a_warning(tmp_path):
+    path = tmp_path / "config.resolved"
+    path.write_text("beta = 0.5\ncg_tol = 1e-06\ncg_max_iter = 50\n")
+    with pytest.warns(UserWarning, match="legacy key") as caught:
+        cfg = load_config(path)
+    named = [str(w.message).split("'")[1] for w in caught]
+    assert named == ["cg_tol", "cg_max_iter"]
+    assert cfg == TrainConfig(beta=0.5)
+    assert not hasattr(cfg, "cg_tol")
+
+
 def test_parse_starts_from_base():
     base = TrainConfig(beta=0.5, k_dim=4)
     cfg = parse_config_text("k_dim = 16", base=base)

@@ -8,6 +8,7 @@ from geoib.fisher import (
     flatten_blocks,
     kfac_dense_matrix,
     kfac_init,
+    kfac_solve,
     kfac_update,
     kfac_vs_exact_error,
     load_kfac,
@@ -258,10 +259,35 @@ def test_natural_gradient_kfac_route_matches_dense():
     _captured(net, Rng(31).normal((10, 3)), seed=32)
     state = kfac_update(kfac_init(net, damping=1e-2), net)
     g = Rng(33).normal(state.n_params)
-    step = natural_gradient(state, g, tol=1e-12, max_iter=300)
+    step = natural_gradient(state, g)
     dense = kfac_dense_matrix(state, damped=True)
     np.testing.assert_allclose(step.direction, np.linalg.solve(dense, g),
                                rtol=0, atol=1e-8)
+
+
+def test_kfac_solve_reports_true_residual():
+    net = _net((3, 5, "tanh"), (5, 2, "identity"), seed=34)
+    _captured(net, Rng(35).normal((16, 3)), seed=36)
+    state = kfac_update(kfac_init(net, damping=1e-3), net)
+    g = Rng(37).normal(state.n_params)
+    direction, residual = kfac_solve(state, g)
+    true_res = (np.linalg.norm(fisher_vector_product(state, direction) - g)
+                / np.linalg.norm(g))
+    assert residual <= 1e-12 and abs(residual - true_res) <= 1e-14
+    step = natural_gradient(state, g)
+    np.testing.assert_array_equal(step.direction, direction)
+    assert step.converged and step.iterations == 0
+    zero, zero_res = kfac_solve(state, np.zeros(state.n_params))
+    assert zero_res == 0.0 and not np.any(zero)
+
+
+def test_kfac_solve_rejects_singular_undamped_factor():
+    # one sample gives rank-one factors; without damping they are singular
+    net = _net((3, 4, "tanh"), (4, 2, "identity"), seed=38)
+    _captured(net, Rng(39).normal((1, 3)), seed=40)
+    state = kfac_update(kfac_init(net, damping=0.0), net)
+    with pytest.raises(FloatingPointError, match="not positive definite"):
+        kfac_solve(state, np.ones(state.n_params))
 
 
 def test_natural_gradient_rejects_bad_shapes():

@@ -150,6 +150,17 @@ def test_draw_probes_prefix_stable():
     np.testing.assert_array_equal(large[:2], small)
 
 
+def test_draw_probes_equal_per_substream_reference():
+    # one re-keyed generator reproduces a fresh generator per substream,
+    # including stream ids that wrap mod 2**64
+    for seed, stream in ((0, 0), (7, 3), (2**70 + 1, 0), (5, 2**64 - 3),
+                         (11, 2**63 + 17)):
+        rng = Rng(seed, stream=stream)
+        reference = np.stack([rng.substream(s).normal((3, 4))
+                              for s in range(9)])
+        np.testing.assert_array_equal(draw_probes(rng, 9, 3, 4), reference)
+
+
 def test_draw_probes_rejects_bad_count():
     with pytest.raises(ValueError, match="positive"):
         draw_probes(Rng(5), 0, 1, 1)

@@ -7,7 +7,8 @@ import pytest
 
 from geoib.config import TrainConfig
 from geoib.data import gauss_mixture
-from geoib.fisher import flatten_blocks, kfac_init
+from geoib import training
+from geoib.fisher import fisher_vector_product, flatten_blocks, kfac_init
 from geoib.jf import draw_probes
 from geoib.mi import classification_accuracy, read_points_csv, read_points_jsonl
 from geoib.nets import Network
@@ -100,7 +101,8 @@ def test_gib_step_frozen_when_lr_zero():
     m = gib_step(cfg, enc, dec, ke, kd, x[:32], y[:32], Rng(5))
     np.testing.assert_array_equal(enc.get_params(), p_e)
     np.testing.assert_array_equal(dec.get_params(), p_d)
-    assert np.isfinite(m.total) and m.cg_iters_enc >= 1
+    # a zero direction would leave residual 1 for this nonzero gradient
+    assert np.isfinite(m.total) and m.solve_residual_enc <= 1e-10
     assert m.grad_norm_enc > 0.0
 
 
@@ -192,8 +194,35 @@ def test_vib_natural_gradient_ablation_uses_solver():
     _, _, enc, dec, ke, kd, x, y = _toy_setup(cfg)
     p_e = enc.get_params().copy()
     m = vib_step(cfg, enc, dec, ke, kd, x[:32], y[:32], Rng(9))
-    assert m.cg_iters_enc >= 1
+    assert m.solve_residual_enc <= 1e-10
     assert not np.array_equal(enc.get_params(), p_e)
+
+
+def test_every_training_solve_is_exact_and_nonzero(monkeypatch):
+    # a solve must never leave a residual, nor turn a nonzero gradient into
+    # an all-zero direction (which would skip that network's update)
+    solves = []
+    orig = training.natural_gradient
+
+    def recording(state, grad, *args, **kwargs):
+        step = orig(state, grad, *args, **kwargs)
+        applied = fisher_vector_product(state, step.direction)
+        true_res = np.linalg.norm(applied - grad) / np.linalg.norm(grad)
+        solves.append((true_res, step, np.any(grad)))
+        return step
+
+    monkeypatch.setattr(training, "natural_gradient", recording)
+    cfg = TrainConfig(dataset="gauss_mixture:n=600,noise=0.14", epochs=3,
+                      k_dim=4, enc_hidden="8")
+    res = run_training(cfg, evaluate=False)
+    assert len(solves) == 2 * 3 * 4  # enc + dec, 3 epochs of 4 steps
+    for true_res, step, grad_nonzero in solves:
+        assert true_res <= 1e-10 and step.residual <= 1e-10
+        assert abs(step.residual - true_res) <= 1e-12
+        assert grad_nonzero and np.any(step.direction)
+    for rec in res.history:
+        assert rec["solve_residual_enc"] <= 1e-10
+        assert rec["solve_residual_dec"] <= 1e-10
 
 
 # ------------------------------------------------------------- full runs
