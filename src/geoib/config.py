@@ -15,10 +15,13 @@ import numpy as np
 
 METHODS = ("geoib", "vib")
 FR_MODES = ("closed_form_kl", "fr_quadratic")
-FISHER_STATS = ("empirical", "sampled")
-# Keys of older run configs that no longer mean anything: the conjugate-
-# gradient stopping rule, made moot by the exact Kronecker solve.
-LEGACY_KEYS = ("cg_tol", "cg_max_iter")
+# Keys of older run configs that no longer mean anything, with the reason
+# given when one is skipped.
+LEGACY_KEYS = {
+    "cg_tol": "the K-FAC solve is exact",
+    "cg_max_iter": "the K-FAC solve is exact",
+    "fisher_stats": "factor statistics are always model-sampled",
+}
 
 
 @dataclass(frozen=True)
@@ -46,12 +49,11 @@ class TrainConfig:
             the huge early steps a barely-warmed Fisher produces.
         dataset: dataset spec string, e.g. "gauss_mixture:n=5000,noise=0.14".
         enc_hidden / dec_hidden: comma-separated hidden widths ('' = none).
-        kfac_decay: EMA decay of the Kronecker factors.
-        fisher_stats: "empirical" (reuse the loss backward pass) or
-            "sampled" (model-sampled backward pass) for factor statistics.
-            The default is "sampled": empirical factors shrink with the
-            loss gradient, so as a large-beta code collapses the exact
-            step g / (G + damping) stops shrinking with g and overshoots.
+        kfac_decay: EMA decay of the Kronecker factors.  Factor
+            statistics come from a model-sampled backward pass, not the
+            loss one: empirical factors shrink with the loss gradient, so
+            as a large-beta code collapses the exact step g / (G + damping)
+            would stop shrinking with g and overshoot.
         vib_natural_gradient: precondition the vib baseline too (ablation).
     """
 
@@ -72,7 +74,6 @@ class TrainConfig:
     enc_hidden: str = "32"
     dec_hidden: str = ""
     kfac_decay: float = 0.95
-    fisher_stats: str = "sampled"
     vib_natural_gradient: bool = False
 
     def __post_init__(self):
@@ -80,10 +81,6 @@ class TrainConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.fr_mode not in FR_MODES:
             raise ValueError(f"fr_mode must be one of {FR_MODES}, got {self.fr_mode!r}")
-        if self.fisher_stats not in FISHER_STATS:
-            raise ValueError(
-                f"fisher_stats must be one of {FISHER_STATS}, got {self.fisher_stats!r}"
-            )
         if self.beta < 0.0:
             raise ValueError(f"beta must be nonnegative, got {self.beta}")
         for name in ("k_dim", "jf_probes", "batch", "epochs"):
@@ -136,7 +133,7 @@ def parse_config_text(text: str, base: TrainConfig | None = None) -> TrainConfig
         key, raw = (s.strip() for s in stripped.split("=", 1))
         if key in LEGACY_KEYS:
             warnings.warn(f"line {lineno}: ignoring legacy key {key!r}; "
-                          "the K-FAC solve is exact", stacklevel=2)
+                          f"{LEGACY_KEYS[key]}", stacklevel=2)
             continue
         if key not in known:
             raise ValueError(f"line {lineno}: unknown key {key!r}")

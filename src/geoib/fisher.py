@@ -19,8 +19,9 @@ rather than (A x G + lam I) v = grad.  Its inverse is
 (G + lam I)^-1 grad (A + lam I)^-1, and the solve is exact: both damped
 factors are Cholesky-factored at every call and each layer block costs two
 triangular-pair solves (Martens & Grosse 2015, arXiv:1503.05671).
-Conjugate gradient remains only for dense Fisher matrices, and the exact
-dense Fisher is kept only as a test oracle, guarded to tiny networks.
+Conjugate gradient remains for dense Fisher matrices and for truncated
+Kronecker solves requested with an explicit iteration cap; the exact dense
+Fisher is kept only as a test oracle, guarded to tiny networks.
 """
 
 from __future__ import annotations
@@ -247,7 +248,7 @@ class NaturalGradStep:
 
     `residual` is the relative residual ||F v - g|| / ||g|| of the damped
     system actually solved (0 for a zero gradient); `iterations` counts
-    conjugate-gradient operator applications and is 0 for the direct
+    conjugate-gradient operator applications and is 0 for the exact
     Kronecker solve.
     """
 
@@ -296,36 +297,49 @@ def kfac_solve(state: KfacState, grad) -> tuple[np.ndarray, float]:
     return flatten_blocks(blocks), residual
 
 
-def natural_gradient(fisher, grad, damping: float = 1e-3,
-                     tol: float = 1e-6, max_iter: int = 50) -> NaturalGradStep:
+def natural_gradient(fisher, grad, damping: float | None = None,
+                     tol: float = 1e-6, max_iter: int | None = None) -> NaturalGradStep:
     """Solve the damped Fisher system for the natural direction.
 
     Args:
-        fisher: either a KfacState, solved exactly by `kfac_solve` (its
-            internal per-factor damping applies and `damping` is ignored),
-            or a dense symmetric PSD matrix, solved by conjugate gradient
-            on (F + damping I) v = grad.
+        fisher: a KfacState or a dense symmetric PSD matrix.  A KfacState
+            is solved exactly by `kfac_solve` unless `max_iter` is given;
+            a dense matrix is always solved by conjugate gradient.
         grad: flat gradient vector.
-        tol: relative residual at which a solve counts as converged; for
-            the dense route also the conjugate-gradient target.
-        max_iter: conjugate-gradient iteration cap (dense route only); on
-            hitting it the best iterate is returned with converged=False.
+        damping: Tikhonov damping of the dense system
+            (F + damping I) v = grad, default 1e-3.  A KfacState carries its
+            own per-factor damping, so passing one with it is a TypeError.
+        tol: relative residual at which a solve counts as converged, and
+            the conjugate-gradient target.
+        max_iter: conjugate-gradient iteration cap, default 50 for a dense
+            matrix.  With a KfacState it requests a truncated solve instead
+            of the exact one: conjugate gradient on the damped Kronecker
+            operator for at most `max_iter` iterations.  On hitting the cap
+            the best iterate is returned with converged=False.
 
     Returns:
         NaturalGradStep with the direction and solve report.
     """
     g = np.asarray(grad, dtype=np.float64).ravel()
     if isinstance(fisher, KfacState):
-        direction, residual = kfac_solve(fisher, g)
-        return NaturalGradStep(direction=direction, residual=residual,
-                               iterations=0, converged=residual <= tol)
-    f = np.asarray(fisher, dtype=np.float64)
-    if f.ndim != 2 or f.shape[0] != f.shape[1] or f.shape[0] != g.shape[0]:
-        raise ValueError(
-            f"fisher has shape {f.shape}, expected ({g.shape[0]}, {g.shape[0]})"
-        )
-    res = conjugate_gradient(lambda v: f @ v, g, lam=damping,
-                             tol=tol, max_iter=max_iter)
+        if damping is not None:
+            raise TypeError("a KfacState carries its own damping; "
+                            "do not pass damping with it")
+        if max_iter is None:
+            direction, residual = kfac_solve(fisher, g)
+            return NaturalGradStep(direction=direction, residual=residual,
+                                   iterations=0, converged=residual <= tol)
+        res = conjugate_gradient(lambda v: fisher_vector_product(fisher, v), g,
+                                 lam=0.0, tol=tol, max_iter=max_iter)
+    else:
+        f = np.asarray(fisher, dtype=np.float64)
+        if f.ndim != 2 or f.shape[0] != f.shape[1] or f.shape[0] != g.shape[0]:
+            raise ValueError(
+                f"fisher has shape {f.shape}, expected ({g.shape[0]}, {g.shape[0]})"
+            )
+        lam = 1e-3 if damping is None else damping
+        cap = 50 if max_iter is None else max_iter
+        res = conjugate_gradient(lambda v: f @ v, g, lam=lam, tol=tol, max_iter=cap)
     return NaturalGradStep(direction=res.x, residual=res.residual,
                            iterations=res.iterations, converged=res.converged)
 

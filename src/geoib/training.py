@@ -5,9 +5,9 @@ and reparameterized codes z = mu + sigma * eps, (2) estimate the rate term
 and the Jacobian capacity penalty with Hutchinson probes, (3) assemble
 Euclidean gradients for decoder and encoder (the encoder gradient carries
 beta times the two penalties), (4) refresh the Kronecker Fisher factors
-from the captured statistics, (5) solve the damped factored systems by an
-exact Kronecker-factored Cholesky solve, and (6) apply additive parameter
-updates scaled by the two step sizes.  The baseline optimizes
+from a model-sampled backward pass, (5) solve the damped factored systems
+by an exact Kronecker-factored Cholesky solve, and (6) apply additive
+parameter updates scaled by the two step sizes.  The baseline optimizes
 NLL + beta * KL by plain gradient descent (an ablation flag lets it borrow
 the preconditioner).
 
@@ -216,11 +216,16 @@ def vib_loss_and_grads(enc: Network, dec: Network, x, y, *,
     return metrics, g_enc, g_dec
 
 
-def _sampled_capture(enc: Network, dec: Network, x, z, mu, sig, clamp_open,
-                     k_dim: int, step_rng: Rng) -> None:
+def _sampled_capture(enc: Network, dec: Network, x, eps, k_dim: int,
+                     step_rng: Rng) -> None:
     """Refresh the captured backward statistics with model-sampled targets:
-    decoder targets y ~ p(y|z), encoder scores at fresh codes z ~ q(.|x)."""
-    logits = dec.forward(z, capture=True)
+    decoder targets y ~ p(y|z) at the step's codes z = mu + sigma * eps,
+    encoder scores at fresh codes z ~ q(.|x)."""
+    out = enc.forward(x, capture=True)
+    raw_lv = out[:, k_dim:]
+    clamp_open = (raw_lv > LOG_VAR_MIN) & (raw_lv < LOG_VAR_MAX)
+    sig = np.exp(0.5 * np.clip(raw_lv, LOG_VAR_MIN, LOG_VAR_MAX))
+    logits = dec.forward(out[:, :k_dim] + sig * eps, capture=True)
     m = logits.max(axis=1, keepdims=True)
     p = np.exp(logits - m)
     p /= p.sum(axis=1, keepdims=True)
@@ -233,7 +238,6 @@ def _sampled_capture(enc: Network, dec: Network, x, z, mu, sig, clamp_open,
     up_enc = np.zeros((x.shape[0], 2 * k_dim))
     up_enc[:, :k_dim] = eps2 / sig
     up_enc[:, k_dim:] = 0.5 * (eps2**2 - 1.0) * clamp_open
-    enc.forward(x, capture=True)
     enc.backward(up_enc)
 
 
@@ -263,15 +267,7 @@ def gib_step(cfg: TrainConfig, enc: Network, dec: Network,
     )
     if not np.isfinite(metrics.total):
         raise FloatingPointError(f"objective went non-finite: {metrics.total!r}")
-    if cfg.fisher_stats == "sampled":
-        out = enc.forward(x)
-        mu = out[:, : cfg.k_dim]
-        raw_lv = out[:, cfg.k_dim :]
-        lv = np.clip(raw_lv, LOG_VAR_MIN, LOG_VAR_MAX)
-        clamp_open = (raw_lv > LOG_VAR_MIN) & (raw_lv < LOG_VAR_MAX)
-        sig = np.exp(0.5 * lv)
-        _sampled_capture(enc, dec, x, mu + sig * eps, mu, sig, clamp_open,
-                         cfg.k_dim, step_rng)
+    _sampled_capture(enc, dec, x, eps, cfg.k_dim, step_rng)
     kfac_update(kfac_enc, enc)
     kfac_update(kfac_dec, dec)
     flat_enc = flatten_blocks(g_enc)

@@ -55,15 +55,16 @@ def test_parse_booleans():
         parse_config_text("vib_natural_gradient = maybe")
 
 
-def test_legacy_solver_keys_are_ignored_with_a_warning(tmp_path):
+def test_legacy_keys_are_ignored_with_a_warning(tmp_path):
     path = tmp_path / "config.resolved"
-    path.write_text("beta = 0.5\ncg_tol = 1e-06\ncg_max_iter = 50\n")
+    path.write_text("beta = 0.5\ncg_tol = 1e-06\ncg_max_iter = 50\n"
+                    "fisher_stats = empirical\n")
     with pytest.warns(UserWarning, match="legacy key") as caught:
         cfg = load_config(path)
     named = [str(w.message).split("'")[1] for w in caught]
-    assert named == ["cg_tol", "cg_max_iter"]
+    assert named == ["cg_tol", "cg_max_iter", "fisher_stats"]
     assert cfg == TrainConfig(beta=0.5)
-    assert not hasattr(cfg, "cg_tol")
+    assert not hasattr(cfg, "cg_tol") and not hasattr(cfg, "fisher_stats")
 
 
 def test_parse_starts_from_base():
@@ -101,8 +102,6 @@ def test_validation_rejects_bad_fields():
         TrainConfig(method="sgd")
     with pytest.raises(ValueError, match="fr_mode"):
         TrainConfig(fr_mode="exact")
-    with pytest.raises(ValueError, match="fisher_stats"):
-        TrainConfig(fisher_stats="montecarlo")
     with pytest.raises(ValueError, match="beta"):
         TrainConfig(beta=-1.0)
     with pytest.raises(ValueError, match="k_dim"):

@@ -290,6 +290,28 @@ def test_kfac_solve_rejects_singular_undamped_factor():
         kfac_solve(state, np.ones(state.n_params))
 
 
+def test_kfac_iteration_cap_requests_a_truncated_solve():
+    net = _net((3, 5, "tanh"), (5, 2, "identity"), seed=41)
+    _captured(net, Rng(42).normal((16, 3)), seed=43)
+    state = kfac_update(kfac_init(net, damping=1e-3), net)
+    g = Rng(44).normal(state.n_params)
+    step = natural_gradient(state, g, tol=1e-14, max_iter=2)
+    true_res = (np.linalg.norm(fisher_vector_product(state, step.direction) - g)
+                / np.linalg.norm(g))
+    assert step.iterations == 2 and not step.converged
+    assert step.residual == pytest.approx(true_res, rel=1e-9)
+    assert step.residual > 1e-3
+    assert natural_gradient(state, g).residual <= 1e-12
+
+
+def test_natural_gradient_rejects_damping_with_kfac_state():
+    net = _net((3, 4, "tanh"), (4, 2, "identity"), seed=45)
+    _captured(net, Rng(46).normal((8, 3)), seed=47)
+    state = kfac_update(kfac_init(net, damping=1e-3), net)
+    with pytest.raises(TypeError, match="damping"):
+        natural_gradient(state, np.ones(state.n_params), damping=1e-2)
+
+
 def test_natural_gradient_rejects_bad_shapes():
     with pytest.raises(ValueError, match="fisher"):
         natural_gradient(np.eye(3), np.zeros(4))

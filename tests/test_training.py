@@ -180,8 +180,7 @@ def test_gib_step_rejects_non_finite_loss():
 def test_sampled_fisher_stats_step_is_deterministic():
     results = []
     for _ in range(2):
-        cfg = TrainConfig(fisher_stats="sampled", k_dim=2, enc_hidden="8",
-                          dataset=TOY)
+        cfg = TrainConfig(k_dim=2, enc_hidden="8", dataset=TOY)
         _, _, enc, dec, ke, kd, x, y = _toy_setup(cfg)
         gib_step(cfg, enc, dec, ke, kd, x[:32], y[:32], Rng(8))
         results.append(enc.get_params())
