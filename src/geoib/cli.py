@@ -26,7 +26,7 @@ from .data import (
     read_idx,
     write_digit_corpus,
 )
-from .mi import CSV_COLUMNS, read_points_jsonl
+from .mi import CSV_COLUMNS, point_row, read_points_jsonl
 from .nets import Network
 from .training import (
     DEFAULT_BETA_GRID,
@@ -66,13 +66,7 @@ def _resolve_config(args) -> TrainConfig:
 
 
 def _point_lines(points) -> list[str]:
-    lines = [",".join(CSV_COLUMNS)]
-    for p in points:
-        lines.append(",".join([
-            repr(p.beta), str(p.k_dim), repr(p.accuracy), repr(p.mi_xz_nats),
-            repr(p.inversion_mse), str(p.seed), repr(p.wall_clock_s),
-        ]))
-    return lines
+    return [",".join(CSV_COLUMNS)] + [",".join(point_row(p)) for p in points]
 
 
 def _float_list(raw: str) -> list[float]:

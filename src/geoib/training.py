@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import os
 import time
+import warnings
 from dataclasses import dataclass, asdict, replace
 
 import numpy as np
@@ -477,7 +478,39 @@ def write_run_outputs(out_dir: str, cfg: TrainConfig, enc: Network,
 
 
 def _cell_key(beta: float, k_dim: int, seed: int) -> str:
-    return f"beta{beta:g}_k{k_dim}_seed{seed}"
+    # %g keeps existing directory names short; it drops digits past the
+    # sixth, so betas it cannot round-trip are spelled out in full
+    text = f"{beta:g}"
+    if float(text) != beta:
+        text = repr(beta)
+    return f"beta{text}_k{k_dim}_seed{seed}"
+
+
+def _read_manifest(path: str) -> dict[str, dict]:
+    """Manifest records by cell; a later record of a cell replaces earlier ones.
+
+    A kill in the middle of an append leaves a last line without its
+    newline.  If that line does not parse it is dropped with a warning and
+    cut from the file; if it does, its newline is added.  Either way the
+    next append starts on a fresh line.
+    """
+    if not os.path.exists(path):
+        return {}
+    with open(path, "rb") as fh:
+        data = fh.read()
+    cut = data.rfind(b"\n") + 1
+    head, tail = data[:cut].decode("ascii"), data[cut:]
+    records = [json.loads(line) for line in head.splitlines() if line.strip()]
+    if tail.strip():
+        try:
+            records.append(json.loads(tail))
+        except ValueError:
+            warnings.warn(f"{path}: dropping the partial last line {tail!r}")
+            os.truncate(path, cut)
+        else:
+            with open(path, "a", encoding="ascii") as fh:
+                fh.write("\n")
+    return {rec["cell"]: rec for rec in records}
 
 
 def run_sweep(base_cfg: TrainConfig, out_dir: str,
@@ -485,32 +518,24 @@ def run_sweep(base_cfg: TrainConfig, out_dir: str,
     """Grid product of (beta, k_dim, seed) runs with resumability.
 
     Completed cells are recorded in manifest.jsonl and skipped on re-entry;
-    failed cells are recorded with the error and do not stop the sweep.
-    The aggregate info_plane.csv and points.jsonl are rewritten at the end
-    from all successful cells.
+    failed cells are recorded with the error, do not stop the sweep, and
+    are trained again on re-entry.  The aggregate info_plane.csv and
+    points.jsonl are rewritten at the end from all successful cells.
     """
     betas = tuple(betas) if betas is not None else DEFAULT_BETA_GRID
     k_dims = tuple(k_dims) if k_dims is not None else DEFAULT_K_GRID
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "manifest.jsonl")
-    done: dict[str, dict] = {}
-    if os.path.exists(manifest_path):
-        with open(manifest_path, "r", encoding="ascii") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rec = json.loads(line)
-                    done[rec["cell"]] = rec
+    done = _read_manifest(manifest_path)
     points: list[InfoPlanePoint] = []
     with open(manifest_path, "a", encoding="ascii") as manifest:
         for beta in betas:
             for k_dim in k_dims:
                 for seed in seeds:
                     key = _cell_key(beta, k_dim, seed)
-                    if key in done:
-                        rec = done[key]
-                        if rec.get("status") == "ok":
-                            points.append(InfoPlanePoint(**rec["point"]))
+                    rec = done.get(key)
+                    if rec is not None and rec.get("status") == "ok":
+                        points.append(InfoPlanePoint(**rec["point"]))
                         continue
                     cfg = replace(base_cfg, beta=beta, k_dim=k_dim, seed=seed)
                     cell_dir = os.path.join(out_dir, key)

@@ -2,12 +2,15 @@
 
 Nothing in here imports from the package's numerical routines: eigenvalues
 come from a hand-rolled Jacobi sweep, geodesics from a generic ODE
-integrator, and distances from the closed-form hyperbolic formula, so a bug
-in the library cannot hide by agreeing with itself.
+integrator, distances from the closed-form hyperbolic formula, and KSG
+neighbor counts from k-d tree queries, so a bug in the library cannot hide
+by agreeing with itself.
 """
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
+from scipy.spatial import cKDTree
+from scipy.special import digamma
 
 
 def jacobi_eigenvalues(m, max_sweeps: int = 100, tol: float = 1e-14) -> np.ndarray:
@@ -105,4 +108,37 @@ def gaussian_kl_quadrature(mu: float, var: float) -> float:
     lo = mu - 12.0 * np.sqrt(var)
     hi = mu + 12.0 * np.sqrt(var)
     value, _err = quad(integrand, lo, hi, limit=200)
+    return float(value)
+
+
+def ksg_tree_reference(x, z, k: int = 5) -> float:
+    """KSG (variant 1, Chebyshev norm) with k-d tree neighbor queries.
+
+    The tree-based estimator the package used before its blocked scan, kept
+    verbatim as the reference that the scan must match bit for bit.
+    """
+    xa = np.asarray(x, dtype=np.float64)
+    za = np.asarray(z, dtype=np.float64)
+    xa = xa[:, None] if xa.ndim == 1 else xa
+    za = za[:, None] if za.ndim == 1 else za
+    n = xa.shape[0]
+    joint = np.concatenate([xa, za], axis=1)
+    tree = cKDTree(joint)
+    dist, _ = tree.query(joint, k=k + 1, p=np.inf)
+    eps = dist[:, k]
+    # Count strictly inside eps: shrink the radius by one ulp so the
+    # inclusive ball query acts as a strict inequality.
+    radius = np.nextafter(eps, 0.0)
+    tx = cKDTree(xa)
+    tz = cKDTree(za)
+    nx = np.asarray(tx.query_ball_point(xa, radius, p=np.inf, return_length=True))
+    nz = np.asarray(tz.query_ball_point(za, radius, p=np.inf, return_length=True))
+    nx = nx - 1  # the point itself always lands in its own ball
+    nz = nz - 1
+    degenerate = eps == 0.0
+    if np.any(degenerate):
+        nx = np.where(degenerate, 0, nx)
+        nz = np.where(degenerate, 0, nz)
+    value = (digamma(k) + digamma(n)
+             - float(np.mean(digamma(nx + 1) + digamma(nz + 1))))
     return float(value)

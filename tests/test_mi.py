@@ -14,6 +14,7 @@ from geoib.mi import (
 )
 from geoib.nets import LayerSpec, Network
 from geoib.rng import Rng
+from oracles import ksg_tree_reference
 
 
 def _correlated_pair(rng, n, rho):
@@ -63,6 +64,45 @@ def test_mi_handles_duplicate_points():
     x = np.repeat(Rng(5).normal(50), 4)
     z = np.repeat(Rng(6).normal(50), 4)
     assert np.isfinite(mi_knn(x, z))
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_mi_equals_tree_reference_exactly(k):
+    rng = Rng(12)
+    n = 300
+    u = rng.normal((n, 3))
+    grid = np.round(rng.normal((n, 2)) * 2.0)  # integers: many tied distances
+    dup = np.repeat(rng.normal((n // 10, 2)), 10, axis=0)  # eps == 0 rows
+    cases = [
+        (u, u[:, :2] + 0.5 * rng.normal((n, 2))),
+        (grid, np.round(grid[:, :1] + rng.normal((n, 1)))),
+        (dup, np.repeat(rng.normal(n // 10), 10)),
+        (u[:, 0], u[:, 0] ** 3 + 0.3 * rng.normal(n)),
+    ]
+    for x, z in cases:
+        assert mi_knn(x, z, k=k) == ksg_tree_reference(x, z, k=k)
+
+
+def test_mi_equals_tree_reference_across_many_blocks():
+    # 1200 rows give 27-row blocks, so the scan runs over 45 of them
+    rng = Rng(13)
+    x = rng.normal((1200, 40))
+    z = np.round(x[:, :4] + rng.normal((1200, 4)), 1)
+    assert mi_knn(x, z) == ksg_tree_reference(x, z)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mi_rejects_non_finite_input(bad):
+    x = Rng(14).normal((20, 2))
+    z = Rng(15).normal((20, 2))
+    xb = x.copy()
+    xb[3, 1] = bad
+    zb = z.copy()
+    zb[7, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        mi_knn(xb, z)
+    with pytest.raises(ValueError, match="finite"):
+        mi_knn(x, zb)
 
 
 def test_mi_validates_inputs():

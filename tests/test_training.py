@@ -1,6 +1,6 @@
 import json
 import os
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -342,3 +342,73 @@ def test_run_sweep_records_failures_and_continues(tmp_path):
     assert all("TrainingDiverged" in r["error"] for r in records)
     # aggregate files still written, just empty of rows
     assert read_points_csv(out / "info_plane.csv") == []
+
+
+def test_run_sweep_keeps_betas_apart_past_six_digits(tmp_path):
+    # "%g" prints both as 1; each cell needs its own directory and point
+    out = tmp_path / "sweep"
+    betas = (1.0000001, 1.0000002)
+    first = run_sweep(_SWEEP_CFG, str(out), betas=betas, k_dims=(2,))
+    assert [p.beta for p in first] == list(betas)
+    cells = sorted(d.name for d in out.iterdir() if d.is_dir())
+    assert cells == ["beta1.0000001_k2_seed0", "beta1.0000002_k2_seed0"]
+    for beta in betas:
+        cell = out / f"beta{beta!r}_k2_seed0"
+        assert read_points_jsonl(cell / "point.jsonl")[0].beta == beta
+    again = run_sweep(_SWEEP_CFG, str(out), betas=betas, k_dims=(2,))
+    assert again == first
+
+
+def test_run_sweep_drops_a_partial_last_manifest_line(tmp_path):
+    out = tmp_path / "sweep"
+    first = run_sweep(_SWEEP_CFG, str(out), betas=(1e-4,), k_dims=(2,),
+                      seeds=(0, 1))
+    path = out / "manifest.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text(lines[0] + lines[1][: len(lines[1]) // 2])  # killed mid-append
+    with pytest.warns(UserWarning, match="partial last line"):
+        second = run_sweep(_SWEEP_CFG, str(out), betas=(1e-4,), k_dims=(2,),
+                           seeds=(0, 1))
+    # seed 1 was trained again; only its wall clock may differ
+    assert second[0] == first[0]
+    assert second[1] == replace(first[1], wall_clock_s=second[1].wall_clock_s)
+    repaired = path.read_text()
+    assert repaired.startswith(lines[0])
+    assert [json.loads(line)["cell"] for line in repaired.splitlines()] == \
+        ["beta0.0001_k2_seed0", "beta0.0001_k2_seed1"]
+    third = run_sweep(_SWEEP_CFG, str(out), betas=(1e-4,), k_dims=(2,),
+                      seeds=(0, 1))
+    assert third == second
+    assert path.read_text() == repaired
+
+
+def test_run_sweep_completes_a_last_manifest_line_without_newline(tmp_path):
+    out = tmp_path / "sweep"
+    first = run_sweep(_SWEEP_CFG, str(out), betas=(1e-4,), k_dims=(2,))
+    path = out / "manifest.jsonl"
+    path.write_text(path.read_text().rstrip("\n"))  # killed before the newline
+    second = run_sweep(_SWEEP_CFG, str(out), betas=(1e-4,), k_dims=(2,),
+                       seeds=(0, 1))
+    assert second[0] == first[0]
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [r["cell"] for r in records] == \
+        ["beta0.0001_k2_seed0", "beta0.0001_k2_seed1"]
+
+
+def test_run_sweep_retries_cells_that_failed(tmp_path, monkeypatch):
+    out = tmp_path / "sweep"
+    real = training.run_training
+
+    def broken(cfg, out_dir=None):
+        raise RuntimeError("killed by the test")
+
+    monkeypatch.setattr(training, "run_training", broken)
+    assert run_sweep(_SWEEP_CFG, str(out), betas=(1e-4,), k_dims=(2,)) == []
+    monkeypatch.setattr(training, "run_training", real)
+    points = run_sweep(_SWEEP_CFG, str(out), betas=(1e-4,), k_dims=(2,))
+    assert len(points) == 1 and points[0].beta == 1e-4
+    records = [json.loads(line)
+               for line in (out / "manifest.jsonl").read_text().splitlines()]
+    assert [r["status"] for r in records] == ["error", "ok"]
+    assert run_sweep(_SWEEP_CFG, str(out), betas=(1e-4,), k_dims=(2,)) == points
+    assert len((out / "manifest.jsonl").read_text().splitlines()) == 2
