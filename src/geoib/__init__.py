@@ -46,7 +46,7 @@ from .training import (
     gib_step,
     run_sweep,
     run_training,
-    vib_step,
+    train_step,
 )
 from .verify import run_all_checks
 
@@ -97,5 +97,5 @@ __all__ = [
     "run_sweep",
     "run_training",
     "save_config",
-    "vib_step",
+    "train_step",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, fields, replace
 
-import numpy as np
+from .encoder import SIGMA_SQ_FLOOR
 
 METHODS = ("geoib", "vib")
 FR_MODES = ("closed_form_kl", "fr_quadratic")
@@ -30,7 +30,8 @@ class TrainConfig:
 
     Attributes:
         method: "geoib" (natural-gradient with the geometric penalties) or
-            "vib" (plain-gradient variational baseline).
+            "vib" (the variational baseline: NLL + beta KL, no Jacobian
+            term, fr_mode ignored, plain gradient descent).
         beta: compression weight.
         k_dim: representation dimension.
         fr_mode: "closed_form_kl" or "fr_quadratic" for the rate term.
@@ -54,7 +55,9 @@ class TrainConfig:
             loss one: empirical factors shrink with the loss gradient, so
             as a large-beta code collapses the exact step g / (G + damping)
             would stop shrinking with g and overshoot.
-        vib_natural_gradient: precondition the vib baseline too (ablation).
+        vib_natural_gradient: precondition the vib baseline too (ablation),
+            with the same model-sampled factor statistics and exact solve
+            as geoib.
     """
 
     method: str = "geoib"
@@ -68,7 +71,7 @@ class TrainConfig:
     batch: int = 128
     epochs: int = 50
     seed: int = 0
-    sigma_floor: float = float(np.exp(-12.0))
+    sigma_floor: float = SIGMA_SQ_FLOOR
     step_clip: float = 1.0
     dataset: str = "gauss_mixture:n=5000,noise=0.14"
     enc_hidden: str = "32"

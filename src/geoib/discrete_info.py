@@ -145,9 +145,3 @@ def ib_projection_value(p_xz, p_yz, beta: float) -> float:
     compression = kl_to_product(p_xz, qx, rz)
     prediction = kl_to_product(p_yz, qy, rz2)
     return float(beta * compression - prediction)
-
-
-def load_joint_csv(path) -> np.ndarray:
-    """Load a joint table from CSV with rows indexed by x and columns by z."""
-    a = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    return validate_joint(a, name=str(path))

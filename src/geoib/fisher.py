@@ -5,7 +5,7 @@ The natural gradient is the Riemannian gradient of the loss under the
 Fisher metric: preconditioning by F^-1 yields the steepest-descent
 direction per unit Fisher-Rao norm, and the resulting step is invariant
 under smooth reparameterization to first order.  Both properties have
-direct numerical checks here (`steepest_descent_check`,
+direct numerical checks here (`steepest_descent_margin`,
 `reparam_invariance_check`) because they are what the optimizer is for.
 
 For layered networks the Fisher block of a layer is approximated by the
@@ -185,20 +185,17 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def empirical_fisher_exact(net: Network, x, likelihood: str = "categorical") -> np.ndarray:
-    """Dense Fisher of the network's predictive distribution, exact in the
-    model expectation.
+def empirical_fisher_exact(net: Network, x) -> np.ndarray:
+    """Dense Fisher of the network's categorical (softmax) predictive
+    distribution, exact in the model expectation.
 
-    For each input the expectation over model outputs is carried out in
-    closed form rather than sampled: for a categorical (softmax) output
-    F_i = sum_y p_y grad log p(y) grad log p(y)^T, and for Bernoulli
-    (sigmoid) units F_i = sum_u p_u (1 - p_u) grad s_u grad s_u^T with s_u
-    the logit.  The result is averaged over the batch.
+    For each input the expectation over labels is carried out in closed
+    form rather than sampled, F_i = sum_y p_y grad log p(y) grad log p(y)^T,
+    and the result is averaged over the batch.
 
     Args:
         net: network with <= 2000 parameters (guarded).
         x: (B, in_dim) inputs.
-        likelihood: "categorical" or "bernoulli".
 
     Returns:
         (P, P) symmetric positive semidefinite matrix.
@@ -208,8 +205,6 @@ def empirical_fisher_exact(net: Network, x, likelihood: str = "categorical") -> 
             f"dense Fisher of {net.n_params} parameters exceeds the "
             f"{DENSE_FISHER_GUARD} guard"
         )
-    if likelihood not in ("categorical", "bernoulli"):
-        raise ValueError(f"unknown likelihood {likelihood!r}")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"x must be a batch, got shape {x.shape}")
@@ -218,25 +213,13 @@ def empirical_fisher_exact(net: Network, x, likelihood: str = "categorical") -> 
     for i in range(x.shape[0]):
         xi = x[i : i + 1]
         out = net.forward(xi, capture=True)[0]
-        if likelihood == "categorical":
-            p = _softmax(out)
-            for y in range(out.shape[0]):
-                upstream = -p.copy()
-                upstream[y] += 1.0
-                g = flatten_blocks(net.backward(upstream[None, :]))
-                fisher += p[y] * np.outer(g, g)
-        else:
-            p = _sigmoid_stable(out)
-            for u in range(out.shape[0]):
-                upstream = np.zeros_like(out)
-                upstream[u] = 1.0
-                g = flatten_blocks(net.backward(upstream[None, :]))
-                fisher += p[u] * (1.0 - p[u]) * np.outer(g, g)
+        p = _softmax(out)
+        for y in range(out.shape[0]):
+            upstream = -p.copy()
+            upstream[y] += 1.0
+            g = flatten_blocks(net.backward(upstream[None, :]))
+            fisher += p[y] * np.outer(g, g)
     return fisher / x.shape[0]
-
-
-def _sigmoid_stable(s: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.tanh(0.5 * s))
 
 
 # ------------------------------------------------------- natural gradient
@@ -366,13 +349,6 @@ def steepest_descent_margin(fisher_matrix, grad, n_dirs: int, rng) -> float:
     return float(np.min(slopes) - best)
 
 
-def steepest_descent_check(fisher_matrix, grad, n_dirs: int, rng,
-                           slack: float = 1e-10) -> bool:
-    """True iff no trial direction descends faster than the natural one,
-    within slack.  A zero gradient passes trivially (v* = 0 convention)."""
-    return steepest_descent_margin(fisher_matrix, grad, n_dirs, rng) >= -slack
-
-
 def reparam_invariance_check(fisher_matrix, grad, transform) -> float:
     """Gap between the natural step and the one computed in linearly
     transformed coordinates and mapped back.
@@ -396,70 +372,3 @@ def reparam_invariance_check(fisher_matrix, grad, transform) -> float:
     g_prime = t_inv.T @ g
     v_prime = np.linalg.solve(f_prime, g_prime)
     return float(np.linalg.norm(t_inv @ v_prime - v))
-
-
-def kfac_vs_exact_error(state: KfacState, exact_fisher) -> float:
-    """Relative Frobenius error of the undamped Kronecker approximation
-    against a dense Fisher.  Diagnostic only; no threshold is attached."""
-    f = np.asarray(exact_fisher, dtype=np.float64)
-    approx = kfac_dense_matrix(state, damped=False)
-    denom = float(np.linalg.norm(f))
-    if denom == 0.0:
-        return float(np.linalg.norm(approx))
-    return float(np.linalg.norm(approx - f) / denom)
-
-
-# ----------------------------------------------------------------- checkpoint
-
-
-def save_kfac(state: KfacState, path) -> None:
-    """Text header (damping, decay, steps, block shapes) + little-endian
-    float64 payload of all A factors then all G factors."""
-    dims = " ".join(f"{a}x{g}" for a, g in state.shapes)
-    header = f"kfac {state.damping!r} {state.ema_decay!r} {state.steps} {dims}"
-    with open(path, "wb") as fh:
-        fh.write((header + "\n").encode("ascii"))
-        if state.a_factors is not None:
-            flat = np.concatenate(
-                [m.ravel() for m in state.a_factors]
-                + [m.ravel() for m in state.g_factors]
-            )
-            fh.write(flat.astype("<f8").tobytes())
-
-
-def load_kfac(path) -> KfacState:
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").strip()
-        payload = fh.read()
-    fields = header.split()
-    if not fields or fields[0] != "kfac" or len(fields) < 4:
-        raise ValueError(f"{path}: not a kfac checkpoint (header {header!r})")
-    damping = float(fields[1])
-    ema_decay = float(fields[2])
-    steps = int(fields[3])
-    shapes = []
-    for tok in fields[4:]:
-        a, g = tok.split("x")
-        shapes.append((int(a), int(g)))
-    state = KfacState(shapes=tuple(shapes), damping=damping,
-                      ema_decay=ema_decay, steps=steps)
-    if steps > 0:
-        flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-        expect = sum(a * a for a, _ in shapes) + sum(g * g for _, g in shapes)
-        if flat.shape[0] != expect:
-            raise ValueError(
-                f"{path}: payload holds {flat.shape[0]} floats, expected {expect}"
-            )
-        offset = 0
-        a_factors, g_factors = [], []
-        for a, _ in shapes:
-            a_factors.append(flat[offset : offset + a * a].reshape(a, a).copy())
-            offset += a * a
-        for _, g in shapes:
-            g_factors.append(flat[offset : offset + g * g].reshape(g, g).copy())
-            offset += g * g
-        state.a_factors = a_factors
-        state.g_factors = g_factors
-    elif payload:
-        raise ValueError(f"{path}: unexpected payload on a factorless checkpoint")
-    return state

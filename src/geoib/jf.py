@@ -145,20 +145,13 @@ def _check_head(net, head_dim: int | None) -> int:
     return head_dim
 
 
-def jf_batch(net, x, noise_cov, probes, head_dim: int | None = None):
-    """Per-sample Hutchinson estimates for a batch with explicit probes.
-
-    Args:
-        net: network whose leading `head_dim` outputs form the mean map.
-        x: (B, in_dim) inputs.
-        noise_cov: (B, head) or (head,) diagonal noise variances.
-        probes: (S, B, in_dim) tangent probes, e.g. from `draw_probes`.
-        head_dim: number of leading outputs that constitute the map; the
-            rest (a log-variance head, say) carry no penalty.
+def _folded_jvp(net, x, noise_cov, probes, head_dim: int | None):
+    """Head tangents J(x_i) v_si of every (probe, sample) pair from one JVP
+    pass over the folded S*B axis, with the floored noise variances.
 
     Returns:
-        (values, per_probe): values is (B,) with the probe-averaged estimate
-        per sample; per_probe is (S,) with batch means per probe.
+        (u_head, nc, u, cache): u_head is (S, B, head), nc is (B, head), and
+        u and cache are the folded JVP output and its adjoint cache.
     """
     x = np.asarray(x, dtype=np.float64)
     probes = np.asarray(probes, dtype=np.float64)
@@ -175,10 +168,27 @@ def jf_batch(net, x, noise_cov, probes, head_dim: int | None = None):
             f"noise_cov must broadcast to ({x.shape[0]}, {head}), got {nc.shape}"
         )
     n_probes, batch = probes.shape[0], x.shape[0]
-    # fold probes into the batch axis: one JVP pass for all S*B pairs
     x_rep = np.broadcast_to(x, probes.shape).reshape(n_probes * batch, -1)
-    u, _ = net.jvp_batch(x_rep, probes.reshape(n_probes * batch, -1))
-    u_head = u[:, :head].reshape(n_probes, batch, head)
+    u, cache = net.jvp_batch(x_rep, probes.reshape(n_probes * batch, -1))
+    return u[:, :head].reshape(n_probes, batch, head), nc, u, cache
+
+
+def jf_batch(net, x, noise_cov, probes, head_dim: int | None = None):
+    """Per-sample Hutchinson estimates for a batch with explicit probes.
+
+    Args:
+        net: network whose leading `head_dim` outputs form the mean map.
+        x: (B, in_dim) inputs.
+        noise_cov: (B, head) or (head,) diagonal noise variances.
+        probes: (S, B, in_dim) tangent probes, e.g. from `draw_probes`.
+        head_dim: number of leading outputs that constitute the map; the
+            rest (a log-variance head, say) carry no penalty.
+
+    Returns:
+        (values, per_probe): values is (B,) with the probe-averaged estimate
+        per sample; per_probe is (S,) with batch means per probe.
+    """
+    u_head, nc, _, _ = _folded_jvp(net, x, noise_cov, probes, head_dim)
     per_sample = np.sum(u_head**2 / nc, axis=2)
     return per_sample.mean(axis=0), per_sample.mean(axis=1)
 
@@ -217,17 +227,6 @@ def jf_hutchinson(net, x, noise_cov, n_probes: int, rng,
     return JfEstimate(value=float(values.mean()), n_probes=n_probes, per_probe=per_probe)
 
 
-def jf_isotropic(net, x, sigma_sq: float, n_probes: int, rng,
-                 head_dim: int | None = None,
-                 probes: np.ndarray | None = None) -> JfEstimate:
-    """Isotropic-noise shortcut ||J||_F^2 / sigma^2 with the variance floor."""
-    sig = max(float(sigma_sq), SIGMA_SQ_FLOOR)
-    head = _check_head(net, head_dim)
-    shared = np.full(head, sig)
-    return jf_hutchinson(net, x, shared, n_probes, rng,
-                         head_dim=head_dim, probes=probes)
-
-
 def jf_value_and_grad(net, x, noise_cov, probes, head_dim: int | None = None):
     """Batch JF estimate together with its parameter gradient.
 
@@ -242,16 +241,8 @@ def jf_value_and_grad(net, x, noise_cov, probes, head_dim: int | None = None):
         per-layer block gradient of sum_i values_i (sum convention, like
         `Network.backward`).
     """
-    x = np.asarray(x, dtype=np.float64)
-    probes = np.asarray(probes, dtype=np.float64)
-    head = _check_head(net, head_dim)
-    nc = np.maximum(np.asarray(noise_cov, dtype=np.float64), SIGMA_SQ_FLOOR)
-    if nc.ndim == 1:
-        nc = np.broadcast_to(nc, (x.shape[0], head))
-    n_probes, batch = probes.shape[0], x.shape[0]
-    x_rep = np.broadcast_to(x, probes.shape).reshape(n_probes * batch, -1)
-    u, cache = net.jvp_batch(x_rep, probes.reshape(n_probes * batch, -1))
-    u_head = u[:, :head].reshape(n_probes, batch, head)
+    u_head, nc, u, cache = _folded_jvp(net, x, noise_cov, probes, head_dim)
+    n_probes, batch, head = u_head.shape
     values = np.sum(u_head**2 / nc, axis=2).mean(axis=0)
     u_bar = np.zeros_like(u)
     u_bar[:, :head] = (2.0 * u_head / nc).reshape(n_probes * batch, head)

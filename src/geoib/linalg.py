@@ -35,27 +35,6 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     return a
 
 
-def matmul(a, b) -> np.ndarray:
-    """Exact dense product a @ b with an explicit inner-dimension check.
-
-    Args:
-        a: (m, k) matrix.
-        b: (k, n) matrix or (k,) vector.
-
-    Returns:
-        (m, n) matrix, or (m,) vector when b is a vector.
-    """
-    am = as_matrix(a, "a")
-    bb = np.asarray(b, dtype=np.float64)
-    if bb.ndim not in (1, 2):
-        raise ValueError(f"b must be 1-D or 2-D, got shape {bb.shape}")
-    if am.shape[1] != bb.shape[0]:
-        raise ValueError(
-            f"inner dimensions disagree: a is {am.shape}, b is {bb.shape}"
-        )
-    return am @ bb
-
-
 def logdet_psd(m) -> float:
     """log-determinant of a symmetric positive-definite matrix.
 
@@ -192,10 +171,3 @@ def conjugate_gradient(
         p = r + (rs_new / rs) * p
         rs = rs_new
     return CgResult(x=best_x, residual=best_res, iterations=iterations, converged=converged)
-
-
-def hutchinson_probe(rng, dim: int) -> np.ndarray:
-    """A standard normal probe vector for trace estimation."""
-    if dim <= 0:
-        raise ValueError(f"dim must be positive, got {dim}")
-    return rng.normal(dim)

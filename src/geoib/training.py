@@ -1,15 +1,17 @@
-"""Training loops: geometry-aware bottleneck runs and the plain baseline.
+"""Training loops: geometry-aware bottleneck runs and the VIB baseline.
 
-One optimizer step of the main method does, in order: (1) draw a minibatch
-and reparameterized codes z = mu + sigma * eps, (2) estimate the rate term
-and the Jacobian capacity penalty with Hutchinson probes, (3) assemble
-Euclidean gradients for decoder and encoder (the encoder gradient carries
-beta times the two penalties), (4) refresh the Kronecker Fisher factors
-from a model-sampled backward pass, (5) solve the damped factored systems
-by an exact Kronecker-factored Cholesky solve, and (6) apply additive
-parameter updates scaled by the two step sizes.  The baseline optimizes
-NLL + beta * KL by plain gradient descent (an ablation flag lets it borrow
-the preconditioner).
+Both methods share one objective and one step.  A geoib step does, in
+order: (1) draw a minibatch and reparameterized codes z = mu + sigma * eps,
+(2) estimate the rate term and the Jacobian capacity penalty with
+Hutchinson probes, (3) assemble Euclidean gradients for decoder and encoder
+(the encoder gradient carries beta times the two penalties), (4) refresh
+the Kronecker Fisher factors from a model-sampled backward pass, (5) solve
+the damped factored systems by an exact Kronecker-factored Cholesky solve,
+and (6) apply additive parameter updates scaled by the two step sizes.  The
+VIB baseline (Alemi et al. 2017) is the same objective without the
+Jacobian term, with the rate fixed to the closed-form KL, and skips (2),
+(4) and (5): plain gradient descent, unless the vib_natural_gradient
+ablation keeps the preconditioning steps exactly as geoib runs them.
 
 Everything stochastic draws from substreams of the run seed keyed by step
 index, so runs are reproducible sample-for-sample and a config uniquely
@@ -22,13 +24,13 @@ import json
 import os
 import time
 import warnings
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict, fields, replace
 
 import numpy as np
 
-from .config import TrainConfig, save_config
+from .config import TrainConfig, load_config, save_config
 from .data import DatasetHandle, make_dataset
-from .encoder import LOG_VAR_MAX, LOG_VAR_MIN
+from .encoder import LOG_VAR_MAX, LOG_VAR_MIN, clamp_log_var
 from .fisher import (
     KfacState,
     flatten_blocks,
@@ -118,21 +120,34 @@ class StepMetrics:
     solve_residual_dec: float = 0.0
 
 
+def _posterior_head(out: np.ndarray, k_dim: int):
+    """Split an encoder output into mu, the clamped log-variance, and the
+    mask of raw log-variances strictly inside the clamp, through which the
+    clamp passes gradients."""
+    raw_lv = out[:, k_dim:]
+    clamp_open = (raw_lv > LOG_VAR_MIN) & (raw_lv < LOG_VAR_MAX)
+    return out[:, :k_dim], clamp_log_var(raw_lv), clamp_open
+
+
 def geoib_loss_and_grads(enc: Network, dec: Network, x, y, *,
                          beta: float, fr_mode: str, sigma_floor: float,
-                         k_dim: int, eps: np.ndarray, probes: np.ndarray,
+                         k_dim: int, eps: np.ndarray,
+                         probes: np.ndarray | None,
                          noise_cov: np.ndarray | None = None,
                          want_grads: bool = True):
-    """The full objective NLL + beta (FR + JF) and, optionally, its exact
+    """The objective NLL + beta (FR + JF) and, optionally, its exact
     gradients for both networks.
 
-    The Jacobian penalty treats the noise covariance as a constant input:
-    pass `noise_cov` explicitly to freeze it (finite-difference checks), or
+    With `probes=None` the Jacobian term is left out, which with
+    fr_mode="closed_form_kl" is the VIB objective NLL + beta KL.  The
+    Jacobian penalty treats the noise covariance as a constant input: pass
+    `noise_cov` explicitly to freeze it (finite-difference checks), or
     leave it None to evaluate it from the current log-variances.
 
     Args:
         eps: (B, k_dim) reparameterization draws, fixed for this call.
-        probes: (S, B, d_in) Hutchinson probes, fixed for this call.
+        probes: (S, B, d_in) Hutchinson probes, fixed for this call, or
+            None for no Jacobian term.
 
     Returns:
         metrics alone when want_grads is False, else
@@ -142,11 +157,7 @@ def geoib_loss_and_grads(enc: Network, dec: Network, x, y, *,
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     batch = x.shape[0]
-    out = enc.forward(x, capture=want_grads)
-    mu = out[:, :k_dim]
-    raw_lv = out[:, k_dim:]
-    lv = np.clip(raw_lv, LOG_VAR_MIN, LOG_VAR_MAX)
-    clamp_open = (raw_lv > LOG_VAR_MIN) & (raw_lv < LOG_VAR_MAX)
+    mu, lv, clamp_open = _posterior_head(enc.forward(x, capture=want_grads), k_dim)
     sig = np.exp(0.5 * lv)
     z = mu + sig * eps
     logits = dec.forward(z, capture=want_grads)
@@ -162,12 +173,14 @@ def geoib_loss_and_grads(enc: Network, dec: Network, x, y, *,
         dlv_fr = 0.5 * lv
     fr = float(fr_vec.mean())
 
-    nc = noise_cov if noise_cov is not None else np.maximum(var, sigma_floor)
-    if want_grads:
-        jf_vec, jf_grads = jf_value_and_grad(enc, x, nc, probes, head_dim=k_dim)
-    else:
-        jf_vec, _ = jf_batch(enc, x, nc, probes, head_dim=k_dim)
-    jf = float(jf_vec.mean())
+    jf, jf_grads = 0.0, None
+    if probes is not None:
+        nc = noise_cov if noise_cov is not None else np.maximum(var, sigma_floor)
+        if want_grads:
+            jf_vec, jf_grads = jf_value_and_grad(enc, x, nc, probes, head_dim=k_dim)
+        else:
+            jf_vec, _ = jf_batch(enc, x, nc, probes, head_dim=k_dim)
+        jf = float(jf_vec.mean())
 
     total = nll + beta * (fr + jf)
     metrics = StepMetrics(total=total, nll=nll, fr=fr, jf=jf)
@@ -179,40 +192,10 @@ def geoib_loss_and_grads(enc: Network, dec: Network, x, y, *,
     up_enc[:, :k_dim] = dz + beta * mu
     up_enc[:, k_dim:] = (dz * (0.5 * sig * eps) + beta * dlv_fr) * clamp_open
     g_enc_blocks = enc.backward(up_enc)
-    g_enc = [(g + beta * jg) / batch for g, jg in zip(g_enc_blocks, jf_grads)]
-    g_dec = [g / batch for g in g_dec_blocks]
-    return metrics, g_enc, g_dec
-
-
-def vib_loss_and_grads(enc: Network, dec: Network, x, y, *,
-                       beta: float, k_dim: int, eps: np.ndarray,
-                       want_grads: bool = True):
-    """Baseline objective NLL + beta * KL(q || N(0, I)), no Jacobian term."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y)
-    batch = x.shape[0]
-    out = enc.forward(x, capture=want_grads)
-    mu = out[:, :k_dim]
-    raw_lv = out[:, k_dim:]
-    lv = np.clip(raw_lv, LOG_VAR_MIN, LOG_VAR_MAX)
-    clamp_open = (raw_lv > LOG_VAR_MIN) & (raw_lv < LOG_VAR_MAX)
-    sig = np.exp(0.5 * lv)
-    z = mu + sig * eps
-    logits = dec.forward(z, capture=want_grads)
-    nll_vec, up_dec, _ = _nll_and_upstream(logits, y)
-    nll = float(nll_vec.mean())
-    var = np.exp(lv)
-    fr_vec = 0.5 * np.sum(mu**2 + var - lv - 1.0, axis=1)
-    fr = float(fr_vec.mean())
-    total = nll + beta * fr
-    metrics = StepMetrics(total=total, nll=nll, fr=fr, jf=0.0)
-    if not want_grads:
-        return metrics
-    g_dec_blocks, dz = dec.backward(up_dec, return_input_grad=True)
-    up_enc = np.zeros((batch, 2 * k_dim))
-    up_enc[:, :k_dim] = dz + beta * mu
-    up_enc[:, k_dim:] = (dz * (0.5 * sig * eps) + beta * 0.5 * (var - 1.0)) * clamp_open
-    g_enc = [g / batch for g in enc.backward(up_enc)]
+    if jf_grads is None:
+        g_enc = [g / batch for g in g_enc_blocks]
+    else:
+        g_enc = [(g + beta * jg) / batch for g, jg in zip(g_enc_blocks, jf_grads)]
     g_dec = [g / batch for g in g_dec_blocks]
     return metrics, g_enc, g_dec
 
@@ -222,11 +205,9 @@ def _sampled_capture(enc: Network, dec: Network, x, eps, k_dim: int,
     """Refresh the captured backward statistics with model-sampled targets:
     decoder targets y ~ p(y|z) at the step's codes z = mu + sigma * eps,
     encoder scores at fresh codes z ~ q(.|x)."""
-    out = enc.forward(x, capture=True)
-    raw_lv = out[:, k_dim:]
-    clamp_open = (raw_lv > LOG_VAR_MIN) & (raw_lv < LOG_VAR_MAX)
-    sig = np.exp(0.5 * np.clip(raw_lv, LOG_VAR_MIN, LOG_VAR_MAX))
-    logits = dec.forward(out[:, :k_dim] + sig * eps, capture=True)
+    mu, lv, clamp_open = _posterior_head(enc.forward(x, capture=True), k_dim)
+    sig = np.exp(0.5 * lv)
+    logits = dec.forward(mu + sig * eps, capture=True)
     m = logits.max(axis=1, keepdims=True)
     p = np.exp(logits - m)
     p /= p.sum(axis=1, keepdims=True)
@@ -254,71 +235,56 @@ def _clip_step(delta: np.ndarray, max_norm: float) -> np.ndarray:
     return delta
 
 
-def gib_step(cfg: TrainConfig, enc: Network, dec: Network,
-             kfac_enc: KfacState, kfac_dec: KfacState,
-             x, y, step_rng: Rng) -> StepMetrics:
-    """One six-part natural-gradient step; mutates nets and factors."""
+def train_step(cfg: TrainConfig, enc: Network, dec: Network,
+               kfac_enc: KfacState | None, kfac_dec: KfacState | None,
+               x, y, step_rng: Rng) -> StepMetrics:
+    """One optimizer step of either method; mutates nets and factors.
+
+    geoib draws Hutchinson probes and optimizes the full objective with
+    cfg.fr_mode; vib optimizes NLL + beta KL whatever cfg.fr_mode says.
+    Given K-FAC states, the factors are refreshed from a model-sampled
+    backward pass and both gradients are preconditioned by the exact
+    natural-gradient solve; without them the step is plain gradient
+    descent.
+    """
     x = np.asarray(x, dtype=np.float64)
     batch = x.shape[0]
     eps = step_rng.normal((batch, cfg.k_dim))
-    probes = draw_probes(step_rng, cfg.jf_probes, batch, x.shape[1])
+    if cfg.method == "geoib":
+        probes = draw_probes(step_rng, cfg.jf_probes, batch, x.shape[1])
+        fr_mode = cfg.fr_mode
+    else:
+        probes, fr_mode = None, "closed_form_kl"
     metrics, g_enc, g_dec = geoib_loss_and_grads(
-        enc, dec, x, y, beta=cfg.beta, fr_mode=cfg.fr_mode,
+        enc, dec, x, y, beta=cfg.beta, fr_mode=fr_mode,
         sigma_floor=cfg.sigma_floor, k_dim=cfg.k_dim, eps=eps, probes=probes,
     )
     if not np.isfinite(metrics.total):
         raise FloatingPointError(f"objective went non-finite: {metrics.total!r}")
-    _sampled_capture(enc, dec, x, eps, cfg.k_dim, step_rng)
-    kfac_update(kfac_enc, enc)
-    kfac_update(kfac_dec, dec)
     flat_enc = flatten_blocks(g_enc)
     flat_dec = flatten_blocks(g_dec)
-    step_enc = natural_gradient(kfac_enc, flat_enc)
-    step_dec = natural_gradient(kfac_dec, flat_dec)
-    enc.set_params(enc.get_params()
-                   - _clip_step(cfg.eta_phi * step_enc.direction, cfg.step_clip))
-    dec.set_params(dec.get_params()
-                   - _clip_step(cfg.eta_theta * step_dec.direction, cfg.step_clip))
-    return replace(
-        metrics,
-        grad_norm_enc=float(np.linalg.norm(flat_enc)),
-        grad_norm_dec=float(np.linalg.norm(flat_dec)),
-        solve_residual_enc=step_enc.residual,
-        solve_residual_dec=step_dec.residual,
-    )
-
-
-def vib_step(cfg: TrainConfig, enc: Network, dec: Network,
-             kfac_enc: KfacState | None, kfac_dec: KfacState | None,
-             x, y, step_rng: Rng) -> StepMetrics:
-    """One baseline step: plain gradient descent on NLL + beta KL, or the
-    preconditioned variant when cfg.vib_natural_gradient is set."""
-    x = np.asarray(x, dtype=np.float64)
-    eps = step_rng.normal((x.shape[0], cfg.k_dim))
-    metrics, g_enc, g_dec = vib_loss_and_grads(
-        enc, dec, x, y, beta=cfg.beta, k_dim=cfg.k_dim, eps=eps,
-    )
-    if not np.isfinite(metrics.total):
-        raise FloatingPointError(f"objective went non-finite: {metrics.total!r}")
-    flat_enc = flatten_blocks(g_enc)
-    flat_dec = flatten_blocks(g_dec)
-    if cfg.vib_natural_gradient:
+    metrics = replace(metrics, grad_norm_enc=float(np.linalg.norm(flat_enc)),
+                      grad_norm_dec=float(np.linalg.norm(flat_dec)))
+    dir_enc, dir_dec = flat_enc, flat_dec
+    if kfac_enc is not None:
+        _sampled_capture(enc, dec, x, eps, cfg.k_dim, step_rng)
         kfac_update(kfac_enc, enc)
         kfac_update(kfac_dec, dec)
         step_enc = natural_gradient(kfac_enc, flat_enc)
         step_dec = natural_gradient(kfac_dec, flat_dec)
         dir_enc, dir_dec = step_enc.direction, step_dec.direction
-        extra = dict(solve_residual_enc=step_enc.residual,
-                     solve_residual_dec=step_dec.residual)
-    else:
-        dir_enc, dir_dec = flat_enc, flat_dec
-        extra = {}
+        metrics = replace(metrics, solve_residual_enc=step_enc.residual,
+                          solve_residual_dec=step_dec.residual)
     enc.set_params(enc.get_params()
                    - _clip_step(cfg.eta_phi * dir_enc, cfg.step_clip))
     dec.set_params(dec.get_params()
                    - _clip_step(cfg.eta_theta * dir_dec, cfg.step_clip))
-    return replace(metrics, grad_norm_enc=float(np.linalg.norm(flat_enc)),
-                   grad_norm_dec=float(np.linalg.norm(flat_dec)), **extra)
+    return metrics
+
+
+# `run_training` takes every geoib step, and only those, through this
+# module-level name, so a hook set on it sees exactly the geoib steps.
+gib_step = train_step
 
 
 @dataclass
@@ -352,6 +318,7 @@ def run_training(cfg: TrainConfig, out_dir: str | None = None,
     need_kfac = cfg.method == "geoib" or cfg.vib_natural_gradient
     kfac_enc = kfac_init(enc, cfg.damping, cfg.kfac_decay) if need_kfac else None
     kfac_dec = kfac_init(dec, cfg.damping, cfg.kfac_decay) if need_kfac else None
+    step = gib_step if cfg.method == "geoib" else train_step
     x_tr, y_tr = ds.split("train")
     n = x_tr.shape[0]
     history: list[dict] = []
@@ -368,12 +335,8 @@ def run_training(cfg: TrainConfig, out_dir: str | None = None,
             idx = order[start : start + cfg.batch]
             step_rng = root.substream(_STREAM_STEP + global_step)
             try:
-                if cfg.method == "geoib":
-                    m = gib_step(cfg_epoch, enc, dec, kfac_enc, kfac_dec,
-                                 x_tr[idx], y_tr[idx], step_rng)
-                else:
-                    m = vib_step(cfg_epoch, enc, dec, kfac_enc, kfac_dec,
-                                 x_tr[idx], y_tr[idx], step_rng)
+                m = step(cfg_epoch, enc, dec, kfac_enc, kfac_dec,
+                         x_tr[idx], y_tr[idx], step_rng)
             except FloatingPointError as exc:
                 enc.set_params(last_good[0])
                 dec.set_params(last_good[1])
@@ -451,9 +414,7 @@ def evaluate_run(cfg: TrainConfig, enc: Network, dec: Network,
     else:
         sel = np.arange(n)
     x_mi = ds.features[sel]
-    out = enc.forward(x_mi)
-    mu_mi = out[:, : cfg.k_dim]
-    lv_mi = np.clip(out[:, cfg.k_dim :], LOG_VAR_MIN, LOG_VAR_MAX)
+    mu_mi, lv_mi, _ = _posterior_head(enc.forward(x_mi), cfg.k_dim)
     mi = mi_knn(_standardized(x_mi), _noise_relative_view(mu_mi, lv_mi))
     return InfoPlanePoint(beta=cfg.beta, k_dim=cfg.k_dim, accuracy=acc,
                           mi_xz_nats=mi, inversion_mse=inv, seed=cfg.seed,
@@ -513,42 +474,55 @@ def _read_manifest(path: str) -> dict[str, dict]:
     return {rec["cell"]: rec for rec in records}
 
 
+def _check_reused_cell(cell_dir: str, cfg: TrainConfig) -> None:
+    """Refuse to reuse a finished cell trained under another config."""
+    saved = load_config(os.path.join(cell_dir, "config.resolved"))
+    diff = [f"{f.name} = {getattr(saved, f.name)!r}, now {getattr(cfg, f.name)!r}"
+            for f in fields(TrainConfig)
+            if getattr(saved, f.name) != getattr(cfg, f.name)]
+    if diff:
+        raise ValueError(f"{cell_dir} was trained with a different config "
+                         f"({'; '.join(diff)}); sweep into a new directory")
+
+
 def run_sweep(base_cfg: TrainConfig, out_dir: str,
               betas=None, k_dims=None, seeds=(0,)) -> list[InfoPlanePoint]:
     """Grid product of (beta, k_dim, seed) runs with resumability.
 
     Completed cells are recorded in manifest.jsonl and skipped on re-entry;
     failed cells are recorded with the error, do not stop the sweep, and
-    are trained again on re-entry.  The aggregate info_plane.csv and
-    points.jsonl are rewritten at the end from all successful cells.
+    are trained again on re-entry.  Before anything is trained, every
+    completed cell's saved config must equal the one the grid gives it, or
+    ValueError names the fields that differ.  The aggregate info_plane.csv
+    and points.jsonl are rewritten at the end from all successful cells.
     """
     betas = tuple(betas) if betas is not None else DEFAULT_BETA_GRID
     k_dims = tuple(k_dims) if k_dims is not None else DEFAULT_K_GRID
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "manifest.jsonl")
     done = _read_manifest(manifest_path)
+    cells = [(_cell_key(beta, k_dim, seed),
+              replace(base_cfg, beta=beta, k_dim=k_dim, seed=seed))
+             for beta in betas for k_dim in k_dims for seed in seeds]
+    reused = {key for key, _ in cells if done.get(key, {}).get("status") == "ok"}
+    for key, cfg in cells:
+        if key in reused:
+            _check_reused_cell(os.path.join(out_dir, key), cfg)
     points: list[InfoPlanePoint] = []
     with open(manifest_path, "a", encoding="ascii") as manifest:
-        for beta in betas:
-            for k_dim in k_dims:
-                for seed in seeds:
-                    key = _cell_key(beta, k_dim, seed)
-                    rec = done.get(key)
-                    if rec is not None and rec.get("status") == "ok":
-                        points.append(InfoPlanePoint(**rec["point"]))
-                        continue
-                    cfg = replace(base_cfg, beta=beta, k_dim=k_dim, seed=seed)
-                    cell_dir = os.path.join(out_dir, key)
-                    try:
-                        res = run_training(cfg, out_dir=cell_dir)
-                        rec = {"cell": key, "status": "ok",
-                               "point": asdict(res.point)}
-                        points.append(res.point)
-                    except Exception as exc:  # record and continue the grid
-                        rec = {"cell": key, "status": "error",
-                               "error": f"{type(exc).__name__}: {exc}"}
-                    manifest.write(json.dumps(rec, sort_keys=True) + "\n")
-                    manifest.flush()
+        for key, cfg in cells:
+            if key in reused:
+                points.append(InfoPlanePoint(**done[key]["point"]))
+                continue
+            try:
+                res = run_training(cfg, out_dir=os.path.join(out_dir, key))
+                rec = {"cell": key, "status": "ok", "point": asdict(res.point)}
+                points.append(res.point)
+            except Exception as exc:  # record and continue the grid
+                rec = {"cell": key, "status": "error",
+                       "error": f"{type(exc).__name__}: {exc}"}
+            manifest.write(json.dumps(rec, sort_keys=True) + "\n")
+            manifest.flush()
     write_points_csv(points, os.path.join(out_dir, "info_plane.csv"))
     write_points_jsonl(points, os.path.join(out_dir, "points.jsonl"))
     return points

@@ -44,7 +44,7 @@ from .jf import (
 )
 from .nets import LayerSpec, Network
 from .rng import Rng
-from .training import geoib_loss_and_grads
+from .training import _posterior_head, geoib_loss_and_grads
 
 
 @dataclass(frozen=True)
@@ -233,33 +233,29 @@ def check_gradients_fd(seed: int = 0, tol: float = 1e-4,
         beta = 0.5
         # freeze the noise covariance at the base parameters, matching the
         # constant treatment inside the analytic gradient
-        out = enc.forward(x)
-        lv = np.clip(out[:, k_dim:], -12.0, 12.0)
+        _, lv, _ = _posterior_head(enc.forward(x), k_dim)
         nc = np.exp(lv)
         kwargs = dict(beta=beta, fr_mode=fr_mode, sigma_floor=1e-8,
                       k_dim=k_dim, eps=eps, probes=probes, noise_cov=nc)
         _, g_enc, g_dec = geoib_loss_and_grads(enc, dec, x, y, **kwargs)
         analytic = np.concatenate([flatten_blocks(g_enc), flatten_blocks(g_dec)])
 
-        def value(flat_enc, flat_dec):
+        n_enc = enc.n_params
+        params = np.concatenate([enc.get_params(), dec.get_params()])
+
+        def value(flat):
             e2, d2 = enc.copy(), dec.copy()
-            e2.set_params(flat_enc)
-            d2.set_params(flat_dec)
+            e2.set_params(flat[:n_enc])
+            d2.set_params(flat[n_enc:])
             m = geoib_loss_and_grads(e2, d2, x, y, want_grads=False, **kwargs)
             return m.total
 
-        p_enc, p_dec = enc.get_params(), dec.get_params()
         fd = np.zeros_like(analytic)
-        for i in range(p_enc.size):
-            up, dn = p_enc.copy(), p_enc.copy()
+        for i in range(params.size):
+            up, dn = params.copy(), params.copy()
             up[i] += step
             dn[i] -= step
-            fd[i] = (value(up, p_dec) - value(dn, p_dec)) / (2 * step)
-        for i in range(p_dec.size):
-            up, dn = p_dec.copy(), p_dec.copy()
-            up[i] += step
-            dn[i] -= step
-            fd[p_enc.size + i] = (value(p_enc, up) - value(p_enc, dn)) / (2 * step)
+            fd[i] = (value(up) - value(dn)) / (2 * step)
         rel = np.abs(analytic - fd) / np.maximum(np.abs(fd), 1e-4)
         worst = max(worst, float(rel.max()))
     return CheckResult("gradient_finite_difference", worst < tol,
@@ -277,7 +273,7 @@ def check_cg_vs_dense(seed: int = 0, tol_solve: float = 1e-8,
         [LayerSpec(3, 4, "tanh"), LayerSpec(4, 3, "identity")], rng
     )
     x = rng.normal((12, 3))
-    fisher = empirical_fisher_exact(net, x, likelihood="categorical")
+    fisher = empirical_fisher_exact(net, x)
     lam = 1e-3
     g = rng.normal(net.n_params)
     step = natural_gradient(fisher, g, damping=lam, tol=1e-14,
@@ -311,6 +307,16 @@ def check_cg_vs_dense(seed: int = 0, tol_solve: float = 1e-8,
                        f"fvp_vs_kron={err_fvp:.3e}")
 
 
+def _random_fisher(rng: Rng, log_spread: float) -> np.ndarray:
+    """Symmetric positive definite matrix of side 3..8, with eigenvalues
+    exp(U(-log_spread, log_spread)) in a random orthonormal basis."""
+    dim = int(rng.integers(3, 9))
+    basis = np.linalg.qr(rng.normal((dim, dim)))[0]
+    spec = np.exp(rng.uniform(-log_spread, log_spread, dim))
+    fisher = basis @ np.diag(spec) @ basis.T
+    return 0.5 * (fisher + fisher.T)
+
+
 def check_steepest_descent(seed: int = 0, n_fishers: int = 20,
                            n_dirs: int = 10_000,
                            slack: float = 1e-10) -> CheckResult:
@@ -319,12 +325,8 @@ def check_steepest_descent(seed: int = 0, n_fishers: int = 20,
     rng = Rng(seed, stream=11)
     worst = np.inf
     for i in range(n_fishers):
-        dim = int(rng.integers(3, 9))
-        basis = np.linalg.qr(rng.normal((dim, dim)))[0]
-        spec = np.exp(rng.uniform(-1.0, 1.0, dim))
-        fisher = basis @ np.diag(spec) @ basis.T
-        fisher = 0.5 * (fisher + fisher.T)
-        g = rng.normal(dim)
+        fisher = _random_fisher(rng, 1.0)
+        g = rng.normal(fisher.shape[0])
         margin = steepest_descent_margin(fisher, g, n_dirs,
                                          Rng(seed, stream=1100 + i))
         worst = min(worst, margin)
@@ -389,11 +391,8 @@ def check_reparam_invariance(seed: int = 0, n_triples: int = 50,
     rng = Rng(seed, stream=13)
     worst = 0.0
     for _ in range(n_triples):
-        dim = int(rng.integers(3, 9))
-        basis = np.linalg.qr(rng.normal((dim, dim)))[0]
-        spec = np.exp(rng.uniform(-0.7, 0.7, dim))
-        fisher = basis @ np.diag(spec) @ basis.T
-        fisher = 0.5 * (fisher + fisher.T)
+        fisher = _random_fisher(rng, 0.7)
+        dim = fisher.shape[0]
         g = rng.normal(dim)
         cond = 10.0 ** rng.uniform(0.0, 2.0)  # condition number <= 100
         u = np.linalg.qr(rng.normal((dim, dim)))[0]

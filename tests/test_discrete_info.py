@@ -6,7 +6,6 @@ from geoib.discrete_info import (
     ib_projection_value,
     kl_discrete,
     kl_to_product,
-    load_joint_csv,
     marginals,
     mutual_information,
     pythagorean_residual,
@@ -209,20 +208,3 @@ def test_ib_value_rejects_negative_beta():
     p = np.full((2, 2), 0.25)
     with pytest.raises(ValueError, match="nonnegative"):
         ib_projection_value(p, p, -0.1)
-
-
-# -------------------------------------------------------------------- io
-
-
-def test_load_joint_csv_round_trip(tmp_path):
-    p = np.array([[0.4, 0.1], [0.2, 0.3]])
-    path = tmp_path / "joint.csv"
-    np.savetxt(path, p, delimiter=",")
-    np.testing.assert_allclose(load_joint_csv(path), p, rtol=0, atol=1e-15)
-
-
-def test_load_joint_csv_rejects_bad_table(tmp_path):
-    path = tmp_path / "bad.csv"
-    np.savetxt(path, np.array([[0.9, 0.3]]), delimiter=",")
-    with pytest.raises(ValueError, match="sums to"):
-        load_joint_csv(path)

@@ -10,13 +10,9 @@ from geoib.fisher import (
     kfac_init,
     kfac_solve,
     kfac_update,
-    kfac_vs_exact_error,
-    load_kfac,
     natural_gradient,
     reparam_invariance_check,
-    save_kfac,
     split_flat,
-    steepest_descent_check,
     steepest_descent_margin,
 )
 from geoib.nets import LayerSpec, Network
@@ -62,20 +58,8 @@ def test_fisher_vanishes_at_saturated_fit():
     net = _net((2, 3, "identity"))
     net.weights[0] = np.zeros((3, 2))
     net.biases[0] = np.array([100.0, 0.0, 0.0])
-    f = empirical_fisher_exact(net, np.ones((4, 2)), likelihood="categorical")
+    f = empirical_fisher_exact(net, np.ones((4, 2)))
     assert float(np.abs(f).max()) < 1e-10
-
-
-def test_fisher_bernoulli_closed_form():
-    # single sigmoid unit: F = p(1-p) a a^T with a the augmented input
-    net = _net((3, 1, "identity"), seed=1)
-    x = Rng(2).normal((1, 3))
-    s = float(net.forward(x)[0, 0])
-    p = 1.0 / (1.0 + np.exp(-s))
-    a = np.concatenate([x[0], [1.0]])
-    expect = p * (1.0 - p) * np.outer(a, a)
-    got = empirical_fisher_exact(net, x, likelihood="bernoulli")
-    assert float(np.abs(got - expect).max()) < 1e-10
 
 
 def test_fisher_is_psd():
@@ -91,9 +75,6 @@ def test_fisher_guards_large_nets():
     net = _net((60, 40, "identity"))
     with pytest.raises(ValueError, match="guard"):
         empirical_fisher_exact(net, np.zeros((1, 60)))
-    with pytest.raises(ValueError, match="likelihood"):
-        empirical_fisher_exact(_net((2, 2, "identity")), np.zeros((1, 2)),
-                               likelihood="poisson")
 
 
 # ------------------------------------------------------------------ k-fac
@@ -193,15 +174,6 @@ def test_fvp_requires_factors():
         fisher_vector_product(state, np.zeros(6))
     with pytest.raises(RuntimeError, match="kfac_update"):
         kfac_dense_matrix(state)
-
-
-def test_kfac_vs_exact_error_is_finite_diagnostic():
-    net = _net((3, 3, "tanh"), (3, 2, "identity"), seed=23)
-    x = Rng(24).normal((12, 3))
-    _captured(net, x, seed=25)
-    state = kfac_update(kfac_init(net), net)
-    err = kfac_vs_exact_error(state, empirical_fisher_exact(net, x))
-    assert np.isfinite(err) and err >= 0.0
 
 
 # ------------------------------------------------------- natural gradient
@@ -322,7 +294,7 @@ def test_natural_gradient_rejects_bad_shapes():
 
 def test_steepest_descent_identity_fisher():
     g = np.array([1.0, 2.0, -1.0])
-    assert steepest_descent_check(np.eye(3), g, 200, Rng(34))
+    assert steepest_descent_margin(np.eye(3), g, 200, Rng(34)) >= -1e-10
 
 
 def test_steepest_descent_anisotropic_example():
@@ -337,7 +309,6 @@ def test_steepest_descent_anisotropic_example():
 
 def test_steepest_descent_zero_grad_passes():
     assert steepest_descent_margin(np.eye(4), np.zeros(4), 10, Rng(36)) == 0.0
-    assert steepest_descent_check(np.eye(4), np.zeros(4), 10, Rng(37))
 
 
 def test_steepest_descent_random_fishers():
@@ -345,7 +316,7 @@ def test_steepest_descent_random_fishers():
     for _ in range(5):
         f = _random_spd(rng, 6)
         g = rng.normal(6)
-        assert steepest_descent_check(f, g, 2000, rng)
+        assert steepest_descent_margin(f, g, 2000, rng) >= -1e-10
 
 
 # ------------------------------------------------------ reparam invariance
@@ -381,48 +352,3 @@ def test_reparam_random_well_conditioned():
 def test_reparam_rejects_size_mismatch():
     with pytest.raises(ValueError, match="sizes"):
         reparam_invariance_check(np.eye(3), np.zeros(3), np.eye(2))
-
-
-# ------------------------------------------------------------- checkpoint
-
-
-def test_kfac_save_load_round_trip(tmp_path):
-    net = _net((3, 4, "tanh"), (4, 2, "identity"), seed=42)
-    _captured(net, Rng(43).normal((6, 3)), seed=44)
-    state = kfac_update(kfac_init(net, damping=0.01, ema_decay=0.9), net)
-    path = tmp_path / "kfac.bin"
-    save_kfac(state, path)
-    loaded = load_kfac(path)
-    assert loaded.shapes == state.shapes
-    assert loaded.damping == state.damping
-    assert loaded.ema_decay == state.ema_decay
-    assert loaded.steps == state.steps
-    for a, b in zip(loaded.a_factors, state.a_factors):
-        np.testing.assert_array_equal(a, b)
-    for a, b in zip(loaded.g_factors, state.g_factors):
-        np.testing.assert_array_equal(a, b)
-
-
-def test_kfac_save_load_factorless(tmp_path):
-    state = kfac_init(_net((2, 3, "tanh")), damping=0.5)
-    path = tmp_path / "empty.bin"
-    save_kfac(state, path)
-    loaded = load_kfac(path)
-    assert loaded.a_factors is None and loaded.steps == 0
-    assert loaded.shapes == state.shapes
-
-
-def test_load_kfac_rejects_corrupt_files(tmp_path):
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(b"nonsense header\n")
-    with pytest.raises(ValueError, match="not a kfac"):
-        load_kfac(bad)
-    net = _net((2, 2, "identity"), seed=45)
-    _captured(net, np.ones((1, 2)), seed=46)
-    state = kfac_update(kfac_init(net), net)
-    trunc = tmp_path / "trunc.bin"
-    save_kfac(state, trunc)
-    blob = trunc.read_bytes()
-    trunc.write_bytes(blob[:-8])
-    with pytest.raises(ValueError, match="payload"):
-        load_kfac(trunc)

@@ -10,7 +10,6 @@ from geoib.jf import (
     exact_trace,
     jf_batch,
     jf_hutchinson,
-    jf_isotropic,
     jf_value_and_grad,
 )
 from geoib.encoder import SIGMA_SQ_FLOOR
@@ -233,20 +232,12 @@ def test_head_dim_restricts_penalty():
 # -------------------------------------------------------------- isotropic
 
 
-def test_isotropic_unit_variance_matches_general():
-    net = _net((3, 2, "tanh"), seed=22)
-    x = Rng(23).normal(3)
-    a = jf_isotropic(net, x, 1.0, 4, Rng(24))
-    b = jf_hutchinson(net, x, np.ones(2), 4, Rng(24))
-    assert a.value == b.value
-
-
 def test_isotropic_doubling_halves_exactly():
     net = _net((3, 2, "tanh"), seed=25)
     x = Rng(26).normal(3)
     probes = draw_probes(Rng(27), 4, 1, 3)
-    one = jf_isotropic(net, x, 1.0, 4, Rng(28), probes=probes)
-    two = jf_isotropic(net, x, 2.0, 4, Rng(29), probes=probes)
+    one = jf_hutchinson(net, x, np.full(2, 1.0), 4, Rng(28), probes=probes)
+    two = jf_hutchinson(net, x, np.full(2, 2.0), 4, Rng(29), probes=probes)
     assert two.value == one.value / 2.0
 
 
@@ -256,7 +247,7 @@ def test_isotropic_identity_exact_value():
     assert exact_trace(ch) == 0.5
     net = _net((2, 2, "identity"))
     net.weights[0] = np.eye(2)
-    est = jf_isotropic(net, np.zeros(2), 4.0, 4000, Rng(30))
+    est = jf_hutchinson(net, np.zeros(2), np.full(2, 4.0), 4000, Rng(30))
     se = float(est.per_probe.std(ddof=1) / np.sqrt(est.n_probes))
     assert abs(est.value - 0.5) < 3.0 * se
 
@@ -265,9 +256,9 @@ def test_isotropic_floors_variance():
     net = _net((2, 2, "identity"))
     net.weights[0] = np.eye(2)
     probes = draw_probes(Rng(31), 2, 1, 2)
-    a = jf_isotropic(net, np.zeros(2), 0.0, 2, Rng(32), probes=probes)
-    b = jf_isotropic(net, np.zeros(2), SIGMA_SQ_FLOOR, 2, Rng(33), probes=probes)
-    assert a.value == b.value
+    a, _ = jf_batch(net, np.zeros((1, 2)), np.zeros(2), probes)
+    b, _ = jf_batch(net, np.zeros((1, 2)), np.full(2, SIGMA_SQ_FLOOR), probes)
+    assert np.isfinite(a[0]) and a[0] == b[0]
 
 
 # --------------------------------------------------------------- gradient

@@ -1,49 +1,9 @@
 import numpy as np
 import pytest
 
-from geoib.linalg import CgResult, conjugate_gradient, logdet_psd, matmul
+from geoib.linalg import CgResult, conjugate_gradient, logdet_psd
 from geoib.rng import Rng
 from oracles import jacobi_eigenvalues
-
-
-# ------------------------------------------------------------------ matmul
-
-
-def test_matmul_identity():
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_array_equal(matmul(np.eye(2), m), m)
-
-
-def test_matmul_hand_product():
-    out = matmul([[1.0, 2.0], [3.0, 4.0]], [[0.0], [1.0]])
-    np.testing.assert_array_equal(out, [[2.0], [4.0]])
-
-
-def test_matmul_zero_annihilates():
-    m = Rng(0).normal((3, 3))
-    np.testing.assert_array_equal(matmul(np.zeros((2, 3)), m), np.zeros((2, 3)))
-
-
-def test_matmul_vector_rhs():
-    out = matmul([[1.0, 2.0], [3.0, 4.0]], [0.0, 1.0])
-    np.testing.assert_array_equal(out, [2.0, 4.0])
-
-
-def test_matmul_dimension_mismatch():
-    with pytest.raises(ValueError, match="inner dimensions"):
-        matmul(np.eye(2), np.eye(3))
-
-
-def test_matmul_associativity():
-    rng = Rng(1)
-    for _ in range(30):
-        a = rng.normal((4, 3))
-        b = rng.normal((3, 5))
-        c = rng.normal((5, 2))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        scale = max(float(np.max(np.abs(left))), 1.0)
-        assert np.max(np.abs(left - right)) / scale < 1e-10
 
 
 # ------------------------------------------------------------- logdet_psd

@@ -1,7 +1,5 @@
 import numpy as np
-import pytest
 
-from geoib.linalg import hutchinson_probe
 from geoib.rng import Rng
 
 
@@ -51,18 +49,3 @@ def test_normal_moments():
     n = draws.shape[0]
     assert np.all(np.abs(draws.mean(axis=0)) < 3.0 / np.sqrt(n))
     assert np.all(np.abs(draws.var(axis=0) - 1.0) < 0.02)
-
-
-def test_hutchinson_probe_deterministic():
-    np.testing.assert_array_equal(hutchinson_probe(Rng(9), 16),
-                                  hutchinson_probe(Rng(9), 16))
-
-
-def test_hutchinson_probe_advances_stream():
-    rng = Rng(9)
-    assert not np.array_equal(hutchinson_probe(rng, 16), hutchinson_probe(rng, 16))
-
-
-def test_hutchinson_probe_rejects_bad_dim():
-    with pytest.raises(ValueError):
-        hutchinson_probe(Rng(0), 0)

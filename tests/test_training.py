@@ -1,5 +1,4 @@
 import json
-import os
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -14,7 +13,6 @@ from geoib.mi import classification_accuracy, read_points_csv, read_points_jsonl
 from geoib.nets import Network
 from geoib.rng import Rng
 from geoib.training import (
-    RunResult,
     TrainingDiverged,
     build_nets,
     evaluate_run,
@@ -23,8 +21,7 @@ from geoib.training import (
     posterior_means,
     run_sweep,
     run_training,
-    vib_loss_and_grads,
-    vib_step,
+    train_step,
 )
 
 TOY = "gauss_mixture:n=600,noise=0.1,classes=2,dim=2"
@@ -59,18 +56,19 @@ def test_build_nets_shapes():
 
 
 def test_beta_zero_objectives_agree():
-    # without the multiplier the two methods share loss and gradients
+    # without the multiplier the JF term (and the rate) drop out: the
+    # objective without probes, as VIB uses it, shares loss and gradients
     cfg = TrainConfig(beta=0.0, k_dim=2, enc_hidden="8", dataset=TOY)
     _, _, enc, dec, _, _, x, y = _toy_setup(cfg)
     x, y = x[:32], y[:32]
     eps = Rng(1).normal((32, 2))
-    probes = draw_probes(Rng(2), 2, 32, 2)
+    kwargs = dict(beta=0.0, fr_mode=cfg.fr_mode, sigma_floor=cfg.sigma_floor,
+                  k_dim=2, eps=eps)
     mg, ge_g, gd_g = geoib_loss_and_grads(
-        enc, dec, x, y, beta=0.0, fr_mode=cfg.fr_mode,
-        sigma_floor=cfg.sigma_floor, k_dim=2, eps=eps, probes=probes)
-    mv, ge_v, gd_v = vib_loss_and_grads(enc, dec, x, y, beta=0.0, k_dim=2,
-                                        eps=eps)
+        enc, dec, x, y, probes=draw_probes(Rng(2), 2, 32, 2), **kwargs)
+    mv, ge_v, gd_v = geoib_loss_and_grads(enc, dec, x, y, probes=None, **kwargs)
     assert mg.total == mv.total == mg.nll == mv.nll
+    assert mv.jf == 0.0 < mg.jf
     for a, b in zip(ge_g, ge_v):
         np.testing.assert_array_equal(a, b)
     for a, b in zip(gd_g, gd_v):
@@ -93,27 +91,23 @@ def test_want_grads_false_returns_metrics_only():
 # ------------------------------------------------------------------ steps
 
 
-def test_gib_step_frozen_when_lr_zero():
-    cfg = TrainConfig(eta_phi=0.0, eta_theta=0.0, k_dim=2, enc_hidden="8",
-                      dataset=TOY)
+@pytest.mark.parametrize("method", ["geoib", "vib"])
+def test_step_frozen_when_lr_zero(method):
+    cfg = TrainConfig(method=method, eta_phi=0.0, eta_theta=0.0, k_dim=2,
+                      enc_hidden="8", dataset=TOY)
     _, _, enc, dec, ke, kd, x, y = _toy_setup(cfg)
+    if method == "vib":
+        ke = kd = None
     p_e, p_d = enc.get_params().copy(), dec.get_params().copy()
-    m = gib_step(cfg, enc, dec, ke, kd, x[:32], y[:32], Rng(5))
+    m = train_step(cfg, enc, dec, ke, kd, x[:32], y[:32], Rng(5))
     np.testing.assert_array_equal(enc.get_params(), p_e)
     np.testing.assert_array_equal(dec.get_params(), p_d)
-    # a zero direction would leave residual 1 for this nonzero gradient
-    assert np.isfinite(m.total) and m.solve_residual_enc <= 1e-10
-    assert m.grad_norm_enc > 0.0
-
-
-def test_vib_step_frozen_when_lr_zero():
-    cfg = TrainConfig(method="vib", eta_phi=0.0, eta_theta=0.0, k_dim=2,
-                      enc_hidden="8", dataset=TOY)
-    _, _, enc, dec, _, _, x, y = _toy_setup(cfg)
-    p_e = enc.get_params().copy()
-    m = vib_step(cfg, enc, dec, None, None, x[:32], y[:32], Rng(6))
-    np.testing.assert_array_equal(enc.get_params(), p_e)
-    assert np.isfinite(m.total) and m.jf == 0.0
+    assert np.isfinite(m.total) and m.grad_norm_enc > 0.0
+    if method == "geoib":
+        # a zero direction would leave residual 1 for this nonzero gradient
+        assert m.solve_residual_enc <= 1e-10 and m.jf > 0.0
+    else:
+        assert m.solve_residual_enc == 0.0 and m.jf == 0.0
 
 
 def test_gib_step_learns_separable_toy():
@@ -135,14 +129,13 @@ def test_vib_matches_gib_at_beta_zero_on_toy():
         cfg = TrainConfig(method=method, beta=0.0, k_dim=2, enc_hidden="8",
                           batch=32, dataset=TOY)
         _, root, enc, dec, ke, kd, x, y = _toy_setup(cfg)
+        if method == "vib":
+            ke = kd = None
         n = x.shape[0]
         for step in range(500):
             rng = root.substream(1_000_000 + step)
             idx = rng.permutation(n)[: cfg.batch]
-            if method == "geoib":
-                gib_step(cfg, enc, dec, ke, kd, x[idx], y[idx], rng)
-            else:
-                vib_step(cfg, enc, dec, None, None, x[idx], y[idx], rng)
+            train_step(cfg, enc, dec, ke, kd, x[idx], y[idx], rng)
         accs[method] = classification_accuracy(
             dec, posterior_means(enc, x, 2), y)
     assert abs(accs["geoib"] - accs["vib"]) <= 0.01
@@ -192,9 +185,56 @@ def test_vib_natural_gradient_ablation_uses_solver():
                       enc_hidden="8", dataset=TOY)
     _, _, enc, dec, ke, kd, x, y = _toy_setup(cfg)
     p_e = enc.get_params().copy()
-    m = vib_step(cfg, enc, dec, ke, kd, x[:32], y[:32], Rng(9))
+    m = train_step(cfg, enc, dec, ke, kd, x[:32], y[:32], Rng(9))
     assert m.solve_residual_enc <= 1e-10
     assert not np.array_equal(enc.get_params(), p_e)
+
+
+def test_vib_natural_gradient_step_equals_geoib_step_at_beta_zero():
+    # at beta = 0 only the preconditioner is left to tell the two apart,
+    # and the ablation refreshes its factors exactly as geoib does
+    params = {}
+    for method in ("geoib", "vib"):
+        cfg = TrainConfig(method=method, vib_natural_gradient=True, beta=0.0,
+                          k_dim=2, enc_hidden="8", dataset=TOY)
+        _, _, enc, dec, ke, kd, x, y = _toy_setup(cfg)
+        train_step(cfg, enc, dec, ke, kd, x[:32], y[:32], Rng(10))
+        params[method] = (enc.get_params(), dec.get_params())
+    for a, b in zip(params["geoib"], params["vib"]):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_vib_ignores_fr_mode():
+    # VIB is defined by the closed-form KL whatever fr_mode says
+    runs = [run_training(TrainConfig(method="vib", fr_mode=mode, epochs=2,
+                                     k_dim=4, enc_hidden="8", dataset=TOY),
+                         evaluate=False)
+            for mode in ("closed_form_kl", "fr_quadratic")]
+    np.testing.assert_array_equal(runs[0].enc.get_params(),
+                                  runs[1].enc.get_params())
+    np.testing.assert_array_equal(runs[0].dec.get_params(),
+                                  runs[1].dec.get_params())
+    assert runs[0].history == runs[1].history
+
+
+@pytest.mark.parametrize("method,natural", [("geoib", False), ("vib", False),
+                                            ("vib", True)])
+def test_run_training_takes_geoib_steps_through_gib_step(monkeypatch, method,
+                                                         natural):
+    # a hook on the module-level `gib_step` must see every geoib step and
+    # never a vib one, preconditioned or not
+    calls = []
+    real = training.gib_step
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].method)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(training, "gib_step", counting)
+    cfg = TrainConfig(method=method, vib_natural_gradient=natural, epochs=2,
+                      k_dim=2, enc_hidden="8", dataset=TOY)
+    run_training(cfg, evaluate=False)
+    assert calls == (["geoib"] * 2 * 4 if method == "geoib" else [])
 
 
 def test_every_training_solve_is_exact_and_nonzero(monkeypatch):
@@ -412,3 +452,15 @@ def test_run_sweep_retries_cells_that_failed(tmp_path, monkeypatch):
     assert [r["status"] for r in records] == ["error", "ok"]
     assert run_sweep(_SWEEP_CFG, str(out), betas=(1e-4,), k_dims=(2,)) == points
     assert len((out / "manifest.jsonl").read_text().splitlines()) == 2
+
+
+def test_run_sweep_refuses_a_cell_trained_under_other_flags(tmp_path):
+    out = tmp_path / "sweep"
+    run_sweep(_SWEEP_CFG, str(out), betas=(1e-4,), k_dims=(2,))
+    manifest = (out / "manifest.jsonl").read_text()
+    longer = replace(_SWEEP_CFG, epochs=9)
+    with pytest.raises(ValueError, match="epochs = 2, now 9"):
+        run_sweep(longer, str(out), betas=(1e-4, 1e-3), k_dims=(2,))
+    # refused before training anything
+    assert (out / "manifest.jsonl").read_text() == manifest
+    assert not (out / "beta0.001_k2_seed0").exists()
