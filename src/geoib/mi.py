@@ -22,9 +22,20 @@ the strict test equals an inclusive ball query at nextafter(eps, 0).  The
 estimate is therefore bit-identical to the tree-based one.  Each block's
 distance arrays are capped at 256 KiB, which keeps peak memory flat.
 
-Inversion leakage is measured by a fixed-architecture two-layer probe
-trained to reconstruct x from z; its held-out mean squared error is the
-reported number (low MSE = invertible representation = little compression).
+Inversion leakage is the held-out mean squared error of a fixed probe
+that reconstructs x from z (low MSE = invertible representation = little
+compression).  The probe maps the centred code to 256 random tanh features
+(Rahimi & Recht 2007) drawn from the evaluation seed and reads x out of
+them by ridge regression, solved exactly by Cholesky on normal equations
+accumulated over row blocks of at most 256 KiB.  Its capacity is fixed and
+stated (Hewitt & Liang 2019): no step size, epoch budget or stopping rule
+enters the number.  The ridge is the resolution floor, written as a noise
+level: lambda = n s^2 is what least squares sees on average when each
+feature reading carries independent noise of std s = PROBE_FEATURE_NOISE,
+so code directions that move the features by much less than s cannot be
+read out, and a barely varying code stays hard to invert.  The probe's
+name is recorded in every emitted evaluation record, and changes whenever
+its definition does.
 """
 
 from __future__ import annotations
@@ -34,23 +45,28 @@ import json
 from dataclasses import dataclass, asdict
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import cdist
 from scipy.special import digamma
 
-from .nets import LayerSpec, Network
+from .nets import Network
 from .rng import Rng
 
 MI_ESTIMATOR = "ksg"
 MI_DEFAULT_K = 5
-# Bytes of one (rows, n) float64 distance array in the blocked KSG scan.
-_KSG_BLOCK_BYTES = 1 << 18
+# Bytes of one float64 row block: a (rows, n) distance array of the KSG
+# scan, or a (rows, PROBE_FEATURES + 1) feature block of the probe.
+_BLOCK_BYTES = 1 << 18
 
 # Inversion probe: fixed across all runs so MSEs are comparable.
-PROBE_HIDDEN = 64
-PROBE_EPOCHS = 200
-PROBE_BATCH = 128
-PROBE_LR = 0.05
-PROBE_MOMENTUM = 0.9
+PROBE_FEATURES = 256
+# s: for the standard normal x of tests/test_mi.py, the code z = 1e-3 x keeps
+# an MSE of at least Var(x) / 2 when s >= 0.012, and z = 0.1 x is inverted
+# to MSE < 0.01 when s <= 0.26; 0.05 sits near the geometric middle.
+PROBE_FEATURE_NOISE = 0.05
+# Names the probe definition above; change it whenever that changes, so
+# inversion MSEs of different probes are never mixed up.
+PROBE_NAME = f"tanh_rf{PROBE_FEATURES}_ridge_s{PROBE_FEATURE_NOISE:g}"
 
 CSV_COLUMNS = ("beta", "k_dim", "accuracy", "mi_xz_nats",
                "inversion_mse", "seed", "wall_clock_s")
@@ -63,6 +79,12 @@ def _as_2d(a, name: str) -> np.ndarray:
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 1-D or 2-D, got shape {arr.shape}")
     return arr
+
+
+def _row_blocks(n: int, width: int):
+    """Slices of at most _BLOCK_BYTES worth of (rows, width) floats."""
+    rows = max(1, _BLOCK_BYTES // (8 * width))
+    return (slice(start, min(start + rows, n)) for start in range(0, n, rows))
 
 
 def mi_knn(x, z, k: int = MI_DEFAULT_K) -> float:
@@ -91,9 +113,7 @@ def mi_knn(x, z, k: int = MI_DEFAULT_K) -> float:
     eps = np.empty(n)
     nx = np.empty(n, dtype=np.intp)
     nz = np.empty(n, dtype=np.intp)
-    rows = max(1, _KSG_BLOCK_BYTES // (8 * n))
-    for start in range(0, n, rows):
-        block = slice(start, min(start + rows, n))
+    for block in _row_blocks(n, n):
         dx = cdist(xa[block], xa, "chebyshev")
         dz = cdist(za[block], za, "chebyshev")
         # column k, not k - 1: every row holds its own sample at distance 0
@@ -120,17 +140,31 @@ def classification_accuracy(decoder: Network, z, labels) -> float:
     return float(np.mean(pred == labels))
 
 
-def inversion_probe(z_train, x_train, z_test, x_test, seed: int = 0,
-                    epochs: int = PROBE_EPOCHS) -> float:
-    """Held-out reconstruction MSE of a fixed two-layer probe z -> x.
+def _probe_features(z, w, b) -> np.ndarray:
+    """Random tanh features of (centred) codes, with a trailing ones column
+    for the intercept."""
+    phi = np.empty((z.shape[0], w.shape[1] + 1))
+    np.tanh(z @ w + b, out=phi[:, :-1])
+    phi[:, -1] = 1.0
+    return phi
 
-    The probe (hidden width 64, tanh) is trained fresh by minibatch SGD
-    with momentum for a fixed epoch budget.  Inputs are centered by the
-    train mean but deliberately not rescaled: a representation whose
-    coordinates barely vary must stay hard to invert, and dividing by a
-    tiny std would hand the probe an amplified copy of it.  Architecture
-    and schedule never vary between calls, so the returned MSE is
-    comparable across runs.
+
+def inversion_probe(z_train, x_train, z_test, x_test, seed: int = 0) -> float:
+    """Held-out reconstruction MSE of a fixed random-feature ridge probe z -> x.
+
+    Codes are centred by the train mean but deliberately not rescaled: a
+    representation whose coordinates barely vary must stay hard to invert,
+    and dividing by a tiny std would hand the probe an amplified copy of
+    it.  The centred code is mapped to PROBE_FEATURES fixed features
+    phi(z) = tanh(z W + b), W ~ N(0, 1/d) and b ~ N(0, 1) drawn from
+    Rng(seed), and x is read out linearly from them, with an unpenalized
+    intercept, by exact ridge regression with lambda = n s^2,
+    s = PROBE_FEATURE_NOISE.  That ridge is what least squares sees on
+    average when every feature reading carries independent noise of std s
+    (E[(Phi + E)^T (Phi + E)] = Phi^T Phi + n s^2 I), so a code direction
+    that moves the features by much less than s is not resolved.  The
+    features, the noise level and the solve never vary between calls, so
+    the returned MSE is comparable across runs.
 
     Returns:
         Mean over held-out samples and features of the squared error.
@@ -141,33 +175,26 @@ def inversion_probe(z_train, x_train, z_test, x_test, seed: int = 0,
     x_te = _as_2d(x_test, "x_test")
     if z_tr.shape[0] != x_tr.shape[0] or z_te.shape[0] != x_te.shape[0]:
         raise ValueError("probe inputs and targets must pair up row-for-row")
+    n, d = z_tr.shape
     mean = z_tr.mean(axis=0)
-    z_tr = z_tr - mean
-    z_te = z_te - mean
-
     rng = Rng(seed)
-    net = Network(
-        [
-            LayerSpec(z_tr.shape[1], PROBE_HIDDEN, "tanh"),
-            LayerSpec(PROBE_HIDDEN, x_tr.shape[1], "identity"),
-        ],
-        rng,
-    )
-    n = z_tr.shape[0]
-    batch = min(PROBE_BATCH, n)
-    velocity = np.zeros(net.n_params)
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch):
-            idx = order[start : start + batch]
-            out = net.forward(z_tr[idx], capture=True)
-            resid = out - x_tr[idx]
-            grads = net.backward(2.0 * resid / (resid.shape[0] * resid.shape[1]))
-            flat = np.concatenate([g.ravel() for g in grads])
-            velocity = PROBE_MOMENTUM * velocity - PROBE_LR * flat
-            net.set_params(net.get_params() + velocity)
-    pred = net.forward(z_te)
-    return float(np.mean((pred - x_te) ** 2))
+    w = rng.normal((d, PROBE_FEATURES)) / np.sqrt(d)
+    b = rng.normal(PROBE_FEATURES)
+    m = PROBE_FEATURES + 1
+    gram = np.zeros((m, m))
+    cross = np.zeros((m, x_tr.shape[1]))
+    for block in _row_blocks(n, m):
+        phi = _probe_features(z_tr[block] - mean, w, b)
+        gram += phi.T @ phi
+        cross += phi.T @ x_tr[block]
+    ridge = np.arange(PROBE_FEATURES)  # the intercept stays unpenalized
+    gram[ridge, ridge] += n * PROBE_FEATURE_NOISE**2
+    coef = cho_solve(cho_factor(gram), cross)
+    sq_err = 0.0
+    for block in _row_blocks(z_te.shape[0], m):
+        pred = _probe_features(z_te[block] - mean, w, b) @ coef
+        sq_err += float(np.sum((pred - x_te[block]) ** 2))
+    return sq_err / x_te.size
 
 
 # ------------------------------------------------------------------- records
@@ -178,7 +205,9 @@ class InfoPlanePoint:
     """One evaluated cell of the information plane.
 
     `wall_clock_s` is the training time; nan means it is not known (a run
-    re-scored without its recorded point).
+    re-scored without its recorded point).  `probe` names the inversion
+    probe that measured `inversion_mse` (PROBE_NAME); None means it is not
+    known (CSV rows, records written before the field existed).
     """
 
     beta: float
@@ -190,6 +219,7 @@ class InfoPlanePoint:
     wall_clock_s: float
     mi_estimator: str = MI_ESTIMATOR
     mi_k: int = MI_DEFAULT_K
+    probe: str | None = None
 
     def __post_init__(self):
         for name in ("beta", "accuracy", "mi_xz_nats", "inversion_mse",

@@ -40,6 +40,7 @@ from .fisher import (
 )
 from .jf import draw_probes, jf_batch, jf_value_and_grad
 from .mi import (
+    PROBE_NAME,
     InfoPlanePoint,
     classification_accuracy,
     inversion_probe,
@@ -418,7 +419,7 @@ def evaluate_run(cfg: TrainConfig, enc: Network, dec: Network,
     mi = mi_knn(_standardized(x_mi), _noise_relative_view(mu_mi, lv_mi))
     return InfoPlanePoint(beta=cfg.beta, k_dim=cfg.k_dim, accuracy=acc,
                           mi_xz_nats=mi, inversion_mse=inv, seed=cfg.seed,
-                          wall_clock_s=wall_clock_s)
+                          wall_clock_s=wall_clock_s, probe=PROBE_NAME)
 
 
 def write_run_outputs(out_dir: str, cfg: TrainConfig, enc: Network,
@@ -474,8 +475,14 @@ def _read_manifest(path: str) -> dict[str, dict]:
     return {rec["cell"]: rec for rec in records}
 
 
-def _check_reused_cell(cell_dir: str, cfg: TrainConfig) -> None:
-    """Refuse to reuse a finished cell trained under another config."""
+def _check_reused_cell(cell_dir: str, cfg: TrainConfig, point: dict) -> None:
+    """Refuse to reuse a finished cell trained under another config, or
+    whose recorded point another inversion probe scored."""
+    probe = point.get("probe")
+    if probe != PROBE_NAME:
+        raise ValueError(f"{cell_dir} was scored by the inversion probe "
+                         f"{probe!r}, now {PROBE_NAME!r}; sweep into a new "
+                         "directory")
     saved = load_config(os.path.join(cell_dir, "config.resolved"))
     diff = [f"{f.name} = {getattr(saved, f.name)!r}, now {getattr(cfg, f.name)!r}"
             for f in fields(TrainConfig)
@@ -492,8 +499,9 @@ def run_sweep(base_cfg: TrainConfig, out_dir: str,
     Completed cells are recorded in manifest.jsonl and skipped on re-entry;
     failed cells are recorded with the error, do not stop the sweep, and
     are trained again on re-entry.  Before anything is trained, every
-    completed cell's saved config must equal the one the grid gives it, or
-    ValueError names the fields that differ.  The aggregate info_plane.csv
+    completed cell's saved config must equal the one the grid gives it, and
+    its recorded point must name the current inversion probe, or
+    ValueError says what differs.  The aggregate info_plane.csv
     and points.jsonl are rewritten at the end from all successful cells.
     """
     betas = tuple(betas) if betas is not None else DEFAULT_BETA_GRID
@@ -507,7 +515,8 @@ def run_sweep(base_cfg: TrainConfig, out_dir: str,
     reused = {key for key, _ in cells if done.get(key, {}).get("status") == "ok"}
     for key, cfg in cells:
         if key in reused:
-            _check_reused_cell(os.path.join(out_dir, key), cfg)
+            _check_reused_cell(os.path.join(out_dir, key), cfg,
+                               done[key]["point"])
     points: list[InfoPlanePoint] = []
     with open(manifest_path, "a", encoding="ascii") as manifest:
         for key, cfg in cells:

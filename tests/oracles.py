@@ -2,9 +2,10 @@
 
 Nothing in here imports from the package's numerical routines: eigenvalues
 come from a hand-rolled Jacobi sweep, geodesics from a generic ODE
-integrator, distances from the closed-form hyperbolic formula, and KSG
-neighbor counts from k-d tree queries, so a bug in the library cannot hide
-by agreeing with itself.
+integrator, distances from the closed-form hyperbolic formula, KSG
+neighbor counts from k-d tree queries, and the ridge probe's readout from
+one least-squares solve of the whole stacked system, so a bug in the
+library cannot hide by agreeing with itself.
 """
 
 import numpy as np
@@ -142,3 +143,30 @@ def ksg_tree_reference(x, z, k: int = 5) -> float:
     value = (digamma(k) + digamma(n)
              - float(np.mean(digamma(nx + 1) + digamma(nz + 1))))
     return float(value)
+
+
+def ridge_probe_reference(z_train, x_train, z_test, x_test, w, b,
+                          noise: float) -> float:
+    """Held-out MSE of the random-feature ridge probe, from one dense solve.
+
+    Builds every feature row at once, centred by the train mean, and solves
+    the ridge problem as ordinary least squares on the system stacked with
+    sqrt(n) * noise * I below the feature columns (the intercept column
+    gets a zero there, so it stays unpenalized).  No normal equations and
+    no row blocks.
+    """
+    z_tr = np.asarray(z_train, dtype=np.float64)
+    z_te = np.asarray(z_test, dtype=np.float64)
+    x_tr = np.asarray(x_train, dtype=np.float64)
+    x_te = np.asarray(x_test, dtype=np.float64)
+    mean = z_tr.mean(axis=0)
+    n, m = z_tr.shape[0], w.shape[1]
+
+    def design(z):
+        return np.hstack([np.tanh((z - mean) @ w + b), np.ones((z.shape[0], 1))])
+
+    prior = np.hstack([np.sqrt(n) * noise * np.eye(m), np.zeros((m, 1))])
+    a = np.vstack([design(z_tr), prior])
+    y = np.vstack([x_tr, np.zeros((m, x_tr.shape[1]))])
+    coef = np.linalg.lstsq(a, y, rcond=None)[0]
+    return float(np.mean((design(z_te) @ coef - x_te) ** 2))

@@ -3,6 +3,8 @@ import pytest
 
 from geoib.mi import (
     CSV_COLUMNS,
+    PROBE_FEATURE_NOISE,
+    PROBE_FEATURES,
     InfoPlanePoint,
     classification_accuracy,
     inversion_probe,
@@ -14,7 +16,7 @@ from geoib.mi import (
 )
 from geoib.nets import LayerSpec, Network
 from geoib.rng import Rng
-from oracles import ksg_tree_reference
+from oracles import ksg_tree_reference, ridge_probe_reference
 
 
 def _correlated_pair(rng, n, rho):
@@ -152,6 +154,18 @@ def test_probe_inverts_identity_representation():
     assert mse < 0.01
 
 
+def test_probe_resolves_codes_above_its_noise_floor():
+    # a code that barely varies stays hard to invert; one 100x larger inverts
+    rng = Rng(9)
+    x_tr = rng.normal((1000, 2))
+    x_te = rng.normal((300, 2))
+    var = float(np.mean(x_te**2))
+    tiny = inversion_probe(1e-3 * x_tr, x_tr, 1e-3 * x_te, x_te)
+    small = inversion_probe(0.1 * x_tr, x_tr, 0.1 * x_te, x_te)
+    assert tiny >= 0.5 * var
+    assert small < 0.01
+
+
 def test_probe_on_pure_noise_matches_variance():
     # nothing to learn: best prediction is the mean, MSE = Var(x)
     rng = Rng(10)
@@ -168,9 +182,23 @@ def test_probe_deterministic_per_seed():
     rng = Rng(11)
     z = rng.normal((200, 2))
     x = rng.normal((200, 2))
-    a = inversion_probe(z[:150], x[:150], z[150:], x[150:], seed=3, epochs=3)
-    b = inversion_probe(z[:150], x[:150], z[150:], x[150:], seed=3, epochs=3)
+    a = inversion_probe(z[:150], x[:150], z[150:], x[150:], seed=3)
+    b = inversion_probe(z[:150], x[:150], z[150:], x[150:], seed=3)
     assert a == b
+
+
+def test_probe_matches_dense_reference_across_many_blocks():
+    # 2000 train rows of 257 features give 127-row blocks, 16 of them
+    rng = Rng(16)
+    z = rng.normal((2400, 3))
+    x = np.hstack([np.sin(z[:, :2]), z[:, 2:] ** 2]) + 0.1 * rng.normal((2400, 3))
+    draw = Rng(5)
+    w = draw.normal((3, PROBE_FEATURES)) / np.sqrt(3)
+    b = draw.normal(PROBE_FEATURES)
+    got = inversion_probe(z[:2000], x[:2000], z[2000:], x[2000:], seed=5)
+    want = ridge_probe_reference(z[:2000], x[:2000], z[2000:], x[2000:], w, b,
+                                 PROBE_FEATURE_NOISE)
+    assert abs(got - want) <= 1e-10 * want
 
 
 def test_probe_validates_pairing():

@@ -9,7 +9,12 @@ from geoib.data import gauss_mixture
 from geoib import training
 from geoib.fisher import fisher_vector_product, flatten_blocks, kfac_init
 from geoib.jf import draw_probes
-from geoib.mi import classification_accuracy, read_points_csv, read_points_jsonl
+from geoib.mi import (
+    PROBE_NAME,
+    classification_accuracy,
+    read_points_csv,
+    read_points_jsonl,
+)
 from geoib.nets import Network
 from geoib.rng import Rng
 from geoib.training import (
@@ -463,4 +468,20 @@ def test_run_sweep_refuses_a_cell_trained_under_other_flags(tmp_path):
         run_sweep(longer, str(out), betas=(1e-4, 1e-3), k_dims=(2,))
     # refused before training anything
     assert (out / "manifest.jsonl").read_text() == manifest
+    assert not (out / "beta0.001_k2_seed0").exists()
+
+
+@pytest.mark.parametrize("recorded", [None, "mlp64_sgd200"])
+def test_run_sweep_refuses_a_cell_scored_by_another_probe(tmp_path, recorded):
+    out = tmp_path / "sweep"
+    (point,) = run_sweep(_SWEEP_CFG, str(out), betas=(1e-4,), k_dims=(2,))
+    assert point.probe == PROBE_NAME
+    # a sweep written before the probe was recorded names none
+    rec = json.loads((out / "manifest.jsonl").read_text())
+    rec["point"]["probe"] = recorded
+    if recorded is None:
+        del rec["point"]["probe"]
+    (out / "manifest.jsonl").write_text(json.dumps(rec) + "\n")
+    with pytest.raises(ValueError, match="sweep into a new directory"):
+        run_sweep(_SWEEP_CFG, str(out), betas=(1e-4, 1e-3), k_dims=(2,))
     assert not (out / "beta0.001_k2_seed0").exists()
