@@ -24,18 +24,16 @@ distance arrays are capped at 256 KiB, which keeps peak memory flat.
 
 Inversion leakage is the held-out mean squared error of a fixed probe
 that reconstructs x from z (low MSE = invertible representation = little
-compression).  The probe maps the centred code to 256 random tanh features
-(Rahimi & Recht 2007) drawn from the evaluation seed and reads x out of
-them by ridge regression, solved exactly by Cholesky on normal equations
-accumulated over row blocks of at most 256 KiB.  Its capacity is fixed and
-stated (Hewitt & Liang 2019): no step size, epoch budget or stopping rule
-enters the number.  The ridge is the resolution floor, written as a noise
-level: lambda = n s^2 is what least squares sees on average when each
+compression).  The probe reads x out of 256 random tanh features of the
+code (Rahimi & Recht 2007) by ridge regression, solved exactly by Cholesky
+on normal equations accumulated over row blocks of at most 256 KiB.  Its
+capacity is fixed and stated (Hewitt & Liang 2019): no step size, epoch
+budget or stopping rule enters the number.  The ridge is a resolution
+floor stated as a noise level: it is what least squares sees when every
 feature reading carries independent noise of std s = PROBE_FEATURE_NOISE,
-so code directions that move the features by much less than s cannot be
-read out, and a barely varying code stays hard to invert.  The probe's
-name is recorded in every emitted evaluation record, and changes whenever
-its definition does.
+so a barely varying code stays hard to invert.  The probe's name is
+recorded in every emitted evaluation record, and changes whenever its
+definition does.
 """
 
 from __future__ import annotations
