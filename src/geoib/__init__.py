@@ -25,7 +25,6 @@ from .encoder import (
     exp_map_1d,
     fr_quadratic_proxy,
     kl_to_standard_normal,
-    reparam_sample,
 )
 from .fisher import (
     KfacState,
@@ -92,7 +91,6 @@ __all__ = [
     "mutual_information",
     "natural_gradient",
     "pythagorean_residual",
-    "reparam_sample",
     "run_all_checks",
     "run_sweep",
     "run_training",

@@ -11,8 +11,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, fields, replace
 
-from .encoder import SIGMA_SQ_FLOOR
-
 METHODS = ("geoib", "vib")
 FR_MODES = ("closed_form_kl", "fr_quadratic")
 # Keys of older run configs that no longer mean anything, with the reason
@@ -21,6 +19,7 @@ LEGACY_KEYS = {
     "cg_tol": "the K-FAC solve is exact",
     "cg_max_iter": "the K-FAC solve is exact",
     "fisher_stats": "factor statistics are always model-sampled",
+    "sigma_floor": "noise variances are floored by the log-variance clamp",
 }
 
 
@@ -44,7 +43,6 @@ class TrainConfig:
         batch: minibatch size.
         epochs: passes over the training split.
         seed: run seed; fixes data, init, and every stochastic draw.
-        sigma_floor: variance floor for noise covariances.
         step_clip: per-step cap on the parameter displacement norm, applied
             by scaling (direction preserved); 0 disables.  Guards against
             the huge early steps a barely-warmed Fisher produces.
@@ -71,7 +69,6 @@ class TrainConfig:
     batch: int = 128
     epochs: int = 50
     seed: int = 0
-    sigma_floor: float = SIGMA_SQ_FLOOR
     step_clip: float = 1.0
     dataset: str = "gauss_mixture:n=5000,noise=0.14"
     enc_hidden: str = "32"
@@ -89,7 +86,7 @@ class TrainConfig:
         for name in ("k_dim", "jf_probes", "batch", "epochs"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("eta_phi", "eta_theta", "sigma_floor", "step_clip"):
+        for name in ("eta_phi", "eta_theta", "step_clip"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if not 0.0 <= self.kfac_decay < 1.0:

@@ -63,12 +63,6 @@ def clamp_log_var(raw) -> np.ndarray:
     return np.clip(np.asarray(raw, dtype=np.float64), LOG_VAR_MIN, LOG_VAR_MAX)
 
 
-def reparam_sample(q: DiagonalGaussian, rng) -> np.ndarray:
-    """z = mu + sigma * eps with eps ~ N(0, I) from the supplied stream."""
-    eps = rng.normal(q.dim)
-    return q.mu + q.sigma * eps
-
-
 def kl_to_standard_normal(q: DiagonalGaussian) -> float:
     """KL(q || N(0, I)) = 0.5 sum(mu^2 + sigma^2 - log sigma^2 - 1).
 

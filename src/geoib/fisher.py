@@ -86,7 +86,6 @@ class KfacState:
     ema_decay: float
     a_factors: list | None = None
     g_factors: list | None = None
-    steps: int = 0
 
     def __post_init__(self):
         if self.damping < 0.0:
@@ -134,7 +133,6 @@ def kfac_update(state: KfacState, net: Network) -> KfacState:
                            for old, new in zip(state.a_factors, a_new)]
         state.g_factors = [rho * old + (1.0 - rho) * new
                            for old, new in zip(state.g_factors, g_new)]
-    state.steps += 1
     return state
 
 

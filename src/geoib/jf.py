@@ -194,8 +194,7 @@ def jf_batch(net, x, noise_cov, probes, head_dim: int | None = None):
 
 
 def jf_hutchinson(net, x, noise_cov, n_probes: int, rng,
-                  head_dim: int | None = None,
-                  probes: np.ndarray | None = None) -> JfEstimate:
+                  head_dim: int | None = None) -> JfEstimate:
     """Estimate tr(S^-1 J J^T) at x by probing the Jacobian.
 
     Args:
@@ -203,26 +202,16 @@ def jf_hutchinson(net, x, noise_cov, n_probes: int, rng,
         x: a single (in_dim,) input or a (B, in_dim) batch; with a batch the
             value is the batch mean.
         noise_cov: diagonal noise variances, per sample or shared.
-        n_probes: probe count S; redrawn from `rng` unless `probes` is given.
-        rng: probe source (substream per probe index).
+        n_probes: probe count S, drawn from `rng` by `draw_probes`.
+        rng: probe source.
         head_dim: see `jf_batch`.
-        probes: fixed probes for finite-difference tests; shape
-            (S, B, in_dim).
 
     Returns:
         JfEstimate with the batch-mean value and per-probe batch means.
     """
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    xb = x[None, :] if single else x
-    if probes is None:
-        probes = draw_probes(rng, n_probes, xb.shape[0], xb.shape[1])
-    else:
-        probes = np.asarray(probes, dtype=np.float64)
-        if probes.shape[0] != n_probes:
-            raise ValueError(
-                f"probes holds {probes.shape[0]} probes, n_probes says {n_probes}"
-            )
+    xb = x[None, :] if x.ndim == 1 else x
+    probes = draw_probes(rng, n_probes, xb.shape[0], xb.shape[1])
     values, per_probe = jf_batch(net, xb, noise_cov, probes, head_dim=head_dim)
     return JfEstimate(value=float(values.mean()), n_probes=n_probes, per_probe=per_probe)
 

@@ -4,7 +4,7 @@ The package trains by assembling gradients and curvature factors by hand, so
 the network keeps its internals open: `forward(capture=True)` records the
 per-layer inputs and `backward` records the pre-activation gradients, which
 are exactly the two statistics the Kronecker-factored Fisher needs.  A
-forward-mode `jvp` provides Jacobian-vector products for the capacity
+forward-mode `jvp_batch` provides Jacobian-vector products for the capacity
 penalty, and `jvp_adjoint` differentiates a weighted squared JVP with
 respect to the parameters (reverse over forward), which is the gradient
 path of that penalty.
@@ -258,17 +258,6 @@ class Network:
         return self._acts, self._grads_pre
 
     # --------------------------------------------------------------- tangents
-
-    def jvp(self, x, v) -> np.ndarray:
-        """Jacobian-vector product J(x) v by forward-mode propagation."""
-        x = np.asarray(x, dtype=np.float64)
-        v = np.asarray(v, dtype=np.float64)
-        if x.shape != (self.in_dim,) or v.shape != (self.in_dim,):
-            raise ValueError(
-                f"x and v must both have shape ({self.in_dim},), got {x.shape} and {v.shape}"
-            )
-        u, _ = self.jvp_batch(x[None, :], v[None, :])
-        return u[0]
 
     def jvp_batch(self, x, v):
         """Batched J(x_i) v_i with the intermediate tangents returned.

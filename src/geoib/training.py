@@ -131,8 +131,7 @@ def _posterior_head(out: np.ndarray, k_dim: int):
 
 
 def geoib_loss_and_grads(enc: Network, dec: Network, x, y, *,
-                         beta: float, fr_mode: str, sigma_floor: float,
-                         k_dim: int, eps: np.ndarray,
+                         beta: float, fr_mode: str, k_dim: int, eps: np.ndarray,
                          probes: np.ndarray | None,
                          noise_cov: np.ndarray | None = None,
                          want_grads: bool = True):
@@ -176,7 +175,7 @@ def geoib_loss_and_grads(enc: Network, dec: Network, x, y, *,
 
     jf, jf_grads = 0.0, None
     if probes is not None:
-        nc = noise_cov if noise_cov is not None else np.maximum(var, sigma_floor)
+        nc = noise_cov if noise_cov is not None else var
         if want_grads:
             jf_vec, jf_grads = jf_value_and_grad(enc, x, nc, probes, head_dim=k_dim)
         else:
@@ -257,8 +256,8 @@ def train_step(cfg: TrainConfig, enc: Network, dec: Network,
     else:
         probes, fr_mode = None, "closed_form_kl"
     metrics, g_enc, g_dec = geoib_loss_and_grads(
-        enc, dec, x, y, beta=cfg.beta, fr_mode=fr_mode,
-        sigma_floor=cfg.sigma_floor, k_dim=cfg.k_dim, eps=eps, probes=probes,
+        enc, dec, x, y, beta=cfg.beta, fr_mode=fr_mode, k_dim=cfg.k_dim,
+        eps=eps, probes=probes,
     )
     if not np.isfinite(metrics.total):
         raise FloatingPointError(f"objective went non-finite: {metrics.total!r}")

@@ -235,8 +235,8 @@ def check_gradients_fd(seed: int = 0, tol: float = 1e-4,
         # constant treatment inside the analytic gradient
         _, lv, _ = _posterior_head(enc.forward(x), k_dim)
         nc = np.exp(lv)
-        kwargs = dict(beta=beta, fr_mode=fr_mode, sigma_floor=1e-8,
-                      k_dim=k_dim, eps=eps, probes=probes, noise_cov=nc)
+        kwargs = dict(beta=beta, fr_mode=fr_mode, k_dim=k_dim, eps=eps,
+                      probes=probes, noise_cov=nc)
         _, g_enc, g_dec = geoib_loss_and_grads(enc, dec, x, y, **kwargs)
         analytic = np.concatenate([flatten_blocks(g_enc), flatten_blocks(g_dec)])
 

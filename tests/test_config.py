@@ -58,13 +58,15 @@ def test_parse_booleans():
 def test_legacy_keys_are_ignored_with_a_warning(tmp_path):
     path = tmp_path / "config.resolved"
     path.write_text("beta = 0.5\ncg_tol = 1e-06\ncg_max_iter = 50\n"
-                    "fisher_stats = empirical\n")
+                    "fisher_stats = empirical\n"
+                    "sigma_floor = 6.14421235332821e-06\n")
     with pytest.warns(UserWarning, match="legacy key") as caught:
         cfg = load_config(path)
     named = [str(w.message).split("'")[1] for w in caught]
-    assert named == ["cg_tol", "cg_max_iter", "fisher_stats"]
+    assert named == ["cg_tol", "cg_max_iter", "fisher_stats", "sigma_floor"]
     assert cfg == TrainConfig(beta=0.5)
-    assert not hasattr(cfg, "cg_tol") and not hasattr(cfg, "fisher_stats")
+    for key in ("cg_tol", "fisher_stats", "sigma_floor"):
+        assert not hasattr(cfg, key)
 
 
 def test_parse_starts_from_base():

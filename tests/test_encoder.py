@@ -12,7 +12,6 @@ from geoib.encoder import (
     fr_second_order_gap,
     geodesic_vs_additive_gap,
     kl_to_standard_normal,
-    reparam_sample,
 )
 from geoib.rng import Rng
 from oracles import fr_distance_1d, gaussian_kl_quadrature, geodesic_endpoint
@@ -34,30 +33,6 @@ def test_log_var_clamped_on_construction():
     q = DiagonalGaussian(np.zeros(3), np.array([-50.0, 0.0, 40.0]))
     np.testing.assert_array_equal(q.log_var, [-12.0, 0.0, 12.0])
     np.testing.assert_array_equal(clamp_log_var([-99.0, 99.0]), [-12.0, 12.0])
-
-
-def test_reparam_is_deterministic_per_stream():
-    q = DiagonalGaussian(np.array([1.0, -2.0]), np.array([0.3, -0.3]))
-    z1 = reparam_sample(q, Rng(7))
-    z2 = reparam_sample(q, Rng(7))
-    np.testing.assert_array_equal(z1, z2)
-    assert not np.array_equal(z1, reparam_sample(q, Rng(8)))
-
-
-def test_reparam_collapses_at_variance_floor():
-    # log_var clamps at -12, so sigma = e^-6 and z hugs the mean
-    q = DiagonalGaussian(np.array([3.0]), np.array([-500.0]))
-    z = reparam_sample(q, Rng(0))
-    assert abs(z[0] - 3.0) < 0.05
-
-
-def test_reparam_sample_mean_approaches_mu():
-    q = DiagonalGaussian(np.array([1.0, -1.0]), np.array([0.0, 1.0]))
-    rng = Rng(42)
-    n = 5000
-    samples = np.stack([reparam_sample(q, rng) for _ in range(n)])
-    tol = 4.0 * q.sigma / np.sqrt(n)
-    assert np.all(np.abs(samples.mean(axis=0) - q.mu) < tol)
 
 
 # -------------------------------------------------------------------- kl

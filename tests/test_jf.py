@@ -204,14 +204,17 @@ def test_hutchinson_single_equals_batch_of_one():
 
 
 def test_hutchinson_fixed_probes_reproducible():
+    # the estimator is jf_batch on probes drawn from its stream; fixed
+    # probes give the same batch values whatever stream is at hand
     net = _net((3, 2, "tanh"), seed=11)
     x = Rng(12).normal((4, 3))
     probes = draw_probes(Rng(13), 3, 4, 3)
-    a = jf_hutchinson(net, x, np.ones(2), 3, Rng(14), probes=probes)
-    b = jf_hutchinson(net, x, np.ones(2), 3, Rng(15), probes=probes)
-    assert a.value == b.value
-    with pytest.raises(ValueError, match="n_probes"):
-        jf_hutchinson(net, x, np.ones(2), 2, Rng(16), probes=probes)
+    a, per_probe = jf_batch(net, x, np.ones(2), probes)
+    b, _ = jf_batch(net, x, np.ones(2), probes)
+    np.testing.assert_array_equal(a, b)
+    est = jf_hutchinson(net, x, np.ones(2), 3, Rng(13))
+    assert est.value == float(a.mean())
+    np.testing.assert_array_equal(est.per_probe, per_probe)
 
 
 def test_head_dim_restricts_penalty():
@@ -221,10 +224,10 @@ def test_head_dim_restricts_penalty():
     probes = draw_probes(Rng(19), 2000, 1, 3)
     j_full = net.explicit_jacobian(x)
     ch_head = LocalChannel(j_full[:2], np.ones(2))
-    est = jf_hutchinson(net, x, np.ones(2), 2000, Rng(20), head_dim=2,
-                        probes=probes)
-    se = float(est.per_probe.std(ddof=1) / np.sqrt(est.n_probes))
-    assert abs(est.value - exact_trace(ch_head)) < 4.0 * se
+    values, per_probe = jf_batch(net, x[None, :], np.ones(2), probes,
+                                 head_dim=2)
+    se = float(per_probe.std(ddof=1) / np.sqrt(per_probe.size))
+    assert abs(values[0] - exact_trace(ch_head)) < 4.0 * se
     with pytest.raises(ValueError, match="head_dim"):
         jf_hutchinson(net, x, np.ones(5), 2, Rng(21), head_dim=5)
 
@@ -236,9 +239,9 @@ def test_isotropic_doubling_halves_exactly():
     net = _net((3, 2, "tanh"), seed=25)
     x = Rng(26).normal(3)
     probes = draw_probes(Rng(27), 4, 1, 3)
-    one = jf_hutchinson(net, x, np.full(2, 1.0), 4, Rng(28), probes=probes)
-    two = jf_hutchinson(net, x, np.full(2, 2.0), 4, Rng(29), probes=probes)
-    assert two.value == one.value / 2.0
+    one, _ = jf_batch(net, x[None, :], np.full(2, 1.0), probes)
+    two, _ = jf_batch(net, x[None, :], np.full(2, 2.0), probes)
+    assert two[0] == one[0] / 2.0
 
 
 def test_isotropic_identity_exact_value():

@@ -35,12 +35,9 @@ def test_uniform_and_integers_ranges():
     assert set(np.unique(k)) <= {0, 1, 2, 3}
 
 
-def test_permutation_and_choice():
-    rng = Rng(0)
-    p = rng.permutation(10)
+def test_permutation():
+    p = Rng(0).permutation(10)
     assert sorted(p) == list(range(10))
-    c = rng.choice(100, size=20)
-    assert len(set(c.tolist())) == 20
 
 
 def test_normal_moments():

@@ -67,8 +67,7 @@ def test_beta_zero_objectives_agree():
     _, _, enc, dec, _, _, x, y = _toy_setup(cfg)
     x, y = x[:32], y[:32]
     eps = Rng(1).normal((32, 2))
-    kwargs = dict(beta=0.0, fr_mode=cfg.fr_mode, sigma_floor=cfg.sigma_floor,
-                  k_dim=2, eps=eps)
+    kwargs = dict(beta=0.0, fr_mode=cfg.fr_mode, k_dim=2, eps=eps)
     mg, ge_g, gd_g = geoib_loss_and_grads(
         enc, dec, x, y, probes=draw_probes(Rng(2), 2, 32, 2), **kwargs)
     mv, ge_v, gd_v = geoib_loss_and_grads(enc, dec, x, y, probes=None, **kwargs)
@@ -87,8 +86,7 @@ def test_want_grads_false_returns_metrics_only():
     probes = draw_probes(Rng(4), 2, 16, 2)
     m = geoib_loss_and_grads(
         enc, dec, x[:16], y[:16], beta=cfg.beta, fr_mode=cfg.fr_mode,
-        sigma_floor=cfg.sigma_floor, k_dim=2, eps=eps, probes=probes,
-        want_grads=False)
+        k_dim=2, eps=eps, probes=probes, want_grads=False)
     assert np.isfinite(m.total) and m.fr >= 0.0 and m.jf >= 0.0
     assert abs(m.total - (m.nll + cfg.beta * (m.fr + m.jf))) < 1e-12
 
@@ -157,7 +155,7 @@ def test_huge_damping_gives_plain_gradient_direction():
     probes = draw_probes(rng, cfg.jf_probes, 64, 2)
     _, g_enc, g_dec = geoib_loss_and_grads(
         enc.copy(), dec.copy(), x, y, beta=cfg.beta, fr_mode=cfg.fr_mode,
-        sigma_floor=cfg.sigma_floor, k_dim=2, eps=eps, probes=probes)
+        k_dim=2, eps=eps, probes=probes)
     p_e, p_d = enc.get_params().copy(), dec.get_params().copy()
     gib_step(cfg, enc, dec, ke, kd, x, y, Rng(99))
     for delta, g in ((p_e - enc.get_params(), flatten_blocks(g_enc)),
