@@ -128,11 +128,17 @@ def bound_chain_check(ch: LocalChannel) -> tuple[float, float, float]:
 
 
 def draw_probes(rng, n_probes: int, batch: int, dim: int) -> np.ndarray:
-    """(n_probes, batch, dim) standard normal probes, one substream per
-    probe index so the loop can be parallelized or reordered freely."""
+    """(n_probes, batch, dim) standard normal probes, one draw from `rng`.
+
+    Hutchinson's estimator needs only i.i.d. N(0, I) probes, and all S*B of
+    them go through one folded JVP pass, so they come as one block from the
+    stream handed in (the step's stream in training).  The draw advances
+    that stream; drawing more probes extends the block without changing
+    its leading probes.
+    """
     if n_probes <= 0:
         raise ValueError(f"n_probes must be positive, got {n_probes}")
-    return rng.substream_normals(n_probes, (batch, dim))
+    return rng.normal((n_probes, batch, dim))
 
 
 def _check_head(net, head_dim: int | None) -> int:
@@ -202,8 +208,8 @@ def jf_hutchinson(net, x, noise_cov, n_probes: int, rng,
         x: a single (in_dim,) input or a (B, in_dim) batch; with a batch the
             value is the batch mean.
         noise_cov: diagonal noise variances, per sample or shared.
-        n_probes: probe count S, drawn from `rng` by `draw_probes`.
-        rng: probe source.
+        n_probes: probe count S.
+        rng: probe source; the probes are one `draw_probes` block from it.
         head_dim: see `jf_batch`.
 
     Returns:

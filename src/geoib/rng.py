@@ -3,10 +3,12 @@
 Every stochastic routine in this package takes an explicit `Rng`; nothing
 reads global random state.  The generator is Philox (counter-based), so a
 stream is fully determined by its 128-bit key and advances deterministically
-regardless of platform.  Independent substreams for parallelizable probe
-loops are derived by keying on (seed, stream index) rather than by jumping,
-so probe s of a given draw site always sees the same bits no matter how many
-other probes ran before it.
+regardless of platform.  Independent substreams are derived by keying on
+(seed, stream index) rather than by jumping, so a draw site keyed by its
+index (an optimizer step, an epoch, a network's initialization) sees the
+same bits no matter what ran before it.  Within a stream, draws are
+consumed in order: a batch of Hutchinson probes is one normal draw from the
+step's stream, and its prefix does not change when more probes are drawn.
 """
 
 from __future__ import annotations
@@ -14,11 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-
-
-def _philox(seed: int, stream: int) -> np.random.Philox:
-    """Philox keyed by (seed, stream), counter 0."""
-    return np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
 
 
 class Rng:
@@ -33,10 +30,8 @@ class Rng:
     def __init__(self, seed: int, stream: int = 0):
         self.seed = int(seed) & _MASK64
         self.stream = int(stream) & _MASK64
-        self._gen = np.random.Generator(_philox(self.seed, self.stream))
-
-    def _substream_id(self, index: int) -> int:
-        return (int(index) + 1 + self.stream * 0x9E3779B9) & _MASK64
+        key = np.array([self.seed, self.stream], dtype=np.uint64)
+        self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def substream(self, index: int) -> "Rng":
         """A fresh, statistically independent stream keyed by `index`.
@@ -44,25 +39,7 @@ class Rng:
         Substream indices are offset by 1 so substream(0) never collides
         with the root stream of the same seed.
         """
-        return Rng(self.seed, stream=self._substream_id(index))
-
-    def substream_normals(self, count: int, shape: tuple) -> np.ndarray:
-        """(count, *shape) standard normals, row s drawn from substream s.
-
-        Equal to `np.stack([self.substream(s).normal(shape) for s in
-        range(count)])`.  Building a Philox costs about 15 us whatever it is
-        seeded with, several times a small draw, so one generator is built
-        and, per row, its fresh state is re-keyed to that substream.
-        """
-        bitgen = _philox(self.seed, self._substream_id(0))
-        fresh = bitgen.state
-        gen = np.random.Generator(bitgen)
-        out = np.empty((count,) + tuple(shape))
-        for s in range(count):
-            fresh["state"]["key"][1] = self._substream_id(s)
-            bitgen.state = fresh
-            gen.standard_normal(dtype=np.float64, out=out[s])
-        return out
+        return Rng(self.seed, stream=int(index) + 1 + self.stream * 0x9E3779B9)
 
     def normal(self, shape=None) -> np.ndarray:
         """Standard normal draw of the given shape (scalar if None)."""

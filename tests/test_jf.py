@@ -143,21 +143,19 @@ def test_draw_probes_deterministic():
 
 
 def test_draw_probes_prefix_stable():
-    # substream per probe index: growing S extends, never reshuffles
+    # one block from the stream: growing S extends, never reshuffles
     small = draw_probes(Rng(4), 2, 3, 5)
     large = draw_probes(Rng(4), 6, 3, 5)
     np.testing.assert_array_equal(large[:2], small)
 
 
-def test_draw_probes_equal_per_substream_reference():
-    # one re-keyed generator reproduces a fresh generator per substream,
-    # including stream ids that wrap mod 2**64
+def test_draw_probes_is_one_normal_draw():
+    # the probes are the stream's next S*B*d normals, including on stream
+    # ids that wrap mod 2**64
     for seed, stream in ((0, 0), (7, 3), (2**70 + 1, 0), (5, 2**64 - 3),
                          (11, 2**63 + 17)):
-        rng = Rng(seed, stream=stream)
-        reference = np.stack([rng.substream(s).normal((3, 4))
-                              for s in range(9)])
-        np.testing.assert_array_equal(draw_probes(rng, 9, 3, 4), reference)
+        np.testing.assert_array_equal(draw_probes(Rng(seed, stream), 9, 3, 4),
+                                      Rng(seed, stream).normal((9, 3, 4)))
 
 
 def test_draw_probes_rejects_bad_count():
@@ -204,16 +202,14 @@ def test_hutchinson_single_equals_batch_of_one():
 
 
 def test_hutchinson_fixed_probes_reproducible():
-    # the estimator is jf_batch on probes drawn from its stream; fixed
-    # probes give the same batch values whatever stream is at hand
+    # the estimator is jf_batch on the probes it draws from its stream, so
+    # the same probes replay it exactly
     net = _net((3, 2, "tanh"), seed=11)
     x = Rng(12).normal((4, 3))
-    probes = draw_probes(Rng(13), 3, 4, 3)
-    a, per_probe = jf_batch(net, x, np.ones(2), probes)
-    b, _ = jf_batch(net, x, np.ones(2), probes)
-    np.testing.assert_array_equal(a, b)
+    values, per_probe = jf_batch(net, x, np.ones(2),
+                                 draw_probes(Rng(13), 3, 4, 3))
     est = jf_hutchinson(net, x, np.ones(2), 3, Rng(13))
-    assert est.value == float(a.mean())
+    assert est.value == float(values.mean())
     np.testing.assert_array_equal(est.per_probe, per_probe)
 
 
