@@ -10,7 +10,7 @@ as the `geoib` command.
 """
 
 from .config import TrainConfig, load_config, save_config
-from .data import DatasetHandle, gen_synthetic, load_idx, make_dataset
+from .data import DatasetHandle, load_idx, make_dataset
 from .discrete_info import (
     i_projection,
     ib_projection_value,
@@ -72,7 +72,6 @@ __all__ = [
     "exp_map_1d",
     "fisher_vector_product",
     "fr_quadratic_proxy",
-    "gen_synthetic",
     "gib_step",
     "i_projection",
     "ib_projection_value",

@@ -17,11 +17,10 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .config import TrainConfig, _parse_value, load_config
+from .config import TrainConfig, load_config, parse_value
 from .data import (
     IDX_MAGIC_IMAGES,
     IDX_MAGIC_LABELS,
-    gen_synthetic,
     make_dataset,
     read_idx,
     write_digit_corpus,
@@ -37,13 +36,6 @@ from .training import (
     run_training,
 )
 from .verify import run_all_checks, write_results
-
-_TYPE_MAP = {"str": str, "float": float, "int": int, "bool": bool}
-
-
-def _field_type(f):
-    return _TYPE_MAP[f.type] if isinstance(f.type, str) else f.type
-
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE",
@@ -61,7 +53,7 @@ def _resolve_config(args) -> TrainConfig:
     for f in fields(TrainConfig):
         raw = getattr(args, f.name)
         if raw is not None:
-            updates[f.name] = _parse_value(_field_type(f), str(raw))
+            updates[f.name] = parse_value(f.name, raw)
     return replace(cfg, **updates)
 
 
@@ -147,7 +139,9 @@ def _cmd_gen_data(args) -> int:
         write_digit_corpus(args.out, args.n_train, args.n_test, args.seed)
         print(f"digit corpus ({args.n_train} train, {args.n_test} test) in {args.out}")
         return 0
-    ds = gen_synthetic(args.kind, args.n, args.noise, args.seed)
+    opts = [f"{key}={value!r}" for key, value in (("n", args.n), ("noise", args.noise))
+            if value is not None]
+    ds = make_dataset(":".join([args.kind, ",".join(opts)]), args.seed)
     np.savetxt(os.path.join(args.out, "features.csv"), ds.features,
                delimiter=",", fmt="%.17g")
     np.savetxt(os.path.join(args.out, "labels.csv"), ds.labels, fmt="%d")
@@ -213,9 +207,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True,
                    choices=("gauss_mixture", "two_moons", "digits"))
     p.add_argument("--out", metavar="DIR", required=True)
-    p.add_argument("--n", type=int, default=5000,
-                   help="sample count for synthetic kinds")
-    p.add_argument("--noise", type=float, default=0.14)
+    p.add_argument("--n", type=int, default=None,
+                   help="sample count for synthetic kinds "
+                        "(default: the dataset spec's)")
+    p.add_argument("--noise", type=float, default=None,
+                   help="noise for synthetic kinds (default: the dataset spec's)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-train", type=int, default=10000,
                    help="digits: training image count")

@@ -100,15 +100,55 @@ class TrainConfig:
         return [int(tok) for tok in raw.split(",")]
 
 
-def _parse_value(field_type, raw: str):
-    if field_type is bool:
-        low = raw.lower()
-        if low in ("true", "1", "yes"):
-            return True
-        if low in ("false", "0", "no"):
-            return False
-        raise ValueError(f"expected a boolean, got {raw!r}")
-    return field_type(raw)
+# Field types by name (annotations are strings under postponed evaluation).
+_FIELD_TYPES = {f.name: {"str": str, "float": float, "int": int, "bool": bool}[f.type]
+                for f in fields(TrainConfig)}
+_BOOLEANS = {"true": True, "1": True, "yes": True,
+             "false": False, "0": False, "no": False}
+
+
+def parse_value(key: str, raw: str):
+    """The value of the TrainConfig field `key` written as `raw`, the one
+    parser for config files and command-line flags.
+
+    Raises:
+        ValueError: on an unknown key or a value its field cannot take.
+    """
+    if key not in _FIELD_TYPES:
+        raise ValueError(f"unknown key {key!r}")
+    ftype = _FIELD_TYPES[key]
+    if ftype is bool:
+        if raw.lower() not in _BOOLEANS:
+            raise ValueError(f"bad value for {key}: expected a boolean, got {raw!r}")
+        return _BOOLEANS[raw.lower()]
+    try:
+        return ftype(raw)
+    except ValueError as exc:
+        raise ValueError(f"bad value for {key}: {exc}") from exc
+
+
+def _parse_config(text: str, base: TrainConfig | None, source: str) -> TrainConfig:
+    """Config lines read from `source`, a file name.  Errors name the file
+    and line; a skipped legacy key warns from its own line of the file."""
+    cfg = base if base is not None else TrainConfig()
+    updates = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ValueError(f"{source}, line {lineno}: expected key = value, "
+                             f"got {line!r}")
+        key, raw = (s.strip() for s in stripped.split("=", 1))
+        if key in LEGACY_KEYS:
+            warnings.warn_explicit(f"ignoring legacy key {key!r}; {LEGACY_KEYS[key]}",
+                                   UserWarning, source, lineno)
+            continue
+        try:
+            updates[key] = parse_value(key, raw)
+        except ValueError as exc:
+            raise ValueError(f"{source}, line {lineno}: {exc}") from exc
+    return replace(cfg, **updates)
 
 
 def parse_config_text(text: str, base: TrainConfig | None = None) -> TrainConfig:
@@ -120,36 +160,13 @@ def parse_config_text(text: str, base: TrainConfig | None = None) -> TrainConfig
     Raises:
         ValueError: on unknown keys, malformed lines, or bad values.
     """
-    cfg = base if base is not None else TrainConfig()
-    known = {f.name: f.type for f in fields(TrainConfig)}
-    type_map = {"str": str, "float": float, "int": int, "bool": bool}
-    updates = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ValueError(f"line {lineno}: expected key = value, got {line!r}")
-        key, raw = (s.strip() for s in stripped.split("=", 1))
-        if key in LEGACY_KEYS:
-            warnings.warn(f"line {lineno}: ignoring legacy key {key!r}; "
-                          f"{LEGACY_KEYS[key]}", stacklevel=2)
-            continue
-        if key not in known:
-            raise ValueError(f"line {lineno}: unknown key {key!r}")
-        ftype = known[key]
-        if isinstance(ftype, str):
-            ftype = type_map[ftype]
-        try:
-            updates[key] = _parse_value(ftype, raw)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: bad value for {key}: {exc}") from exc
-    return replace(cfg, **updates)
+    return _parse_config(text, base, "<config text>")
 
 
 def load_config(path, base: TrainConfig | None = None) -> TrainConfig:
+    """`parse_config_text` on a file, naming the file in errors and warnings."""
     with open(path, "r", encoding="ascii") as fh:
-        return parse_config_text(fh.read(), base=base)
+        return _parse_config(fh.read(), base, str(path))
 
 
 def config_text(cfg: TrainConfig) -> str:

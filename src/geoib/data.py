@@ -178,18 +178,6 @@ def two_moons(n: int, noise: float, seed: int) -> DatasetHandle:
     )
 
 
-def gen_synthetic(kind: str, n: int, noise: float, seed: int,
-                  **kwargs) -> DatasetHandle:
-    """Dispatch for the named synthetic families."""
-    if kind == "gauss_mixture":
-        return gauss_mixture(n, noise, seed, **kwargs)
-    if kind == "two_moons":
-        if kwargs:
-            raise ValueError(f"two_moons takes no extra options, got {kwargs}")
-        return two_moons(n, noise, seed)
-    raise ValueError(f"unknown synthetic kind {kind!r}")
-
-
 # ------------------------------------------------------------------ idx io
 
 
@@ -445,30 +433,40 @@ def parse_dataset_spec(spec: str):
     return kind, opts
 
 
+# The options each dataset kind takes, with their defaults; a default also
+# fixes the option's type.
+_DATASET_OPTIONS = {
+    "gauss_mixture": {"n": 5000, "noise": 0.14, "classes": 4, "dim": 8},
+    "two_moons": {"n": 2000, "noise": 0.08},
+    "idx": {"path": None},
+}
+
+
 def make_dataset(spec: str, seed: int) -> DatasetHandle:
     """Materialize the dataset named by a spec string.
 
     Supported kinds: gauss_mixture (n, noise, classes, dim), two_moons
-    (n, noise), idx (path=...).  Synthetic kinds are regenerated
-    deterministically from (spec, seed).
+    (n, noise), idx (path=...).  Options left out take the defaults in
+    `_DATASET_OPTIONS`.  Synthetic kinds are regenerated deterministically
+    from (spec, seed).
+
+    Raises:
+        ValueError: on an unknown kind or an option the kind does not take.
     """
     kind, opts = parse_dataset_spec(spec)
+    if kind not in _DATASET_OPTIONS:
+        raise ValueError(f"unknown dataset kind {kind!r}")
+    defaults = _DATASET_OPTIONS[kind]
+    unknown = [key for key in opts if key not in defaults]
+    if unknown:
+        raise ValueError(f"dataset kind {kind!r} takes no option "
+                         f"{', '.join(map(repr, unknown))} (spec {spec!r}); "
+                         f"its options are {', '.join(defaults)}")
     if kind == "idx":
         if "path" not in opts:
             raise ValueError(f"idx dataset spec needs path=..., got {spec!r}")
         return load_idx(opts["path"])
-    if kind == "gauss_mixture":
-        return gauss_mixture(
-            n=int(opts.get("n", 5000)),
-            noise=float(opts.get("noise", 0.14)),
-            seed=seed,
-            classes=int(opts.get("classes", 4)),
-            dim=int(opts.get("dim", 8)),
-        )
-    if kind == "two_moons":
-        return two_moons(
-            n=int(opts.get("n", 2000)),
-            noise=float(opts.get("noise", 0.08)),
-            seed=seed,
-        )
-    raise ValueError(f"unknown dataset kind {kind!r}")
+    args = {key: type(default)(opts.get(key, default))
+            for key, default in defaults.items()}
+    generator = gauss_mixture if kind == "gauss_mixture" else two_moons
+    return generator(seed=seed, **args)

@@ -19,6 +19,9 @@ rather than (A x G + lam I) v = grad.  Its inverse is
 (G + lam I)^-1 grad (A + lam I)^-1, and the solve is exact: both damped
 factors are Cholesky-factored at every call and each layer block costs two
 triangular-pair solves (Martens & Grosse 2015, arXiv:1503.05671).
+Gradients, directions and FVP operands are flat vectors in the network's
+parameter layout; each routine cuts them into layer blocks with
+`nets.layer_blocks` and writes its result through blocks of one flat output.
 Conjugate gradient remains for dense Fisher matrices and for truncated
 Kronecker solves requested with an explicit iteration cap; the exact dense
 Fisher is kept only as a test oracle, guarded to tiny networks.
@@ -29,37 +32,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import block_diag, cho_factor, cho_solve
 
 from .linalg import conjugate_gradient
-from .nets import Network
+from .nets import Network, layer_blocks
 
 # empirical_fisher_exact refuses nets larger than this.
 DENSE_FISHER_GUARD = 2000
-
-
-# --------------------------------------------------------------------- blocks
-
-
-def flatten_blocks(blocks) -> np.ndarray:
-    """Concatenate per-layer (out, in+1) blocks row-major, matching
-    `Network.get_params` layout."""
-    return np.concatenate([np.asarray(b, dtype=np.float64).ravel() for b in blocks])
-
-
-def split_flat(flat, shapes) -> list[np.ndarray]:
-    """Inverse of `flatten_blocks` for the given (a_dim, g_dim) shape list."""
-    flat = np.asarray(flat, dtype=np.float64).ravel()
-    total = sum(a * g for a, g in shapes)
-    if flat.shape[0] != total:
-        raise ValueError(f"flat vector has {flat.shape[0]} entries, expected {total}")
-    blocks = []
-    offset = 0
-    for a_dim, g_dim in shapes:
-        size = a_dim * g_dim
-        blocks.append(flat[offset : offset + size].reshape(g_dim, a_dim))
-        offset += size
-    return blocks
 
 
 def _damped(m: np.ndarray, lam: float) -> np.ndarray:
@@ -76,9 +55,11 @@ def _damped(m: np.ndarray, lam: float) -> np.ndarray:
 class KfacState:
     """Kronecker factors of a network's Fisher, maintained as EMAs.
 
-    Factors are unset until the first `kfac_update`; the first update adopts
-    the batch statistics outright, later ones blend with decay `ema_decay`
-    (a decay of 0 keeps per-batch factors).
+    `shapes` are the network's (out, in+1) layer-block shapes; layer l has
+    an (in+1)-square A factor and an out-square G factor.  Factors are
+    unset until the first `kfac_update`; the first update adopts the batch
+    statistics outright, later ones blend with decay `ema_decay` (a decay
+    of 0 keeps per-batch factors).
     """
 
     shapes: tuple
@@ -95,12 +76,11 @@ class KfacState:
 
     @property
     def n_params(self) -> int:
-        return sum(a * g for a, g in self.shapes)
+        return sum(rows * cols for rows, cols in self.shapes)
 
 
 def kfac_init(net: Network, damping: float = 1e-3, ema_decay: float = 0.95) -> KfacState:
-    shapes = tuple((sp.in_dim + 1, sp.out_dim) for sp in net.specs)
-    return KfacState(shapes=shapes, damping=damping, ema_decay=ema_decay)
+    return KfacState(shapes=net.shapes, damping=damping, ema_decay=ema_decay)
 
 
 def kfac_update(state: KfacState, net: Network) -> KfacState:
@@ -115,8 +95,7 @@ def kfac_update(state: KfacState, net: Network) -> KfacState:
     Mutates and returns `state`.
     """
     acts, grads_pre = net.captured_stats()
-    expect = tuple((sp.in_dim + 1, sp.out_dim) for sp in net.specs)
-    if expect != state.shapes:
+    if net.shapes != state.shapes:
         raise ValueError("network layer shapes do not match this KfacState")
     a_new, g_new = [], []
     for a, g in zip(acts, grads_pre):
@@ -145,10 +124,13 @@ def fisher_vector_product(state: KfacState, v) -> np.ndarray:
     if state.a_factors is None:
         raise RuntimeError("KfacState has no factors yet; run kfac_update first")
     lam = state.damping
-    blocks = split_flat(v, state.shapes)
-    return flatten_blocks([_damped(g_f, lam) @ blk @ _damped(a_f, lam)
-                           for blk, a_f, g_f in zip(blocks, state.a_factors,
-                                                    state.g_factors)])
+    v = np.asarray(v, dtype=np.float64).ravel()
+    out = np.empty_like(v)
+    for out_blk, blk, a_f, g_f in zip(layer_blocks(out, state.shapes),
+                                      layer_blocks(v, state.shapes),
+                                      state.a_factors, state.g_factors):
+        out_blk[...] = _damped(g_f, lam) @ blk @ _damped(a_f, lam)
+    return out
 
 
 def kfac_dense_matrix(state: KfacState, damped: bool = False) -> np.ndarray:
@@ -164,14 +146,8 @@ def kfac_dense_matrix(state: KfacState, damped: bool = False) -> np.ndarray:
             f"dense Fisher of {n} parameters exceeds the {DENSE_FISHER_GUARD} guard"
         )
     lam = state.damping if damped else 0.0
-    out = np.zeros((n, n))
-    offset = 0
-    for a_f, g_f in zip(state.a_factors, state.g_factors):
-        blk = np.kron(_damped(g_f, lam), _damped(a_f, lam))
-        size = blk.shape[0]
-        out[offset : offset + size, offset : offset + size] = blk
-        offset += size
-    return out
+    return block_diag(*[np.kron(_damped(g_f, lam), _damped(a_f, lam))
+                        for a_f, g_f in zip(state.a_factors, state.g_factors)])
 
 
 # ------------------------------------------------------------- exact Fisher
@@ -215,7 +191,7 @@ def empirical_fisher_exact(net: Network, x) -> np.ndarray:
         for y in range(out.shape[0]):
             upstream = -p.copy()
             upstream[y] += 1.0
-            g = flatten_blocks(net.backward(upstream[None, :]))
+            g = net.backward(upstream[None, :])
             fisher += p[y] * np.outer(g, g)
     return fisher / x.shape[0]
 
@@ -259,9 +235,11 @@ def kfac_solve(state: KfacState, grad) -> tuple[np.ndarray, float]:
         raise RuntimeError("KfacState has no factors yet; run kfac_update first")
     g = np.asarray(grad, dtype=np.float64).ravel()
     lam = state.damping
-    blocks, sq_residual = [], 0.0
-    for i, (blk, a_f, g_f) in enumerate(zip(split_flat(g, state.shapes),
-                                            state.a_factors, state.g_factors)):
+    direction = np.empty_like(g)
+    sq_residual = 0.0
+    layers = zip(layer_blocks(direction, state.shapes), layer_blocks(g, state.shapes),
+                 state.a_factors, state.g_factors)
+    for i, (dir_blk, blk, a_f, g_f) in enumerate(layers):
         a_d, g_d = _damped(a_f, lam), _damped(g_f, lam)
         try:
             a_cho, g_cho = cho_factor(a_d), cho_factor(g_d)
@@ -272,10 +250,10 @@ def kfac_solve(state: KfacState, grad) -> tuple[np.ndarray, float]:
         # blk (A + lam I)^-1 = ((A + lam I)^-1 blk^T)^T, A being symmetric
         v = cho_solve(g_cho, cho_solve(a_cho, blk.T).T)
         sq_residual += float(np.sum((g_d @ v @ a_d - blk) ** 2))
-        blocks.append(v)
+        dir_blk[...] = v
     gnorm = float(np.linalg.norm(g))
     residual = float(np.sqrt(sq_residual)) / gnorm if gnorm > 0.0 else 0.0
-    return flatten_blocks(blocks), residual
+    return direction, residual
 
 
 def natural_gradient(fisher, grad, damping: float | None = None,

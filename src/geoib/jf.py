@@ -232,8 +232,8 @@ def jf_value_and_grad(net, x, noise_cov, probes, head_dim: int | None = None):
         net, x, noise_cov, probes, head_dim: as in `jf_batch`.
 
     Returns:
-        (values, grads): values is (B,) per-sample estimates; grads is the
-        per-layer block gradient of sum_i values_i (sum convention, like
+        (values, grad): values is (B,) per-sample estimates; grad is the
+        flat parameter gradient of sum_i values_i (sum convention, like
         `Network.backward`).
     """
     u_head, nc, u, cache = _folded_jvp(net, x, noise_cov, probes, head_dim)
@@ -243,5 +243,4 @@ def jf_value_and_grad(net, x, noise_cov, probes, head_dim: int | None = None):
     u_bar[:, :head] = (2.0 * u_head / nc).reshape(n_probes * batch, head)
     # adjoint sums over the folded S*B axis; dividing by S leaves the
     # probe average in the same sum-over-batch convention as backward
-    grads = [g / n_probes for g in net.jvp_adjoint(cache, u_bar)]
-    return values, grads
+    return values, net.jvp_adjoint(cache, u_bar) / n_probes

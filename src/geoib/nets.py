@@ -9,9 +9,13 @@ penalty, and `jvp_adjoint` differentiates a weighted squared JVP with
 respect to the parameters (reverse over forward), which is the gradient
 path of that penalty.
 
-Parameters of a layer live in an augmented block [W | b] of shape
-(out, in+1); the flat parameter vector concatenates these blocks row-major,
-so the total count is sum((in+1) * out).
+A network holds its parameters as one flat float64 vector, `params`.  The
+vector is the layers' augmented blocks [W | b], each of shape (out, in+1),
+laid end to end row-major, so the total count is sum((in+1) * out).
+`layer_blocks` is the one place that cuts a flat vector into those blocks:
+the network reads its weights through block views into `params`, gradients
+are written through block views into one flat vector of the same layout,
+and the Kronecker-factored Fisher cuts its flat operands the same way.
 """
 
 from __future__ import annotations
@@ -70,6 +74,21 @@ def _act_dd(name: str, s: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown activation {name!r}")
 
 
+def layer_blocks(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views of the 1-D contiguous vector `flat` as consecutive row-major
+    blocks of the given (out, in+1) shapes; writes through them land in
+    `flat`.  ValueError if `flat` does not hold exactly their entries."""
+    sizes = [rows * cols for rows, cols in shapes]
+    if flat.shape != (sum(sizes),):
+        raise ValueError(f"flat vector has shape {flat.shape}, expected "
+                         f"({sum(sizes)},) entries for blocks {tuple(shapes)}")
+    blocks, start = [], 0
+    for size, shape in zip(sizes, shapes):
+        blocks.append(flat[start : start + size].reshape(shape))
+        start += size
+    return blocks
+
+
 @dataclass(frozen=True)
 class LayerSpec:
     """One dense layer: out = activation(W x + b)."""
@@ -90,6 +109,12 @@ class LayerSpec:
 class Network:
     """A stack of dense layers over float64 arrays.
 
+    Attributes:
+        params: the flat parameter vector.  Update it in place; the block
+            views read from it.
+        blocks: per-layer (out, in+1) [W | b] views into `params`.
+        shapes: the blocks' shapes, the layout of every flat gradient.
+
     Args:
         specs: layer specs; consecutive dims must chain.
         rng: source for the initial draw.  Weights are uniform in
@@ -106,16 +131,13 @@ class Network:
                     f"layer dims do not chain: {a.out_dim} -> {b.in_dim}"
                 )
         self.specs = specs
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for sp in specs:
-            if rng is None:
-                w = np.zeros((sp.out_dim, sp.in_dim))
-            else:
+        self.shapes = tuple((sp.out_dim, sp.in_dim + 1) for sp in specs)
+        self.params = np.zeros(sum(rows * cols for rows, cols in self.shapes))
+        self.blocks = layer_blocks(self.params, self.shapes)
+        if rng is not None:
+            for sp, blk in zip(specs, self.blocks):
                 bound = np.sqrt(6.0 / (sp.in_dim + sp.out_dim))
-                w = rng.uniform(-bound, bound, (sp.out_dim, sp.in_dim))
-            self.weights.append(np.asarray(w, dtype=np.float64))
-            self.biases.append(np.zeros(sp.out_dim))
+                blk[:, :-1] = rng.uniform(-bound, bound, (sp.out_dim, sp.in_dim))
         self._acts = None       # layer inputs a_0 .. a_{L-1}, captured
         self._pre = None        # pre-activations s_0 .. s_{L-1}, captured
         self._grads_pre = None  # pre-activation gradients, captured by backward
@@ -136,38 +158,26 @@ class Network:
 
     @property
     def n_params(self) -> int:
-        return sum((sp.in_dim + 1) * sp.out_dim for sp in self.specs)
+        return self.params.shape[0]
 
     # ------------------------------------------------------------- parameters
 
-    def param_blocks(self) -> list[np.ndarray]:
-        """Per-layer augmented [W | b] blocks, shape (out, in+1).  Copies."""
-        return [
-            np.concatenate([w, b[:, None]], axis=1)
-            for w, b in zip(self.weights, self.biases)
-        ]
-
     def get_params(self) -> np.ndarray:
-        return np.concatenate([blk.ravel() for blk in self.param_blocks()])
+        """A copy of the flat parameter vector."""
+        return self.params.copy()
 
     def set_params(self, flat) -> None:
+        """Copy `flat` into the parameter vector."""
         flat = np.asarray(flat, dtype=np.float64).ravel()
         if flat.shape[0] != self.n_params:
             raise ValueError(
                 f"expected {self.n_params} parameters, got {flat.shape[0]}"
             )
-        offset = 0
-        for i, sp in enumerate(self.specs):
-            size = (sp.in_dim + 1) * sp.out_dim
-            blk = flat[offset : offset + size].reshape(sp.out_dim, sp.in_dim + 1)
-            self.weights[i] = blk[:, : sp.in_dim].copy()
-            self.biases[i] = blk[:, sp.in_dim].copy()
-            offset += size
+        self.params[:] = flat
 
     def copy(self) -> "Network":
         net = Network(self.specs)
-        net.weights = [w.copy() for w in self.weights]
-        net.biases = [b.copy() for b in self.biases]
+        net.params[:] = self.params
         return net
 
     # ---------------------------------------------------------------- forward
@@ -194,8 +204,8 @@ class Network:
         acts = [x]
         pre = []
         a = x
-        for sp, w, b in zip(self.specs, self.weights, self.biases):
-            s = a @ w.T + b
+        for sp, blk in zip(self.specs, self.blocks):
+            s = a @ blk[:, :-1].T + blk[:, -1]
             pre.append(s)
             a = _act(sp.activation, s)
             acts.append(a)
@@ -217,8 +227,8 @@ class Network:
             return_input_grad: also return d/dx, shape matching the input.
 
         Returns:
-            List of per-layer gradient blocks, each (out, in+1) matching
-            `param_blocks`; optionally (grads, input_grad).
+            The flat parameter gradient, laid out like `params`; optionally
+            (grad, input_grad).
 
         Raises:
             RuntimeError: if no captured forward pass is available.
@@ -233,22 +243,22 @@ class Network:
             raise ValueError(
                 f"upstream has shape {up.shape}, expected {(batch, self.out_dim)}"
             )
-        grads: list[np.ndarray] = [None] * self.n_layers
+        grad = np.empty_like(self.params)
+        grad_blocks = layer_blocks(grad, self.shapes)
         grads_pre: list[np.ndarray] = [None] * self.n_layers
         delta = up
         for l in range(self.n_layers - 1, -1, -1):
             sp = self.specs[l]
             delta = delta * _act_d(sp.activation, self._pre[l])
             grads_pre[l] = delta
-            gw = delta.T @ self._acts[l]
-            gb = delta.sum(axis=0)
-            grads[l] = np.concatenate([gw, gb[:, None]], axis=1)
+            grad_blocks[l][:, :-1] = delta.T @ self._acts[l]
+            grad_blocks[l][:, -1] = delta.sum(axis=0)
             if l > 0 or return_input_grad:
-                delta = delta @ self.weights[l]
+                delta = delta @ self.blocks[l][:, :-1]
         self._grads_pre = grads_pre
         if return_input_grad:
-            return grads, delta
-        return grads
+            return grad, delta
+        return grad
 
     def captured_stats(self):
         """(layer inputs, pre-activation gradients) recorded by the last
@@ -279,8 +289,9 @@ class Network:
             )
         a, t = x, v
         acts, pre, tangents, tan_pre = [x], [], [v], []
-        for sp, w, b in zip(self.specs, self.weights, self.biases):
-            s = a @ w.T + b
+        for sp, blk in zip(self.specs, self.blocks):
+            w = blk[:, :-1]
+            s = a @ w.T + blk[:, -1]
             ts = t @ w.T
             pre.append(s)
             tan_pre.append(ts)
@@ -291,7 +302,7 @@ class Network:
         cache = (acts, pre, tangents, tan_pre)
         return t, cache
 
-    def jvp_adjoint(self, cache, u_bar) -> list[np.ndarray]:
+    def jvp_adjoint(self, cache, u_bar) -> np.ndarray:
         """Parameter gradient of sum(u_bar * u) where u = J(x_i) v_i.
 
         This is reverse-mode applied to the forward-tangent computation of
@@ -304,8 +315,7 @@ class Network:
             u_bar: (B, out_dim) adjoint of the tangent output.
 
         Returns:
-            Per-layer gradient blocks (out, in+1), same layout as
-            `param_blocks`.
+            The flat parameter gradient, laid out like `params`.
         """
         acts, pre, tangents, tan_pre = cache
         u_bar = np.asarray(u_bar, dtype=np.float64)
@@ -314,7 +324,8 @@ class Network:
             raise ValueError(
                 f"u_bar has shape {u_bar.shape}, expected {(batch, self.out_dim)}"
             )
-        grads: list[np.ndarray] = [None] * self.n_layers
+        grad = np.empty_like(self.params)
+        grad_blocks = layer_blocks(grad, self.shapes)
         a_bar = np.zeros_like(acts[-1])
         t_bar = u_bar
         for l in range(self.n_layers - 1, -1, -1):
@@ -323,12 +334,12 @@ class Network:
             dd = _act_dd(sp.activation, pre[l])
             ts_bar = t_bar * d
             s_bar = a_bar * d + t_bar * tan_pre[l] * dd
-            gw = s_bar.T @ acts[l] + ts_bar.T @ tangents[l]
-            gb = s_bar.sum(axis=0)
-            grads[l] = np.concatenate([gw, gb[:, None]], axis=1)
-            a_bar = s_bar @ self.weights[l]
-            t_bar = ts_bar @ self.weights[l]
-        return grads
+            grad_blocks[l][:, :-1] = s_bar.T @ acts[l] + ts_bar.T @ tangents[l]
+            grad_blocks[l][:, -1] = s_bar.sum(axis=0)
+            w = self.blocks[l][:, :-1]
+            a_bar = s_bar @ w
+            t_bar = ts_bar @ w
+        return grad
 
     def explicit_jacobian(self, x) -> np.ndarray:
         """Materialize J(x) row by row via basis-vector JVPs.
@@ -358,7 +369,7 @@ class Network:
         )
         with open(path, "wb") as fh:
             fh.write((header + "\n").encode("ascii"))
-            fh.write(self.get_params().astype("<f8").tobytes())
+            fh.write(self.params.astype("<f8").tobytes())
 
     @classmethod
     def load(cls, path) -> "Network":
@@ -381,5 +392,5 @@ class Network:
                 f"{path}: payload holds {flat.shape[0]} floats, "
                 f"expected {net.n_params}"
             )
-        net.set_params(flat.astype(np.float64))
+        net.set_params(flat)
         return net

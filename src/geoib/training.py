@@ -31,13 +31,7 @@ import numpy as np
 from .config import TrainConfig, load_config, save_config
 from .data import DatasetHandle, make_dataset
 from .encoder import LOG_VAR_MAX, LOG_VAR_MIN, clamp_log_var
-from .fisher import (
-    KfacState,
-    flatten_blocks,
-    kfac_init,
-    kfac_update,
-    natural_gradient,
-)
+from .fisher import KfacState, kfac_init, kfac_update, natural_gradient
 from .jf import draw_probes, jf_batch, jf_value_and_grad
 from .mi import (
     PROBE_NAME,
@@ -150,9 +144,8 @@ def geoib_loss_and_grads(enc: Network, dec: Network, x, y, *,
             None for no Jacobian term.
 
     Returns:
-        metrics alone when want_grads is False, else
-        (metrics, g_enc_blocks, g_dec_blocks) with mean-over-batch gradient
-        blocks per layer.
+        metrics alone when want_grads is False, else (metrics, g_enc, g_dec)
+        with the mean-over-batch flat parameter gradients.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
@@ -173,11 +166,11 @@ def geoib_loss_and_grads(enc: Network, dec: Network, x, y, *,
         dlv_fr = 0.5 * lv
     fr = float(fr_vec.mean())
 
-    jf, jf_grads = 0.0, None
+    jf, jf_grad = 0.0, None
     if probes is not None:
         nc = noise_cov if noise_cov is not None else var
         if want_grads:
-            jf_vec, jf_grads = jf_value_and_grad(enc, x, nc, probes, head_dim=k_dim)
+            jf_vec, jf_grad = jf_value_and_grad(enc, x, nc, probes, head_dim=k_dim)
         else:
             jf_vec, _ = jf_batch(enc, x, nc, probes, head_dim=k_dim)
         jf = float(jf_vec.mean())
@@ -187,17 +180,14 @@ def geoib_loss_and_grads(enc: Network, dec: Network, x, y, *,
     if not want_grads:
         return metrics
 
-    g_dec_blocks, dz = dec.backward(up_dec, return_input_grad=True)
+    g_dec, dz = dec.backward(up_dec, return_input_grad=True)
     up_enc = np.zeros((batch, 2 * k_dim))
     up_enc[:, :k_dim] = dz + beta * mu
     up_enc[:, k_dim:] = (dz * (0.5 * sig * eps) + beta * dlv_fr) * clamp_open
-    g_enc_blocks = enc.backward(up_enc)
-    if jf_grads is None:
-        g_enc = [g / batch for g in g_enc_blocks]
-    else:
-        g_enc = [(g + beta * jg) / batch for g, jg in zip(g_enc_blocks, jf_grads)]
-    g_dec = [g / batch for g in g_dec_blocks]
-    return metrics, g_enc, g_dec
+    g_enc = enc.backward(up_enc)
+    if jf_grad is not None:
+        g_enc = g_enc + beta * jf_grad
+    return metrics, g_enc / batch, g_dec / batch
 
 
 def _sampled_capture(enc: Network, dec: Network, x, eps, k_dim: int,
@@ -261,24 +251,20 @@ def train_step(cfg: TrainConfig, enc: Network, dec: Network,
     )
     if not np.isfinite(metrics.total):
         raise FloatingPointError(f"objective went non-finite: {metrics.total!r}")
-    flat_enc = flatten_blocks(g_enc)
-    flat_dec = flatten_blocks(g_dec)
-    metrics = replace(metrics, grad_norm_enc=float(np.linalg.norm(flat_enc)),
-                      grad_norm_dec=float(np.linalg.norm(flat_dec)))
-    dir_enc, dir_dec = flat_enc, flat_dec
+    metrics = replace(metrics, grad_norm_enc=float(np.linalg.norm(g_enc)),
+                      grad_norm_dec=float(np.linalg.norm(g_dec)))
+    dir_enc, dir_dec = g_enc, g_dec
     if kfac_enc is not None:
         _sampled_capture(enc, dec, x, eps, cfg.k_dim, step_rng)
         kfac_update(kfac_enc, enc)
         kfac_update(kfac_dec, dec)
-        step_enc = natural_gradient(kfac_enc, flat_enc)
-        step_dec = natural_gradient(kfac_dec, flat_dec)
+        step_enc = natural_gradient(kfac_enc, g_enc)
+        step_dec = natural_gradient(kfac_dec, g_dec)
         dir_enc, dir_dec = step_enc.direction, step_dec.direction
         metrics = replace(metrics, solve_residual_enc=step_enc.residual,
                           solve_residual_dec=step_dec.residual)
-    enc.set_params(enc.get_params()
-                   - _clip_step(cfg.eta_phi * dir_enc, cfg.step_clip))
-    dec.set_params(dec.get_params()
-                   - _clip_step(cfg.eta_theta * dir_dec, cfg.step_clip))
+    enc.params -= _clip_step(cfg.eta_phi * dir_enc, cfg.step_clip)
+    dec.params -= _clip_step(cfg.eta_theta * dir_dec, cfg.step_clip)
     return metrics
 
 

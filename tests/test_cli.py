@@ -5,9 +5,9 @@ import pytest
 
 from geoib.cli import main
 from geoib.config import TrainConfig, load_config
-from geoib.data import read_idx
+from geoib.data import make_dataset, read_idx
 from geoib.mi import CSV_COLUMNS, read_points_csv
-from geoib.verify import CheckResult, ALL_CHECKS
+from geoib.verify import CheckResult, ALL_CHECKS, check_reparam_invariance
 
 
 def test_gen_data_synthetic_writes_csv_triple(tmp_path, capsys):
@@ -20,6 +20,12 @@ def test_gen_data_synthetic_writes_csv_triple(tmp_path, capsys):
     assert feats.shape == (50, 8) and labels.shape == (50,)
     assert (out / "metadata.json").exists()
     assert "50 rows" in capsys.readouterr().out
+    # left-out options take the dataset spec's defaults
+    out = tmp_path / "moons"
+    assert main(["gen-data", "--kind", "two_moons", "--out", str(out)]) == 0
+    feats = np.loadtxt(out / "features.csv", delimiter=",")
+    np.testing.assert_array_equal(feats, make_dataset("two_moons", 0).features)
+    assert "2000 rows" in capsys.readouterr().out
 
 
 def test_gen_data_digits_then_inspect(tmp_path, capsys):
@@ -138,6 +144,12 @@ def test_check_result_line_format():
     assert r.line() == "pythagorean,pass,max_resid=1.2e-13"
     r = CheckResult("geodesic", False, "ratio=5.1")
     assert r.line() == "geodesic,FAIL,ratio=5.1"
+
+
+def test_reparam_invariance_draws_up_to_max_cond():
+    default = check_reparam_invariance(n_triples=5)
+    assert check_reparam_invariance(n_triples=5, max_cond=100.0) == default
+    assert check_reparam_invariance(n_triples=5, max_cond=1e6).metric != default.metric
 
 
 def test_check_suite_names_are_unique():

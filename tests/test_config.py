@@ -64,9 +64,21 @@ def test_legacy_keys_are_ignored_with_a_warning(tmp_path):
         cfg = load_config(path)
     named = [str(w.message).split("'")[1] for w in caught]
     assert named == ["cg_tol", "cg_max_iter", "fisher_stats", "sigma_floor"]
+    # each warning points at the key's line in the file, not into config.py
+    assert [(w.filename, w.lineno) for w in caught] == [(str(path), n) for n in (2, 3, 4, 5)]
     assert cfg == TrainConfig(beta=0.5)
     for key in ("cg_tol", "fisher_stats", "sigma_floor"):
         assert not hasattr(cfg, key)
+
+
+def test_load_config_errors_name_the_file(tmp_path):
+    path = tmp_path / "config.resolved"
+    path.write_text("beta = 0.5\nbetta = 0.2\n")
+    with pytest.raises(ValueError, match="config.resolved, line 2: unknown key"):
+        load_config(path)
+    path.write_text("epochs = soon\n")
+    with pytest.raises(ValueError, match="config.resolved, line 1: bad value for epochs"):
+        load_config(path)
 
 
 def test_parse_starts_from_base():

@@ -5,7 +5,6 @@ from geoib.data import (
     DatasetHandle,
     IDX_MAGIC_IMAGES,
     gauss_mixture,
-    gen_synthetic,
     load_idx,
     make_dataset,
     parse_dataset_spec,
@@ -98,14 +97,14 @@ def test_two_moons_split_sizes_odd_n():
     assert int((ds.labels == 1).sum()) == 50
 
 
-def test_gen_synthetic_dispatch():
-    a = gen_synthetic("two_moons", 50, 0.05, seed=4)
+def test_make_dataset_dispatch():
+    a = make_dataset("two_moons:n=50,noise=0.05", seed=4)
     b = two_moons(50, 0.05, seed=4)
     np.testing.assert_array_equal(a.features, b.features)
-    with pytest.raises(ValueError, match="unknown synthetic"):
-        gen_synthetic("swirls", 50, 0.0, seed=0)
-    with pytest.raises(ValueError, match="no extra options"):
-        gen_synthetic("two_moons", 50, 0.0, seed=0, dim=3)
+    with pytest.raises(ValueError, match="unknown dataset kind"):
+        make_dataset("swirls:n=50", seed=0)
+    with pytest.raises(ValueError, match="no option 'dim'"):
+        make_dataset("two_moons:n=50,dim=3", seed=0)
 
 
 def test_synthetic_metadata_documents_generator():
@@ -272,6 +271,19 @@ def test_make_dataset_round_trip():
     b = gauss_mixture(120, 0.1, seed=9)
     np.testing.assert_array_equal(a.features, b.features)
     assert make_dataset("two_moons:n=60,noise=0.0", seed=1).features.shape == (60, 2)
+    # options left out take the kind's defaults
+    np.testing.assert_array_equal(make_dataset("two_moons", seed=2).features,
+                                  two_moons(2000, 0.08, seed=2).features)
+    np.testing.assert_array_equal(make_dataset("gauss_mixture:noise=0.2", seed=2).features,
+                                  gauss_mixture(5000, 0.2, seed=2).features)
+
+
+def test_make_dataset_rejects_unknown_options():
+    # a misspelt option must not silently fall back to its default
+    with pytest.raises(ValueError, match="'nosie'"):
+        make_dataset("gauss_mixture:n=300,nosie=0.5", seed=0)
+    with pytest.raises(ValueError, match="'n'"):
+        make_dataset("idx:path=x,n=3", seed=0)
 
 
 def test_make_dataset_idx_requires_path():

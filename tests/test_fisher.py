@@ -5,14 +5,12 @@ from geoib.fisher import (
     KfacState,
     empirical_fisher_exact,
     fisher_vector_product,
-    flatten_blocks,
     kfac_dense_matrix,
     kfac_init,
     kfac_solve,
     kfac_update,
     natural_gradient,
     reparam_invariance_check,
-    split_flat,
     steepest_descent_margin,
 )
 from geoib.nets import LayerSpec, Network
@@ -35,29 +33,13 @@ def _captured(net, x, seed):
     return net
 
 
-# ------------------------------------------------------------ flat blocks
-
-
-def test_flatten_split_round_trip():
-    shapes = [(4, 3), (3, 2)]
-    rng = Rng(0)
-    blocks = [rng.normal((g, a)) for a, g in shapes]
-    flat = flatten_blocks(blocks)
-    back = split_flat(flat, shapes)
-    for orig, rec in zip(blocks, back):
-        np.testing.assert_array_equal(orig, rec)
-    with pytest.raises(ValueError, match="entries"):
-        split_flat(flat[:-1], shapes)
-
-
 # ------------------------------------------------------------ exact Fisher
 
 
 def test_fisher_vanishes_at_saturated_fit():
     # a confidently correct softmax has p(1-p) ~ 0 everywhere
     net = _net((2, 3, "identity"))
-    net.weights[0] = np.zeros((3, 2))
-    net.biases[0] = np.array([100.0, 0.0, 0.0])
+    net.blocks[0][:, -1] = [100.0, 0.0, 0.0]
     f = empirical_fisher_exact(net, np.ones((4, 2)))
     assert float(np.abs(f).max()) < 1e-10
 
@@ -137,7 +119,7 @@ def test_kfac_state_validation():
 
 
 def test_fvp_identity_factors_pass_through():
-    state = KfacState(shapes=((3, 2),), damping=0.0, ema_decay=0.9,
+    state = KfacState(shapes=((2, 3),), damping=0.0, ema_decay=0.9,
                       a_factors=[np.eye(3)], g_factors=[np.eye(2)])
     v = Rng(14).normal(6)
     np.testing.assert_allclose(fisher_vector_product(state, v), v,

@@ -176,7 +176,7 @@ def test_hutchinson_zero_net_is_exact_zero():
 def test_hutchinson_identity_channel_unbiased():
     # J = I2, Sigma = I: the target is tr(I) = 2
     net = _net((2, 2, "identity"))
-    net.weights[0] = np.eye(2)
+    net.blocks[0][:, :-1] = np.eye(2)
     est = jf_hutchinson(net, np.zeros(2), np.ones(2), 10_000, Rng(7))
     se = float(est.per_probe.std(ddof=1) / np.sqrt(est.n_probes))
     assert abs(est.value - 2.0) < 3.0 * se
@@ -245,7 +245,7 @@ def test_isotropic_identity_exact_value():
     ch = LocalChannel(np.eye(2), np.full(2, 4.0))
     assert exact_trace(ch) == 0.5
     net = _net((2, 2, "identity"))
-    net.weights[0] = np.eye(2)
+    net.blocks[0][:, :-1] = np.eye(2)
     est = jf_hutchinson(net, np.zeros(2), np.full(2, 4.0), 4000, Rng(30))
     se = float(est.per_probe.std(ddof=1) / np.sqrt(est.n_probes))
     assert abs(est.value - 0.5) < 3.0 * se
@@ -253,7 +253,7 @@ def test_isotropic_identity_exact_value():
 
 def test_isotropic_floors_variance():
     net = _net((2, 2, "identity"))
-    net.weights[0] = np.eye(2)
+    net.blocks[0][:, :-1] = np.eye(2)
     probes = draw_probes(Rng(31), 2, 1, 2)
     a, _ = jf_batch(net, np.zeros((1, 2)), np.zeros(2), probes)
     b, _ = jf_batch(net, np.zeros((1, 2)), np.full(2, SIGMA_SQ_FLOOR), probes)
@@ -267,10 +267,10 @@ def test_value_and_grad_matches_batch_values():
     net = _net((3, 4, "tanh"), (4, 2, "identity"), seed=34)
     x = Rng(35).normal((5, 3))
     probes = draw_probes(Rng(36), 2, 5, 3)
-    values, grads = jf_value_and_grad(net, x, np.ones(2), probes)
+    values, grad = jf_value_and_grad(net, x, np.ones(2), probes)
     ref, _ = jf_batch(net, x, np.ones(2), probes)
     np.testing.assert_array_equal(values, ref)
-    assert len(grads) == 2 and grads[0].shape == (4, 4)
+    assert grad.shape == (net.n_params,)
 
 
 def test_value_and_grad_matches_finite_differences():
@@ -278,8 +278,7 @@ def test_value_and_grad_matches_finite_differences():
     x = Rng(38).normal((4, 3))
     nc = np.exp(0.3 * Rng(39).normal(2))
     probes = draw_probes(Rng(40), 2, 4, 3)
-    _, grads = jf_value_and_grad(net, x, nc, probes)
-    analytic = np.concatenate([g.ravel() for g in grads])
+    _, analytic = jf_value_and_grad(net, x, nc, probes)
 
     def total(flat):
         clone = net.copy()

@@ -138,7 +138,7 @@ def test_accuracy_random_decoder_near_chance():
 
 def test_accuracy_perfect_decoder():
     dec = Network([LayerSpec(2, 2, "identity")])
-    dec.weights[0] = np.eye(2)
+    dec.blocks[0][:, :-1] = np.eye(2)
     z = np.array([[3.0, 0.0], [0.0, 3.0], [5.0, 1.0]])
     assert classification_accuracy(dec, z, np.array([0, 1, 0])) == 1.0
 

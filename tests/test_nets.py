@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from geoib.nets import LayerSpec, Network
+from geoib.nets import LayerSpec, Network, layer_blocks
 from geoib.rng import Rng
 from oracles import central_difference
 
@@ -27,14 +27,14 @@ def test_forward_zero_net_outputs_zero():
 
 def test_forward_identity_weights():
     net = _net((3, 3, "identity"))
-    net.weights[0] = np.eye(3)
+    net.blocks[0][:, :-1] = np.eye(3)
     x = Rng(0).normal((5, 3))
     np.testing.assert_array_equal(net.forward(x), x)
 
 
 def test_forward_scalar_tanh():
     net = _net((1, 1, "tanh"))
-    net.weights[0] = np.array([[2.0]])
+    net.blocks[0][:, :-1] = 2.0
     out = net.forward(np.array([1.0]))
     assert abs(out[0] - np.tanh(2.0)) < 1e-15
     assert abs(out[0] - 0.964028) < 1e-6
@@ -54,8 +54,8 @@ def test_layer_dims_must_chain():
 def test_init_respects_fan_bound():
     net = _net((10, 6, "tanh"), seed=0)
     bound = np.sqrt(6.0 / 16.0)
-    assert np.all(np.abs(net.weights[0]) <= bound)
-    np.testing.assert_array_equal(net.biases[0], np.zeros(6))
+    assert np.all(np.abs(net.blocks[0][:, :-1]) <= bound)
+    np.testing.assert_array_equal(net.blocks[0][:, -1], np.zeros(6))
 
 
 # ---------------------------------------------------------------- backward
@@ -64,18 +64,17 @@ def test_init_respects_fan_bound():
 def test_backward_zero_upstream():
     net = _net((3, 4, "tanh"), (4, 2, "identity"), seed=1)
     net.forward(Rng(2).normal((5, 3)), capture=True)
-    grads = net.backward(np.zeros((5, 2)))
-    for g in grads:
-        np.testing.assert_array_equal(g, np.zeros_like(g))
+    grad = net.backward(np.zeros((5, 2)))
+    np.testing.assert_array_equal(grad, np.zeros(net.n_params))
 
 
 def test_backward_scalar_chain_rule():
     # linear 1x1 net, x = 3, upstream = 1: dW = 3, db = 1
     net = _net((1, 1, "identity"))
-    net.weights[0] = np.array([[0.7]])
+    net.blocks[0][:, :-1] = 0.7
     net.forward(np.array([[3.0]]), capture=True)
-    (g,) = net.backward(np.array([[1.0]]))
-    np.testing.assert_allclose(g, [[3.0, 1.0]], rtol=0, atol=1e-15)
+    g = net.backward(np.array([[1.0]]))
+    np.testing.assert_allclose(g, [3.0, 1.0], rtol=0, atol=1e-15)
 
 
 def test_backward_requires_capture():
@@ -93,7 +92,7 @@ def test_backward_matches_finite_differences():
     x = rng.normal((6, 4))
     upstream = rng.normal((6, 3))
     net.forward(x, capture=True)
-    analytic = np.concatenate([g.ravel() for g in net.backward(upstream)])
+    analytic = net.backward(upstream)
 
     def value(flat):
         clone = net.copy()
@@ -121,10 +120,10 @@ def test_backward_input_grad():
 
 def test_relu_derivative_zero_at_zero():
     net = _net((1, 1, "relu"))
-    net.weights[0] = np.array([[1.0]])
+    net.blocks[0][:, :-1] = 1.0
     net.forward(np.array([[0.0]]), capture=True)
-    (g,) = net.backward(np.array([[1.0]]))
-    np.testing.assert_array_equal(g, [[0.0, 0.0]])
+    g = net.backward(np.array([[1.0]]))
+    np.testing.assert_array_equal(g, [0.0, 0.0])
 
 
 # --------------------------------------------------------------------- jvp
@@ -141,7 +140,7 @@ def test_jvp_linear_net_is_weight_chain():
     net = _net((3, 4, "identity"), (4, 2, "identity"), seed=10)
     rng = Rng(11)
     v = rng.normal(3)
-    expect = net.weights[1] @ (net.weights[0] @ v)
+    expect = net.blocks[1][:, :-1] @ (net.blocks[0][:, :-1] @ v)
     for _ in range(3):
         x = rng.normal(3)
         np.testing.assert_allclose(_jvp(net, x, v), expect, rtol=0, atol=1e-14)
@@ -185,14 +184,14 @@ def test_jvp_batch_per_sample_tangents():
 
 def test_explicit_jacobian_identity_net():
     net = _net((3, 3, "identity"))
-    net.weights[0] = np.eye(3)
+    net.blocks[0][:, :-1] = np.eye(3)
     np.testing.assert_array_equal(net.explicit_jacobian(np.ones(3)), np.eye(3))
 
 
 def test_explicit_jacobian_linear_chain():
     net = _net((3, 4, "identity"), (4, 2, "identity"), seed=18)
     j = net.explicit_jacobian(Rng(19).normal(3))
-    np.testing.assert_allclose(j, net.weights[1] @ net.weights[0],
+    np.testing.assert_allclose(j, net.blocks[1][:, :-1] @ net.blocks[0][:, :-1],
                                rtol=0, atol=1e-14)
 
 
@@ -224,7 +223,7 @@ def test_jvp_adjoint_matches_finite_differences():
     v = rng.normal((5, 3))
     u_bar = rng.normal((5, 2))
     _, cache = net.jvp_batch(x, v)
-    analytic = np.concatenate([g.ravel() for g in net.jvp_adjoint(cache, u_bar)])
+    analytic = net.jvp_adjoint(cache, u_bar)
 
     def value(flat):
         clone = net.copy()
@@ -249,7 +248,8 @@ def test_captured_stats_match_recomputation():
     acts, grads_pre = net.captured_stats()
     np.testing.assert_array_equal(acts[0], x)
     # layer-1 input is the recomputed tanh activation of layer 0
-    recomputed = np.tanh(x @ net.weights[0].T + net.biases[0])
+    w, b = net.blocks[0][:, :-1], net.blocks[0][:, -1]
+    recomputed = np.tanh(x @ w.T + b)
     np.testing.assert_allclose(acts[1], recomputed, rtol=0, atol=1e-15)
     assert grads_pre[0].shape == (6, 4) and grads_pre[1].shape == (6, 2)
 
@@ -271,6 +271,48 @@ def test_params_round_trip():
     clone.set_params(flat)
     np.testing.assert_array_equal(clone.get_params(), flat)
     assert flat.shape[0] == net.n_params == (3 + 1) * 4 + (4 + 1) * 2
+
+
+def test_get_params_returns_a_copy():
+    net = _net((3, 4, "tanh"), (4, 2, "identity"), seed=30)
+    x = Rng(31).normal((5, 3))
+    before = net.forward(x)
+    flat = net.get_params()
+    flat[:] = 0.0
+    np.testing.assert_array_equal(net.forward(x), before)
+    assert np.any(net.get_params())
+
+
+def test_set_params_copies_its_input():
+    net = _net((3, 4, "tanh"), (4, 2, "identity"), seed=32)
+    flat = Rng(33).normal(net.n_params)
+    net.set_params(flat)
+    flat[:] = 0.0
+    np.testing.assert_array_equal(net.get_params(), Rng(33).normal(net.n_params))
+
+
+def test_block_views_write_through_to_params_and_forward():
+    net = _net((2, 2, "identity"), (2, 1, "identity"), seed=34)
+    x = Rng(35).normal((3, 2))
+    before = net.forward(x)
+    net.blocks[1][0, -1] += 1.0
+    np.testing.assert_allclose(net.forward(x), before + 1.0, rtol=0, atol=1e-15)
+    # layer 1's bias is the last entry of the flat vector
+    assert net.params[-1] == net.blocks[1][0, 2]
+    net.params[:6] = 0.0
+    np.testing.assert_array_equal(net.blocks[0], np.zeros((2, 3)))
+
+
+def test_layer_blocks_cut_row_major_views():
+    shapes = [(3, 4), (2, 3)]
+    flat = np.arange(18.0)
+    blocks = layer_blocks(flat, shapes)
+    np.testing.assert_array_equal(blocks[0], np.arange(12.0).reshape(3, 4))
+    np.testing.assert_array_equal(blocks[1], np.arange(12.0, 18.0).reshape(2, 3))
+    blocks[1][1, 2] = -1.0
+    assert flat[17] == -1.0
+    with pytest.raises(ValueError, match="entries"):
+        layer_blocks(flat[:-1], shapes)
 
 
 def test_save_load_round_trip(tmp_path):
