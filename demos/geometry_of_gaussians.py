@@ -12,7 +12,6 @@ step to first order in the step size.
 import numpy as np
 
 from geoib.encoder import (
-    DiagonalGaussian,
     Gaussian1D,
     exp_map_1d,
     fisher_metric_1d,
@@ -32,10 +31,13 @@ print(fisher_metric_1d(p))  # diag(1/4, 1/2): wide Gaussians are flat country
 
 # Halving the offset from the prior should cut the *gap* by ~8x (cubic).
 print("\nKL - 0.5 d_FR^2 under offset halving:")
+# The rates take (mu, log_var) arrays, the layout the encoder head emits;
+# a 1-D pair is one posterior.
 for delta in (0.2, 0.1, 0.05):
-    q = DiagonalGaussian(np.array([delta, -delta]), np.array([delta, delta]))
-    print(f"  delta={delta:<5} kl={kl_to_standard_normal(q):.6f}"
-          f"  gap={fr_second_order_gap(q):.3e}")
+    mu, log_var = np.array([delta, -delta]), np.array([delta, delta])
+    kl, _ = kl_to_standard_normal(mu, log_var)
+    print(f"  delta={delta:<5} kl={kl:.6f}"
+          f"  gap={fr_second_order_gap(mu, log_var):.3e}")
 
 # --- the exponential map --------------------------------------------------
 

@@ -20,7 +20,6 @@ from .discrete_info import (
     pythagorean_residual,
 )
 from .encoder import (
-    DiagonalGaussian,
     Gaussian1D,
     exp_map_1d,
     fr_quadratic_proxy,
@@ -54,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CgResult",
     "DatasetHandle",
-    "DiagonalGaussian",
     "Gaussian1D",
     "InfoPlanePoint",
     "JfEstimate",

@@ -8,6 +8,7 @@ self-describing and re-runnable.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, fields, replace
 
@@ -77,6 +78,16 @@ class TrainConfig:
     vib_natural_gradient: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+            # config_text writes strings verbatim and the parser cuts lines
+            # at '#' and strips them, so such a value would not read back
+            if isinstance(value, str) and ("#" in value or value != value.strip()
+                                           or len(value.splitlines()) > 1):
+                raise ValueError(f"{f.name} must be one line without '#' or "
+                                 f"surrounding blanks, got {value!r}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.fr_mode not in FR_MODES:
@@ -91,13 +102,19 @@ class TrainConfig:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if not 0.0 <= self.kfac_decay < 1.0:
             raise ValueError(f"kfac_decay must lie in [0, 1), got {self.kfac_decay}")
+        self.hidden_dims("enc")
+        self.hidden_dims("dec")
 
     def hidden_dims(self, which: str) -> list[int]:
-        raw = {"enc": self.enc_hidden, "dec": self.dec_hidden}[which]
-        raw = raw.strip()
+        name = f"{which}_hidden"
+        raw = getattr(self, name)
         if not raw:
             return []
-        return [int(tok) for tok in raw.split(",")]
+        toks = [tok.strip() for tok in raw.split(",")]
+        if not all(tok.isdecimal() and int(tok) > 0 for tok in toks):
+            raise ValueError(f"{name} must be comma-separated positive integers, "
+                             f"got {raw!r}")
+        return [int(tok) for tok in toks]
 
 
 # Field types by name (annotations are strings under postponed evaluation).

@@ -451,7 +451,8 @@ def make_dataset(spec: str, seed: int) -> DatasetHandle:
     from (spec, seed).
 
     Raises:
-        ValueError: on an unknown kind or an option the kind does not take.
+        ValueError: on an unknown kind, an option the kind does not take,
+            or an option value that does not convert to the option's type.
     """
     kind, opts = parse_dataset_spec(spec)
     if kind not in _DATASET_OPTIONS:
@@ -466,7 +467,13 @@ def make_dataset(spec: str, seed: int) -> DatasetHandle:
         if "path" not in opts:
             raise ValueError(f"idx dataset spec needs path=..., got {spec!r}")
         return load_idx(opts["path"])
-    args = {key: type(default)(opts.get(key, default))
-            for key, default in defaults.items()}
+    args = {}
+    for key, default in defaults.items():
+        cast = type(default)
+        try:
+            args[key] = cast(opts.get(key, default))
+        except ValueError:
+            raise ValueError(f"dataset option {key} takes {cast.__name__} "
+                             f"values, got {opts[key]!r} (spec {spec!r})") from None
     generator = gauss_mixture if kind == "gauss_mixture" else two_moons
     return generator(seed=seed, **args)

@@ -1,10 +1,14 @@
 """Diagonal Gaussian posteriors and their information geometry.
 
-The compression term of the training objective is the KL divergence of the
-posterior q(z|x) = N(mu, diag(sigma^2)) from the standard normal prior,
-available in closed form, together with its second-order Fisher-Rao proxy
-0.5 ||mu||^2 + 0.25 ||log sigma^2||^2 which agrees with the KL to cubic
-order around (mu=0, sigma^2=1).
+The encoder's output rows are [mu | log sigma^2] of the posterior
+q(z|x) = N(mu, diag(sigma^2)); `posterior_head` splits them and clamps the
+log-variance.  The compression term of the training objective is the KL
+divergence of the posterior from the standard normal prior, in closed
+form, or its second-order Fisher-Rao proxy
+0.5 ||mu||^2 + 0.25 ||log sigma^2||^2, which agrees with the KL to cubic
+order around (mu=0, sigma^2=1).  Both rates take (mu, log_var) arrays and
+return each row's rate with its log-variance gradient; training and
+`verify` call these same functions.
 
 For a single (mu, sigma) coordinate the Fisher-Rao metric is
 diag(1/sigma^2, 2/sigma^2).  Rescaling mu by sqrt(2) turns this into twice
@@ -26,62 +30,42 @@ LOG_VAR_MAX = 12.0
 SIGMA_SQ_FLOOR = float(np.exp(LOG_VAR_MIN))
 
 
-@dataclass(frozen=True)
-class DiagonalGaussian:
-    """N(mu, diag(exp(log_var))) with log_var clamped to [-12, 12].
-
-    Construction clamps, so any value produced by a network output obeys the
-    bound by the time it is used.
-    """
-
-    mu: np.ndarray
-    log_var: np.ndarray
-
-    def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=np.float64)
-        lv = np.asarray(self.log_var, dtype=np.float64)
-        if mu.ndim != 1 or lv.ndim != 1 or mu.shape != lv.shape:
-            raise ValueError(
-                f"mu and log_var must be matching 1-D arrays, got {mu.shape} and {lv.shape}"
-            )
-        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(lv))):
-            raise ValueError("mu and log_var must be finite")
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "log_var", np.clip(lv, LOG_VAR_MIN, LOG_VAR_MAX))
-
-    @property
-    def dim(self) -> int:
-        return self.mu.shape[0]
-
-    @property
-    def sigma(self) -> np.ndarray:
-        return np.exp(0.5 * self.log_var)
+def posterior_head(out: np.ndarray, k_dim: int):
+    """Split encoder output rows [mu | raw log-variance] into mu, the
+    log-variance clamped to [LOG_VAR_MIN, LOG_VAR_MAX], and the mask of raw
+    log-variances strictly inside the clamp, through which the clamp passes
+    gradients."""
+    raw_lv = out[:, k_dim:]
+    clamp_open = (raw_lv > LOG_VAR_MIN) & (raw_lv < LOG_VAR_MAX)
+    return out[:, :k_dim], np.clip(raw_lv, LOG_VAR_MIN, LOG_VAR_MAX), clamp_open
 
 
-def clamp_log_var(raw) -> np.ndarray:
-    """Clamp raw network log-variance output into [-12, 12] elementwise."""
-    return np.clip(np.asarray(raw, dtype=np.float64), LOG_VAR_MIN, LOG_VAR_MAX)
-
-
-def kl_to_standard_normal(q: DiagonalGaussian) -> float:
-    """KL(q || N(0, I)) = 0.5 sum(mu^2 + sigma^2 - log sigma^2 - 1).
+def kl_to_standard_normal(mu: np.ndarray, log_var: np.ndarray):
+    """KL(N(mu, diag(exp(log_var))) || N(0, I)) per row,
+    0.5 sum(mu^2 + sigma^2 - log sigma^2 - 1), and its gradient with
+    respect to log_var; the gradient with respect to mu is mu.
 
     The mean and variance sums are kept separate so that at sigma^2 = 1 the
-    result equals the quadratic proxy bit for bit.
+    rate equals the quadratic proxy bit for bit.
     """
-    var = np.exp(q.log_var)
-    return float(0.5 * np.sum(q.mu**2) + 0.5 * np.sum(var - q.log_var - 1.0))
+    var = np.exp(log_var)
+    rate = 0.5 * np.sum(mu**2, axis=-1) + 0.5 * np.sum(var - log_var - 1.0, axis=-1)
+    return rate, 0.5 * (var - 1.0)
 
 
-def fr_quadratic_proxy(q: DiagonalGaussian) -> float:
-    """Second-order expansion of the KL at (mu=0, sigma^2=1):
-    0.5 ||mu||^2 + 0.25 ||log sigma^2||^2."""
-    return float(0.5 * np.sum(q.mu**2) + 0.25 * np.sum(q.log_var**2))
+def fr_quadratic_proxy(mu: np.ndarray, log_var: np.ndarray):
+    """Second-order expansion of the KL at (mu=0, sigma^2=1) per row,
+    0.5 ||mu||^2 + 0.25 ||log sigma^2||^2, and its gradient with respect to
+    log_var; the gradient with respect to mu is mu."""
+    rate = 0.5 * np.sum(mu**2, axis=-1) + 0.25 * np.sum(log_var**2, axis=-1)
+    return rate, 0.5 * log_var
 
 
-def fr_second_order_gap(q: DiagonalGaussian) -> float:
-    """|KL - quadratic proxy|; decays cubically in the offset from the prior."""
-    return abs(kl_to_standard_normal(q) - fr_quadratic_proxy(q))
+def fr_second_order_gap(mu: np.ndarray, log_var: np.ndarray) -> np.ndarray:
+    """|KL - quadratic proxy| per row; decays cubically in the offset from
+    the prior."""
+    return np.abs(kl_to_standard_normal(mu, log_var)[0]
+                  - fr_quadratic_proxy(mu, log_var)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ import numpy as np
 
 from .config import TrainConfig, load_config, save_config
 from .data import DatasetHandle, make_dataset
-from .encoder import LOG_VAR_MAX, LOG_VAR_MIN, clamp_log_var
+from .encoder import fr_quadratic_proxy, kl_to_standard_normal, posterior_head
 from .fisher import KfacState, kfac_init, kfac_update, natural_gradient
 from .jf import draw_probes, jf_batch, jf_value_and_grad
 from .mi import (
@@ -115,15 +115,6 @@ class StepMetrics:
     solve_residual_dec: float = 0.0
 
 
-def _posterior_head(out: np.ndarray, k_dim: int):
-    """Split an encoder output into mu, the clamped log-variance, and the
-    mask of raw log-variances strictly inside the clamp, through which the
-    clamp passes gradients."""
-    raw_lv = out[:, k_dim:]
-    clamp_open = (raw_lv > LOG_VAR_MIN) & (raw_lv < LOG_VAR_MAX)
-    return out[:, :k_dim], clamp_log_var(raw_lv), clamp_open
-
-
 def geoib_loss_and_grads(enc: Network, dec: Network, x, y, *,
                          beta: float, fr_mode: str, k_dim: int, eps: np.ndarray,
                          probes: np.ndarray | None,
@@ -150,25 +141,20 @@ def geoib_loss_and_grads(enc: Network, dec: Network, x, y, *,
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     batch = x.shape[0]
-    mu, lv, clamp_open = _posterior_head(enc.forward(x, capture=want_grads), k_dim)
+    mu, lv, clamp_open = posterior_head(enc.forward(x, capture=want_grads), k_dim)
     sig = np.exp(0.5 * lv)
     z = mu + sig * eps
     logits = dec.forward(z, capture=want_grads)
     nll_vec, up_dec, _ = _nll_and_upstream(logits, y)
     nll = float(nll_vec.mean())
 
-    var = np.exp(lv)
-    if fr_mode == "closed_form_kl":
-        fr_vec = 0.5 * np.sum(mu**2 + var - lv - 1.0, axis=1)
-        dlv_fr = 0.5 * (var - 1.0)
-    else:
-        fr_vec = 0.5 * np.sum(mu**2, axis=1) + 0.25 * np.sum(lv**2, axis=1)
-        dlv_fr = 0.5 * lv
+    rate = kl_to_standard_normal if fr_mode == "closed_form_kl" else fr_quadratic_proxy
+    fr_vec, dlv_fr = rate(mu, lv)
     fr = float(fr_vec.mean())
 
     jf, jf_grad = 0.0, None
     if probes is not None:
-        nc = noise_cov if noise_cov is not None else var
+        nc = noise_cov if noise_cov is not None else np.exp(lv)
         if want_grads:
             jf_vec, jf_grad = jf_value_and_grad(enc, x, nc, probes, head_dim=k_dim)
         else:
@@ -195,7 +181,7 @@ def _sampled_capture(enc: Network, dec: Network, x, eps, k_dim: int,
     """Refresh the captured backward statistics with model-sampled targets:
     decoder targets y ~ p(y|z) at the step's codes z = mu + sigma * eps,
     encoder scores at fresh codes z ~ q(.|x)."""
-    mu, lv, clamp_open = _posterior_head(enc.forward(x, capture=True), k_dim)
+    mu, lv, clamp_open = posterior_head(enc.forward(x, capture=True), k_dim)
     sig = np.exp(0.5 * lv)
     logits = dec.forward(mu + sig * eps, capture=True)
     m = logits.max(axis=1, keepdims=True)
@@ -400,7 +386,7 @@ def evaluate_run(cfg: TrainConfig, enc: Network, dec: Network,
     else:
         sel = np.arange(n)
     x_mi = ds.features[sel]
-    mu_mi, lv_mi, _ = _posterior_head(enc.forward(x_mi), cfg.k_dim)
+    mu_mi, lv_mi, _ = posterior_head(enc.forward(x_mi), cfg.k_dim)
     mi = mi_knn(_standardized(x_mi), _noise_relative_view(mu_mi, lv_mi))
     return InfoPlanePoint(beta=cfg.beta, k_dim=cfg.k_dim, accuracy=acc,
                           mi_xz_nats=mi, inversion_mse=inv, seed=cfg.seed,

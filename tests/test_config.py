@@ -126,9 +126,29 @@ def test_validation_rejects_bad_fields():
         TrainConfig(eta_phi=-0.1)
     with pytest.raises(ValueError, match="kfac_decay"):
         TrainConfig(kfac_decay=1.0)
+    # strings the config text could not write back: the parser cuts each
+    # line at '#' and strips it
+    with pytest.raises(ValueError, match="dataset"):
+        TrainConfig(dataset="idx:path=data/run#2")
+    with pytest.raises(ValueError, match="dataset"):
+        TrainConfig(dataset="idx:path=data\nrun")
+    with pytest.raises(ValueError, match="enc_hidden"):
+        TrainConfig(enc_hidden="32\r")
+    with pytest.raises(ValueError, match="dec_hidden"):
+        TrainConfig(dec_hidden=" 16")
+    for bad in ("32,,16", "32,x", "0", "32,-4", "3.5", ","):
+        with pytest.raises(ValueError, match="enc_hidden"):
+            TrainConfig(enc_hidden=bad)
+        with pytest.raises(ValueError, match="dec_hidden"):
+            TrainConfig(dec_hidden=bad)
+    for name in ("beta", "eta_phi", "eta_theta", "damping", "step_clip"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                TrainConfig(**{name: value})
 
 
 def test_hidden_dims_parsing():
     cfg = TrainConfig(enc_hidden="64, 32", dec_hidden="")
     assert cfg.hidden_dims("enc") == [64, 32]
     assert cfg.hidden_dims("dec") == []
+    assert TrainConfig(enc_hidden="128,64 ,8").hidden_dims("enc") == [128, 64, 8]

@@ -286,6 +286,16 @@ def test_make_dataset_rejects_unknown_options():
         make_dataset("idx:path=x,n=3", seed=0)
 
 
+def test_make_dataset_names_an_option_whose_value_does_not_convert():
+    spec = "gauss_mixture:n=1e3"
+    with pytest.raises(ValueError) as caught:
+        make_dataset(spec, seed=0)
+    assert str(caught.value) == ("dataset option n takes int values, got '1e3' "
+                                 "(spec 'gauss_mixture:n=1e3')")
+    with pytest.raises(ValueError, match="option noise takes float values, got 'low'"):
+        make_dataset("two_moons:noise=low", seed=0)
+
+
 def test_make_dataset_idx_requires_path():
     with pytest.raises(ValueError, match="path="):
         make_dataset("idx", seed=0)

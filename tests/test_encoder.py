@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from geoib.encoder import (
-    DiagonalGaussian,
     Gaussian1D,
-    clamp_log_var,
     exp_map_1d,
     fisher_metric_1d,
     fr_norm_1d,
@@ -12,6 +10,7 @@ from geoib.encoder import (
     fr_second_order_gap,
     geodesic_vs_additive_gap,
     kl_to_standard_normal,
+    posterior_head,
 )
 from geoib.rng import Rng
 from oracles import fr_distance_1d, gaussian_kl_quadrature, geodesic_endpoint
@@ -20,94 +19,98 @@ from oracles import fr_distance_1d, gaussian_kl_quadrature, geodesic_endpoint
 # ------------------------------------------------------------- posteriors
 
 
-def test_posterior_validates_shapes():
-    with pytest.raises(ValueError, match="matching 1-D"):
-        DiagonalGaussian(np.zeros((2, 2)), np.zeros(4))
-    with pytest.raises(ValueError, match="matching 1-D"):
-        DiagonalGaussian(np.zeros(3), np.zeros(2))
-    with pytest.raises(ValueError, match="finite"):
-        DiagonalGaussian(np.array([np.nan]), np.zeros(1))
+def test_posterior_head_clamps_log_var():
+    out = np.array([[1.0, -2.0, -50.0, 0.0],
+                    [3.0, 4.0, 40.0, -12.0]])
+    mu, lv, clamp_open = posterior_head(out, 2)
+    np.testing.assert_array_equal(mu, out[:, :2])
+    np.testing.assert_array_equal(lv, [[-12.0, 0.0], [12.0, -12.0]])
+    # a raw value on the bound is clamped too: no gradient passes there
+    np.testing.assert_array_equal(clamp_open, [[False, True], [False, False]])
 
 
-def test_log_var_clamped_on_construction():
-    q = DiagonalGaussian(np.zeros(3), np.array([-50.0, 0.0, 40.0]))
-    np.testing.assert_array_equal(q.log_var, [-12.0, 0.0, 12.0])
-    np.testing.assert_array_equal(clamp_log_var([-99.0, 99.0]), [-12.0, 12.0])
+@pytest.mark.parametrize("rate", [kl_to_standard_normal, fr_quadratic_proxy])
+def test_rate_log_var_gradient_matches_finite_differences(rate):
+    rng = Rng(13)
+    mu, lv = rng.normal((4, 3)), rng.normal((4, 3))
+    values, grad = rate(mu, lv)
+    assert values.shape == (4,) and grad.shape == (4, 3)
+    h = 1e-6
+    for j in range(3):
+        up, dn = lv.copy(), lv.copy()
+        up[:, j] += h
+        dn[:, j] -= h
+        fd = (rate(mu, up)[0] - rate(mu, dn)[0]) / (2 * h)
+        np.testing.assert_allclose(grad[:, j], fd, rtol=1e-7, atol=1e-9)
+    # the mean part of both rates is 0.5 ||mu||^2, so its gradient is mu
+    shifted = mu.copy()
+    shifted[:, 0] += h
+    fd_mu = (rate(shifted, lv)[0] - values) / h
+    np.testing.assert_allclose(fd_mu, mu[:, 0], rtol=1e-4, atol=1e-6)
 
 
 # -------------------------------------------------------------------- kl
 
 
 def test_kl_zero_at_prior():
-    q = DiagonalGaussian(np.zeros(4), np.zeros(4))
-    assert kl_to_standard_normal(q) == 0.0
+    rate, grad = kl_to_standard_normal(np.zeros(4), np.zeros(4))
+    assert rate == 0.0
+    np.testing.assert_array_equal(grad, np.zeros(4))
 
 
 def test_kl_unit_mean_offset():
-    q = DiagonalGaussian(np.array([1.0, 0.0]), np.zeros(2))
-    assert abs(kl_to_standard_normal(q) - 0.5) < 1e-15
+    assert abs(kl_to_standard_normal(np.array([1.0, 0.0]), np.zeros(2))[0] - 0.5) < 1e-15
 
 
 def test_kl_matches_monte_carlo():
     # E_q[log q - log p] estimated from 1e6 reparameterized draws
-    q = DiagonalGaussian(np.array([1.0, 0.0]), np.zeros(2))
+    mu, lv = np.array([1.0, 0.0]), np.zeros(2)
     eps = Rng(123).normal((1_000_000, 2))
-    z = q.mu + q.sigma * eps
-    var = np.exp(q.log_var)
-    log_ratio = 0.5 * np.sum(
-        z**2 - (z - q.mu) ** 2 / var - q.log_var, axis=1
-    )
+    z = mu + np.exp(0.5 * lv) * eps
+    log_ratio = 0.5 * np.sum(z**2 - (z - mu) ** 2 / np.exp(lv) - lv, axis=1)
     mc = float(log_ratio.mean())
     se = float(log_ratio.std(ddof=1) / np.sqrt(len(log_ratio)))
-    closed = kl_to_standard_normal(q)
+    closed = kl_to_standard_normal(mu, lv)[0]
     assert abs(mc - closed) < 0.01
     assert abs(mc - closed) < 3.0 * se
 
 
 def test_kl_scaled_variance_against_quadrature():
     # sigma^2 = e in one coordinate: KL = (e - 2) / 2
-    q = DiagonalGaussian(np.zeros(1), np.ones(1))
-    closed = kl_to_standard_normal(q)
+    closed = kl_to_standard_normal(np.zeros(1), np.ones(1))[0]
     assert abs(closed - (np.e - 2.0) / 2.0) < 1e-15
     assert abs(closed - gaussian_kl_quadrature(0.0, np.e)) < 1e-9
 
 
 def test_kl_nonnegative_and_zero_only_at_prior():
     rng = Rng(9)
-    for _ in range(50):
-        q = DiagonalGaussian(0.5 * rng.normal(3), 0.5 * rng.normal(3))
-        kl = kl_to_standard_normal(q)
-        assert kl > 0.0
-    assert kl_to_standard_normal(DiagonalGaussian(np.zeros(3), np.zeros(3))) == 0.0
+    kl, _ = kl_to_standard_normal(0.5 * rng.normal((50, 3)), 0.5 * rng.normal((50, 3)))
+    assert np.all(kl > 0.0)
+    assert kl_to_standard_normal(np.zeros(3), np.zeros(3))[0] == 0.0
 
 
 # ----------------------------------------------------------- proxy + gap
 
 
 def test_proxy_closed_form_values():
-    q_mu = DiagonalGaussian(np.array([0.1]), np.zeros(1))
-    assert abs(fr_quadratic_proxy(q_mu) - 0.005) < 1e-17
-    q_lv = DiagonalGaussian(np.zeros(1), np.array([0.2]))
-    assert abs(fr_quadratic_proxy(q_lv) - 0.01) < 1e-17
+    assert abs(fr_quadratic_proxy(np.array([0.1]), np.zeros(1))[0] - 0.005) < 1e-17
+    assert abs(fr_quadratic_proxy(np.zeros(1), np.array([0.2]))[0] - 0.01) < 1e-17
 
 
 def test_gap_zero_at_prior():
-    assert fr_second_order_gap(DiagonalGaussian(np.zeros(3), np.zeros(3))) == 0.0
+    assert fr_second_order_gap(np.zeros(3), np.zeros(3)) == 0.0
 
 
 def test_gap_exactly_zero_for_pure_mean_offsets():
     # KL is exactly quadratic in mu, so the proxy is exact there
-    rng = Rng(10)
-    for _ in range(20):
-        q = DiagonalGaussian(rng.normal(4), np.zeros(4))
-        assert fr_second_order_gap(q) == 0.0
+    gaps = fr_second_order_gap(Rng(10).normal((20, 4)), np.zeros((20, 4)))
+    np.testing.assert_array_equal(gaps, np.zeros(20))
 
 
 @pytest.mark.parametrize("delta", [0.2, 0.1, 0.05])
 def test_gap_decays_cubically(delta):
     def gap(d):
-        q = DiagonalGaussian(np.array([d, -d]), np.array([d, d]))
-        return fr_second_order_gap(q)
+        return fr_second_order_gap(np.array([d, -d]), np.array([d, d]))
 
     ratio = gap(delta) / gap(delta / 2.0)
     assert 6.0 <= ratio <= 10.0

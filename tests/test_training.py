@@ -337,6 +337,33 @@ def test_evaluate_run_passes_wall_clock_through():
     assert point.beta == cfg.beta and point.k_dim == cfg.k_dim
 
 
+def test_evaluate_run_subsamples_ksg_rows_to_the_cap(monkeypatch):
+    # with more rows than the cap, KSG reads `cap` distinct rows drawn
+    # from the eval stream, the same ones on every evaluation
+    cfg = TrainConfig(dataset=TOY, k_dim=2, enc_hidden="4")
+    ds = gauss_mixture(600, 0.1, seed=0, classes=2, dim=2)
+    enc, dec = build_nets(cfg, ds.n_features, ds.n_classes, Rng(cfg.seed))
+    cap = 150
+    monkeypatch.setattr(training, "_MI_CAP_LOW_DIM", cap)
+    real_knn = training.mi_knn
+    seen = []
+
+    def recording(x, z, *args, **kwargs):
+        seen.append((x, z))
+        return real_knn(x, z, *args, **kwargs)
+
+    monkeypatch.setattr(training, "mi_knn", recording)
+    points = [evaluate_run(cfg, enc, dec, ds, wall_clock_s=0.0) for _ in range(2)]
+    (x1, z1), (x2, z2) = seen
+    assert x1.shape == (cap, 2) and z1.shape == (cap, 2)
+    assert np.unique(x1, axis=0).shape[0] == cap
+    sel = np.sort(Rng(cfg.seed, stream=training._STREAM_EVAL).permutation(600)[:cap])
+    np.testing.assert_array_equal(x1, training._standardized(ds.features[sel]))
+    np.testing.assert_array_equal(x1, x2)
+    np.testing.assert_array_equal(z1, z2)
+    assert points[0] == points[1]
+
+
 # ----------------------------------------------------------------- sweeps
 
 
