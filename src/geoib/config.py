@@ -37,8 +37,8 @@ class TrainConfig:
         fr_mode: "closed_form_kl" or "fr_quadratic" for the rate term.
         jf_probes: Hutchinson probe count per step.
         eta_phi / eta_theta: encoder / decoder step sizes.
-        damping: Tikhonov damping added to each Kronecker factor.  The
-            solve inverts the damped factors exactly, so a direction of
+        damping: Tikhonov damping added to each Kronecker factor, > 0.
+            The solve inverts the damped factors exactly, so a direction of
             factor curvature c is scaled by about 1 / (c + damping); at
             1e-3 the digits runs generalized worse than at 1e-2.
         batch: minibatch size.
@@ -82,19 +82,21 @@ class TrainConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
-            # config_text writes strings verbatim and the parser cuts lines
-            # at '#' and strips them, so such a value would not read back
-            if isinstance(value, str) and ("#" in value or value != value.strip()
+            # config_text writes strings verbatim to an ASCII file and the
+            # parser cuts lines at '#' and strips them, so such a value would
+            # not write back or read back
+            if isinstance(value, str) and (not value.isascii() or "#" in value
+                                           or value != value.strip()
                                            or len(value.splitlines()) > 1):
-                raise ValueError(f"{f.name} must be one line without '#' or "
-                                 f"surrounding blanks, got {value!r}")
+                raise ValueError(f"{f.name} must be one line of ASCII without '#' "
+                                 f"or surrounding blanks, got {value!r}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.fr_mode not in FR_MODES:
             raise ValueError(f"fr_mode must be one of {FR_MODES}, got {self.fr_mode!r}")
         if self.beta < 0.0:
             raise ValueError(f"beta must be nonnegative, got {self.beta}")
-        for name in ("k_dim", "jf_probes", "batch", "epochs"):
+        for name in ("k_dim", "jf_probes", "batch", "epochs", "damping"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("eta_phi", "eta_theta", "step_clip"):

@@ -19,12 +19,13 @@ rather than (A x G + lam I) v = grad.  Its inverse is
 (G + lam I)^-1 grad (A + lam I)^-1, and the solve is exact: both damped
 factors are Cholesky-factored at every call and each layer block costs two
 triangular-pair solves (Martens & Grosse 2015, arXiv:1503.05671).
-Gradients, directions and FVP operands are flat vectors in the network's
-parameter layout; each routine cuts them into layer blocks with
-`nets.layer_blocks` and writes its result through blocks of one flat output.
-Conjugate gradient remains for dense Fisher matrices and for truncated
-Kronecker solves requested with an explicit iteration cap; the exact dense
-Fisher is kept only as a test oracle, guarded to tiny networks.
+A dense Fisher matrix is solved the same way, by one Cholesky factorization
+of F + lam I.  Gradients, directions and FVP operands are flat vectors in
+the network's parameter layout; each routine cuts them into layer blocks
+with `nets.layer_blocks` and writes its result through blocks of one flat
+output.  Conjugate gradient remains only for truncated Kronecker solves
+requested with an explicit iteration cap; the exact dense Fisher is kept
+only as a test oracle, guarded to tiny networks.
 """
 
 from __future__ import annotations
@@ -46,6 +47,15 @@ def _damped(m: np.ndarray, lam: float) -> np.ndarray:
     out = np.array(m, dtype=np.float64)
     out.flat[:: out.shape[0] + 1] += lam
     return out
+
+
+def _cho_factor(m: np.ndarray, what: str):
+    """`cho_factor(m)`, raising FloatingPointError naming `what` if m is
+    not numerically positive definite or holds non-finite entries."""
+    try:
+        return cho_factor(m)
+    except ValueError as exc:  # LinAlgError or non-finite entries
+        raise FloatingPointError(f"{what} is not positive definite ({exc})") from exc
 
 
 # ---------------------------------------------------------------- K-FAC state
@@ -205,14 +215,13 @@ class NaturalGradStep:
 
     `residual` is the relative residual ||F v - g|| / ||g|| of the damped
     system actually solved (0 for a zero gradient); `iterations` counts
-    conjugate-gradient operator applications and is 0 for the exact
-    Kronecker solve.
+    conjugate-gradient operator applications of a truncated solve and is 0
+    for the exact Cholesky solves.
     """
 
     direction: np.ndarray
     residual: float
     iterations: int
-    converged: bool
 
 
 def kfac_solve(state: KfacState, grad) -> tuple[np.ndarray, float]:
@@ -241,12 +250,8 @@ def kfac_solve(state: KfacState, grad) -> tuple[np.ndarray, float]:
                  state.a_factors, state.g_factors)
     for i, (dir_blk, blk, a_f, g_f) in enumerate(layers):
         a_d, g_d = _damped(a_f, lam), _damped(g_f, lam)
-        try:
-            a_cho, g_cho = cho_factor(a_d), cho_factor(g_d)
-        except ValueError as exc:  # LinAlgError or non-finite entries
-            raise FloatingPointError(
-                f"layer {i}: damped K-FAC factor is not positive definite ({exc})"
-            ) from exc
+        what = f"layer {i}: damped K-FAC factor"
+        a_cho, g_cho = _cho_factor(a_d, what), _cho_factor(g_d, what)
         # blk (A + lam I)^-1 = ((A + lam I)^-1 blk^T)^T, A being symmetric
         v = cho_solve(g_cho, cho_solve(a_cho, blk.T).T)
         sq_residual += float(np.sum((g_d @ v @ a_d - blk) ** 2))
@@ -263,44 +268,49 @@ def natural_gradient(fisher, grad, damping: float | None = None,
     Args:
         fisher: a KfacState or a dense symmetric PSD matrix.  A KfacState
             is solved exactly by `kfac_solve` unless `max_iter` is given;
-            a dense matrix is always solved by conjugate gradient.
+            a dense matrix F is solved exactly by a Cholesky factorization
+            of F + damping I.
         grad: flat gradient vector.
         damping: Tikhonov damping of the dense system
             (F + damping I) v = grad, default 1e-3.  A KfacState carries its
             own per-factor damping, so passing one with it is a TypeError.
-        tol: relative residual at which a solve counts as converged, and
-            the conjugate-gradient target.
-        max_iter: conjugate-gradient iteration cap, default 50 for a dense
-            matrix.  With a KfacState it requests a truncated solve instead
-            of the exact one: conjugate gradient on the damped Kronecker
-            operator for at most `max_iter` iterations.  On hitting the cap
-            the best iterate is returned with converged=False.
+        tol: conjugate-gradient target of a truncated solve; the exact
+            solves ignore it.
+        max_iter: with a KfacState, requests a truncated solve instead of
+            the exact one: conjugate gradient on the damped Kronecker
+            operator for at most `max_iter` iterations, returning the best
+            iterate on hitting the cap.  The dense route ignores it.
 
     Returns:
         NaturalGradStep with the direction and solve report.
+
+    Raises:
+        FloatingPointError: if a damped matrix of an exact solve is not
+            numerically positive definite.
     """
     g = np.asarray(grad, dtype=np.float64).ravel()
-    if isinstance(fisher, KfacState):
-        if damping is not None:
-            raise TypeError("a KfacState carries its own damping; "
-                            "do not pass damping with it")
-        if max_iter is None:
-            direction, residual = kfac_solve(fisher, g)
-            return NaturalGradStep(direction=direction, residual=residual,
-                                   iterations=0, converged=residual <= tol)
-        res = conjugate_gradient(lambda v: fisher_vector_product(fisher, v), g,
-                                 lam=0.0, tol=tol, max_iter=max_iter)
-    else:
+    if not isinstance(fisher, KfacState):
         f = np.asarray(fisher, dtype=np.float64)
         if f.ndim != 2 or f.shape[0] != f.shape[1] or f.shape[0] != g.shape[0]:
             raise ValueError(
                 f"fisher has shape {f.shape}, expected ({g.shape[0]}, {g.shape[0]})"
             )
-        lam = 1e-3 if damping is None else damping
-        cap = 50 if max_iter is None else max_iter
-        res = conjugate_gradient(lambda v: f @ v, g, lam=lam, tol=tol, max_iter=cap)
+        f_d = _damped(f, 1e-3 if damping is None else damping)
+        direction = cho_solve(_cho_factor(f_d, "damped Fisher"), g)
+        # a zero gradient solves to a zero direction, with residual 0 / 1
+        misfit = f_d @ direction - g
+        residual = float(np.linalg.norm(misfit) / (np.linalg.norm(g) or 1.0))
+        return NaturalGradStep(direction=direction, residual=residual, iterations=0)
+    if damping is not None:
+        raise TypeError("a KfacState carries its own damping; "
+                        "do not pass damping with it")
+    if max_iter is None:
+        direction, residual = kfac_solve(fisher, g)
+        return NaturalGradStep(direction=direction, residual=residual, iterations=0)
+    res = conjugate_gradient(lambda v: fisher_vector_product(fisher, v), g,
+                             tol=tol, max_iter=max_iter)
     return NaturalGradStep(direction=res.x, residual=res.residual,
-                           iterations=res.iterations, converged=res.converged)
+                           iterations=res.iterations)
 
 
 def steepest_descent_margin(fisher_matrix, grad, n_dirs: int, rng) -> float:

@@ -1,10 +1,11 @@
 """Dense float64 linear algebra with strict shape and domain checking.
 
 Arrays everywhere are C-contiguous numpy float64; there is no sparse path
-and no single-precision path.  The two routines that carry real numerical
-risk for the rest of the package, `logdet_psd` and `conjugate_gradient`,
-are written out explicitly so that failures name the offending pivot or
-iterate instead of surfacing as a generic LinAlgError deep in a solver.
+and no single-precision path.  `logdet_psd` factors with LAPACK's Cholesky
+(`dpotrf`) and reports a failing pivot by index instead of surfacing a
+generic LinAlgError.  `conjugate_gradient` serves only truncated solves
+that cap the iteration count on purpose; every solve meant to be exact
+factors its matrix instead.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf
 
 # Rejection threshold for |M - M^T| in logdet_psd.
 SYMMETRY_TOL = 1e-10
@@ -20,26 +22,12 @@ SYMMETRY_TOL = 1e-10
 PIVOT_TOL = 1e-12
 
 
-def as_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D float64 array, rejecting anything else."""
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {a.shape}")
-    return a
-
-
-def as_vector(v, name: str = "vector") -> np.ndarray:
-    a = np.asarray(v, dtype=np.float64)
-    if a.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {a.shape}")
-    return a
-
-
 def logdet_psd(m) -> float:
     """log-determinant of a symmetric positive-definite matrix.
 
-    Runs an explicit Cholesky factorization so that a non-positive pivot can
-    be reported by index; `2 * sum(log(diag(L)))` is then exact in the
+    Factors m = L L^T with LAPACK's `dpotrf` on the lower triangle; the
+    pivots are the squared diagonal of L, so a non-positive or tiny one can
+    be reported by index, and `2 * sum(log(diag(L)))` is exact in the
     factor.  Asymmetry beyond SYMMETRY_TOL is rejected rather than silently
     symmetrized.
 
@@ -54,27 +42,29 @@ def logdet_psd(m) -> float:
             pivot falls at or below 1e-12 (the index of the failing pivot is
             named in the message).
     """
-    a = as_matrix(m, "m")
-    n, nc = a.shape
-    if n != nc:
+    a = np.asarray(m, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"m must be square, got shape {a.shape}")
-    if n == 0:
+    if a.shape[0] == 0:
         return 0.0
     asym = float(np.max(np.abs(a - a.T)))
     if asym > SYMMETRY_TOL:
         raise ValueError(
             f"m is not symmetric: max |m - m^T| = {asym:.3e} exceeds {SYMMETRY_TOL:.0e}"
         )
-    low = np.zeros((n, n))
-    for j in range(n):
-        pivot = a[j, j] - low[j, :j] @ low[j, :j]
-        if not np.isfinite(pivot) or pivot <= PIVOT_TOL:
-            raise ValueError(
-                f"matrix is not positive definite: pivot {pivot:.3e} at index {j}"
-            )
-        low[j, j] = np.sqrt(pivot)
-        if j + 1 < n:
-            low[j + 1 :, j] = (a[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / low[j, j]
+    low, info = dpotrf(a, lower=1, clean=0)
+    # dpotrf stops at the first non-positive pivot (info is its 1-based
+    # index) and leaves that pivot on the diagonal
+    pivots = np.diag(low) ** 2
+    if info > 0:
+        pivots = pivots[:info]
+        pivots[-1] = low[info - 1, info - 1]
+    bad = np.flatnonzero(~(np.isfinite(pivots) & (pivots > PIVOT_TOL)))
+    if bad.size:
+        j = int(bad[0])
+        raise ValueError(
+            f"matrix is not positive definite: pivot {pivots[j]:.3e} at index {j}"
+        )
     return float(2.0 * np.sum(np.log(np.diag(low))))
 
 
@@ -84,7 +74,7 @@ class CgResult:
 
     Attributes:
         x: the returned iterate.
-        residual: relative residual ||(A + lam I)x - b|| / ||b|| (0 when b = 0).
+        residual: relative residual ||A x - b|| / ||b|| (0 when b = 0).
         iterations: matrix-vector products consumed.
         converged: True when the tolerance was met within max_iter.
     """
@@ -98,11 +88,10 @@ class CgResult:
 def conjugate_gradient(
     apply: Callable[[np.ndarray], np.ndarray],
     b,
-    lam: float = 0.0,
     tol: float = 1e-6,
     max_iter: int = 50,
 ) -> CgResult:
-    """Solve (A + lam I) x = b for symmetric positive semidefinite operator A.
+    """Solve A x = b for a symmetric positive semidefinite operator A.
 
     `apply` is only ever called on vectors, so A may be represented
     implicitly (Kronecker factors, sums of outer products, ...).  Iteration
@@ -113,7 +102,6 @@ def conjugate_gradient(
     Args:
         apply: v -> A v, must be linear and symmetric PSD.
         b: right-hand side vector.
-        lam: Tikhonov damping added on top of A.
         tol: relative residual target.
         max_iter: cap on operator applications.
 
@@ -124,7 +112,9 @@ def conjugate_gradient(
         FloatingPointError: if any iterate or residual stops being finite.
         ValueError: if the operator changes the vector's dimension.
     """
-    rhs = as_vector(b, "b")
+    rhs = np.asarray(b, dtype=np.float64)
+    if rhs.ndim != 1:
+        raise ValueError(f"b must be 1-D, got shape {rhs.shape}")
     n = rhs.shape[0]
     bnorm = float(np.linalg.norm(rhs))
     if bnorm == 0.0:
@@ -136,7 +126,7 @@ def conjugate_gradient(
             raise ValueError(
                 f"operator returned shape {av.shape}, expected {(n,)}"
             )
-        return av + lam * v
+        return av
 
     x = np.zeros(n)
     r = rhs.copy()

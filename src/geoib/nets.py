@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ACTIVATIONS = ("identity", "tanh", "relu", "softplus")
+ACTIVATIONS = ("identity", "tanh", "softplus")
 
 # explicit_jacobian refuses to materialize anything larger than this.
 JACOBIAN_SIZE_GUARD = 10_000
@@ -40,30 +40,26 @@ def _act(name: str, s: np.ndarray) -> np.ndarray:
         return s
     if name == "tanh":
         return np.tanh(s)
-    if name == "relu":
-        return np.maximum(s, 0.0)
     if name == "softplus":
         return np.logaddexp(0.0, s)
     raise ValueError(f"unknown activation {name!r}")
 
 
 def _act_d(name: str, s: np.ndarray) -> np.ndarray:
-    """First derivative at pre-activation s.  relu'(0) is defined as 0."""
+    """First derivative at pre-activation s."""
     if name == "identity":
         return np.ones_like(s)
     if name == "tanh":
         y = np.tanh(s)
         return 1.0 - y * y
-    if name == "relu":
-        return (s > 0.0).astype(np.float64)
     if name == "softplus":
         return _sigmoid(s)
     raise ValueError(f"unknown activation {name!r}")
 
 
 def _act_dd(name: str, s: np.ndarray) -> np.ndarray:
-    """Second derivative at pre-activation s (zero a.e. for relu)."""
-    if name in ("identity", "relu"):
+    """Second derivative at pre-activation s."""
+    if name == "identity":
         return np.zeros_like(s)
     if name == "tanh":
         y = np.tanh(s)

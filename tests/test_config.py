@@ -126,8 +126,15 @@ def test_validation_rejects_bad_fields():
         TrainConfig(eta_phi=-0.1)
     with pytest.raises(ValueError, match="kfac_decay"):
         TrainConfig(kfac_decay=1.0)
-    # strings the config text could not write back: the parser cuts each
-    # line at '#' and strips it
+    # zero damping leaves a rank-deficient factor singular; vib never
+    # builds a KfacState, so it would train on a negative one unchecked
+    for value in (0.0, -0.5):
+        with pytest.raises(ValueError, match="damping must be positive"):
+            TrainConfig(method="vib", damping=value)
+    # strings the config text could not write back: the file is ASCII, and
+    # the parser cuts each line at '#' and strips it
+    with pytest.raises(ValueError, match="dataset must be one line of ASCII"):
+        TrainConfig(dataset="idx:path=data/donn\u00e9es")
     with pytest.raises(ValueError, match="dataset"):
         TrainConfig(dataset="idx:path=data/run#2")
     with pytest.raises(ValueError, match="dataset"):

@@ -20,6 +20,11 @@ def test_logdet_diagonal():
 def test_logdet_singular_names_pivot():
     with pytest.raises(ValueError, match="pivot.*index 1"):
         logdet_psd(np.diag([1.0, 0.0]))
+    # a negative Schur complement, and a positive pivot under PIVOT_TOL
+    with pytest.raises(ValueError, match=r"pivot -3\.000e\+00 at index 1"):
+        logdet_psd(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(ValueError, match=r"pivot 1\.000e-13 at index 1"):
+        logdet_psd(np.diag([1.0, 1e-13, 1.0]))
 
 
 def test_logdet_rejects_asymmetry():
@@ -50,15 +55,15 @@ def test_logdet_matches_jacobi_eigenvalues():
 
 def test_cg_identity_solve():
     b = Rng(3).normal(7)
-    res = conjugate_gradient(lambda v: v, b, lam=0.0)
+    res = conjugate_gradient(lambda v: v, b)
     assert res.converged
     np.testing.assert_allclose(res.x, b, rtol=0, atol=1e-10)
 
 
 def test_cg_damped_diagonal():
     # (diag(2,4) + I) v = (3,5) has the hand solution (1,1)
-    res = conjugate_gradient(lambda v: np.array([2.0, 4.0]) * v,
-                             np.array([3.0, 5.0]), lam=1.0)
+    res = conjugate_gradient(lambda v: np.array([2.0, 4.0]) * v + v,
+                             np.array([3.0, 5.0]))
     np.testing.assert_allclose(res.x, [1.0, 1.0], rtol=0, atol=1e-10)
 
 
@@ -86,7 +91,7 @@ def test_cg_residual_report_is_true_residual():
     rng = Rng(5)
     a = np.diag(rng.uniform(1.0, 3.0, 6))
     rhs = rng.normal(6)
-    res = conjugate_gradient(lambda v: a @ v, rhs, lam=0.5, tol=1e-12,
+    res = conjugate_gradient(lambda v: a @ v + 0.5 * v, rhs, tol=1e-12,
                              max_iter=50)
     actual = np.linalg.norm((a + 0.5 * np.eye(6)) @ res.x - rhs) / np.linalg.norm(rhs)
     assert abs(res.residual - actual) < 1e-13

@@ -118,14 +118,6 @@ def test_backward_input_grad():
     np.testing.assert_allclose(dx, fd, rtol=1e-6, atol=1e-9)
 
 
-def test_relu_derivative_zero_at_zero():
-    net = _net((1, 1, "relu"))
-    net.blocks[0][:, :-1] = 1.0
-    net.forward(np.array([[0.0]]), capture=True)
-    g = net.backward(np.array([[1.0]]))
-    np.testing.assert_array_equal(g, [0.0, 0.0])
-
-
 # --------------------------------------------------------------------- jvp
 
 
