@@ -1,9 +1,9 @@
 """Flat key=value run configuration.
 
-A config file is plain text: one `key = value` per line, '#' starts a
-comment, nothing nests.  Every run writes its fully resolved config next to
-its outputs, with every field spelled out, so a run directory is
-self-describing and re-runnable.
+A config file is UTF-8 text: one `key = value` per line, '#' starts a
+comment, nothing nests, and only comments may hold non-ASCII characters.
+Every run writes its fully resolved config next to its outputs, with every
+field spelled out, so a run directory is self-describing and re-runnable.
 """
 
 from __future__ import annotations
@@ -155,6 +155,9 @@ def _parse_config(text: str, base: TrainConfig | None, source: str) -> TrainConf
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
+        if not stripped.isascii():
+            raise ValueError(f"{source}, line {lineno}: non-ASCII text outside "
+                             f"a comment: {line!r}")
         if "=" not in stripped:
             raise ValueError(f"{source}, line {lineno}: expected key = value, "
                              f"got {line!r}")
@@ -183,9 +186,17 @@ def parse_config_text(text: str, base: TrainConfig | None = None) -> TrainConfig
 
 
 def load_config(path, base: TrainConfig | None = None) -> TrainConfig:
-    """`parse_config_text` on a file, naming the file in errors and warnings."""
-    with open(path, "r", encoding="ascii") as fh:
-        return _parse_config(fh.read(), base, str(path))
+    """`parse_config_text` on a UTF-8 file, naming the file in errors and
+    warnings."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}, line {lineno}: not UTF-8 text "
+                         f"({exc.reason})") from exc
+    return _parse_config(text, base, str(path))
 
 
 def config_text(cfg: TrainConfig) -> str:

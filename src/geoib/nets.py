@@ -9,6 +9,10 @@ penalty, and `jvp_adjoint` differentiates a weighted squared JVP with
 respect to the parameters (reverse over forward), which is the gradient
 path of that penalty.
 
+Every pass takes a (B, in_dim) batch and runs one primal loop.  The
+derivative passes read the pre-activations and layer outputs that loop
+produced instead of evaluating the activation again.
+
 A network holds its parameters as one flat float64 vector, `params`.  The
 vector is the layers' augmented blocks [W | b], each of shape (out, in+1),
 laid end to end row-major, so the total count is sum((in+1) * out).
@@ -24,8 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ACTIVATIONS = ("identity", "tanh", "softplus")
-
 # explicit_jacobian refuses to materialize anything larger than this.
 JACOBIAN_SIZE_GUARD = 10_000
 
@@ -35,39 +37,22 @@ def _sigmoid(s: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * s))
 
 
-def _act(name: str, s: np.ndarray) -> np.ndarray:
-    if name == "identity":
-        return s
-    if name == "tanh":
-        return np.tanh(s)
-    if name == "softplus":
-        return np.logaddexp(0.0, s)
-    raise ValueError(f"unknown activation {name!r}")
+def _softplus_dd(s, y):
+    p = _sigmoid(s)
+    return p * (1.0 - p)
 
 
-def _act_d(name: str, s: np.ndarray) -> np.ndarray:
-    """First derivative at pre-activation s."""
-    if name == "identity":
-        return np.ones_like(s)
-    if name == "tanh":
-        y = np.tanh(s)
-        return 1.0 - y * y
-    if name == "softplus":
-        return _sigmoid(s)
-    raise ValueError(f"unknown activation {name!r}")
-
-
-def _act_dd(name: str, s: np.ndarray) -> np.ndarray:
-    """Second derivative at pre-activation s."""
-    if name == "identity":
-        return np.zeros_like(s)
-    if name == "tanh":
-        y = np.tanh(s)
-        return -2.0 * y * (1.0 - y * y)
-    if name == "softplus":
-        p = _sigmoid(s)
-        return p * (1.0 - p)
-    raise ValueError(f"unknown activation {name!r}")
+# name: (f(s), f'(s, y), f''(s, y)) at pre-activation s, where y = f(s) is the
+# layer output the pass already holds.  Identity's scalar derivatives give the
+# same bits as multiplying by arrays of ones and zeros.
+_TABLE = {
+    "identity": (lambda s: s, lambda s, y: 1.0, lambda s, y: 0.0),
+    "tanh": (np.tanh, lambda s, y: 1.0 - y * y,
+             lambda s, y: -2.0 * y * (1.0 - y * y)),
+    "softplus": (lambda s: np.logaddexp(0.0, s), lambda s, y: _sigmoid(s),
+                 _softplus_dd),
+}
+ACTIVATIONS = tuple(_TABLE)
 
 
 def layer_blocks(flat: np.ndarray, shapes) -> list[np.ndarray]:
@@ -134,7 +119,7 @@ class Network:
             for sp, blk in zip(specs, self.blocks):
                 bound = np.sqrt(6.0 / (sp.in_dim + sp.out_dim))
                 blk[:, :-1] = rng.uniform(-bound, bound, (sp.out_dim, sp.in_dim))
-        self._acts = None       # layer inputs a_0 .. a_{L-1}, captured
+        self._acts = None       # layer outputs a_0 = x .. a_L, captured
         self._pre = None        # pre-activations s_0 .. s_{L-1}, captured
         self._grads_pre = None  # pre-activation gradients, captured by backward
 
@@ -178,38 +163,35 @@ class Network:
 
     # ---------------------------------------------------------------- forward
 
+    def _primal(self, x):
+        """Layer outputs a_0 = x .. a_L and pre-activations s_0 .. s_{L-1}."""
+        acts, pre = [x], []
+        for sp, blk in zip(self.specs, self.blocks):
+            s = acts[-1] @ blk[:, :-1].T + blk[:, -1]
+            pre.append(s)
+            acts.append(_TABLE[sp.activation][0](s))
+        return acts, pre
+
     def forward(self, x, capture: bool = False) -> np.ndarray:
         """Run the network on a batch.
 
         Args:
-            x: (B, in_dim) batch or a single (in_dim,) vector.
+            x: (B, in_dim) batch.
             capture: record per-layer inputs and pre-activations so that a
                 subsequent `backward` can run and Fisher factors can be read.
 
         Returns:
-            (B, out_dim) outputs, or (out_dim,) when x was a vector.
+            (B, out_dim) outputs.
         """
         x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        if single:
-            x = x[None, :]
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ValueError(
                 f"input has shape {x.shape}, expected (*, {self.in_dim})"
             )
-        acts = [x]
-        pre = []
-        a = x
-        for sp, blk in zip(self.specs, self.blocks):
-            s = a @ blk[:, :-1].T + blk[:, -1]
-            pre.append(s)
-            a = _act(sp.activation, s)
-            acts.append(a)
+        acts, pre = self._primal(x)
         if capture:
-            self._acts = acts[:-1]
-            self._pre = pre
-            self._grads_pre = None
-        return a[0] if single else a
+            self._acts, self._pre, self._grads_pre = acts, pre, None
+        return acts[-1]
 
     def backward(self, upstream, return_input_grad: bool = False):
         """Gradients of sum(upstream * output) over the captured batch.
@@ -218,9 +200,8 @@ class Network:
         gradients of every layer are recorded for Fisher factor estimation.
 
         Args:
-            upstream: (B, out_dim) adjoint of the output (or (out_dim,) if the
-                captured batch was a single vector).
-            return_input_grad: also return d/dx, shape matching the input.
+            upstream: (B, out_dim) adjoint of the output.
+            return_input_grad: also return d/dx, shape (B, in_dim).
 
         Returns:
             The flat parameter gradient, laid out like `params`; optionally
@@ -232,8 +213,6 @@ class Network:
         if self._acts is None:
             raise RuntimeError("backward requires a captured forward pass")
         up = np.asarray(upstream, dtype=np.float64)
-        if up.ndim == 1:
-            up = up[None, :]
         batch = self._acts[0].shape[0]
         if up.shape != (batch, self.out_dim):
             raise ValueError(
@@ -244,8 +223,8 @@ class Network:
         grads_pre: list[np.ndarray] = [None] * self.n_layers
         delta = up
         for l in range(self.n_layers - 1, -1, -1):
-            sp = self.specs[l]
-            delta = delta * _act_d(sp.activation, self._pre[l])
+            d = _TABLE[self.specs[l].activation][1]
+            delta = delta * d(self._pre[l], self._acts[l + 1])
             grads_pre[l] = delta
             grad_blocks[l][:, :-1] = delta.T @ self._acts[l]
             grad_blocks[l][:, -1] = delta.sum(axis=0)
@@ -261,7 +240,7 @@ class Network:
         capture + backward pair, for Kronecker factor updates."""
         if self._acts is None or self._grads_pre is None:
             raise RuntimeError("no captured forward/backward pair available")
-        return self._acts, self._grads_pre
+        return self._acts[:-1], self._grads_pre
 
     # --------------------------------------------------------------- tangents
 
@@ -283,20 +262,15 @@ class Network:
                 f"x and v must be (B, {self.in_dim}) with matching shapes, "
                 f"got {x.shape} and {v.shape}"
             )
-        a, t = x, v
-        acts, pre, tangents, tan_pre = [x], [], [v], []
-        for sp, blk in zip(self.specs, self.blocks):
-            w = blk[:, :-1]
-            s = a @ w.T + blk[:, -1]
-            ts = t @ w.T
-            pre.append(s)
+        acts, pre = self._primal(x)
+        t = v
+        tangents, tan_pre = [v], []
+        for l, (sp, blk) in enumerate(zip(self.specs, self.blocks)):
+            ts = t @ blk[:, :-1].T
             tan_pre.append(ts)
-            a = _act(sp.activation, s)
-            t = _act_d(sp.activation, s) * ts
-            acts.append(a)
+            t = _TABLE[sp.activation][1](pre[l], acts[l + 1]) * ts
             tangents.append(t)
-        cache = (acts, pre, tangents, tan_pre)
-        return t, cache
+        return t, (acts, pre, tangents, tan_pre)
 
     def jvp_adjoint(self, cache, u_bar) -> np.ndarray:
         """Parameter gradient of sum(u_bar * u) where u = J(x_i) v_i.
@@ -325,9 +299,9 @@ class Network:
         a_bar = np.zeros_like(acts[-1])
         t_bar = u_bar
         for l in range(self.n_layers - 1, -1, -1):
-            sp = self.specs[l]
-            d = _act_d(sp.activation, pre[l])
-            dd = _act_dd(sp.activation, pre[l])
+            _, df, ddf = _TABLE[self.specs[l].activation]
+            d = df(pre[l], acts[l + 1])
+            dd = ddf(pre[l], acts[l + 1])
             ts_bar = t_bar * d
             s_bar = a_bar * d + t_bar * tan_pre[l] * dd
             grad_blocks[l][:, :-1] = s_bar.T @ acts[l] + ts_bar.T @ tangents[l]

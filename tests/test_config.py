@@ -81,6 +81,20 @@ def test_load_config_errors_name_the_file(tmp_path):
         load_config(path)
 
 
+def test_load_config_takes_utf8_only_in_comments(tmp_path):
+    path = tmp_path / "hand.cfg"
+    path.write_text("beta = 0.01  # compression, r\u00e9gl\u00e9 \u00e0 la main\n",
+                    encoding="utf-8")
+    assert load_config(path) == TrainConfig(beta=0.01)
+    path.write_text("epochs = 3\ndataset = idx:path=donn\u00e9es  # \u00e9\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match="hand.cfg, line 2: non-ASCII text"):
+        load_config(path)
+    path.write_bytes(b"epochs = 3\n\n# caf\xe9 in Latin-1\n")
+    with pytest.raises(ValueError, match="hand.cfg, line 3: not UTF-8"):
+        load_config(path)
+
+
 def test_parse_starts_from_base():
     base = TrainConfig(beta=0.5, k_dim=4)
     cfg = parse_config_text("k_dim = 16", base=base)

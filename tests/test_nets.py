@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from geoib.nets import LayerSpec, Network, layer_blocks
+from geoib.nets import ACTIVATIONS, LayerSpec, Network, layer_blocks
 from geoib.rng import Rng
 from oracles import central_difference
 
@@ -9,6 +9,10 @@ from oracles import central_difference
 def _net(*specs, seed=None):
     rng = Rng(seed) if seed is not None else None
     return Network([LayerSpec(*s) for s in specs], rng)
+
+
+# every activation in the hidden and in the output slot of a net
+SLOTS = [(act, slot) for act in ACTIVATIONS for slot in ("hidden", "output")]
 
 
 def _jvp(net, x, v):
@@ -35,15 +39,18 @@ def test_forward_identity_weights():
 def test_forward_scalar_tanh():
     net = _net((1, 1, "tanh"))
     net.blocks[0][:, :-1] = 2.0
-    out = net.forward(np.array([1.0]))
-    assert abs(out[0] - np.tanh(2.0)) < 1e-15
-    assert abs(out[0] - 0.964028) < 1e-6
+    out = net.forward(np.array([[1.0]]))
+    assert out.shape == (1, 1)
+    assert abs(out[0, 0] - np.tanh(2.0)) < 1e-15
+    assert abs(out[0, 0] - 0.964028) < 1e-6
 
 
 def test_forward_shape_checked():
     net = _net((3, 2, "identity"))
     with pytest.raises(ValueError, match="input has shape"):
         net.forward(np.ones((4, 2)))
+    with pytest.raises(ValueError, match="input has shape"):
+        net.forward(np.ones(3))
 
 
 def test_layer_dims_must_chain():
@@ -84,10 +91,21 @@ def test_backward_requires_capture():
         net.backward(np.ones((1, 2)))
 
 
-def test_backward_matches_finite_differences():
+def test_backward_rejects_a_single_upstream_vector():
+    net = _net((2, 2, "identity"), seed=0)
+    net.forward(np.ones((1, 2)), capture=True)
+    with pytest.raises(ValueError, match="upstream has shape"):
+        net.backward(np.ones(2))
+
+
+@pytest.mark.parametrize("act,slot", SLOTS)
+def test_backward_matches_finite_differences(act, slot):
     """Sum-convention gradient of sum(upstream * output) over every
-    parameter of a three-layer net, against the central-difference oracle."""
-    net = _net((4, 5, "tanh"), (5, 4, "softplus"), (4, 3, "identity"), seed=3)
+    parameter of a three-layer net, against the central-difference oracle,
+    with `act` in the middle (hidden) or last (output) layer."""
+    hidden = act if slot == "hidden" else "softplus"
+    out = act if slot == "output" else "identity"
+    net = _net((4, 5, "tanh"), (5, 4, hidden), (4, 3, out), seed=3)
     rng = Rng(4)
     x = rng.normal((6, 4))
     upstream = rng.normal((6, 3))
@@ -141,11 +159,11 @@ def test_jvp_linear_net_is_weight_chain():
 def test_jvp_matches_finite_differences():
     net = _net((4, 5, "tanh"), (5, 3, "softplus"), seed=12)
     rng = Rng(13)
-    x = rng.normal(4)
-    v = rng.normal(4)
+    x = rng.normal((6, 4))
+    v = rng.normal((6, 4))
     h = 1e-5
     fd = (net.forward(x + h * v) - net.forward(x - h * v)) / (2.0 * h)
-    got = _jvp(net, x, v)
+    got, _ = net.jvp_batch(x, v)
     rel = np.abs(got - fd) / np.maximum(np.abs(fd), 1e-6)
     assert float(rel.max()) < 1e-5
 
@@ -206,10 +224,14 @@ def test_explicit_jacobian_size_guard():
 # ----------------------------------------------------------- jvp adjoint
 
 
-def test_jvp_adjoint_matches_finite_differences():
+@pytest.mark.parametrize("act,slot", SLOTS)
+def test_jvp_adjoint_matches_finite_differences(act, slot):
     """Gradient of sum(u_bar * J(x)v) w.r.t. parameters: the reverse pass
-    over the forward tangent must agree with differentiating the JVP."""
-    net = _net((3, 4, "tanh"), (4, 2, "softplus"), seed=22)
+    over the forward tangent must agree with differentiating the JVP, with
+    `act` in the first (hidden) or last (output) layer."""
+    hidden = act if slot == "hidden" else "tanh"
+    out = act if slot == "output" else "softplus"
+    net = _net((3, 4, hidden), (4, 2, out), seed=22)
     rng = Rng(23)
     x = rng.normal((5, 3))
     v = rng.normal((5, 3))

@@ -1,0 +1,69 @@
+"""Pinned digests: four small configs train to recorded network bytes.
+
+A change that keeps behaviour keeps these digests.  A change in behaviour
+made on purpose records the before and after in CHANGES.md and updates
+PINNED.  The digests were recorded on numpy 2.4.6 with OpenBLAS 0.3.31 on
+one BLAS thread (conftest.py); a failure names the build it ran on, so a
+different build can be told apart from a change in behaviour.
+"""
+
+import hashlib
+import os
+
+import numpy as np
+import pytest
+
+from geoib.config import TrainConfig
+from geoib.training import run_training
+
+DATASET = "gauss_mixture:n=1000,noise=0.14"
+
+# name: (TrainConfig overrides, encoder.net sha256, decoder.net sha256)
+PINNED = {
+    "geoib": (
+        {},
+        "e966fb99c7fe70401e6bcf71f1be6f7b62cd7050799b8b5aee292a066f8f1bc4",
+        "25e8a313f651efdff8b42032f0d87d59b7052de9c399239a5e3ba5e00036798f",
+    ),
+    "vib": (
+        {"method": "vib"},
+        "cfa738e2fb337db3e9fb1f81c2e9cc7541cbc91215608f6659651298ca3d7b42",
+        "c07c52d5f46c0116710ca8a21c65da3418c5845255fee0fd5753c550c7e9cc43",
+    ),
+    "vib_natural_gradient": (
+        {"method": "vib", "vib_natural_gradient": True},
+        "abd145d1b2874bd3d6b9ccd537cd848c4ff0ab82105a12f3dcedb1b2a4e99f7a",
+        "bd644a19822f917c6f34d2cea737d255a76bea4fa873a846e17ac84352c8947a",
+    ),
+    "geoib_fr_quadratic_beta1": (
+        {"fr_mode": "fr_quadratic", "beta": 1.0},
+        "f6b01578ff75259b571b31deacb3b09e84991ffe781f9321274c816dd9591f90",
+        "c22ef260db683dac23a8e372a77eeecbff0fc5b6861c85baa73795ee1e591544",
+    ),
+}
+
+
+def _build() -> str:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (f"numpy {np.__version__}, BLAS {blas.get('name')} "
+            f"{blas.get('version')}, OPENBLAS_NUM_THREADS="
+            f"{os.environ.get('OPENBLAS_NUM_THREADS')}")
+
+
+def _sha256(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_small_run_reproduces_pinned_digests(name, tmp_path):
+    overrides, enc_sha, dec_sha = PINNED[name]
+    cfg = TrainConfig(epochs=3, dataset=DATASET, **overrides)
+    run_training(cfg, out_dir=str(tmp_path), evaluate=False)
+    got = (_sha256(tmp_path / "encoder.net"), _sha256(tmp_path / "decoder.net"))
+    assert got == (enc_sha, dec_sha), (
+        f"{name}: encoder/decoder sha256 {got} differ from the pinned "
+        f"{(enc_sha, dec_sha)} on {_build()}.  On the recorded build "
+        f"(numpy 2.4.6, OpenBLAS 0.3.31, one thread) this is a change in "
+        f"behaviour: record the before/after in CHANGES.md and update PINNED."
+    )
