@@ -20,12 +20,17 @@ rather than (A x G + lam I) v = grad.  Its inverse is
 factors are Cholesky-factored at every call and each layer block costs two
 triangular-pair solves (Martens & Grosse 2015, arXiv:1503.05671).
 A dense Fisher matrix is solved the same way, by one Cholesky factorization
-of F + lam I.  Gradients, directions and FVP operands are flat vectors in
-the network's parameter layout; each routine cuts them into layer blocks
-with `nets.layer_blocks` and writes its result through blocks of one flat
-output.  Conjugate gradient remains only for truncated Kronecker solves
-requested with an explicit iteration cap; the exact dense Fisher is kept
-only as a test oracle, guarded to tiny networks.
+of F + lam I.  Both routes call LAPACK's `dpotrf`/`dpotrs` directly, as
+`linalg.logdet_psd` does.  They return the bits `scipy.linalg.cho_factor`
+and `cho_solve` return, without those wrappers' per-call cost, which on
+small layer factors exceeds the factorization's own; an explicit
+finiteness check keeps a non-finite matrix or gradient loud.  Gradients,
+directions and FVP operands are flat vectors in the network's parameter
+layout; each routine cuts them into layer blocks with `nets.layer_blocks`
+and writes its result through blocks of one flat output.  Conjugate
+gradient remains only for truncated Kronecker solves requested with an
+explicit iteration cap; the exact dense Fisher is kept only as a test
+oracle, guarded to tiny networks.
 """
 
 from __future__ import annotations
@@ -33,7 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag, cho_factor, cho_solve
+from scipy.linalg import block_diag
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .linalg import conjugate_gradient
 from .nets import Network, layer_blocks
@@ -49,13 +55,26 @@ def _damped(m: np.ndarray, lam: float) -> np.ndarray:
     return out
 
 
-def _cho_factor(m: np.ndarray, what: str):
-    """`cho_factor(m)`, raising FloatingPointError naming `what` if m is
-    not numerically positive definite or holds non-finite entries."""
-    try:
-        return cho_factor(m)
-    except ValueError as exc:  # LinAlgError or non-finite entries
-        raise FloatingPointError(f"{what} is not positive definite ({exc})") from exc
+def _spd_solve(m: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
+    """m^-1 b for a symmetric m, from the upper Cholesky factor of m.
+
+    Raises FloatingPointError naming `what` if m holds non-finite entries
+    or is not numerically positive definite.  m and b are left untouched.
+    """
+    if not np.isfinite(m).all():
+        raise FloatingPointError(f"{what} has non-finite entries")
+    c, info = dpotrf(m, lower=0, clean=0)
+    if info != 0:
+        raise FloatingPointError(f"{what} is not positive definite "
+                                 f"(dpotrf info {info})")
+    # dpotrs reports only illegal arguments, which f2py's shape checks
+    # already rule out
+    return dpotrs(c, b, lower=0)[0]
+
+
+def _check_finite_grad(g: np.ndarray) -> None:
+    if not np.isfinite(g).all():
+        raise FloatingPointError("gradient has non-finite entries")
 
 
 # ---------------------------------------------------------------- K-FAC state
@@ -236,13 +255,15 @@ def kfac_solve(state: KfacState, grad) -> tuple[np.ndarray, float]:
         (direction, residual), the direction flat in `grad`'s layout.
 
     Raises:
-        FloatingPointError: if a damped factor is not numerically positive
-            definite (zero damping on a rank-deficient factor, or non-finite
-            statistics).
+        FloatingPointError: if the gradient or a damped factor holds
+            non-finite entries, or a damped factor is not numerically
+            positive definite (zero damping on a rank-deficient factor);
+            the message names the layer.
     """
     if state.a_factors is None:
         raise RuntimeError("KfacState has no factors yet; run kfac_update first")
     g = np.asarray(grad, dtype=np.float64).ravel()
+    _check_finite_grad(g)
     lam = state.damping
     direction = np.empty_like(g)
     sq_residual = 0.0
@@ -250,10 +271,9 @@ def kfac_solve(state: KfacState, grad) -> tuple[np.ndarray, float]:
                  state.a_factors, state.g_factors)
     for i, (dir_blk, blk, a_f, g_f) in enumerate(layers):
         a_d, g_d = _damped(a_f, lam), _damped(g_f, lam)
-        what = f"layer {i}: damped K-FAC factor"
-        a_cho, g_cho = _cho_factor(a_d, what), _cho_factor(g_d, what)
         # blk (A + lam I)^-1 = ((A + lam I)^-1 blk^T)^T, A being symmetric
-        v = cho_solve(g_cho, cho_solve(a_cho, blk.T).T)
+        v_a = _spd_solve(a_d, blk.T, f"layer {i}: damped K-FAC factor A")
+        v = _spd_solve(g_d, v_a.T, f"layer {i}: damped K-FAC factor G")
         sq_residual += float(np.sum((g_d @ v @ a_d - blk) ** 2))
         dir_blk[...] = v
     gnorm = float(np.linalg.norm(g))
@@ -285,7 +305,8 @@ def natural_gradient(fisher, grad, damping: float | None = None,
         NaturalGradStep with the direction and solve report.
 
     Raises:
-        FloatingPointError: if a damped matrix of an exact solve is not
+        FloatingPointError: if the gradient or the damped matrix of an
+            exact solve holds non-finite entries, or that matrix is not
             numerically positive definite.
     """
     g = np.asarray(grad, dtype=np.float64).ravel()
@@ -295,8 +316,9 @@ def natural_gradient(fisher, grad, damping: float | None = None,
             raise ValueError(
                 f"fisher has shape {f.shape}, expected ({g.shape[0]}, {g.shape[0]})"
             )
+        _check_finite_grad(g)
         f_d = _damped(f, 1e-3 if damping is None else damping)
-        direction = cho_solve(_cho_factor(f_d, "damped Fisher"), g)
+        direction = _spd_solve(f_d, g, "damped Fisher")
         # a zero gradient solves to a zero direction, with residual 0 / 1
         misfit = f_d @ direction - g
         residual = float(np.linalg.norm(misfit) / (np.linalg.norm(g) or 1.0))

@@ -242,6 +242,12 @@ class Network:
             raise RuntimeError("no captured forward/backward pair available")
         return self._acts[:-1], self._grads_pre
 
+    def captured_output(self) -> np.ndarray:
+        """The (B, out_dim) output of the last captured forward pass."""
+        if self._acts is None:
+            raise RuntimeError("no captured forward pass available")
+        return self._acts[-1]
+
     # --------------------------------------------------------------- tangents
 
     def jvp_batch(self, x, v):
@@ -306,9 +312,10 @@ class Network:
             s_bar = a_bar * d + t_bar * tan_pre[l] * dd
             grad_blocks[l][:, :-1] = s_bar.T @ acts[l] + ts_bar.T @ tangents[l]
             grad_blocks[l][:, -1] = s_bar.sum(axis=0)
-            w = self.blocks[l][:, :-1]
-            a_bar = s_bar @ w
-            t_bar = ts_bar @ w
+            if l > 0:
+                w = self.blocks[l][:, :-1]
+                a_bar = s_bar @ w
+                t_bar = ts_bar @ w
         return grad
 
     def explicit_jacobian(self, x) -> np.ndarray:

@@ -16,10 +16,19 @@ ablation keeps the preconditioning steps exactly as geoib runs them.
 Everything stochastic draws from substreams of the run seed keyed by step
 index, so runs are reproducible sample-for-sample and a config uniquely
 determines the final parameters.
+
+`run_training` keeps glibc's heap mapped between steps: a step's temporaries
+(their peak is near 1 MB on the default config) lie above the default
+128 KiB trim threshold, so glibc would hand them back to the kernel after
+every step and fault them in again on the next.  It sets both the trim and the mmap
+threshold, because setting either one turns off glibc's dynamic mmap
+threshold, and with the trim threshold alone every large K-FAC factor
+would get an mmap of its own.  The setting changes no computed bit.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
 import time
@@ -60,6 +69,23 @@ DEFAULT_K_GRID = (2, 4, 8, 16, 32, 64, 128, 256, 512)
 _MI_CAP_LOW_DIM = 5000
 _MI_CAP_HIGH_DIM = 2000
 _MI_DIM_SWITCH = 64
+
+# glibc mallopt parameters (malloc.h) and the values run_training sets.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_TRIM_THRESHOLD = 64 << 20
+_MMAP_THRESHOLD = 32 << 20
+
+
+def _keep_heap() -> None:
+    """Raise glibc's trim and mmap thresholds; a no-op without mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # not glibc, or no libc handle
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
 class TrainingDiverged(RuntimeError):
@@ -113,6 +139,9 @@ class StepMetrics:
     grad_norm_dec: float = 0.0
     solve_residual_enc: float = 0.0
     solve_residual_dec: float = 0.0
+
+
+_METRIC_NAMES = tuple(f.name for f in fields(StepMetrics))
 
 
 def geoib_loss_and_grads(enc: Network, dec: Network, x, y, *,
@@ -176,24 +205,30 @@ def geoib_loss_and_grads(enc: Network, dec: Network, x, y, *,
     return metrics, g_enc / batch, g_dec / batch
 
 
-def _sampled_capture(enc: Network, dec: Network, x, eps, k_dim: int,
+def _sampled_capture(enc: Network, dec: Network, k_dim: int,
                      step_rng: Rng) -> None:
     """Refresh the captured backward statistics with model-sampled targets:
     decoder targets y ~ p(y|z) at the step's codes z = mu + sigma * eps,
-    encoder scores at fresh codes z ~ q(.|x)."""
-    mu, lv, clamp_open = posterior_head(enc.forward(x, capture=True), k_dim)
+    encoder scores at fresh codes z ~ q(.|x).
+
+    It runs no forward pass: it backpropagates through the forward passes
+    that `geoib_loss_and_grads` captured, so it must follow that call on
+    the same batch with the parameters unchanged.
+    """
+    _, lv, clamp_open = posterior_head(enc.captured_output(), k_dim)
     sig = np.exp(0.5 * lv)
-    logits = dec.forward(mu + sig * eps, capture=True)
+    logits = dec.captured_output()
+    batch = logits.shape[0]
     m = logits.max(axis=1, keepdims=True)
     p = np.exp(logits - m)
     p /= p.sum(axis=1, keepdims=True)
-    u = step_rng.substream(771).uniform(0.0, 1.0, (x.shape[0], 1))
+    u = step_rng.substream(771).uniform(0.0, 1.0, (batch, 1))
     y_samp = (p.cumsum(axis=1) > u).argmax(axis=1)
     up_dec = p.copy()
-    up_dec[np.arange(x.shape[0]), y_samp] -= 1.0
+    up_dec[np.arange(batch), y_samp] -= 1.0
     dec.backward(up_dec)
-    eps2 = step_rng.substream(772).normal((x.shape[0], k_dim))
-    up_enc = np.zeros((x.shape[0], 2 * k_dim))
+    eps2 = step_rng.substream(772).normal((batch, k_dim))
+    up_enc = np.zeros((batch, 2 * k_dim))
     up_enc[:, :k_dim] = eps2 / sig
     up_enc[:, k_dim:] = 0.5 * (eps2**2 - 1.0) * clamp_open
     enc.backward(up_enc)
@@ -237,21 +272,21 @@ def train_step(cfg: TrainConfig, enc: Network, dec: Network,
     )
     if not np.isfinite(metrics.total):
         raise FloatingPointError(f"objective went non-finite: {metrics.total!r}")
-    metrics = replace(metrics, grad_norm_enc=float(np.linalg.norm(g_enc)),
-                      grad_norm_dec=float(np.linalg.norm(g_dec)))
     dir_enc, dir_dec = g_enc, g_dec
+    res_enc = res_dec = 0.0
     if kfac_enc is not None:
-        _sampled_capture(enc, dec, x, eps, cfg.k_dim, step_rng)
+        _sampled_capture(enc, dec, cfg.k_dim, step_rng)
         kfac_update(kfac_enc, enc)
         kfac_update(kfac_dec, dec)
         step_enc = natural_gradient(kfac_enc, g_enc)
         step_dec = natural_gradient(kfac_dec, g_dec)
         dir_enc, dir_dec = step_enc.direction, step_dec.direction
-        metrics = replace(metrics, solve_residual_enc=step_enc.residual,
-                          solve_residual_dec=step_dec.residual)
+        res_enc, res_dec = step_enc.residual, step_dec.residual
     enc.params -= _clip_step(cfg.eta_phi * dir_enc, cfg.step_clip)
     dec.params -= _clip_step(cfg.eta_theta * dir_dec, cfg.step_clip)
-    return metrics
+    return replace(metrics, grad_norm_enc=float(np.linalg.norm(g_enc)),
+                   grad_norm_dec=float(np.linalg.norm(g_dec)),
+                   solve_residual_enc=res_enc, solve_residual_dec=res_dec)
 
 
 # `run_training` takes every geoib step, and only those, through this
@@ -284,6 +319,7 @@ def run_training(cfg: TrainConfig, out_dir: str | None = None,
     (when a directory is given) and TrainingDiverged is raised.
     """
     t0 = time.perf_counter()
+    _keep_heap()
     ds = make_dataset(cfg.dataset, cfg.seed)
     root = Rng(cfg.seed)
     enc, dec = build_nets(cfg, ds.n_features, ds.n_classes, root)
@@ -324,8 +360,8 @@ def run_training(cfg: TrainConfig, out_dir: str | None = None,
                 ) from exc
             global_step += 1
             steps_in_epoch += 1
-            for key, val in asdict(m).items():
-                sums[key] = sums.get(key, 0.0) + float(val)
+            for key in _METRIC_NAMES:
+                sums[key] = sums.get(key, 0.0) + float(getattr(m, key))
         record = {"epoch": epoch}
         record.update({k: v / steps_in_epoch for k, v in sums.items()})
         history.append(record)

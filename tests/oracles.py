@@ -5,13 +5,18 @@ come from a hand-rolled Jacobi sweep, geodesics from a generic ODE
 integrator, distances from the closed-form hyperbolic formula, KSG
 neighbor counts from k-d tree queries, and the ridge probe's readout from
 one least-squares solve of the whole stacked system, so a bug in the
-library cannot hide by agreeing with itself.
+library cannot hide by agreeing with itself.  The one exception is
+`sampled_capture_two_forward`, the K-FAC capture as it ran before training
+reused the loss's forward passes, kept verbatim (with the package's
+posterior head) as the reference its replacement must match bit for bit.
 """
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.spatial import cKDTree
 from scipy.special import digamma
+
+from geoib.encoder import posterior_head
 
 
 def jacobi_eigenvalues(m, max_sweeps: int = 100, tol: float = 1e-14) -> np.ndarray:
@@ -170,3 +175,25 @@ def ridge_probe_reference(z_train, x_train, z_test, x_test, w, b,
     y = np.vstack([x_tr, np.zeros((m, x_tr.shape[1]))])
     coef = np.linalg.lstsq(a, y, rcond=None)[0]
     return float(np.mean((design(z_te) @ coef - x_te) ** 2))
+
+
+def sampled_capture_two_forward(enc, dec, x, eps, k_dim: int, step_rng) -> None:
+    """Refresh the captured backward statistics with model-sampled targets:
+    decoder targets y ~ p(y|z) at the step's codes z = mu + sigma * eps,
+    encoder scores at fresh codes z ~ q(.|x)."""
+    mu, lv, clamp_open = posterior_head(enc.forward(x, capture=True), k_dim)
+    sig = np.exp(0.5 * lv)
+    logits = dec.forward(mu + sig * eps, capture=True)
+    m = logits.max(axis=1, keepdims=True)
+    p = np.exp(logits - m)
+    p /= p.sum(axis=1, keepdims=True)
+    u = step_rng.substream(771).uniform(0.0, 1.0, (x.shape[0], 1))
+    y_samp = (p.cumsum(axis=1) > u).argmax(axis=1)
+    up_dec = p.copy()
+    up_dec[np.arange(x.shape[0]), y_samp] -= 1.0
+    dec.backward(up_dec)
+    eps2 = step_rng.substream(772).normal((x.shape[0], k_dim))
+    up_enc = np.zeros((x.shape[0], 2 * k_dim))
+    up_enc[:, :k_dim] = eps2 / sig
+    up_enc[:, k_dim:] = 0.5 * (eps2**2 - 1.0) * clamp_open
+    enc.backward(up_enc)

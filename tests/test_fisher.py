@@ -250,6 +250,36 @@ def test_kfac_solve_rejects_singular_undamped_factor():
         kfac_solve(state, np.ones(state.n_params))
 
 
+def test_kfac_solve_rejects_a_non_finite_factor_naming_its_layer():
+    # a NaN input row gives a NaN row and column in that layer's A factor
+    net = _net((3, 4, "tanh"), (4, 2, "identity"), seed=38)
+    _captured(net, Rng(39).normal((8, 3)), seed=40)
+    state = kfac_update(kfac_init(net, damping=1e-3), net)
+    state.a_factors[1][2, :] = state.a_factors[1][:, 2] = np.nan
+    with pytest.raises(FloatingPointError,
+                       match="layer 1: damped K-FAC factor A has non-finite"):
+        kfac_solve(state, np.ones(state.n_params))
+
+
+def test_natural_gradient_rejects_a_non_finite_dense_fisher():
+    f = np.eye(3)
+    f[0, 1] = f[1, 0] = np.nan
+    with pytest.raises(FloatingPointError,
+                       match="damped Fisher has non-finite entries"):
+        natural_gradient(f, np.ones(3))
+
+
+def test_exact_solves_reject_a_non_finite_gradient():
+    net = _net((3, 4, "tanh"), (4, 2, "identity"), seed=38)
+    _captured(net, Rng(39).normal((8, 3)), seed=40)
+    state = kfac_update(kfac_init(net, damping=1e-3), net)
+    g = np.ones(state.n_params)
+    g[5] = np.inf
+    for fisher in (state, np.eye(state.n_params)):
+        with pytest.raises(FloatingPointError, match="gradient has non-finite"):
+            natural_gradient(fisher, g)
+
+
 def test_kfac_iteration_cap_requests_a_truncated_solve():
     net = _net((3, 5, "tanh"), (5, 2, "identity"), seed=41)
     _captured(net, Rng(42).normal((16, 3)), seed=43)

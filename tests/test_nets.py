@@ -275,6 +275,16 @@ def test_captured_stats_require_both_passes():
         net.captured_stats()
 
 
+def test_captured_output_is_the_captured_forward_output():
+    net = _net((3, 4, "tanh"), (4, 2, "identity"), seed=27)
+    with pytest.raises(RuntimeError, match="captured"):
+        net.captured_output()
+    x = Rng(28).normal((5, 3))
+    out = net.forward(x, capture=True)
+    net.forward(x + 1.0)  # an uncaptured pass leaves the capture alone
+    assert net.captured_output() is out
+
+
 # --------------------------------------------------------------------- io
 
 

@@ -1,4 +1,6 @@
 import json
+import platform
+import resource
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -28,6 +30,7 @@ from geoib.training import (
     run_training,
     train_step,
 )
+from oracles import sampled_capture_two_forward
 
 TOY = "gauss_mixture:n=600,noise=0.1,classes=2,dim=2"
 
@@ -191,6 +194,39 @@ def test_vib_natural_gradient_ablation_uses_solver():
     assert not np.array_equal(enc.get_params(), p_e)
 
 
+@pytest.mark.parametrize("method", ["geoib", "vib"])
+def test_sampled_capture_matches_the_two_forward_oracle(monkeypatch, method):
+    # the K-FAC capture reuses the loss's forward passes; the factors and
+    # parameters after one step must be the bits that running both nets
+    # forward again gives
+    def one_step():
+        cfg = TrainConfig(method=method, vib_natural_gradient=True, k_dim=2,
+                          enc_hidden="8", dataset=TOY)
+        _, _, enc, dec, ke, kd, x, y = _toy_setup(cfg)
+        train_step(cfg, enc, dec, ke, kd, x[:32], y[:32], Rng(11))
+        return (*ke.a_factors, *ke.g_factors, *kd.a_factors, *kd.g_factors,
+                enc.params, dec.params)
+
+    reused = one_step()
+    seen = {}
+    real_loss = training.geoib_loss_and_grads
+
+    def loss(enc, dec, x, y, **kwargs):
+        seen.update(x=x, eps=kwargs["eps"])
+        return real_loss(enc, dec, x, y, **kwargs)
+
+    def two_forward(enc, dec, k_dim, step_rng):
+        sampled_capture_two_forward(enc, dec, seen["x"], seen["eps"], k_dim,
+                                    step_rng)
+
+    monkeypatch.setattr(training, "geoib_loss_and_grads", loss)
+    monkeypatch.setattr(training, "_sampled_capture", two_forward)
+    oracle = one_step()
+    assert len(reused) == len(oracle)
+    for got, want in zip(reused, oracle):
+        assert np.array_equal(got, want)
+
+
 def test_vib_natural_gradient_step_equals_geoib_step_at_beta_zero():
     # at beta = 0 only the preconditioner is left to tell the two apart,
     # and the ablation refreshes its factors exactly as geoib does
@@ -236,6 +272,28 @@ def test_run_training_takes_geoib_steps_through_gib_step(monkeypatch, method,
                       k_dim=2, enc_hidden="8", dataset=TOY)
     run_training(cfg, evaluate=False)
     assert calls == (["geoib"] * 2 * 4 if method == "geoib" else [])
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap setting needs glibc's mallopt")
+def test_steady_geoib_steps_do_not_fault_the_heap_in_again(monkeypatch):
+    # glibc's default trim threshold hands a step's temporaries back to the
+    # kernel after every step, costing about 160 minor faults per step on
+    # this config
+    faults = []
+    real = training.gib_step
+
+    def counting(*args, **kwargs):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        m = real(*args, **kwargs)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        return m
+
+    monkeypatch.setattr(training, "gib_step", counting)
+    run_training(TrainConfig(epochs=3, dataset="gauss_mixture:n=1000,noise=0.14"),
+                 evaluate=False)
+    steady = faults[len(faults) // 3 :]  # after the first of three epochs
+    assert sum(steady) / len(steady) <= 20, faults
 
 
 def test_every_training_solve_is_exact_and_nonzero(monkeypatch):
