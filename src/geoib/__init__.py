@@ -27,7 +27,6 @@ from .encoder import (
 )
 from .fisher import (
     KfacState,
-    empirical_fisher_exact,
     fisher_vector_product,
     kfac_init,
     kfac_update,
@@ -65,7 +64,6 @@ __all__ = [
     "TrainConfig",
     "TrainingDiverged",
     "conjugate_gradient",
-    "empirical_fisher_exact",
     "exact_trace",
     "exp_map_1d",
     "fisher_vector_product",

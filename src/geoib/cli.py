@@ -230,7 +230,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, FloatingPointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

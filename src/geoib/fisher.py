@@ -1,5 +1,5 @@
-"""Fisher information machinery: exact dense Fisher, Kronecker factors,
-and damped natural-gradient solves.
+"""Fisher information machinery: Kronecker factors and damped
+natural-gradient solves.
 
 The natural gradient is the Riemannian gradient of the loss under the
 Fisher metric: preconditioning by F^-1 yields the steepest-descent
@@ -17,20 +17,15 @@ Each factor is damped separately, so the layer's system is
 
 rather than (A x G + lam I) v = grad.  Its inverse is
 (G + lam I)^-1 grad (A + lam I)^-1, and the solve is exact: both damped
-factors are Cholesky-factored at every call and each layer block costs two
-triangular-pair solves (Martens & Grosse 2015, arXiv:1503.05671).
-A dense Fisher matrix is solved the same way, by one Cholesky factorization
-of F + lam I.  Both routes call LAPACK's `dpotrf`/`dpotrs` directly, as
-`linalg.logdet_psd` does.  They return the bits `scipy.linalg.cho_factor`
-and `cho_solve` return, without those wrappers' per-call cost, which on
-small layer factors exceeds the factorization's own; an explicit
-finiteness check keeps a non-finite matrix or gradient loud.  Gradients,
-directions and FVP operands are flat vectors in the network's parameter
-layout; each routine cuts them into layer blocks with `nets.layer_blocks`
-and writes its result through blocks of one flat output.  Conjugate
-gradient remains only for truncated Kronecker solves requested with an
-explicit iteration cap; the exact dense Fisher is kept only as a test
-oracle, guarded to tiny networks.
+factors are Cholesky-factored at every call by `linalg.spd_solve` and each
+layer block costs two triangular-pair solves (Martens & Grosse 2015,
+arXiv:1503.05671).  A non-finite factor or gradient, or a factor that is
+not positive definite, raises FloatingPointError naming the layer.
+Gradients, directions and FVP operands are flat vectors in the network's
+parameter layout; each routine cuts them into layer blocks with
+`nets.layer_blocks` and writes its result through blocks of one flat
+output.  Conjugate gradient remains only for truncated Kronecker solves
+requested with an explicit iteration cap.
 """
 
 from __future__ import annotations
@@ -39,12 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import block_diag
-from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .linalg import conjugate_gradient
+from .linalg import conjugate_gradient, spd_solve
 from .nets import Network, layer_blocks
 
-# empirical_fisher_exact refuses nets larger than this.
+# kfac_dense_matrix refuses states with more parameters than this.
 DENSE_FISHER_GUARD = 2000
 
 
@@ -53,28 +47,6 @@ def _damped(m: np.ndarray, lam: float) -> np.ndarray:
     out = np.array(m, dtype=np.float64)
     out.flat[:: out.shape[0] + 1] += lam
     return out
-
-
-def _spd_solve(m: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
-    """m^-1 b for a symmetric m, from the upper Cholesky factor of m.
-
-    Raises FloatingPointError naming `what` if m holds non-finite entries
-    or is not numerically positive definite.  m and b are left untouched.
-    """
-    if not np.isfinite(m).all():
-        raise FloatingPointError(f"{what} has non-finite entries")
-    c, info = dpotrf(m, lower=0, clean=0)
-    if info != 0:
-        raise FloatingPointError(f"{what} is not positive definite "
-                                 f"(dpotrf info {info})")
-    # dpotrs reports only illegal arguments, which f2py's shape checks
-    # already rule out
-    return dpotrs(c, b, lower=0)[0]
-
-
-def _check_finite_grad(g: np.ndarray) -> None:
-    if not np.isfinite(g).all():
-        raise FloatingPointError("gradient has non-finite entries")
 
 
 # ---------------------------------------------------------------- K-FAC state
@@ -121,7 +93,8 @@ def kfac_update(state: KfacState, net: Network) -> KfacState:
         A <- rho A + (1 - rho) (1/B) sum_i a_i a_i^T
         G <- rho G + (1 - rho) (1/B) sum_i g_i g_i^T
 
-    Mutates and returns `state`.
+    Later updates blend into the existing factor arrays in place.  Mutates
+    and returns `state`.
     """
     acts, grads_pre = net.captured_stats()
     if net.shapes != state.shapes:
@@ -137,10 +110,9 @@ def kfac_update(state: KfacState, net: Network) -> KfacState:
         state.g_factors = g_new
     else:
         rho = state.ema_decay
-        state.a_factors = [rho * old + (1.0 - rho) * new
-                           for old, new in zip(state.a_factors, a_new)]
-        state.g_factors = [rho * old + (1.0 - rho) * new
-                           for old, new in zip(state.g_factors, g_new)]
+        for old, new in zip(state.a_factors + state.g_factors, a_new + g_new):
+            old *= rho
+            old += (1.0 - rho) * new
     return state
 
 
@@ -179,52 +151,6 @@ def kfac_dense_matrix(state: KfacState, damped: bool = False) -> np.ndarray:
                         for a_f, g_f in zip(state.a_factors, state.g_factors)])
 
 
-# ------------------------------------------------------------- exact Fisher
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
-def empirical_fisher_exact(net: Network, x) -> np.ndarray:
-    """Dense Fisher of the network's categorical (softmax) predictive
-    distribution, exact in the model expectation.
-
-    For each input the expectation over labels is carried out in closed
-    form rather than sampled, F_i = sum_y p_y grad log p(y) grad log p(y)^T,
-    and the result is averaged over the batch.
-
-    Args:
-        net: network with <= 2000 parameters (guarded).
-        x: (B, in_dim) inputs.
-
-    Returns:
-        (P, P) symmetric positive semidefinite matrix.
-    """
-    if net.n_params > DENSE_FISHER_GUARD:
-        raise ValueError(
-            f"dense Fisher of {net.n_params} parameters exceeds the "
-            f"{DENSE_FISHER_GUARD} guard"
-        )
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"x must be a batch, got shape {x.shape}")
-    n = net.n_params
-    fisher = np.zeros((n, n))
-    for i in range(x.shape[0]):
-        xi = x[i : i + 1]
-        out = net.forward(xi, capture=True)[0]
-        p = _softmax(out)
-        for y in range(out.shape[0]):
-            upstream = -p.copy()
-            upstream[y] += 1.0
-            g = net.backward(upstream[None, :])
-            fisher += p[y] * np.outer(g, g)
-    return fisher / x.shape[0]
-
-
 # ------------------------------------------------------- natural gradient
 
 
@@ -235,7 +161,7 @@ class NaturalGradStep:
     `residual` is the relative residual ||F v - g|| / ||g|| of the damped
     system actually solved (0 for a zero gradient); `iterations` counts
     conjugate-gradient operator applications of a truncated solve and is 0
-    for the exact Cholesky solves.
+    for the exact Cholesky solve.
     """
 
     direction: np.ndarray
@@ -263,7 +189,8 @@ def kfac_solve(state: KfacState, grad) -> tuple[np.ndarray, float]:
     if state.a_factors is None:
         raise RuntimeError("KfacState has no factors yet; run kfac_update first")
     g = np.asarray(grad, dtype=np.float64).ravel()
-    _check_finite_grad(g)
+    if not np.isfinite(g).all():
+        raise FloatingPointError("gradient has non-finite entries")
     lam = state.damping
     direction = np.empty_like(g)
     sq_residual = 0.0
@@ -272,8 +199,8 @@ def kfac_solve(state: KfacState, grad) -> tuple[np.ndarray, float]:
     for i, (dir_blk, blk, a_f, g_f) in enumerate(layers):
         a_d, g_d = _damped(a_f, lam), _damped(g_f, lam)
         # blk (A + lam I)^-1 = ((A + lam I)^-1 blk^T)^T, A being symmetric
-        v_a = _spd_solve(a_d, blk.T, f"layer {i}: damped K-FAC factor A")
-        v = _spd_solve(g_d, v_a.T, f"layer {i}: damped K-FAC factor G")
+        v_a = spd_solve(a_d, blk.T, f"layer {i}: damped K-FAC factor A")
+        v = spd_solve(g_d, v_a.T, f"layer {i}: damped K-FAC factor G")
         sq_residual += float(np.sum((g_d @ v @ a_d - blk) ** 2))
         dir_blk[...] = v
     gnorm = float(np.linalg.norm(g))
@@ -281,55 +208,32 @@ def kfac_solve(state: KfacState, grad) -> tuple[np.ndarray, float]:
     return direction, residual
 
 
-def natural_gradient(fisher, grad, damping: float | None = None,
-                     tol: float = 1e-6, max_iter: int | None = None) -> NaturalGradStep:
-    """Solve the damped Fisher system for the natural direction.
+def natural_gradient(state: KfacState, grad, tol: float = 1e-6,
+                     max_iter: int | None = None) -> NaturalGradStep:
+    """Solve the damped Kronecker-factored Fisher system for the natural
+    direction.
 
     Args:
-        fisher: a KfacState or a dense symmetric PSD matrix.  A KfacState
-            is solved exactly by `kfac_solve` unless `max_iter` is given;
-            a dense matrix F is solved exactly by a Cholesky factorization
-            of F + damping I.
+        state: K-FAC factors with their damping.
         grad: flat gradient vector.
-        damping: Tikhonov damping of the dense system
-            (F + damping I) v = grad, default 1e-3.  A KfacState carries its
-            own per-factor damping, so passing one with it is a TypeError.
         tol: conjugate-gradient target of a truncated solve; the exact
-            solves ignore it.
-        max_iter: with a KfacState, requests a truncated solve instead of
-            the exact one: conjugate gradient on the damped Kronecker
+            solve ignores it.
+        max_iter: requests a truncated solve instead of the exact
+            `kfac_solve`: conjugate gradient on the damped Kronecker
             operator for at most `max_iter` iterations, returning the best
-            iterate on hitting the cap.  The dense route ignores it.
+            iterate on hitting the cap.
 
     Returns:
         NaturalGradStep with the direction and solve report.
 
     Raises:
-        FloatingPointError: if the gradient or the damped matrix of an
-            exact solve holds non-finite entries, or that matrix is not
-            numerically positive definite.
+        FloatingPointError: see `kfac_solve`.
     """
     g = np.asarray(grad, dtype=np.float64).ravel()
-    if not isinstance(fisher, KfacState):
-        f = np.asarray(fisher, dtype=np.float64)
-        if f.ndim != 2 or f.shape[0] != f.shape[1] or f.shape[0] != g.shape[0]:
-            raise ValueError(
-                f"fisher has shape {f.shape}, expected ({g.shape[0]}, {g.shape[0]})"
-            )
-        _check_finite_grad(g)
-        f_d = _damped(f, 1e-3 if damping is None else damping)
-        direction = _spd_solve(f_d, g, "damped Fisher")
-        # a zero gradient solves to a zero direction, with residual 0 / 1
-        misfit = f_d @ direction - g
-        residual = float(np.linalg.norm(misfit) / (np.linalg.norm(g) or 1.0))
-        return NaturalGradStep(direction=direction, residual=residual, iterations=0)
-    if damping is not None:
-        raise TypeError("a KfacState carries its own damping; "
-                        "do not pass damping with it")
     if max_iter is None:
-        direction, residual = kfac_solve(fisher, g)
+        direction, residual = kfac_solve(state, g)
         return NaturalGradStep(direction=direction, residual=residual, iterations=0)
-    res = conjugate_gradient(lambda v: fisher_vector_product(fisher, v), g,
+    res = conjugate_gradient(lambda v: fisher_vector_product(state, v), g,
                              tol=tol, max_iter=max_iter)
     return NaturalGradStep(direction=res.x, residual=res.residual,
                            iterations=res.iterations)

@@ -1,11 +1,17 @@
 """Dense float64 linear algebra with strict shape and domain checking.
 
 Arrays everywhere are C-contiguous numpy float64; there is no sparse path
-and no single-precision path.  `logdet_psd` factors with LAPACK's Cholesky
-(`dpotrf`) and reports a failing pivot by index instead of surfacing a
-generic LinAlgError.  `conjugate_gradient` serves only truncated solves
-that cap the iteration count on purpose; every solve meant to be exact
-factors its matrix instead.
+and no single-precision path.  This is the one module that calls LAPACK's
+Cholesky routines.  `spd_solve` factors a symmetric positive-definite
+system with `dpotrf` and solves it with `dpotrs`; it serves the K-FAC
+solves and the inversion probe's ridge.  It returns the bits
+`scipy.linalg.cho_factor` and `cho_solve` return, without those wrappers'
+per-call cost, which on small layer factors exceeds the factorization's
+own, and raises FloatingPointError on a non-finite or indefinite matrix.
+`logdet_psd` factors with `dpotrf` and reports a failing pivot by index
+instead of surfacing a generic LinAlgError.  `conjugate_gradient` serves
+only truncated solves that cap the iteration count on purpose; every solve
+meant to be exact factors its matrix instead.
 """
 
 from __future__ import annotations
@@ -14,12 +20,29 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 # Rejection threshold for |M - M^T| in logdet_psd.
 SYMMETRY_TOL = 1e-10
 # A Cholesky pivot at or below this is treated as a rank deficiency.
 PIVOT_TOL = 1e-12
+
+
+def spd_solve(m: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
+    """m^-1 b for a symmetric m, from the upper Cholesky factor of m.
+
+    Raises FloatingPointError naming `what` if m holds non-finite entries
+    or is not numerically positive definite.  m and b are left untouched.
+    """
+    if not np.isfinite(m).all():
+        raise FloatingPointError(f"{what} has non-finite entries")
+    c, info = dpotrf(m, lower=0, clean=0)
+    if info != 0:
+        raise FloatingPointError(f"{what} is not positive definite "
+                                 f"(dpotrf info {info})")
+    # dpotrs reports only illegal arguments, which f2py's shape checks
+    # already rule out
+    return dpotrs(c, b, lower=0)[0]
 
 
 def logdet_psd(m) -> float:

@@ -26,7 +26,8 @@ Inversion leakage is the held-out mean squared error of a fixed probe
 that reconstructs x from z (low MSE = invertible representation = little
 compression).  The probe reads x out of 256 random tanh features of the
 code (Rahimi & Recht 2007) by ridge regression, solved exactly by Cholesky
-on normal equations accumulated over row blocks of at most 256 KiB.  Its
+(`linalg.spd_solve`) on normal equations accumulated over row blocks of at
+most 256 KiB; a non-finite training code raises FloatingPointError.  Its
 capacity is fixed and stated (Hewitt & Liang 2019): no step size, epoch
 budget or stopping rule enters the number.  The ridge is a resolution
 floor stated as a noise level: it is what least squares sees when every
@@ -43,10 +44,10 @@ import json
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import cdist
 from scipy.special import digamma
 
+from .linalg import spd_solve
 from .nets import Network
 from .rng import Rng
 
@@ -166,6 +167,9 @@ def inversion_probe(z_train, x_train, z_test, x_test, seed: int = 0) -> float:
 
     Returns:
         Mean over held-out samples and features of the squared error.
+
+    Raises:
+        FloatingPointError: if the training codes hold non-finite entries.
     """
     z_tr = _as_2d(z_train, "z_train")
     x_tr = _as_2d(x_train, "x_train")
@@ -187,7 +191,7 @@ def inversion_probe(z_train, x_train, z_test, x_test, seed: int = 0) -> float:
         cross += phi.T @ x_tr[block]
     ridge = np.arange(PROBE_FEATURES)  # the intercept stays unpenalized
     gram[ridge, ridge] += n * PROBE_FEATURE_NOISE**2
-    coef = cho_solve(cho_factor(gram), cross)
+    coef = spd_solve(gram, cross, "probe normal equations")
     sq_err = 0.0
     for block in _row_blocks(z_te.shape[0], m):
         pred = _probe_features(z_te[block] - mean, w, b) @ coef

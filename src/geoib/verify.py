@@ -24,7 +24,6 @@ from .encoder import (
     posterior_head,
 )
 from .fisher import (
-    empirical_fisher_exact,
     fisher_vector_product,
     kfac_dense_matrix,
     kfac_init,
@@ -261,21 +260,16 @@ def check_gradients_fd(seed: int = 0, tol: float = 1e-4,
 
 def check_cg_vs_dense(seed: int = 0, tol_solve: float = 1e-8,
                       tol_fvp: float = 1e-12) -> CheckResult:
-    """The Cholesky solve of the exact damped Fisher reproduces an LU solve
-    (`np.linalg.solve`), the exact Kronecker solve reproduces a dense solve
-    of the materialized damped Kronecker blocks, and the factored FVP agrees
-    with the explicit Kronecker product."""
+    """The exact Kronecker solve reproduces a dense solve of the
+    materialized damped Kronecker blocks, and the factored FVP agrees with
+    the explicit Kronecker product."""
     rng = Rng(seed, stream=10)
     net = Network(
         [LayerSpec(3, 4, "tanh"), LayerSpec(4, 3, "identity")], rng
     )
     x = rng.normal((12, 3))
-    fisher = empirical_fisher_exact(net, x)
     lam = 1e-3
     g = rng.normal(net.n_params)
-    step = natural_gradient(fisher, g, damping=lam)
-    dense = np.linalg.solve(fisher + lam * np.eye(net.n_params), g)
-    err_solve = float(np.max(np.abs(step.direction - dense)))
 
     # factored operator and solve against the materialized Kronecker blocks
     state = kfac_init(net, damping=lam, ema_decay=0.0)
@@ -296,10 +290,9 @@ def check_cg_vs_dense(seed: int = 0, tol_solve: float = 1e-8,
     kfac_dense = np.linalg.solve(kfac_dense_matrix(state, damped=True), g)
     err_kfac = float(np.max(np.abs(natural_gradient(state, g).direction
                                    - kfac_dense)))
-    ok = err_solve < tol_solve and err_kfac < tol_solve and err_fvp < tol_fvp
+    ok = err_kfac < tol_solve and err_fvp < tol_fvp
     return CheckResult("natural_gradient_solves", ok,
-                       f"chol_vs_lu={err_solve:.3e} kfac_vs_kron={err_kfac:.3e} "
-                       f"fvp_vs_kron={err_fvp:.3e}")
+                       f"kfac_vs_kron={err_kfac:.3e} fvp_vs_kron={err_fvp:.3e}")
 
 
 def _random_fisher(rng: Rng, log_spread: float) -> np.ndarray:

@@ -7,6 +7,7 @@ from geoib.cli import main
 from geoib.config import TrainConfig, load_config
 from geoib.data import make_dataset, read_idx
 from geoib.mi import CSV_COLUMNS, read_points_csv
+from geoib.nets import Network
 from geoib.verify import CheckResult, ALL_CHECKS, check_reparam_invariance
 
 
@@ -100,6 +101,20 @@ def test_eval_without_point_file_reports_nan_wall_clock(tmp_path, capsys):
     assert main(["eval", str(out)]) == 0
     row = capsys.readouterr().out.splitlines()[1].split(",")
     assert np.isnan(float(row[CSV_COLUMNS.index("wall_clock_s")]))
+
+
+def test_eval_of_a_nan_encoder_reports_one_error_line(tmp_path, capsys):
+    out = tmp_path / "run"
+    main(["train", "--dataset", "gauss_mixture:n=300,noise=0.14",
+          "--epochs", "1", "--k-dim", "4", "--enc-hidden", "8",
+          "--out", str(out)])
+    enc = Network.load(out / "encoder.net")
+    enc.params[0] = np.nan
+    enc.save(out / "encoder.net")
+    capsys.readouterr()
+    assert main(["eval", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
 
 
 def test_sweep_subcommand_reports_cells(tmp_path, capsys):

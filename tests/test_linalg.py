@@ -1,9 +1,37 @@
 import numpy as np
 import pytest
 
-from geoib.linalg import CgResult, conjugate_gradient, logdet_psd
+from geoib.linalg import CgResult, conjugate_gradient, logdet_psd, spd_solve
 from geoib.rng import Rng
 from oracles import jacobi_eigenvalues
+
+
+# -------------------------------------------------------------- spd_solve
+
+
+def test_spd_solve_matches_a_dense_solve():
+    rng = Rng(3)
+    b = rng.normal((6, 6))
+    m = b @ b.T + 0.5 * np.eye(6)
+    rhs = rng.normal((6, 2))
+    m_in, rhs_in = m.copy(), rhs.copy()
+    got = spd_solve(m, rhs, "m")
+    np.testing.assert_allclose(got, np.linalg.solve(m, rhs), rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(m, m_in)
+    np.testing.assert_array_equal(rhs, rhs_in)
+
+
+def test_spd_solve_rejects_non_finite_entries():
+    m = np.eye(3)
+    m[0, 1] = m[1, 0] = np.nan
+    with pytest.raises(FloatingPointError, match="^probe m has non-finite entries$"):
+        spd_solve(m, np.ones(3), "probe m")
+
+
+def test_spd_solve_rejects_an_indefinite_matrix():
+    with pytest.raises(FloatingPointError,
+                       match=r"^m is not positive definite \(dpotrf info 2\)$"):
+        spd_solve(np.diag([1.0, -1.0]), np.ones(2), "m")
 
 
 # ------------------------------------------------------------- logdet_psd
