@@ -18,7 +18,9 @@ from geoib.data import load_idx, read_idx, write_digit_corpus
 from geoib.mi import classification_accuracy
 from geoib.training import posterior_means, run_training
 
-work = tempfile.mkdtemp(prefix="digits_")
+# The corpus lives as long as `corpus` does and is removed at exit.
+corpus = tempfile.TemporaryDirectory(prefix="digits_")
+work = corpus.name
 
 # --- write the corpus -----------------------------------------------------
 

@@ -62,7 +62,7 @@ step = natural_gradient(state, g)
 print(f"\nKronecker-factored Cholesky solve over {net.n_params} parameters:"
       f" residual {step.residual:.2e}")
 
-dense = kfac_dense_matrix(state, damped=True)
+dense = kfac_dense_matrix(state)
 direct = np.linalg.solve(dense, g)
 print("max |Kronecker solve - dense solve|: "
       f"{np.max(np.abs(step.direction - direct)):.2e}")

@@ -51,9 +51,9 @@ exact = exact_trace(LocalChannel(net.explicit_jacobian(x), noise))
 print(f"\nexact Tr(S^-1 J J^T) at one input: {exact:.6f}")
 print("probes   estimate   |error|   3*SE")
 for n_probes in (2, 8, 64, 512, 4096):
-    est = jf_hutchinson(net, x, noise, n_probes, Rng(0))
-    se = float(np.std(est.per_probe, ddof=1) / np.sqrt(n_probes))
-    print(f"{n_probes:>6}   {est.value:.6f}  {abs(est.value - exact):.2e}"
+    value, per_probe = jf_hutchinson(net, x, noise, n_probes, Rng(0))
+    se = float(np.std(per_probe, ddof=1) / np.sqrt(n_probes))
+    print(f"{n_probes:>6}   {value:.6f}  {abs(value - exact):.2e}"
           f"  {3 * se:.2e}")
 
 # --- probes are replayable ------------------------------------------------

@@ -377,14 +377,14 @@ def render_digit(digit: int, rng: Rng) -> np.ndarray:
 
     centers = (np.arange(_GRID) + 0.5) / _GRID
     gx, gy = np.meshgrid(centers, centers)  # gy is the row (y) coordinate
-    img = np.zeros((_GRID, _GRID))
-    for stroke in _DIGIT_STROKES[digit]:
-        pts = np.asarray(stroke, dtype=np.float64)
-        pts = (pts - 0.5) @ lin.T + 0.5 + shift
-        dense = _densify(pts)
-        d2 = (gx[:, :, None] - dense[None, None, :, 0]) ** 2 \
-           + (gy[:, :, None] - dense[None, None, :, 1]) ** 2
-        img = np.maximum(img, np.exp(-d2.min(axis=2) / (2.0 * width**2)))
+    # exp is monotone: a pixel's ink comes from the nearest point of any stroke
+    dense = np.concatenate([
+        _densify((np.asarray(stroke, dtype=np.float64) - 0.5) @ lin.T + 0.5 + shift)
+        for stroke in _DIGIT_STROKES[digit]
+    ])
+    d2 = (gx[:, :, None] - dense[None, None, :, 0]) ** 2 \
+       + (gy[:, :, None] - dense[None, None, :, 1]) ** 2
+    img = np.exp(-d2.min(axis=2) / (2.0 * width**2))
     img = contrast * img + 0.02 * rng.normal((_GRID, _GRID))
     return (np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8)
 

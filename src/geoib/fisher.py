@@ -134,10 +134,10 @@ def fisher_vector_product(state: KfacState, v) -> np.ndarray:
     return out
 
 
-def kfac_dense_matrix(state: KfacState, damped: bool = False) -> np.ndarray:
-    """Materialize the block-diagonal Kronecker approximation (test sizes).
+def kfac_dense_matrix(state: KfacState) -> np.ndarray:
+    """Materialize the damped block-diagonal Kronecker Fisher (test sizes).
 
-    With row-major block flattening the layer block is kron(G, A).
+    Layer blocks flatten row-major, so each is kron(G + lam I, A + lam I).
     """
     if state.a_factors is None:
         raise RuntimeError("KfacState has no factors yet; run kfac_update first")
@@ -146,7 +146,7 @@ def kfac_dense_matrix(state: KfacState, damped: bool = False) -> np.ndarray:
         raise ValueError(
             f"dense Fisher of {n} parameters exceeds the {DENSE_FISHER_GUARD} guard"
         )
-    lam = state.damping if damped else 0.0
+    lam = state.damping
     return block_diag(*[np.kron(_damped(g_f, lam), _damped(a_f, lam))
                         for a_f, g_f in zip(state.a_factors, state.g_factors)])
 

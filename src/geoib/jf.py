@@ -28,23 +28,6 @@ from .linalg import logdet_psd
 
 
 @dataclass(frozen=True)
-class JfEstimate:
-    """A Hutchinson estimate: the probe-averaged value plus its parts."""
-
-    value: float
-    n_probes: int
-    per_probe: np.ndarray
-
-    def __post_init__(self):
-        pp = np.asarray(self.per_probe, dtype=np.float64)
-        if pp.shape != (self.n_probes,):
-            raise ValueError(
-                f"per_probe has shape {pp.shape}, expected ({self.n_probes},)"
-            )
-        object.__setattr__(self, "per_probe", pp)
-
-
-@dataclass(frozen=True)
 class LocalChannel:
     """A linearized encoder at one input: z = J x + eps.
 
@@ -200,7 +183,7 @@ def jf_batch(net, x, noise_cov, probes, head_dim: int | None = None):
 
 
 def jf_hutchinson(net, x, noise_cov, n_probes: int, rng,
-                  head_dim: int | None = None) -> JfEstimate:
+                  head_dim: int | None = None) -> tuple[float, np.ndarray]:
     """Estimate tr(S^-1 J J^T) at x by probing the Jacobian.
 
     Args:
@@ -213,13 +196,13 @@ def jf_hutchinson(net, x, noise_cov, n_probes: int, rng,
         head_dim: see `jf_batch`.
 
     Returns:
-        JfEstimate with the batch-mean value and per-probe batch means.
+        (value, per_probe): the batch-mean value and the (n_probes,) means.
     """
     x = np.asarray(x, dtype=np.float64)
     xb = x[None, :] if x.ndim == 1 else x
     probes = draw_probes(rng, n_probes, xb.shape[0], xb.shape[1])
     values, per_probe = jf_batch(net, xb, noise_cov, probes, head_dim=head_dim)
-    return JfEstimate(value=float(values.mean()), n_probes=n_probes, per_probe=per_probe)
+    return float(values.mean()), per_probe
 
 
 def jf_value_and_grad(net, x, noise_cov, probes, head_dim: int | None = None):

@@ -183,19 +183,18 @@ def check_hutchinson(seed: int = 0, n_nets: int = 20, n_probes: int = 10_000,
         x = rng.normal(net.in_dim)
         noise = np.exp(rng.uniform(-1.0, 1.0, net.out_dim))
         exact = exact_trace(LocalChannel(net.explicit_jacobian(x), noise))
-        est = jf_hutchinson(net, x, noise, n_probes, Rng(seed, stream=600 + i))
-        se = float(np.std(est.per_probe, ddof=1) / np.sqrt(n_probes))
-        sigmas = abs(est.value - exact) / se
+        if i == 0:
+            first = net, x, noise, exact
+        value, per_probe = jf_hutchinson(net, x, noise, n_probes,
+                                         Rng(seed, stream=600 + i))
+        se = float(np.std(per_probe, ddof=1) / np.sqrt(n_probes))
+        sigmas = abs(value - exact) / se
         worst_sigma = max(worst_sigma, sigmas)
         ok = ok and sigmas <= 3.0
     # mean of repeated estimates on the first net drifts under 1% of exact
-    rng = Rng(seed, stream=5)
-    net = _random_small_net(rng)
-    x = rng.normal(net.in_dim)
-    noise = np.exp(rng.uniform(-1.0, 1.0, net.out_dim))
-    exact = exact_trace(LocalChannel(net.explicit_jacobian(x), noise))
+    net, x, noise, exact = first
     reps = [
-        jf_hutchinson(net, x, noise, n_probes, Rng(seed, stream=700 + r)).value
+        jf_hutchinson(net, x, noise, n_probes, Rng(seed, stream=700 + r))[0]
         for r in range(n_reps)
     ]
     rel = abs(float(np.mean(reps)) - exact) / exact
@@ -287,7 +286,7 @@ def check_cg_vs_dense(seed: int = 0, tol_solve: float = 1e-8,
                       a_f + lam * np.eye(a_f.shape[0]))
         out[...] = (blk @ seg.ravel()).reshape(out.shape)
     err_fvp = float(np.max(np.abs(fvp - explicit)))
-    kfac_dense = np.linalg.solve(kfac_dense_matrix(state, damped=True), g)
+    kfac_dense = np.linalg.solve(kfac_dense_matrix(state), g)
     err_kfac = float(np.max(np.abs(natural_gradient(state, g).direction
                                    - kfac_dense)))
     ok = err_kfac < tol_solve and err_fvp < tol_fvp

@@ -13,9 +13,11 @@ DEMOS = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
 
 @pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
 def test_demo_runs(path, tmp_path):
-    # temp files a demo makes land in tmp_path, which pytest cleans up
+    # tmp_path is the demo's cwd and temp directory; a demo must leave
+    # nothing behind in either
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"),
                TMPDIR=str(tmp_path))
     proc = subprocess.run([sys.executable, path], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    assert not os.listdir(tmp_path)

@@ -118,7 +118,7 @@ def test_fvp_matches_dense_kronecker():
     net = _net((3, 4, "tanh"), (4, 2, "identity"), seed=15)
     _captured(net, Rng(16).normal((10, 3)), seed=17)
     state = kfac_update(kfac_init(net, damping=0.37), net)
-    dense = kfac_dense_matrix(state, damped=True)
+    dense = kfac_dense_matrix(state)
     rng = Rng(18)
     for _ in range(5):
         v = rng.normal(state.n_params)
@@ -193,7 +193,7 @@ def test_natural_gradient_satisfies_fisher_system():
     state = _kfac_state(29)
     g = Rng(30).normal(state.n_params)
     step = natural_gradient(state, g)
-    res = (np.linalg.norm(kfac_dense_matrix(state, damped=True) @ step.direction - g)
+    res = (np.linalg.norm(kfac_dense_matrix(state) @ step.direction - g)
            / np.linalg.norm(g))
     assert res <= 1e-12
     assert abs(step.residual - res) <= 1e-14
@@ -205,7 +205,7 @@ def test_natural_gradient_kfac_route_matches_dense():
     state = kfac_update(kfac_init(net, damping=1e-2), net)
     g = Rng(33).normal(state.n_params)
     step = natural_gradient(state, g)
-    dense = kfac_dense_matrix(state, damped=True)
+    dense = kfac_dense_matrix(state)
     np.testing.assert_allclose(step.direction, np.linalg.solve(dense, g),
                                rtol=0, atol=1e-8)
 
