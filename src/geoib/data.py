@@ -16,6 +16,7 @@ this format when no corpus is available.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -220,7 +221,7 @@ def read_idx(path) -> np.ndarray:
     if len(blob) < header_end:
         raise ValueError(f"{path}: truncated dimension header at byte {len(blob)}")
     dims = [int.from_bytes(blob[4 + 4 * i : 8 + 4 * i], "big") for i in range(ndim)]
-    expect = header_end + int(np.prod(dims))
+    expect = header_end + math.prod(dims)
     if len(blob) != expect:
         raise ValueError(
             f"{path}: payload ends at byte {len(blob)}, expected {expect} "
@@ -341,17 +342,33 @@ _DIGIT_STROKES = {
 
 _GRID = 28
 
+# The skeletons as float64 arrays about the glyph center, and the pixel
+# centers along either axis of the grid.
+_SKELETONS = {
+    digit: [np.asarray(stroke, dtype=np.float64) - 0.5 for stroke in strokes]
+    for digit, strokes in _DIGIT_STROKES.items()
+}
+_CENTERS = (np.arange(_GRID) + 0.5) / _GRID
+
 
 def _densify(points: np.ndarray, step: float = 0.02) -> np.ndarray:
-    """Resample a polyline at roughly uniform arc-length spacing."""
-    out = []
-    for a, b in zip(points[:-1], points[1:]):
-        seg = np.linalg.norm(b - a)
-        k = max(int(np.ceil(seg / step)), 1)
-        t = np.linspace(0.0, 1.0, k, endpoint=False)
-        out.append(a[None, :] + t[:, None] * (b - a)[None, :])
-    out.append(points[-1:])
-    return np.concatenate(out, axis=0)
+    """Resample a polyline at roughly uniform arc-length spacing.
+
+    A segment from a to b of length L gives the k = max(ceil(L / step), 1)
+    points a + (i / k) (b - a), i = 0..k-1; the polyline's last point ends
+    the list.  All segments are resampled in one pass.
+    """
+    diff = points[1:] - points[:-1]
+    # One (1, 2) @ (2, 1) product per segment: this is the BLAS dot that
+    # np.linalg.norm of a single vector takes, so a length that lands on a
+    # multiple of `step` rounds the same way; a row sum of squares would not.
+    length = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
+    k = np.maximum(np.ceil(length / step).astype(np.int64), 1)
+    seg = np.repeat(np.arange(k.size), k)
+    i = np.arange(seg.size) - (np.cumsum(k) - k)[seg]
+    # i * (1 / k) is np.linspace(0, 1, k, endpoint=False) bit for bit
+    t = i * (1.0 / k)[seg]
+    return np.concatenate([points[:-1][seg] + t[:, None] * diff[seg], points[-1:]])
 
 
 def render_digit(digit: int, rng: Rng) -> np.ndarray:
@@ -359,12 +376,21 @@ def render_digit(digit: int, rng: Rng) -> np.ndarray:
 
     Strokes are jittered by a random rotation, anisotropic scale, shear,
     and translation about the glyph center, then splatted with a Gaussian
-    pen onto the pixel grid.
+    pen onto the pixel grid: a pixel's ink is exp(-d2 / (2 width^2)) for
+    d2 the squared distance from its center to the nearest densified
+    stroke point (exp is monotone, so this is the brightest point's ink).
+
+    The squared distance from pixel (r, c) to point p is
+    (y_r - py)^2 + (x_c - px)^2 with x and y the same pixel centers, so
+    its two squares are computed once per (row, point) and per (column,
+    point) and only their sum is formed per pixel.  Each sum sees the same
+    two rounded squares as a full (28, 28, points) evaluation, and IEEE
+    addition commutes, so the image is the same bit for bit.
 
     Returns:
         (28, 28) uint8 image, background 0.
     """
-    if digit not in _DIGIT_STROKES:
+    if digit not in _SKELETONS:
         raise ValueError(f"digit must be 0..9, got {digit}")
     angle = rng.uniform(-0.21, 0.21)
     scale = rng.uniform(0.85, 1.12, 2)
@@ -375,16 +401,12 @@ def render_digit(digit: int, rng: Rng) -> np.ndarray:
     ca, sa = np.cos(angle), np.sin(angle)
     lin = np.array([[ca, -sa], [sa, ca]]) @ np.array([[scale[0], shear], [0.0, scale[1]]])
 
-    centers = (np.arange(_GRID) + 0.5) / _GRID
-    gx, gy = np.meshgrid(centers, centers)  # gy is the row (y) coordinate
-    # exp is monotone: a pixel's ink comes from the nearest point of any stroke
-    dense = np.concatenate([
-        _densify((np.asarray(stroke, dtype=np.float64) - 0.5) @ lin.T + 0.5 + shift)
-        for stroke in _DIGIT_STROKES[digit]
-    ])
-    d2 = (gx[:, :, None] - dense[None, None, :, 0]) ** 2 \
-       + (gy[:, :, None] - dense[None, None, :, 1]) ** 2
-    img = np.exp(-d2.min(axis=2) / (2.0 * width**2))
+    dense = np.concatenate([_densify(stroke @ lin.T + 0.5 + shift)
+                            for stroke in _SKELETONS[digit]])
+    dx2 = (_CENTERS[:, None] - dense[:, 0]) ** 2  # (column, point)
+    dy2 = (_CENTERS[:, None] - dense[:, 1]) ** 2  # (row, point)
+    d2 = (dy2[:, None, :] + dx2[None, :, :]).min(axis=2)
+    img = np.exp(-d2 / (2.0 * width**2))
     img = contrast * img + 0.02 * rng.normal((_GRID, _GRID))
     return (np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8)
 

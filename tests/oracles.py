@@ -5,10 +5,13 @@ come from a hand-rolled Jacobi sweep, geodesics from a generic ODE
 integrator, distances from the closed-form hyperbolic formula, KSG
 neighbor counts from k-d tree queries, and the ridge probe's readout from
 one least-squares solve of the whole stacked system, so a bug in the
-library cannot hide by agreeing with itself.  The one exception is
+library cannot hide by agreeing with itself.  The exceptions are kept
+verbatim as references their replacements must match bit for bit:
 `sampled_capture_two_forward`, the K-FAC capture as it ran before training
-reused the loss's forward passes, kept verbatim (with the package's
-posterior head) as the reference its replacement must match bit for bit.
+reused the loss's forward passes (with the package's posterior head), and
+`render_digit_meshgrid` / `densify_per_segment`, the digit renderer as it
+ran before its distances became separable and its resampling one pass
+(with the package's stroke table).
 """
 
 import numpy as np
@@ -16,6 +19,7 @@ from scipy.integrate import quad, solve_ivp
 from scipy.spatial import cKDTree
 from scipy.special import digamma
 
+from geoib.data import _DIGIT_STROKES, _GRID
 from geoib.encoder import posterior_head
 
 
@@ -197,3 +201,50 @@ def sampled_capture_two_forward(enc, dec, x, eps, k_dim: int, step_rng) -> None:
     up_enc[:, :k_dim] = eps2 / sig
     up_enc[:, k_dim:] = 0.5 * (eps2**2 - 1.0) * clamp_open
     enc.backward(up_enc)
+
+
+def densify_per_segment(points: np.ndarray, step: float = 0.02) -> np.ndarray:
+    """Resample a polyline at roughly uniform arc-length spacing."""
+    out = []
+    for a, b in zip(points[:-1], points[1:]):
+        seg = np.linalg.norm(b - a)
+        k = max(int(np.ceil(seg / step)), 1)
+        t = np.linspace(0.0, 1.0, k, endpoint=False)
+        out.append(a[None, :] + t[:, None] * (b - a)[None, :])
+    out.append(points[-1:])
+    return np.concatenate(out, axis=0)
+
+
+def render_digit_meshgrid(digit: int, rng) -> np.ndarray:
+    """One 28x28 grayscale image of `digit` with random pose and pen.
+
+    Strokes are jittered by a random rotation, anisotropic scale, shear,
+    and translation about the glyph center, then splatted with a Gaussian
+    pen onto the pixel grid.
+
+    Returns:
+        (28, 28) uint8 image, background 0.
+    """
+    if digit not in _DIGIT_STROKES:
+        raise ValueError(f"digit must be 0..9, got {digit}")
+    angle = rng.uniform(-0.21, 0.21)
+    scale = rng.uniform(0.85, 1.12, 2)
+    shear = rng.uniform(-0.15, 0.15)
+    shift = rng.uniform(-0.07, 0.07, 2)
+    width = rng.uniform(0.030, 0.045)
+    contrast = rng.uniform(0.82, 1.0)
+    ca, sa = np.cos(angle), np.sin(angle)
+    lin = np.array([[ca, -sa], [sa, ca]]) @ np.array([[scale[0], shear], [0.0, scale[1]]])
+
+    centers = (np.arange(_GRID) + 0.5) / _GRID
+    gx, gy = np.meshgrid(centers, centers)  # gy is the row (y) coordinate
+    # exp is monotone: a pixel's ink comes from the nearest point of any stroke
+    dense = np.concatenate([
+        densify_per_segment((np.asarray(stroke, dtype=np.float64) - 0.5) @ lin.T + 0.5 + shift)
+        for stroke in _DIGIT_STROKES[digit]
+    ])
+    d2 = (gx[:, :, None] - dense[None, None, :, 0]) ** 2 \
+       + (gy[:, :, None] - dense[None, None, :, 1]) ** 2
+    img = np.exp(-d2.min(axis=2) / (2.0 * width**2))
+    img = contrast * img + 0.02 * rng.normal((_GRID, _GRID))
+    return (np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8)

@@ -1,9 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from geoib.data import (
+    _DIGIT_STROKES,
     DatasetHandle,
     IDX_MAGIC_IMAGES,
+    _densify,
     gauss_mixture,
     load_idx,
     make_dataset,
@@ -16,6 +20,7 @@ from geoib.data import (
     write_idx,
 )
 from geoib.rng import Rng
+from oracles import densify_per_segment, render_digit_meshgrid
 
 
 # ------------------------------------------------------------------ handle
@@ -168,6 +173,16 @@ def test_read_idx_truncation(tmp_path):
         read_idx(path)
 
 
+def test_read_idx_header_whose_size_overflows_int64(tmp_path):
+    # 2**31 * 2**31 * 4 is 2**64: an int64 product wraps to 0 and would let
+    # this bare 16-byte header pass as a complete, empty file
+    path = tmp_path / "huge-images.idx"
+    path.write_bytes(IDX_MAGIC_IMAGES.to_bytes(4, "big") + (2**31).to_bytes(4, "big")
+                     + (2**31).to_bytes(4, "big") + (4).to_bytes(4, "big"))
+    with pytest.raises(ValueError, match=f"payload ends at byte 16, expected {16 + 2**64}"):
+        read_idx(path)
+
+
 def test_load_idx_single_file_mode(tmp_path):
     images = Rng(7).integers(0, 256, (20, 2, 2)).astype(np.uint8)
     labels = (np.arange(20) % 10).astype(np.uint8)
@@ -252,6 +267,52 @@ def test_rendered_digits_have_ink():
     images, _ = render_digit_set(20, seed=4)
     assert int(images.max(axis=(1, 2)).min()) > 128
     assert float((images > 64).mean()) < 0.5
+
+
+# sha256 of images.tobytes() + labels.tobytes() from render_digit_set(n, seed)
+RENDER_DIGESTS = {
+    (1000, 0): "441552d6978e1fc64c6d605e65667897270cb67deb53665fba06058c501e7790",
+    (1000, 1): "5d6a9d992eada54111619c39a7246664a0b9fddfad39717ef86ef202feb9cb2d",
+    (1000, 2): "83a9f0944b48ebac388698894305a78854746c035d0b582930b1c5dcde90ab6b",
+    (200, 1): "8f3d4e5e0772de11ecd6955dbc5924c6a1a5ec0b5a90b751e1cc9b6dfc50f49c",
+}
+
+
+@pytest.mark.parametrize("n,seed", sorted(RENDER_DIGESTS))
+def test_render_digit_set_digest(n, seed):
+    images, labels = render_digit_set(n, seed)
+    digest = hashlib.sha256(images.tobytes() + labels.tobytes()).hexdigest()
+    assert digest == RENDER_DIGESTS[n, seed]
+
+
+@pytest.mark.parametrize("seed", [0, 17])
+def test_render_digit_matches_meshgrid_oracle(seed):
+    # both renderers read one seeded sequence of draws, digit after digit
+    ours, oracle = Rng(seed, stream=3), Rng(seed, stream=3)
+    for i in range(500):
+        digit = (7 * i + seed) % 10
+        np.testing.assert_array_equal(render_digit(digit, ours),
+                                      render_digit_meshgrid(digit, oracle))
+
+
+def test_densify_matches_per_segment_oracle():
+    rng = Rng(5)
+    polylines = []
+    for _ in range(40):
+        angle = rng.uniform(-0.5, 0.5)
+        ca, sa = np.cos(angle), np.sin(angle)
+        lin = np.array([[ca, -sa], [sa, ca]]) @ (np.diag(rng.uniform(0.5, 1.5, 2))
+                                                   + rng.uniform(-0.3, 0.3) * np.eye(2, k=1))
+        shift = rng.uniform(-0.1, 0.1, 2)
+        polylines += [(np.asarray(s, dtype=np.float64) - 0.5) @ lin.T + 0.5 + shift
+                      for strokes in _DIGIT_STROKES.values() for s in strokes]
+    # a zero-length segment, then one whose length over the step sits so
+    # close to 1 that a sum of squares rounds it above 1 and the BLAS dot
+    # of np.linalg.norm does not: one point or two
+    polylines.append(np.array([[0.1, 0.2], [0.1, 0.2], [0.0, 0.0],
+                               [0.005414057672875357, 0.019253258932315317]]))
+    for points in polylines:
+        np.testing.assert_array_equal(_densify(points), densify_per_segment(points))
 
 
 # ------------------------------------------------------------- spec strings
