@@ -35,7 +35,6 @@ from .training import (
     run_sweep,
     run_training,
 )
-from .verify import run_all_checks, write_results
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE",
@@ -120,6 +119,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # verify needs scipy.integrate; train, sweep and eval should not load it
+    from .verify import run_all_checks, write_results
+
     results = run_all_checks(seed=args.seed)
     width = max(len(r.name) for r in results)
     for r in results:

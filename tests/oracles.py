@@ -11,7 +11,10 @@ verbatim as references their replacements must match bit for bit:
 reused the loss's forward passes (with the package's posterior head), and
 `render_digit_meshgrid` / `densify_per_segment`, the digit renderer as it
 ran before its distances became separable and its resampling one pass
-(with the package's stroke table).
+(with the package's stroke table), and `projection_margins_loop` /
+`pythagorean_residual_by_parts`, the discrete-information checks as they
+ran before kl_to_product took stacks (with the package's joint draws and
+i-projection, and the masked sums of that time written out).
 """
 
 import numpy as np
@@ -20,7 +23,10 @@ from scipy.spatial import cKDTree
 from scipy.special import digamma
 
 from geoib.data import _DIGIT_STROKES, _GRID
+from geoib.discrete_info import i_projection
 from geoib.encoder import posterior_head
+from geoib.rng import Rng
+from geoib.verify import _random_joint
 
 
 def jacobi_eigenvalues(m, max_sweeps: int = 100, tol: float = 1e-14) -> np.ndarray:
@@ -248,3 +254,40 @@ def render_digit_meshgrid(digit: int, rng) -> np.ndarray:
     img = np.exp(-d2.min(axis=2) / (2.0 * width**2))
     img = contrast * img + 0.02 * rng.normal((_GRID, _GRID))
     return (np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8)
+
+
+def _masked_kl(p, ref) -> float:
+    """sum p log(p / ref) over the cells where p > 0."""
+    mask = p > 0.0
+    return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(ref[mask]))))
+
+
+def kl_to_product_outer(p, qx, rz) -> float:
+    """KL(p || qx x rz) from the full outer-product reference."""
+    return _masked_kl(p, np.outer(qx, rz))
+
+
+def pythagorean_residual_by_parts(p, qx, rz) -> float:
+    """KL(p || q x r) - [I(p) + KL(p_x || q) + KL(p_z || r)], term by term."""
+    px, pz = p.sum(axis=1), p.sum(axis=0)
+    total = kl_to_product_outer(p, qx, rz)
+    decomposed = (_masked_kl(p, np.outer(px, pz)) + _masked_kl(px, qx)
+                  + _masked_kl(pz, rz))
+    return float(total - decomposed)
+
+
+def projection_margins_loop(seed: int, n_joints: int, n_perturb: int) -> np.ndarray:
+    """Projection-optimality margins, one perturbation and one KL at a time."""
+    rng = Rng(seed, stream=2)
+    margins = np.empty((n_joints, n_perturb))
+    for j in range(n_joints):
+        p = _random_joint(rng)
+        qx, rz = i_projection(p)
+        base = kl_to_product_outer(p, qx, rz)
+        for k in range(n_perturb):
+            size = 10.0 ** rng.uniform(-3.0, -0.3)
+            qp = qx * np.exp(size * rng.normal(qx.shape[0]))
+            rp = rz * np.exp(size * rng.normal(rz.shape[0]))
+            value = kl_to_product_outer(p, qp / qp.sum(), rp / rp.sum())
+            margins[j, k] = value - base
+    return margins

@@ -13,6 +13,13 @@ from geoib.discrete_info import (
     validate_joint,
 )
 from geoib.rng import Rng
+from geoib.verify import _projection_margins, _random_simplex
+from geoib.verify import _random_joint as _verify_joint
+from oracles import (
+    kl_to_product_outer,
+    projection_margins_loop,
+    pythagorean_residual_by_parts,
+)
 
 
 def _random_joint(rng, nx, nz, sparsity=0.0):
@@ -45,6 +52,29 @@ def test_validate_joint_names_offending_cell():
 def test_validate_distribution_names_offending_index():
     with pytest.raises(ValueError, match="index 2"):
         validate_distribution(np.array([0.6, 0.5, -0.1]))
+
+
+def test_nan_joint_is_rejected_with_its_cell():
+    p = np.array([[0.5, 0.25], [np.nan, 0.25]])
+    with pytest.raises(ValueError,
+                       match=r"joint has a non-finite entry nan at cell \(1, 0\)"):
+        mutual_information(p)
+
+
+def test_nan_distribution_is_rejected_with_its_index():
+    q = np.array([0.5, np.nan, 0.5])
+    with pytest.raises(ValueError, match="kl: q has a non-finite entry nan at index 1"):
+        kl_discrete(np.array([0.2, 0.3, 0.5]), q)
+    with pytest.raises(ValueError, match="non-finite entry inf at index 0"):
+        validate_distribution(np.array([np.inf, 0.0]))
+
+
+def test_nan_in_a_reference_stack_names_its_row():
+    p = np.full((2, 2), 0.25)
+    qx = np.array([[0.5, 0.5], [np.nan, 1.0], [0.5, 0.5]])
+    with pytest.raises(ValueError,
+                       match="qx row 1 has a non-finite entry nan at index 0"):
+        kl_to_product(p, qx, np.full((3, 2), 0.5))
 
 
 def test_marginals_sum_rows_and_columns():
@@ -125,6 +155,58 @@ def test_kl_to_product_shape_mismatch():
     p = np.array([[0.5, 0.5]])
     with pytest.raises(ValueError, match="does not match"):
         kl_to_product(p, np.array([0.5, 0.5]), np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="does not match"):
+        kl_to_product(p, np.full((3, 2), 0.5), np.full((3, 2), 0.5))
+
+
+def test_kl_to_product_matches_outer_product_oracle():
+    rng = Rng(7)
+    for i in range(200):
+        p = _verify_joint(rng, with_zeros=(i % 2 == 0))
+        qx = _random_simplex(rng, p.shape[0])
+        rz = _random_simplex(rng, p.shape[1])
+        got = kl_to_product(p, qx, rz)
+        assert type(got) is float
+        assert got == kl_to_product_outer(p, qx, rz)
+
+
+def test_stacked_kl_to_product_equals_per_row_calls_bit_for_bit():
+    rng = Rng(8)
+    for _ in range(40):
+        p = _verify_joint(rng, with_zeros=True)
+        m = int(rng.integers(1, 30))
+        qx = np.stack([_random_simplex(rng, p.shape[0]) for _ in range(m)])
+        rz = np.stack([_random_simplex(rng, p.shape[1]) for _ in range(m)])
+        got = kl_to_product(p, qx, rz)
+        want = np.array([kl_to_product(p, q, r) for q, r in zip(qx, rz)])
+        assert got.shape == (m,)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    empty = kl_to_product(p, np.empty((0, p.shape[0])), np.empty((0, p.shape[1])))
+    assert empty.shape == (0,)
+
+
+def test_stacked_kl_to_product_rejects_mismatched_stacks():
+    p = np.full((2, 3), 1.0 / 6.0)
+    with pytest.raises(ValueError, match="stacks differ in length: 4 qx rows, 3 rz rows"):
+        kl_to_product(p, np.full((4, 2), 0.5), np.full((3, 3), 1.0 / 3.0))
+    with pytest.raises(ValueError, match="two stacks"):
+        kl_to_product(p, np.full((4, 2), 0.5), np.full(3, 1.0 / 3.0))
+    with pytest.raises(ValueError, match="two stacks"):
+        kl_to_product(p, np.full((1, 4, 2), 0.5), np.full((1, 4, 3), 1.0 / 3.0))
+
+
+@pytest.mark.parametrize("row, match", [
+    ([0.6, -0.1, 0.5], r"rz row 2 has a negative entry -1\.000e-01 at index 1"),
+    ([0.6, 0.1, 0.5], r"rz row 2 sums to 1\.2"),
+    ([0.0, 0.5, 0.5], r"cell \(0, 0\) where the product reference row 2 is zero"),
+], ids=["negative", "unnormalised", "unsupported"])
+def test_stacked_kl_to_product_names_the_bad_row(row, match):
+    p = np.full((2, 3), 1.0 / 6.0)
+    qx = np.full((4, 2), 0.5)
+    rz = np.full((4, 3), 1.0 / 3.0)
+    rz[2] = row
+    with pytest.raises(ValueError, match=match):
+        kl_to_product(p, qx, rz)
 
 
 # ------------------------------------------------------------ projection
@@ -161,6 +243,18 @@ def test_pythagorean_residual_small_on_random_tables():
         rz = _random_dist(rng, 6)
         worst = max(worst, abs(pythagorean_residual(p, qx, rz)))
     assert worst < 1e-11
+
+
+def test_pythagorean_residual_matches_term_by_term_oracle():
+    """The draws of verify's check, each residual compared bit for bit."""
+    rng = Rng(0, stream=1)
+    for i in range(1000):
+        p = _verify_joint(rng, with_zeros=(i % 5 == 0))
+        qx = _random_simplex(rng, p.shape[0])
+        rz = _random_simplex(rng, p.shape[1])
+        got = np.float64(pythagorean_residual(p, qx, rz))
+        want = np.float64(pythagorean_residual_by_parts(p, qx, rz))
+        assert got.view(np.uint64) == want.view(np.uint64), i
 
 
 def test_pythagorean_residual_exact_structure():
@@ -208,3 +302,13 @@ def test_ib_value_rejects_negative_beta():
     p = np.full((2, 2), 0.25)
     with pytest.raises(ValueError, match="nonnegative"):
         ib_projection_value(p, p, -0.1)
+
+
+# ------------------------------------------------------------------ verify
+
+
+def test_projection_margins_match_per_perturbation_loop():
+    """All 10,000 margins of verify's check, batched against one at a time."""
+    got = _projection_margins(0, 50, 200)
+    want = projection_margins_loop(0, 50, 200)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -16,10 +16,12 @@ CASES = [
     ("geoib.rng, geoib.config, geoib.data, geoib.encoder, geoib.nets, "
      "geoib.discrete_info", "scipy"),
     ("geoib.training", "scipy.integrate"),
+    ("geoib.cli", "scipy.integrate"),
 ]
 
 
-@pytest.mark.parametrize("modules, absent", CASES, ids=["numpy_only", "training"])
+@pytest.mark.parametrize("modules, absent", CASES,
+                         ids=["numpy_only", "training", "cli"])
 def test_import_leaves_module_unloaded(modules, absent):
     code = f"import sys, {modules}; print({absent!r} in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))

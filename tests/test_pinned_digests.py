@@ -1,8 +1,9 @@
-"""Pinned digests: four small configs train to recorded network bytes.
+"""Pinned digests: four small configs train to recorded network bytes, and
+the property suite writes a recorded table.
 
 A change that keeps behaviour keeps these digests.  A change in behaviour
 made on purpose records the before and after in CHANGES.md and updates
-PINNED.  The digests were recorded on numpy 2.4.6 with OpenBLAS 0.3.31 on
+PINNED or VERIFY_TABLE.  The digests were recorded on numpy 2.4.6 with OpenBLAS 0.3.31 on
 one BLAS thread (conftest.py); a failure names the build it ran on, so a
 different build can be told apart from a change in behaviour.
 """
@@ -15,6 +16,7 @@ import pytest
 
 from geoib.config import TrainConfig
 from geoib.training import run_training
+from geoib.verify import run_all_checks, write_results
 
 DATASET = "gauss_mixture:n=1000,noise=0.14"
 
@@ -42,6 +44,9 @@ PINNED = {
     ),
 }
 
+# sha256 of the table `geoib verify --seed 0 --out F` writes
+VERIFY_TABLE = "ac7e91899c86440b566c13a31b8da49c1f244be7cd3e27c24560907862a7ec5c"
+
 
 def _build() -> str:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -66,4 +71,16 @@ def test_small_run_reproduces_pinned_digests(name, tmp_path):
         f"{(enc_sha, dec_sha)} on {_build()}.  On the recorded build "
         f"(numpy 2.4.6, OpenBLAS 0.3.31, one thread) this is a change in "
         f"behaviour: record the before/after in CHANGES.md and update PINNED."
+    )
+
+
+def test_verify_table_reproduces_pinned_digest(tmp_path):
+    path = tmp_path / "verify.csv"
+    write_results(run_all_checks(seed=0), path)
+    got = _sha256(path)
+    assert got == VERIFY_TABLE, (
+        f"the seed-0 verify table has sha256 {got}, not the pinned "
+        f"{VERIFY_TABLE}, on {_build()}:\n{path.read_text()}"
+        f"An intended change to the table updates VERIFY_TABLE and records "
+        f"the before/after lines in CHANGES.md."
     )
