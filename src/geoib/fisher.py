@@ -26,6 +26,19 @@ parameter layout; each routine cuts them into layer blocks with
 `nets.layer_blocks` and writes its result through blocks of one flat
 output.  Conjugate gradient remains only for truncated Kronecker solves
 requested with an explicit iteration cap.
+
+The input layer's A factor is built from the batch alone, so it does not
+depend on the parameters or the gradient.  `input_factor_update` blends it
+and Cholesky-factors it (`linalg.spd_factor`, which releases the GIL)
+without touching the state.  A training step whose encoder input is at
+least 256 wide (`training._OVERLAP_MIN_INPUTS`) runs it on a second thread
+while the forward and backward passes run, as Ba, Grosse & Martens (2017)
+overlap factor inverses with the gradient work.  The step then hands the
+resulting `InputFactor` to `kfac_update` and `kfac_solve`, which adopt it
+for layer 0 instead of computing it again; the factors, directions and
+residuals keep their bits.  Narrower inputs and every other layer stay on
+the one-thread route, where the thread and the ctypes call would cost
+more than the factor.
 """
 
 from __future__ import annotations
@@ -35,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import block_diag
 
-from .linalg import conjugate_gradient, spd_solve
+from .linalg import conjugate_gradient, spd_factor, spd_solve
 from .nets import Network, layer_blocks
 
 # kfac_dense_matrix refuses states with more parameters than this.
@@ -84,7 +97,59 @@ def kfac_init(net: Network, damping: float = 1e-3, ema_decay: float = 0.95) -> K
     return KfacState(shapes=net.shapes, damping=damping, ema_decay=ema_decay)
 
 
-def kfac_update(state: KfacState, net: Network) -> KfacState:
+def _second_moment(m: np.ndarray, bias: bool = False) -> np.ndarray:
+    """(1/B) m^T m over the B rows of m, with a column of ones appended
+    first when `bias`."""
+    batch = m.shape[0]
+    if bias:
+        m = np.concatenate([m, np.ones((batch, 1))], axis=1)
+    out = m.T @ m
+    out /= batch
+    return out
+
+
+@dataclass(frozen=True)
+class InputFactor:
+    """Layer 0's updated A factor with its damped form and Cholesky factor.
+
+    `a` is the factor the state adopts as `a_factors[0]`, `damped` is
+    a + lam I, and `chol` is `linalg.spd_factor(damped)`.
+    """
+
+    a: np.ndarray
+    damped: np.ndarray
+    chol: np.ndarray
+
+
+def input_factor_update(state: KfacState, x) -> InputFactor:
+    """The input layer's A-factor update, damped and factored, from the
+    batch `x` alone.
+
+    Gives the bits `kfac_update` and `kfac_solve` give for layer 0 but
+    leaves `state` untouched: it only reads the current factor, so it can
+    run beside the rest of a step until `kfac_update(..., input_factor=)`
+    adopts the result.
+
+    Raises:
+        FloatingPointError: if the damped factor holds non-finite entries
+            or is not numerically positive definite, naming layer 0.
+    """
+    a = _second_moment(np.asarray(x, dtype=np.float64), bias=True)
+    if state.a_factors is None:
+        damped = a.copy()
+    else:
+        rho = state.ema_decay
+        damped = np.multiply(state.a_factors[0], rho)
+        a *= 1.0 - rho
+        a += damped
+        np.copyto(damped, a)
+    damped.flat[:: damped.shape[0] + 1] += state.damping
+    chol = spd_factor(damped, "layer 0: damped K-FAC factor A")
+    return InputFactor(a=a, damped=damped, chol=chol)
+
+
+def kfac_update(state: KfacState, net: Network,
+                input_factor: InputFactor | None = None) -> KfacState:
     """Absorb the captured forward/backward statistics of `net`.
 
     Per layer, with B the batch size, a the layer inputs augmented by the
@@ -93,26 +158,30 @@ def kfac_update(state: KfacState, net: Network) -> KfacState:
         A <- rho A + (1 - rho) (1/B) sum_i a_i a_i^T
         G <- rho G + (1 - rho) (1/B) sum_i g_i g_i^T
 
-    Later updates blend into the existing factor arrays in place.  Mutates
-    and returns `state`.
+    Later updates blend into the existing factor arrays in place.  Given
+    `input_factor` (`input_factor_update` on the batch the net saw), layer
+    0's A factor is replaced by its `a` instead of being computed here.
+    Mutates and returns `state`.
     """
     acts, grads_pre = net.captured_stats()
     if net.shapes != state.shapes:
         raise ValueError("network layer shapes do not match this KfacState")
-    a_new, g_new = [], []
-    for a, g in zip(acts, grads_pre):
-        batch = a.shape[0]
-        aug = np.concatenate([a, np.ones((batch, 1))], axis=1)
-        a_new.append(aug.T @ aug / batch)
-        g_new.append(g.T @ g / batch)
+    skip = input_factor is not None
+    new = ([_second_moment(a, bias=True) for a in acts[skip:]]
+           + [_second_moment(g) for g in grads_pre])
     if state.a_factors is None:
-        state.a_factors = a_new
-        state.g_factors = g_new
+        factors = new
     else:
+        factors = state.a_factors[skip:] + state.g_factors
         rho = state.ema_decay
-        for old, new in zip(state.a_factors + state.g_factors, a_new + g_new):
+        for old, batch_moment in zip(factors, new):
+            batch_moment *= 1.0 - rho
             old *= rho
-            old += (1.0 - rho) * new
+            old += batch_moment
+    if skip:
+        factors = [input_factor.a] + factors
+    n_layers = len(state.shapes)
+    state.a_factors, state.g_factors = factors[:n_layers], factors[n_layers:]
     return state
 
 
@@ -169,13 +238,16 @@ class NaturalGradStep:
     iterations: int
 
 
-def kfac_solve(state: KfacState, grad) -> tuple[np.ndarray, float]:
+def kfac_solve(state: KfacState, grad,
+               input_factor: InputFactor | None = None) -> tuple[np.ndarray, float]:
     """Exact natural direction under the damped Kronecker factors.
 
     Per layer block the direction is (G + lam I)^-1 grad (A + lam I)^-1,
     computed from Cholesky factors of both damped factors.  The relative
     residual ||(G + lam I) V (A + lam I) - grad|| / ||grad|| over all blocks
-    is recomputed from the same damped factors.
+    is recomputed from the same damped factors.  Given `input_factor`, the
+    one `kfac_update` adopted, layer 0 uses its damped A factor and
+    Cholesky factor instead of forming them again.
 
     Returns:
         (direction, residual), the direction flat in `grad`'s layout.
@@ -185,9 +257,12 @@ def kfac_solve(state: KfacState, grad) -> tuple[np.ndarray, float]:
             non-finite entries, or a damped factor is not numerically
             positive definite (zero damping on a rank-deficient factor);
             the message names the layer.
+        ValueError: if `input_factor` is not the state's layer-0 factor.
     """
     if state.a_factors is None:
         raise RuntimeError("KfacState has no factors yet; run kfac_update first")
+    if input_factor is not None and input_factor.a is not state.a_factors[0]:
+        raise ValueError("input_factor is not this state's layer-0 A factor")
     g = np.asarray(grad, dtype=np.float64).ravel()
     if not np.isfinite(g).all():
         raise FloatingPointError("gradient has non-finite entries")
@@ -197,9 +272,13 @@ def kfac_solve(state: KfacState, grad) -> tuple[np.ndarray, float]:
     layers = zip(layer_blocks(direction, state.shapes), layer_blocks(g, state.shapes),
                  state.a_factors, state.g_factors)
     for i, (dir_blk, blk, a_f, g_f) in enumerate(layers):
-        a_d, g_d = _damped(a_f, lam), _damped(g_f, lam)
+        if i == 0 and input_factor is not None:
+            a_d, a_chol = input_factor.damped, input_factor.chol
+        else:
+            a_d, a_chol = _damped(a_f, lam), None
+        g_d = _damped(g_f, lam)
         # blk (A + lam I)^-1 = ((A + lam I)^-1 blk^T)^T, A being symmetric
-        v_a = spd_solve(a_d, blk.T, f"layer {i}: damped K-FAC factor A")
+        v_a = spd_solve(a_d, blk.T, f"layer {i}: damped K-FAC factor A", a_chol)
         v = spd_solve(g_d, v_a.T, f"layer {i}: damped K-FAC factor G")
         sq_residual += float(np.sum((g_d @ v @ a_d - blk) ** 2))
         dir_blk[...] = v
@@ -209,7 +288,8 @@ def kfac_solve(state: KfacState, grad) -> tuple[np.ndarray, float]:
 
 
 def natural_gradient(state: KfacState, grad, tol: float = 1e-6,
-                     max_iter: int | None = None) -> NaturalGradStep:
+                     max_iter: int | None = None,
+                     input_factor: InputFactor | None = None) -> NaturalGradStep:
     """Solve the damped Kronecker-factored Fisher system for the natural
     direction.
 
@@ -231,7 +311,7 @@ def natural_gradient(state: KfacState, grad, tol: float = 1e-6,
     """
     g = np.asarray(grad, dtype=np.float64).ravel()
     if max_iter is None:
-        direction, residual = kfac_solve(state, g)
+        direction, residual = kfac_solve(state, g, input_factor)
         return NaturalGradStep(direction=direction, residual=residual, iterations=0)
     res = conjugate_gradient(lambda v: fisher_vector_product(state, v), g,
                              tol=tol, max_iter=max_iter)

@@ -8,6 +8,10 @@ solves and the inversion probe's ridge.  It returns the bits
 `scipy.linalg.cho_factor` and `cho_solve` return, without those wrappers'
 per-call cost, which on small layer factors exceeds the factorization's
 own, and raises FloatingPointError on a non-finite or indefinite matrix.
+`spd_factor` gives the same upper factor for `spd_solve` to reuse, from a
+`dpotrf` call that releases the GIL, so that a large factor can be formed
+on a second thread while the first runs other numpy work.  scipy's f2py
+`dpotrf` holds the GIL for the whole factorization.
 `logdet_psd` factors with `dpotrf` and reports a failing pivot by index
 instead of surfacing a generic LinAlgError.  `conjugate_gradient` serves
 only truncated solves that cap the iteration count on purpose; every solve
@@ -16,10 +20,15 @@ meant to be exact factors its matrix instead.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import os
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 # Rejection threshold for |M - M^T| in logdet_psd.
@@ -28,21 +37,99 @@ SYMMETRY_TOL = 1e-10
 PIVOT_TOL = 1e-12
 
 
-def spd_solve(m: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
+def spd_solve(m: np.ndarray, b: np.ndarray, what: str,
+              factor: np.ndarray | None = None) -> np.ndarray:
     """m^-1 b for a symmetric m, from the upper Cholesky factor of m.
 
-    Raises FloatingPointError naming `what` if m holds non-finite entries
-    or is not numerically positive definite.  m and b are left untouched.
+    `factor`, when given, is `spd_factor(m, ...)` and m is not factored
+    again.  Raises FloatingPointError naming `what` if m holds non-finite
+    entries or is not numerically positive definite.  m and b are left
+    untouched.
     """
-    if not np.isfinite(m).all():
-        raise FloatingPointError(f"{what} has non-finite entries")
-    c, info = dpotrf(m, lower=0, clean=0)
-    if info != 0:
-        raise FloatingPointError(f"{what} is not positive definite "
-                                 f"(dpotrf info {info})")
+    if factor is None:
+        if not np.isfinite(m).all():
+            raise FloatingPointError(f"{what} has non-finite entries")
+        factor, info = dpotrf(m, lower=0, clean=0)
+        if info != 0:
+            raise FloatingPointError(f"{what} is not positive definite "
+                                     f"(dpotrf info {info})")
     # dpotrs reports only illegal arguments, which f2py's shape checks
     # already rule out
-    return dpotrs(c, b, lower=0)[0]
+    return dpotrs(factor, b, lower=0)[0]
+
+
+@functools.cache
+def _dpotrf_nogil():
+    """LAPACK dpotrf from scipy's Cython capsule, called through ctypes.
+
+    A CFUNCTYPE call releases the GIL.  Built on first use, so importing
+    this module does no ctypes work.
+    """
+    from scipy.linalg.cython_lapack import __pyx_capi__
+
+    capsule = __pyx_capi__["dpotrf"]
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))(capsule)
+    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))(capsule, name)
+    p_int = ctypes.POINTER(ctypes.c_int)
+    # void dpotrf(char *uplo, int *n, double *a, int *lda, int *info)
+    return ctypes.CFUNCTYPE(None, ctypes.c_char_p, p_int, ctypes.c_void_p,
+                            p_int, p_int)(address)
+
+
+def spd_factor(m: np.ndarray, what: str) -> np.ndarray:
+    """Upper Cholesky factor of a symmetric m, for `spd_solve(factor=)`.
+
+    The factorization runs with the GIL released and gives the bits of
+    scipy's `dpotrf(m, lower=0, clean=0)`: a Fortran-ordered copy of m whose
+    upper triangle is overwritten by the factor.  Each call costs about
+    5 us more than the f2py route (measured on 4- to 33-square matrices),
+    so small matrices are better left to `spd_solve`.  Raises ValueError if m is not square, and
+    FloatingPointError naming `what` if m holds non-finite entries or is
+    not numerically positive definite.
+    """
+    c = np.array(m, dtype=np.float64, order="F")
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise ValueError(f"{what} must be a square matrix, got shape {c.shape}")
+    if not np.isfinite(c).all():
+        raise FloatingPointError(f"{what} has non-finite entries")
+    n, info = ctypes.c_int(c.shape[0]), ctypes.c_int(0)
+    _dpotrf_nogil()(b"U", ctypes.byref(n), c.ctypes.data, ctypes.byref(n),
+                    ctypes.byref(info))
+    if info.value != 0:
+        raise FloatingPointError(f"{what} is not positive definite "
+                                 f"(dpotrf info {info.value})")
+    return c
+
+
+# The thread-count setters of the OpenBLAS builds that numpy and scipy
+# bundle, by (library glob beside the package, symbol).
+_BLAS_SETTERS = (
+    (os.path.join(os.path.dirname(np.__file__) + ".libs", "libscipy_openblas64_*.so"),
+     "scipy_openblas_set_num_threads64_"),
+    (os.path.join(os.path.dirname(scipy.__file__) + ".libs", "libscipy_openblas*.so"),
+     "scipy_openblas_set_num_threads"),
+)
+
+
+def pin_blas_threads() -> None:
+    """Run numpy's and scipy's bundled OpenBLAS on one thread each.
+
+    Products above OpenBLAS's threading sizes (a (128, 785) Gram product,
+    a Cholesky factor of side 785) give other bits at two threads than at
+    one, so a run pins one thread to be reproducible bit for bit whatever
+    `OPENBLAS_NUM_THREADS` says.  A library or symbol that is not there
+    (another BLAS build) leaves that library's thread count alone.
+    """
+    for pattern, symbol in _BLAS_SETTERS:
+        for path in glob.glob(pattern):
+            try:
+                setter = getattr(ctypes.CDLL(path), symbol)
+            except (AttributeError, OSError):
+                continue
+            setter.argtypes, setter.restype = (ctypes.c_int,), None
+            setter(1)
 
 
 def logdet_psd(m) -> float:

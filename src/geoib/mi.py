@@ -44,7 +44,6 @@ import json
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.spatial.distance import cdist
 from scipy.special import digamma
 
 from .linalg import spd_solve
@@ -104,6 +103,10 @@ def mi_knn(x, z, k: int = MI_DEFAULT_K) -> float:
         raise ValueError(f"x has {n} rows but z has {za.shape[0]}")
     if not 1 <= k < n:
         raise ValueError(f"k must satisfy 1 <= k < n = {n}, got {k}")
+    # scipy.spatial loads k-d trees and scipy.sparse; only this estimator
+    # needs it, so importing the module does not.
+    from scipy.spatial.distance import cdist
+
     # Contiguous once here, so cdist does not copy them for every block.
     xa = np.ascontiguousarray(xa)
     za = np.ascontiguousarray(za)

@@ -17,13 +17,26 @@ Everything stochastic draws from substreams of the run seed keyed by step
 index, so runs are reproducible sample-for-sample and a config uniquely
 determines the final parameters.
 
+When the encoder's input is at least `_OVERLAP_MIN_INPUTS` (256) wide, a
+K-FAC step computes the input layer's A factor, its EMA blend and its damped
+Cholesky factor (`fisher.input_factor_update`) on a second thread, started
+at the top of the step and joined before the other factors are updated.
+That factor depends on the batch alone, and on 784-pixel digits it is the
+largest piece of the step.  The thread never outlives the step; a failure
+in it is raised from the step.  Below the cutoff the step runs on one
+thread as before.  Either way the step's bits are the same.
+
 `run_training` keeps glibc's heap mapped between steps: a step's temporaries
 (their peak is near 1 MB on the default config) lie above the default
 128 KiB trim threshold, so glibc would hand them back to the kernel after
 every step and fault them in again on the next.  It sets both the trim and the mmap
 threshold, because setting either one turns off glibc's dynamic mmap
 threshold, and with the trim threshold alone every large K-FAC factor
-would get an mmap of its own.  The setting changes no computed bit.
+would get an mmap of its own.  It also keeps every thread on the one main
+heap arena, which a second thread would otherwise grow its own of.  It
+pins numpy's and scipy's BLAS to one thread each
+(`linalg.pin_blas_threads`), because the large products and factors give
+other bits on more threads.  None of these settings changes a computed bit.
 """
 
 from __future__ import annotations
@@ -31,6 +44,7 @@ from __future__ import annotations
 import ctypes
 import json
 import os
+import threading
 import time
 import warnings
 from dataclasses import dataclass, asdict, fields, replace
@@ -40,8 +54,16 @@ import numpy as np
 from .config import TrainConfig, load_config, save_config
 from .data import DatasetHandle, make_dataset
 from .encoder import fr_quadratic_proxy, kl_to_standard_normal, posterior_head
-from .fisher import KfacState, kfac_init, kfac_update, natural_gradient
+from .fisher import (
+    InputFactor,
+    KfacState,
+    input_factor_update,
+    kfac_init,
+    kfac_update,
+    natural_gradient,
+)
 from .jf import draw_probes, jf_batch, jf_value_and_grad
+from .linalg import pin_blas_threads
 from .mi import (
     PROBE_NAME,
     InfoPlanePoint,
@@ -73,12 +95,22 @@ _MI_DIM_SWITCH = 64
 # glibc mallopt parameters (malloc.h) and the values run_training sets.
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 _TRIM_THRESHOLD = 64 << 20
 _MMAP_THRESHOLD = 32 << 20
 
+# Encoder input width from which a K-FAC step forms the input layer's A
+# factor on a second thread.  Median step times of the default config on
+# a 2-core machine with both cores free: the thread costs 0.3-0.5 ms a
+# step at 8 and 64 inputs and breaks even at 128; it saves 0.5-1.0 ms at
+# 256 and 4-8 ms at 784, where the factor's update and Cholesky take
+# 14-17 ms of a 25-31 ms step.
+_OVERLAP_MIN_INPUTS = 256
+
 
 def _keep_heap() -> None:
-    """Raise glibc's trim and mmap thresholds; a no-op without mallopt."""
+    """Raise glibc's trim and mmap thresholds and keep one heap arena; a
+    no-op without mallopt."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):  # not glibc, or no libc handle
@@ -86,6 +118,8 @@ def _keep_heap() -> None:
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+    # a second thread's own arena added 15-20 MB to the digits run's peak RSS
+    mallopt(_M_ARENA_MAX, 1)
 
 
 class TrainingDiverged(RuntimeError):
@@ -246,6 +280,29 @@ def _clip_step(delta: np.ndarray, max_norm: float) -> np.ndarray:
     return delta
 
 
+class _InputFactorThread(threading.Thread):
+    """`input_factor_update(state, x)` on a thread of its own."""
+
+    def __init__(self, state: KfacState, x: np.ndarray):
+        super().__init__(name="geoib-input-factor")
+        self._args = (state, x)
+        self._factor: InputFactor | None = None
+        self._error: Exception | None = None
+
+    def run(self) -> None:
+        try:
+            self._factor = input_factor_update(*self._args)
+        except Exception as exc:  # raised again on the step's thread
+            self._error = exc
+
+    def factor(self) -> InputFactor:
+        """Wait for the thread; its result, or its error raised here."""
+        self.join()
+        if self._error is not None:
+            raise self._error
+        return self._factor
+
+
 def train_step(cfg: TrainConfig, enc: Network, dec: Network,
                kfac_enc: KfacState | None, kfac_dec: KfacState | None,
                x, y, step_rng: Rng) -> StepMetrics:
@@ -256,9 +313,25 @@ def train_step(cfg: TrainConfig, enc: Network, dec: Network,
     Given K-FAC states, the factors are refreshed from a model-sampled
     backward pass and both gradients are preconditioned by the exact
     natural-gradient solve; without them the step is plain gradient
-    descent.
+    descent.  With an input at least `_OVERLAP_MIN_INPUTS` wide, the
+    encoder's input-layer A factor is updated and factored on a second
+    thread meanwhile; a non-finite batch then raises FloatingPointError
+    naming layer 0.
     """
     x = np.asarray(x, dtype=np.float64)
+    worker = None
+    if kfac_enc is not None and x.shape[1] >= _OVERLAP_MIN_INPUTS:
+        worker = _InputFactorThread(kfac_enc, x)
+        worker.start()
+    try:
+        return _step(cfg, enc, dec, kfac_enc, kfac_dec, x, y, step_rng, worker)
+    finally:
+        if worker is not None:
+            worker.join()
+
+
+def _step(cfg, enc, dec, kfac_enc, kfac_dec, x, y, step_rng,
+          worker: _InputFactorThread | None) -> StepMetrics:
     batch = x.shape[0]
     eps = step_rng.normal((batch, cfg.k_dim))
     if cfg.method == "geoib":
@@ -271,14 +344,17 @@ def train_step(cfg: TrainConfig, enc: Network, dec: Network,
         eps=eps, probes=probes,
     )
     if not np.isfinite(metrics.total):
+        if worker is not None:
+            worker.factor()  # a non-finite batch: name the input layer
         raise FloatingPointError(f"objective went non-finite: {metrics.total!r}")
     dir_enc, dir_dec = g_enc, g_dec
     res_enc = res_dec = 0.0
     if kfac_enc is not None:
         _sampled_capture(enc, dec, cfg.k_dim, step_rng)
-        kfac_update(kfac_enc, enc)
+        first = worker.factor() if worker is not None else None
+        kfac_update(kfac_enc, enc, input_factor=first)
         kfac_update(kfac_dec, dec)
-        step_enc = natural_gradient(kfac_enc, g_enc)
+        step_enc = natural_gradient(kfac_enc, g_enc, input_factor=first)
         step_dec = natural_gradient(kfac_dec, g_dec)
         dir_enc, dir_dec = step_enc.direction, step_dec.direction
         res_enc, res_dec = step_enc.residual, step_dec.residual
@@ -320,6 +396,7 @@ def run_training(cfg: TrainConfig, out_dir: str | None = None,
     """
     t0 = time.perf_counter()
     _keep_heap()
+    pin_blas_threads()
     ds = make_dataset(cfg.dataset, cfg.seed)
     root = Rng(cfg.seed)
     enc, dec = build_nets(cfg, ds.n_features, ds.n_classes, root)

@@ -40,6 +40,7 @@ from .jf import (
     exact_trace,
     jf_hutchinson,
 )
+from .linalg import pin_blas_threads
 from .nets import LayerSpec, Network, layer_blocks
 from .rng import Rng
 from .training import geoib_loss_and_grads
@@ -68,6 +69,14 @@ def _random_joint(rng: Rng, max_side: int = 8, with_zeros: bool = False) -> np.n
     return raw / raw.sum()
 
 
+def _require_samples(**counts: int) -> None:
+    """Refuse a sample count below 1: a check that draws nothing would
+    pass without having tested anything."""
+    for name, count in counts.items():
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1, got {count}")
+
+
 def _random_simplex(rng: Rng, n: int) -> np.ndarray:
     raw = rng.uniform(0.05, 1.0, n)
     return raw / raw.sum()
@@ -76,6 +85,7 @@ def _random_simplex(rng: Rng, n: int) -> np.ndarray:
 def check_pythagorean(seed: int = 0, n_joints: int = 1000,
                       tol: float = 1e-11) -> CheckResult:
     """KL(p || q x r) splits exactly into I(p) + marginal KLs."""
+    _require_samples(n_joints=n_joints)
     rng = Rng(seed, stream=1)
     worst = 0.0
     for i in range(n_joints):
@@ -120,7 +130,8 @@ def check_projection_optimality(seed: int = 0, n_joints: int = 50,
                                 n_perturb: int = 200,
                                 slack: float = 1e-12) -> CheckResult:
     """No perturbed product reference beats the product of marginals."""
-    worst = float(_projection_margins(seed, n_joints, n_perturb).min(initial=np.inf))
+    _require_samples(n_joints=n_joints, n_perturb=n_perturb)
+    worst = float(_projection_margins(seed, n_joints, n_perturb).min())
     return CheckResult("projection_optimality", worst >= -slack,
                        f"min(margin)={worst:.3e} slack={slack:.0e}")
 
@@ -129,6 +140,7 @@ def check_fr_gap_decay(seed: int = 0, n_dirs: int = 20,
                        lo: float = 6.0, hi: float = 10.0) -> CheckResult:
     """|KL - quadratic proxy| decays cubically: halving the offset divides
     the gap by ~8."""
+    _require_samples(n_dirs=n_dirs)
     rng = Rng(seed, stream=3)
     k = 3
     lo_seen, hi_seen = np.inf, 0.0
@@ -152,6 +164,7 @@ def check_bound_chain(seed: int = 0, n_channels: int = 500,
                       eq_tol: float = 1e-10, ineq_tol: float = 1e-12) -> CheckResult:
     """Sylvester equality of the two logdet forms; trace bound dominates;
     correlated inputs (C <= I) can only lower the capacity."""
+    _require_samples(n_channels=n_channels)
     rng = Rng(seed, stream=4)
     worst_eq, worst_ineq, worst_cap = 0.0, -np.inf, -np.inf
     for i in range(n_channels):
@@ -193,6 +206,10 @@ def _random_small_net(rng: Rng, in_lo: int = 2, in_hi: int = 6) -> Network:
 def check_hutchinson(seed: int = 0, n_nets: int = 20, n_probes: int = 10_000,
                      n_reps: int = 50, rep_tol: float = 0.01) -> CheckResult:
     """The probe estimator is unbiased for the exact weighted trace."""
+    _require_samples(n_nets=n_nets, n_reps=n_reps)
+    if n_probes < 2:
+        raise ValueError(f"n_probes must be at least 2 for a standard error, "
+                         f"got {n_probes}")
     rng = Rng(seed, stream=5)
     ok = True
     worst_sigma = 0.0
@@ -327,6 +344,7 @@ def check_steepest_descent(seed: int = 0, n_fishers: int = 20,
                            slack: float = 1e-10) -> CheckResult:
     """No random unit-Fisher-norm direction descends faster than the
     normalized natural gradient."""
+    _require_samples(n_fishers=n_fishers, n_dirs=n_dirs)
     rng = Rng(seed, stream=11)
     worst = np.inf
     for i in range(n_fishers):
@@ -361,6 +379,7 @@ def check_geodesic(seed: int = 0, n_points: int = 10, ode_tol: float = 1e-6,
                    lo: float = 3.5, hi: float = 4.5) -> CheckResult:
     """Closed-form exponential map matches the integrated geodesic, and the
     additive-step gap shrinks quadratically in the step size."""
+    _require_samples(n_points=n_points)
     rng = Rng(seed, stream=12)
     worst_ode = 0.0
     lo_seen, hi_seen = np.inf, 0.0
@@ -393,6 +412,7 @@ def check_reparam_invariance(seed: int = 0, n_triples: int = 50,
                              max_cond: float = 100.0,
                              tol: float = 1e-8) -> CheckResult:
     """Natural steps computed in transformed coordinates map back exactly."""
+    _require_samples(n_triples=n_triples)
     rng = Rng(seed, stream=13)
     worst = 0.0
     for _ in range(n_triples):
@@ -424,6 +444,9 @@ ALL_CHECKS = (
 
 
 def run_all_checks(seed: int = 0) -> list[CheckResult]:
+    """Every check at its default size, on one BLAS thread
+    (`linalg.pin_blas_threads`)."""
+    pin_blas_threads()
     return [check(seed=seed) for check in ALL_CHECKS]
 
 

@@ -8,6 +8,7 @@ from geoib.config import TrainConfig, load_config
 from geoib.data import make_dataset, read_idx
 from geoib.mi import CSV_COLUMNS, read_points_csv
 from geoib.nets import Network
+from geoib import verify
 from geoib.verify import CheckResult, ALL_CHECKS, check_reparam_invariance
 
 
@@ -170,3 +171,28 @@ def test_reparam_invariance_draws_up_to_max_cond():
 def test_check_suite_names_are_unique():
     names = [c.__name__ for c in ALL_CHECKS]
     assert len(names) == len(set(names)) == 10
+
+
+# every sample count a check draws, set to a size that tests nothing
+EMPTY_SAMPLES = [
+    ("check_pythagorean", {"n_joints": 0}),
+    ("check_projection_optimality", {"n_joints": 0}),
+    ("check_projection_optimality", {"n_perturb": 0}),
+    ("check_fr_gap_decay", {"n_dirs": 0}),
+    ("check_bound_chain", {"n_channels": 0}),
+    ("check_hutchinson", {"n_nets": 0}),
+    ("check_hutchinson", {"n_probes": 1}),
+    ("check_hutchinson", {"n_reps": 0}),
+    ("check_steepest_descent", {"n_fishers": 0}),
+    ("check_steepest_descent", {"n_dirs": 0}),
+    ("check_geodesic", {"n_points": 0}),
+    ("check_reparam_invariance", {"n_triples": 0}),
+]
+
+
+@pytest.mark.parametrize("check, kwargs", EMPTY_SAMPLES,
+                         ids=[f"{c}-{next(iter(k))}" for c, k in EMPTY_SAMPLES])
+def test_a_check_refuses_an_empty_sample(check, kwargs):
+    (name, _), = kwargs.items()
+    with pytest.raises(ValueError, match=name):
+        getattr(verify, check)(**kwargs)

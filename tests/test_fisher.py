@@ -4,6 +4,7 @@ import pytest
 from geoib.fisher import (
     KfacState,
     fisher_vector_product,
+    input_factor_update,
     kfac_dense_matrix,
     kfac_init,
     kfac_solve,
@@ -88,6 +89,48 @@ def test_kfac_update_blends_factors_in_place():
     for got, arr, o, n in zip(state.a_factors + state.g_factors, arrays, old, new):
         assert got is arr
         np.testing.assert_array_equal(got, 0.9 * o + (1.0 - 0.9) * n)
+
+
+def test_an_adopted_input_factor_gives_the_bits_of_a_full_update_and_solve():
+    # first update adopts, second blends; factors, directions and residuals
+    # must match the route that forms layer 0's factor inside kfac_update
+    net = _net((6, 4, "tanh"), (4, 2, "identity"), seed=53)
+    plain = kfac_init(net, damping=1e-2, ema_decay=0.9)
+    split = kfac_init(net, damping=1e-2, ema_decay=0.9)
+    for seed in (54, 55):
+        x = Rng(seed).normal((8, 6))
+        _captured(net, x, seed=seed + 10)
+        kfac_update(plain, net)
+        first = input_factor_update(split, x)
+        kfac_update(split, net, input_factor=first)
+        for got, want in zip(split.a_factors + split.g_factors,
+                             plain.a_factors + plain.g_factors):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        g = Rng(seed + 20).normal(net.n_params)
+        got, got_res = kfac_solve(split, g, input_factor=first)
+        want, want_res = kfac_solve(plain, g)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert got_res == want_res
+
+
+def test_input_factor_update_leaves_the_state_alone():
+    net = _net((6, 4, "tanh"), (4, 2, "identity"), seed=56)
+    _captured(net, Rng(57).normal((8, 6)), seed=58)
+    state = kfac_update(kfac_init(net, ema_decay=0.9), net)
+    before = [m.copy() for m in state.a_factors + state.g_factors]
+    input_factor_update(state, Rng(59).normal((8, 6)))
+    for got, want in zip(state.a_factors + state.g_factors, before):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_kfac_solve_refuses_an_input_factor_it_did_not_adopt():
+    net = _net((6, 4, "tanh"), (4, 2, "identity"), seed=60)
+    x = Rng(61).normal((8, 6))
+    _captured(net, x, seed=62)
+    state = kfac_update(kfac_init(net), net)
+    stale = input_factor_update(state, x)
+    with pytest.raises(ValueError, match="layer-0"):
+        kfac_solve(state, np.ones(state.n_params), input_factor=stale)
 
 
 def test_kfac_update_rejects_mismatched_net():

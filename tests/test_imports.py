@@ -17,11 +17,12 @@ CASES = [
      "geoib.discrete_info", "scipy"),
     ("geoib.training", "scipy.integrate"),
     ("geoib.cli", "scipy.integrate"),
+    ("geoib.training", "scipy.spatial"),
 ]
 
 
 @pytest.mark.parametrize("modules, absent", CASES,
-                         ids=["numpy_only", "training", "cli"])
+                         ids=["numpy_only", "training", "cli", "training_spatial"])
 def test_import_leaves_module_unloaded(modules, absent):
     code = f"import sys, {modules}; print({absent!r} in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from geoib.linalg import CgResult, conjugate_gradient, logdet_psd, spd_solve
+from scipy.linalg.lapack import dpotrf
+
+from geoib.linalg import (
+    CgResult,
+    conjugate_gradient,
+    logdet_psd,
+    spd_factor,
+    spd_solve,
+)
 from geoib.rng import Rng
 from oracles import jacobi_eigenvalues
 
@@ -32,6 +40,33 @@ def test_spd_solve_rejects_an_indefinite_matrix():
     with pytest.raises(FloatingPointError,
                        match=r"^m is not positive definite \(dpotrf info 2\)$"):
         spd_solve(np.diag([1.0, -1.0]), np.ones(2), "m")
+
+
+def test_spd_factor_gives_the_bits_of_scipys_dpotrf():
+    # a 785-square factor, the size of a digit encoder's input layer
+    x = Rng(5).uniform(0.0, 1.0, (128, 785))
+    m = x.T @ x / 128
+    m.flat[:: 786] += 1e-2
+    want, info = dpotrf(m, lower=0, clean=0)
+    got = spd_factor(m, "m")
+    assert info == 0 and got.flags.f_contiguous
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    rhs = Rng(6).normal((785, 3))
+    assert np.array_equal(spd_solve(m, rhs, "m", factor=got).view(np.uint64),
+                          spd_solve(m, rhs, "m").view(np.uint64))
+
+
+def test_spd_factor_rejects_what_spd_solve_rejects():
+    m = np.eye(3)
+    m[0, 1] = m[1, 0] = np.inf
+    with pytest.raises(FloatingPointError, match="^probe m has non-finite entries$"):
+        spd_factor(m, "probe m")
+    with pytest.raises(FloatingPointError,
+                       match=r"^m is not positive definite \(dpotrf info 2\)$"):
+        spd_factor(np.diag([1.0, -1.0]), "m")
+    # LAPACK would read and write past a non-square buffer
+    with pytest.raises(ValueError, match=r"^m must be a square matrix, got shape \(3, 2\)$"):
+        spd_factor(np.ones((3, 2)), "m")
 
 
 # ------------------------------------------------------------- logdet_psd

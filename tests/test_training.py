@@ -1,15 +1,19 @@
 import json
+import os
 import platform
 import resource
-from dataclasses import asdict, replace
+import subprocess
+import sys
+import threading
+from dataclasses import asdict, astuple, replace
 
 import numpy as np
 import pytest
 
 from geoib.config import TrainConfig
-from geoib.data import gauss_mixture
+from geoib.data import gauss_mixture, make_dataset
 from geoib import training
-from geoib.fisher import fisher_vector_product, kfac_init
+from geoib.fisher import NaturalGradStep, fisher_vector_product, kfac_init
 from geoib.jf import draw_probes
 from geoib.mi import (
     PROBE_NAME,
@@ -30,7 +34,11 @@ from geoib.training import (
     run_training,
     train_step,
 )
-from oracles import sampled_capture_two_forward
+from oracles import (
+    kfac_solve_inline,
+    kfac_update_inline,
+    sampled_capture_two_forward,
+)
 
 TOY = "gauss_mixture:n=600,noise=0.1,classes=2,dim=2"
 
@@ -321,6 +329,151 @@ def test_every_training_solve_is_exact_and_nonzero(monkeypatch):
     for rec in res.history:
         assert rec["solve_residual_enc"] <= 1e-10
         assert rec["solve_residual_dec"] <= 1e-10
+
+
+# ------------------------------------------------ input-layer factor thread
+
+# 784 features: the encoder's input-layer A factor is formed on a second
+# thread (training._OVERLAP_MIN_INPUTS)
+WIDE = "gauss_mixture:n=600,noise=0.14,dim=784"
+
+
+def _wide_setup(cfg):
+    ds = make_dataset(cfg.dataset, 0)
+    enc, dec = build_nets(cfg, ds.n_features, ds.n_classes, Rng(cfg.seed))
+    ke = kfac_init(enc, cfg.damping, cfg.kfac_decay)
+    kd = kfac_init(dec, cfg.damping, cfg.kfac_decay)
+    x, y = ds.split("train")
+    return enc, dec, ke, kd, x, y
+
+
+def _bits(values):
+    return [np.asarray(v, dtype=np.float64).view(np.uint64) for v in values]
+
+
+def _four_wide_steps():
+    """Step metrics, parameters and factors after four steps, as uint64."""
+    cfg = TrainConfig(dataset=WIDE, k_dim=4)
+    enc, dec, ke, kd, x, y = _wide_setup(cfg)
+    metrics = [astuple(train_step(cfg, enc, dec, ke, kd, x[i * 64 : (i + 1) * 64],
+                                  y[i * 64 : (i + 1) * 64], Rng(20 + i)))
+               for i in range(4)]
+    return _bits([*metrics, enc.params, dec.params, *ke.a_factors,
+                  *ke.g_factors, *kd.a_factors, *kd.g_factors])
+
+
+def test_overlapped_steps_match_the_one_thread_oracle(monkeypatch):
+    # parameters, factors and step metrics after four steps must be the
+    # bits of the steps that update and factor every layer in turn
+    assert make_dataset(WIDE, 0).n_features >= training._OVERLAP_MIN_INPUTS
+    offloaded = []
+    real = training.input_factor_update
+
+    def counting(state, x):
+        offloaded.append(threading.current_thread() is not threading.main_thread())
+        return real(state, x)
+
+    monkeypatch.setattr(training, "input_factor_update", counting)
+    got = _four_wide_steps()
+    assert offloaded == [True] * 4
+    monkeypatch.setattr(training, "_OVERLAP_MIN_INPUTS", 10**9)
+    monkeypatch.setattr(training, "kfac_update",
+                        lambda state, net, input_factor=None:
+                        kfac_update_inline(state, net))
+    monkeypatch.setattr(training, "natural_gradient",
+                        lambda state, g, input_factor=None:
+                        NaturalGradStep(*kfac_solve_inline(state, g), 0))
+    want = _four_wide_steps()
+    assert offloaded == [True] * 4
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def test_concurrent_overlapped_steps_keep_their_bits():
+    # three step sequences at once, each starting its own factor thread per
+    # step, with a short switch interval: a factor read half-blended or a
+    # result handed to the wrong step would change the bits
+    want = _four_wide_steps()
+    results = [None] * 3
+
+    def run(i):
+        results[i] = _four_wide_steps()
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got in results:
+        assert got is not None and len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
+def test_first_overlapped_step_adopts_the_batch_factor():
+    cfg = TrainConfig(dataset=WIDE, k_dim=4, kfac_decay=0.95)
+    enc, dec, ke, kd, x, y = _wide_setup(cfg)
+    train_step(cfg, enc, dec, ke, kd, x[:64], y[:64], Rng(3))
+    aug = np.concatenate([x[:64], np.ones((64, 1))], axis=1)
+    assert np.array_equal(ke.a_factors[0].view(np.uint64),
+                          (aug.T @ aug / 64).view(np.uint64))
+
+
+def test_a_non_finite_batch_names_the_input_layer():
+    cfg = TrainConfig(dataset=WIDE, k_dim=4)
+    enc, dec, ke, kd, x, y = _wide_setup(cfg)
+    batch = x[:64].copy()
+    batch[5, 100] = np.nan
+    with np.errstate(all="ignore"):
+        with pytest.raises(FloatingPointError, match="layer 0"):
+            train_step(cfg, enc, dec, ke, kd, batch, y[:64], Rng(4))
+    assert ke.a_factors is None  # the failed step adopted nothing
+
+
+def test_the_factor_thread_ends_with_its_step():
+    cfg = TrainConfig(dataset=WIDE, k_dim=4)
+    enc, dec, ke, kd, x, y = _wide_setup(cfg)
+    before = threading.active_count()
+    train_step(cfg, enc, dec, ke, kd, x[:64], y[:64], Rng(5))
+    assert threading.active_count() == before
+    # the objective fails on the step's own thread while the factor thread
+    # succeeds
+    enc.set_params(np.full(enc.n_params, np.inf))
+    with np.errstate(all="ignore"):
+        with pytest.raises(FloatingPointError, match="objective went non-finite"):
+            train_step(cfg, enc, dec, ke, kd, x[:64], y[:64], Rng(6))
+    assert threading.active_count() == before
+
+
+_THREAD_COUNT_RUN = f"""
+import hashlib
+from geoib.config import TrainConfig
+from geoib.training import run_training
+res = run_training(TrainConfig(epochs=1, dataset={WIDE!r}), evaluate=False)
+print(hashlib.sha256(res.enc.params.tobytes() + res.dec.params.tobytes()).hexdigest())
+"""
+
+
+def test_run_training_bits_do_not_depend_on_the_blas_thread_count():
+    # a (128, 785) Gram product and a 785-square Cholesky factor give other
+    # bits at two BLAS threads than at one unless the run pins one
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.path.join(os.path.dirname(os.path.dirname(
+                       os.path.abspath(__file__))), "src"))
+        proc = subprocess.run([sys.executable, "-c", _THREAD_COUNT_RUN], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 # ------------------------------------------------------------- full runs
