@@ -28,17 +28,19 @@ output.  Conjugate gradient remains only for truncated Kronecker solves
 requested with an explicit iteration cap.
 
 The input layer's A factor is built from the batch alone, so it does not
-depend on the parameters or the gradient.  `input_factor_update` blends it
-and Cholesky-factors it (`linalg.spd_factor`, which releases the GIL)
-without touching the state.  A training step whose encoder input is at
-least 256 wide (`training._OVERLAP_MIN_INPUTS`) runs it on a second thread
-while the forward and backward passes run, as Ba, Grosse & Martens (2017)
-overlap factor inverses with the gradient work.  The step then hands the
-resulting `InputFactor` to `kfac_update` and `kfac_solve`, which adopt it
-for layer 0 instead of computing it again; the factors, directions and
-residuals keep their bits.  Narrower inputs and every other layer stay on
-the one-thread route, where the thread and the ctypes call would cost
-more than the factor.
+depend on the parameters or the gradient.  `input_factor_update` blends it,
+damps a copy and Cholesky-factors that copy in place (`linalg.spd_factor`,
+which releases the GIL) without touching the state; the resulting
+`InputFactor` holds only the blended factor `a` and the Cholesky factor
+`chol`.  When the encoder input is at least 576 wide
+(`training._OVERLAP_MIN_INPUTS`), training forms it one batch ahead on a
+worker thread that lives as long as the run, as Ba, Grosse & Martens
+(2017) compute factor inverses asynchronously.  A step hands its
+`InputFactor` to `kfac_update`, which adopts `a` for layer 0, and to
+`kfac_solve`, which solves with `chol` and then lets it go; the factors,
+directions and residuals keep their bits.  Narrower inputs and every other
+layer stay on the one-thread route, where the worker and the ctypes call
+would cost more than the factor.
 """
 
 from __future__ import annotations
@@ -108,17 +110,18 @@ def _second_moment(m: np.ndarray, bias: bool = False) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass
 class InputFactor:
-    """Layer 0's updated A factor with its damped form and Cholesky factor.
+    """Layer 0's updated A factor with the Cholesky factor of its damped form.
 
-    `a` is the factor the state adopts as `a_factors[0]`, `damped` is
-    a + lam I, and `chol` is `linalg.spd_factor(damped)`.
+    `a` is the factor the state adopts as `a_factors[0]`, and `chol` is
+    `linalg.spd_factor(a + lam I)`, formed in the damped copy's own buffer.
+    A factor serves one solve: once layer 0's triangular solves are done,
+    `kfac_solve` sets `chol` to None and reuses its buffer.
     """
 
     a: np.ndarray
-    damped: np.ndarray
-    chol: np.ndarray
+    chol: np.ndarray | None
 
 
 def input_factor_update(state: KfacState, x) -> InputFactor:
@@ -127,8 +130,11 @@ def input_factor_update(state: KfacState, x) -> InputFactor:
 
     Gives the bits `kfac_update` and `kfac_solve` give for layer 0 but
     leaves `state` untouched: it only reads the current factor, so it can
-    run beside the rest of a step until `kfac_update(..., input_factor=)`
-    adopts the result.
+    run beside the rest of a step, or of the step before, until
+    `kfac_update(..., input_factor=)` adopts the result.  The damped form
+    is exactly symmetric, as `spd_factor` needs: numpy forms m^T m with a
+    symmetric rank-k update and mirrors it, and the blend and the damping
+    act entry by entry.
 
     Raises:
         FloatingPointError: if the damped factor holds non-finite entries
@@ -144,8 +150,7 @@ def input_factor_update(state: KfacState, x) -> InputFactor:
         a += damped
         np.copyto(damped, a)
     damped.flat[:: damped.shape[0] + 1] += state.damping
-    chol = spd_factor(damped, "layer 0: damped K-FAC factor A")
-    return InputFactor(a=a, damped=damped, chol=chol)
+    return InputFactor(a=a, chol=spd_factor(damped, "layer 0: damped K-FAC factor A"))
 
 
 def kfac_update(state: KfacState, net: Network,
@@ -246,8 +251,10 @@ def kfac_solve(state: KfacState, grad,
     computed from Cholesky factors of both damped factors.  The relative
     residual ||(G + lam I) V (A + lam I) - grad|| / ||grad|| over all blocks
     is recomputed from the same damped factors.  Given `input_factor`, the
-    one `kfac_update` adopted, layer 0 uses its damped A factor and
-    Cholesky factor instead of forming them again.
+    one `kfac_update` adopted, layer 0 solves with its Cholesky factor
+    instead of forming one again.  Then it lets go of the factor (`chol`
+    becomes None) and forms A + lam I for the residual in the factor's own
+    buffer, so layer 0 never holds two damped-size arrays at once.
 
     Returns:
         (direction, residual), the direction flat in `grad`'s layout.
@@ -257,12 +264,16 @@ def kfac_solve(state: KfacState, grad,
             non-finite entries, or a damped factor is not numerically
             positive definite (zero damping on a rank-deficient factor);
             the message names the layer.
-        ValueError: if `input_factor` is not the state's layer-0 factor.
+        ValueError: if `input_factor` is not the state's layer-0 factor, or
+            has served a solve already.
     """
     if state.a_factors is None:
         raise RuntimeError("KfacState has no factors yet; run kfac_update first")
-    if input_factor is not None and input_factor.a is not state.a_factors[0]:
-        raise ValueError("input_factor is not this state's layer-0 A factor")
+    if input_factor is not None:
+        if input_factor.a is not state.a_factors[0]:
+            raise ValueError("input_factor is not this state's layer-0 A factor")
+        if input_factor.chol is None:
+            raise ValueError("input_factor has served a solve already")
     g = np.asarray(grad, dtype=np.float64).ravel()
     if not np.isfinite(g).all():
         raise FloatingPointError("gradient has non-finite entries")
@@ -272,13 +283,18 @@ def kfac_solve(state: KfacState, grad,
     layers = zip(layer_blocks(direction, state.shapes), layer_blocks(g, state.shapes),
                  state.a_factors, state.g_factors)
     for i, (dir_blk, blk, a_f, g_f) in enumerate(layers):
-        if i == 0 and input_factor is not None:
-            a_d, a_chol = input_factor.damped, input_factor.chol
-        else:
-            a_d, a_chol = _damped(a_f, lam), None
-        g_d = _damped(g_f, lam)
+        what = f"layer {i}: damped K-FAC factor A"
         # blk (A + lam I)^-1 = ((A + lam I)^-1 blk^T)^T, A being symmetric
-        v_a = spd_solve(a_d, blk.T, f"layer {i}: damped K-FAC factor A", a_chol)
+        if i == 0 and input_factor is not None:
+            v_a = spd_solve(None, blk.T, what, input_factor.chol)
+            # the factor's C-ordered buffer takes A + lam I for the residual
+            a_d, input_factor.chol = input_factor.chol.T, None
+            np.copyto(a_d, a_f)
+            a_d.flat[:: a_d.shape[0] + 1] += lam
+        else:
+            a_d = _damped(a_f, lam)
+            v_a = spd_solve(a_d, blk.T, what)
+        g_d = _damped(g_f, lam)
         v = spd_solve(g_d, v_a.T, f"layer {i}: damped K-FAC factor G")
         sq_residual += float(np.sum((g_d @ v @ a_d - blk) ** 2))
         dir_blk[...] = v

@@ -8,10 +8,11 @@ solves and the inversion probe's ridge.  It returns the bits
 `scipy.linalg.cho_factor` and `cho_solve` return, without those wrappers'
 per-call cost, which on small layer factors exceeds the factorization's
 own, and raises FloatingPointError on a non-finite or indefinite matrix.
-`spd_factor` gives the same upper factor for `spd_solve` to reuse, from a
-`dpotrf` call that releases the GIL, so that a large factor can be formed
-on a second thread while the first runs other numpy work.  scipy's f2py
-`dpotrf` holds the GIL for the whole factorization.
+`spd_factor` gives the same upper factor for `spd_solve` to reuse, formed
+in place by a `dpotrf` call that releases the GIL, so that a large factor
+can be formed on a second thread while the first runs other numpy work.
+scipy's f2py `dpotrf` holds the GIL for the whole factorization, and
+factors a Fortran-ordered copy.
 `logdet_psd` factors with `dpotrf` and reports a failing pivot by index
 instead of surfacing a generic LinAlgError.  `conjugate_gradient` serves
 only truncated solves that cap the iteration count on purpose; every solve
@@ -37,14 +38,14 @@ SYMMETRY_TOL = 1e-10
 PIVOT_TOL = 1e-12
 
 
-def spd_solve(m: np.ndarray, b: np.ndarray, what: str,
+def spd_solve(m: np.ndarray | None, b: np.ndarray, what: str,
               factor: np.ndarray | None = None) -> np.ndarray:
     """m^-1 b for a symmetric m, from the upper Cholesky factor of m.
 
-    `factor`, when given, is `spd_factor(m, ...)` and m is not factored
-    again.  Raises FloatingPointError naming `what` if m holds non-finite
-    entries or is not numerically positive definite.  m and b are left
-    untouched.
+    `factor`, when given, is `spd_factor` of m, and m is not read (it may
+    be None).  Raises FloatingPointError naming `what` if m holds
+    non-finite entries or is not numerically positive definite.  m and b
+    are left untouched.
     """
     if factor is None:
         if not np.isfinite(m).all():
@@ -79,21 +80,36 @@ def _dpotrf_nogil():
 
 
 def spd_factor(m: np.ndarray, what: str) -> np.ndarray:
-    """Upper Cholesky factor of a symmetric m, for `spd_solve(factor=)`.
+    """Upper Cholesky factor of an exactly symmetric m, formed in m's own
+    buffer, for `spd_solve(factor=)`.
 
-    The factorization runs with the GIL released and gives the bits of
-    scipy's `dpotrf(m, lower=0, clean=0)`: a Fortran-ordered copy of m whose
-    upper triangle is overwritten by the factor.  Each call costs about
-    5 us more than the f2py route (measured on 4- to 33-square matrices),
-    so small matrices are better left to `spd_solve`.  Raises ValueError if m is not square, and
-    FloatingPointError naming `what` if m holds non-finite entries or is
-    not numerically positive definite.
+    m must be a writeable, C-contiguous float64 square matrix equal to its
+    transpose bit for bit.  LAPACK factors it through its F-contiguous
+    transpose m.T, which is returned: its upper triangle holds the factor
+    and its lower triangle keeps m's entries.  Because m.T equals m, these
+    are the bits of scipy's `dpotrf(m, lower=0, clean=0)`, which factors a
+    Fortran-ordered copy, without the copy.  The factorization runs with
+    the GIL released.  Each call costs about 5 us more than the f2py route
+    (measured on 4- to 33-square matrices), so small matrices are better
+    left to `spd_solve`.
+
+    Raises:
+        ValueError: if m is not a writeable C-contiguous float64 square
+            matrix, or not exactly symmetric.
+        FloatingPointError: naming `what`, if m holds non-finite entries or
+            is not numerically positive definite.
     """
-    c = np.array(m, dtype=np.float64, order="F")
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise ValueError(f"{what} must be a square matrix, got shape {c.shape}")
-    if not np.isfinite(c).all():
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{what} must be a square matrix, got shape {m.shape}")
+    if m.dtype != np.float64 or not (m.flags.c_contiguous and m.flags.writeable):
+        raise ValueError(f"{what} must be a writeable C-contiguous float64 array")
+    if not np.isfinite(m).all():
         raise FloatingPointError(f"{what} has non-finite entries")
+    c = m.T
+    # LAPACK reads one triangle, so an asymmetric m would be factored as
+    # another matrix than the one spd_solve(m, ...) would factor
+    if not np.array_equal(m, c):
+        raise ValueError(f"{what} is not exactly symmetric")
     n, info = ctypes.c_int(c.shape[0]), ctypes.c_int(0)
     _dpotrf_nogil()(b"U", ctypes.byref(n), c.ctypes.data, ctypes.byref(n),
                     ctypes.byref(info))

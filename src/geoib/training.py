@@ -17,14 +17,20 @@ Everything stochastic draws from substreams of the run seed keyed by step
 index, so runs are reproducible sample-for-sample and a config uniquely
 determines the final parameters.
 
-When the encoder's input is at least `_OVERLAP_MIN_INPUTS` (256) wide, a
-K-FAC step computes the input layer's A factor, its EMA blend and its damped
-Cholesky factor (`fisher.input_factor_update`) on a second thread, started
-at the top of the step and joined before the other factors are updated.
-That factor depends on the batch alone, and on 784-pixel digits it is the
-largest piece of the step.  The thread never outlives the step; a failure
-in it is raised from the step.  Below the cutoff the step runs on one
-thread as before.  Either way the step's bits are the same.
+When the encoder's input is at least `_OVERLAP_MIN_INPUTS` (576) wide, the
+input layer's A factor, its EMA blend and the Cholesky factor of its damped
+form (`fisher.input_factor_update`) are computed one batch ahead, on one
+worker thread that lives as long as `run_training`.  That factor depends
+on the batch sequence alone, not on the parameters, and on 784-pixel
+digits it is the largest piece of a step.  Step t starts batch t+1's
+factor as soon as it has adopted its own, so the worker overlaps step t's
+solves and updates and step t+1's forward and backward passes; the run
+slices each batch one step ahead to do so.  The worker ends with the run,
+whether the run returns or raises.  A failure in it, such as a non-finite
+batch, is raised from the step whose factor it is, so divergence is blamed
+on that step.  A bare `train_step` call takes the same route with a worker
+of its own and no next batch.  Below the cutoff there is no worker and no
+slicing ahead.  Either way the bits are the same.
 
 `run_training` keeps glibc's heap mapped between steps: a step's temporaries
 (their peak is near 1 MB on the default config) lie above the default
@@ -36,15 +42,18 @@ would get an mmap of its own.  It also keeps every thread on the one main
 heap arena, which a second thread would otherwise grow its own of.  It
 pins numpy's and scipy's BLAS to one thread each
 (`linalg.pin_blas_threads`), because the large products and factors give
-other bits on more threads.  None of these settings changes a computed bit.
+other bits on more threads; `evaluate_run` pins them too, for evaluation
+outside a run (`geoib eval`).  None of these settings changes a computed
+bit.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import itertools
 import json
 import os
-import threading
 import time
 import warnings
 from dataclasses import dataclass, asdict, fields, replace
@@ -99,13 +108,15 @@ _M_ARENA_MAX = -8
 _TRIM_THRESHOLD = 64 << 20
 _MMAP_THRESHOLD = 32 << 20
 
-# Encoder input width from which a K-FAC step forms the input layer's A
-# factor on a second thread.  Median step times of the default config on
-# a 2-core machine with both cores free: the thread costs 0.3-0.5 ms a
-# step at 8 and 64 inputs and breaks even at 128; it saves 0.5-1.0 ms at
-# 256 and 4-8 ms at 784, where the factor's update and Cholesky take
-# 14-17 ms of a 25-31 ms step.
-_OVERLAP_MIN_INPUTS = 256
+# Encoder input width from which a run forms the input layer's A factor one
+# batch ahead on a worker thread.  Median step times of the default config
+# with a 2000-row mixture of this width, worker against one thread, on a
+# 2-core machine with both cores free and 2 MiB of L2 cache per core: the
+# worker costs 0.1 ms a step at 64 and 128 inputs, 0.2 ms at 256 and 384
+# and 0.9-1.1 ms at 512; it saves 2-4 ms at 576, 4.3 ms at 640 and 6.5 ms
+# at 704 and 784 (12.8 against 19.4 ms).  Between 512 and 576 the factor,
+# 8 (d+1)^2 bytes, outgrows one core's L2 cache.
+_OVERLAP_MIN_INPUTS = 576
 
 
 def _keep_heap() -> None:
@@ -280,32 +291,54 @@ def _clip_step(delta: np.ndarray, max_norm: float) -> np.ndarray:
     return delta
 
 
-class _InputFactorThread(threading.Thread):
-    """`input_factor_update(state, x)` on a thread of its own."""
+class _InputFactors:
+    """The input layer's factors (`input_factor_update`), formed on one
+    worker thread, each as soon as its batch and the factor before it are
+    known.
 
-    def __init__(self, state: KfacState, x: np.ndarray):
-        super().__init__(name="geoib-input-factor")
-        self._args = (state, x)
-        self._factor: InputFactor | None = None
-        self._error: Exception | None = None
+    A context manager: leaving it waits for the worker, so no worker
+    outlives the run or the step that opened it, or reads a `KfacState`
+    after.  A factor that is never taken is dropped with its error.
+    """
 
-    def run(self) -> None:
-        try:
-            self._factor = input_factor_update(*self._args)
-        except Exception as exc:  # raised again on the step's thread
-            self._error = exc
+    def __init__(self):
+        # imported here, so that a run below the cutoff loads no thread pool
+        from concurrent.futures import ThreadPoolExecutor
 
-    def factor(self) -> InputFactor:
-        """Wait for the thread; its result, or its error raised here."""
-        self.join()
-        if self._error is not None:
-            raise self._error
-        return self._factor
+        self._pool = ThreadPoolExecutor(max_workers=1,
+                                        thread_name_prefix="geoib-input-factor")
+        self._pending = None  # (batch, future of its factor) while one is under way
+
+    def __enter__(self) -> _InputFactors:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._pending = None
+        self._pool.shutdown()
+
+    def start(self, state: KfacState, x: np.ndarray) -> None:
+        """Begin x's factor from the one `state` holds now, unless a factor
+        is under way already."""
+        if self._pending is None:
+            # a copy of the state object, not of its arrays: kfac_update
+            # gives the state new factor lists, so the worker reads the
+            # factor held now whatever the step adopts meanwhile
+            self._pending = (x, self._pool.submit(input_factor_update,
+                                                  replace(state), x))
+
+    def take(self, x: np.ndarray) -> InputFactor:
+        """x's factor; waits for it and raises the worker's error here."""
+        batch, future = self._pending
+        self._pending = None
+        if batch is not x:
+            raise RuntimeError("the input factor under way is another batch's")
+        return future.result()
 
 
 def train_step(cfg: TrainConfig, enc: Network, dec: Network,
                kfac_enc: KfacState | None, kfac_dec: KfacState | None,
-               x, y, step_rng: Rng) -> StepMetrics:
+               x, y, step_rng: Rng, *, factors: _InputFactors | None = None,
+               x_next: np.ndarray | None = None) -> StepMetrics:
     """One optimizer step of either method; mutates nets and factors.
 
     geoib draws Hutchinson probes and optimizes the full objective with
@@ -314,25 +347,24 @@ def train_step(cfg: TrainConfig, enc: Network, dec: Network,
     backward pass and both gradients are preconditioned by the exact
     natural-gradient solve; without them the step is plain gradient
     descent.  With an input at least `_OVERLAP_MIN_INPUTS` wide, the
-    encoder's input-layer A factor is updated and factored on a second
-    thread meanwhile; a non-finite batch then raises FloatingPointError
-    naming layer 0.
+    encoder's input-layer A factor is formed on a worker thread: the run's
+    `factors`, which `run_training` passes with the next step's batch
+    `x_next`, or one that lives for this step alone.  The step starts
+    x_next's factor as soon as it has adopted its own.  A non-finite batch
+    raises FloatingPointError naming layer 0 from the step that takes it.
     """
     x = np.asarray(x, dtype=np.float64)
-    worker = None
-    if kfac_enc is not None and x.shape[1] >= _OVERLAP_MIN_INPUTS:
-        worker = _InputFactorThread(kfac_enc, x)
-        worker.start()
-    try:
-        return _step(cfg, enc, dec, kfac_enc, kfac_dec, x, y, step_rng, worker)
-    finally:
-        if worker is not None:
-            worker.join()
+    if factors is None and kfac_enc is not None and x.shape[1] >= _OVERLAP_MIN_INPUTS:
+        with _InputFactors() as own:
+            return _step(cfg, enc, dec, kfac_enc, kfac_dec, x, y, step_rng, own, None)
+    return _step(cfg, enc, dec, kfac_enc, kfac_dec, x, y, step_rng, factors, x_next)
 
 
 def _step(cfg, enc, dec, kfac_enc, kfac_dec, x, y, step_rng,
-          worker: _InputFactorThread | None) -> StepMetrics:
+          factors: _InputFactors | None, x_next: np.ndarray | None) -> StepMetrics:
     batch = x.shape[0]
+    if factors is not None:
+        factors.start(kfac_enc, x)
     eps = step_rng.normal((batch, cfg.k_dim))
     if cfg.method == "geoib":
         probes = draw_probes(step_rng, cfg.jf_probes, batch, x.shape[1])
@@ -344,15 +376,17 @@ def _step(cfg, enc, dec, kfac_enc, kfac_dec, x, y, step_rng,
         eps=eps, probes=probes,
     )
     if not np.isfinite(metrics.total):
-        if worker is not None:
-            worker.factor()  # a non-finite batch: name the input layer
+        if factors is not None:
+            factors.take(x)  # a non-finite batch: name the input layer
         raise FloatingPointError(f"objective went non-finite: {metrics.total!r}")
     dir_enc, dir_dec = g_enc, g_dec
     res_enc = res_dec = 0.0
     if kfac_enc is not None:
         _sampled_capture(enc, dec, cfg.k_dim, step_rng)
-        first = worker.factor() if worker is not None else None
+        first = factors.take(x) if factors is not None else None
         kfac_update(kfac_enc, enc, input_factor=first)
+        if x_next is not None:
+            factors.start(kfac_enc, x_next)
         kfac_update(kfac_dec, dec)
         step_enc = natural_gradient(kfac_enc, g_enc, input_factor=first)
         step_dec = natural_gradient(kfac_dec, g_dec)
@@ -363,6 +397,19 @@ def _step(cfg, enc, dec, kfac_enc, kfac_dec, x, y, step_rng,
     return replace(metrics, grad_norm_enc=float(np.linalg.norm(g_enc)),
                    grad_norm_dec=float(np.linalg.norm(g_dec)),
                    solve_residual_enc=res_enc, solve_residual_dec=res_dec)
+
+
+def _run_batches(root: Rng, n: int, cfg: TrainConfig):
+    """(epoch, row indices) of every step of a run, in order.
+
+    An epoch's order comes from its own substream of the run seed, drawn
+    when its first batch is asked for; drawing it a step early, to slice
+    the next batch ahead, changes no bits.
+    """
+    for epoch in range(cfg.epochs):
+        order = root.substream(_STREAM_EPOCH + epoch).permutation(n)
+        for start in range(0, n, cfg.batch):
+            yield epoch, order[start : start + cfg.batch]
 
 
 # `run_training` takes every geoib step, and only those, through this
@@ -405,23 +452,32 @@ def run_training(cfg: TrainConfig, out_dir: str | None = None,
     kfac_dec = kfac_init(dec, cfg.damping, cfg.kfac_decay) if need_kfac else None
     step = gib_step if cfg.method == "geoib" else train_step
     x_tr, y_tr = ds.split("train")
-    n = x_tr.shape[0]
     history: list[dict] = []
     last_good = (enc.get_params(), dec.get_params())
     global_step = 0
-    for epoch in range(cfg.epochs):
-        decay = 0.5 * (1.0 + np.cos(np.pi * epoch / cfg.epochs))
-        cfg_epoch = replace(cfg, eta_phi=cfg.eta_phi * decay,
-                            eta_theta=cfg.eta_theta * decay)
-        order = root.substream(_STREAM_EPOCH + epoch).permutation(n)
-        sums: dict[str, float] = {}
-        steps_in_epoch = 0
-        for start in range(0, n, cfg.batch):
-            idx = order[start : start + cfg.batch]
+    sums: dict[str, float] = {}
+    steps_in_epoch = 0
+    batches = itertools.pairwise(
+        itertools.chain(_run_batches(root, x_tr.shape[0], cfg), [None]))
+    x_ahead = None
+    # only a run whose encoder input is wide enough forms the input
+    # layer's factor on a worker, and only it slices a batch ahead
+    wide = kfac_enc is not None and ds.n_features >= _OVERLAP_MIN_INPUTS
+    with _InputFactors() if wide else contextlib.nullcontext() as factors:
+        for (epoch, idx), ahead in batches:
+            if steps_in_epoch == 0:
+                decay = 0.5 * (1.0 + np.cos(np.pi * epoch / cfg.epochs))
+                cfg_epoch = replace(cfg, eta_phi=cfg.eta_phi * decay,
+                                    eta_theta=cfg.eta_theta * decay)
+            x = x_tr[idx] if x_ahead is None else x_ahead
             step_rng = root.substream(_STREAM_STEP + global_step)
+            kwargs = {}
+            if factors is not None:
+                x_ahead = x_tr[ahead[1]] if ahead is not None else None
+                kwargs = {"factors": factors, "x_next": x_ahead}
             try:
-                m = step(cfg_epoch, enc, dec, kfac_enc, kfac_dec,
-                         x_tr[idx], y_tr[idx], step_rng)
+                m = step(cfg_epoch, enc, dec, kfac_enc, kfac_dec, x, y_tr[idx],
+                         step_rng, **kwargs)
             except FloatingPointError as exc:
                 enc.set_params(last_good[0])
                 dec.set_params(last_good[1])
@@ -439,10 +495,15 @@ def run_training(cfg: TrainConfig, out_dir: str | None = None,
             steps_in_epoch += 1
             for key in _METRIC_NAMES:
                 sums[key] = sums.get(key, 0.0) + float(getattr(m, key))
-        record = {"epoch": epoch}
-        record.update({k: v / steps_in_epoch for k, v in sums.items()})
-        history.append(record)
-        last_good = (enc.get_params(), dec.get_params())
+            if ahead is None or ahead[0] != epoch:
+                record = {"epoch": epoch}
+                record.update({k: v / steps_in_epoch for k, v in sums.items()})
+                history.append(record)
+                last_good = (enc.get_params(), dec.get_params())
+                sums, steps_in_epoch = {}, 0
+    # the factors end with training: letting them go leaves their memory,
+    # 5 MB on 784-pixel digits, to the evaluation
+    del kfac_enc, kfac_dec
     wall = time.perf_counter() - t0
     point = evaluate_run(cfg, enc, dec, ds, wall) if evaluate else None
     if out_dir is not None:
@@ -484,7 +545,12 @@ def _noise_relative_view(mu: np.ndarray, lv: np.ndarray) -> np.ndarray:
 
 def evaluate_run(cfg: TrainConfig, enc: Network, dec: Network,
                  ds: DatasetHandle, wall_clock_s: float) -> InfoPlanePoint:
-    """Accuracy, mutual information, and inversion leakage at mu(x)."""
+    """Accuracy, mutual information, and inversion leakage at mu(x).
+
+    Pins BLAS to one thread first (`linalg.pin_blas_threads`): the
+    inversion probe's products on wide inputs give other bits on more.
+    """
+    pin_blas_threads()
     x_te, y_te = ds.split("test")
     mu_te = posterior_means(enc, x_te, cfg.k_dim)
     acc = classification_accuracy(dec, mu_te, y_te)

@@ -133,6 +133,22 @@ def test_kfac_solve_refuses_an_input_factor_it_did_not_adopt():
         kfac_solve(state, np.ones(state.n_params), input_factor=stale)
 
 
+def test_an_input_factor_serves_one_solve():
+    # the solve lets go of the Cholesky factor before it forms A + lam I,
+    # so a second solve with the same factor has nothing to solve with
+    net = _net((6, 4, "tanh"), (4, 2, "identity"), seed=63)
+    x = Rng(64).normal((8, 6))
+    _captured(net, x, seed=65)
+    state = kfac_init(net)
+    first = input_factor_update(state, x)
+    kfac_update(state, net, input_factor=first)
+    g = np.ones(state.n_params)
+    kfac_solve(state, g, input_factor=first)
+    assert first.chol is None and first.a is state.a_factors[0]
+    with pytest.raises(ValueError, match="served a solve already"):
+        kfac_solve(state, g, input_factor=first)
+
+
 def test_kfac_update_rejects_mismatched_net():
     net = _net((3, 2, "identity"), seed=11)
     other = _net((2, 2, "identity"), seed=12)

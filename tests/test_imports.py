@@ -18,11 +18,13 @@ CASES = [
     ("geoib.training", "scipy.integrate"),
     ("geoib.cli", "scipy.integrate"),
     ("geoib.training", "scipy.spatial"),
+    ("geoib.training", "concurrent.futures.thread"),
 ]
 
 
 @pytest.mark.parametrize("modules, absent", CASES,
-                         ids=["numpy_only", "training", "cli", "training_spatial"])
+                         ids=["numpy_only", "training", "cli", "training_spatial",
+                              "training_thread_pool"])
 def test_import_leaves_module_unloaded(modules, absent):
     code = f"import sys, {modules}; print({absent!r} in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))

@@ -43,17 +43,20 @@ def test_spd_solve_rejects_an_indefinite_matrix():
 
 
 def test_spd_factor_gives_the_bits_of_scipys_dpotrf():
-    # a 785-square factor, the size of a digit encoder's input layer
+    # a 785-square factor, the size of a digit encoder's input layer,
+    # formed in the matrix's own buffer
     x = Rng(5).uniform(0.0, 1.0, (128, 785))
     m = x.T @ x / 128
     m.flat[:: 786] += 1e-2
     want, info = dpotrf(m, lower=0, clean=0)
-    got = spd_factor(m, "m")
-    assert info == 0 and got.flags.f_contiguous
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     rhs = Rng(6).normal((785, 3))
-    assert np.array_equal(spd_solve(m, rhs, "m", factor=got).view(np.uint64),
-                          spd_solve(m, rhs, "m").view(np.uint64))
+    want_solve = spd_solve(m, rhs, "m")
+    buf = m.copy()
+    got = spd_factor(buf, "m")
+    assert info == 0 and got.flags.f_contiguous and np.shares_memory(got, buf)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(spd_solve(None, rhs, "m", factor=got).view(np.uint64),
+                          want_solve.view(np.uint64))
 
 
 def test_spd_factor_rejects_what_spd_solve_rejects():
@@ -67,6 +70,30 @@ def test_spd_factor_rejects_what_spd_solve_rejects():
     # LAPACK would read and write past a non-square buffer
     with pytest.raises(ValueError, match=r"^m must be a square matrix, got shape \(3, 2\)$"):
         spd_factor(np.ones((3, 2)), "m")
+
+
+def test_spd_factor_refuses_a_matrix_that_is_not_exactly_symmetric():
+    # LAPACK reads only the upper triangle: one ulp off below the diagonal
+    # would be factored as another matrix, so it is refused untouched
+    m = np.diag([2.0, 2.0, 2.0])
+    m[0, 1] = 0.5
+    m[1, 0] = np.nextafter(0.5, 1.0)
+    before = m.copy()
+    with pytest.raises(ValueError, match="^m is not exactly symmetric$"):
+        spd_factor(m, "m")
+    assert np.array_equal(m, before)
+
+
+def test_spd_factor_refuses_a_buffer_it_cannot_factor_in_place():
+    # the factor would land in another layout, or another precision
+    m = np.array([[2.0, 1.0], [1.0, 3.0]])
+    with pytest.raises(ValueError, match="C-contiguous float64"):
+        spd_factor(np.asfortranarray(m), "m")
+    with pytest.raises(ValueError, match="C-contiguous float64"):
+        spd_factor(m.astype(np.float32), "m")
+    m.setflags(write=False)
+    with pytest.raises(ValueError, match="writeable"):
+        spd_factor(m, "m")
 
 
 # ------------------------------------------------------------- logdet_psd

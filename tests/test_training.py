@@ -5,6 +5,7 @@ import resource
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import asdict, astuple, replace
 
 import numpy as np
@@ -333,7 +334,7 @@ def test_every_training_solve_is_exact_and_nonzero(monkeypatch):
 
 # ------------------------------------------------ input-layer factor thread
 
-# 784 features: the encoder's input-layer A factor is formed on a second
+# 784 features: the encoder's input-layer A factor is formed on a worker
 # thread (training._OVERLAP_MIN_INPUTS)
 WIDE = "gauss_mixture:n=600,noise=0.14,dim=784"
 
@@ -461,19 +462,291 @@ print(hashlib.sha256(res.enc.params.tobytes() + res.dec.params.tobytes()).hexdig
 """
 
 
-def test_run_training_bits_do_not_depend_on_the_blas_thread_count():
-    # a (128, 785) Gram product and a 785-square Cholesky factor give other
-    # bits at two BLAS threads than at one unless the run pins one
-    digests = []
+def _at_one_and_two_blas_threads(code):
+    """What `code` prints in subprocesses at OPENBLAS_NUM_THREADS=1 and =2."""
+    out = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.path.join(os.path.dirname(os.path.dirname(
                        os.path.abspath(__file__))), "src"))
-        proc = subprocess.run([sys.executable, "-c", _THREAD_COUNT_RUN], env=env,
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        digests.append(proc.stdout.strip())
-    assert digests[0] == digests[1]
+        out.append(proc.stdout.strip())
+    return out
+
+
+def test_run_training_bits_do_not_depend_on_the_blas_thread_count():
+    # a (128, 785) Gram product and a 785-square Cholesky factor give other
+    # bits at two BLAS threads than at one unless the run pins one
+    one, two = _at_one_and_two_blas_threads(_THREAD_COUNT_RUN)
+    assert one == two
+
+
+_THREAD_COUNT_EVAL = f"""
+from geoib.config import TrainConfig
+from geoib.data import make_dataset
+from geoib.rng import Rng
+from geoib.training import build_nets, evaluate_run
+cfg = TrainConfig(dataset={WIDE!r}, k_dim=32)
+ds = make_dataset(cfg.dataset, cfg.seed)
+enc, dec = build_nets(cfg, ds.n_features, ds.n_classes, Rng(cfg.seed))
+point = evaluate_run(cfg, enc, dec, ds, 0.0)
+print(repr((point.accuracy, point.mi_xz_nats, point.inversion_mse)))
+"""
+
+
+def test_evaluate_run_bits_do_not_depend_on_the_blas_thread_count():
+    # evaluation outside run_training (geoib eval) must pin BLAS itself: the
+    # inversion probe's products on 784-wide inputs give another MSE at two
+    # BLAS threads than at one
+    one, two = _at_one_and_two_blas_threads(_THREAD_COUNT_EVAL)
+    assert one == two
+
+
+# ----------------------------------- the run's worker for the input factor
+
+
+def _wide_run_cfg(**overrides):
+    # 420 training rows: three batches of 128 and a last one of 36
+    return TrainConfig(dataset=WIDE, k_dim=4, **overrides)
+
+
+def _recorded_states(monkeypatch):
+    """The KfacStates run_training builds, encoder first."""
+    states = []
+    real = training.kfac_init
+
+    def recording(*args, **kwargs):
+        states.append(real(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(training, "kfac_init", recording)
+    return states
+
+
+def _run_bits(cfg, states):
+    res = run_training(cfg, evaluate=False)
+    history = [[rec[k] for k in sorted(rec)] for rec in res.history]
+    return _bits([res.enc.params, res.dec.params, *history,
+                  *[m for st in states for m in st.a_factors + st.g_factors]])
+
+
+def test_the_pipelined_run_matches_the_one_thread_oracle(monkeypatch):
+    # two epochs of 784-wide steps, each epoch ending on a short batch: the
+    # parameters, every factor and the history must be the bits of the run
+    # that updates and factors every layer in turn on one thread, with the
+    # factors formed one batch ahead on the run's worker, across the epoch
+    # boundary, under a short switch interval
+    cfg = _wide_run_cfg(epochs=2)
+    states = _recorded_states(monkeypatch)
+    calls, aheads = [], []
+    real_update = training.input_factor_update
+    real_step = training.gib_step
+
+    def counting(state, x):
+        calls.append(threading.current_thread() is not threading.main_thread())
+        return real_update(state, x)
+
+    def step(*args, **kwargs):
+        aheads.append(kwargs.get("x_next") is not None)
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(training, "input_factor_update", counting)
+    monkeypatch.setattr(training, "gib_step", step)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = _run_bits(cfg, states)
+    finally:
+        sys.setswitchinterval(interval)
+    assert calls == [True] * 8
+    assert aheads == [True] * 7 + [False]
+    states.clear()
+    monkeypatch.setattr(training, "_OVERLAP_MIN_INPUTS", 10**9)
+    monkeypatch.setattr(training, "kfac_update",
+                        lambda state, net, input_factor=None:
+                        kfac_update_inline(state, net))
+    monkeypatch.setattr(training, "natural_gradient",
+                        lambda state, g, input_factor=None:
+                        NaturalGradStep(*kfac_solve_inline(state, g), 0))
+    want = _run_bits(cfg, states)
+    assert calls == [True] * 8 and len(aheads) == 16
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def test_concurrent_pipelined_runs_keep_their_bits():
+    # three runs at once, each with its own worker, under a short switch
+    # interval: a factor handed to another run's step, or read while that
+    # run adopts its own, would change the bits
+    cfg = _wide_run_cfg(epochs=2)
+    want = _run_bits(cfg, [])
+    results = [None] * 3
+
+    def run(i):
+        results[i] = _run_bits(cfg, [])
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got in results:
+        assert got is not None and len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
+def test_a_step_refuses_a_factor_formed_for_another_batch():
+    cfg = TrainConfig(dataset=WIDE, k_dim=4)
+    enc, dec, ke, kd, x, y = _wide_setup(cfg)
+    with training._InputFactors() as factors:
+        factors.start(ke, x[64:128])
+        with pytest.raises(RuntimeError, match="another batch"):
+            train_step(cfg, enc, dec, ke, kd, x[:64], y[:64], Rng(7),
+                       factors=factors)
+    assert ke.a_factors is None
+
+
+def _slow_factors(monkeypatch):
+    """Count input-factor calls begun and finished; each takes 50 ms longer,
+    so a worker left running after its run would be caught unfinished."""
+    counts = {"begun": 0, "finished": 0}
+    real = training.input_factor_update
+
+    def slow(state, x):
+        counts["begun"] += 1
+        time.sleep(0.05)
+        try:
+            return real(state, x)
+        finally:
+            counts["finished"] += 1
+
+    monkeypatch.setattr(training, "input_factor_update", slow)
+    return counts
+
+
+def _nan_in_step(monkeypatch, step, events=None):
+    """Plant a NaN in the batch of the given step, while the step before
+    runs; log ("begin", batch) and ("end", None) of each step to events."""
+    real = training.gib_step
+    seen = []
+
+    def planting(*args, **kwargs):
+        if len(seen) == step - 1:
+            kwargs["x_next"][0, 7] = np.nan  # the array that step will take
+        seen.append(None)
+        if events is not None:
+            events.append(("begin", args[5]))
+        m = real(*args, **kwargs)
+        if events is not None:
+            events.append(("end", None))
+        return m
+
+    monkeypatch.setattr(training, "gib_step", planting)
+
+
+def test_the_worker_ends_with_the_run(monkeypatch):
+    # no factor may still be formed, nor its thread alive, once run_training
+    # has returned or raised
+    counts = _slow_factors(monkeypatch)
+    before = threading.active_count()
+    run_training(_wide_run_cfg(epochs=1), evaluate=False)
+    assert threading.active_count() == before
+    assert counts["finished"] == counts["begun"] == 4
+
+    # diverged: the NaN batch's factor fails on the worker and is raised
+    # from that batch's own step
+    with monkeypatch.context() as m:
+        _nan_in_step(m, 2)
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrainingDiverged):
+                run_training(_wide_run_cfg(epochs=1), evaluate=False)
+    assert threading.active_count() == before
+    assert counts["finished"] == counts["begun"]
+
+    # an unrelated error in the middle of an epoch, while the next batch's
+    # factor is being formed
+    real_step = training.gib_step
+    taken = []
+
+    def failing(*args, **kwargs):
+        if len(taken) == 2:
+            raise KeyError("unrelated")
+        taken.append(real_step(*args, **kwargs))
+        return taken[-1]
+
+    monkeypatch.setattr(training, "gib_step", failing)
+    begun = counts["begun"]
+    with pytest.raises(KeyError, match="unrelated"):
+        run_training(_wide_run_cfg(epochs=1), evaluate=False)
+    assert counts["begun"] == begun + 3  # batches 0, 1 and the one of step 2
+    assert counts["finished"] == counts["begun"]
+    assert threading.active_count() == before
+
+
+def _params_after_steps(monkeypatch, cfg, n_steps):
+    """(encoder, decoder) parameters of a clean run after n_steps steps."""
+    snaps = []
+    real_step = training.gib_step
+
+    def step(cfg, enc, dec, *args, **kwargs):
+        if not snaps:
+            snaps.append((enc.get_params(), dec.get_params()))
+        m = real_step(cfg, enc, dec, *args, **kwargs)
+        snaps.append((enc.get_params(), dec.get_params()))
+        return m
+
+    with monkeypatch.context() as m:
+        m.setattr(training, "gib_step", step)
+        run_training(cfg, evaluate=False)
+    return snaps[n_steps]
+
+
+@pytest.mark.parametrize("step,epoch,last_good_after",
+                         [(2, 0, 0), (8, 2, 8)],
+                         ids=["mid_epoch", "first_batch_of_an_epoch"])
+def test_divergence_is_blamed_on_the_step_whose_batch_holds_it(
+        monkeypatch, tmp_path, step, epoch, last_good_after):
+    # the worker meets the NaN while the step before runs; that step must
+    # complete, and the step whose batch holds it must raise, naming layer 0
+    cfg = _wide_run_cfg(epochs=3)
+    want_enc, want_dec = _params_after_steps(monkeypatch, cfg, last_good_after)
+    events = []
+    real_start = training._InputFactors.start
+
+    def recording_start(self, state, x):
+        if self._pending is None:
+            events.append(("factor", x))
+        real_start(self, state, x)
+
+    monkeypatch.setattr(training._InputFactors, "start", recording_start)
+    _nan_in_step(monkeypatch, step, events)
+    with np.errstate(all="ignore"):
+        with pytest.raises(TrainingDiverged,
+                           match=rf"^step {step} \(epoch {epoch}\): layer 0: "):
+            run_training(cfg, out_dir=str(tmp_path), evaluate=False)
+    kinds = [kind for kind, _ in events]
+    assert kinds.count("end") == step and kinds.count("begin") == step + 1
+    # the NaN batch's factor was begun inside the step before, which then
+    # ended; the NaN batch's own step raised
+    bad = [i for i, (kind, x) in enumerate(events)
+           if kind == "factor" and np.isnan(x).any()]
+    assert len(bad) == 1
+    assert kinds[bad[0] - 1 :] == ["begin", "factor", "end", "begin"]
+    assert events[-1][1] is events[bad[0]][1]
+    enc = Network.load(str(tmp_path / "encoder.last_good.net"))
+    dec = Network.load(str(tmp_path / "decoder.last_good.net"))
+    assert np.array_equal(enc.get_params().view(np.uint64), want_enc.view(np.uint64))
+    assert np.array_equal(dec.get_params().view(np.uint64), want_dec.view(np.uint64))
 
 
 # ------------------------------------------------------------- full runs
