@@ -119,7 +119,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # verify needs scipy.integrate; train, sweep and eval should not load it
+    # imported here, so train, sweep and eval do not load the property suite
     from .verify import run_all_checks, write_results
 
     results = run_all_checks(seed=args.seed)

@@ -135,12 +135,13 @@ def _check_head(net, head_dim: int | None) -> int:
 
 
 def _folded_jvp(net, x, noise_cov, probes, head_dim: int | None):
-    """Head tangents J(x_i) v_si of every (probe, sample) pair from one JVP
-    pass over the folded S*B axis, with the floored noise variances.
+    """Head tangents J(x_i) v_si of every (probe, sample) pair, with the
+    floored noise variances.  The primal pass runs once on the B rows and
+    the tangent products over the folded S*B pairs (`Network.jvp_batch`).
 
     Returns:
         (u_head, nc, u, cache): u_head is (S, B, head), nc is (B, head), and
-        u and cache are the folded JVP output and its adjoint cache.
+        u and cache are the full JVP output and its adjoint cache.
     """
     x = np.asarray(x, dtype=np.float64)
     probes = np.asarray(probes, dtype=np.float64)
@@ -156,10 +157,8 @@ def _folded_jvp(net, x, noise_cov, probes, head_dim: int | None):
         raise ValueError(
             f"noise_cov must broadcast to ({x.shape[0]}, {head}), got {nc.shape}"
         )
-    n_probes, batch = probes.shape[0], x.shape[0]
-    x_rep = np.broadcast_to(x, probes.shape).reshape(n_probes * batch, -1)
-    u, cache = net.jvp_batch(x_rep, probes.reshape(n_probes * batch, -1))
-    return u[:, :head].reshape(n_probes, batch, head), nc, u, cache
+    u, cache = net.jvp_batch(x, probes)
+    return u[:, :, :head], nc, u, cache
 
 
 def jf_batch(net, x, noise_cov, probes, head_dim: int | None = None):
@@ -220,10 +219,9 @@ def jf_value_and_grad(net, x, noise_cov, probes, head_dim: int | None = None):
         `Network.backward`).
     """
     u_head, nc, u, cache = _folded_jvp(net, x, noise_cov, probes, head_dim)
-    n_probes, batch, head = u_head.shape
     values = np.sum(u_head**2 / nc, axis=2).mean(axis=0)
     u_bar = np.zeros_like(u)
-    u_bar[:, :head] = (2.0 * u_head / nc).reshape(n_probes * batch, head)
+    u_bar[:, :, :u_head.shape[2]] = 2.0 * u_head / nc
     # adjoint sums over the folded S*B axis; dividing by S leaves the
     # probe average in the same sum-over-batch convention as backward
-    return values, net.jvp_adjoint(cache, u_bar) / n_probes
+    return values, net.jvp_adjoint(cache, u_bar) / u_head.shape[0]

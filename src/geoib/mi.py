@@ -21,6 +21,9 @@ does not depend on evaluation order and equals what a tree query computes;
 the strict test equals an inclusive ball query at nextafter(eps, 0).  The
 estimate is therefore bit-identical to the tree-based one.  Each block's
 distance arrays are capped at 256 KiB, which keeps peak memory flat.
+`cdist` and `digamma` are imported when the estimator first runs, so
+importing this module, as training and `geoib verify` do, loads neither
+scipy.spatial nor scipy.special.
 
 Inversion leakage is the held-out mean squared error of a fixed probe
 that reconstructs x from z (low MSE = invertible representation = little
@@ -44,7 +47,6 @@ import json
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.special import digamma
 
 from .linalg import spd_solve
 from .nets import Network
@@ -103,9 +105,10 @@ def mi_knn(x, z, k: int = MI_DEFAULT_K) -> float:
         raise ValueError(f"x has {n} rows but z has {za.shape[0]}")
     if not 1 <= k < n:
         raise ValueError(f"k must satisfy 1 <= k < n = {n}, got {k}")
-    # scipy.spatial loads k-d trees and scipy.sparse; only this estimator
-    # needs it, so importing the module does not.
+    # scipy.spatial loads k-d trees, scipy.sparse and scipy.special; only
+    # this estimator needs them, so importing the module does not.
     from scipy.spatial.distance import cdist
+    from scipy.special import digamma
 
     # Contiguous once here, so cdist does not copy them for every block.
     xa = np.ascontiguousarray(xa)
@@ -211,8 +214,10 @@ class InfoPlanePoint:
 
     `wall_clock_s` is the training time; nan means it is not known (a run
     re-scored without its recorded point).  `probe` names the inversion
-    probe that measured `inversion_mse` (PROBE_NAME); None means it is not
-    known (CSV rows, records written before the field existed).
+    probe that measured `inversion_mse` (PROBE_NAME), and `revision` the
+    training revision of the code that evaluated the point
+    (`training.REVISION`); None means it is not known (CSV rows, records
+    written before the field existed).
     """
 
     beta: float
@@ -225,6 +230,7 @@ class InfoPlanePoint:
     mi_estimator: str = MI_ESTIMATOR
     mi_k: int = MI_DEFAULT_K
     probe: str | None = None
+    revision: str | None = None
 
     def __post_init__(self):
         for name in ("beta", "accuracy", "mi_xz_nats", "inversion_mse",

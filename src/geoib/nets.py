@@ -11,7 +11,9 @@ path of that penalty.
 
 Every pass takes a (B, in_dim) batch and runs one primal loop.  The
 derivative passes read the pre-activations and layer outputs that loop
-produced instead of evaluating the activation again.
+produced instead of evaluating the activation again.  `jvp_batch` takes S
+tangent vectors per row, as an (S, B, in_dim) array: its primal loop runs
+on the B rows, and its tangent products on the S*B (probe, row) pairs.
 
 A network holds its parameters as one flat float64 vector, `params`.  The
 vector is the layers' augmented blocks [W | b], each of shape (out, in+1),
@@ -53,6 +55,11 @@ _TABLE = {
                  _softplus_dd),
 }
 ACTIVATIONS = tuple(_TABLE)
+
+
+def _fold(a: np.ndarray) -> np.ndarray:
+    """An (S, B, w) array of per-(probe, row) values as (S*B, w) rows."""
+    return a.reshape(-1, a.shape[-1])
 
 
 def layer_blocks(flat: np.ndarray, shapes) -> list[np.ndarray]:
@@ -251,71 +258,87 @@ class Network:
     # --------------------------------------------------------------- tangents
 
     def jvp_batch(self, x, v):
-        """Batched J(x_i) v_i with the intermediate tangents returned.
+        """J(x_i) v_si for S tangent vectors per input row, with the
+        intermediate tangents returned.
+
+        The primal pass and each layer's activation derivative run once, on
+        the B rows.  The tangent products run folded over the S*B (probe,
+        row) pairs, so each pair's bits are those of a pass over the
+        replicated rows.
 
         Args:
             x: (B, in_dim) inputs.
-            v: (B, in_dim) per-sample tangent vectors.
+            v: (S, B, in_dim) tangent vectors, S per input row.
 
         Returns:
-            (u, cache): u is the (B, out_dim) tangent output; cache holds the
-            intermediates needed by `jvp_adjoint`.
+            (u, cache): u is the (S, B, out_dim) tangent output; cache holds
+            the intermediates needed by `jvp_adjoint`.
         """
         x = np.asarray(x, dtype=np.float64)
         v = np.asarray(v, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.in_dim or v.shape != x.shape:
+        if (x.ndim != 2 or x.shape[1] != self.in_dim or v.ndim != 3
+                or v.shape[1:] != x.shape):
             raise ValueError(
-                f"x and v must be (B, {self.in_dim}) with matching shapes, "
-                f"got {x.shape} and {v.shape}"
+                f"x must be (B, {self.in_dim}) and v (S, B, {self.in_dim}) "
+                f"with the same B, got {x.shape} and {v.shape}"
             )
-        acts, pre = self._primal(x)
+        # A one-row product takes BLAS's matrix-vector route, which rounds
+        # otherwise than the matrix-matrix route that a pass over S > 1
+        # replicated rows takes; a second copy of the row keeps it there.
+        pad = x.shape[0] == 1 and v.shape[0] > 1
+        acts, pre = self._primal(np.repeat(x, 2, axis=0) if pad else x)
+        if pad:
+            acts, pre = [a[:1] for a in acts], [s[:1] for s in pre]
+        derivs = [_TABLE[sp.activation][1](s, a)
+                  for sp, s, a in zip(self.specs, pre, acts[1:])]
         t = v
         tangents, tan_pre = [v], []
-        for l, (sp, blk) in enumerate(zip(self.specs, self.blocks)):
-            ts = t @ blk[:, :-1].T
+        for d, blk in zip(derivs, self.blocks):
+            ts = (_fold(t) @ blk[:, :-1].T).reshape(*v.shape[:2], -1)
             tan_pre.append(ts)
-            t = _TABLE[sp.activation][1](pre[l], acts[l + 1]) * ts
+            t = d * ts
             tangents.append(t)
-        return t, (acts, pre, tangents, tan_pre)
+        return t, (acts, pre, derivs, tangents, tan_pre)
 
     def jvp_adjoint(self, cache, u_bar) -> np.ndarray:
-        """Parameter gradient of sum(u_bar * u) where u = J(x_i) v_i.
+        """Parameter gradient of sum(u_bar * u) where u_si = J(x_i) v_si.
 
         This is reverse-mode applied to the forward-tangent computation of
         `jvp_batch`: adjoints flow through both the primal track (because
         activation derivatives depend on the pre-activations) and the tangent
-        track.
+        track.  The derivatives held for the B rows broadcast over the S
+        probes; every product and sum runs over the folded S*B pairs.
 
         Args:
             cache: second output of `jvp_batch`.
-            u_bar: (B, out_dim) adjoint of the tangent output.
+            u_bar: (S, B, out_dim) adjoint of the tangent output.
 
         Returns:
             The flat parameter gradient, laid out like `params`.
         """
-        acts, pre, tangents, tan_pre = cache
+        acts, pre, derivs, tangents, tan_pre = cache
         u_bar = np.asarray(u_bar, dtype=np.float64)
-        batch = acts[0].shape[0]
-        if u_bar.shape != (batch, self.out_dim):
+        shape = (*tangents[0].shape[:2], self.out_dim)
+        if u_bar.shape != shape:
             raise ValueError(
-                f"u_bar has shape {u_bar.shape}, expected {(batch, self.out_dim)}"
+                f"u_bar has shape {u_bar.shape}, expected {shape}"
             )
         grad = np.empty_like(self.params)
         grad_blocks = layer_blocks(grad, self.shapes)
-        a_bar = np.zeros_like(acts[-1])
+        a_bar = np.zeros_like(u_bar)
         t_bar = u_bar
         for l in range(self.n_layers - 1, -1, -1):
-            _, df, ddf = _TABLE[self.specs[l].activation]
-            d = df(pre[l], acts[l + 1])
-            dd = ddf(pre[l], acts[l + 1])
-            ts_bar = t_bar * d
-            s_bar = a_bar * d + t_bar * tan_pre[l] * dd
-            grad_blocks[l][:, :-1] = s_bar.T @ acts[l] + ts_bar.T @ tangents[l]
+            d = derivs[l]
+            dd = _TABLE[self.specs[l].activation][2](pre[l], acts[l + 1])
+            ts_bar = _fold(t_bar * d)
+            s_bar = _fold(a_bar * d + t_bar * tan_pre[l] * dd)
+            a_rep = _fold(np.broadcast_to(acts[l], tangents[l].shape))
+            grad_blocks[l][:, :-1] = s_bar.T @ a_rep + ts_bar.T @ _fold(tangents[l])
             grad_blocks[l][:, -1] = s_bar.sum(axis=0)
             if l > 0:
                 w = self.blocks[l][:, :-1]
-                a_bar = s_bar @ w
-                t_bar = ts_bar @ w
+                a_bar = (s_bar @ w).reshape(tangents[l].shape)
+                t_bar = (ts_bar @ w).reshape(tangents[l].shape)
         return grad
 
     def explicit_jacobian(self, x) -> np.ndarray:
@@ -331,10 +354,8 @@ class Network:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.in_dim,):
             raise ValueError(f"x must have shape ({self.in_dim},), got {x.shape}")
-        eye = np.eye(self.in_dim)
-        xs = np.repeat(x[None, :], self.in_dim, axis=0)
-        u, _ = self.jvp_batch(xs, eye)
-        return u.T.copy()
+        u, _ = self.jvp_batch(x[None, :], np.eye(self.in_dim)[:, None, :])
+        return u[:, 0, :].T.copy()
 
     # --------------------------------------------------------------------- io
 

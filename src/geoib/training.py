@@ -85,6 +85,12 @@ from .mi import (
 from .nets import LayerSpec, Network
 from .rng import Rng
 
+# The training revision: what a given config trains to.  Every change in
+# behaviour made on purpose bumps it (r1 -> r2) and records the before and
+# after in CHANGES.md; a change that keeps every bit keeps it.  Evaluated
+# points record it, and a sweep refuses to reuse a cell of another one.
+REVISION = "r1"
+
 # Substream layout of the run seed.
 _STREAM_ENC_INIT = 11
 _STREAM_DEC_INIT = 12
@@ -569,7 +575,8 @@ def evaluate_run(cfg: TrainConfig, enc: Network, dec: Network,
     mi = mi_knn(_standardized(x_mi), _noise_relative_view(mu_mi, lv_mi))
     return InfoPlanePoint(beta=cfg.beta, k_dim=cfg.k_dim, accuracy=acc,
                           mi_xz_nats=mi, inversion_mse=inv, seed=cfg.seed,
-                          wall_clock_s=wall_clock_s, probe=PROBE_NAME)
+                          wall_clock_s=wall_clock_s, probe=PROBE_NAME,
+                          revision=REVISION)
 
 
 def write_run_outputs(out_dir: str, cfg: TrainConfig, enc: Network,
@@ -626,8 +633,13 @@ def _read_manifest(path: str) -> dict[str, dict]:
 
 
 def _check_reused_cell(cell_dir: str, cfg: TrainConfig, point: dict) -> None:
-    """Refuse to reuse a finished cell trained under another config, or
-    whose recorded point another inversion probe scored."""
+    """Refuse to reuse a finished cell trained under another config or
+    another training revision, or whose recorded point another inversion
+    probe scored."""
+    revision = point.get("revision")
+    if revision != REVISION:
+        raise ValueError(f"{cell_dir} was trained at revision {revision!r}, "
+                         f"now {REVISION!r}; sweep into a new directory")
     probe = point.get("probe")
     if probe != PROBE_NAME:
         raise ValueError(f"{cell_dir} was scored by the inversion probe "
@@ -650,9 +662,10 @@ def run_sweep(base_cfg: TrainConfig, out_dir: str,
     failed cells are recorded with the error, do not stop the sweep, and
     are trained again on re-entry.  Before anything is trained, every
     completed cell's saved config must equal the one the grid gives it, and
-    its recorded point must name the current inversion probe, or
-    ValueError says what differs.  The aggregate info_plane.csv
-    and points.jsonl are rewritten at the end from all successful cells.
+    its recorded point must name the current training revision and
+    inversion probe, or ValueError says what differs.  The aggregate
+    info_plane.csv and points.jsonl are rewritten at the end from all
+    successful cells.
     """
     betas = tuple(betas) if betas is not None else DEFAULT_BETA_GRID
     k_dims = tuple(k_dims) if k_dims is not None else DEFAULT_K_GRID

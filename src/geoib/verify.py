@@ -6,6 +6,10 @@ numerically integrated geodesics, finite differences, exact traces), and
 reports a scalar margin with a hard threshold.  Results serialize to a file
 that contains no timing or environment information, so two runs with the
 same seed produce byte-identical output.
+
+The geodesic oracle is a Runge-Kutta integrator written here rather than
+scipy.integrate, so importing this module loads scipy.linalg (through
+`fisher` and `linalg`) and no other scipy subpackage.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import discrete_info as di
 from .encoder import (
@@ -357,22 +360,47 @@ def check_steepest_descent(seed: int = 0, n_fishers: int = 20,
                        f"min(margin)={worst:.3e} slack={slack:.0e}")
 
 
-def _geodesic_ode(p: Gaussian1D, tangent, rtol: float = 1e-11) -> Gaussian1D:
+def _geodesic_accel(sigma: float, dmu: float, dsigma: float):
+    """(mu'', sigma'') on the geodesic of the metric diag(1/sigma^2, 2/sigma^2)."""
+    return (2.0 * dmu * dsigma / sigma,
+            (dsigma * dsigma - 0.5 * dmu * dmu) / sigma)
+
+
+def _rk4_geodesic(mu: float, sigma: float, dmu: float, dsigma: float,
+                  steps: int) -> tuple[float, float]:
+    """(mu, sigma) at t=1 by `steps` classical fourth-order Runge-Kutta
+    steps of the geodesic equations, on Python floats."""
+    h = 1.0 / steps
+    for _ in range(steps):
+        a1, b1 = _geodesic_accel(sigma, dmu, dsigma)
+        m2, s2 = dmu + 0.5 * h * a1, dsigma + 0.5 * h * b1
+        a2, b2 = _geodesic_accel(sigma + 0.5 * h * dsigma, m2, s2)
+        m3, s3 = dmu + 0.5 * h * a2, dsigma + 0.5 * h * b2
+        a3, b3 = _geodesic_accel(sigma + 0.5 * h * s2, m3, s3)
+        m4, s4 = dmu + h * a3, dsigma + h * b3
+        a4, b4 = _geodesic_accel(sigma + h * s3, m4, s4)
+        mu += h / 6.0 * (dmu + 2.0 * m2 + 2.0 * m3 + m4)
+        sigma += h / 6.0 * (dsigma + 2.0 * s2 + 2.0 * s3 + s4)
+        dmu += h / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        dsigma += h / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+    return mu, sigma
+
+
+def _geodesic_ode(p: Gaussian1D, tangent) -> Gaussian1D:
     """Independent endpoint: integrate the geodesic equations of the metric
-    diag(1/sigma^2, 2/sigma^2) from t=0 to 1."""
+    diag(1/sigma^2, 2/sigma^2) from t=0 to 1.
 
-    def rhs(_t, state):
-        _mu, sigma, dmu, dsigma = state
-        return [dmu, dsigma,
-                2.0 * dmu * dsigma / sigma,
-                (dsigma**2 - 0.5 * dmu**2) / sigma]
-
-    sol = solve_ivp(rhs, (0.0, 1.0),
-                    [p.mu, p.sigma, float(tangent[0]), float(tangent[1])],
-                    rtol=rtol, atol=1e-13, dense_output=False)
-    if not sol.success:
-        raise RuntimeError(f"geodesic integration failed: {sol.message}")
-    return Gaussian1D(mu=float(sol.y[0, -1]), sigma=float(sol.y[1, -1]))
+    Two Runge-Kutta runs, of 400 and 800 steps, are combined by Richardson
+    extrapolation, which cancels their leading h^4 error term.  For
+    tangents of the size `check_geodesic` draws the endpoint is within
+    about 1e-11 of the closed form, far below its tolerance.
+    """
+    start = (p.mu, p.sigma, float(tangent[0]), float(tangent[1]))
+    mu_c, sigma_c = _rk4_geodesic(*start, 400)
+    mu_f, sigma_f = _rk4_geodesic(*start, 800)
+    # Gaussian1D refuses a non-finite or non-positive endpoint
+    return Gaussian1D(mu=mu_f + (mu_f - mu_c) / 15.0,
+                      sigma=sigma_f + (sigma_f - sigma_c) / 15.0)
 
 
 def check_geodesic(seed: int = 0, n_points: int = 10, ode_tol: float = 1e-6,

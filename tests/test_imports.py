@@ -19,12 +19,17 @@ CASES = [
     ("geoib.cli", "scipy.integrate"),
     ("geoib.training", "scipy.spatial"),
     ("geoib.training", "concurrent.futures.thread"),
+    ("geoib.verify", "scipy.integrate"),
+    ("geoib.training, geoib.verify", "scipy.special"),
+    ("geoib.training, geoib.verify", "scipy.optimize"),
 ]
 
 
 @pytest.mark.parametrize("modules, absent", CASES,
                          ids=["numpy_only", "training", "cli", "training_spatial",
-                              "training_thread_pool"])
+                              "training_thread_pool", "verify",
+                              "training_verify_special",
+                              "training_verify_optimize"])
 def test_import_leaves_module_unloaded(modules, absent):
     code = f"import sys, {modules}; print({absent!r} in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))

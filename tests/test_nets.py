@@ -3,7 +3,7 @@ import pytest
 
 from geoib.nets import ACTIVATIONS, LayerSpec, Network, layer_blocks
 from geoib.rng import Rng
-from oracles import central_difference
+from oracles import central_difference, replicated_jvp
 
 
 def _net(*specs, seed=None):
@@ -16,9 +16,9 @@ SLOTS = [(act, slot) for act in ACTIVATIONS for slot in ("hidden", "output")]
 
 
 def _jvp(net, x, v):
-    """J(x) v for one input, as a one-row jvp_batch call."""
-    u, _ = net.jvp_batch(x[None, :], v[None, :])
-    return u[0]
+    """J(x) v for one input, as a one-row, one-probe jvp_batch call."""
+    u, _ = net.jvp_batch(x[None, :], v[None, None, :])
+    return u[0, 0]
 
 
 # ----------------------------------------------------------------- forward
@@ -163,8 +163,8 @@ def test_jvp_matches_finite_differences():
     v = rng.normal((6, 4))
     h = 1e-5
     fd = (net.forward(x + h * v) - net.forward(x - h * v)) / (2.0 * h)
-    got, _ = net.jvp_batch(x, v)
-    rel = np.abs(got - fd) / np.maximum(np.abs(fd), 1e-6)
+    got, _ = net.jvp_batch(x, v[None])
+    rel = np.abs(got[0] - fd) / np.maximum(np.abs(fd), 1e-6)
     assert float(rel.max()) < 1e-5
 
 
@@ -183,10 +183,48 @@ def test_jvp_batch_per_sample_tangents():
     net = _net((2, 3, "tanh"), seed=16)
     rng = Rng(17)
     x = rng.normal((4, 2))
-    v = rng.normal((4, 2))
+    v = rng.normal((3, 4, 2))
     u, _ = net.jvp_batch(x, v)
-    for i in range(4):
-        np.testing.assert_allclose(u[i], _jvp(net, x[i], v[i]), rtol=0, atol=1e-14)
+    for s in range(3):
+        for i in range(4):
+            np.testing.assert_allclose(u[s, i], _jvp(net, x[i], v[s, i]),
+                                       rtol=0, atol=1e-14)
+
+
+# the Hutchinson check's shape (10,000 probes of one row, a verify-sized
+# net) and training's (2 probes, a full and a tail batch, a mixture encoder)
+REPLICATED_CASES = [
+    (((4, 5, "softplus"), (5, 3, "identity")), 10_000, 1),
+    (((8, 32, "tanh"), (32, 16, "identity")), 2, 128),
+    (((8, 32, "tanh"), (32, 16, "identity")), 2, 44),
+    (((8, 32, "tanh"), (32, 16, "identity")), 2, 5),
+]
+
+
+@pytest.mark.parametrize("specs, n_probes, batch", REPLICATED_CASES,
+                         ids=["hutchinson", "batch", "tail", "short_tail"])
+def test_jvp_matches_replicated_pass_bit_for_bit(specs, n_probes, batch):
+    """One primal pass on the B rows gives the bits of a pass over x
+    replicated S times, in the tangents and in the adjoint gradient."""
+    net = _net(*specs, seed=26)
+    rng = Rng(27)
+    for blk in net.blocks:
+        blk[:, -1] = rng.normal(blk.shape[0])
+    x = rng.normal((batch, net.in_dim))
+    v = rng.normal((n_probes, batch, net.in_dim))
+    u_bar = rng.normal((n_probes, batch, net.out_dim))
+    u, cache = net.jvp_batch(x, v)
+    u_ref, grad_ref = replicated_jvp(net, x, v, u_bar)
+    np.testing.assert_array_equal(u, u_ref)
+    np.testing.assert_array_equal(net.jvp_adjoint(cache, u_bar), grad_ref)
+
+
+def test_jvp_batch_refuses_mismatched_probes():
+    net = _net((3, 2, "tanh"), seed=28)
+    with pytest.raises(ValueError, match="same B"):
+        net.jvp_batch(np.zeros((4, 3)), np.zeros((2, 5, 3)))
+    with pytest.raises(ValueError, match="same B"):
+        net.jvp_batch(np.zeros((4, 3)), np.zeros((4, 3)))
 
 
 # ------------------------------------------------------- explicit jacobian
@@ -234,8 +272,8 @@ def test_jvp_adjoint_matches_finite_differences(act, slot):
     net = _net((3, 4, hidden), (4, 2, out), seed=22)
     rng = Rng(23)
     x = rng.normal((5, 3))
-    v = rng.normal((5, 3))
-    u_bar = rng.normal((5, 2))
+    v = rng.normal((2, 5, 3))
+    u_bar = rng.normal((2, 5, 2))
     _, cache = net.jvp_batch(x, v)
     analytic = net.jvp_adjoint(cache, u_bar)
 

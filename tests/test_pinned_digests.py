@@ -2,8 +2,9 @@
 the property suite writes a recorded table.
 
 A change that keeps behaviour keeps these digests.  A change in behaviour
-made on purpose records the before and after in CHANGES.md and updates
-PINNED or VERIFY_TABLE.  The digests were recorded on numpy 2.4.6 with OpenBLAS 0.3.31 on
+made on purpose bumps `training.REVISION`, records the before and after in
+CHANGES.md, and pins the new revision's digests in PINNED; an intended
+change to the verify table updates VERIFY_TABLE.  The digests were recorded on numpy 2.4.6 with OpenBLAS 0.3.31 on
 one BLAS thread (conftest.py); a failure names the build it ran on, so a
 different build can be told apart from a change in behaviour.
 """
@@ -15,13 +16,14 @@ import numpy as np
 import pytest
 
 from geoib.config import TrainConfig
-from geoib.training import run_training
+from geoib.training import REVISION, run_training
 from geoib.verify import run_all_checks, write_results
 
 DATASET = "gauss_mixture:n=1000,noise=0.14"
 
-# name: (TrainConfig overrides, encoder.net sha256, decoder.net sha256)
-PINNED = {
+# revision: {name: (TrainConfig overrides, encoder.net sha256,
+# decoder.net sha256)}; every revision pins the same names
+PINNED = {"r1": {
     "geoib": (
         {},
         "e966fb99c7fe70401e6bcf71f1be6f7b62cd7050799b8b5aee292a066f8f1bc4",
@@ -42,10 +44,10 @@ PINNED = {
         "f6b01578ff75259b571b31deacb3b09e84991ffe781f9321274c816dd9591f90",
         "c22ef260db683dac23a8e372a77eeecbff0fc5b6861c85baa73795ee1e591544",
     ),
-}
+}}
 
 # sha256 of the table `geoib verify --seed 0 --out F` writes
-VERIFY_TABLE = "ac7e91899c86440b566c13a31b8da49c1f244be7cd3e27c24560907862a7ec5c"
+VERIFY_TABLE = "162be132874ec3c72b79aa7063ff1bed9b6244565fc4c76f5c8b90796dc3c22b"
 
 
 def _build() -> str:
@@ -60,17 +62,22 @@ def _sha256(path) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-@pytest.mark.parametrize("name", PINNED)
+@pytest.mark.parametrize("name", next(iter(PINNED.values())))
 def test_small_run_reproduces_pinned_digests(name, tmp_path):
-    overrides, enc_sha, dec_sha = PINNED[name]
+    assert REVISION in PINNED, (
+        f"no digests are pinned for training revision {REVISION!r}: record "
+        f"its runs' digests in PINNED[{REVISION!r}]")
+    overrides, enc_sha, dec_sha = PINNED[REVISION][name]
     cfg = TrainConfig(epochs=3, dataset=DATASET, **overrides)
     run_training(cfg, out_dir=str(tmp_path), evaluate=False)
     got = (_sha256(tmp_path / "encoder.net"), _sha256(tmp_path / "decoder.net"))
     assert got == (enc_sha, dec_sha), (
         f"{name}: encoder/decoder sha256 {got} differ from the pinned "
-        f"{(enc_sha, dec_sha)} on {_build()}.  On the recorded build "
-        f"(numpy 2.4.6, OpenBLAS 0.3.31, one thread) this is a change in "
-        f"behaviour: record the before/after in CHANGES.md and update PINNED."
+        f"{(enc_sha, dec_sha)} of revision {REVISION!r} on {_build()}.  On "
+        f"the recorded build (numpy 2.4.6, OpenBLAS 0.3.31, one thread) this "
+        f"is a change in behaviour: if it is intended, bump "
+        f"training.REVISION, record the before/after in CHANGES.md and pin "
+        f"the new revision's digests in PINNED; if not, it is a defect."
     )
 
 

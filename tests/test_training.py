@@ -25,6 +25,7 @@ from geoib.mi import (
 from geoib.nets import Network
 from geoib.rng import Rng
 from geoib.training import (
+    REVISION,
     TrainingDiverged,
     build_nets,
     evaluate_run,
@@ -975,6 +976,26 @@ def test_run_sweep_refuses_a_cell_trained_under_other_flags(tmp_path):
         run_sweep(longer, str(out), betas=(1e-4, 1e-3), k_dims=(2,))
     # refused before training anything
     assert (out / "manifest.jsonl").read_text() == manifest
+    assert not (out / "beta0.001_k2_seed0").exists()
+
+
+@pytest.mark.parametrize("recorded", [None, "r0"])
+def test_run_sweep_refuses_a_cell_of_another_revision(tmp_path, recorded):
+    out = tmp_path / "sweep"
+    (point,) = run_sweep(_SWEEP_CFG, str(out), betas=(1e-4,), k_dims=(2,))
+    assert point.revision == REVISION
+    assert json.loads((out / "points.jsonl").read_text())["revision"] == REVISION
+    cell = out / "beta0.0001_k2_seed0"
+    assert json.loads((cell / "point.jsonl").read_text())["revision"] == REVISION
+    # a sweep written before the revision was recorded names none
+    rec = json.loads((out / "manifest.jsonl").read_text())
+    assert rec["point"]["revision"] == REVISION
+    rec["point"]["revision"] = recorded
+    if recorded is None:
+        del rec["point"]["revision"]
+    (out / "manifest.jsonl").write_text(json.dumps(rec) + "\n")
+    with pytest.raises(ValueError, match="revision.*sweep into a new directory"):
+        run_sweep(_SWEEP_CFG, str(out), betas=(1e-4, 1e-3), k_dims=(2,))
     assert not (out / "beta0.001_k2_seed0").exists()
 
 
