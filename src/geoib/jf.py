@@ -134,31 +134,16 @@ def _check_head(net, head_dim: int | None) -> int:
     return head_dim
 
 
-def _folded_jvp(net, x, noise_cov, probes, head_dim: int | None):
-    """Head tangents J(x_i) v_si of every (probe, sample) pair, with the
-    floored noise variances.  The primal pass runs once on the B rows and
-    the tangent products over the folded S*B pairs (`Network.jvp_batch`).
-
-    Returns:
-        (u_head, nc, u, cache): u_head is (S, B, head), nc is (B, head), and
-        u and cache are the full JVP output and its adjoint cache.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    probes = np.asarray(probes, dtype=np.float64)
-    head = _check_head(net, head_dim)
-    if probes.ndim != 3 or probes.shape[1:] != x.shape:
-        raise ValueError(
-            f"probes must be (S, {x.shape[0]}, {x.shape[1]}), got {probes.shape}"
-        )
+def _floored_noise(noise_cov, batch: int, head: int) -> np.ndarray:
+    """The (batch, head) noise variances, floored at SIGMA_SQ_FLOOR."""
     nc = np.maximum(np.asarray(noise_cov, dtype=np.float64), SIGMA_SQ_FLOOR)
     if nc.ndim == 1:
-        nc = np.broadcast_to(nc, (x.shape[0], head))
-    if nc.shape != (x.shape[0], head):
+        nc = np.broadcast_to(nc, (batch, head))
+    if nc.shape != (batch, head):
         raise ValueError(
-            f"noise_cov must broadcast to ({x.shape[0]}, {head}), got {nc.shape}"
+            f"noise_cov must broadcast to ({batch}, {head}), got {nc.shape}"
         )
-    u, cache = net.jvp_batch(x, probes)
-    return u[:, :, :head], nc, u, cache
+    return nc
 
 
 def jf_batch(net, x, noise_cov, probes, head_dim: int | None = None):
@@ -176,8 +161,10 @@ def jf_batch(net, x, noise_cov, probes, head_dim: int | None = None):
         (values, per_probe): values is (B,) with the probe-averaged estimate
         per sample; per_probe is (S,) with batch means per probe.
     """
-    u_head, nc, _, _ = _folded_jvp(net, x, noise_cov, probes, head_dim)
-    per_sample = np.sum(u_head**2 / nc, axis=2)
+    head = _check_head(net, head_dim)
+    u, _ = net.jvp_batch(x, probes)
+    nc = _floored_noise(noise_cov, u.shape[1], head)
+    per_sample = np.sum(u[:, :, :head]**2 / nc, axis=2)
     return per_sample.mean(axis=0), per_sample.mean(axis=1)
 
 
@@ -204,21 +191,29 @@ def jf_hutchinson(net, x, noise_cov, n_probes: int, rng,
     return float(values.mean()), per_probe
 
 
-def jf_value_and_grad(net, x, noise_cov, probes, head_dim: int | None = None):
-    """Batch JF estimate together with its parameter gradient.
+def jf_value_and_grad(net, noise_cov, probes, head_dim: int | None = None):
+    """Batch JF estimate at the captured batch together with its parameter
+    gradient.
 
-    The gradient treats noise_cov as a constant: the only differentiated
-    path runs through the Jacobian-vector products.
+    Like `Network.backward`, it requires a preceding
+    `net.forward(x, capture=True)` with the parameters unchanged since: the
+    JVPs read that pass (`Network.jvp_captured`) instead of running the
+    primal again, and give the bits `jf_batch(net, x, ...)` gives.  The
+    gradient treats noise_cov as a constant: the only differentiated path
+    runs through the Jacobian-vector products.
 
     Args:
-        net, x, noise_cov, probes, head_dim: as in `jf_batch`.
+        net, noise_cov, probes, head_dim: as in `jf_batch`, at the captured x.
 
     Returns:
         (values, grad): values is (B,) per-sample estimates; grad is the
         flat parameter gradient of sum_i values_i (sum convention, like
         `Network.backward`).
     """
-    u_head, nc, u, cache = _folded_jvp(net, x, noise_cov, probes, head_dim)
+    head = _check_head(net, head_dim)
+    u, cache = net.jvp_captured(probes)
+    nc = _floored_noise(noise_cov, u.shape[1], head)
+    u_head = u[:, :, :head]
     values = np.sum(u_head**2 / nc, axis=2).mean(axis=0)
     u_bar = np.zeros_like(u)
     u_bar[:, :, :u_head.shape[2]] = 2.0 * u_head / nc

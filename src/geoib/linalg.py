@@ -2,13 +2,14 @@
 
 Arrays everywhere are C-contiguous numpy float64; there is no sparse path
 and no single-precision path.  This is the one module that calls LAPACK's
-Cholesky routines.  `spd_solve` factors a symmetric positive-definite
-system with `dpotrf` and solves it with `dpotrs`; it serves the K-FAC
-solves and the inversion probe's ridge.  It returns the bits
-`scipy.linalg.cho_factor` and `cho_solve` return, without those wrappers'
-per-call cost, which on small layer factors exceeds the factorization's
-own, and raises FloatingPointError on a non-finite or indefinite matrix.
-`spd_factor` gives the same upper factor for `spd_solve` to reuse, formed
+Cholesky routines.  `spd_solve` factors and solves a symmetric
+positive-definite system in one `dposv` call (LAPACK's `dpotrf` followed by
+`dpotrs`); it serves the K-FAC solves and the inversion probe's ridge.  It
+returns the bits `scipy.linalg.cho_factor` and `cho_solve` return, without
+those wrappers' per-call cost, which on small layer factors exceeds the
+factorization's own, and raises FloatingPointError on a non-finite or
+indefinite matrix.  Given a factor, it solves with `dpotrs` alone.
+`spd_factor` gives the upper factor for `spd_solve` to reuse, formed
 in place by a `dpotrf` call that releases the GIL, so that a large factor
 can be formed on a second thread while the first runs other numpy work.
 scipy's f2py `dpotrf` holds the GIL for the whole factorization, and
@@ -30,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 import scipy
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dposv, dpotrf, dpotrs
 
 # Rejection threshold for |M - M^T| in logdet_psd.
 SYMMETRY_TOL = 1e-10
@@ -47,16 +48,17 @@ def spd_solve(m: np.ndarray | None, b: np.ndarray, what: str,
     non-finite entries or is not numerically positive definite.  m and b
     are left untouched.
     """
-    if factor is None:
-        if not np.isfinite(m).all():
-            raise FloatingPointError(f"{what} has non-finite entries")
-        factor, info = dpotrf(m, lower=0, clean=0)
-        if info != 0:
-            raise FloatingPointError(f"{what} is not positive definite "
-                                     f"(dpotrf info {info})")
-    # dpotrs reports only illegal arguments, which f2py's shape checks
-    # already rule out
-    return dpotrs(factor, b, lower=0)[0]
+    # dposv's and dpotrs's only other failures are illegal arguments,
+    # which f2py's shape checks already rule out
+    if factor is not None:
+        return dpotrs(factor, b, lower=0)[0]
+    if not np.isfinite(m).all():
+        raise FloatingPointError(f"{what} has non-finite entries")
+    _, x, info = dposv(m, b, lower=0)
+    if info != 0:
+        raise FloatingPointError(f"{what} is not positive definite "
+                                 f"(dpotrf info {info})")
+    return x
 
 
 @functools.cache

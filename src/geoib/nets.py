@@ -9,11 +9,17 @@ penalty, and `jvp_adjoint` differentiates a weighted squared JVP with
 respect to the parameters (reverse over forward), which is the gradient
 path of that penalty.
 
-Every pass takes a (B, in_dim) batch and runs one primal loop.  The
-derivative passes read the pre-activations and layer outputs that loop
-produced instead of evaluating the activation again.  `jvp_batch` takes S
-tangent vectors per row, as an (S, B, in_dim) array: its primal loop runs
-on the B rows, and its tangent products on the S*B (probe, row) pairs.
+A captured forward pass, `forward(x, capture=True)`, is the one primal
+loop of a training step.  It keeps each layer's input, pre-activation and
+activation derivative f'(s, y), and the passes that require it read them
+instead of running the layers again: `backward`, its pre-activation-only
+route `backward_deltas` (what the Kronecker factors read), and
+`jvp_captured`, the tangents of the captured batch.  `jvp_batch` runs a
+primal loop of its own on the rows it is given.  Tangents come S per row,
+as an (S, B, in_dim) array: the primal values belong to the B rows, and
+the tangent products run on the S*B (probe, row) pairs.  Identity layers
+hold no derivative array, and the passes skip the products by their unit
+and zero derivatives, which would change no bit.
 
 A network holds its parameters as one flat float64 vector, `params`.  The
 vector is the layers' augmented blocks [W | b], each of shape (out, in+1),
@@ -128,6 +134,7 @@ class Network:
                 blk[:, :-1] = rng.uniform(-bound, bound, (sp.out_dim, sp.in_dim))
         self._acts = None       # layer outputs a_0 = x .. a_L, captured
         self._pre = None        # pre-activations s_0 .. s_{L-1}, captured
+        self._derivs = None     # f'(s_l, a_{l+1}), None for identity, captured
         self._grads_pre = None  # pre-activation gradients, captured by backward
 
     # ------------------------------------------------------------------ shape
@@ -170,22 +177,28 @@ class Network:
 
     # ---------------------------------------------------------------- forward
 
-    def _primal(self, x):
-        """Layer outputs a_0 = x .. a_L and pre-activations s_0 .. s_{L-1}."""
-        acts, pre = [x], []
+    def _primal(self, x, derivs: bool = False):
+        """Layer outputs a_0 = x .. a_L, pre-activations s_0 .. s_{L-1}
+        and, when `derivs`, the activation derivatives f'(s_l, a_{l+1})
+        (None for an identity layer, whose derivative is 1)."""
+        acts, pre, ds = [x], [], []
         for sp, blk in zip(self.specs, self.blocks):
+            f, df, _ = _TABLE[sp.activation]
             s = acts[-1] @ blk[:, :-1].T + blk[:, -1]
             pre.append(s)
-            acts.append(_TABLE[sp.activation][0](s))
-        return acts, pre
+            acts.append(f(s))
+            if derivs:
+                ds.append(None if sp.activation == "identity" else df(s, acts[-1]))
+        return acts, pre, ds
 
     def forward(self, x, capture: bool = False) -> np.ndarray:
         """Run the network on a batch.
 
         Args:
             x: (B, in_dim) batch.
-            capture: record per-layer inputs and pre-activations so that a
-                subsequent `backward` can run and Fisher factors can be read.
+            capture: record per-layer inputs, pre-activations and activation
+                derivatives, which `backward`, `backward_deltas` and
+                `jvp_captured` read, and from which Fisher factors are read.
 
         Returns:
             (B, out_dim) outputs.
@@ -195,16 +208,53 @@ class Network:
             raise ValueError(
                 f"input has shape {x.shape}, expected (*, {self.in_dim})"
             )
-        acts, pre = self._primal(x)
+        acts, pre, derivs = self._primal(x, derivs=capture)
         if capture:
-            self._acts, self._pre, self._grads_pre = acts, pre, None
+            self._acts, self._pre, self._derivs = acts, pre, derivs
+            self._grads_pre = None
         return acts[-1]
+
+    def _deltas(self, upstream, input_grad: bool):
+        """Pre-activation gradients of sum(upstream * output) over the
+        captured batch, recorded for `captured_stats`, and d/dx when
+        `input_grad` (else None)."""
+        if self._acts is None:
+            raise RuntimeError("backward requires a captured forward pass")
+        delta = np.asarray(upstream, dtype=np.float64)
+        batch = self._acts[0].shape[0]
+        if delta.shape != (batch, self.out_dim):
+            raise ValueError(
+                f"upstream has shape {delta.shape}, expected {(batch, self.out_dim)}"
+            )
+        grads_pre: list[np.ndarray] = [None] * self.n_layers
+        for l in range(self.n_layers - 1, -1, -1):
+            if self._derivs[l] is not None:
+                delta = delta * self._derivs[l]
+            grads_pre[l] = delta
+            if l > 0 or input_grad:
+                delta = delta @ self.blocks[l][:, :-1]
+        self._grads_pre = grads_pre
+        return delta if input_grad else None
+
+    def backward_deltas(self, upstream) -> None:
+        """Record the pre-activation gradients of sum(upstream * output)
+        over the captured batch, for `captured_stats`, and form nothing
+        else: no parameter gradient and no input gradient.
+
+        Requires a preceding `forward(..., capture=True)`; `upstream` is as
+        in `backward`, which records the same bits.
+
+        Raises:
+            RuntimeError: if no captured forward pass is available.
+        """
+        self._deltas(upstream, input_grad=False)
 
     def backward(self, upstream, return_input_grad: bool = False):
         """Gradients of sum(upstream * output) over the captured batch.
 
         Requires a preceding `forward(..., capture=True)`.  The pre-activation
-        gradients of every layer are recorded for Fisher factor estimation.
+        gradients of every layer are recorded for Fisher factor estimation,
+        as `backward_deltas` records them.
 
         Args:
             upstream: (B, out_dim) adjoint of the output.
@@ -217,29 +267,14 @@ class Network:
         Raises:
             RuntimeError: if no captured forward pass is available.
         """
-        if self._acts is None:
-            raise RuntimeError("backward requires a captured forward pass")
-        up = np.asarray(upstream, dtype=np.float64)
-        batch = self._acts[0].shape[0]
-        if up.shape != (batch, self.out_dim):
-            raise ValueError(
-                f"upstream has shape {up.shape}, expected {(batch, self.out_dim)}"
-            )
+        input_grad = self._deltas(upstream, return_input_grad)
         grad = np.empty_like(self.params)
-        grad_blocks = layer_blocks(grad, self.shapes)
-        grads_pre: list[np.ndarray] = [None] * self.n_layers
-        delta = up
-        for l in range(self.n_layers - 1, -1, -1):
-            d = _TABLE[self.specs[l].activation][1]
-            delta = delta * d(self._pre[l], self._acts[l + 1])
-            grads_pre[l] = delta
-            grad_blocks[l][:, :-1] = delta.T @ self._acts[l]
-            grad_blocks[l][:, -1] = delta.sum(axis=0)
-            if l > 0 or return_input_grad:
-                delta = delta @ self.blocks[l][:, :-1]
-        self._grads_pre = grads_pre
+        for blk, delta, a in zip(layer_blocks(grad, self.shapes),
+                                 self._grads_pre, self._acts):
+            blk[:, :-1] = delta.T @ a
+            blk[:, -1] = delta.sum(axis=0)
         if return_input_grad:
-            return grad, delta
+            return grad, input_grad
         return grad
 
     def captured_stats(self):
@@ -256,6 +291,28 @@ class Network:
         return self._acts[-1]
 
     # --------------------------------------------------------------- tangents
+
+    def _check_probes(self, x, v) -> np.ndarray:
+        v = np.asarray(v, dtype=np.float64)
+        if (x.ndim != 2 or x.shape[1] != self.in_dim or v.ndim != 3
+                or v.shape[1:] != x.shape):
+            raise ValueError(
+                f"x must be (B, {self.in_dim}) and v (S, B, {self.in_dim}) "
+                f"with the same B, got {x.shape} and {v.shape}"
+            )
+        return v
+
+    def _tangents(self, v, acts, pre, derivs):
+        """Push the (S, B, in_dim) tangents v through the layers whose
+        primal values are given; returns (u, cache) as `jvp_batch` does."""
+        t = v
+        tangents, tan_pre = [v], []
+        for d, blk in zip(derivs, self.blocks):
+            ts = (_fold(t) @ blk[:, :-1].T).reshape(*v.shape[:2], -1)
+            tan_pre.append(ts)
+            t = ts if d is None else d * ts
+            tangents.append(t)
+        return t, (acts, pre, derivs, tangents, tan_pre)
 
     def jvp_batch(self, x, v):
         """J(x_i) v_si for S tangent vectors per input row, with the
@@ -275,30 +332,35 @@ class Network:
             the intermediates needed by `jvp_adjoint`.
         """
         x = np.asarray(x, dtype=np.float64)
-        v = np.asarray(v, dtype=np.float64)
-        if (x.ndim != 2 or x.shape[1] != self.in_dim or v.ndim != 3
-                or v.shape[1:] != x.shape):
-            raise ValueError(
-                f"x must be (B, {self.in_dim}) and v (S, B, {self.in_dim}) "
-                f"with the same B, got {x.shape} and {v.shape}"
-            )
+        v = self._check_probes(x, v)
         # A one-row product takes BLAS's matrix-vector route, which rounds
         # otherwise than the matrix-matrix route that a pass over S > 1
         # replicated rows takes; a second copy of the row keeps it there.
-        pad = x.shape[0] == 1 and v.shape[0] > 1
-        acts, pre = self._primal(np.repeat(x, 2, axis=0) if pad else x)
-        if pad:
-            acts, pre = [a[:1] for a in acts], [s[:1] for s in pre]
-        derivs = [_TABLE[sp.activation][1](s, a)
-                  for sp, s, a in zip(self.specs, pre, acts[1:])]
-        t = v
-        tangents, tan_pre = [v], []
-        for d, blk in zip(derivs, self.blocks):
-            ts = (_fold(t) @ blk[:, :-1].T).reshape(*v.shape[:2], -1)
-            tan_pre.append(ts)
-            t = d * ts
-            tangents.append(t)
-        return t, (acts, pre, derivs, tangents, tan_pre)
+        if x.shape[0] == 1 and v.shape[0] > 1:
+            acts, pre, derivs = self._primal(np.repeat(x, 2, axis=0), derivs=True)
+            return self._tangents(v, [a[:1] for a in acts], [s[:1] for s in pre],
+                                  [d if d is None else d[:1] for d in derivs])
+        return self._tangents(v, *self._primal(x, derivs=True))
+
+    def jvp_captured(self, v):
+        """`jvp_batch` at the captured batch x, reading the captured pass.
+
+        Requires a preceding `forward(x, capture=True)` with the parameters
+        unchanged since, as `backward` does; it gives the bits of
+        `jvp_batch(x, v)`.  A one-row capture with S > 1 tangents is handed
+        to `jvp_batch`, whose padded primal rounds otherwise than the
+        captured one-row pass.
+
+        Raises:
+            RuntimeError: if no captured forward pass is available.
+        """
+        if self._acts is None:
+            raise RuntimeError("jvp_captured requires a captured forward pass")
+        x = self._acts[0]
+        v = self._check_probes(x, v)
+        if x.shape[0] == 1 and v.shape[0] > 1:
+            return self.jvp_batch(x, v)
+        return self._tangents(v, self._acts, self._pre, self._derivs)
 
     def jvp_adjoint(self, cache, u_bar) -> np.ndarray:
         """Parameter gradient of sum(u_bar * u) where u_si = J(x_i) v_si.
@@ -309,8 +371,13 @@ class Network:
         track.  The derivatives held for the B rows broadcast over the S
         probes; every product and sum runs over the folded S*B pairs.
 
+        The primal-track adjoint is identically +0 above the topmost
+        nonlinear layer, since an identity layer's second derivative is 0.
+        While it is, the pass skips the products and sums that would only
+        add +0, and adds 0.0 where the sum would turn a -0 into +0.
+
         Args:
-            cache: second output of `jvp_batch`.
+            cache: second output of `jvp_batch` or `jvp_captured`.
             u_bar: (S, B, out_dim) adjoint of the tangent output.
 
         Returns:
@@ -325,19 +392,31 @@ class Network:
             )
         grad = np.empty_like(self.params)
         grad_blocks = layer_blocks(grad, self.shapes)
-        a_bar = np.zeros_like(u_bar)
+        a_bar = None  # the primal-track adjoint; None while it is +0
         t_bar = u_bar
         for l in range(self.n_layers - 1, -1, -1):
             d = derivs[l]
-            dd = _TABLE[self.specs[l].activation][2](pre[l], acts[l + 1])
-            ts_bar = _fold(t_bar * d)
-            s_bar = _fold(a_bar * d + t_bar * tan_pre[l] * dd)
-            a_rep = _fold(np.broadcast_to(acts[l], tangents[l].shape))
-            grad_blocks[l][:, :-1] = s_bar.T @ a_rep + ts_bar.T @ _fold(tangents[l])
-            grad_blocks[l][:, -1] = s_bar.sum(axis=0)
+            ts_bar = _fold(t_bar if d is None else t_bar * d)
+            tan_w = ts_bar.T @ _fold(tangents[l])
+            if a_bar is None and d is None:
+                s_bar = None
+                np.add(tan_w, 0.0, out=grad_blocks[l][:, :-1])
+                grad_blocks[l][:, -1] = 0.0
+            else:
+                dd = _TABLE[self.specs[l].activation][2](pre[l], acts[l + 1])
+                s_bar = t_bar * tan_pre[l] * dd
+                if a_bar is None:
+                    s_bar = s_bar + 0.0
+                else:
+                    s_bar = (a_bar if d is None else a_bar * d) + s_bar
+                s_bar = _fold(s_bar)
+                a_rep = _fold(np.broadcast_to(acts[l], tangents[l].shape))
+                grad_blocks[l][:, :-1] = s_bar.T @ a_rep + tan_w
+                grad_blocks[l][:, -1] = s_bar.sum(axis=0)
             if l > 0:
                 w = self.blocks[l][:, :-1]
-                a_bar = (s_bar @ w).reshape(tangents[l].shape)
+                if s_bar is not None:
+                    a_bar = (s_bar @ w).reshape(tangents[l].shape)
                 t_bar = (ts_bar @ w).reshape(tangents[l].shape)
         return grad
 

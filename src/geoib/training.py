@@ -5,17 +5,24 @@ order: (1) draw a minibatch and reparameterized codes z = mu + sigma * eps,
 (2) estimate the rate term and the Jacobian capacity penalty with
 Hutchinson probes, (3) assemble Euclidean gradients for decoder and encoder
 (the encoder gradient carries beta times the two penalties), (4) refresh
-the Kronecker Fisher factors from a model-sampled backward pass, (5) solve
-the damped factored systems by an exact Kronecker-factored Cholesky solve,
-and (6) apply additive parameter updates scaled by the two step sizes.  The
-VIB baseline (Alemi et al. 2017) is the same objective without the
-Jacobian term, with the rate fixed to the closed-form KL, and skips (2),
-(4) and (5): plain gradient descent, unless the vib_natural_gradient
-ablation keeps the preconditioning steps exactly as geoib runs them.
+the Kronecker Fisher factors from the pre-activation gradients of a
+model-sampled backward pass, (5) solve the damped factored systems by an
+exact Kronecker-factored Cholesky solve, and (6) apply additive parameter
+updates scaled by the two step sizes.  The VIB baseline (Alemi et al.
+2017) is the same objective without the Jacobian term, with the rate fixed
+to the closed-form KL, and skips (2), (4) and (5): plain gradient descent,
+unless the vib_natural_gradient ablation keeps the preconditioning steps
+exactly as geoib runs them.
 
 Everything stochastic draws from substreams of the run seed keyed by step
 index, so runs are reproducible sample-for-sample and a config uniquely
 determines the final parameters.
+
+Each network runs one primal pass a step: the loss's captured forward.
+The Jacobian penalty's JVPs read it, and so do the gradient's backward pass
+and the K-FAC capture's, which backpropagates model-sampled targets.  Only
+a one-row batch with several probes runs the encoder's primal again, padded
+to two rows (`Network.jvp_captured`).
 
 When the encoder's input is at least `_OVERLAP_MIN_INPUTS` (576) wide, the
 input layer's A factor, its EMA blend and the Cholesky factor of its damped
@@ -236,7 +243,8 @@ def geoib_loss_and_grads(enc: Network, dec: Network, x, y, *,
     if probes is not None:
         nc = noise_cov if noise_cov is not None else np.exp(lv)
         if want_grads:
-            jf_vec, jf_grad = jf_value_and_grad(enc, x, nc, probes, head_dim=k_dim)
+            # reads the encoder pass captured above
+            jf_vec, jf_grad = jf_value_and_grad(enc, nc, probes, head_dim=k_dim)
         else:
             jf_vec, _ = jf_batch(enc, x, nc, probes, head_dim=k_dim)
         jf = float(jf_vec.mean())
@@ -264,7 +272,9 @@ def _sampled_capture(enc: Network, dec: Network, k_dim: int,
 
     It runs no forward pass: it backpropagates through the forward passes
     that `geoib_loss_and_grads` captured, so it must follow that call on
-    the same batch with the parameters unchanged.
+    the same batch with the parameters unchanged.  It records only the
+    pre-activation gradients (`Network.backward_deltas`), the one part of a
+    backward pass that `kfac_update` reads besides the captured inputs.
     """
     _, lv, clamp_open = posterior_head(enc.captured_output(), k_dim)
     sig = np.exp(0.5 * lv)
@@ -277,12 +287,12 @@ def _sampled_capture(enc: Network, dec: Network, k_dim: int,
     y_samp = (p.cumsum(axis=1) > u).argmax(axis=1)
     up_dec = p.copy()
     up_dec[np.arange(batch), y_samp] -= 1.0
-    dec.backward(up_dec)
+    dec.backward_deltas(up_dec)
     eps2 = step_rng.substream(772).normal((batch, k_dim))
     up_enc = np.zeros((batch, 2 * k_dim))
     up_enc[:, :k_dim] = eps2 / sig
     up_enc[:, k_dim:] = 0.5 * (eps2**2 - 1.0) * clamp_open
-    enc.backward(up_enc)
+    enc.backward_deltas(up_enc)
 
 
 def _clip_step(delta: np.ndarray, max_norm: float) -> np.ndarray:

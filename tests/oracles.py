@@ -19,7 +19,11 @@ i-projection, and the masked sums of that time written out), and
 exact solve as they ran before the input layer's factor could be formed on
 a second thread (with the package's damping helper and SPD solve), and
 `replicated_jvp`, the JVP and its adjoint as they ran before the primal
-pass ran once per input row (with the package's activation table).
+pass ran once per input row (with the package's activation table), and
+`jf_value_and_grad_replicated`, the Jacobian penalty's gradient route as it
+ran before it read the loss's captured pass (with `replicated_jvp` for its
+JVP), and `backward_by_layer`, the backward pass as it ran before the
+activation derivatives were kept by the captured forward pass.
 """
 
 import numpy as np
@@ -29,7 +33,7 @@ from scipy.special import digamma
 
 from geoib.data import _DIGIT_STROKES, _GRID
 from geoib.discrete_info import i_projection
-from geoib.encoder import posterior_head
+from geoib.encoder import SIGMA_SQ_FLOOR, posterior_head
 from geoib.fisher import _damped
 from geoib.linalg import spd_solve
 from geoib.nets import _TABLE, layer_blocks
@@ -395,3 +399,45 @@ def replicated_jvp(net, x, probes, u_bar=None):
             a_bar = s_bar @ w
             t_bar = ts_bar @ w
     return u, grad
+
+
+def jf_value_and_grad_replicated(net, x, noise_cov, probes, head_dim=None):
+    """Per-sample JF estimates at x and the flat gradient of their sum,
+    by `replicated_jvp`."""
+    head = net.out_dim if head_dim is None else head_dim
+    nc = np.maximum(np.asarray(noise_cov, dtype=np.float64), SIGMA_SQ_FLOOR)
+    if nc.ndim == 1:
+        nc = np.broadcast_to(nc, (x.shape[0], head))
+    u, _ = replicated_jvp(net, x, probes)
+    u_head = u[:, :, :head]
+    values = np.sum(u_head**2 / nc, axis=2).mean(axis=0)
+    u_bar = np.zeros_like(u)
+    u_bar[:, :, :head] = 2.0 * u_head / nc
+    _, grad = replicated_jvp(net, x, probes, u_bar)
+    return values, grad / probes.shape[0]
+
+
+def backward_by_layer(net, x, upstream):
+    """Gradients of sum(upstream * net(x)), one layer at a time.
+
+    Returns:
+        (grad, grads_pre, input_grad): the flat parameter gradient, the
+        per-layer pre-activation gradients and d/dx.
+    """
+    acts, pre = [x], []
+    for sp, blk in zip(net.specs, net.blocks):
+        s = acts[-1] @ blk[:, :-1].T + blk[:, -1]
+        pre.append(s)
+        acts.append(_TABLE[sp.activation][0](s))
+    grad = np.empty_like(net.params)
+    grad_blocks = layer_blocks(grad, net.shapes)
+    grads_pre = [None] * net.n_layers
+    delta = upstream
+    for l in range(net.n_layers - 1, -1, -1):
+        d = _TABLE[net.specs[l].activation][1]
+        delta = delta * d(pre[l], acts[l + 1])
+        grads_pre[l] = delta
+        grad_blocks[l][:, :-1] = delta.T @ acts[l]
+        grad_blocks[l][:, -1] = delta.sum(axis=0)
+        delta = delta @ net.blocks[l][:, :-1]
+    return grad, grads_pre, delta

@@ -91,6 +91,30 @@ def test_kfac_update_blends_factors_in_place():
         np.testing.assert_array_equal(got, 0.9 * o + (1.0 - 0.9) * n)
 
 
+@pytest.mark.parametrize("specs", [
+    ((5, 7, "tanh"), (7, 4, "identity")),
+    ((5, 7, "softplus"), (7, 6, "identity"), (6, 4, "identity")),
+], ids=["tanh", "softplus_identity_top"])
+def test_backward_deltas_give_the_factors_of_a_full_backward(specs):
+    # first update adopts, second blends; the pre-activation-only capture
+    # must leave the factors a full backward pass leaves, bit for bit
+    net = _net(*specs, seed=57)
+    full = kfac_init(net, ema_decay=0.9)
+    lean = kfac_init(net, ema_decay=0.9)
+    for seed in (58, 59):
+        x = Rng(seed).normal((16, 5))
+        upstream = Rng(seed + 10).normal((16, 4))
+        net.forward(x, capture=True)
+        net.backward(upstream)
+        kfac_update(full, net)
+        net.forward(x, capture=True)
+        net.backward_deltas(upstream)
+        kfac_update(lean, net)
+    for got, want in zip(lean.a_factors + lean.g_factors,
+                         full.a_factors + full.g_factors):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_an_adopted_input_factor_gives_the_bits_of_a_full_update_and_solve():
     # first update adopts, second blends; factors, directions and residuals
     # must match the route that forms layer 0's factor inside kfac_update

@@ -14,7 +14,7 @@ from geoib.jf import (
 from geoib.encoder import SIGMA_SQ_FLOOR
 from geoib.nets import LayerSpec, Network
 from geoib.rng import Rng
-from oracles import central_difference
+from oracles import central_difference, jf_value_and_grad_replicated
 
 
 def _net(*specs, seed=None):
@@ -267,7 +267,8 @@ def test_value_and_grad_matches_batch_values():
     net = _net((3, 4, "tanh"), (4, 2, "identity"), seed=34)
     x = Rng(35).normal((5, 3))
     probes = draw_probes(Rng(36), 2, 5, 3)
-    values, grad = jf_value_and_grad(net, x, np.ones(2), probes)
+    net.forward(x, capture=True)
+    values, grad = jf_value_and_grad(net, np.ones(2), probes)
     ref, _ = jf_batch(net, x, np.ones(2), probes)
     np.testing.assert_array_equal(values, ref)
     assert grad.shape == (net.n_params,)
@@ -278,7 +279,8 @@ def test_value_and_grad_matches_finite_differences():
     x = Rng(38).normal((4, 3))
     nc = np.exp(0.3 * Rng(39).normal(2))
     probes = draw_probes(Rng(40), 2, 4, 3)
-    _, analytic = jf_value_and_grad(net, x, nc, probes)
+    net.forward(x, capture=True)
+    _, analytic = jf_value_and_grad(net, nc, probes)
 
     def total(flat):
         clone = net.copy()
@@ -289,3 +291,37 @@ def test_value_and_grad_matches_finite_differences():
     fd = central_difference(total, net.get_params())
     rel = np.abs(analytic - fd) / np.maximum(np.abs(fd), 1e-6)
     assert float(rel.max()) < 1e-4
+
+
+def _bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("hidden", ["tanh", "softplus"])
+@pytest.mark.parametrize("n_probes, batch", [(2, 32), (2, 1), (1, 1)])
+def test_value_and_grad_gives_the_replicated_bits(hidden, n_probes, batch):
+    """The gradient route reads the captured pass and gives the bits of
+    the replicated-pass oracle; a hidden unit with no outgoing weights and
+    the unpenalized log-variance head leave exact zeros in the gradient."""
+    net = _net((3, 5, hidden), (5, 4, "identity"), seed=50)
+    net.blocks[1][:, 2] = 0.0
+    x = Rng(51).normal((batch, 3))
+    nc = np.exp(0.3 * Rng(52).normal((batch, 2)))
+    probes = draw_probes(Rng(53), n_probes, batch, 3)
+    net.forward(x, capture=True)
+    values, grad = jf_value_and_grad(net, nc, probes, head_dim=2)
+    want_values, want_grad = jf_value_and_grad_replicated(net, x, nc, probes,
+                                                          head_dim=2)
+    assert np.array_equal(_bits(values), _bits(want_values))
+    assert np.array_equal(_bits(grad), _bits(want_grad))
+    assert np.count_nonzero(grad == 0.0) >= 2 * 6 + 4
+
+
+def test_value_and_grad_requires_a_captured_pass():
+    net = _net((3, 2, "tanh"), seed=54)
+    probes = draw_probes(Rng(55), 2, 4, 3)
+    with pytest.raises(RuntimeError, match="captured forward"):
+        jf_value_and_grad(net, np.ones(2), probes)
+    net.forward(Rng(56).normal((5, 3)), capture=True)
+    with pytest.raises(ValueError, match="same B"):
+        jf_value_and_grad(net, np.ones(2), probes)

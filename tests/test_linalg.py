@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from geoib.linalg import (
     CgResult,
@@ -40,6 +40,35 @@ def test_spd_solve_rejects_an_indefinite_matrix():
     with pytest.raises(FloatingPointError,
                        match=r"^m is not positive definite \(dpotrf info 2\)$"):
         spd_solve(np.diag([1.0, -1.0]), np.ones(2), "m")
+
+
+@pytest.mark.parametrize("n", [1, 4, 9, 33, 65, 257, 785])
+def test_spd_solve_gives_the_bits_of_dpotrf_then_dpotrs(n):
+    # one dposv call factors and solves as the two calls do, for right-hand
+    # sides given as C- or F-ordered arrays
+    rng = Rng(7 + n)
+    x = rng.uniform(-1.0, 1.0, (n + 3, n))
+    m = x.T @ x / (n + 3)
+    m.flat[:: n + 1] += 1e-2
+    factor, info = dpotrf(m, lower=0, clean=0)
+    assert info == 0
+    for k in (1, 2, 7, 64):
+        for rhs in (rng.normal((n, k)), rng.normal((k, n)).T):
+            want = dpotrs(factor, rhs, lower=0)[0]
+            assert np.array_equal(spd_solve(m, rhs, "m").view(np.uint64),
+                                  want.view(np.uint64))
+
+
+def test_spd_solve_gives_the_bits_of_dpotrf_then_dpotrs_on_the_probe_ridge():
+    # the inversion probe's normal equations: 257 square, 784 columns
+    z = Rng(8).normal((400, 257))
+    gram = z.T @ z
+    gram.flat[:: 258] += 1e-3
+    cross = z.T @ Rng(9).uniform(0.0, 1.0, (400, 784))
+    factor, _ = dpotrf(gram, lower=0, clean=0)
+    want = dpotrs(factor, cross, lower=0)[0]
+    assert np.array_equal(spd_solve(gram, cross, "ridge").view(np.uint64),
+                          want.view(np.uint64))
 
 
 def test_spd_factor_gives_the_bits_of_scipys_dpotrf():

@@ -3,7 +3,7 @@ import pytest
 
 from geoib.nets import ACTIVATIONS, LayerSpec, Network, layer_blocks
 from geoib.rng import Rng
-from oracles import central_difference, replicated_jvp
+from oracles import backward_by_layer, central_difference, replicated_jvp
 
 
 def _net(*specs, seed=None):
@@ -13,6 +13,11 @@ def _net(*specs, seed=None):
 
 # every activation in the hidden and in the output slot of a net
 SLOTS = [(act, slot) for act in ACTIVATIONS for slot in ("hidden", "output")]
+
+
+def _bits(a) -> np.ndarray:
+    """The float64 entries of a as integers, so that +0 and -0 differ."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
 def _jvp(net, x, v):
@@ -227,6 +232,76 @@ def test_jvp_batch_refuses_mismatched_probes():
         net.jvp_batch(np.zeros((4, 3)), np.zeros((4, 3)))
 
 
+# nets whose layers hold every kind of derivative the passes branch on:
+# tanh and softplus hidden layers, two identity layers at the top, and an
+# identity layer below a nonlinear one
+CAPTURED_NETS = {
+    "tanh": ((8, 32, "tanh"), (32, 16, "identity")),
+    "softplus": ((6, 9, "softplus"), (9, 4, "identity")),
+    "identity_top": ((5, 7, "tanh"), (7, 6, "identity"), (6, 4, "identity")),
+    "identity_below": ((5, 7, "identity"), (7, 6, "softplus"), (6, 4, "identity")),
+}
+
+
+def _biased_net(specs, seed):
+    net = _net(*specs, seed=seed)
+    rng = Rng(seed + 1)
+    for blk in net.blocks:
+        blk[:, -1] = rng.normal(blk.shape[0])
+    return net
+
+
+@pytest.mark.parametrize("name", CAPTURED_NETS)
+@pytest.mark.parametrize("n_probes, batch", [(2, 128), (3, 7), (1, 1), (2, 1)])
+def test_jvp_captured_matches_replicated_pass_bit_for_bit(name, n_probes, batch):
+    """The JVP read from a captured pass gives the bits of a pass over x
+    replicated S times, in the tangents and in the adjoint gradient; a
+    one-row capture with S > 1 runs its padded primal again."""
+    net = _biased_net(CAPTURED_NETS[name], seed=40)
+    rng = Rng(41)
+    x = rng.normal((batch, net.in_dim))
+    v = rng.normal((n_probes, batch, net.in_dim))
+    u_bar = rng.normal((n_probes, batch, net.out_dim))
+    net.forward(x, capture=True)
+    u, cache = net.jvp_captured(v)
+    u_ref, grad_ref = replicated_jvp(net, x, v, u_bar)
+    assert np.array_equal(_bits(u), _bits(u_ref))
+    assert np.array_equal(_bits(net.jvp_adjoint(cache, u_bar)), _bits(grad_ref))
+    u_own, cache_own = net.jvp_batch(x, v)
+    assert np.array_equal(_bits(u_own), _bits(u_ref))
+    assert np.array_equal(_bits(net.jvp_adjoint(cache_own, u_bar)), _bits(grad_ref))
+
+
+def test_jvp_adjoint_at_a_negative_zero_second_derivative():
+    """A tanh unit at pre-activation 0 has second derivative -0, so its
+    tangent-track term is -0 on every (probe, row) pair, where the replicated
+    pass adds a +0 primal-track adjoint; the adjoint gradient keeps the
+    replicated bits and the unit's bias gradient is +0."""
+    net = _net((3, 4, "tanh"), (4, 2, "identity"), seed=45)
+    net.blocks[0][0] = [1.0, 0.0, 0.0, 0.0]
+    net.blocks[1][:, 0] = np.abs(net.blocks[1][:, 0])
+    rng = Rng(46)
+    x = rng.normal((5, 3))
+    x[:, 0] = 0.0
+    v = np.abs(rng.normal((2, 5, 3)))
+    u_bar = np.abs(rng.normal((2, 5, 2)))
+    net.forward(x, capture=True)
+    _, cache = net.jvp_captured(v)
+    grad = net.jvp_adjoint(cache, u_bar)
+    _, grad_ref = replicated_jvp(net, x, v, u_bar)
+    assert np.array_equal(_bits(grad), _bits(grad_ref))
+    assert not np.signbit(layer_blocks(grad, net.shapes)[0][0, -1])
+
+
+def test_jvp_captured_requires_a_matching_capture():
+    net = _net((3, 2, "tanh"), seed=42)
+    with pytest.raises(RuntimeError, match="captured forward"):
+        net.jvp_captured(np.zeros((2, 4, 3)))
+    net.forward(np.zeros((4, 3)), capture=True)
+    with pytest.raises(ValueError, match="same B"):
+        net.jvp_captured(np.zeros((2, 5, 3)))
+
+
 # ------------------------------------------------------- explicit jacobian
 
 
@@ -304,6 +379,41 @@ def test_captured_stats_match_recomputation():
     recomputed = np.tanh(x @ w.T + b)
     np.testing.assert_allclose(acts[1], recomputed, rtol=0, atol=1e-15)
     assert grads_pre[0].shape == (6, 4) and grads_pre[1].shape == (6, 2)
+
+
+@pytest.mark.parametrize("name", CAPTURED_NETS)
+def test_backward_and_backward_deltas_record_the_layer_by_layer_bits(name):
+    """backward and its pre-activation-only route record the bits of a
+    layer-by-layer pass that evaluates every derivative, and backward
+    returns that pass's gradients."""
+    net = _biased_net(CAPTURED_NETS[name], seed=43)
+    rng = Rng(44)
+    x = rng.normal((9, net.in_dim))
+    upstream = rng.normal((9, net.out_dim))
+    upstream[0, 0] = -0.0
+    grad_ref, pre_ref, dx_ref = backward_by_layer(net, x, upstream)
+    net.forward(x, capture=True)
+    net.backward_deltas(upstream)
+    acts, deltas = net.captured_stats()
+    net.forward(x, capture=True)
+    grad, dx = net.backward(upstream, return_input_grad=True)
+    acts_full, deltas_full = net.captured_stats()
+    for got, got_full, want in zip(deltas, deltas_full, pre_ref):
+        assert np.array_equal(_bits(got), _bits(want))
+        assert np.array_equal(_bits(got_full), _bits(want))
+    for a, a_full in zip(acts, acts_full):
+        assert np.array_equal(_bits(a), _bits(a_full))
+    assert np.array_equal(_bits(grad), _bits(grad_ref))
+    assert np.array_equal(_bits(dx), _bits(dx_ref))
+
+
+def test_backward_deltas_require_capture():
+    net = _net((2, 2, "tanh"), seed=0)
+    with pytest.raises(RuntimeError, match="captured"):
+        net.backward_deltas(np.ones((1, 2)))
+    net.forward(np.ones((1, 2)), capture=True)
+    with pytest.raises(ValueError, match="upstream has shape"):
+        net.backward_deltas(np.ones((2, 2)))
 
 
 def test_captured_stats_require_both_passes():

@@ -15,7 +15,7 @@ from geoib.config import TrainConfig
 from geoib.data import gauss_mixture, make_dataset
 from geoib import training
 from geoib.fisher import NaturalGradStep, fisher_vector_product, kfac_init
-from geoib.jf import draw_probes
+from geoib.jf import draw_probes, jf_batch
 from geoib.mi import (
     PROBE_NAME,
     classification_accuracy,
@@ -37,6 +37,7 @@ from geoib.training import (
     train_step,
 )
 from oracles import (
+    jf_value_and_grad_replicated,
     kfac_solve_inline,
     kfac_update_inline,
     sampled_capture_two_forward,
@@ -100,6 +101,57 @@ def test_want_grads_false_returns_metrics_only():
         k_dim=2, eps=eps, probes=probes, want_grads=False)
     assert np.isfinite(m.total) and m.fr >= 0.0 and m.jf >= 0.0
     assert abs(m.total - (m.nll + cfg.beta * (m.fr + m.jf))) < 1e-12
+
+
+def _bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("rows", [1, 32])
+def test_loss_and_grads_give_the_bits_of_a_jf_pass_of_its_own(monkeypatch, rows):
+    # the penalty's JVPs read the loss's captured encoder pass; a one-row
+    # batch with two probes runs its padded primal again.  Either way the
+    # metrics and gradients are those of the replicated-pass route
+    cfg = TrainConfig(k_dim=2, enc_hidden="8", dataset=TOY, beta=0.5)
+    _, _, enc, dec, _, _, x, y = _toy_setup(cfg)
+    x, y = x[:rows], y[:rows]
+    kwargs = dict(beta=cfg.beta, fr_mode=cfg.fr_mode, k_dim=2,
+                  eps=Rng(5).normal((rows, 2)),
+                  probes=draw_probes(Rng(6), 2, rows, 2))
+    got = geoib_loss_and_grads(enc, dec, x, y, **kwargs)
+
+    def own_pass(net, nc, probes, head_dim):
+        return jf_value_and_grad_replicated(net, x, nc, probes, head_dim)
+
+    monkeypatch.setattr(training, "jf_value_and_grad", own_pass)
+    want = geoib_loss_and_grads(enc, dec, x, y, **kwargs)
+    assert np.array_equal(_bits(astuple(got[0])), _bits(astuple(want[0])))
+    assert got[0].jf > 0.0
+    for g, w in zip(got[1:], want[1:]):
+        assert np.array_equal(_bits(g), _bits(w))
+
+
+def test_a_stale_capture_is_never_read_without_grads():
+    # after a captured call the parameters move; the value-only routes on
+    # the same x object must give what a fresh copy of the nets gives
+    cfg = TrainConfig(k_dim=2, enc_hidden="8", dataset=TOY)
+    _, _, enc, dec, _, _, x, y = _toy_setup(cfg)
+    x, y = x[:16], y[:16]
+    kwargs = dict(beta=cfg.beta, fr_mode=cfg.fr_mode, k_dim=2,
+                  eps=Rng(7).normal((16, 2)), probes=draw_probes(Rng(8), 2, 16, 2))
+    geoib_loss_and_grads(enc, dec, x, y, **kwargs)
+    enc.params *= 1.25
+    dec.params -= 0.125
+    fresh_enc, fresh_dec = enc.copy(), dec.copy()
+    nc = np.full(2, 0.5)
+    got = jf_batch(enc, x, nc, kwargs["probes"], head_dim=2)
+    want = jf_batch(fresh_enc, x, nc, kwargs["probes"], head_dim=2)
+    for g, w in zip(got, want):
+        assert np.array_equal(_bits(g), _bits(w))
+    got = geoib_loss_and_grads(enc, dec, x, y, want_grads=False, **kwargs)
+    want = geoib_loss_and_grads(fresh_enc, fresh_dec, x, y, want_grads=False,
+                                **kwargs)
+    assert np.array_equal(_bits(astuple(got)), _bits(astuple(want)))
 
 
 # ------------------------------------------------------------------ steps
