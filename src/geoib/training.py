@@ -32,12 +32,13 @@ on the batch sequence alone, not on the parameters, and on 784-pixel
 digits it is the largest piece of a step.  Step t starts batch t+1's
 factor as soon as it has adopted its own, so the worker overlaps step t's
 solves and updates and step t+1's forward and backward passes; the run
-slices each batch one step ahead to do so.  The worker ends with the run,
-whether the run returns or raises.  A failure in it, such as a non-finite
-batch, is raised from the step whose factor it is, so divergence is blamed
-on that step.  A bare `train_step` call takes the same route with a worker
-of its own and no next batch.  Below the cutoff there is no worker and no
-slicing ahead.  Either way the bits are the same.
+slices each batch one step ahead, at any width.  The worker ends with the
+run, whether the run returns or raises.  A failure in it, such as a
+non-finite batch, is raised from the step whose factor it is, so divergence
+is blamed on that step.  Only `run_training` opens the worker: a
+`train_step` called without the run's `factors`, and every step below the
+cutoff, forms the factor on its caller's thread.  Either way the bits are
+the same.
 
 `run_training` keeps glibc's heap mapped between steps: a step's temporaries
 (their peak is near 1 MB on the default config) lie above the default
@@ -174,10 +175,9 @@ def _nll_and_upstream(logits: np.ndarray, y: np.ndarray):
     lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
     rows = np.arange(logits.shape[0])
     nll = lse - logits[rows, y]
-    p = np.exp(logits - lse[:, None])
-    upstream = p.copy()
+    upstream = np.exp(logits - lse[:, None])
     upstream[rows, y] -= 1.0
-    return nll, upstream, p
+    return nll, upstream
 
 
 @dataclass(frozen=True)
@@ -232,7 +232,7 @@ def geoib_loss_and_grads(enc: Network, dec: Network, x, y, *,
     sig = np.exp(0.5 * lv)
     z = mu + sig * eps
     logits = dec.forward(z, capture=want_grads)
-    nll_vec, up_dec, _ = _nll_and_upstream(logits, y)
+    nll_vec, up_dec = _nll_and_upstream(logits, y)
     nll = float(nll_vec.mean())
 
     rate = kl_to_standard_normal if fr_mode == "closed_form_kl" else fr_quadratic_proxy
@@ -312,9 +312,10 @@ class _InputFactors:
     worker thread, each as soon as its batch and the factor before it are
     known.
 
-    A context manager: leaving it waits for the worker, so no worker
-    outlives the run or the step that opened it, or reads a `KfacState`
-    after.  A factor that is never taken is dropped with its error.
+    A context manager that `run_training` opens for the run: leaving it
+    waits for the worker, so no worker outlives the run, or reads a
+    `KfacState` after.  A factor that is never taken is dropped with its
+    error.
     """
 
     def __init__(self):
@@ -362,22 +363,14 @@ def train_step(cfg: TrainConfig, enc: Network, dec: Network,
     Given K-FAC states, the factors are refreshed from a model-sampled
     backward pass and both gradients are preconditioned by the exact
     natural-gradient solve; without them the step is plain gradient
-    descent.  With an input at least `_OVERLAP_MIN_INPUTS` wide, the
-    encoder's input-layer A factor is formed on a worker thread: the run's
-    `factors`, which `run_training` passes with the next step's batch
-    `x_next`, or one that lives for this step alone.  The step starts
-    x_next's factor as soon as it has adopted its own.  A non-finite batch
-    raises FloatingPointError naming layer 0 from the step that takes it.
+    descent.  Given the run's `factors`, the encoder's input-layer A factor
+    is taken from that worker, and the step starts the next batch
+    `x_next`'s factor as soon as it has adopted its own; a non-finite
+    batch then raises FloatingPointError naming layer 0.  Without
+    `factors` every factor is formed on the caller's thread, at any input
+    width, and `x_next` is ignored.
     """
     x = np.asarray(x, dtype=np.float64)
-    if factors is None and kfac_enc is not None and x.shape[1] >= _OVERLAP_MIN_INPUTS:
-        with _InputFactors() as own:
-            return _step(cfg, enc, dec, kfac_enc, kfac_dec, x, y, step_rng, own, None)
-    return _step(cfg, enc, dec, kfac_enc, kfac_dec, x, y, step_rng, factors, x_next)
-
-
-def _step(cfg, enc, dec, kfac_enc, kfac_dec, x, y, step_rng,
-          factors: _InputFactors | None, x_next: np.ndarray | None) -> StepMetrics:
     batch = x.shape[0]
     if factors is not None:
         factors.start(kfac_enc, x)
@@ -401,7 +394,7 @@ def _step(cfg, enc, dec, kfac_enc, kfac_dec, x, y, step_rng,
         _sampled_capture(enc, dec, cfg.k_dim, step_rng)
         first = factors.take(x) if factors is not None else None
         kfac_update(kfac_enc, enc, input_factor=first)
-        if x_next is not None:
+        if first is not None and x_next is not None:
             factors.start(kfac_enc, x_next)
         kfac_update(kfac_dec, dec)
         step_enc = natural_gradient(kfac_enc, g_enc, input_factor=first)
@@ -477,7 +470,7 @@ def run_training(cfg: TrainConfig, out_dir: str | None = None,
         itertools.chain(_run_batches(root, x_tr.shape[0], cfg), [None]))
     x_ahead = None
     # only a run whose encoder input is wide enough forms the input
-    # layer's factor on a worker, and only it slices a batch ahead
+    # layer's factor on a worker; below the cutoff `factors` is None
     wide = kfac_enc is not None and ds.n_features >= _OVERLAP_MIN_INPUTS
     with _InputFactors() if wide else contextlib.nullcontext() as factors:
         for (epoch, idx), ahead in batches:
@@ -486,14 +479,11 @@ def run_training(cfg: TrainConfig, out_dir: str | None = None,
                 cfg_epoch = replace(cfg, eta_phi=cfg.eta_phi * decay,
                                     eta_theta=cfg.eta_theta * decay)
             x = x_tr[idx] if x_ahead is None else x_ahead
+            x_ahead = x_tr[ahead[1]] if ahead is not None else None
             step_rng = root.substream(_STREAM_STEP + global_step)
-            kwargs = {}
-            if factors is not None:
-                x_ahead = x_tr[ahead[1]] if ahead is not None else None
-                kwargs = {"factors": factors, "x_next": x_ahead}
             try:
                 m = step(cfg_epoch, enc, dec, kfac_enc, kfac_dec, x, y_tr[idx],
-                         step_rng, **kwargs)
+                         step_rng, factors=factors, x_next=x_ahead)
             except FloatingPointError as exc:
                 enc.set_params(last_good[0])
                 dec.set_params(last_good[1])

@@ -387,12 +387,12 @@ def test_every_training_solve_is_exact_and_nonzero(monkeypatch):
 
 # ------------------------------------------------ input-layer factor thread
 
-# 784 features: the encoder's input-layer A factor is formed on a worker
+# 784 features: a run forms the encoder's input-layer A factor on a worker
 # thread (training._OVERLAP_MIN_INPUTS)
 WIDE = "gauss_mixture:n=600,noise=0.14,dim=784"
 
 
-def _wide_setup(cfg):
+def _step_setup(cfg):
     ds = make_dataset(cfg.dataset, 0)
     enc, dec = build_nets(cfg, ds.n_features, ds.n_classes, Rng(cfg.seed))
     ke = kfac_init(enc, cfg.damping, cfg.kfac_decay)
@@ -401,109 +401,52 @@ def _wide_setup(cfg):
     return enc, dec, ke, kd, x, y
 
 
-def _bits(values):
-    return [np.asarray(v, dtype=np.float64).view(np.uint64) for v in values]
-
-
-def _four_wide_steps():
-    """Step metrics, parameters and factors after four steps, as uint64."""
-    cfg = TrainConfig(dataset=WIDE, k_dim=4)
-    enc, dec, ke, kd, x, y = _wide_setup(cfg)
-    metrics = [astuple(train_step(cfg, enc, dec, ke, kd, x[i * 64 : (i + 1) * 64],
-                                  y[i * 64 : (i + 1) * 64], Rng(20 + i)))
-               for i in range(4)]
-    return _bits([*metrics, enc.params, dec.params, *ke.a_factors,
-                  *ke.g_factors, *kd.a_factors, *kd.g_factors])
-
-
-def test_overlapped_steps_match_the_one_thread_oracle(monkeypatch):
-    # parameters, factors and step metrics after four steps must be the
-    # bits of the steps that update and factor every layer in turn
-    assert make_dataset(WIDE, 0).n_features >= training._OVERLAP_MIN_INPUTS
-    offloaded = []
-    real = training.input_factor_update
-
-    def counting(state, x):
-        offloaded.append(threading.current_thread() is not threading.main_thread())
-        return real(state, x)
-
-    monkeypatch.setattr(training, "input_factor_update", counting)
-    got = _four_wide_steps()
-    assert offloaded == [True] * 4
-    monkeypatch.setattr(training, "_OVERLAP_MIN_INPUTS", 10**9)
-    monkeypatch.setattr(training, "kfac_update",
-                        lambda state, net, input_factor=None:
-                        kfac_update_inline(state, net))
-    monkeypatch.setattr(training, "natural_gradient",
-                        lambda state, g, input_factor=None:
-                        NaturalGradStep(*kfac_solve_inline(state, g), 0))
-    want = _four_wide_steps()
-    assert offloaded == [True] * 4
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert np.array_equal(a, b)
-
-
-def test_concurrent_overlapped_steps_keep_their_bits():
-    # three step sequences at once, each starting its own factor thread per
-    # step, with a short switch interval: a factor read half-blended or a
-    # result handed to the wrong step would change the bits
-    want = _four_wide_steps()
-    results = [None] * 3
-
-    def run(i):
-        results[i] = _four_wide_steps()
-
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(3)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    for got in results:
-        assert got is not None and len(got) == len(want)
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
-
-
-def test_first_overlapped_step_adopts_the_batch_factor():
+def test_a_first_wide_step_adopts_the_batch_factor():
     cfg = TrainConfig(dataset=WIDE, k_dim=4, kfac_decay=0.95)
-    enc, dec, ke, kd, x, y = _wide_setup(cfg)
+    enc, dec, ke, kd, x, y = _step_setup(cfg)
     train_step(cfg, enc, dec, ke, kd, x[:64], y[:64], Rng(3))
     aug = np.concatenate([x[:64], np.ones((64, 1))], axis=1)
     assert np.array_equal(ke.a_factors[0].view(np.uint64),
                           (aug.T @ aug / 64).view(np.uint64))
 
 
-def test_a_non_finite_batch_names_the_input_layer():
+def test_a_bare_wide_step_stays_on_its_callers_thread(monkeypatch):
+    # only run_training opens the input factor's worker: a step called
+    # without the run's factors forms every factor itself, at any width
+    assert make_dataset(WIDE, 0).n_features >= training._OVERLAP_MIN_INPUTS
     cfg = TrainConfig(dataset=WIDE, k_dim=4)
-    enc, dec, ke, kd, x, y = _wide_setup(cfg)
-    batch = x[:64].copy()
-    batch[5, 100] = np.nan
-    with np.errstate(all="ignore"):
-        with pytest.raises(FloatingPointError, match="layer 0"):
-            train_step(cfg, enc, dec, ke, kd, batch, y[:64], Rng(4))
-    assert ke.a_factors is None  # the failed step adopted nothing
-
-
-def test_the_factor_thread_ends_with_its_step():
-    cfg = TrainConfig(dataset=WIDE, k_dim=4)
-    enc, dec, ke, kd, x, y = _wide_setup(cfg)
+    enc, dec, ke, kd, x, y = _step_setup(cfg)
+    offloaded = []
+    monkeypatch.setattr(training, "input_factor_update",
+                        lambda *args: offloaded.append(args))
     before = threading.active_count()
     train_step(cfg, enc, dec, ke, kd, x[:64], y[:64], Rng(5))
     assert threading.active_count() == before
-    # the objective fails on the step's own thread while the factor thread
-    # succeeds
     enc.set_params(np.full(enc.n_params, np.inf))
     with np.errstate(all="ignore"):
         with pytest.raises(FloatingPointError, match="objective went non-finite"):
             train_step(cfg, enc, dec, ke, kd, x[:64], y[:64], Rng(6))
     assert threading.active_count() == before
+    assert offloaded == []
+
+
+@pytest.mark.parametrize("dataset", [TOY, WIDE], ids=["narrow", "wide"])
+def test_a_bare_step_ignores_the_next_batch(dataset):
+    # without the run's factors there is no worker to start x_next's
+    # factor on: the step must give the bits of the same step without it
+    def one_step(ahead):
+        cfg = TrainConfig(dataset=dataset, k_dim=2, enc_hidden="8")
+        enc, dec, ke, kd, x, y = _step_setup(cfg)
+        m = train_step(cfg, enc, dec, ke, kd, x[:32], y[:32], Rng(12),
+                       x_next=x[32:64] if ahead else None)
+        return [_bits(v) for v in (astuple(m), enc.params, dec.params,
+                                   *ke.a_factors, *ke.g_factors,
+                                   *kd.a_factors, *kd.g_factors)]
+
+    got, want = one_step(True), one_step(False)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
 
 
 _THREAD_COUNT_RUN = f"""
@@ -581,8 +524,9 @@ def _recorded_states(monkeypatch):
 def _run_bits(cfg, states):
     res = run_training(cfg, evaluate=False)
     history = [[rec[k] for k in sorted(rec)] for rec in res.history]
-    return _bits([res.enc.params, res.dec.params, *history,
-                  *[m for st in states for m in st.a_factors + st.g_factors]])
+    return [_bits(v) for v in [res.enc.params, res.dec.params, *history,
+                               *[m for st in states
+                                 for m in st.a_factors + st.g_factors]]]
 
 
 def test_the_pipelined_run_matches_the_one_thread_oracle(monkeypatch):
@@ -624,7 +568,8 @@ def test_the_pipelined_run_matches_the_one_thread_oracle(monkeypatch):
                         lambda state, g, input_factor=None:
                         NaturalGradStep(*kfac_solve_inline(state, g), 0))
     want = _run_bits(cfg, states)
-    assert calls == [True] * 8 and len(aheads) == 16
+    # the run slices one batch ahead below the cutoff too
+    assert calls == [True] * 8 and aheads == ([True] * 7 + [False]) * 2
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
@@ -660,7 +605,7 @@ def test_concurrent_pipelined_runs_keep_their_bits():
 
 def test_a_step_refuses_a_factor_formed_for_another_batch():
     cfg = TrainConfig(dataset=WIDE, k_dim=4)
-    enc, dec, ke, kd, x, y = _wide_setup(cfg)
+    enc, dec, ke, kd, x, y = _step_setup(cfg)
     with training._InputFactors() as factors:
         factors.start(ke, x[64:128])
         with pytest.raises(RuntimeError, match="another batch"):
