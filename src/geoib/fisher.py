@@ -48,7 +48,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .linalg import conjugate_gradient, spd_factor, spd_solve
 from .nets import Network, layer_blocks
@@ -221,8 +220,14 @@ def kfac_dense_matrix(state: KfacState) -> np.ndarray:
             f"dense Fisher of {n} parameters exceeds the {DENSE_FISHER_GUARD} guard"
         )
     lam = state.damping
-    return block_diag(*[np.kron(_damped(g_f, lam), _damped(a_f, lam))
-                        for a_f, g_f in zip(state.a_factors, state.g_factors)])
+    dense = np.zeros((n, n))
+    i = 0
+    for a_f, g_f in zip(state.a_factors, state.g_factors):
+        blk = np.kron(_damped(g_f, lam), _damped(a_f, lam))
+        j = i + blk.shape[0]
+        dense[i:j, i:j] = blk
+        i = j
+    return dense
 
 
 # ------------------------------------------------------- natural gradient

@@ -1,23 +1,32 @@
 """Dense float64 linear algebra with strict shape and domain checking.
 
 Arrays everywhere are C-contiguous numpy float64; there is no sparse path
-and no single-precision path.  This is the one module that calls LAPACK's
-Cholesky routines.  `spd_solve` factors and solves a symmetric
-positive-definite system in one `dposv` call (LAPACK's `dpotrf` followed by
-`dpotrs`); it serves the K-FAC solves and the inversion probe's ridge.  It
-returns the bits `scipy.linalg.cho_factor` and `cho_solve` return, without
-those wrappers' per-call cost, which on small layer factors exceeds the
-factorization's own, and raises FloatingPointError on a non-finite or
-indefinite matrix.  Given a factor, it solves with `dpotrs` alone.
-`spd_factor` gives the upper factor for `spd_solve` to reuse, formed
-in place by a `dpotrf` call that releases the GIL, so that a large factor
-can be formed on a second thread while the first runs other numpy work.
-scipy's f2py `dpotrf` holds the GIL for the whole factorization, and
-factors a Fortran-ordered copy.
-`logdet_psd` factors with `dpotrf` and reports a failing pivot by index
-instead of surfacing a generic LinAlgError.  `conjugate_gradient` serves
-only truncated solves that cap the iteration count on purpose; every solve
-meant to be exact factors its matrix instead.
+and no single-precision path.  This is the one module that calls LAPACK.
+It calls three Cholesky routines, `dposv`, `dpotrf` and `dpotrs`, through
+one ctypes binding built on first use (`_lapack`), from the library that
+`scipy.linalg.lapack` itself links: the OpenBLAS build bundled beside
+scipy's package (`scipy.libs/libscipy_openblas*.so`, symbols
+`scipy_dposv_` and so on).  Finding it there imports neither `scipy` nor
+`scipy.linalg`, which costs about 0.3 s of start-up.  On a scipy build
+without that library the routines come from the
+`scipy.linalg.cython_lapack` capsules instead.  Every call releases the
+GIL, so a large factor can be formed on a second thread while the first
+runs other numpy work.  Each routine is handed the layouts scipy's f2py
+wrappers hand it, Fortran-ordered copies of the matrix and the right-hand
+sides, so the results are the bits of `scipy.linalg.lapack`'s routines; a
+1-D right-hand side gives a 1-D solution.
+
+`spd_solve` factors and solves a symmetric positive-definite system in one
+`dposv` call (LAPACK's `dpotrf` followed by `dpotrs`); it serves the K-FAC
+solves and the inversion probe's ridge, and raises FloatingPointError on a
+non-finite or indefinite matrix.  Given a factor, it solves with `dpotrs`
+alone.  `spd_factor` gives the upper factor for `spd_solve` to reuse,
+formed by `dpotrf` in the matrix's own buffer.  `logdet_psd` factors with
+`dpotrf` and reports a failing pivot by index instead of surfacing a
+generic LinAlgError.  `pin_blas_threads` runs the bundled OpenBLAS builds
+on one thread.  `conjugate_gradient` serves only truncated solves that cap
+the iteration count on purpose; every solve meant to be exact factors its
+matrix instead.
 """
 
 from __future__ import annotations
@@ -25,18 +34,90 @@ from __future__ import annotations
 import ctypes
 import functools
 import glob
+import importlib.util
 import os
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy
-from scipy.linalg.lapack import dposv, dpotrf, dpotrs
 
 # Rejection threshold for |M - M^T| in logdet_psd.
 SYMMETRY_TOL = 1e-10
 # A Cholesky pivot at or below this is treated as a rank deficiency.
 PIVOT_TOL = 1e-12
+
+# The OpenBLAS builds that numpy's and scipy's wheels bundle in
+# `<package>.libs`, by package: (library glob, thread-count setter).
+# scipy's is the one scipy.linalg.lapack links, with 32-bit integers.
+_OPENBLAS = {
+    "numpy": ("libscipy_openblas64_*.so", "scipy_openblas_set_num_threads64_"),
+    "scipy": ("libscipy_openblas*.so", "scipy_openblas_set_num_threads"),
+}
+
+# LAPACK takes every argument by reference.  Given a c_int or c_double
+# for a pointer parameter, ctypes passes its address; c_double.from_buffer
+# stands for an array's first element, and ctypes exports the buffer only
+# of a C-contiguous, writeable, non-empty array.
+_int = ctypes.c_int
+_first_double = ctypes.c_double.from_buffer
+_P_INT, _P_DOUBLE = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
+# dposv and dpotrs take (uplo, n, nrhs, a, lda, b, ldb, info), dpotrf
+# takes (uplo, n, a, lda, info)
+_SOLVE = (ctypes.c_char_p, _P_INT, _P_INT, _P_DOUBLE, _P_INT, _P_DOUBLE, _P_INT, _P_INT)
+_ARGTYPES = {"dposv": _SOLVE,
+             "dpotrf": (ctypes.c_char_p, _P_INT, _P_DOUBLE, _P_INT, _P_INT),
+             "dpotrs": _SOLVE}
+
+
+@functools.cache
+def _bundled_openblas(package: str) -> ctypes.CDLL | None:
+    """The OpenBLAS build bundled beside `package` ("numpy" or "scipy"),
+    or None when that wheel bundles none."""
+    pattern, _ = _OPENBLAS[package]
+    # found without importing the package, which scipy's import would cost
+    libs = os.path.dirname(importlib.util.find_spec(package).origin) + ".libs"
+    for path in glob.glob(os.path.join(libs, pattern)):
+        try:
+            return ctypes.CDLL(path)
+        except OSError:
+            continue
+    return None
+
+
+def _capsule_address(name: str) -> int:
+    """Address of the routine `name` that `scipy.linalg.cython_lapack`
+    exports (this imports scipy.linalg)."""
+    from scipy.linalg.cython_lapack import __pyx_capi__
+
+    capsule = __pyx_capi__[name]
+    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))(capsule)
+    return ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))(capsule, capsule_name)
+
+
+@functools.cache
+def _lapack() -> dict[str, Callable]:
+    """The binding every LAPACK call goes through, each routine by name
+    with its `_ARGTYPES`: from scipy's bundled OpenBLAS, or else from
+    scipy's Cython capsules.  Built on first use, so importing this module
+    loads no library."""
+    lib = _bundled_openblas("scipy")
+    try:
+        addresses = {name: ctypes.cast(getattr(lib, f"scipy_{name}_"),
+                                       ctypes.c_void_p).value
+                     for name in _ARGTYPES}
+    except AttributeError:  # no bundled library, or one without these symbols
+        addresses = {name: _capsule_address(name) for name in _ARGTYPES}
+    # a CFUNCTYPE call releases the GIL
+    return {name: ctypes.CFUNCTYPE(None, *argtypes)(addresses[name])
+            for name, argtypes in _ARGTYPES.items()}
+
+
+def _column_major(a: np.ndarray) -> np.ndarray:
+    """A float64 copy of a's transpose in C order, which holds a in
+    Fortran order: the copy f2py hands LAPACK, in a buffer ctypes exports."""
+    return np.array(a.T, dtype=np.float64, order="C")
 
 
 def spd_solve(m: np.ndarray | None, b: np.ndarray, what: str,
@@ -44,41 +125,42 @@ def spd_solve(m: np.ndarray | None, b: np.ndarray, what: str,
     """m^-1 b for a symmetric m, from the upper Cholesky factor of m.
 
     `factor`, when given, is `spd_factor` of m, and m is not read (it may
-    be None).  Raises FloatingPointError naming `what` if m holds
-    non-finite entries or is not numerically positive definite.  m and b
-    are left untouched.
+    be None).  b is (n,) or (n, k), and so is the result, which is
+    Fortran-ordered.  m and b are left untouched.
+
+    Raises:
+        ValueError: if m (or the factor) is not square or b does not match it.
+        FloatingPointError: naming `what`, if m holds non-finite entries or
+            is not numerically positive definite.
     """
-    # dposv's and dpotrs's only other failures are illegal arguments,
-    # which f2py's shape checks already rule out
-    if factor is not None:
-        return dpotrs(factor, b, lower=0)[0]
-    if not np.isfinite(m).all():
+    c = m if factor is None else factor
+    if (c.ndim != 2 or c.shape[0] != c.shape[1] or b.ndim not in (1, 2)
+            or b.shape[0] != c.shape[0]):
+        raise ValueError(f"{what}: cannot solve a system of shape {c.shape} "
+                         f"for right-hand sides of shape {b.shape}")
+    if factor is None and not np.isfinite(m).all():
         raise FloatingPointError(f"{what} has non-finite entries")
-    _, x, info = dposv(m, b, lower=0)
-    if info != 0:
-        raise FloatingPointError(f"{what} is not positive definite "
-                                 f"(dpotrf info {info})")
-    return x
-
-
-@functools.cache
-def _dpotrf_nogil():
-    """LAPACK dpotrf from scipy's Cython capsule, called through ctypes.
-
-    A CFUNCTYPE call releases the GIL.  Built on first use, so importing
-    this module does no ctypes work.
-    """
-    from scipy.linalg.cython_lapack import __pyx_capi__
-
-    capsule = __pyx_capi__["dpotrf"]
-    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi))(capsule)
-    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))(capsule, name)
-    p_int = ctypes.POINTER(ctypes.c_int)
-    # void dpotrf(char *uplo, int *n, double *a, int *lda, int *info)
-    return ctypes.CFUNCTYPE(None, ctypes.c_char_p, p_int, ctypes.c_void_p,
-                            p_int, p_int)(address)
+    x = _column_major(b)
+    if x.size == 0:
+        return x.T
+    n, nrhs, info = _int(c.shape[0]), _int(x.size // c.shape[0]), _int()
+    if factor is None:
+        _lapack()["dposv"](b"U", n, nrhs, _first_double(_column_major(m)), n,
+                           _first_double(x), n, info)
+        if info.value != 0:
+            raise FloatingPointError(f"{what} is not positive definite "
+                                     f"(dpotrf info {info.value})")
+    else:
+        # spd_factor's factor is Fortran-ordered already: no copy
+        ct = factor.T
+        if not (ct.flags.c_contiguous and ct.flags.writeable
+                and ct.dtype == np.float64):
+            ct = _column_major(factor)
+        # dpotrs's only failures are illegal arguments, which the shape
+        # checks above rule out
+        _lapack()["dpotrs"](b"U", n, nrhs, _first_double(ct), n,
+                            _first_double(x), n, info)
+    return x.T
 
 
 def spd_factor(m: np.ndarray, what: str) -> np.ndarray:
@@ -90,10 +172,7 @@ def spd_factor(m: np.ndarray, what: str) -> np.ndarray:
     transpose m.T, which is returned: its upper triangle holds the factor
     and its lower triangle keeps m's entries.  Because m.T equals m, these
     are the bits of scipy's `dpotrf(m, lower=0, clean=0)`, which factors a
-    Fortran-ordered copy, without the copy.  The factorization runs with
-    the GIL released.  Each call costs about 5 us more than the f2py route
-    (measured on 4- to 33-square matrices), so small matrices are better
-    left to `spd_solve`.
+    Fortran-ordered copy, without the copy.
 
     Raises:
         ValueError: if m is not a writeable C-contiguous float64 square
@@ -112,23 +191,12 @@ def spd_factor(m: np.ndarray, what: str) -> np.ndarray:
     # another matrix than the one spd_solve(m, ...) would factor
     if not np.array_equal(m, c):
         raise ValueError(f"{what} is not exactly symmetric")
-    n, info = ctypes.c_int(c.shape[0]), ctypes.c_int(0)
-    _dpotrf_nogil()(b"U", ctypes.byref(n), c.ctypes.data, ctypes.byref(n),
-                    ctypes.byref(info))
+    n, info = _int(c.shape[0]), _int()
+    _lapack()["dpotrf"](b"U", n, _first_double(m), n, info)
     if info.value != 0:
         raise FloatingPointError(f"{what} is not positive definite "
                                  f"(dpotrf info {info.value})")
     return c
-
-
-# The thread-count setters of the OpenBLAS builds that numpy and scipy
-# bundle, by (library glob beside the package, symbol).
-_BLAS_SETTERS = (
-    (os.path.join(os.path.dirname(np.__file__) + ".libs", "libscipy_openblas64_*.so"),
-     "scipy_openblas_set_num_threads64_"),
-    (os.path.join(os.path.dirname(scipy.__file__) + ".libs", "libscipy_openblas*.so"),
-     "scipy_openblas_set_num_threads"),
-)
 
 
 def pin_blas_threads() -> None:
@@ -140,12 +208,9 @@ def pin_blas_threads() -> None:
     `OPENBLAS_NUM_THREADS` says.  A library or symbol that is not there
     (another BLAS build) leaves that library's thread count alone.
     """
-    for pattern, symbol in _BLAS_SETTERS:
-        for path in glob.glob(pattern):
-            try:
-                setter = getattr(ctypes.CDLL(path), symbol)
-            except (AttributeError, OSError):
-                continue
+    for package, (_, symbol) in _OPENBLAS.items():
+        setter = getattr(_bundled_openblas(package), symbol, None)
+        if setter is not None:
             setter.argtypes, setter.restype = (ctypes.c_int,), None
             setter(1)
 
@@ -180,7 +245,12 @@ def logdet_psd(m) -> float:
         raise ValueError(
             f"m is not symmetric: max |m - m^T| = {asym:.3e} exceeds {SYMMETRY_TOL:.0e}"
         )
-    low, info = dpotrf(a, lower=1, clean=0)
+    # the lower triangle of a Fortran-ordered copy, left unzeroed above
+    # the diagonal, as scipy's dpotrf(a, lower=1, clean=0) factors it
+    at = _column_major(a)
+    n, info_ref = _int(a.shape[0]), _int()
+    _lapack()["dpotrf"](b"L", n, _first_double(at), n, info_ref)
+    low, info = at.T, info_ref.value
     # dpotrf stops at the first non-positive pivot (info is its 1-based
     # index) and leaves that pivot on the diagonal
     pivots = np.diag(low) ** 2

@@ -20,7 +20,8 @@ determines the final parameters.
 
 Each network runs one primal pass a step: the loss's captured forward.
 The Jacobian penalty's JVPs read it, and so do the gradient's backward pass
-and the K-FAC capture's, which backpropagates model-sampled targets.  Only
+and the K-FAC capture's, which backpropagates model-sampled targets through
+the posterior head (sigma and clamp mask) that the loss formed.  Only
 a one-row batch with several probes runs the encoder's primal again, padded
 to two rows (`Network.jvp_captured`).
 
@@ -222,8 +223,10 @@ def geoib_loss_and_grads(enc: Network, dec: Network, x, y, *,
             None for no Jacobian term.
 
     Returns:
-        metrics alone when want_grads is False, else (metrics, g_enc, g_dec)
-        with the mean-over-batch flat parameter gradients.
+        metrics alone when want_grads is False, else
+        (metrics, g_enc, g_dec, (sig, clamp_open)): the mean-over-batch flat
+        parameter gradients, and the posterior head's standard deviations
+        and clamp mask, which `_sampled_capture` reuses.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
@@ -261,23 +264,22 @@ def geoib_loss_and_grads(enc: Network, dec: Network, x, y, *,
     g_enc = enc.backward(up_enc)
     if jf_grad is not None:
         g_enc = g_enc + beta * jf_grad
-    return metrics, g_enc / batch, g_dec / batch
+    return metrics, g_enc / batch, g_dec / batch, (sig, clamp_open)
 
 
-def _sampled_capture(enc: Network, dec: Network, k_dim: int,
-                     step_rng: Rng) -> None:
+def _sampled_capture(enc: Network, dec: Network, sig: np.ndarray,
+                     clamp_open: np.ndarray, step_rng: Rng) -> None:
     """Refresh the captured backward statistics with model-sampled targets:
     decoder targets y ~ p(y|z) at the step's codes z = mu + sigma * eps,
     encoder scores at fresh codes z ~ q(.|x).
 
     It runs no forward pass: it backpropagates through the forward passes
-    that `geoib_loss_and_grads` captured, so it must follow that call on
+    that `geoib_loss_and_grads` captured, with the posterior head's `sig`
+    and `clamp_open` that call returned, so it must follow that call on
     the same batch with the parameters unchanged.  It records only the
     pre-activation gradients (`Network.backward_deltas`), the one part of a
     backward pass that `kfac_update` reads besides the captured inputs.
     """
-    _, lv, clamp_open = posterior_head(enc.captured_output(), k_dim)
-    sig = np.exp(0.5 * lv)
     logits = dec.captured_output()
     batch = logits.shape[0]
     m = logits.max(axis=1, keepdims=True)
@@ -288,6 +290,7 @@ def _sampled_capture(enc: Network, dec: Network, k_dim: int,
     up_dec = p.copy()
     up_dec[np.arange(batch), y_samp] -= 1.0
     dec.backward_deltas(up_dec)
+    k_dim = sig.shape[1]
     eps2 = step_rng.substream(772).normal((batch, k_dim))
     up_enc = np.zeros((batch, 2 * k_dim))
     up_enc[:, :k_dim] = eps2 / sig
@@ -380,7 +383,7 @@ def train_step(cfg: TrainConfig, enc: Network, dec: Network,
         fr_mode = cfg.fr_mode
     else:
         probes, fr_mode = None, "closed_form_kl"
-    metrics, g_enc, g_dec = geoib_loss_and_grads(
+    metrics, g_enc, g_dec, head = geoib_loss_and_grads(
         enc, dec, x, y, beta=cfg.beta, fr_mode=fr_mode, k_dim=cfg.k_dim,
         eps=eps, probes=probes,
     )
@@ -391,7 +394,7 @@ def train_step(cfg: TrainConfig, enc: Network, dec: Network,
     dir_enc, dir_dec = g_enc, g_dec
     res_enc = res_dec = 0.0
     if kfac_enc is not None:
-        _sampled_capture(enc, dec, cfg.k_dim, step_rng)
+        _sampled_capture(enc, dec, *head, step_rng)
         first = factors.take(x) if factors is not None else None
         kfac_update(kfac_enc, enc, input_factor=first)
         if first is not None and x_next is not None:

@@ -8,8 +8,10 @@ that contains no timing or environment information, so two runs with the
 same seed produce byte-identical output.
 
 The geodesic oracle is a Runge-Kutta integrator written here rather than
-scipy.integrate, so importing this module loads scipy.linalg (through
-`fisher` and `linalg`) and no other scipy subpackage.
+scipy.integrate, and the dense Fisher is assembled in numpy.  Importing
+this module, or running every check, loads no scipy module: the checks'
+Cholesky solves and log-determinants reach LAPACK through `linalg`, which
+calls scipy's bundled OpenBLAS without importing scipy.linalg.
 """
 
 from __future__ import annotations
@@ -270,7 +272,7 @@ def check_gradients_fd(seed: int = 0, tol: float = 1e-4,
         nc = np.exp(lv)
         kwargs = dict(beta=beta, fr_mode=fr_mode, k_dim=k_dim, eps=eps,
                       probes=probes, noise_cov=nc)
-        _, g_enc, g_dec = geoib_loss_and_grads(enc, dec, x, y, **kwargs)
+        _, g_enc, g_dec, _ = geoib_loss_and_grads(enc, dec, x, y, **kwargs)
         analytic = np.concatenate([g_enc, g_dec])
 
         n_enc = enc.n_params

@@ -209,6 +209,26 @@ def test_fvp_matches_dense_kronecker():
                                    rtol=0, atol=1e-12)
 
 
+def test_dense_matrix_is_scipys_block_diagonal():
+    # three layers, so every block sits off the corners; bits, not values
+    from scipy.linalg import block_diag
+
+    net = _net((3, 4, "tanh"), (4, 3, "tanh"), (3, 2, "identity"), seed=23)
+    _captured(net, Rng(24).normal((10, 3)), seed=25)
+    state = kfac_update(kfac_init(net, damping=0.37), net)
+
+    def damped(m):
+        out = m.copy()
+        out.flat[:: len(m) + 1] += state.damping
+        return out
+
+    want = block_diag(*[np.kron(damped(g), damped(a))
+                        for a, g in zip(state.a_factors, state.g_factors)])
+    got = kfac_dense_matrix(state)
+    assert got.shape == want.shape == (state.n_params, state.n_params)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_fvp_huge_damping_dominates():
     net = _net((3, 2, "tanh"), seed=19)
     _captured(net, Rng(20).normal((6, 3)), seed=21)

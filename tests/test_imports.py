@@ -22,18 +22,37 @@ CASES = [
     ("geoib.verify", "scipy.integrate"),
     ("geoib.training, geoib.verify", "scipy.special"),
     ("geoib.training, geoib.verify", "scipy.optimize"),
+    # LAPACK is reached through scipy's bundled library, not scipy.linalg
+    ("geoib.training, geoib.verify", "scipy.linalg"),
+    ("geoib.cli", "scipy.linalg"),
 ]
+
+
+def _fresh_python(code: str) -> str:
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
 
 
 @pytest.mark.parametrize("modules, absent", CASES,
                          ids=["numpy_only", "training", "cli", "training_spatial",
                               "training_thread_pool", "verify",
                               "training_verify_special",
-                              "training_verify_optimize"])
+                              "training_verify_optimize",
+                              "training_verify_linalg", "cli_linalg"])
 def test_import_leaves_module_unloaded(modules, absent):
-    code = f"import sys, {modules}; print({absent!r} in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False", f"import {modules} loaded {absent}"
+    out = _fresh_python(f"import sys, {modules}; print({absent!r} in sys.modules)")
+    assert out == "False", f"import {modules} loaded {absent}"
+
+
+def test_the_property_suite_runs_without_scipy_linalg():
+    # every check's solves, factors and log-determinants go through the
+    # bundled library's LAPACK
+    out = _fresh_python(
+        "import sys, geoib.training, geoib.verify\n"
+        "from geoib.verify import run_all_checks\n"
+        "assert all(r.passed for r in run_all_checks(seed=0))\n"
+        "print('scipy.linalg' in sys.modules)")
+    assert out == "False", "run_all_checks(seed=0) loaded scipy.linalg"

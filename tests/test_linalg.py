@@ -1,17 +1,148 @@
+import ctypes
+import glob
+import os
+import re
+
 import numpy as np
 import pytest
-
+import scipy
+from scipy.linalg import lapack
 from scipy.linalg.lapack import dpotrf, dpotrs
 
+from geoib import linalg
 from geoib.linalg import (
     CgResult,
     conjugate_gradient,
     logdet_psd,
+    pin_blas_threads,
     spd_factor,
     spd_solve,
 )
 from geoib.rng import Rng
 from oracles import jacobi_eigenvalues
+
+
+def _bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _spd(n: int, seed: int) -> np.ndarray:
+    x = Rng(seed).uniform(-1.0, 1.0, (n + 3, n))
+    m = x.T @ x / (n + 3)
+    m.flat[:: n + 1] += 1e-2
+    return m
+
+
+# ------------------------------------------------------ the LAPACK binding
+
+
+@pytest.fixture(params=["bundled", "capsules"])
+def route(request, monkeypatch):
+    """Each LAPACK route in turn: scipy's bundled OpenBLAS, or, with that
+    library's lookup finding nothing, scipy's Cython capsules."""
+    linalg._lapack.cache_clear()
+    if request.param == "capsules":
+        monkeypatch.setattr(linalg, "_bundled_openblas", lambda package: None)
+    yield request.param
+    linalg._lapack.cache_clear()
+
+
+def _address(fn) -> int:
+    return ctypes.cast(fn, ctypes.c_void_p).value
+
+
+def test_the_binding_takes_the_route_it_is_given(route):
+    libs = os.path.dirname(scipy.__file__) + ".libs"
+    lib = ctypes.CDLL(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))[0])
+    binding = linalg._lapack()
+    assert sorted(binding) == ["dposv", "dpotrf", "dpotrs"]
+    for name, fn in binding.items():
+        # a CFUNCTYPE call releases the GIL; a PYFUNCTYPE one would hold it
+        assert not fn._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+        at_library = _address(fn) == _address(getattr(lib, f"scipy_{name}_"))
+        assert at_library == (route == "bundled")
+
+
+@pytest.mark.parametrize("n", [1, 4, 9, 33, 65])
+def test_spd_solve_gives_the_bits_of_scipys_dposv(route, n):
+    # in f2py's layouts: an F-ordered solution, and a vector for a vector
+    m = _spd(n, 20 + n)
+    rng = Rng(21 + n)
+    for rhs in (rng.normal((n, 3)), rng.normal((5, n)).T, rng.normal(n)):
+        _, want, info = lapack.dposv(m, rhs, lower=0)
+        got = spd_solve(m, rhs, "m")
+        assert info == 0 and got.shape == want.shape == rhs.shape
+        assert got.flags.f_contiguous and np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("n", [1, 9, 33, 257, 785])
+def test_spd_solve_on_a_factor_gives_the_bits_of_scipys_dpotrs(route, n):
+    # spd_factor's factor too: 785 is the digit encoder's input layer
+    m = _spd(n, 30 + n)
+    rng = Rng(31 + n)
+    want_factor, info = dpotrf(m, lower=0, clean=0)
+    got_factor = spd_factor(m.copy(), "m")
+    assert info == 0 and np.array_equal(_bits(got_factor), _bits(want_factor))
+    for rhs in (rng.normal((n, 4)), rng.normal((2, n)).T, rng.normal(n)):
+        want = dpotrs(want_factor, rhs, lower=0)[0]
+        assert want.shape == rhs.shape
+        for factor in (got_factor, want_factor, np.ascontiguousarray(want_factor)):
+            got = spd_solve(None, rhs, "m", factor=factor)
+            assert got.shape == rhs.shape
+            assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_a_failing_pivot_is_named_as_scipys_routines_name_it(route):
+    # a negative Schur complement at the third pivot
+    m = np.array([[4.0, 2.0, 0.0], [2.0, 5.0, 3.0], [0.0, 3.0, 1.0]])
+    info = lapack.dposv(m, np.ones(3), lower=0)[2]
+    assert info == dpotrf(m, lower=0)[1] == 3
+    pattern = rf"^m is not positive definite \(dpotrf info {info}\)$"
+    with pytest.raises(FloatingPointError, match=pattern):
+        spd_solve(m, np.ones(3), "m")
+    with pytest.raises(FloatingPointError, match=pattern):
+        spd_factor(m.copy(), "m")
+    low, info = dpotrf(m, lower=1, clean=0)
+    with pytest.raises(ValueError, match=re.escape(f"pivot {low[2, 2]:.3e} at index 2")):
+        logdet_psd(m)
+
+
+@pytest.mark.parametrize("n", [1, 5, 33])
+def test_logdet_gives_the_bits_of_scipys_dpotrf(route, n):
+    # a symmetric-within-tolerance matrix: only its lower triangle is read
+    m = _spd(n, 50 + n)
+    m[np.triu_indices(n, 1)] += 1e-12
+    low, info = dpotrf(m, lower=1, clean=0)
+    want = float(2.0 * np.sum(np.log(np.diag(low))))
+    assert info == 0 and _bits(logdet_psd(m)) == _bits(want)
+
+
+def test_spd_solve_refuses_shapes_lapack_would_read_past():
+    with pytest.raises(ValueError, match="shape"):
+        spd_solve(np.eye(3), np.ones(4), "m")
+    with pytest.raises(ValueError, match="shape"):
+        spd_solve(np.ones((3, 2)), np.ones(3), "m")
+    with pytest.raises(ValueError, match="shape"):
+        spd_solve(None, np.ones((2, 3)), "m", factor=np.eye(3))
+
+
+def test_pin_blas_threads_reuses_the_bindings_library(monkeypatch):
+    pin_blas_threads()
+    lib = linalg._bundled_openblas("scipy")
+    assert lib is not None and linalg._bundled_openblas("scipy") is lib
+
+    def no_lookup(*args, **kwargs):
+        raise AssertionError("looked the library up again")
+
+    monkeypatch.setattr(linalg.glob, "glob", no_lookup)
+    monkeypatch.setattr(linalg.ctypes, "CDLL", no_lookup)
+    pin_blas_threads()
+
+
+@pytest.mark.parametrize("found", [None, object()], ids=["no_library", "no_symbol"])
+def test_pin_blas_threads_leaves_alone_what_it_cannot_find(monkeypatch, found):
+    monkeypatch.setattr(linalg, "_bundled_openblas", lambda package: found)
+    pin_blas_threads()
 
 
 # -------------------------------------------------------------- spd_solve

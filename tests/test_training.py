@@ -82,9 +82,9 @@ def test_beta_zero_objectives_agree():
     x, y = x[:32], y[:32]
     eps = Rng(1).normal((32, 2))
     kwargs = dict(beta=0.0, fr_mode=cfg.fr_mode, k_dim=2, eps=eps)
-    mg, ge_g, gd_g = geoib_loss_and_grads(
+    mg, ge_g, gd_g, _ = geoib_loss_and_grads(
         enc, dec, x, y, probes=draw_probes(Rng(2), 2, 32, 2), **kwargs)
-    mv, ge_v, gd_v = geoib_loss_and_grads(enc, dec, x, y, probes=None, **kwargs)
+    mv, ge_v, gd_v, _ = geoib_loss_and_grads(enc, dec, x, y, probes=None, **kwargs)
     assert mg.total == mv.total == mg.nll == mv.nll
     assert mv.jf == 0.0 < mg.jf
     np.testing.assert_array_equal(ge_g, ge_v)
@@ -216,7 +216,7 @@ def test_huge_damping_gives_plain_gradient_direction():
     rng = Rng(99)
     eps = rng.normal((64, 2))
     probes = draw_probes(rng, cfg.jf_probes, 64, 2)
-    _, g_enc, g_dec = geoib_loss_and_grads(
+    _, g_enc, g_dec, _ = geoib_loss_and_grads(
         enc.copy(), dec.copy(), x, y, beta=cfg.beta, fr_mode=cfg.fr_mode,
         k_dim=2, eps=eps, probes=probes)
     p_e, p_d = enc.get_params().copy(), dec.get_params().copy()
@@ -277,9 +277,9 @@ def test_sampled_capture_matches_the_two_forward_oracle(monkeypatch, method):
         seen.update(x=x, eps=kwargs["eps"])
         return real_loss(enc, dec, x, y, **kwargs)
 
-    def two_forward(enc, dec, k_dim, step_rng):
-        sampled_capture_two_forward(enc, dec, seen["x"], seen["eps"], k_dim,
-                                    step_rng)
+    def two_forward(enc, dec, sig, clamp_open, step_rng):
+        sampled_capture_two_forward(enc, dec, seen["x"], seen["eps"],
+                                    sig.shape[1], step_rng)
 
     monkeypatch.setattr(training, "geoib_loss_and_grads", loss)
     monkeypatch.setattr(training, "_sampled_capture", two_forward)
