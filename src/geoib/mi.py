@@ -12,18 +12,29 @@ in every emitted evaluation record so plane coordinates are comparable
 across runs.
 
 The neighbor search is an exact O(n^2 d) scan over blocks of rows: each
-block's Chebyshev distances to every sample, in x and in z, come from
-`cdist`; eps is the k-th smallest entry of their elementwise max, and the
-marginal counts are strict `< eps` tests.  In the hundreds of dimensions of
-an image joint a k-d tree prunes nothing and is slower than this scan.  A
-Chebyshev distance is the max of correctly rounded |a_i - b_i| terms, so it
-does not depend on evaluation order and equals what a tree query computes;
-the strict test equals an inclusive ball query at nextafter(eps, 0).  The
-estimate is therefore bit-identical to the tree-based one.  Each block's
-distance arrays are capped at 256 KiB, which keeps peak memory flat.
-`cdist` and `digamma` are imported when the estimator first runs, so
-importing this module, as training and `geoib verify` do, loads neither
-scipy.spatial nor scipy.special.
+block's Chebyshev distances to every sample, in x and in z, come from the
+kernel of scipy's `cdist(..., "chebyshev")`; eps is the k-th smallest entry
+of their elementwise max, and the marginal counts are strict `< eps` tests.
+In the hundreds of dimensions of an image joint a k-d tree prunes nothing
+and is slower than this scan.  A Chebyshev distance is the max of correctly
+rounded |a_i - b_i| terms, so it does not depend on evaluation order and
+equals what a tree query computes; the strict test equals an inclusive ball
+query at nextafter(eps, 0).  The estimate is therefore bit-identical to the
+tree-based one.  Each block's distance arrays are capped at 256 KiB, which
+keeps peak memory flat.  The blocks are dealt out to one thread per CPU the
+process may use, the caller's among them; each block writes only its own
+rows, so the estimate does not depend on the thread count.  The kernel, and
+numpy's max, partition and counts, release the GIL.
+
+The kernel is loaded on first use straight from scipy's compiled extension
+`scipy/spatial/_distance_pybind` (`_chebyshev_kernel`), found without
+importing scipy: importing `scipy.spatial.distance` would load
+`scipy.sparse`, `scipy.special` and `scipy.linalg` too (0.3 s and 36 MB on
+a 2-core x86-64 machine).  On a scipy build without that file the kernel
+is the public `cdist`.  The digamma values are a port of cephes' `psi` for
+positive integers, the routine `scipy.special.digamma` runs, and equal its
+results bit for bit.  So neither importing this module, as training and
+`geoib verify` do, nor running the estimator loads any scipy package.
 
 Inversion leakage is the held-out mean squared error of a fixed probe
 that reconstructs x from z (low MSE = invertible representation = little
@@ -43,8 +54,14 @@ definition does.
 from __future__ import annotations
 
 import csv
+import functools
+import importlib.machinery
+import importlib.util
 import json
+import math
+import os
 from dataclasses import dataclass, asdict
+from typing import Callable
 
 import numpy as np
 
@@ -68,6 +85,14 @@ PROBE_FEATURE_NOISE = 0.05
 # inversion MSEs of different probes are never mixed up.
 PROBE_NAME = f"tanh_rf{PROBE_FEATURES}_ridge_s{PROBE_FEATURE_NOISE:g}"
 
+# cephes' psi: Euler's constant, and the coefficients of its asymptotic
+# series in 1/m^2, highest power first.
+_EULER = 0.577215664901532860606512090082402431
+_PSI_ASYMPTOTIC = (8.33333333333333333333e-2, -2.10927960927960927961e-2,
+                   7.57575757575757575758e-3, -4.16666666666666666667e-3,
+                   3.96825396825396825397e-3, -8.33333333333333333333e-3,
+                   8.33333333333333333333e-2)
+
 CSV_COLUMNS = ("beta", "k_dim", "accuracy", "mi_xz_nats",
                "inversion_mse", "seed", "wall_clock_s")
 
@@ -85,6 +110,75 @@ def _row_blocks(n: int, width: int):
     """Slices of at most _BLOCK_BYTES worth of (rows, width) floats."""
     rows = max(1, _BLOCK_BYTES // (8 * width))
     return (slice(start, min(start + rows, n)) for start in range(0, n, rows))
+
+
+def _distance_pybind_path() -> str | None:
+    """scipy's compiled `scipy/spatial/_distance_pybind` extension, found
+    without importing scipy, or None when this build has none."""
+    scipy_dir = os.path.dirname(importlib.util.find_spec("scipy").origin)
+    base = os.path.join(scipy_dir, "spatial", "_distance_pybind")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.isfile(base + suffix):
+            return base + suffix
+    return None
+
+
+@functools.cache
+def _chebyshev_kernel() -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The (a, b) -> Chebyshev distance matrix kernel every scan calls:
+    `cdist_chebyshev` of scipy's distance extension, loaded on its own so
+    no scipy package is imported, or else the public `cdist`.  Both are
+    the routine `cdist(a, b, "chebyshev")` runs."""
+    path = _distance_pybind_path()
+    if path is not None:
+        loader = importlib.machinery.ExtensionFileLoader(
+            "scipy.spatial._distance_pybind", path)
+        module = importlib.util.module_from_spec(
+            importlib.util.spec_from_loader(loader.name, loader))
+        loader.exec_module(module)
+        return module.cdist_chebyshev
+    from scipy.spatial.distance import cdist
+    return functools.partial(cdist, metric="chebyshev")
+
+
+def _digamma(m: int) -> float:
+    """psi(m) for an integer m >= 1, computed as cephes' `psi` (which
+    `scipy.special.digamma` runs) computes it, so the bits are its bits."""
+    if m <= 10:
+        y = 0.0
+        for i in range(1, m):
+            y += 1.0 / i
+        return y - _EULER
+    x = float(m)
+    z = 1.0 / (x * x)
+    poly = _PSI_ASYMPTOTIC[0]
+    for c in _PSI_ASYMPTOTIC[1:]:
+        poly = poly * z + c
+    # math.log is libm's log, the one cephes calls; numpy's SIMD np.log is
+    # not correctly rounded and differs from it in the last bit on some
+    # integers, which would change the estimate's bits
+    return math.log(x) - 0.5 / x - z * poly
+
+
+def _digamma_counts(counts: np.ndarray) -> np.ndarray:
+    """_digamma of each entry of an integer array, one call per distinct
+    value."""
+    values, inverse = np.unique(counts, return_inverse=True)
+    return np.array([_digamma(int(v)) for v in values])[inverse]
+
+
+def _scan_blocks(xa, za, k: int, blocks, eps, nx, nz) -> None:
+    """Fill eps, nx and nz at the rows of each block in `blocks`."""
+    kernel = _chebyshev_kernel()
+    for block in blocks:
+        dx = kernel(xa[block], xa)
+        dz = kernel(za[block], za)
+        # column k, not k - 1: every row holds its own sample at distance 0
+        e = np.partition(np.maximum(dx, dz), k, axis=1)[:, k]
+        eps[block] = e
+        # strictly inside eps; the point itself always lands in its own ball
+        nx[block] = np.count_nonzero(dx < e[:, None], axis=1) - 1
+        nz[block] = np.count_nonzero(dz < e[:, None], axis=1) - 1
 
 
 def mi_knn(x, z, k: int = MI_DEFAULT_K) -> float:
@@ -105,12 +199,7 @@ def mi_knn(x, z, k: int = MI_DEFAULT_K) -> float:
         raise ValueError(f"x has {n} rows but z has {za.shape[0]}")
     if not 1 <= k < n:
         raise ValueError(f"k must satisfy 1 <= k < n = {n}, got {k}")
-    # scipy.spatial loads k-d trees, scipy.sparse and scipy.special; only
-    # this estimator needs them, so importing the module does not.
-    from scipy.spatial.distance import cdist
-    from scipy.special import digamma
-
-    # Contiguous once here, so cdist does not copy them for every block.
+    # Contiguous once here, so the kernel does not copy them for every block.
     xa = np.ascontiguousarray(xa)
     za = np.ascontiguousarray(za)
     if not (np.isfinite(xa).all() and np.isfinite(za).all()):
@@ -118,22 +207,28 @@ def mi_knn(x, z, k: int = MI_DEFAULT_K) -> float:
     eps = np.empty(n)
     nx = np.empty(n, dtype=np.intp)
     nz = np.empty(n, dtype=np.intp)
-    for block in _row_blocks(n, n):
-        dx = cdist(xa[block], xa, "chebyshev")
-        dz = cdist(za[block], za, "chebyshev")
-        # column k, not k - 1: every row holds its own sample at distance 0
-        e = np.partition(np.maximum(dx, dz), k, axis=1)[:, k]
-        eps[block] = e
-        # strictly inside eps; the point itself always lands in its own ball
-        nx[block] = np.count_nonzero(dx < e[:, None], axis=1) - 1
-        nz[block] = np.count_nonzero(dz < e[:, None], axis=1) - 1
+    blocks = list(_row_blocks(n, n))
+    shares = min(len(os.sched_getaffinity(0)), len(blocks))
+    if shares == 1:
+        _scan_blocks(xa, za, k, blocks, eps, nx, nz)
+    else:
+        # imported here: importing training must not load the pool's module
+        from concurrent.futures import ThreadPoolExecutor
+
+        # leaving the block joins every worker, also when a share raises
+        with ThreadPoolExecutor(max_workers=shares - 1) as pool:
+            futures = [pool.submit(_scan_blocks, xa, za, k, blocks[i::shares],
+                                   eps, nx, nz)
+                       for i in range(1, shares)]
+            _scan_blocks(xa, za, k, blocks[::shares], eps, nx, nz)
+            for future in futures:
+                future.result()
     degenerate = eps == 0.0
     if np.any(degenerate):
         nx = np.where(degenerate, 0, nx)
         nz = np.where(degenerate, 0, nz)
-    value = (digamma(k) + digamma(n)
-             - float(np.mean(digamma(nx + 1) + digamma(nz + 1))))
-    return float(value)
+    psi = _digamma_counts(np.concatenate([nx, nz]) + 1)
+    return _digamma(k) + _digamma(n) - float(np.mean(psi[:n] + psi[n:]))
 
 
 def classification_accuracy(decoder: Network, z, labels) -> float:

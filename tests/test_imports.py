@@ -56,3 +56,16 @@ def test_the_property_suite_runs_without_scipy_linalg():
         "assert all(r.passed for r in run_all_checks(seed=0))\n"
         "print('scipy.linalg' in sys.modules)")
     assert out == "False", "run_all_checks(seed=0) loaded scipy.linalg"
+
+
+def test_a_training_run_with_evaluation_loads_no_scipy_package():
+    # the KSG estimator loads scipy's distance kernel without importing
+    # scipy.spatial, and computes digamma itself
+    out = _fresh_python(
+        "import sys\n"
+        "from geoib.config import TrainConfig\n"
+        "from geoib.training import run_training\n"
+        "assert run_training(TrainConfig(epochs=1)).point is not None\n"
+        "print(sorted(m for m in ('scipy.spatial', 'scipy.special', "
+        "'scipy.sparse', 'scipy.linalg') if m in sys.modules))")
+    assert out == "[]", f"run_training loaded {out}"

@@ -1,6 +1,13 @@
+import functools
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
+from scipy.special import digamma
 
+from geoib import mi
 from geoib.mi import (
     CSV_COLUMNS,
     PROBE_FEATURE_NOISE,
@@ -91,6 +98,121 @@ def test_mi_equals_tree_reference_across_many_blocks():
     x = rng.normal((1200, 40))
     z = np.round(x[:, :4] + rng.normal((1200, 4)), 1)
     assert mi_knn(x, z) == ksg_tree_reference(x, z)
+
+
+@pytest.fixture(params=["extension", "cdist"])
+def kernel_route(request, monkeypatch):
+    """The Chebyshev kernel loaded from scipy's distance extension, or the
+    public `cdist` when the extension's file is not found."""
+    mi._chebyshev_kernel.cache_clear()
+    if request.param == "cdist":
+        monkeypatch.setattr(mi, "_distance_pybind_path", lambda: None)
+    kernel = mi._chebyshev_kernel()
+    assert isinstance(kernel, functools.partial) == (request.param == "cdist")
+    yield request.param
+    mi._chebyshev_kernel.cache_clear()
+
+
+def _use_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_tree_reference_tests_hold_on_both_routes_at_any_cpu_count(
+        kernel_route, cpus, monkeypatch):
+    _use_cpus(monkeypatch, cpus)
+    for k in (1, 5):
+        test_mi_equals_tree_reference_exactly(k)
+    test_mi_equals_tree_reference_across_many_blocks()
+
+
+def _many_block_pair():
+    # 1200 rows give 27-row blocks, 45 of them
+    rng = Rng(13)
+    x = rng.normal((1200, 40))
+    return x, np.round(x[:, :4] + rng.normal((1200, 4)), 1)
+
+
+def _recording_kernel(monkeypatch, fail_at=None):
+    """Patch mi_knn's kernel to log the running thread count and thread of
+    each call, and to raise on the block whose x rows start at `fail_at`."""
+    kernel = mi._chebyshev_kernel()
+    calls = []
+
+    def recording(a, b):
+        calls.append((threading.active_count(), threading.get_ident()))
+        if fail_at is not None and a.__array_interface__["data"][0] == fail_at:
+            raise ArithmeticError("kernel fault")
+        return kernel(a, b)
+
+    monkeypatch.setattr(mi, "_chebyshev_kernel", lambda: recording)
+    return calls
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_mi_scan_runs_one_thread_per_cpu_and_leaves_none(cpus, monkeypatch):
+    x, z = _many_block_pair()
+    want = mi_knn(x, z)
+    _use_cpus(monkeypatch, cpus)
+    calls = _recording_kernel(monkeypatch)
+    before = set(threading.enumerate())
+    assert mi_knn(x, z) == want
+    assert set(threading.enumerate()) == before
+    assert len(calls) == 2 * 45
+    if cpus == 1:
+        assert max(count for count, _ in calls) == len(before)
+    else:
+        # the caller runs one share; every share has blocks to scan
+        threads = {ident for _, ident in calls}
+        assert threading.get_ident() in threads and len(threads) > 1
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("block", [0, 1, 44])
+def test_mi_scan_raises_a_kernel_error_and_leaves_no_thread(cpus, block,
+                                                            monkeypatch):
+    # block 0 is the caller's share; 1 and 44 fall to a worker's share at
+    # some cpu counts
+    x, z = _many_block_pair()
+    _use_cpus(monkeypatch, cpus)
+    calls = _recording_kernel(
+        monkeypatch, fail_at=x[27 * block:].__array_interface__["data"][0])
+    before = set(threading.enumerate())
+    with pytest.raises(ArithmeticError, match="kernel fault"):
+        mi_knn(x, z)
+    assert set(threading.enumerate()) == before
+    if cpus == 1:
+        assert max(count for count, _ in calls) == len(before)
+
+
+def test_mi_scan_with_more_threads_than_cores_and_fast_switching(monkeypatch):
+    # the shares write disjoint rows of the same arrays; a lost or crossed
+    # write would change the estimate
+    x, z = _many_block_pair()
+    want = ksg_tree_reference(x, z)
+    _use_cpus(monkeypatch, 2 * (os.cpu_count() or 1) + 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert mi_knn(x, z) == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_digamma_port_equals_scipy_bit_for_bit():
+    m = np.arange(1, 2**20 + 1)
+    got = mi._digamma_counts(m)
+    assert np.array_equal(got.view(np.uint64), digamma(m).view(np.uint64))
+    # mi_knn's k and n arrive as Python ints
+    for v in [*range(1, 65), 299, 300, 1200, 2000, 5000, 2**20]:
+        assert (np.float64(mi._digamma(v)).view(np.uint64)
+                == np.float64(digamma(v)).view(np.uint64)), v
+
+
+def test_digamma_counts_repeat_each_distinct_value():
+    counts = np.array([7, 3, 3, 120, 7, 1])
+    assert np.array_equal(mi._digamma_counts(counts), digamma(counts))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
