@@ -30,8 +30,8 @@ The kernel is loaded on first use straight from scipy's compiled extension
 `scipy/spatial/_distance_pybind` (`_chebyshev_kernel`), found without
 importing scipy: importing `scipy.spatial.distance` would load
 `scipy.sparse`, `scipy.special` and `scipy.linalg` too (0.3 s and 36 MB on
-a 2-core x86-64 machine).  On a scipy build without that file the kernel
-is the public `cdist`.  The digamma values are a port of cephes' `psi` for
+a 2-core x86-64 machine).  Every scipy this package supports (>= 1.10)
+ships that extension.  The digamma values are a port of cephes' `psi` for
 positive integers, the routine `scipy.special.digamma` runs, and equal its
 results bit for bit.  So neither importing this module, as training and
 `geoib verify` do, nor running the estimator loads any scipy package.
@@ -112,33 +112,30 @@ def _row_blocks(n: int, width: int):
     return (slice(start, min(start + rows, n)) for start in range(0, n, rows))
 
 
-def _distance_pybind_path() -> str | None:
-    """scipy's compiled `scipy/spatial/_distance_pybind` extension, found
-    without importing scipy, or None when this build has none."""
+@functools.cache
+def _chebyshev_kernel() -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The (a, b) -> Chebyshev distance matrix kernel every scan calls:
+    `cdist_chebyshev`, the routine `cdist(a, b, "chebyshev")` runs, loaded
+    from scipy's `scipy/spatial/_distance_pybind` extension on its own, so
+    no scipy package is imported."""
     scipy_dir = os.path.dirname(importlib.util.find_spec("scipy").origin)
     base = os.path.join(scipy_dir, "spatial", "_distance_pybind")
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         if os.path.isfile(base + suffix):
-            return base + suffix
-    return None
+            loader = importlib.machinery.ExtensionFileLoader(
+                "scipy.spatial._distance_pybind", base + suffix)
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_loader(loader.name, loader))
+            loader.exec_module(module)
+            return module.cdist_chebyshev
+    raise ImportError(f"scipy's distance extension {base}.* is missing")
 
 
-@functools.cache
-def _chebyshev_kernel() -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """The (a, b) -> Chebyshev distance matrix kernel every scan calls:
-    `cdist_chebyshev` of scipy's distance extension, loaded on its own so
-    no scipy package is imported, or else the public `cdist`.  Both are
-    the routine `cdist(a, b, "chebyshev")` runs."""
-    path = _distance_pybind_path()
-    if path is not None:
-        loader = importlib.machinery.ExtensionFileLoader(
-            "scipy.spatial._distance_pybind", path)
-        module = importlib.util.module_from_spec(
-            importlib.util.spec_from_loader(loader.name, loader))
-        loader.exec_module(module)
-        return module.cdist_chebyshev
-    from scipy.spatial.distance import cdist
-    return functools.partial(cdist, metric="chebyshev")
+def _usable_cpus() -> int:
+    """CPUs this process may run on; all of them where the OS cannot say."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _digamma(m: int) -> float:
@@ -167,9 +164,8 @@ def _digamma_counts(counts: np.ndarray) -> np.ndarray:
     return np.array([_digamma(int(v)) for v in values])[inverse]
 
 
-def _scan_blocks(xa, za, k: int, blocks, eps, nx, nz) -> None:
+def _scan_blocks(kernel, xa, za, k: int, blocks, eps, nx, nz) -> None:
     """Fill eps, nx and nz at the rows of each block in `blocks`."""
-    kernel = _chebyshev_kernel()
     for block in blocks:
         dx = kernel(xa[block], xa)
         dz = kernel(za[block], za)
@@ -208,19 +204,21 @@ def mi_knn(x, z, k: int = MI_DEFAULT_K) -> float:
     nx = np.empty(n, dtype=np.intp)
     nz = np.empty(n, dtype=np.intp)
     blocks = list(_row_blocks(n, n))
-    shares = min(len(os.sched_getaffinity(0)), len(blocks))
+    # resolved before any worker starts, so only this thread loads it
+    kernel = _chebyshev_kernel()
+    shares = min(_usable_cpus(), len(blocks))
     if shares == 1:
-        _scan_blocks(xa, za, k, blocks, eps, nx, nz)
+        _scan_blocks(kernel, xa, za, k, blocks, eps, nx, nz)
     else:
         # imported here: importing training must not load the pool's module
         from concurrent.futures import ThreadPoolExecutor
 
         # leaving the block joins every worker, also when a share raises
         with ThreadPoolExecutor(max_workers=shares - 1) as pool:
-            futures = [pool.submit(_scan_blocks, xa, za, k, blocks[i::shares],
-                                   eps, nx, nz)
+            futures = [pool.submit(_scan_blocks, kernel, xa, za, k,
+                                   blocks[i::shares], eps, nx, nz)
                        for i in range(1, shares)]
-            _scan_blocks(xa, za, k, blocks[::shares], eps, nx, nz)
+            _scan_blocks(kernel, xa, za, k, blocks[::shares], eps, nx, nz)
             for future in futures:
                 future.result()
     degenerate = eps == 0.0

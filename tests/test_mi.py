@@ -1,4 +1,3 @@
-import functools
 import os
 import sys
 import threading
@@ -100,26 +99,29 @@ def test_mi_equals_tree_reference_across_many_blocks():
     assert mi_knn(x, z) == ksg_tree_reference(x, z)
 
 
-@pytest.fixture(params=["extension", "cdist"])
-def kernel_route(request, monkeypatch):
-    """The Chebyshev kernel loaded from scipy's distance extension, or the
-    public `cdist` when the extension's file is not found."""
-    mi._chebyshev_kernel.cache_clear()
-    if request.param == "cdist":
-        monkeypatch.setattr(mi, "_distance_pybind_path", lambda: None)
-    kernel = mi._chebyshev_kernel()
-    assert isinstance(kernel, functools.partial) == (request.param == "cdist")
-    yield request.param
-    mi._chebyshev_kernel.cache_clear()
+def test_the_kernel_gives_the_bits_of_cdists_chebyshev():
+    from scipy.spatial.distance import cdist
+
+    rng = Rng(17)
+    a = rng.normal((30, 7))
+    b = np.round(rng.normal((45, 7)), 1)
+    got = mi._chebyshev_kernel()(a, b)
+    assert np.array_equal(got.view(np.uint64),
+                          cdist(a, b, "chebyshev").view(np.uint64))
 
 
 def _use_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(mi, "_usable_cpus", lambda: cpus)
+
+
+def test_usable_cpus_without_affinity_counts_every_cpu(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert mi._usable_cpus() == (os.cpu_count() or 1)
+    test_mi_equals_tree_reference_across_many_blocks()
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_tree_reference_tests_hold_on_both_routes_at_any_cpu_count(
-        kernel_route, cpus, monkeypatch):
+def test_tree_reference_tests_hold_at_any_cpu_count(cpus, monkeypatch):
     _use_cpus(monkeypatch, cpus)
     for k in (1, 5):
         test_mi_equals_tree_reference_exactly(k)
