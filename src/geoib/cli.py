@@ -107,10 +107,11 @@ def _cmd_eval(args) -> int:
     cfg = load_config(os.path.join(args.run_dir, "config.resolved"))
     enc = Network.load(os.path.join(args.run_dir, "encoder.net"))
     dec = Network.load(os.path.join(args.run_dir, "decoder.net"))
-    # wall_clock_s means training time; carry it over from the run when known
+    # wall_clock_s means training time; carry it over from the run when
+    # known.  A kill while the run wrote point.jsonl can leave it empty.
     trained = os.path.join(args.run_dir, "point.jsonl")
-    wall = (read_points_jsonl(trained)[0].wall_clock_s
-            if os.path.exists(trained) else float("nan"))
+    points = read_points_jsonl(trained) if os.path.exists(trained) else []
+    wall = points[0].wall_clock_s if points else float("nan")
     ds = make_dataset(cfg.dataset, cfg.seed)
     point = evaluate_run(cfg, enc, dec, ds, wall)
     for line in _point_lines([point]):

@@ -34,8 +34,9 @@ which releases the GIL) without touching the state; the resulting
 `InputFactor` holds only the blended factor `a` and the Cholesky factor
 `chol`.  When the encoder input is at least 576 wide
 (`training._OVERLAP_MIN_INPUTS`), training forms it one batch ahead on a
-worker thread that lives as long as the run, as Ba, Grosse & Martens
-(2017) compute factor inverses asynchronously.  A step hands its
+worker thread that lives as long as the run and reads the run's batch
+order itself, each factor blended from the one before, as Ba, Grosse &
+Martens (2017) compute factor inverses asynchronously.  A step hands its
 `InputFactor` to `kfac_update`, which adopts `a` for layer 0, and to
 `kfac_solve`, which solves with `chol` and then lets it go; the factors,
 directions and residuals keep their bits.  Narrower inputs and every other

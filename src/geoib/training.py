@@ -29,17 +29,16 @@ When the encoder's input is at least `_OVERLAP_MIN_INPUTS` (576) wide, the
 input layer's A factor, its EMA blend and the Cholesky factor of its damped
 form (`fisher.input_factor_update`) are computed one batch ahead, on one
 worker thread that lives as long as `run_training`.  That factor depends
-on the batch sequence alone, not on the parameters, and on 784-pixel
-digits it is the largest piece of a step.  Step t starts batch t+1's
-factor as soon as it has adopted its own, so the worker overlaps step t's
-solves and updates and step t+1's forward and backward passes; the run
-slices each batch one step ahead, at any width.  The worker ends with the
-run, whether the run returns or raises.  A failure in it, such as a
-non-finite batch, is raised from the step whose factor it is, so divergence
-is blamed on that step.  Only `run_training` opens the worker: a
-`train_step` called without the run's `factors`, and every step below the
-cutoff, forms the factor on its caller's thread.  Either way the bits are
-the same.
+on the batch order alone, not on the parameters, and on 784-pixel digits
+it is the largest piece of a step.  So the worker reads the run's batch
+order itself (`_InputFactors`): when step t takes its factor, the worker
+begins batch t+1's from it, and overlaps step t's updates and solves and
+step t+1's forward and backward passes.  The worker ends with the run,
+whether the run returns or raises.  A failure in it, such as a non-finite
+batch, is raised from the step whose factor it is, so divergence is blamed
+on that step.  Only `run_training` opens the worker: a `train_step` called
+without the run's `factors`, and every step below the cutoff, forms the
+factor on its caller's thread.  Either way the bits are the same.
 
 `run_training` keeps glibc's heap mapped between steps: a step's temporaries
 (their peak is near 1 MB on the default config) lie above the default
@@ -60,7 +59,6 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-import itertools
 import json
 import os
 import time
@@ -311,54 +309,52 @@ def _clip_step(delta: np.ndarray, max_norm: float) -> np.ndarray:
 
 
 class _InputFactors:
-    """The input layer's factors (`input_factor_update`), formed on one
-    worker thread, each as soon as its batch and the factor before it are
-    known.
+    """The input layer's factors (`input_factor_update`) of `batches`, the
+    encoder's batches in step order, formed on one worker thread, each
+    from the factor before it.
 
-    A context manager that `run_training` opens for the run: leaving it
-    waits for the worker, so no worker outlives the run, or reads a
-    `KfacState` after.  A factor that is never taken is dropped with its
-    error.
+    `state` is the encoder's `KfacState` before the first batch; the first
+    factor is begun at once.  A context manager that `run_training` opens
+    for the run: leaving it waits for the worker, so no worker outlives
+    the run, and lets go of the state, the batches and a factor never
+    taken, with its error, so none of them lives on into evaluation.
     """
 
-    def __init__(self):
+    def __init__(self, state: KfacState, batches):
         # imported here, so that a run below the cutoff loads no thread pool
         from concurrent.futures import ThreadPoolExecutor
 
         self._pool = ThreadPoolExecutor(max_workers=1,
                                         thread_name_prefix="geoib-input-factor")
-        self._pending = None  # (batch, future of its factor) while one is under way
+        self._state, self._batches = state, iter(batches)
+        self._begin(state)
 
     def __enter__(self) -> _InputFactors:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self._pending = None
+        self._state = self._batches = self._future = None
         self._pool.shutdown()
 
-    def start(self, state: KfacState, x: np.ndarray) -> None:
-        """Begin x's factor from the one `state` holds now, unless a factor
-        is under way already."""
-        if self._pending is None:
-            # a copy of the state object, not of its arrays: kfac_update
-            # gives the state new factor lists, so the worker reads the
-            # factor held now whatever the step adopts meanwhile
-            self._pending = (x, self._pool.submit(input_factor_update,
-                                                  replace(state), x))
+    def _begin(self, state: KfacState) -> None:
+        x = next(self._batches, None)  # None after the last batch
+        self._future = (None if x is None else
+                        self._pool.submit(input_factor_update, state, x))
 
-    def take(self, x: np.ndarray) -> InputFactor:
-        """x's factor; waits for it and raises the worker's error here."""
-        batch, future = self._pending
-        self._pending = None
-        if batch is not x:
-            raise RuntimeError("the input factor under way is another batch's")
-        return future.result()
+    def take(self) -> InputFactor:
+        """The current batch's factor: waits for it, raises the worker's
+        error here, and begins the next batch's factor from it."""
+        factor = self._future.result()
+        # the worker reads only layer 0's A factor, the damping and the
+        # decay, and the step adopts `factor.a` without changing it
+        self._begin(replace(self._state, a_factors=[factor.a]))
+        return factor
 
 
 def train_step(cfg: TrainConfig, enc: Network, dec: Network,
                kfac_enc: KfacState | None, kfac_dec: KfacState | None,
-               x, y, step_rng: Rng, *, factors: _InputFactors | None = None,
-               x_next: np.ndarray | None = None) -> StepMetrics:
+               x, y, step_rng: Rng, *,
+               factors: _InputFactors | None = None) -> StepMetrics:
     """One optimizer step of either method; mutates nets and factors.
 
     geoib draws Hutchinson probes and optimizes the full objective with
@@ -366,17 +362,14 @@ def train_step(cfg: TrainConfig, enc: Network, dec: Network,
     Given K-FAC states, the factors are refreshed from a model-sampled
     backward pass and both gradients are preconditioned by the exact
     natural-gradient solve; without them the step is plain gradient
-    descent.  Given the run's `factors`, the encoder's input-layer A factor
-    is taken from that worker, and the step starts the next batch
-    `x_next`'s factor as soon as it has adopted its own; a non-finite
-    batch then raises FloatingPointError naming layer 0.  Without
-    `factors` every factor is formed on the caller's thread, at any input
-    width, and `x_next` is ignored.
+    descent.  Given the run's `factors`, whose current batch must be `x`,
+    the encoder's input-layer A factor is taken from that worker, which
+    then begins the next batch's; a non-finite batch then raises
+    FloatingPointError naming layer 0.  Without `factors` every factor is
+    formed on the caller's thread, at any input width.
     """
     x = np.asarray(x, dtype=np.float64)
     batch = x.shape[0]
-    if factors is not None:
-        factors.start(kfac_enc, x)
     eps = step_rng.normal((batch, cfg.k_dim))
     if cfg.method == "geoib":
         probes = draw_probes(step_rng, cfg.jf_probes, batch, x.shape[1])
@@ -389,16 +382,14 @@ def train_step(cfg: TrainConfig, enc: Network, dec: Network,
     )
     if not np.isfinite(metrics.total):
         if factors is not None:
-            factors.take(x)  # a non-finite batch: name the input layer
+            factors.take()  # a non-finite batch: name the input layer
         raise FloatingPointError(f"objective went non-finite: {metrics.total!r}")
     dir_enc, dir_dec = g_enc, g_dec
     res_enc = res_dec = 0.0
     if kfac_enc is not None:
         _sampled_capture(enc, dec, *head, step_rng)
-        first = factors.take(x) if factors is not None else None
+        first = factors.take() if factors is not None else None
         kfac_update(kfac_enc, enc, input_factor=first)
-        if first is not None and x_next is not None:
-            factors.start(kfac_enc, x_next)
         kfac_update(kfac_dec, dec)
         step_enc = natural_gradient(kfac_enc, g_enc, input_factor=first)
         step_dec = natural_gradient(kfac_dec, g_dec)
@@ -415,8 +406,9 @@ def _run_batches(root: Rng, n: int, cfg: TrainConfig):
     """(epoch, row indices) of every step of a run, in order.
 
     An epoch's order comes from its own substream of the run seed, drawn
-    when its first batch is asked for; drawing it a step early, to slice
-    the next batch ahead, changes no bits.
+    when its first batch is asked for, so every pass gives the same
+    batches: a wide run makes two, one for its steps and one that its
+    input-factor worker reads a batch ahead (`_InputFactors`).
     """
     for epoch in range(cfg.epochs):
         order = root.substream(_STREAM_EPOCH + epoch).permutation(n)
@@ -469,24 +461,23 @@ def run_training(cfg: TrainConfig, out_dir: str | None = None,
     global_step = 0
     sums: dict[str, float] = {}
     steps_in_epoch = 0
-    batches = itertools.pairwise(
-        itertools.chain(_run_batches(root, x_tr.shape[0], cfg), [None]))
-    x_ahead = None
+    n_train = x_tr.shape[0]
+    steps_per_epoch = len(range(0, n_train, cfg.batch))
     # only a run whose encoder input is wide enough forms the input
     # layer's factor on a worker; below the cutoff `factors` is None
     wide = kfac_enc is not None and ds.n_features >= _OVERLAP_MIN_INPUTS
-    with _InputFactors() if wide else contextlib.nullcontext() as factors:
-        for (epoch, idx), ahead in batches:
+    with (_InputFactors(kfac_enc, (x_tr[idx] for _, idx in
+                                   _run_batches(root, n_train, cfg)))
+          if wide else contextlib.nullcontext()) as factors:
+        for epoch, idx in _run_batches(root, n_train, cfg):
             if steps_in_epoch == 0:
                 decay = 0.5 * (1.0 + np.cos(np.pi * epoch / cfg.epochs))
                 cfg_epoch = replace(cfg, eta_phi=cfg.eta_phi * decay,
                                     eta_theta=cfg.eta_theta * decay)
-            x = x_tr[idx] if x_ahead is None else x_ahead
-            x_ahead = x_tr[ahead[1]] if ahead is not None else None
             step_rng = root.substream(_STREAM_STEP + global_step)
             try:
-                m = step(cfg_epoch, enc, dec, kfac_enc, kfac_dec, x, y_tr[idx],
-                         step_rng, factors=factors, x_next=x_ahead)
+                m = step(cfg_epoch, enc, dec, kfac_enc, kfac_dec, x_tr[idx],
+                         y_tr[idx], step_rng, factors=factors)
             except FloatingPointError as exc:
                 enc.set_params(last_good[0])
                 dec.set_params(last_good[1])
@@ -504,7 +495,7 @@ def run_training(cfg: TrainConfig, out_dir: str | None = None,
             steps_in_epoch += 1
             for key in _METRIC_NAMES:
                 sums[key] = sums.get(key, 0.0) + float(getattr(m, key))
-            if ahead is None or ahead[0] != epoch:
+            if steps_in_epoch == steps_per_epoch:
                 record = {"epoch": epoch}
                 record.update({k: v / steps_in_epoch for k, v in sums.items()})
                 history.append(record)

@@ -97,11 +97,16 @@ def test_eval_without_point_file_reports_nan_wall_clock(tmp_path, capsys):
     main(["train", "--dataset", "gauss_mixture:n=300,noise=0.14",
           "--epochs", "1", "--k-dim", "4", "--enc-hidden", "8",
           "--out", str(out)])
-    (out / "point.jsonl").unlink()
     capsys.readouterr()
-    assert main(["eval", str(out)]) == 0
-    row = capsys.readouterr().out.splitlines()[1].split(",")
-    assert np.isnan(float(row[CSV_COLUMNS.index("wall_clock_s")]))
+    point_file = out / "point.jsonl"
+    for state in ("empty", "missing"):
+        if state == "empty":
+            point_file.write_text("")  # as a kill while the run wrote it leaves it
+        else:
+            point_file.unlink()
+        assert main(["eval", str(out)]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert np.isnan(float(row[CSV_COLUMNS.index("wall_clock_s")]))
 
 
 def test_eval_of_a_nan_encoder_reports_one_error_line(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import platform
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from dataclasses import asdict, astuple, replace
 
 import numpy as np
@@ -430,20 +432,24 @@ def test_a_bare_wide_step_stays_on_its_callers_thread(monkeypatch):
     assert offloaded == []
 
 
-@pytest.mark.parametrize("dataset", [TOY, WIDE], ids=["narrow", "wide"])
-def test_a_bare_step_ignores_the_next_batch(dataset):
-    # without the run's factors there is no worker to start x_next's
-    # factor on: the step must give the bits of the same step without it
-    def one_step(ahead):
-        cfg = TrainConfig(dataset=dataset, k_dim=2, enc_hidden="8")
+def test_a_bare_wide_step_given_a_worker_keeps_its_bits():
+    # a step handed a worker over its own batch alone must give the bits
+    # of the same step without one, and leave no thread behind
+    def one_step(worker):
+        cfg = TrainConfig(dataset=WIDE, k_dim=2, enc_hidden="8")
         enc, dec, ke, kd, x, y = _step_setup(cfg)
-        m = train_step(cfg, enc, dec, ke, kd, x[:32], y[:32], Rng(12),
-                       x_next=x[32:64] if ahead else None)
+        with (training._InputFactors(ke, [x[:32]]) if worker
+              else contextlib.nullcontext()) as factors:
+            m = train_step(cfg, enc, dec, ke, kd, x[:32], y[:32], Rng(12),
+                           factors=factors)
         return [_bits(v) for v in (astuple(m), enc.params, dec.params,
                                    *ke.a_factors, *ke.g_factors,
                                    *kd.a_factors, *kd.g_factors)]
 
-    got, want = one_step(True), one_step(False)
+    before = threading.active_count()
+    got = one_step(True)
+    assert threading.active_count() == before
+    want = one_step(False)
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
@@ -537,7 +543,7 @@ def test_the_pipelined_run_matches_the_one_thread_oracle(monkeypatch):
     # boundary, under a short switch interval
     cfg = _wide_run_cfg(epochs=2)
     states = _recorded_states(monkeypatch)
-    calls, aheads = [], []
+    calls, handed = [], []
     real_update = training.input_factor_update
     real_step = training.gib_step
 
@@ -546,7 +552,7 @@ def test_the_pipelined_run_matches_the_one_thread_oracle(monkeypatch):
         return real_update(state, x)
 
     def step(*args, **kwargs):
-        aheads.append(kwargs.get("x_next") is not None)
+        handed.append(kwargs["factors"] is not None)
         return real_step(*args, **kwargs)
 
     monkeypatch.setattr(training, "input_factor_update", counting)
@@ -557,8 +563,7 @@ def test_the_pipelined_run_matches_the_one_thread_oracle(monkeypatch):
         got = _run_bits(cfg, states)
     finally:
         sys.setswitchinterval(interval)
-    assert calls == [True] * 8
-    assert aheads == [True] * 7 + [False]
+    assert calls == [True] * 8 and handed == [True] * 8
     states.clear()
     monkeypatch.setattr(training, "_OVERLAP_MIN_INPUTS", 10**9)
     monkeypatch.setattr(training, "kfac_update",
@@ -568,8 +573,7 @@ def test_the_pipelined_run_matches_the_one_thread_oracle(monkeypatch):
                         lambda state, g, input_factor=None:
                         NaturalGradStep(*kfac_solve_inline(state, g), 0))
     want = _run_bits(cfg, states)
-    # the run slices one batch ahead below the cutoff too
-    assert calls == [True] * 8 and aheads == ([True] * 7 + [False]) * 2
+    assert calls == [True] * 8 and handed == [True] * 8 + [False] * 8
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
@@ -603,17 +607,6 @@ def test_concurrent_pipelined_runs_keep_their_bits():
             assert np.array_equal(a, b)
 
 
-def test_a_step_refuses_a_factor_formed_for_another_batch():
-    cfg = TrainConfig(dataset=WIDE, k_dim=4)
-    enc, dec, ke, kd, x, y = _step_setup(cfg)
-    with training._InputFactors() as factors:
-        factors.start(ke, x[64:128])
-        with pytest.raises(RuntimeError, match="another batch"):
-            train_step(cfg, enc, dec, ke, kd, x[:64], y[:64], Rng(7),
-                       factors=factors)
-    assert ke.a_factors is None
-
-
 def _slow_factors(monkeypatch):
     """Count input-factor calls begun and finished; each takes 50 ms longer,
     so a worker left running after its run would be caught unfinished."""
@@ -633,22 +626,37 @@ def _slow_factors(monkeypatch):
 
 
 def _nan_in_step(monkeypatch, step, events=None):
-    """Plant a NaN in the batch of the given step, while the step before
-    runs; log ("begin", batch) and ("end", None) of each step to events."""
-    real = training.gib_step
+    """Plant a NaN in the batch of the given step, both where the run's
+    worker reads it, while the step before runs, and where that step reads
+    it; log ("factor", x) as the worker is handed each batch x, and
+    ("begin", x) and ("end", None) of each step, to events."""
+    real_init = training._InputFactors.__init__
+    real_step = training.gib_step
     seen = []
 
+    def init(self, state, batches):
+        def planted():
+            for i, x in enumerate(batches):
+                if i == step:
+                    x[0, 7] = np.nan
+                if events is not None:
+                    events.append(("factor", x))
+                yield x
+
+        real_init(self, state, planted())
+
     def planting(*args, **kwargs):
-        if len(seen) == step - 1:
-            kwargs["x_next"][0, 7] = np.nan  # the array that step will take
+        if len(seen) == step:
+            args[5][0, 7] = np.nan  # the run slices its own copy of the batch
         seen.append(None)
         if events is not None:
             events.append(("begin", args[5]))
-        m = real(*args, **kwargs)
+        m = real_step(*args, **kwargs)
         if events is not None:
             events.append(("end", None))
         return m
 
+    monkeypatch.setattr(training._InputFactors, "__init__", init)
     monkeypatch.setattr(training, "gib_step", planting)
 
 
@@ -691,6 +699,27 @@ def test_the_worker_ends_with_the_run(monkeypatch):
     assert threading.active_count() == before
 
 
+def test_the_factors_are_let_go_before_evaluation(monkeypatch):
+    # the run's worker reads the encoder's KfacState; neither state, nor
+    # the factors it holds (5 MB on 784-pixel digits), may live on into
+    # evaluation
+    refs, alive = [], []
+    real_init = training.kfac_init
+
+    def recording(*args, **kwargs):
+        state = real_init(*args, **kwargs)
+        refs.append(weakref.ref(state))
+        return state
+
+    def evaluating(*args):
+        alive.extend(ref() is not None for ref in refs)
+
+    monkeypatch.setattr(training, "kfac_init", recording)
+    monkeypatch.setattr(training, "evaluate_run", evaluating)
+    run_training(_wide_run_cfg(epochs=1))
+    assert alive == [False, False]
+
+
 def _params_after_steps(monkeypatch, cfg, n_steps):
     """(encoder, decoder) parameters of a clean run after n_steps steps."""
     snaps = []
@@ -719,14 +748,6 @@ def test_divergence_is_blamed_on_the_step_whose_batch_holds_it(
     cfg = _wide_run_cfg(epochs=3)
     want_enc, want_dec = _params_after_steps(monkeypatch, cfg, last_good_after)
     events = []
-    real_start = training._InputFactors.start
-
-    def recording_start(self, state, x):
-        if self._pending is None:
-            events.append(("factor", x))
-        real_start(self, state, x)
-
-    monkeypatch.setattr(training._InputFactors, "start", recording_start)
     _nan_in_step(monkeypatch, step, events)
     with np.errstate(all="ignore"):
         with pytest.raises(TrainingDiverged,
@@ -740,7 +761,7 @@ def test_divergence_is_blamed_on_the_step_whose_batch_holds_it(
            if kind == "factor" and np.isnan(x).any()]
     assert len(bad) == 1
     assert kinds[bad[0] - 1 :] == ["begin", "factor", "end", "begin"]
-    assert events[-1][1] is events[bad[0]][1]
+    assert np.array_equal(events[-1][1], events[bad[0]][1], equal_nan=True)
     enc = Network.load(str(tmp_path / "encoder.last_good.net"))
     dec = Network.load(str(tmp_path / "decoder.last_good.net"))
     assert np.array_equal(enc.get_params().view(np.uint64), want_enc.view(np.uint64))
