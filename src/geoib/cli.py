@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -108,9 +109,15 @@ def _cmd_eval(args) -> int:
     enc = Network.load(os.path.join(args.run_dir, "encoder.net"))
     dec = Network.load(os.path.join(args.run_dir, "decoder.net"))
     # wall_clock_s means training time; carry it over from the run when
-    # known.  A kill while the run wrote point.jsonl can leave it empty.
+    # known.  A kill while the run wrote point.jsonl can leave it empty or
+    # cut mid-line: a record that does not parse counts as missing.
     trained = os.path.join(args.run_dir, "point.jsonl")
-    points = read_points_jsonl(trained) if os.path.exists(trained) else []
+    points = []
+    if os.path.exists(trained):
+        try:
+            points = read_points_jsonl(trained)
+        except ValueError as exc:
+            warnings.warn(f"{trained}: wall_clock_s is nan, as {exc}")
     wall = points[0].wall_clock_s if points else float("nan")
     ds = make_dataset(cfg.dataset, cfg.seed)
     point = evaluate_run(cfg, enc, dec, ds, wall)

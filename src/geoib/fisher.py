@@ -17,15 +17,15 @@ Each factor is damped separately, so the layer's system is
 
 rather than (A x G + lam I) v = grad.  Its inverse is
 (G + lam I)^-1 grad (A + lam I)^-1, and the solve is exact: both damped
-factors are Cholesky-factored at every call by `linalg.spd_solve` and each
-layer block costs two triangular-pair solves (Martens & Grosse 2015,
-arXiv:1503.05671).  A non-finite factor or gradient, or a factor that is
-not positive definite, raises FloatingPointError naming the layer.
-Gradients, directions and FVP operands are flat vectors in the network's
-parameter layout; each routine cuts them into layer blocks with
-`nets.layer_blocks` and writes its result through blocks of one flat
-output.  Conjugate gradient remains only for truncated Kronecker solves
-requested with an explicit iteration cap.
+factors are Cholesky-factored (`linalg.spd_solve`; the input layer's may
+be factored ahead, below) and each layer block costs two triangular-pair
+solves (Martens & Grosse 2015, arXiv:1503.05671).  A non-finite factor or
+gradient, or a factor that is not positive definite, raises
+FloatingPointError naming the layer.  Gradients, directions and FVP
+operands are flat vectors in the network's parameter layout; each routine
+cuts them into layer blocks with `nets.layer_blocks` and writes its result
+through blocks of one flat output.  Conjugate gradient remains only for
+truncated Kronecker solves requested with an explicit iteration cap.
 
 The input layer's A factor is built from the batch alone, so it does not
 depend on the parameters or the gradient.  `input_factor_update` blends it,
@@ -37,11 +37,11 @@ which releases the GIL) without touching the state; the resulting
 worker thread that lives as long as the run and reads the run's batch
 order itself, each factor blended from the one before, as Ba, Grosse &
 Martens (2017) compute factor inverses asynchronously.  A step hands its
-`InputFactor` to `kfac_update`, which adopts `a` for layer 0, and to
-`kfac_solve`, which solves with `chol` and then lets it go; the factors,
-directions and residuals keep their bits.  Narrower inputs and every other
-layer stay on the one-thread route, where the worker and the ctypes call
-would cost more than the factor.
+`InputFactor` to `kfac_update`, which adopts `a` for layer 0 and keeps
+`chol` as `KfacState.input_chol`; the next `natural_gradient` solves with
+it and lets it go.  The factors, directions and residuals keep their bits.
+Narrower inputs and every other layer stay on the one-thread route, where
+the worker and the ctypes call would cost more than the factor.
 """
 
 from __future__ import annotations
@@ -75,7 +75,9 @@ class KfacState:
     an (in+1)-square A factor and an out-square G factor.  Factors are
     unset until the first `kfac_update`; the first update adopts the batch
     statistics outright, later ones blend with decay `ema_decay` (a decay
-    of 0 keeps per-batch factors).
+    of 0 keeps per-batch factors).  `input_chol` is the Cholesky factor of
+    the damped layer-0 A factor that the last `kfac_update` adopted, if
+    any; the next `natural_gradient` takes it and sets it to None.
     """
 
     shapes: tuple
@@ -83,6 +85,7 @@ class KfacState:
     ema_decay: float
     a_factors: list | None = None
     g_factors: list | None = None
+    input_chol: np.ndarray | None = None
 
     def __post_init__(self):
         if self.damping < 0.0:
@@ -115,26 +118,25 @@ class InputFactor:
     """Layer 0's updated A factor with the Cholesky factor of its damped form.
 
     `a` is the factor the state adopts as `a_factors[0]`, and `chol` is
-    `linalg.spd_factor(a + lam I)`, formed in the damped copy's own buffer.
-    A factor serves one solve: once layer 0's triangular solves are done,
-    `kfac_solve` sets `chol` to None and reuses its buffer.
+    `linalg.spd_factor(a + lam I)`, formed in the damped copy's own buffer,
+    which the state keeps as `input_chol` for one solve.
     """
 
     a: np.ndarray
-    chol: np.ndarray | None
+    chol: np.ndarray
 
 
 def input_factor_update(state: KfacState, x) -> InputFactor:
     """The input layer's A-factor update, damped and factored, from the
     batch `x` alone.
 
-    Gives the bits `kfac_update` and `kfac_solve` give for layer 0 but
-    leaves `state` untouched: it only reads the current factor, so it can
-    run beside the rest of a step, or of the step before, until
-    `kfac_update(..., input_factor=)` adopts the result.  The damped form
-    is exactly symmetric, as `spd_factor` needs: numpy forms m^T m with a
-    symmetric rank-k update and mirrors it, and the blend and the damping
-    act entry by entry.
+    Gives the bits `kfac_update` and `natural_gradient` give for layer 0
+    but leaves `state` untouched: it only reads the current factor, so it
+    can run beside the rest of a step, or of the step before, until
+    `kfac_update(state, net, input_factor=)` adopts the result.  The
+    damped form is exactly symmetric, as `spd_factor` needs: numpy forms
+    m^T m with a symmetric rank-k update and mirrors it, and the blend and
+    the damping act entry by entry.
 
     Raises:
         FloatingPointError: if the damped factor holds non-finite entries
@@ -165,8 +167,9 @@ def kfac_update(state: KfacState, net: Network,
 
     Later updates blend into the existing factor arrays in place.  Given
     `input_factor` (`input_factor_update` on the batch the net saw), layer
-    0's A factor is replaced by its `a` instead of being computed here.
-    Mutates and returns `state`.
+    0's A factor is replaced by its `a` instead of being computed here, and
+    `state.input_chol` becomes its `chol` (None without one).  Mutates and
+    returns `state`.
     """
     acts, grads_pre = net.captured_stats()
     if net.shapes != state.shapes:
@@ -187,6 +190,7 @@ def kfac_update(state: KfacState, net: Network,
         factors = [input_factor.a] + factors
     n_layers = len(state.shapes)
     state.a_factors, state.g_factors = factors[:n_layers], factors[n_layers:]
+    state.input_chol = input_factor.chol if skip else None
     return state
 
 
@@ -249,38 +253,48 @@ class NaturalGradStep:
     iterations: int
 
 
-def kfac_solve(state: KfacState, grad,
-               input_factor: InputFactor | None = None) -> tuple[np.ndarray, float]:
-    """Exact natural direction under the damped Kronecker factors.
+def natural_gradient(state: KfacState, grad, tol: float = 1e-6,
+                     max_iter: int | None = None) -> NaturalGradStep:
+    """Solve the damped Kronecker-factored Fisher system for the natural
+    direction.
 
-    Per layer block the direction is (G + lam I)^-1 grad (A + lam I)^-1,
-    computed from Cholesky factors of both damped factors.  The relative
-    residual ||(G + lam I) V (A + lam I) - grad|| / ||grad|| over all blocks
-    is recomputed from the same damped factors.  Given `input_factor`, the
-    one `kfac_update` adopted, layer 0 solves with its Cholesky factor
-    instead of forming one again.  Then it lets go of the factor (`chol`
-    becomes None) and forms A + lam I for the residual in the factor's own
-    buffer, so layer 0 never holds two damped-size arrays at once.
+    The exact solve gives per layer block (G + lam I)^-1 grad (A + lam I)^-1
+    from Cholesky factors of both damped factors, and the relative residual
+    ||(G + lam I) V (A + lam I) - grad|| / ||grad|| over all blocks from the
+    same damped factors.  Layer 0 solves with the state's `input_chol` when
+    it holds one, then forms A + lam I for the residual in its buffer, so
+    layer 0 never holds two damped-size arrays at once.  Every solve sets
+    `input_chol` to None.
+
+    Args:
+        state: K-FAC factors with their damping.
+        grad: flat gradient vector.
+        tol: conjugate-gradient target of a truncated solve; the exact
+            solve ignores it.
+        max_iter: requests a truncated solve instead of the exact one:
+            conjugate gradient on the damped Kronecker operator for at most
+            `max_iter` iterations, returning the best iterate on hitting
+            the cap.
 
     Returns:
-        (direction, residual), the direction flat in `grad`'s layout.
+        NaturalGradStep with the direction, flat in `grad`'s layout.
 
     Raises:
+        RuntimeError: if the state has no factors yet.
         FloatingPointError: if the gradient or a damped factor holds
             non-finite entries, or a damped factor is not numerically
             positive definite (zero damping on a rank-deficient factor);
             the message names the layer.
-        ValueError: if `input_factor` is not the state's layer-0 factor, or
-            has served a solve already.
     """
+    chol, state.input_chol = state.input_chol, None
+    g = np.asarray(grad, dtype=np.float64).ravel()
+    if max_iter is not None:
+        res = conjugate_gradient(lambda v: fisher_vector_product(state, v), g,
+                                 tol=tol, max_iter=max_iter)
+        return NaturalGradStep(direction=res.x, residual=res.residual,
+                               iterations=res.iterations)
     if state.a_factors is None:
         raise RuntimeError("KfacState has no factors yet; run kfac_update first")
-    if input_factor is not None:
-        if input_factor.a is not state.a_factors[0]:
-            raise ValueError("input_factor is not this state's layer-0 A factor")
-        if input_factor.chol is None:
-            raise ValueError("input_factor has served a solve already")
-    g = np.asarray(grad, dtype=np.float64).ravel()
     if not np.isfinite(g).all():
         raise FloatingPointError("gradient has non-finite entries")
     lam = state.damping
@@ -291,10 +305,10 @@ def kfac_solve(state: KfacState, grad,
     for i, (dir_blk, blk, a_f, g_f) in enumerate(layers):
         what = f"layer {i}: damped K-FAC factor A"
         # blk (A + lam I)^-1 = ((A + lam I)^-1 blk^T)^T, A being symmetric
-        if i == 0 and input_factor is not None:
-            v_a = spd_solve(None, blk.T, what, input_factor.chol)
+        if i == 0 and chol is not None:
+            v_a = spd_solve(None, blk.T, what, chol)
             # the factor's C-ordered buffer takes A + lam I for the residual
-            a_d, input_factor.chol = input_factor.chol.T, None
+            a_d = chol.T
             np.copyto(a_d, a_f)
             a_d.flat[:: a_d.shape[0] + 1] += lam
         else:
@@ -306,39 +320,7 @@ def kfac_solve(state: KfacState, grad,
         dir_blk[...] = v
     gnorm = float(np.linalg.norm(g))
     residual = float(np.sqrt(sq_residual)) / gnorm if gnorm > 0.0 else 0.0
-    return direction, residual
-
-
-def natural_gradient(state: KfacState, grad, tol: float = 1e-6,
-                     max_iter: int | None = None,
-                     input_factor: InputFactor | None = None) -> NaturalGradStep:
-    """Solve the damped Kronecker-factored Fisher system for the natural
-    direction.
-
-    Args:
-        state: K-FAC factors with their damping.
-        grad: flat gradient vector.
-        tol: conjugate-gradient target of a truncated solve; the exact
-            solve ignores it.
-        max_iter: requests a truncated solve instead of the exact
-            `kfac_solve`: conjugate gradient on the damped Kronecker
-            operator for at most `max_iter` iterations, returning the best
-            iterate on hitting the cap.
-
-    Returns:
-        NaturalGradStep with the direction and solve report.
-
-    Raises:
-        FloatingPointError: see `kfac_solve`.
-    """
-    g = np.asarray(grad, dtype=np.float64).ravel()
-    if max_iter is None:
-        direction, residual = kfac_solve(state, g, input_factor)
-        return NaturalGradStep(direction=direction, residual=residual, iterations=0)
-    res = conjugate_gradient(lambda v: fisher_vector_product(state, v), g,
-                             tol=tol, max_iter=max_iter)
-    return NaturalGradStep(direction=res.x, residual=res.residual,
-                           iterations=res.iterations)
+    return NaturalGradStep(direction=direction, residual=residual, iterations=0)
 
 
 def steepest_descent_margin(fisher_matrix, grad, n_dirs: int, rng) -> float:

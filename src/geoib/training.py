@@ -346,7 +346,8 @@ class _InputFactors:
         error here, and begins the next batch's factor from it."""
         factor = self._future.result()
         # the worker reads only layer 0's A factor, the damping and the
-        # decay, and the step adopts `factor.a` without changing it
+        # decay, and the step adopts `factor.a` without changing it; the
+        # state's `input_chol` is None, the last solve having let it go
         self._begin(replace(self._state, a_factors=[factor.a]))
         return factor
 
@@ -388,10 +389,10 @@ def train_step(cfg: TrainConfig, enc: Network, dec: Network,
     res_enc = res_dec = 0.0
     if kfac_enc is not None:
         _sampled_capture(enc, dec, *head, step_rng)
-        first = factors.take() if factors is not None else None
-        kfac_update(kfac_enc, enc, input_factor=first)
+        kfac_update(kfac_enc, enc,
+                    input_factor=factors.take() if factors is not None else None)
         kfac_update(kfac_dec, dec)
-        step_enc = natural_gradient(kfac_enc, g_enc, input_factor=first)
+        step_enc = natural_gradient(kfac_enc, g_enc)
         step_dec = natural_gradient(kfac_dec, g_dec)
         dir_enc, dir_dec = step_enc.direction, step_dec.direction
         res_enc, res_dec = step_enc.residual, step_dec.residual

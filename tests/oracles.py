@@ -16,8 +16,9 @@ ran before its distances became separable and its resampling one pass
 ran before kl_to_product took stacks (with the package's joint draws and
 i-projection, and the masked sums of that time written out), and
 `kfac_update_inline` / `kfac_solve_inline`, the K-FAC factor update and
-exact solve as they ran before the input layer's factor could be formed on
-a second thread (with the package's damping helper and SPD solve), and
+the exact solve of `natural_gradient` as they ran before the input layer's
+factor could be formed on a second thread (with the package's damping
+helper and SPD solve), and
 `replicated_jvp`, the JVP and its adjoint as they ran before the primal
 pass ran once per input row (with the package's activation table), and
 `jf_value_and_grad_replicated`, the Jacobian penalty's gradient route as it

@@ -23,7 +23,7 @@ rec = tracing.Recorder()
 tracing.install_light(rec)
 tracing.install_full(rec)
 # outside the hooks: what run_training hands the hooked step and solve
-handed = {{"factors": 0, "input_factor": 0}}
+handed = {{"factors": 0, "input_chol": 0}}
 hooked_step, hooked_solve = training.gib_step, training.natural_gradient
 
 def gib_step(*args, **kwargs):
@@ -31,7 +31,7 @@ def gib_step(*args, **kwargs):
     return hooked_step(*args, **kwargs)
 
 def natural_gradient(*args, **kwargs):
-    handed["input_factor"] += kwargs.get("input_factor") is not None
+    handed["input_chol"] += args[0].input_chol is not None
     return hooked_solve(*args, **kwargs)
 
 training.gib_step, training.natural_gradient = gib_step, natural_gradient
@@ -40,13 +40,14 @@ training.run_training(TrainConfig(epochs=1, k_dim=2, enc_hidden="4",
                                   dataset={dataset!r}))
 names = sorted({{span[0] for span in rec.spans}})
 print(rec.counts["steps"], rec.counts["failed_steps"], handed["factors"],
-      handed["input_factor"], threading.active_count() - threads, " ".join(names))
+      handed["input_chol"], threading.active_count() - threads, " ".join(names))
 """
 
 
 def _hooked_run(dataset):
-    """(steps, failed steps, steps handed the run's factors, solves handed
-    an input factor, threads left over, span names) of a hooked run."""
+    """(steps, failed steps, steps handed the run's factors, solves of a
+    state holding the worker's Cholesky factor, threads left over, span
+    names) of a hooked run."""
     script = _SCRIPT.format(perfbench=os.path.join(ROOT, "perfbench"),
                             src=os.path.join(ROOT, "src"), dataset=dataset)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,

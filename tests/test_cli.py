@@ -1,5 +1,8 @@
 """End-to-end runs of the console entry point, in process via main()."""
 
+import contextlib
+import re
+
 import numpy as np
 import pytest
 
@@ -99,12 +102,15 @@ def test_eval_without_point_file_reports_nan_wall_clock(tmp_path, capsys):
           "--out", str(out)])
     capsys.readouterr()
     point_file = out / "point.jsonl"
-    for state in ("empty", "missing"):
-        if state == "empty":
-            point_file.write_text("")  # as a kill while the run wrote it leaves it
-        else:
+    record = point_file.read_bytes()
+    for state in ("cut", "empty", "missing"):
+        if state == "missing":
             point_file.unlink()
-        assert main(["eval", str(out)]) == 0
+        else:  # as a kill while the run wrote it leaves it
+            point_file.write_bytes(record[:60] if state == "cut" else b"")
+        with (pytest.warns(UserWarning, match=re.escape(str(point_file)))
+              if state == "cut" else contextlib.nullcontext()):
+            assert main(["eval", str(out)]) == 0
         row = capsys.readouterr().out.splitlines()[1].split(",")
         assert np.isnan(float(row[CSV_COLUMNS.index("wall_clock_s")]))
 

@@ -7,7 +7,6 @@ from geoib.fisher import (
     input_factor_update,
     kfac_dense_matrix,
     kfac_init,
-    kfac_solve,
     kfac_update,
     natural_gradient,
     reparam_invariance_check,
@@ -127,14 +126,24 @@ def test_an_adopted_input_factor_gives_the_bits_of_a_full_update_and_solve():
         kfac_update(plain, net)
         first = input_factor_update(split, x)
         kfac_update(split, net, input_factor=first)
+        assert split.input_chol is first.chol and plain.input_chol is None
         for got, want in zip(split.a_factors + split.g_factors,
                              plain.a_factors + plain.g_factors):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         g = Rng(seed + 20).normal(net.n_params)
-        got, got_res = kfac_solve(split, g, input_factor=first)
-        want, want_res = kfac_solve(plain, g)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert got_res == want_res
+        want = natural_gradient(plain, g)
+        # the solve lets go of the Cholesky factor, so the second one forms
+        # layer 0's from a_factors[0], and must give the same bits
+        for _ in range(2):
+            got = natural_gradient(split, g)
+            assert split.input_chol is None
+            assert np.array_equal(got.direction.view(np.uint64),
+                                  want.direction.view(np.uint64))
+            assert got.residual == want.residual
+    # an update without an input factor clears one no solve has taken
+    kfac_update(split, net, input_factor=input_factor_update(split, x))
+    kfac_update(split, net)
+    assert split.input_chol is None
 
 
 def test_input_factor_update_leaves_the_state_alone():
@@ -145,32 +154,6 @@ def test_input_factor_update_leaves_the_state_alone():
     input_factor_update(state, Rng(59).normal((8, 6)))
     for got, want in zip(state.a_factors + state.g_factors, before):
         np.testing.assert_array_equal(got, want)
-
-
-def test_kfac_solve_refuses_an_input_factor_it_did_not_adopt():
-    net = _net((6, 4, "tanh"), (4, 2, "identity"), seed=60)
-    x = Rng(61).normal((8, 6))
-    _captured(net, x, seed=62)
-    state = kfac_update(kfac_init(net), net)
-    stale = input_factor_update(state, x)
-    with pytest.raises(ValueError, match="layer-0"):
-        kfac_solve(state, np.ones(state.n_params), input_factor=stale)
-
-
-def test_an_input_factor_serves_one_solve():
-    # the solve lets go of the Cholesky factor before it forms A + lam I,
-    # so a second solve with the same factor has nothing to solve with
-    net = _net((6, 4, "tanh"), (4, 2, "identity"), seed=63)
-    x = Rng(64).normal((8, 6))
-    _captured(net, x, seed=65)
-    state = kfac_init(net)
-    first = input_factor_update(state, x)
-    kfac_update(state, net, input_factor=first)
-    g = np.ones(state.n_params)
-    kfac_solve(state, g, input_factor=first)
-    assert first.chol is None and first.a is state.a_factors[0]
-    with pytest.raises(ValueError, match="served a solve already"):
-        kfac_solve(state, g, input_factor=first)
 
 
 def test_kfac_update_rejects_mismatched_net():
@@ -318,15 +301,13 @@ def test_kfac_solve_reports_true_residual():
     _captured(net, Rng(35).normal((16, 3)), seed=36)
     state = kfac_update(kfac_init(net, damping=1e-3), net)
     g = Rng(37).normal(state.n_params)
-    direction, residual = kfac_solve(state, g)
-    true_res = (np.linalg.norm(fisher_vector_product(state, direction) - g)
-                / np.linalg.norm(g))
-    assert residual <= 1e-12 and abs(residual - true_res) <= 1e-14
     step = natural_gradient(state, g)
-    np.testing.assert_array_equal(step.direction, direction)
+    true_res = (np.linalg.norm(fisher_vector_product(state, step.direction) - g)
+                / np.linalg.norm(g))
+    assert step.residual <= 1e-12 and abs(step.residual - true_res) <= 1e-14
     assert step.iterations == 0
-    zero, zero_res = kfac_solve(state, np.zeros(state.n_params))
-    assert zero_res == 0.0 and not np.any(zero)
+    zero = natural_gradient(state, np.zeros(state.n_params))
+    assert zero.residual == 0.0 and not np.any(zero.direction)
 
 
 def test_kfac_solve_rejects_singular_undamped_factor():
@@ -335,7 +316,7 @@ def test_kfac_solve_rejects_singular_undamped_factor():
     _captured(net, Rng(39).normal((1, 3)), seed=40)
     state = kfac_update(kfac_init(net, damping=0.0), net)
     with pytest.raises(FloatingPointError, match="not positive definite"):
-        kfac_solve(state, np.ones(state.n_params))
+        natural_gradient(state, np.ones(state.n_params))
 
 
 def test_kfac_solve_rejects_a_non_finite_factor_naming_its_layer():
@@ -346,7 +327,7 @@ def test_kfac_solve_rejects_a_non_finite_factor_naming_its_layer():
     state.a_factors[1][2, :] = state.a_factors[1][:, 2] = np.nan
     with pytest.raises(FloatingPointError,
                        match="layer 1: damped K-FAC factor A has non-finite"):
-        kfac_solve(state, np.ones(state.n_params))
+        natural_gradient(state, np.ones(state.n_params))
 
 
 def test_exact_solves_reject_a_non_finite_gradient():

@@ -543,12 +543,15 @@ def test_the_pipelined_run_matches_the_one_thread_oracle(monkeypatch):
     # boundary, under a short switch interval
     cfg = _wide_run_cfg(epochs=2)
     states = _recorded_states(monkeypatch)
-    calls, handed = [], []
+    calls, handed, held = [], [], []
     real_update = training.input_factor_update
     real_step = training.gib_step
 
     def counting(state, x):
         calls.append(threading.current_thread() is not threading.main_thread())
+        # the worker's state copies the encoder's: it must not hold the last
+        # factor's Cholesky factor as well
+        held.append(state.input_chol)
         return real_update(state, x)
 
     def step(*args, **kwargs):
@@ -564,13 +567,14 @@ def test_the_pipelined_run_matches_the_one_thread_oracle(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert calls == [True] * 8 and handed == [True] * 8
+    assert held == [None] * 8 and states[0].input_chol is None
     states.clear()
     monkeypatch.setattr(training, "_OVERLAP_MIN_INPUTS", 10**9)
     monkeypatch.setattr(training, "kfac_update",
                         lambda state, net, input_factor=None:
                         kfac_update_inline(state, net))
     monkeypatch.setattr(training, "natural_gradient",
-                        lambda state, g, input_factor=None:
+                        lambda state, g:
                         NaturalGradStep(*kfac_solve_inline(state, g), 0))
     want = _run_bits(cfg, states)
     assert calls == [True] * 8 and handed == [True] * 8 + [False] * 8
