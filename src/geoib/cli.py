@@ -110,14 +110,15 @@ def _cmd_eval(args) -> int:
     dec = Network.load(os.path.join(args.run_dir, "decoder.net"))
     # wall_clock_s means training time; carry it over from the run when
     # known.  A kill while the run wrote point.jsonl can leave it empty or
-    # cut mid-line: a record that does not parse counts as missing.
+    # cut mid-line: a record that does not parse, or does not hold a
+    # point's fields, counts as missing.
     trained = os.path.join(args.run_dir, "point.jsonl")
     points = []
     if os.path.exists(trained):
         try:
             points = read_points_jsonl(trained)
         except ValueError as exc:
-            warnings.warn(f"{trained}: wall_clock_s is nan, as {exc}")
+            warnings.warn(f"wall_clock_s is nan, as {exc}")
     wall = points[0].wall_clock_s if points else float("nan")
     ds = make_dataset(cfg.dataset, cfg.seed)
     point = evaluate_run(cfg, enc, dec, ds, wall)

@@ -146,12 +146,16 @@ def _floored_noise(noise_cov, batch: int, head: int) -> np.ndarray:
     return nc
 
 
-def jf_batch(net, x, noise_cov, probes, head_dim: int | None = None):
-    """Per-sample Hutchinson estimates for a batch with explicit probes.
+def jf_batch(net, noise_cov, probes, head_dim: int | None = None):
+    """Per-sample Hutchinson estimates at the captured batch with explicit
+    probes.
+
+    Like `Network.backward`, it requires a preceding
+    `net.forward(x, capture=True)` with the parameters unchanged since: the
+    JVPs read that pass (`Network.jvp_captured`).
 
     Args:
         net: network whose leading `head_dim` outputs form the mean map.
-        x: (B, in_dim) inputs.
         noise_cov: (B, head) or (head,) diagonal noise variances.
         probes: (S, B, in_dim) tangent probes, e.g. from `draw_probes`.
         head_dim: number of leading outputs that constitute the map; the
@@ -162,7 +166,7 @@ def jf_batch(net, x, noise_cov, probes, head_dim: int | None = None):
         per sample; per_probe is (S,) with batch means per probe.
     """
     head = _check_head(net, head_dim)
-    u, _ = net.jvp_batch(x, probes)
+    u, _ = net.jvp_captured(probes)
     nc = _floored_noise(noise_cov, u.shape[1], head)
     per_sample = np.sum(u[:, :, :head]**2 / nc, axis=2)
     return per_sample.mean(axis=0), per_sample.mean(axis=1)
@@ -171,6 +175,9 @@ def jf_batch(net, x, noise_cov, probes, head_dim: int | None = None):
 def jf_hutchinson(net, x, noise_cov, n_probes: int, rng,
                   head_dim: int | None = None) -> tuple[float, np.ndarray]:
     """Estimate tr(S^-1 J J^T) at x by probing the Jacobian.
+
+    Captures a forward pass at x for `jf_batch`, which replaces the net's
+    capture.
 
     Args:
         net: the mean map (leading head_dim outputs if head_dim is given).
@@ -187,23 +194,21 @@ def jf_hutchinson(net, x, noise_cov, n_probes: int, rng,
     x = np.asarray(x, dtype=np.float64)
     xb = x[None, :] if x.ndim == 1 else x
     probes = draw_probes(rng, n_probes, xb.shape[0], xb.shape[1])
-    values, per_probe = jf_batch(net, xb, noise_cov, probes, head_dim=head_dim)
+    net.forward(xb, capture=True)
+    values, per_probe = jf_batch(net, noise_cov, probes, head_dim=head_dim)
     return float(values.mean()), per_probe
 
 
 def jf_value_and_grad(net, noise_cov, probes, head_dim: int | None = None):
-    """Batch JF estimate at the captured batch together with its parameter
-    gradient.
+    """Batch JF estimate at the captured batch, with the bits `jf_batch`
+    gives, together with its parameter gradient.
 
-    Like `Network.backward`, it requires a preceding
-    `net.forward(x, capture=True)` with the parameters unchanged since: the
-    JVPs read that pass (`Network.jvp_captured`) instead of running the
-    primal again, and give the bits `jf_batch(net, x, ...)` gives.  The
-    gradient treats noise_cov as a constant: the only differentiated path
-    runs through the Jacobian-vector products.
+    It reads the captured pass as `jf_batch` does.  The gradient treats
+    noise_cov as a constant: the only differentiated path runs through the
+    Jacobian-vector products.
 
     Args:
-        net, noise_cov, probes, head_dim: as in `jf_batch`, at the captured x.
+        net, noise_cov, probes, head_dim: as in `jf_batch`.
 
     Returns:
         (values, grad): values is (B,) per-sample estimates; grad is the

@@ -309,8 +309,8 @@ class InfoPlanePoint:
     re-scored without its recorded point).  `probe` names the inversion
     probe that measured `inversion_mse` (PROBE_NAME), and `revision` the
     training revision of the code that evaluated the point
-    (`training.REVISION`); None means it is not known (CSV rows, records
-    written before the field existed).
+    (`training.REVISION`); None means it is not known (records written
+    before the field existed).
     """
 
     beta: float
@@ -343,12 +343,20 @@ def write_points_jsonl(points, path) -> None:
 
 
 def read_points_jsonl(path) -> list[InfoPlanePoint]:
+    """The points of a JSON-lines file, one object per non-blank line.
+
+    ValueError, naming the file and line, for a line that does not parse,
+    is not a JSON object, or holds fields InfoPlanePoint does not take.
+    """
     points = []
     with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
                 points.append(InfoPlanePoint(**json.loads(line)))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}, line {number}: {exc}") from exc
     return points
 
 
@@ -364,23 +372,3 @@ def write_points_csv(points, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         writer.writerows(point_row(p) for p in points)
-
-
-def read_points_csv(path) -> list[InfoPlanePoint]:
-    points = []
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != CSV_COLUMNS:
-            raise ValueError(
-                f"{path}: header {header!r} does not match {CSV_COLUMNS!r}"
-            )
-        for row in reader:
-            if not row:
-                continue
-            points.append(InfoPlanePoint(
-                beta=float(row[0]), k_dim=int(row[1]), accuracy=float(row[2]),
-                mi_xz_nats=float(row[3]), inversion_mse=float(row[4]),
-                seed=int(row[5]), wall_clock_s=float(row[6]),
-            ))
-    return points

@@ -4,8 +4,8 @@ The package trains by assembling gradients and curvature factors by hand, so
 the network keeps its internals open: `forward(capture=True)` records the
 per-layer inputs and `backward` records the pre-activation gradients, which
 are exactly the two statistics the Kronecker-factored Fisher needs.  A
-forward-mode `jvp_batch` provides Jacobian-vector products for the capacity
-penalty, and `jvp_adjoint` differentiates a weighted squared JVP with
+forward-mode `jvp_captured` provides Jacobian-vector products for the
+capacity penalty, and `jvp_adjoint` differentiates a weighted squared JVP with
 respect to the parameters (reverse over forward), which is the gradient
 path of that penalty.
 
@@ -14,10 +14,10 @@ loop of a training step.  It keeps each layer's input, pre-activation and
 activation derivative f'(s, y), and the passes that require it read them
 instead of running the layers again: `backward`, its pre-activation-only
 route `backward_deltas` (what the Kronecker factors read), and
-`jvp_captured`, the tangents of the captured batch.  `jvp_batch` runs a
-primal loop of its own on the rows it is given.  Tangents come S per row,
-as an (S, B, in_dim) array: the primal values belong to the B rows, and
-the tangent products run on the S*B (probe, row) pairs.  Identity layers
+`jvp_captured`, the tangents of the captured batch, which is the only JVP.
+Tangents come S per row, as an (S, B, in_dim) array: the primal values
+belong to the B rows, and the tangent products run on the S*B (probe, row)
+pairs.  Identity layers
 hold no derivative array, and the passes skip the products by their unit
 and zero derivatives, which would change no bit.
 
@@ -292,19 +292,44 @@ class Network:
 
     # --------------------------------------------------------------- tangents
 
-    def _check_probes(self, x, v) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64)
-        if (x.ndim != 2 or x.shape[1] != self.in_dim or v.ndim != 3
-                or v.shape[1:] != x.shape):
-            raise ValueError(
-                f"x must be (B, {self.in_dim}) and v (S, B, {self.in_dim}) "
-                f"with the same B, got {x.shape} and {v.shape}"
-            )
-        return v
+    def jvp_captured(self, v):
+        """J(x_i) v_si for S tangent vectors per row of the captured batch
+        x, with the intermediate tangents returned.
 
-    def _tangents(self, v, acts, pre, derivs):
-        """Push the (S, B, in_dim) tangents v through the layers whose
-        primal values are given; returns (u, cache) as `jvp_batch` does."""
+        Requires a preceding `forward(x, capture=True)` with the parameters
+        unchanged since, as `backward` does, and reads its primal values and
+        activation derivatives.  The tangent products run folded over the
+        S*B (probe, row) pairs, so each pair's bits are those of a pass over
+        the replicated rows.  A one-row capture with S > 1 tangents runs
+        its primal again on two copies of the row.
+
+        Args:
+            v: (S, B, in_dim) tangent vectors, S per captured row.
+
+        Returns:
+            (u, cache): u is the (S, B, out_dim) tangent output; cache holds
+            the intermediates needed by `jvp_adjoint`.
+
+        Raises:
+            RuntimeError: if no captured forward pass is available.
+        """
+        if self._acts is None:
+            raise RuntimeError("jvp_captured requires a captured forward pass")
+        x = self._acts[0]
+        v = np.asarray(v, dtype=np.float64)
+        if v.ndim != 3 or v.shape[1:] != x.shape:
+            raise ValueError(
+                f"v must be (S, B, {self.in_dim}) with the same B as the "
+                f"captured batch, {x.shape[0]}, got {v.shape}"
+            )
+        acts, pre, derivs = self._acts, self._pre, self._derivs
+        # A one-row product takes BLAS's matrix-vector route, which rounds
+        # otherwise than the matrix-matrix route that a pass over S > 1
+        # replicated rows takes; a second copy of the row keeps it there.
+        if x.shape[0] == 1 and v.shape[0] > 1:
+            acts, pre, derivs = self._primal(np.repeat(x, 2, axis=0), derivs=True)
+            acts, pre = [a[:1] for a in acts], [s[:1] for s in pre]
+            derivs = [d if d is None else d[:1] for d in derivs]
         t = v
         tangents, tan_pre = [v], []
         for d, blk in zip(derivs, self.blocks):
@@ -314,59 +339,11 @@ class Network:
             tangents.append(t)
         return t, (acts, pre, derivs, tangents, tan_pre)
 
-    def jvp_batch(self, x, v):
-        """J(x_i) v_si for S tangent vectors per input row, with the
-        intermediate tangents returned.
-
-        The primal pass and each layer's activation derivative run once, on
-        the B rows.  The tangent products run folded over the S*B (probe,
-        row) pairs, so each pair's bits are those of a pass over the
-        replicated rows.
-
-        Args:
-            x: (B, in_dim) inputs.
-            v: (S, B, in_dim) tangent vectors, S per input row.
-
-        Returns:
-            (u, cache): u is the (S, B, out_dim) tangent output; cache holds
-            the intermediates needed by `jvp_adjoint`.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        v = self._check_probes(x, v)
-        # A one-row product takes BLAS's matrix-vector route, which rounds
-        # otherwise than the matrix-matrix route that a pass over S > 1
-        # replicated rows takes; a second copy of the row keeps it there.
-        if x.shape[0] == 1 and v.shape[0] > 1:
-            acts, pre, derivs = self._primal(np.repeat(x, 2, axis=0), derivs=True)
-            return self._tangents(v, [a[:1] for a in acts], [s[:1] for s in pre],
-                                  [d if d is None else d[:1] for d in derivs])
-        return self._tangents(v, *self._primal(x, derivs=True))
-
-    def jvp_captured(self, v):
-        """`jvp_batch` at the captured batch x, reading the captured pass.
-
-        Requires a preceding `forward(x, capture=True)` with the parameters
-        unchanged since, as `backward` does; it gives the bits of
-        `jvp_batch(x, v)`.  A one-row capture with S > 1 tangents is handed
-        to `jvp_batch`, whose padded primal rounds otherwise than the
-        captured one-row pass.
-
-        Raises:
-            RuntimeError: if no captured forward pass is available.
-        """
-        if self._acts is None:
-            raise RuntimeError("jvp_captured requires a captured forward pass")
-        x = self._acts[0]
-        v = self._check_probes(x, v)
-        if x.shape[0] == 1 and v.shape[0] > 1:
-            return self.jvp_batch(x, v)
-        return self._tangents(v, self._acts, self._pre, self._derivs)
-
     def jvp_adjoint(self, cache, u_bar) -> np.ndarray:
         """Parameter gradient of sum(u_bar * u) where u_si = J(x_i) v_si.
 
         This is reverse-mode applied to the forward-tangent computation of
-        `jvp_batch`: adjoints flow through both the primal track (because
+        `jvp_captured`: adjoints flow through both the primal track (because
         activation derivatives depend on the pre-activations) and the tangent
         track.  The derivatives held for the B rows broadcast over the S
         probes; every product and sum runs over the folded S*B pairs.
@@ -377,7 +354,7 @@ class Network:
         add +0, and adds 0.0 where the sum would turn a -0 into +0.
 
         Args:
-            cache: second output of `jvp_batch` or `jvp_captured`.
+            cache: second output of `jvp_captured`.
             u_bar: (S, B, out_dim) adjoint of the tangent output.
 
         Returns:
@@ -423,7 +400,9 @@ class Network:
     def explicit_jacobian(self, x) -> np.ndarray:
         """Materialize J(x) row by row via basis-vector JVPs.
 
-        Refuses when out_dim * in_dim exceeds the 10^4 element guard.
+        Captures a forward pass at x for `jvp_captured`, which replaces the
+        net's capture.  Refuses when out_dim * in_dim exceeds the 10^4
+        element guard.
         """
         if self.out_dim * self.in_dim > JACOBIAN_SIZE_GUARD:
             raise ValueError(
@@ -433,7 +412,8 @@ class Network:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.in_dim,):
             raise ValueError(f"x must have shape ({self.in_dim},), got {x.shape}")
-        u, _ = self.jvp_batch(x[None, :], np.eye(self.in_dim)[:, None, :])
+        self.forward(x[None, :], capture=True)
+        u, _ = self.jvp_captured(np.eye(self.in_dim)[:, None, :])
         return u[:, 0, :].T.copy()
 
     # --------------------------------------------------------------------- io

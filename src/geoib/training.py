@@ -21,9 +21,10 @@ determines the final parameters.
 Each network runs one primal pass a step: the loss's captured forward.
 The Jacobian penalty's JVPs read it, and so do the gradient's backward pass
 and the K-FAC capture's, which backpropagates model-sampled targets through
-the posterior head (sigma and clamp mask) that the loss formed.  Only
-a one-row batch with several probes runs the encoder's primal again, padded
-to two rows (`Network.jvp_captured`).
+the posterior head (sigma and clamp mask) that the loss formed.  The loss
+without gradients captures the encoder pass too, for the penalty's JVPs.
+Only a one-row batch with several probes runs the encoder's primal again,
+padded to two rows (`Network.jvp_captured`).
 
 When the encoder's input is at least `_OVERLAP_MIN_INPUTS` (576) wide, the
 input layer's A factor, its EMA blend and the Cholesky factor of its damped
@@ -220,6 +221,10 @@ def geoib_loss_and_grads(enc: Network, dec: Network, x, y, *,
         probes: (S, B, d_in) Hutchinson probes, fixed for this call, or
             None for no Jacobian term.
 
+    The encoder's forward pass is always captured, since the Jacobian
+    penalty's JVPs read it (`jf_batch`, `jf_value_and_grad`); the decoder's
+    is captured only for the gradients.
+
     Returns:
         metrics alone when want_grads is False, else
         (metrics, g_enc, g_dec, (sig, clamp_open)): the mean-over-batch flat
@@ -229,7 +234,7 @@ def geoib_loss_and_grads(enc: Network, dec: Network, x, y, *,
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     batch = x.shape[0]
-    mu, lv, clamp_open = posterior_head(enc.forward(x, capture=want_grads), k_dim)
+    mu, lv, clamp_open = posterior_head(enc.forward(x, capture=True), k_dim)
     sig = np.exp(0.5 * lv)
     z = mu + sig * eps
     logits = dec.forward(z, capture=want_grads)
@@ -243,11 +248,11 @@ def geoib_loss_and_grads(enc: Network, dec: Network, x, y, *,
     jf, jf_grad = 0.0, None
     if probes is not None:
         nc = noise_cov if noise_cov is not None else np.exp(lv)
+        # both read the encoder pass captured above
         if want_grads:
-            # reads the encoder pass captured above
             jf_vec, jf_grad = jf_value_and_grad(enc, nc, probes, head_dim=k_dim)
         else:
-            jf_vec, _ = jf_batch(enc, x, nc, probes, head_dim=k_dim)
+            jf_vec, _ = jf_batch(enc, nc, probes, head_dim=k_dim)
         jf = float(jf_vec.mean())
 
     total = nll + beta * (fr + jf)
@@ -403,18 +408,17 @@ def train_step(cfg: TrainConfig, enc: Network, dec: Network,
                    solve_residual_enc=res_enc, solve_residual_dec=res_dec)
 
 
-def _run_batches(root: Rng, n: int, cfg: TrainConfig):
-    """(epoch, row indices) of every step of a run, in order.
+def _epoch_batches(root: Rng, n: int, cfg: TrainConfig,
+                   epoch: int) -> list[np.ndarray]:
+    """The row indices of each step of one epoch, in order.
 
-    An epoch's order comes from its own substream of the run seed, drawn
-    when its first batch is asked for, so every pass gives the same
-    batches: a wide run makes two, one for its steps and one that its
-    input-factor worker reads a batch ahead (`_InputFactors`).
+    The epoch's order comes from its own substream of the run seed, so
+    every call gives the same batches: a wide run draws each epoch's twice,
+    once for its steps and once for its input-factor worker, which reads
+    them a batch ahead (`_InputFactors`).
     """
-    for epoch in range(cfg.epochs):
-        order = root.substream(_STREAM_EPOCH + epoch).permutation(n)
-        for start in range(0, n, cfg.batch):
-            yield epoch, order[start : start + cfg.batch]
+    order = root.substream(_STREAM_EPOCH + epoch).permutation(n)
+    return [order[start : start + cfg.batch] for start in range(0, n, cfg.batch)]
 
 
 # `run_training` takes every geoib step, and only those, through this
@@ -460,48 +464,46 @@ def run_training(cfg: TrainConfig, out_dir: str | None = None,
     history: list[dict] = []
     last_good = (enc.get_params(), dec.get_params())
     global_step = 0
-    sums: dict[str, float] = {}
-    steps_in_epoch = 0
     n_train = x_tr.shape[0]
-    steps_per_epoch = len(range(0, n_train, cfg.batch))
     # only a run whose encoder input is wide enough forms the input
     # layer's factor on a worker; below the cutoff `factors` is None
     wide = kfac_enc is not None and ds.n_features >= _OVERLAP_MIN_INPUTS
-    with (_InputFactors(kfac_enc, (x_tr[idx] for _, idx in
-                                   _run_batches(root, n_train, cfg)))
-          if wide else contextlib.nullcontext()) as factors:
-        for epoch, idx in _run_batches(root, n_train, cfg):
-            if steps_in_epoch == 0:
-                decay = 0.5 * (1.0 + np.cos(np.pi * epoch / cfg.epochs))
-                cfg_epoch = replace(cfg, eta_phi=cfg.eta_phi * decay,
-                                    eta_theta=cfg.eta_theta * decay)
-            step_rng = root.substream(_STREAM_STEP + global_step)
-            try:
-                m = step(cfg_epoch, enc, dec, kfac_enc, kfac_dec, x_tr[idx],
-                         y_tr[idx], step_rng, factors=factors)
-            except FloatingPointError as exc:
-                enc.set_params(last_good[0])
-                dec.set_params(last_good[1])
-                ckpt = None
-                if out_dir is not None:
-                    os.makedirs(out_dir, exist_ok=True)
-                    enc.save(os.path.join(out_dir, "encoder.last_good.net"))
-                    dec.save(os.path.join(out_dir, "decoder.last_good.net"))
-                    ckpt = out_dir
-                raise TrainingDiverged(
-                    f"step {global_step} (epoch {epoch}): {exc}",
-                    checkpoint_dir=ckpt,
-                ) from exc
-            global_step += 1
-            steps_in_epoch += 1
-            for key in _METRIC_NAMES:
-                sums[key] = sums.get(key, 0.0) + float(getattr(m, key))
-            if steps_in_epoch == steps_per_epoch:
+    inputs = (x_tr[idx] for epoch in range(cfg.epochs)
+              for idx in _epoch_batches(root, n_train, cfg, epoch))
+    with (_InputFactors(kfac_enc, inputs) if wide
+          else contextlib.nullcontext()) as factors:
+        for epoch in range(cfg.epochs):
+            decay = 0.5 * (1.0 + np.cos(np.pi * epoch / cfg.epochs))
+            cfg_epoch = replace(cfg, eta_phi=cfg.eta_phi * decay,
+                                eta_theta=cfg.eta_theta * decay)
+            batches = _epoch_batches(root, n_train, cfg, epoch)
+            sums = dict.fromkeys(_METRIC_NAMES, 0.0)
+            for idx in batches:
+                step_rng = root.substream(_STREAM_STEP + global_step)
+                try:
+                    m = step(cfg_epoch, enc, dec, kfac_enc, kfac_dec, x_tr[idx],
+                             y_tr[idx], step_rng, factors=factors)
+                except FloatingPointError as exc:
+                    enc.set_params(last_good[0])
+                    dec.set_params(last_good[1])
+                    ckpt = None
+                    if out_dir is not None:
+                        os.makedirs(out_dir, exist_ok=True)
+                        enc.save(os.path.join(out_dir, "encoder.last_good.net"))
+                        dec.save(os.path.join(out_dir, "decoder.last_good.net"))
+                        ckpt = out_dir
+                    raise TrainingDiverged(
+                        f"step {global_step} (epoch {epoch}): {exc}",
+                        checkpoint_dir=ckpt,
+                    ) from exc
+                global_step += 1
+                for key in _METRIC_NAMES:
+                    sums[key] += float(getattr(m, key))
+            if batches:  # an empty training split records no epoch
                 record = {"epoch": epoch}
-                record.update({k: v / steps_in_epoch for k, v in sums.items()})
+                record.update({k: v / len(batches) for k, v in sums.items()})
                 history.append(record)
                 last_good = (enc.get_params(), dec.get_params())
-                sums, steps_in_epoch = {}, 0
     # the factors end with training: letting them go leaves their memory,
     # 5 MB on 784-pixel digits, to the evaluation
     del kfac_enc, kfac_dec

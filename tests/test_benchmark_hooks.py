@@ -59,6 +59,7 @@ def _hooked_run(dataset):
     assert threads == 0  # no thread outlives the run
     for name in ("training.run_training.geoib", "training.gib_step",
                  "training.loss_and_grads", "jf.draw_probes",
+                 "jf.value_and_grad", "fisher.kfac_update",
                  "fisher.natural_gradient", "training.evaluate_run", "mi.mi_knn"):
         assert name in names.split()
     return steps, factors, input_factors

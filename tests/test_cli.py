@@ -9,7 +9,7 @@ import pytest
 from geoib.cli import main
 from geoib.config import TrainConfig, load_config
 from geoib.data import make_dataset, read_idx
-from geoib.mi import CSV_COLUMNS, read_points_csv
+from geoib.mi import CSV_COLUMNS, read_points_jsonl
 from geoib.nets import Network
 from geoib import verify
 from geoib.verify import CheckResult, ALL_CHECKS, check_reparam_invariance
@@ -83,7 +83,7 @@ def test_eval_subcommand_rescoring_matches_training(tmp_path, capsys):
     main(["train", "--dataset", "gauss_mixture:n=300,noise=0.14",
           "--epochs", "1", "--k-dim", "4", "--enc-hidden", "8",
           "--out", str(out)])
-    trained = read_points_csv(out / "point.csv")[0]
+    (trained,) = read_points_jsonl(out / "point.jsonl")
     capsys.readouterr()
     rc = main(["eval", str(out)])
     assert rc == 0
@@ -103,13 +103,15 @@ def test_eval_without_point_file_reports_nan_wall_clock(tmp_path, capsys):
     capsys.readouterr()
     point_file = out / "point.jsonl"
     record = point_file.read_bytes()
-    for state in ("cut", "empty", "missing"):
+    contents = {"cut": record[:60], "empty": b"",  # as a kill leaves it
+                "other_fields": b'{"beta": 0.0001}\n'}
+    for state in ("cut", "empty", "other_fields", "missing"):
         if state == "missing":
             point_file.unlink()
-        else:  # as a kill while the run wrote it leaves it
-            point_file.write_bytes(record[:60] if state == "cut" else b"")
+        else:
+            point_file.write_bytes(contents[state])
         with (pytest.warns(UserWarning, match=re.escape(str(point_file)))
-              if state == "cut" else contextlib.nullcontext()):
+              if state in ("cut", "other_fields") else contextlib.nullcontext()):
             assert main(["eval", str(out)]) == 0
         row = capsys.readouterr().out.splitlines()[1].split(",")
         assert np.isnan(float(row[CSV_COLUMNS.index("wall_clock_s")]))

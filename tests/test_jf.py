@@ -205,8 +205,8 @@ def test_hutchinson_fixed_probes_reproducible():
     # the same probes replay it exactly
     net = _net((3, 2, "tanh"), seed=11)
     x = Rng(12).normal((4, 3))
-    values, per_probe = jf_batch(net, x, np.ones(2),
-                                 draw_probes(Rng(13), 3, 4, 3))
+    net.forward(x, capture=True)
+    values, per_probe = jf_batch(net, np.ones(2), draw_probes(Rng(13), 3, 4, 3))
     value, est_per_probe = jf_hutchinson(net, x, np.ones(2), 3, Rng(13))
     assert value == float(values.mean())
     np.testing.assert_array_equal(est_per_probe, per_probe)
@@ -219,8 +219,8 @@ def test_head_dim_restricts_penalty():
     probes = draw_probes(Rng(19), 2000, 1, 3)
     j_full = net.explicit_jacobian(x)
     ch_head = LocalChannel(j_full[:2], np.ones(2))
-    values, per_probe = jf_batch(net, x[None, :], np.ones(2), probes,
-                                 head_dim=2)
+    net.forward(x[None, :], capture=True)
+    values, per_probe = jf_batch(net, np.ones(2), probes, head_dim=2)
     se = float(per_probe.std(ddof=1) / np.sqrt(per_probe.size))
     assert abs(values[0] - exact_trace(ch_head)) < 4.0 * se
     with pytest.raises(ValueError, match="head_dim"):
@@ -234,8 +234,9 @@ def test_isotropic_doubling_halves_exactly():
     net = _net((3, 2, "tanh"), seed=25)
     x = Rng(26).normal(3)
     probes = draw_probes(Rng(27), 4, 1, 3)
-    one, _ = jf_batch(net, x[None, :], np.full(2, 1.0), probes)
-    two, _ = jf_batch(net, x[None, :], np.full(2, 2.0), probes)
+    net.forward(x[None, :], capture=True)
+    one, _ = jf_batch(net, np.full(2, 1.0), probes)
+    two, _ = jf_batch(net, np.full(2, 2.0), probes)
     assert two[0] == one[0] / 2.0
 
 
@@ -255,8 +256,9 @@ def test_isotropic_floors_variance():
     net = _net((2, 2, "identity"))
     net.blocks[0][:, :-1] = np.eye(2)
     probes = draw_probes(Rng(31), 2, 1, 2)
-    a, _ = jf_batch(net, np.zeros((1, 2)), np.zeros(2), probes)
-    b, _ = jf_batch(net, np.zeros((1, 2)), np.full(2, SIGMA_SQ_FLOOR), probes)
+    net.forward(np.zeros((1, 2)), capture=True)
+    a, _ = jf_batch(net, np.zeros(2), probes)
+    b, _ = jf_batch(net, np.full(2, SIGMA_SQ_FLOOR), probes)
     assert np.isfinite(a[0]) and a[0] == b[0]
 
 
@@ -269,7 +271,7 @@ def test_value_and_grad_matches_batch_values():
     probes = draw_probes(Rng(36), 2, 5, 3)
     net.forward(x, capture=True)
     values, grad = jf_value_and_grad(net, np.ones(2), probes)
-    ref, _ = jf_batch(net, x, np.ones(2), probes)
+    ref, _ = jf_batch(net, np.ones(2), probes)
     np.testing.assert_array_equal(values, ref)
     assert grad.shape == (net.n_params,)
 
@@ -285,7 +287,8 @@ def test_value_and_grad_matches_finite_differences():
     def total(flat):
         clone = net.copy()
         clone.set_params(flat)
-        values, _ = jf_batch(clone, x, nc, probes)
+        clone.forward(x, capture=True)
+        values, _ = jf_batch(clone, nc, probes)
         return float(values.sum())
 
     fd = central_difference(total, net.get_params())

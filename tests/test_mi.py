@@ -1,4 +1,6 @@
+import csv
 import os
+import re
 import sys
 import threading
 
@@ -15,7 +17,7 @@ from geoib.mi import (
     classification_accuracy,
     inversion_probe,
     mi_knn,
-    read_points_csv,
+    point_row,
     read_points_jsonl,
     write_points_csv,
     write_points_jsonl,
@@ -356,25 +358,13 @@ def test_csv_round_trip(tmp_path):
     path = tmp_path / "plane.csv"
     pts = _points()
     write_points_csv(pts, path)
-    header = path.read_text().splitlines()[0]
-    assert header == ",".join(CSV_COLUMNS)
-    back = read_points_csv(path)
-    assert len(back) == 2
-    for orig, rec in zip(pts, back):
-        assert rec.beta == orig.beta
-        assert rec.k_dim == orig.k_dim
-        assert rec.accuracy == orig.accuracy
-        assert rec.mi_xz_nats == orig.mi_xz_nats
-        assert rec.inversion_mse == orig.inversion_mse
-        assert rec.seed == orig.seed
-        assert rec.wall_clock_s == orig.wall_clock_s
-
-
-def test_csv_rejects_foreign_header(tmp_path):
-    path = tmp_path / "alien.csv"
-    path.write_text("beta,k,acc\n0.1,2,0.5\n")
-    with pytest.raises(ValueError, match="header"):
-        read_points_csv(path)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [list(CSV_COLUMNS)] + [point_row(p) for p in pts]
+    for orig, row in zip(pts, rows[1:]):
+        for name, text in zip(CSV_COLUMNS, row):
+            value = getattr(orig, name)
+            assert type(value)(text) == value
 
 
 def test_jsonl_round_trip_keeps_estimator_metadata(tmp_path):
@@ -385,3 +375,15 @@ def test_jsonl_round_trip_keeps_estimator_metadata(tmp_path):
     assert back == pts
     assert back[0].mi_estimator == "ksg"
     assert back[0].mi_k == 5
+
+
+@pytest.mark.parametrize("line", ['{"beta": 0.0001}', "[1, 2]", '{"beta": 0.1',
+                                  '{"nope": 1}'],
+                         ids=["other_fields", "not_an_object", "cut", "unknown"])
+def test_jsonl_names_the_file_and_line_it_cannot_read(tmp_path, line):
+    path = tmp_path / "plane.jsonl"
+    write_points_jsonl(_points()[:1], path)
+    with open(path, "a") as fh:
+        fh.write("\n" + line + "\n")  # a blank line 2, then line 3
+    with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: ")):
+        read_points_jsonl(path)

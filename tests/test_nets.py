@@ -21,8 +21,9 @@ def _bits(a) -> np.ndarray:
 
 
 def _jvp(net, x, v):
-    """J(x) v for one input, as a one-row, one-probe jvp_batch call."""
-    u, _ = net.jvp_batch(x[None, :], v[None, None, :])
+    """J(x) v for one input: a one-row capture read by one probe."""
+    net.forward(x[None, :], capture=True)
+    u, _ = net.jvp_captured(v[None, None, :])
     return u[0, 0]
 
 
@@ -168,7 +169,8 @@ def test_jvp_matches_finite_differences():
     v = rng.normal((6, 4))
     h = 1e-5
     fd = (net.forward(x + h * v) - net.forward(x - h * v)) / (2.0 * h)
-    got, _ = net.jvp_batch(x, v[None])
+    net.forward(x, capture=True)
+    got, _ = net.jvp_captured(v[None])
     rel = np.abs(got[0] - fd) / np.maximum(np.abs(fd), 1e-6)
     assert float(rel.max()) < 1e-5
 
@@ -184,52 +186,17 @@ def test_jvp_linearity():
     np.testing.assert_allclose(combined, split, rtol=0, atol=1e-12)
 
 
-def test_jvp_batch_per_sample_tangents():
+def test_jvp_per_sample_tangents():
     net = _net((2, 3, "tanh"), seed=16)
     rng = Rng(17)
     x = rng.normal((4, 2))
     v = rng.normal((3, 4, 2))
-    u, _ = net.jvp_batch(x, v)
+    net.forward(x, capture=True)
+    u, _ = net.jvp_captured(v)
     for s in range(3):
         for i in range(4):
             np.testing.assert_allclose(u[s, i], _jvp(net, x[i], v[s, i]),
                                        rtol=0, atol=1e-14)
-
-
-# the Hutchinson check's shape (10,000 probes of one row, a verify-sized
-# net) and training's (2 probes, a full and a tail batch, a mixture encoder)
-REPLICATED_CASES = [
-    (((4, 5, "softplus"), (5, 3, "identity")), 10_000, 1),
-    (((8, 32, "tanh"), (32, 16, "identity")), 2, 128),
-    (((8, 32, "tanh"), (32, 16, "identity")), 2, 44),
-    (((8, 32, "tanh"), (32, 16, "identity")), 2, 5),
-]
-
-
-@pytest.mark.parametrize("specs, n_probes, batch", REPLICATED_CASES,
-                         ids=["hutchinson", "batch", "tail", "short_tail"])
-def test_jvp_matches_replicated_pass_bit_for_bit(specs, n_probes, batch):
-    """One primal pass on the B rows gives the bits of a pass over x
-    replicated S times, in the tangents and in the adjoint gradient."""
-    net = _net(*specs, seed=26)
-    rng = Rng(27)
-    for blk in net.blocks:
-        blk[:, -1] = rng.normal(blk.shape[0])
-    x = rng.normal((batch, net.in_dim))
-    v = rng.normal((n_probes, batch, net.in_dim))
-    u_bar = rng.normal((n_probes, batch, net.out_dim))
-    u, cache = net.jvp_batch(x, v)
-    u_ref, grad_ref = replicated_jvp(net, x, v, u_bar)
-    np.testing.assert_array_equal(u, u_ref)
-    np.testing.assert_array_equal(net.jvp_adjoint(cache, u_bar), grad_ref)
-
-
-def test_jvp_batch_refuses_mismatched_probes():
-    net = _net((3, 2, "tanh"), seed=28)
-    with pytest.raises(ValueError, match="same B"):
-        net.jvp_batch(np.zeros((4, 3)), np.zeros((2, 5, 3)))
-    with pytest.raises(ValueError, match="same B"):
-        net.jvp_batch(np.zeros((4, 3)), np.zeros((4, 3)))
 
 
 # nets whose layers hold every kind of derivative the passes branch on:
@@ -251,8 +218,12 @@ def _biased_net(specs, seed):
     return net
 
 
+# training's shapes (2 probes, a full and two tail batches of a mixture
+# encoder, the "tanh" net) and the Hutchinson check's (10,000 probes of one
+# row, a verify-sized net such as "softplus"), and more
 @pytest.mark.parametrize("name", CAPTURED_NETS)
-@pytest.mark.parametrize("n_probes, batch", [(2, 128), (3, 7), (1, 1), (2, 1)])
+@pytest.mark.parametrize("n_probes, batch", [(2, 128), (2, 44), (2, 5), (3, 7),
+                                             (1, 1), (2, 1), (10_000, 1)])
 def test_jvp_captured_matches_replicated_pass_bit_for_bit(name, n_probes, batch):
     """The JVP read from a captured pass gives the bits of a pass over x
     replicated S times, in the tangents and in the adjoint gradient; a
@@ -267,9 +238,6 @@ def test_jvp_captured_matches_replicated_pass_bit_for_bit(name, n_probes, batch)
     u_ref, grad_ref = replicated_jvp(net, x, v, u_bar)
     assert np.array_equal(_bits(u), _bits(u_ref))
     assert np.array_equal(_bits(net.jvp_adjoint(cache, u_bar)), _bits(grad_ref))
-    u_own, cache_own = net.jvp_batch(x, v)
-    assert np.array_equal(_bits(u_own), _bits(u_ref))
-    assert np.array_equal(_bits(net.jvp_adjoint(cache_own, u_bar)), _bits(grad_ref))
 
 
 def test_jvp_adjoint_at_a_negative_zero_second_derivative():
@@ -300,6 +268,8 @@ def test_jvp_captured_requires_a_matching_capture():
     net.forward(np.zeros((4, 3)), capture=True)
     with pytest.raises(ValueError, match="same B"):
         net.jvp_captured(np.zeros((2, 5, 3)))
+    with pytest.raises(ValueError, match="same B"):
+        net.jvp_captured(np.zeros((4, 3)))
 
 
 # ------------------------------------------------------- explicit jacobian
@@ -349,13 +319,15 @@ def test_jvp_adjoint_matches_finite_differences(act, slot):
     x = rng.normal((5, 3))
     v = rng.normal((2, 5, 3))
     u_bar = rng.normal((2, 5, 2))
-    _, cache = net.jvp_batch(x, v)
+    net.forward(x, capture=True)
+    _, cache = net.jvp_captured(v)
     analytic = net.jvp_adjoint(cache, u_bar)
 
     def value(flat):
         clone = net.copy()
         clone.set_params(flat)
-        u, _ = clone.jvp_batch(x, v)
+        clone.forward(x, capture=True)
+        u, _ = clone.jvp_captured(v)
         return float(np.sum(u_bar * u))
 
     fd = central_difference(value, net.get_params())

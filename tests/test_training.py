@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import json
 import os
 import platform
@@ -17,11 +18,12 @@ from geoib.config import TrainConfig
 from geoib.data import gauss_mixture, make_dataset
 from geoib import training
 from geoib.fisher import NaturalGradStep, fisher_vector_product, kfac_init
-from geoib.jf import draw_probes, jf_batch
+from geoib.jf import draw_probes
 from geoib.mi import (
+    CSV_COLUMNS,
     PROBE_NAME,
     classification_accuracy,
-    read_points_csv,
+    point_row,
     read_points_jsonl,
 )
 from geoib.nets import Network
@@ -93,20 +95,34 @@ def test_beta_zero_objectives_agree():
     np.testing.assert_array_equal(gd_g, gd_v)
 
 
-def test_want_grads_false_returns_metrics_only():
+def test_want_grads_false_returns_metrics_only(monkeypatch):
     cfg = TrainConfig(k_dim=2, enc_hidden="8", dataset=TOY)
     _, _, enc, dec, _, _, x, y = _toy_setup(cfg)
     eps = Rng(3).normal((16, 2))
     probes = draw_probes(Rng(4), 2, 16, 2)
+    primal, passes = Network._primal, []
+
+    def counted(net, *args, **kwargs):
+        passes.append(net)
+        return primal(net, *args, **kwargs)
+
+    monkeypatch.setattr(Network, "_primal", counted)
     m = geoib_loss_and_grads(
         enc, dec, x[:16], y[:16], beta=cfg.beta, fr_mode=cfg.fr_mode,
         k_dim=2, eps=eps, probes=probes, want_grads=False)
     assert np.isfinite(m.total) and m.fr >= 0.0 and m.jf >= 0.0
     assert abs(m.total - (m.nll + cfg.beta * (m.fr + m.jf))) < 1e-12
+    # one primal pass per network: the penalty reads the encoder's capture
+    assert passes == [enc, dec]
 
 
 def _bits(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _csv_rows(path) -> list[list[str]]:
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
 
 
 @pytest.mark.parametrize("rows", [1, 32])
@@ -134,8 +150,8 @@ def test_loss_and_grads_give_the_bits_of_a_jf_pass_of_its_own(monkeypatch, rows)
 
 
 def test_a_stale_capture_is_never_read_without_grads():
-    # after a captured call the parameters move; the value-only routes on
-    # the same x object must give what a fresh copy of the nets gives
+    # after a captured call the parameters move; the value-only loss on the
+    # same x object must give what a fresh copy of the nets gives
     cfg = TrainConfig(k_dim=2, enc_hidden="8", dataset=TOY)
     _, _, enc, dec, _, _, x, y = _toy_setup(cfg)
     x, y = x[:16], y[:16]
@@ -145,11 +161,6 @@ def test_a_stale_capture_is_never_read_without_grads():
     enc.params *= 1.25
     dec.params -= 0.125
     fresh_enc, fresh_dec = enc.copy(), dec.copy()
-    nc = np.full(2, 0.5)
-    got = jf_batch(enc, x, nc, kwargs["probes"], head_dim=2)
-    want = jf_batch(fresh_enc, x, nc, kwargs["probes"], head_dim=2)
-    for g, w in zip(got, want):
-        assert np.array_equal(_bits(g), _bits(w))
     got = geoib_loss_and_grads(enc, dec, x, y, want_grads=False, **kwargs)
     want = geoib_loss_and_grads(fresh_enc, fresh_dec, x, y, want_grads=False,
                                 **kwargs)
@@ -811,8 +822,8 @@ def test_run_training_writes_round_trippable_outputs(tmp_path):
         records = [json.loads(line) for line in fh]
     assert [r["epoch"] for r in records] == [0, 1]
     assert all(np.isfinite(r["total"]) for r in records)
-    (csv_pt,) = read_points_csv(out / "point.csv")
-    assert csv_pt.accuracy == res.point.accuracy
+    assert _csv_rows(out / "point.csv") == [list(CSV_COLUMNS),
+                                            point_row(res.point)]
     (jsonl_pt,) = read_points_jsonl(out / "point.jsonl")
     assert jsonl_pt == res.point
 
@@ -885,7 +896,8 @@ def test_run_sweep_single_cell(tmp_path):
     assert len(points) == 1
     assert points[0].beta == 1e-4 and points[0].k_dim == 2
     assert (out / "beta0.0001_k2_seed0" / "config.resolved").exists()
-    assert read_points_csv(out / "info_plane.csv") is not None
+    assert _csv_rows(out / "info_plane.csv") == [list(CSV_COLUMNS),
+                                                 point_row(points[0])]
     assert len(read_points_jsonl(out / "points.jsonl")) == 1
 
 
@@ -916,7 +928,7 @@ def test_run_sweep_records_failures_and_continues(tmp_path):
     assert all(r["status"] == "error" for r in records)
     assert all("TrainingDiverged" in r["error"] for r in records)
     # aggregate files still written, just empty of rows
-    assert read_points_csv(out / "info_plane.csv") == []
+    assert _csv_rows(out / "info_plane.csv") == [list(CSV_COLUMNS)]
 
 
 def test_run_sweep_keeps_betas_apart_past_six_digits(tmp_path):
