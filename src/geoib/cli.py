@@ -61,12 +61,8 @@ def _point_lines(points) -> list[str]:
     return [",".join(CSV_COLUMNS)] + [",".join(point_row(p)) for p in points]
 
 
-def _float_list(raw: str) -> list[float]:
-    return [float(tok) for tok in raw.split(",") if tok.strip()]
-
-
-def _int_list(raw: str) -> list[int]:
-    return [int(tok) for tok in raw.split(",") if tok.strip()]
+def _list(raw: str, cast) -> list:
+    return [cast(tok) for tok in raw.split(",") if tok.strip()]
 
 
 # ------------------------------------------------------------- subcommands
@@ -90,9 +86,9 @@ def _cmd_train(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
-    betas = _float_list(args.betas) if args.betas else list(DEFAULT_BETA_GRID)
-    k_dims = _int_list(args.k_dims) if args.k_dims else list(DEFAULT_K_GRID)
-    seeds = _int_list(args.seeds)
+    betas = _list(args.betas, float) if args.betas else list(DEFAULT_BETA_GRID)
+    k_dims = _list(args.k_dims, int) if args.k_dims else list(DEFAULT_K_GRID)
+    seeds = _list(args.seeds, int)
     points = run_sweep(cfg, args.out, betas=betas, k_dims=k_dims, seeds=seeds)
     n_cells = len(betas) * len(k_dims) * len(seeds)
     for line in _point_lines(points):

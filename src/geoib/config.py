@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 METHODS = ("geoib", "vib")
 FR_MODES = ("closed_form_kl", "fr_quadratic")
@@ -146,48 +146,18 @@ def parse_value(key: str, raw: str):
         raise ValueError(f"bad value for {key}: {exc}") from exc
 
 
-def _parse_config(text: str, base: TrainConfig | None, source: str) -> TrainConfig:
-    """Config lines read from `source`, a file name.  Errors name the file
-    and line; a skipped legacy key warns from its own line of the file."""
-    cfg = base if base is not None else TrainConfig()
-    updates = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if not stripped.isascii():
-            raise ValueError(f"{source}, line {lineno}: non-ASCII text outside "
-                             f"a comment: {line!r}")
-        if "=" not in stripped:
-            raise ValueError(f"{source}, line {lineno}: expected key = value, "
-                             f"got {line!r}")
-        key, raw = (s.strip() for s in stripped.split("=", 1))
-        if key in LEGACY_KEYS:
-            warnings.warn_explicit(f"ignoring legacy key {key!r}; {LEGACY_KEYS[key]}",
-                                   UserWarning, source, lineno)
-            continue
-        try:
-            updates[key] = parse_value(key, raw)
-        except ValueError as exc:
-            raise ValueError(f"{source}, line {lineno}: {exc}") from exc
-    return replace(cfg, **updates)
+def load_config(path) -> TrainConfig:
+    """The TrainConfig a UTF-8 config file gives: its key = value lines
+    over the defaults.
 
-
-def parse_config_text(text: str, base: TrainConfig | None = None) -> TrainConfig:
-    """Parse key=value lines into a TrainConfig, starting from `base`.
-
-    Keys in LEGACY_KEYS are skipped with a warning, so configs written by
-    older runs still load.
+    Keys in LEGACY_KEYS are skipped with a warning from the key's own line
+    of the file, so configs written by older runs still load.
 
     Raises:
-        ValueError: on unknown keys, malformed lines, or bad values.
+        ValueError: naming the file and line, on text that is not UTF-8,
+            non-ASCII text outside a comment, malformed lines, unknown
+            keys, or bad values.
     """
-    return _parse_config(text, base, "<config text>")
-
-
-def load_config(path, base: TrainConfig | None = None) -> TrainConfig:
-    """`parse_config_text` on a UTF-8 file, naming the file in errors and
-    warnings."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -196,7 +166,27 @@ def load_config(path, base: TrainConfig | None = None) -> TrainConfig:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise ValueError(f"{path}, line {lineno}: not UTF-8 text "
                          f"({exc.reason})") from exc
-    return _parse_config(text, base, str(path))
+    updates = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if not stripped.isascii():
+            raise ValueError(f"{path}, line {lineno}: non-ASCII text outside "
+                             f"a comment: {line!r}")
+        if "=" not in stripped:
+            raise ValueError(f"{path}, line {lineno}: expected key = value, "
+                             f"got {line!r}")
+        key, raw = (s.strip() for s in stripped.split("=", 1))
+        if key in LEGACY_KEYS:
+            warnings.warn_explicit(f"ignoring legacy key {key!r}; {LEGACY_KEYS[key]}",
+                                   UserWarning, str(path), lineno)
+            continue
+        try:
+            updates[key] = parse_value(key, raw)
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {lineno}: {exc}") from exc
+    return TrainConfig(**updates)
 
 
 def config_text(cfg: TrainConfig) -> str:

@@ -86,10 +86,11 @@ class DatasetHandle:
         return self.features[idx], self.labels[idx]
 
 
-def _make_splits(n: int, rng: Rng, fractions=(0.7, 0.1, 0.2)):
+def _make_splits(n: int, rng: Rng):
+    """A 70/10/20 train/validation/test split of a permutation of n rows."""
     order = rng.permutation(n)
-    n_train = int(round(fractions[0] * n))
-    n_val = int(round(fractions[1] * n))
+    n_train = int(round(0.7 * n))
+    n_val = int(round(0.1 * n))
     return (order[:n_train], order[n_train : n_train + n_val],
             order[n_train + n_val :])
 
@@ -351,19 +352,19 @@ _SKELETONS = {
 _CENTERS = (np.arange(_GRID) + 0.5) / _GRID
 
 
-def _densify(points: np.ndarray, step: float = 0.02) -> np.ndarray:
+def _densify(points: np.ndarray) -> np.ndarray:
     """Resample a polyline at roughly uniform arc-length spacing.
 
-    A segment from a to b of length L gives the k = max(ceil(L / step), 1)
+    A segment from a to b of length L gives the k = max(ceil(L / 0.02), 1)
     points a + (i / k) (b - a), i = 0..k-1; the polyline's last point ends
     the list.  All segments are resampled in one pass.
     """
     diff = points[1:] - points[:-1]
     # One (1, 2) @ (2, 1) product per segment: this is the BLAS dot that
     # np.linalg.norm of a single vector takes, so a length that lands on a
-    # multiple of `step` rounds the same way; a row sum of squares would not.
+    # multiple of 0.02 rounds the same way; a row sum of squares would not.
     length = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
-    k = np.maximum(np.ceil(length / step).astype(np.int64), 1)
+    k = np.maximum(np.ceil(length / 0.02).astype(np.int64), 1)
     seg = np.repeat(np.arange(k.size), k)
     i = np.arange(seg.size) - (np.cumsum(k) - k)[seg]
     # i * (1 / k) is np.linspace(0, 1, k, endpoint=False) bit for bit

@@ -172,21 +172,19 @@ def jf_batch(net, noise_cov, probes, head_dim: int | None = None):
     return per_sample.mean(axis=0), per_sample.mean(axis=1)
 
 
-def jf_hutchinson(net, x, noise_cov, n_probes: int, rng,
-                  head_dim: int | None = None) -> tuple[float, np.ndarray]:
+def jf_hutchinson(net, x, noise_cov, n_probes: int, rng) -> tuple[float, np.ndarray]:
     """Estimate tr(S^-1 J J^T) at x by probing the Jacobian.
 
     Captures a forward pass at x for `jf_batch`, which replaces the net's
     capture.
 
     Args:
-        net: the mean map (leading head_dim outputs if head_dim is given).
+        net: the mean map; every output carries the penalty.
         x: a single (in_dim,) input or a (B, in_dim) batch; with a batch the
             value is the batch mean.
         noise_cov: diagonal noise variances, per sample or shared.
         n_probes: probe count S.
         rng: probe source; the probes are one `draw_probes` block from it.
-        head_dim: see `jf_batch`.
 
     Returns:
         (value, per_probe): the batch-mean value and the (n_probes,) means.
@@ -195,7 +193,7 @@ def jf_hutchinson(net, x, noise_cov, n_probes: int, rng,
     xb = x[None, :] if x.ndim == 1 else x
     probes = draw_probes(rng, n_probes, xb.shape[0], xb.shape[1])
     net.forward(xb, capture=True)
-    values, per_probe = jf_batch(net, noise_cov, probes, head_dim=head_dim)
+    values, per_probe = jf_batch(net, noise_cov, probes)
     return float(values.mean()), per_probe
 
 

@@ -187,6 +187,10 @@ def mi_knn(x, z, k: int = MI_DEFAULT_K) -> float:
 
     Returns:
         The estimate in nats (can be slightly negative for independent data).
+
+    The row blocks are dealt into one share per usable CPU: the caller
+    scans the first and a pool thread each other one, so one CPU starts no
+    thread.
     """
     xa = _as_2d(x, "x")
     za = _as_2d(z, "z")
@@ -207,20 +211,18 @@ def mi_knn(x, z, k: int = MI_DEFAULT_K) -> float:
     # resolved before any worker starts, so only this thread loads it
     kernel = _chebyshev_kernel()
     shares = min(_usable_cpus(), len(blocks))
-    if shares == 1:
-        _scan_blocks(kernel, xa, za, k, blocks, eps, nx, nz)
-    else:
-        # imported here: importing training must not load the pool's module
-        from concurrent.futures import ThreadPoolExecutor
+    # imported here: importing training must not load the pool's module
+    from concurrent.futures import ThreadPoolExecutor
 
-        # leaving the block joins every worker, also when a share raises
-        with ThreadPoolExecutor(max_workers=shares - 1) as pool:
-            futures = [pool.submit(_scan_blocks, kernel, xa, za, k,
-                                   blocks[i::shares], eps, nx, nz)
-                       for i in range(1, shares)]
-            _scan_blocks(kernel, xa, za, k, blocks[::shares], eps, nx, nz)
-            for future in futures:
-                future.result()
+    # the pool starts one thread per submitted share, so a lone share starts
+    # none; leaving the block joins every worker, also when a share raises
+    with ThreadPoolExecutor(max_workers=shares) as pool:
+        futures = [pool.submit(_scan_blocks, kernel, xa, za, k,
+                               blocks[i::shares], eps, nx, nz)
+                   for i in range(1, shares)]
+        _scan_blocks(kernel, xa, za, k, blocks[::shares], eps, nx, nz)
+        for future in futures:
+            future.result()
     degenerate = eps == 0.0
     if np.any(degenerate):
         nx = np.where(degenerate, 0, nx)

@@ -550,26 +550,27 @@ def evaluate_run(cfg: TrainConfig, enc: Network, dec: Network,
                  ds: DatasetHandle, wall_clock_s: float) -> InfoPlanePoint:
     """Accuracy, mutual information, and inversion leakage at mu(x).
 
-    Pins BLAS to one thread first (`linalg.pin_blas_threads`): the
-    inversion probe's products on wide inputs give other bits on more.
+    One encoder pass over every row gives the posterior of the test split,
+    the train split and the KSG rows alike: a row's outputs have the same
+    bits whichever rows share its pass.  Pins BLAS to one thread first
+    (`linalg.pin_blas_threads`): the inversion probe's products on wide
+    inputs give other bits on more.
     """
     pin_blas_threads()
+    mu, lv, _ = posterior_head(enc.forward(ds.features), cfg.k_dim)
     x_te, y_te = ds.split("test")
-    mu_te = posterior_means(enc, x_te, cfg.k_dim)
+    mu_te = mu[ds.test_idx]
     acc = classification_accuracy(dec, mu_te, y_te)
     x_tr, _ = ds.split("train")
-    mu_tr = posterior_means(enc, x_tr, cfg.k_dim)
-    inv = inversion_probe(mu_tr, x_tr, mu_te, x_te, seed=cfg.seed)
+    inv = inversion_probe(mu[ds.train_idx], x_tr, mu_te, x_te, seed=cfg.seed)
     joint_dim = ds.n_features + cfg.k_dim
     cap = _MI_CAP_LOW_DIM if joint_dim <= _MI_DIM_SWITCH else _MI_CAP_HIGH_DIM
+    # every row when there are at most `cap`, else `cap` rows of the eval
+    # stream, the same ones at every evaluation
     n = ds.features.shape[0]
-    if n > cap:
-        sel = np.sort(Rng(cfg.seed, stream=_STREAM_EVAL).permutation(n)[:cap])
-    else:
-        sel = np.arange(n)
-    x_mi = ds.features[sel]
-    mu_mi, lv_mi, _ = posterior_head(enc.forward(x_mi), cfg.k_dim)
-    mi = mi_knn(_standardized(x_mi), _noise_relative_view(mu_mi, lv_mi))
+    sel = np.sort(Rng(cfg.seed, stream=_STREAM_EVAL).permutation(n)[:cap])
+    mi = mi_knn(_standardized(ds.features[sel]),
+                _noise_relative_view(mu[sel], lv[sel]))
     return InfoPlanePoint(beta=cfg.beta, k_dim=cfg.k_dim, accuracy=acc,
                           mi_xz_nats=mi, inversion_mse=inv, seed=cfg.seed,
                           wall_clock_s=wall_clock_s, probe=PROBE_NAME,
@@ -608,25 +609,36 @@ def _read_manifest(path: str) -> dict[str, dict]:
     A kill in the middle of an append leaves a last line without its
     newline.  If that line does not parse it is dropped with a warning and
     cut from the file; if it does, its newline is added.  Either way the
-    next append starts on a fresh line.
+    next append starts on a fresh line.  Any other line that does not parse,
+    is not a JSON object or names no cell raises ValueError naming the file
+    and line.
     """
     if not os.path.exists(path):
         return {}
     with open(path, "rb") as fh:
         data = fh.read()
     cut = data.rfind(b"\n") + 1
-    head, tail = data[:cut].decode("ascii"), data[cut:]
-    records = [json.loads(line) for line in head.splitlines() if line.strip()]
+    lines, tail = data[:cut].decode("ascii").splitlines(), data[cut:]
     if tail.strip():
         try:
-            records.append(json.loads(tail))
+            json.loads(tail)
         except ValueError:
             warnings.warn(f"{path}: dropping the partial last line {tail!r}")
             os.truncate(path, cut)
         else:
+            lines.append(tail.decode("ascii"))
             with open(path, "a", encoding="ascii") as fh:
                 fh.write("\n")
-    return {rec["cell"]: rec for rec in records}
+    records = {}
+    for number, line in enumerate(lines, 1):
+        try:
+            if line.strip():
+                rec = json.loads(line)
+                records[rec["cell"]] = rec
+        except (ValueError, TypeError, KeyError) as exc:
+            raise ValueError(f"{path}, line {number}: not a manifest record "
+                             f"naming its cell ({exc})") from exc
+    return records
 
 
 def _check_reused_cell(cell_dir: str, cfg: TrainConfig, point: dict) -> None:

@@ -62,9 +62,9 @@ class CheckResult:
         return f"{self.name},{status},{self.metric}"
 
 
-def _random_joint(rng: Rng, max_side: int = 8, with_zeros: bool = False) -> np.ndarray:
-    nx = int(rng.integers(2, max_side + 1))
-    nz = int(rng.integers(2, max_side + 1))
+def _random_joint(rng: Rng, with_zeros: bool = False) -> np.ndarray:
+    nx = int(rng.integers(2, 9))
+    nz = int(rng.integers(2, 9))
     raw = rng.uniform(0.05, 1.0, (nx, nz))
     if with_zeros:
         mask = rng.uniform(0.0, 1.0, (nx, nz)) < 0.25
@@ -197,8 +197,8 @@ def check_bound_chain(seed: int = 0, n_channels: int = 500,
     )
 
 
-def _random_small_net(rng: Rng, in_lo: int = 2, in_hi: int = 6) -> Network:
-    d_in = int(rng.integers(in_lo, in_hi + 1))
+def _random_small_net(rng: Rng) -> Network:
+    d_in = int(rng.integers(2, 7))
     d_mid = int(rng.integers(2, 7))
     d_out = int(rng.integers(1, 7))
     act = ("tanh", "softplus")[int(rng.integers(0, 2))]

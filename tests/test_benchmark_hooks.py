@@ -57,10 +57,11 @@ def _hooked_run(dataset):
     steps, failed, factors, input_factors, threads = map(int, counts)
     assert steps > 0 and failed == 0
     assert threads == 0  # no thread outlives the run
-    for name in ("training.run_training.geoib", "training.gib_step",
-                 "training.loss_and_grads", "jf.draw_probes",
-                 "jf.value_and_grad", "fisher.kfac_update",
-                 "fisher.natural_gradient", "training.evaluate_run", "mi.mi_knn"):
+    for name in ("data.make_dataset", "training.run_training.geoib",
+                 "training.gib_step", "training.loss_and_grads",
+                 "jf.draw_probes", "jf.value_and_grad", "fisher.kfac_update",
+                 "fisher.natural_gradient", "training.evaluate_run",
+                 "mi.mi_knn", "mi.inversion_probe"):
         assert name in names.split()
     return steps, factors, input_factors
 

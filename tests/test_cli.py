@@ -142,6 +142,27 @@ def test_sweep_subcommand_reports_cells(tmp_path, capsys):
     assert (out / "info_plane.csv").exists()
 
 
+@pytest.mark.parametrize("damaged", ["not a JSON line", '{"status": "ok"}'])
+def test_sweep_names_a_damaged_middle_manifest_line(tmp_path, capsys, damaged):
+    # a complete line that does not parse, or parses to a record naming no
+    # cell, is one error line naming the file and line; the file stays as is
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--dataset", "gauss_mixture:n=200,noise=0.14",
+            "--epochs", "1", "--enc-hidden", "8", "--out", str(out),
+            "--betas", "0.0001", "--k-dims", "2", "--seeds", "0,1"]
+    assert main(argv) == 0
+    path = out / "manifest.jsonl"
+    first, second = path.read_text().splitlines(keepends=True)
+    path.write_text(first + damaged + "\n" + second)
+    manifest = path.read_text()
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert "manifest.jsonl, line 2: " in err[0]
+    assert path.read_text() == manifest
+
+
 def test_train_divergence_exits_nonzero(tmp_path, capsys):
     with np.errstate(all="ignore"):
         rc = main(["train", "--method", "vib", "--eta-phi", "1e200",

@@ -2,13 +2,13 @@ import dataclasses
 
 import pytest
 
-from geoib.config import (
-    TrainConfig,
-    config_text,
-    load_config,
-    parse_config_text,
-    save_config,
-)
+from geoib.config import TrainConfig, config_text, load_config, save_config
+
+
+def _load_text(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return load_config(path)
 
 
 def test_defaults_are_valid():
@@ -20,8 +20,9 @@ def test_defaults_are_valid():
     assert cfg.dataset.startswith("gauss_mixture")
 
 
-def test_parse_overrides_and_comments():
-    cfg = parse_config_text(
+def test_parse_overrides_and_comments(tmp_path):
+    cfg = _load_text(
+        tmp_path,
         """
         # sweep cell
         beta = 0.01   # compression weight
@@ -38,21 +39,21 @@ def test_parse_overrides_and_comments():
     assert cfg.batch == 128  # untouched default
 
 
-def test_parse_reports_line_numbers():
+def test_parse_reports_line_numbers(tmp_path):
     with pytest.raises(ValueError, match="line 2: unknown key 'betta'"):
-        parse_config_text("beta = 0.1\nbetta = 0.2\n")
+        _load_text(tmp_path, "beta = 0.1\nbetta = 0.2\n")
     with pytest.raises(ValueError, match="line 1: expected key = value"):
-        parse_config_text("just words\n")
+        _load_text(tmp_path, "just words\n")
     with pytest.raises(ValueError, match="line 3: bad value for epochs"):
-        parse_config_text("beta = 0.1\n\nepochs = soon\n")
+        _load_text(tmp_path, "beta = 0.1\n\nepochs = soon\n")
 
 
-def test_parse_booleans():
-    assert parse_config_text("vib_natural_gradient = true").vib_natural_gradient
-    assert parse_config_text("vib_natural_gradient = 1").vib_natural_gradient
-    assert not parse_config_text("vib_natural_gradient = no").vib_natural_gradient
+def test_parse_booleans(tmp_path):
+    for raw, value in (("true", True), ("1", True), ("no", False)):
+        cfg = _load_text(tmp_path, f"vib_natural_gradient = {raw}")
+        assert cfg.vib_natural_gradient is value
     with pytest.raises(ValueError, match="boolean"):
-        parse_config_text("vib_natural_gradient = maybe")
+        _load_text(tmp_path, "vib_natural_gradient = maybe")
 
 
 def test_legacy_keys_are_ignored_with_a_warning(tmp_path):
@@ -95,18 +96,11 @@ def test_load_config_takes_utf8_only_in_comments(tmp_path):
         load_config(path)
 
 
-def test_parse_starts_from_base():
-    base = TrainConfig(beta=0.5, k_dim=4)
-    cfg = parse_config_text("k_dim = 16", base=base)
-    assert cfg.beta == 0.5 and cfg.k_dim == 16
-
-
-def test_round_trip_through_text():
+def test_round_trip_through_text(tmp_path):
     cfg = TrainConfig(method="vib", beta=1.5e-3, k_dim=64, epochs=7,
                       vib_natural_gradient=True, enc_hidden="64,32",
                       dataset="two_moons:n=500,noise=0.05")
-    back = parse_config_text(config_text(cfg))
-    assert back == cfg
+    assert _load_text(tmp_path, config_text(cfg)) == cfg
 
 
 def test_text_lists_every_field_in_order():

@@ -224,7 +224,7 @@ def test_head_dim_restricts_penalty():
     se = float(per_probe.std(ddof=1) / np.sqrt(per_probe.size))
     assert abs(values[0] - exact_trace(ch_head)) < 4.0 * se
     with pytest.raises(ValueError, match="head_dim"):
-        jf_hutchinson(net, x, np.ones(5), 2, Rng(21), head_dim=5)
+        jf_batch(net, np.ones(5), probes, head_dim=5)
 
 
 # -------------------------------------------------------------- isotropic

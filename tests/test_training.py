@@ -17,12 +17,16 @@ import pytest
 from geoib.config import TrainConfig
 from geoib.data import gauss_mixture, make_dataset
 from geoib import training
+from geoib.encoder import posterior_head
 from geoib.fisher import NaturalGradStep, fisher_vector_product, kfac_init
 from geoib.jf import draw_probes
 from geoib.mi import (
     CSV_COLUMNS,
     PROBE_NAME,
+    InfoPlanePoint,
     classification_accuracy,
+    inversion_probe,
+    mi_knn,
     point_row,
     read_points_jsonl,
 )
@@ -95,11 +99,8 @@ def test_beta_zero_objectives_agree():
     np.testing.assert_array_equal(gd_g, gd_v)
 
 
-def test_want_grads_false_returns_metrics_only(monkeypatch):
-    cfg = TrainConfig(k_dim=2, enc_hidden="8", dataset=TOY)
-    _, _, enc, dec, _, _, x, y = _toy_setup(cfg)
-    eps = Rng(3).normal((16, 2))
-    probes = draw_probes(Rng(4), 2, 16, 2)
+def _primal_passes(monkeypatch) -> list:
+    """The networks of every primal pass from here on, in call order."""
     primal, passes = Network._primal, []
 
     def counted(net, *args, **kwargs):
@@ -107,6 +108,15 @@ def test_want_grads_false_returns_metrics_only(monkeypatch):
         return primal(net, *args, **kwargs)
 
     monkeypatch.setattr(Network, "_primal", counted)
+    return passes
+
+
+def test_want_grads_false_returns_metrics_only(monkeypatch):
+    cfg = TrainConfig(k_dim=2, enc_hidden="8", dataset=TOY)
+    _, _, enc, dec, _, _, x, y = _toy_setup(cfg)
+    eps = Rng(3).normal((16, 2))
+    probes = draw_probes(Rng(4), 2, 16, 2)
+    passes = _primal_passes(monkeypatch)
     m = geoib_loss_and_grads(
         enc, dec, x[:16], y[:16], beta=cfg.beta, fr_mode=cfg.fr_mode,
         k_dim=2, eps=eps, probes=probes, want_grads=False)
@@ -853,6 +863,48 @@ def test_evaluate_run_passes_wall_clock_through():
     assert point.wall_clock_s == 3.25
     assert 0.0 <= point.accuracy <= 1.0
     assert point.beta == cfg.beta and point.k_dim == cfg.k_dim
+
+
+def _three_pass_point(cfg, enc, dec, ds, wall_clock_s) -> InfoPlanePoint:
+    """evaluate_run with one encoder pass each over the test split, the
+    train split and the KSG rows."""
+    x_te, y_te = ds.split("test")
+    mu_te = enc.forward(x_te)[:, :cfg.k_dim]
+    x_tr, _ = ds.split("train")
+    mu_tr = enc.forward(x_tr)[:, :cfg.k_dim]
+    joint_dim = ds.n_features + cfg.k_dim
+    cap = (training._MI_CAP_LOW_DIM if joint_dim <= training._MI_DIM_SWITCH
+           else training._MI_CAP_HIGH_DIM)
+    n = ds.features.shape[0]
+    if n > cap:
+        sel = np.sort(Rng(cfg.seed, stream=training._STREAM_EVAL).permutation(n)[:cap])
+    else:
+        sel = np.arange(n)
+    x_mi = ds.features[sel]
+    mu_mi, lv_mi, _ = posterior_head(enc.forward(x_mi), cfg.k_dim)
+    mi = mi_knn(training._standardized(x_mi),
+                training._noise_relative_view(mu_mi, lv_mi))
+    return InfoPlanePoint(
+        beta=cfg.beta, k_dim=cfg.k_dim,
+        accuracy=classification_accuracy(dec, mu_te, y_te), mi_xz_nats=mi,
+        inversion_mse=inversion_probe(mu_tr, x_tr, mu_te, x_te, seed=cfg.seed),
+        seed=cfg.seed, wall_clock_s=wall_clock_s, probe=PROBE_NAME,
+        revision=REVISION)
+
+
+@pytest.mark.parametrize("cap", [None, 150])
+def test_evaluate_run_scores_from_one_encoder_pass(monkeypatch, cap):
+    # every row (600, under the cap) or 150 of them reach KSG; either way
+    # one encoder pass gives every field the bits of a pass per row set
+    cfg = TrainConfig(dataset=TOY, k_dim=2, enc_hidden="8", epochs=2)
+    res = run_training(cfg, evaluate=False)
+    if cap is not None:
+        monkeypatch.setattr(training, "_MI_CAP_LOW_DIM", cap)
+    want = _three_pass_point(cfg, res.enc, res.dec, res.dataset, 1.5)
+    passes = _primal_passes(monkeypatch)
+    got = evaluate_run(cfg, res.enc, res.dec, res.dataset, wall_clock_s=1.5)
+    assert passes == [res.enc, res.dec]
+    assert repr(astuple(got)) == repr(astuple(want))
 
 
 def test_evaluate_run_subsamples_ksg_rows_to_the_cap(monkeypatch):
