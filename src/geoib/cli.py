@@ -28,14 +28,12 @@ from .data import (
 )
 from .mi import CSV_COLUMNS, point_row, read_points_jsonl
 from .nets import Network
-from .training import (
-    DEFAULT_BETA_GRID,
-    DEFAULT_K_GRID,
-    TrainingDiverged,
-    evaluate_run,
-    run_sweep,
-    run_training,
-)
+from .training import TrainingDiverged, evaluate_run, run_sweep, run_training
+
+# Default information-plane grids of `geoib sweep`.
+DEFAULT_BETA_GRID = tuple(10.0**e for e in range(-6, 2))
+DEFAULT_K_GRID = (2, 4, 8, 16, 32, 64, 128, 256, 512)
+
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE",

@@ -347,16 +347,18 @@ def write_points_jsonl(points, path) -> None:
 def read_points_jsonl(path) -> list[InfoPlanePoint]:
     """The points of a JSON-lines file, one object per non-blank line.
 
-    ValueError, naming the file and line, for a line that does not parse,
-    is not a JSON object, or holds fields InfoPlanePoint does not take.
+    ValueError, naming the file and line, for a line that is not ASCII,
+    does not parse, is not a JSON object, or holds fields InfoPlanePoint
+    does not take.
     """
     points = []
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "rb") as fh:
         for number, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                points.append(InfoPlanePoint(**json.loads(line)))
+                record = json.loads(line.decode("ascii"))
+                points.append(InfoPlanePoint(**record))
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}, line {number}: {exc}") from exc
     return points

@@ -106,10 +106,6 @@ _STREAM_EVAL = 31337
 _STREAM_EPOCH = 100_000
 _STREAM_STEP = 1_000_000
 
-# Default information-plane grids.
-DEFAULT_BETA_GRID = tuple(10.0**e for e in range(-6, 2))
-DEFAULT_K_GRID = (2, 4, 8, 16, 32, 64, 128, 256, 512)
-
 # KSG sample caps keep high-dimensional neighbor queries tractable.
 _MI_CAP_LOW_DIM = 5000
 _MI_CAP_HIGH_DIM = 2000
@@ -609,16 +605,17 @@ def _read_manifest(path: str) -> dict[str, dict]:
     A kill in the middle of an append leaves a last line without its
     newline.  If that line does not parse it is dropped with a warning and
     cut from the file; if it does, its newline is added.  Either way the
-    next append starts on a fresh line.  Any other line that does not parse,
-    is not a JSON object or names no cell raises ValueError naming the file
-    and line.
+    next append starts on a fresh line.  Any other line that is not ASCII,
+    does not parse, is not a JSON object or names no cell, and an "ok"
+    record without its point object, raises ValueError naming the file and
+    line.
     """
     if not os.path.exists(path):
         return {}
     with open(path, "rb") as fh:
         data = fh.read()
     cut = data.rfind(b"\n") + 1
-    lines, tail = data[:cut].decode("ascii").splitlines(), data[cut:]
+    lines, tail = data[:cut].splitlines(), data[cut:]
     if tail.strip():
         try:
             json.loads(tail)
@@ -626,18 +623,22 @@ def _read_manifest(path: str) -> dict[str, dict]:
             warnings.warn(f"{path}: dropping the partial last line {tail!r}")
             os.truncate(path, cut)
         else:
-            lines.append(tail.decode("ascii"))
-            with open(path, "a", encoding="ascii") as fh:
-                fh.write("\n")
+            lines.append(tail)
+            with open(path, "ab") as fh:
+                fh.write(b"\n")
     records = {}
     for number, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
         try:
-            if line.strip():
-                rec = json.loads(line)
-                records[rec["cell"]] = rec
+            rec = json.loads(line.decode("ascii"))
+            records[rec["cell"]] = rec
         except (ValueError, TypeError, KeyError) as exc:
             raise ValueError(f"{path}, line {number}: not a manifest record "
                              f"naming its cell ({exc})") from exc
+        if rec.get("status") == "ok" and not isinstance(rec.get("point"), dict):
+            raise ValueError(f"{path}, line {number}: an ok record without "
+                             f"its point")
     return records
 
 
@@ -663,8 +664,8 @@ def _check_reused_cell(cell_dir: str, cfg: TrainConfig, point: dict) -> None:
                          f"({'; '.join(diff)}); sweep into a new directory")
 
 
-def run_sweep(base_cfg: TrainConfig, out_dir: str,
-              betas=None, k_dims=None, seeds=(0,)) -> list[InfoPlanePoint]:
+def run_sweep(base_cfg: TrainConfig, out_dir: str, betas, k_dims,
+              seeds=(0,)) -> list[InfoPlanePoint]:
     """Grid product of (beta, k_dim, seed) runs with resumability.
 
     Completed cells are recorded in manifest.jsonl and skipped on re-entry;
@@ -676,8 +677,6 @@ def run_sweep(base_cfg: TrainConfig, out_dir: str,
     info_plane.csv and points.jsonl are rewritten at the end from all
     successful cells.
     """
-    betas = tuple(betas) if betas is not None else DEFAULT_BETA_GRID
-    k_dims = tuple(k_dims) if k_dims is not None else DEFAULT_K_GRID
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "manifest.jsonl")
     done = _read_manifest(manifest_path)

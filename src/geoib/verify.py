@@ -3,9 +3,11 @@
 Each check regenerates its own random instances from a fixed seed, compares
 against an independent route (dense solves, explicit Kronecker products,
 numerically integrated geodesics, finite differences, exact traces), and
-reports a scalar margin with a hard threshold.  Results serialize to a file
-that contains no timing or environment information, so two runs with the
-same seed produce byte-identical output.
+reports a scalar margin with a hard threshold.  Each check takes only a
+seed: its sample sizes and bounds are the module constants below, which
+the acceptance gate (tests/test_acceptance.py) pins to their values.
+Results serialize to a file that contains no timing or environment
+information, so two runs with the same seed produce byte-identical output.
 
 The geodesic oracle is a Runge-Kutta integrator written here rather than
 scipy.integrate, and the dense Fisher is assembled in numpy.  Importing
@@ -50,6 +52,35 @@ from .nets import LayerSpec, Network, layer_blocks
 from .rng import Rng
 from .training import geoib_loss_and_grads
 
+# Sample sizes and bounds, by check.
+PYTHAGOREAN_JOINTS = 1000
+PYTHAGOREAN_TOL = 1e-11
+PROJECTION_JOINTS = 50
+PROJECTION_PERTURB = 200
+PROJECTION_SLACK = 1e-12
+FR_GAP_DIRS = 20
+FR_GAP_RATIO_LO, FR_GAP_RATIO_HI = 6.0, 10.0
+BOUND_CHAIN_CHANNELS = 500
+BOUND_CHAIN_EQ_TOL = 1e-10
+BOUND_CHAIN_INEQ_TOL = 1e-12
+HUTCHINSON_NETS = 20
+HUTCHINSON_PROBES = 10_000
+HUTCHINSON_REPS = 50
+HUTCHINSON_REP_TOL = 0.01
+GRADIENTS_FD_TOL = 1e-4
+GRADIENTS_FD_STEP = 1e-5
+CG_VS_DENSE_SOLVE_TOL = 1e-8
+CG_VS_DENSE_FVP_TOL = 1e-12
+STEEPEST_DESCENT_FISHERS = 20
+STEEPEST_DESCENT_DIRS = 10_000
+STEEPEST_DESCENT_SLACK = 1e-10
+GEODESIC_POINTS = 10
+GEODESIC_ODE_TOL = 1e-6
+GEODESIC_RATIO_LO, GEODESIC_RATIO_HI = 3.5, 4.5
+REPARAM_TRIPLES = 50
+REPARAM_MAX_COND = 100.0
+REPARAM_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -74,32 +105,22 @@ def _random_joint(rng: Rng, with_zeros: bool = False) -> np.ndarray:
     return raw / raw.sum()
 
 
-def _require_samples(**counts: int) -> None:
-    """Refuse a sample count below 1: a check that draws nothing would
-    pass without having tested anything."""
-    for name, count in counts.items():
-        if count < 1:
-            raise ValueError(f"{name} must be at least 1, got {count}")
-
-
 def _random_simplex(rng: Rng, n: int) -> np.ndarray:
     raw = rng.uniform(0.05, 1.0, n)
     return raw / raw.sum()
 
 
-def check_pythagorean(seed: int = 0, n_joints: int = 1000,
-                      tol: float = 1e-11) -> CheckResult:
+def check_pythagorean(seed: int = 0) -> CheckResult:
     """KL(p || q x r) splits exactly into I(p) + marginal KLs."""
-    _require_samples(n_joints=n_joints)
     rng = Rng(seed, stream=1)
     worst = 0.0
-    for i in range(n_joints):
+    for i in range(PYTHAGOREAN_JOINTS):
         p = _random_joint(rng, with_zeros=(i % 5 == 0))
         q = _random_simplex(rng, p.shape[0])
         r = _random_simplex(rng, p.shape[1])
         worst = max(worst, abs(di.pythagorean_residual(p, q, r)))
-    return CheckResult("pythagorean_identity", worst < tol,
-                       f"max|residual|={worst:.3e} bound={tol:.0e}")
+    return CheckResult("pythagorean_identity", worst < PYTHAGOREAN_TOL,
+                       f"max|residual|={worst:.3e} bound={PYTHAGOREAN_TOL:.0e}")
 
 
 def _projection_margins(seed: int, n_joints: int, n_perturb: int) -> np.ndarray:
@@ -131,26 +152,22 @@ def _projection_margins(seed: int, n_joints: int, n_perturb: int) -> np.ndarray:
     return margins
 
 
-def check_projection_optimality(seed: int = 0, n_joints: int = 50,
-                                n_perturb: int = 200,
-                                slack: float = 1e-12) -> CheckResult:
+def check_projection_optimality(seed: int = 0) -> CheckResult:
     """No perturbed product reference beats the product of marginals."""
-    _require_samples(n_joints=n_joints, n_perturb=n_perturb)
-    worst = float(_projection_margins(seed, n_joints, n_perturb).min())
-    return CheckResult("projection_optimality", worst >= -slack,
-                       f"min(margin)={worst:.3e} slack={slack:.0e}")
+    worst = float(_projection_margins(seed, PROJECTION_JOINTS, PROJECTION_PERTURB).min())
+    return CheckResult("projection_optimality", worst >= -PROJECTION_SLACK,
+                       f"min(margin)={worst:.3e} slack={PROJECTION_SLACK:.0e}")
 
 
-def check_fr_gap_decay(seed: int = 0, n_dirs: int = 20,
-                       lo: float = 6.0, hi: float = 10.0) -> CheckResult:
+def check_fr_gap_decay(seed: int = 0) -> CheckResult:
     """|KL - quadratic proxy| decays cubically: halving the offset divides
     the gap by ~8."""
-    _require_samples(n_dirs=n_dirs)
+    lo, hi = FR_GAP_RATIO_LO, FR_GAP_RATIO_HI
     rng = Rng(seed, stream=3)
     k = 3
     lo_seen, hi_seen = np.inf, 0.0
     ok = True
-    for _ in range(n_dirs):
+    for _ in range(FR_GAP_DIRS):
         direction = rng.normal(2 * k)
         direction /= np.linalg.norm(direction)
         for delta in (0.2, 0.1, 0.05):
@@ -165,14 +182,12 @@ def check_fr_gap_decay(seed: int = 0, n_dirs: int = 20,
                        f"ratios=[{lo_seen:.3f},{hi_seen:.3f}] bounds=[{lo},{hi}]")
 
 
-def check_bound_chain(seed: int = 0, n_channels: int = 500,
-                      eq_tol: float = 1e-10, ineq_tol: float = 1e-12) -> CheckResult:
+def check_bound_chain(seed: int = 0) -> CheckResult:
     """Sylvester equality of the two logdet forms; trace bound dominates;
     correlated inputs (C <= I) can only lower the capacity."""
-    _require_samples(n_channels=n_channels)
     rng = Rng(seed, stream=4)
     worst_eq, worst_ineq, worst_cap = 0.0, -np.inf, -np.inf
-    for i in range(n_channels):
+    for i in range(BOUND_CHAIN_CHANNELS):
         out_d = int(rng.integers(1, 7))
         in_d = int(rng.integers(1, 7))
         jac = rng.normal((out_d, in_d)) * (10.0 ** rng.uniform(-1.0, 0.5))
@@ -189,7 +204,8 @@ def check_bound_chain(seed: int = 0, n_channels: int = 500,
             cov = 0.5 * (cov + cov.T)
             ch_c = LocalChannel(jacobian=jac, noise_cov=noise, input_cov=cov)
             worst_cap = max(worst_cap, capacity_logdet(ch_c) - lhs)
-    ok = worst_eq <= eq_tol and worst_ineq <= ineq_tol and worst_cap <= ineq_tol
+    ok = (worst_eq <= BOUND_CHAIN_EQ_TOL and worst_ineq <= BOUND_CHAIN_INEQ_TOL
+          and worst_cap <= BOUND_CHAIN_INEQ_TOL)
     return CheckResult(
         "jf_bound_chain", ok,
         f"max|lhs-mid|={worst_eq:.3e} max(mid-rhs)={worst_ineq:.3e} "
@@ -208,45 +224,39 @@ def _random_small_net(rng: Rng) -> Network:
     )
 
 
-def check_hutchinson(seed: int = 0, n_nets: int = 20, n_probes: int = 10_000,
-                     n_reps: int = 50, rep_tol: float = 0.01) -> CheckResult:
+def check_hutchinson(seed: int = 0) -> CheckResult:
     """The probe estimator is unbiased for the exact weighted trace."""
-    _require_samples(n_nets=n_nets, n_reps=n_reps)
-    if n_probes < 2:
-        raise ValueError(f"n_probes must be at least 2 for a standard error, "
-                         f"got {n_probes}")
     rng = Rng(seed, stream=5)
     ok = True
     worst_sigma = 0.0
-    for i in range(n_nets):
+    for i in range(HUTCHINSON_NETS):
         net = _random_small_net(rng)
         x = rng.normal(net.in_dim)
         noise = np.exp(rng.uniform(-1.0, 1.0, net.out_dim))
         exact = exact_trace(LocalChannel(net.explicit_jacobian(x), noise))
         if i == 0:
             first = net, x, noise, exact
-        value, per_probe = jf_hutchinson(net, x, noise, n_probes,
+        value, per_probe = jf_hutchinson(net, x, noise, HUTCHINSON_PROBES,
                                          Rng(seed, stream=600 + i))
-        se = float(np.std(per_probe, ddof=1) / np.sqrt(n_probes))
+        se = float(np.std(per_probe, ddof=1) / np.sqrt(HUTCHINSON_PROBES))
         sigmas = abs(value - exact) / se
         worst_sigma = max(worst_sigma, sigmas)
         ok = ok and sigmas <= 3.0
     # mean of repeated estimates on the first net drifts under 1% of exact
     net, x, noise, exact = first
     reps = [
-        jf_hutchinson(net, x, noise, n_probes, Rng(seed, stream=700 + r))[0]
-        for r in range(n_reps)
+        jf_hutchinson(net, x, noise, HUTCHINSON_PROBES, Rng(seed, stream=700 + r))[0]
+        for r in range(HUTCHINSON_REPS)
     ]
     rel = abs(float(np.mean(reps)) - exact) / exact
-    ok = ok and rel <= rep_tol
+    ok = ok and rel <= HUTCHINSON_REP_TOL
     return CheckResult(
         "hutchinson_unbiased", ok,
         f"max|z|={worst_sigma:.2f}sigma rep_rel_err={rel:.4%}",
     )
 
 
-def check_gradients_fd(seed: int = 0, tol: float = 1e-4,
-                       step: float = 1e-5) -> CheckResult:
+def check_gradients_fd(seed: int = 0) -> CheckResult:
     """Analytic objective gradients match central finite differences."""
     worst = 0.0
     for trial, fr_mode in enumerate(("closed_form_kl", "fr_quadratic")):
@@ -288,17 +298,16 @@ def check_gradients_fd(seed: int = 0, tol: float = 1e-4,
         fd = np.zeros_like(analytic)
         for i in range(params.size):
             up, dn = params.copy(), params.copy()
-            up[i] += step
-            dn[i] -= step
-            fd[i] = (value(up) - value(dn)) / (2 * step)
+            up[i] += GRADIENTS_FD_STEP
+            dn[i] -= GRADIENTS_FD_STEP
+            fd[i] = (value(up) - value(dn)) / (2 * GRADIENTS_FD_STEP)
         rel = np.abs(analytic - fd) / np.maximum(np.abs(fd), 1e-4)
         worst = max(worst, float(rel.max()))
-    return CheckResult("gradient_finite_difference", worst < tol,
-                       f"max_rel_err={worst:.3e} bound={tol:.0e}")
+    return CheckResult("gradient_finite_difference", worst < GRADIENTS_FD_TOL,
+                       f"max_rel_err={worst:.3e} bound={GRADIENTS_FD_TOL:.0e}")
 
 
-def check_cg_vs_dense(seed: int = 0, tol_solve: float = 1e-8,
-                      tol_fvp: float = 1e-12) -> CheckResult:
+def check_cg_vs_dense(seed: int = 0) -> CheckResult:
     """The exact Kronecker solve reproduces a dense solve of the
     materialized damped Kronecker blocks, and the factored FVP agrees with
     the explicit Kronecker product."""
@@ -329,7 +338,7 @@ def check_cg_vs_dense(seed: int = 0, tol_solve: float = 1e-8,
     kfac_dense = np.linalg.solve(kfac_dense_matrix(state), g)
     err_kfac = float(np.max(np.abs(natural_gradient(state, g).direction
                                    - kfac_dense)))
-    ok = err_kfac < tol_solve and err_fvp < tol_fvp
+    ok = err_kfac < CG_VS_DENSE_SOLVE_TOL and err_fvp < CG_VS_DENSE_FVP_TOL
     return CheckResult("natural_gradient_solves", ok,
                        f"kfac_vs_kron={err_kfac:.3e} fvp_vs_kron={err_fvp:.3e}")
 
@@ -344,22 +353,19 @@ def _random_fisher(rng: Rng, log_spread: float) -> np.ndarray:
     return 0.5 * (fisher + fisher.T)
 
 
-def check_steepest_descent(seed: int = 0, n_fishers: int = 20,
-                           n_dirs: int = 10_000,
-                           slack: float = 1e-10) -> CheckResult:
+def check_steepest_descent(seed: int = 0) -> CheckResult:
     """No random unit-Fisher-norm direction descends faster than the
     normalized natural gradient."""
-    _require_samples(n_fishers=n_fishers, n_dirs=n_dirs)
     rng = Rng(seed, stream=11)
     worst = np.inf
-    for i in range(n_fishers):
+    for i in range(STEEPEST_DESCENT_FISHERS):
         fisher = _random_fisher(rng, 1.0)
         g = rng.normal(fisher.shape[0])
-        margin = steepest_descent_margin(fisher, g, n_dirs,
+        margin = steepest_descent_margin(fisher, g, STEEPEST_DESCENT_DIRS,
                                          Rng(seed, stream=1100 + i))
         worst = min(worst, margin)
-    return CheckResult("steepest_descent", worst >= -slack,
-                       f"min(margin)={worst:.3e} slack={slack:.0e}")
+    return CheckResult("steepest_descent", worst >= -STEEPEST_DESCENT_SLACK,
+                       f"min(margin)={worst:.3e} slack={STEEPEST_DESCENT_SLACK:.0e}")
 
 
 def _geodesic_accel(sigma: float, dmu: float, dsigma: float):
@@ -405,16 +411,14 @@ def _geodesic_ode(p: Gaussian1D, tangent) -> Gaussian1D:
                       sigma=sigma_f + (sigma_f - sigma_c) / 15.0)
 
 
-def check_geodesic(seed: int = 0, n_points: int = 10, ode_tol: float = 1e-6,
-                   lo: float = 3.5, hi: float = 4.5) -> CheckResult:
+def check_geodesic(seed: int = 0) -> CheckResult:
     """Closed-form exponential map matches the integrated geodesic, and the
     additive-step gap shrinks quadratically in the step size."""
-    _require_samples(n_points=n_points)
     rng = Rng(seed, stream=12)
     worst_ode = 0.0
     lo_seen, hi_seen = np.inf, 0.0
     ok = True
-    for _ in range(n_points):
+    for _ in range(GEODESIC_POINTS):
         p = Gaussian1D(mu=float(rng.uniform(-1.0, 1.0)),
                        sigma=float(np.exp(rng.uniform(-0.7, 0.7))))
         tangent = rng.normal(2)
@@ -430,33 +434,30 @@ def check_geodesic(seed: int = 0, n_points: int = 10, ode_tol: float = 1e-6,
                      / geodesic_vs_additive_gap(p, grad, eta / 2.0))
             lo_seen = min(lo_seen, ratio)
             hi_seen = max(hi_seen, ratio)
-            ok = ok and lo <= ratio <= hi
-    ok = ok and worst_ode < ode_tol
+            ok = ok and GEODESIC_RATIO_LO <= ratio <= GEODESIC_RATIO_HI
+    ok = ok and worst_ode < GEODESIC_ODE_TOL
     return CheckResult(
         "geodesic_consistency", ok,
         f"ode_gap={worst_ode:.3e} ratios=[{lo_seen:.3f},{hi_seen:.3f}]",
     )
 
 
-def check_reparam_invariance(seed: int = 0, n_triples: int = 50,
-                             max_cond: float = 100.0,
-                             tol: float = 1e-8) -> CheckResult:
+def check_reparam_invariance(seed: int = 0) -> CheckResult:
     """Natural steps computed in transformed coordinates map back exactly."""
-    _require_samples(n_triples=n_triples)
     rng = Rng(seed, stream=13)
     worst = 0.0
-    for _ in range(n_triples):
+    for _ in range(REPARAM_TRIPLES):
         fisher = _random_fisher(rng, 0.7)
         dim = fisher.shape[0]
         g = rng.normal(dim)
-        cond = 10.0 ** rng.uniform(0.0, np.log10(max_cond))
+        cond = 10.0 ** rng.uniform(0.0, np.log10(REPARAM_MAX_COND))
         u = np.linalg.qr(rng.normal((dim, dim)))[0]
         vt = np.linalg.qr(rng.normal((dim, dim)))[0]
         sing = np.geomspace(1.0, cond, dim)
         transform = u @ np.diag(sing) @ vt
         worst = max(worst, reparam_invariance_check(fisher, g, transform))
-    return CheckResult("reparam_invariance", worst < tol,
-                       f"max_gap={worst:.3e} bound={tol:.0e}")
+    return CheckResult("reparam_invariance", worst < REPARAM_TOL,
+                       f"max_gap={worst:.3e} bound={REPARAM_TOL:.0e}")
 
 
 ALL_CHECKS = (
@@ -474,8 +475,7 @@ ALL_CHECKS = (
 
 
 def run_all_checks(seed: int = 0) -> list[CheckResult]:
-    """Every check at its default size, on one BLAS thread
-    (`linalg.pin_blas_threads`)."""
+    """Every check, on one BLAS thread (`linalg.pin_blas_threads`)."""
     pin_blas_threads()
     return [check(seed=seed) for check in ALL_CHECKS]
 

@@ -4,17 +4,22 @@ the property suite writes a recorded table.
 A change that keeps behaviour keeps these digests.  A change in behaviour
 made on purpose bumps `training.REVISION`, records the before and after in
 CHANGES.md, and pins the new revision's digests in PINNED; an intended
-change to the verify table updates VERIFY_TABLE.  The digests were recorded on numpy 2.4.6 with OpenBLAS 0.3.31 on
-one BLAS thread (conftest.py); a failure names the build it ran on, so a
-different build can be told apart from a change in behaviour.
+change to the verify table updates VERIFY_TABLE.  The digests hold on
+numpy 2.4.6 (matmuls in its bundled OpenBLAS 0.3.31) and scipy 1.17.1
+(every Cholesky in its bundled OpenBLAS 0.3.30), on one BLAS thread
+(conftest.py).  A failure names both builds it ran on, so a different
+build can be told apart from a change in behaviour.
 """
 
+import ctypes
 import hashlib
+import importlib.metadata
 import os
 
 import numpy as np
 import pytest
 
+from geoib import linalg
 from geoib.config import TrainConfig
 from geoib.training import REVISION, run_training
 from geoib.verify import run_all_checks, write_results
@@ -50,11 +55,26 @@ PINNED = {"r1": {
 VERIFY_TABLE = "162be132874ec3c72b79aa7063ff1bed9b6244565fc4c76f5c8b90796dc3c22b"
 
 
+def _openblas_config(package: str, symbol: str) -> str:
+    """The config string of the OpenBLAS build bundled beside `package`."""
+    lib = linalg._bundled_openblas(package)
+    if lib is None or not hasattr(lib, symbol):
+        return "none bundled"
+    get_config = getattr(lib, symbol)
+    get_config.argtypes, get_config.restype = (), ctypes.c_char_p
+    return get_config().decode("ascii", "replace").strip()
+
+
 def _build() -> str:
+    """numpy's and scipy's versions and bundled OpenBLAS builds: numpy's
+    runs the matmuls, scipy's every Cholesky."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return (f"numpy {np.__version__}, BLAS {blas.get('name')} "
-            f"{blas.get('version')}, OPENBLAS_NUM_THREADS="
-            f"{os.environ.get('OPENBLAS_NUM_THREADS')}")
+            f"{blas.get('version')} "
+            f"[{_openblas_config('numpy', 'scipy_openblas_get_config64_')}], "
+            f"scipy {importlib.metadata.version('scipy')} "
+            f"[{_openblas_config('scipy', 'scipy_openblas_get_config')}], "
+            f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS')}")
 
 
 def _sha256(path) -> str:
@@ -74,10 +94,11 @@ def test_small_run_reproduces_pinned_digests(name, tmp_path):
     assert got == (enc_sha, dec_sha), (
         f"{name}: encoder/decoder sha256 {got} differ from the pinned "
         f"{(enc_sha, dec_sha)} of revision {REVISION!r} on {_build()}.  On "
-        f"the recorded build (numpy 2.4.6, OpenBLAS 0.3.31, one thread) this "
-        f"is a change in behaviour: if it is intended, bump "
-        f"training.REVISION, record the before/after in CHANGES.md and pin "
-        f"the new revision's digests in PINNED; if not, it is a defect."
+        f"numpy 2.4.6 with OpenBLAS 0.3.31 and scipy 1.17.1 with OpenBLAS "
+        f"0.3.30, on one thread, this is a change in behaviour: if it is "
+        f"intended, bump training.REVISION, record the before/after in "
+        f"CHANGES.md and pin the new revision's digests in PINNED; if not, "
+        f"it is a defect."
     )
 
 
