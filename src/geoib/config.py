@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 METHODS = ("geoib", "vib")
 FR_MODES = ("closed_form_kl", "fr_quadratic")
@@ -148,7 +148,8 @@ def parse_value(key: str, raw: str):
 
 def load_config(path) -> TrainConfig:
     """The TrainConfig a UTF-8 config file gives: its key = value lines
-    over the defaults.
+    applied over the defaults one at a time, so TrainConfig's checks, each
+    of one field, fire at the line that sets it.
 
     Keys in LEGACY_KEYS are skipped with a warning from the key's own line
     of the file, so configs written by older runs still load.
@@ -156,7 +157,7 @@ def load_config(path) -> TrainConfig:
     Raises:
         ValueError: naming the file and line, on text that is not UTF-8,
             non-ASCII text outside a comment, malformed lines, unknown
-            keys, or bad values.
+            keys, or values that do not parse or that TrainConfig rejects.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -166,7 +167,7 @@ def load_config(path) -> TrainConfig:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise ValueError(f"{path}, line {lineno}: not UTF-8 text "
                          f"({exc.reason})") from exc
-    updates = {}
+    cfg = TrainConfig()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -183,10 +184,10 @@ def load_config(path) -> TrainConfig:
                                    UserWarning, str(path), lineno)
             continue
         try:
-            updates[key] = parse_value(key, raw)
+            cfg = replace(cfg, **{key: parse_value(key, raw)})
         except ValueError as exc:
             raise ValueError(f"{path}, line {lineno}: {exc}") from exc
-    return TrainConfig(**updates)
+    return cfg
 
 
 def config_text(cfg: TrainConfig) -> str:

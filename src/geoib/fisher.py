@@ -98,7 +98,7 @@ class KfacState:
         return sum(rows * cols for rows, cols in self.shapes)
 
 
-def kfac_init(net: Network, damping: float = 1e-3, ema_decay: float = 0.95) -> KfacState:
+def kfac_init(net: Network, damping: float, ema_decay: float) -> KfacState:
     return KfacState(shapes=net.shapes, damping=damping, ema_decay=ema_decay)
 
 

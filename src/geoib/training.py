@@ -41,25 +41,15 @@ on that step.  Only `run_training` opens the worker: a `train_step` called
 without the run's `factors`, and every step below the cutoff, forms the
 factor on its caller's thread.  Either way the bits are the same.
 
-`run_training` keeps glibc's heap mapped between steps: a step's temporaries
-(their peak is near 1 MB on the default config) lie above the default
-128 KiB trim threshold, so glibc would hand them back to the kernel after
-every step and fault them in again on the next.  It sets both the trim and the mmap
-threshold, because setting either one turns off glibc's dynamic mmap
-threshold, and with the trim threshold alone every large K-FAC factor
-would get an mmap of its own.  It also keeps every thread on the one main
-heap arena, which a second thread would otherwise grow its own of.  It
-pins numpy's and scipy's BLAS to one thread each
+`run_training` pins numpy's and scipy's BLAS to one thread each
 (`linalg.pin_blas_threads`), because the large products and factors give
 other bits on more threads; `evaluate_run` pins them too, for evaluation
-outside a run (`geoib eval`).  None of these settings changes a computed
-bit.
+outside a run (`geoib eval`).
 """
 
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import json
 import os
 import time
@@ -111,13 +101,6 @@ _MI_CAP_LOW_DIM = 5000
 _MI_CAP_HIGH_DIM = 2000
 _MI_DIM_SWITCH = 64
 
-# glibc mallopt parameters (malloc.h) and the values run_training sets.
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_M_ARENA_MAX = -8
-_TRIM_THRESHOLD = 64 << 20
-_MMAP_THRESHOLD = 32 << 20
-
 # Encoder input width from which a run forms the input layer's A factor one
 # batch ahead on a worker thread.  Median step times of the default config
 # with a 2000-row mixture of this width, worker against one thread, on a
@@ -127,20 +110,6 @@ _MMAP_THRESHOLD = 32 << 20
 # at 704 and 784 (12.8 against 19.4 ms).  Between 512 and 576 the factor,
 # 8 (d+1)^2 bytes, outgrows one core's L2 cache.
 _OVERLAP_MIN_INPUTS = 576
-
-
-def _keep_heap() -> None:
-    """Raise glibc's trim and mmap thresholds and keep one heap arena; a
-    no-op without mallopt."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):  # not glibc, or no libc handle
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
-    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
-    # a second thread's own arena added 15-20 MB to the digits run's peak RSS
-    mallopt(_M_ARENA_MAX, 1)
 
 
 class TrainingDiverged(RuntimeError):
@@ -447,7 +416,6 @@ def run_training(cfg: TrainConfig, out_dir: str | None = None,
     (when a directory is given) and TrainingDiverged is raised.
     """
     t0 = time.perf_counter()
-    _keep_heap()
     pin_blas_threads()
     ds = make_dataset(cfg.dataset, cfg.seed)
     root = Rng(cfg.seed)
@@ -675,8 +643,12 @@ def run_sweep(base_cfg: TrainConfig, out_dir: str, betas, k_dims,
     its recorded point must name the current training revision and
     inversion probe, or ValueError says what differs.  The aggregate
     info_plane.csv and points.jsonl are rewritten at the end from all
-    successful cells.
+    successful cells.  An empty axis raises ValueError naming it before
+    out_dir is touched.
     """
+    for name, axis in (("betas", betas), ("k_dims", k_dims), ("seeds", seeds)):
+        if len(axis) == 0:
+            raise ValueError(f"the sweep grid is empty: no {name} given")
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "manifest.jsonl")
     done = _read_manifest(manifest_path)

@@ -82,6 +82,19 @@ def test_load_config_errors_name_the_file(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("k_dim = 0", "k_dim must be positive, got 0"),
+    ("method = sgd", "method must be one of"),
+    ("enc_hidden = 3x", "enc_hidden must be comma-separated positive integers"),
+])
+def test_load_config_names_the_line_trainconfig_rejects(tmp_path, line, message):
+    # each value parses; TrainConfig's own check refuses it
+    path = tmp_path / "run.cfg"
+    path.write_text(f"beta = 0.01\n# a comment\n{line}\nepochs = 3\n")
+    with pytest.raises(ValueError, match=f"run.cfg, line 3: {message}"):
+        load_config(path)
+
+
 def test_load_config_takes_utf8_only_in_comments(tmp_path):
     path = tmp_path / "hand.cfg"
     path.write_text("beta = 0.01  # compression, r\u00e9gl\u00e9 \u00e0 la main\n",

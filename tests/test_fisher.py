@@ -40,7 +40,7 @@ def test_kfac_first_update_single_sample():
     net = _net((3, 2, "tanh"), seed=3)
     x = Rng(4).normal((1, 3))
     _captured(net, x, seed=5)
-    state = kfac_update(kfac_init(net, ema_decay=0.0), net)
+    state = kfac_update(kfac_init(net, damping=1e-3, ema_decay=0.0), net)
     aug = np.concatenate([x[0], [1.0]])
     np.testing.assert_allclose(state.a_factors[0], np.outer(aug, aug),
                                rtol=0, atol=1e-15)
@@ -53,7 +53,7 @@ def test_kfac_first_update_single_sample():
 def test_kfac_zero_activations_leave_bias_moment():
     net = _net((3, 2, "identity"), seed=6)
     _captured(net, np.zeros((4, 3)), seed=7)
-    state = kfac_update(kfac_init(net), net)
+    state = kfac_update(kfac_init(net, damping=1e-3, ema_decay=0.95), net)
     a = state.a_factors[0]
     expect = np.zeros((4, 4))
     expect[-1, -1] = 1.0
@@ -66,7 +66,7 @@ def test_kfac_identical_batches_are_a_fixed_point():
     ups = Rng(10).normal((8, 2))
     net.forward(x, capture=True)
     net.backward(ups)
-    state = kfac_update(kfac_init(net, ema_decay=0.5), net)
+    state = kfac_update(kfac_init(net, damping=1e-3, ema_decay=0.5), net)
     a_before = [m.copy() for m in state.a_factors]
     net.forward(x, capture=True)
     net.backward(ups)
@@ -78,11 +78,12 @@ def test_kfac_identical_batches_are_a_fixed_point():
 def test_kfac_update_blends_factors_in_place():
     net = _net((3, 4, "tanh"), (4, 2, "identity"), seed=48)
     _captured(net, Rng(49).normal((8, 3)), seed=50)
-    state = kfac_update(kfac_init(net, ema_decay=0.9), net)
+    state = kfac_update(kfac_init(net, damping=1e-3, ema_decay=0.9), net)
     arrays = state.a_factors + state.g_factors
     old = [m.copy() for m in arrays]
     _captured(net, Rng(51).normal((8, 3)), seed=52)
-    batch = kfac_update(kfac_init(net), net)  # a first update adopts the batch
+    # a first update adopts the batch
+    batch = kfac_update(kfac_init(net, damping=1e-3, ema_decay=0.95), net)
     new = [m.copy() for m in batch.a_factors + batch.g_factors]
     kfac_update(state, net)
     for got, arr, o, n in zip(state.a_factors + state.g_factors, arrays, old, new):
@@ -98,8 +99,8 @@ def test_backward_deltas_give_the_factors_of_a_full_backward(specs):
     # first update adopts, second blends; the pre-activation-only capture
     # must leave the factors a full backward pass leaves, bit for bit
     net = _net(*specs, seed=57)
-    full = kfac_init(net, ema_decay=0.9)
-    lean = kfac_init(net, ema_decay=0.9)
+    full = kfac_init(net, damping=1e-3, ema_decay=0.9)
+    lean = kfac_init(net, damping=1e-3, ema_decay=0.9)
     for seed in (58, 59):
         x = Rng(seed).normal((16, 5))
         upstream = Rng(seed + 10).normal((16, 4))
@@ -149,7 +150,7 @@ def test_an_adopted_input_factor_gives_the_bits_of_a_full_update_and_solve():
 def test_input_factor_update_leaves_the_state_alone():
     net = _net((6, 4, "tanh"), (4, 2, "identity"), seed=56)
     _captured(net, Rng(57).normal((8, 6)), seed=58)
-    state = kfac_update(kfac_init(net, ema_decay=0.9), net)
+    state = kfac_update(kfac_init(net, damping=1e-3, ema_decay=0.9), net)
     before = [m.copy() for m in state.a_factors + state.g_factors]
     input_factor_update(state, Rng(59).normal((8, 6)))
     for got, want in zip(state.a_factors + state.g_factors, before):
@@ -160,7 +161,7 @@ def test_kfac_update_rejects_mismatched_net():
     net = _net((3, 2, "identity"), seed=11)
     other = _net((2, 2, "identity"), seed=12)
     _captured(other, np.ones((1, 2)), seed=13)
-    state = kfac_init(net)
+    state = kfac_init(net, damping=1e-3, ema_decay=0.95)
     with pytest.raises(ValueError, match="shapes"):
         kfac_update(state, other)
 
@@ -183,7 +184,7 @@ def test_fvp_identity_factors_pass_through():
 def test_fvp_matches_dense_kronecker():
     net = _net((3, 4, "tanh"), (4, 2, "identity"), seed=15)
     _captured(net, Rng(16).normal((10, 3)), seed=17)
-    state = kfac_update(kfac_init(net, damping=0.37), net)
+    state = kfac_update(kfac_init(net, damping=0.37, ema_decay=0.95), net)
     dense = kfac_dense_matrix(state)
     rng = Rng(18)
     for _ in range(5):
@@ -198,7 +199,7 @@ def test_dense_matrix_is_scipys_block_diagonal():
 
     net = _net((3, 4, "tanh"), (4, 3, "tanh"), (3, 2, "identity"), seed=23)
     _captured(net, Rng(24).normal((10, 3)), seed=25)
-    state = kfac_update(kfac_init(net, damping=0.37), net)
+    state = kfac_update(kfac_init(net, damping=0.37, ema_decay=0.95), net)
 
     def damped(m):
         out = m.copy()
@@ -215,7 +216,7 @@ def test_dense_matrix_is_scipys_block_diagonal():
 def test_fvp_huge_damping_dominates():
     net = _net((3, 2, "tanh"), seed=19)
     _captured(net, Rng(20).normal((6, 3)), seed=21)
-    state = kfac_update(kfac_init(net, damping=1e6), net)
+    state = kfac_update(kfac_init(net, damping=1e6, ema_decay=0.95), net)
     v = Rng(22).normal(state.n_params)
     got = fisher_vector_product(state, v)
     rel = np.linalg.norm(got - 1e12 * v) / np.linalg.norm(1e12 * v)
@@ -225,13 +226,13 @@ def test_fvp_huge_damping_dominates():
 def test_fisher_guards_large_nets():
     net = _net((60, 40, "identity"), seed=24)
     _captured(net, Rng(25).normal((4, 60)), seed=26)
-    state = kfac_update(kfac_init(net), net)
+    state = kfac_update(kfac_init(net, damping=1e-3, ema_decay=0.95), net)
     with pytest.raises(ValueError, match="guard"):
         kfac_dense_matrix(state)
 
 
 def test_fvp_requires_factors():
-    state = kfac_init(_net((2, 2, "identity")))
+    state = kfac_init(_net((2, 2, "identity")), damping=1e-3, ema_decay=0.95)
     with pytest.raises(RuntimeError, match="kfac_update"):
         fisher_vector_product(state, np.zeros(6))
     with pytest.raises(RuntimeError, match="kfac_update"):
@@ -244,7 +245,7 @@ def test_fvp_requires_factors():
 def _kfac_state(seed, damping=1e-3):
     net = _net((3, 4, "tanh"), (4, 2, "identity"), seed=seed)
     _captured(net, Rng(seed + 1).normal((10, 3)), seed=seed + 2)
-    return kfac_update(kfac_init(net, damping=damping), net)
+    return kfac_update(kfac_init(net, damping=damping, ema_decay=0.95), net)
 
 
 def test_natural_gradient_scaled_identity():
@@ -288,7 +289,7 @@ def test_natural_gradient_satisfies_fisher_system():
 def test_natural_gradient_kfac_route_matches_dense():
     net = _net((3, 4, "tanh"), (4, 2, "identity"), seed=30)
     _captured(net, Rng(31).normal((10, 3)), seed=32)
-    state = kfac_update(kfac_init(net, damping=1e-2), net)
+    state = kfac_update(kfac_init(net, damping=1e-2, ema_decay=0.95), net)
     g = Rng(33).normal(state.n_params)
     step = natural_gradient(state, g)
     dense = kfac_dense_matrix(state)
@@ -299,7 +300,7 @@ def test_natural_gradient_kfac_route_matches_dense():
 def test_kfac_solve_reports_true_residual():
     net = _net((3, 5, "tanh"), (5, 2, "identity"), seed=34)
     _captured(net, Rng(35).normal((16, 3)), seed=36)
-    state = kfac_update(kfac_init(net, damping=1e-3), net)
+    state = kfac_update(kfac_init(net, damping=1e-3, ema_decay=0.95), net)
     g = Rng(37).normal(state.n_params)
     step = natural_gradient(state, g)
     true_res = (np.linalg.norm(fisher_vector_product(state, step.direction) - g)
@@ -314,7 +315,7 @@ def test_kfac_solve_rejects_singular_undamped_factor():
     # one sample gives rank-one factors; without damping they are singular
     net = _net((3, 4, "tanh"), (4, 2, "identity"), seed=38)
     _captured(net, Rng(39).normal((1, 3)), seed=40)
-    state = kfac_update(kfac_init(net, damping=0.0), net)
+    state = kfac_update(kfac_init(net, damping=0.0, ema_decay=0.95), net)
     with pytest.raises(FloatingPointError, match="not positive definite"):
         natural_gradient(state, np.ones(state.n_params))
 
@@ -323,7 +324,7 @@ def test_kfac_solve_rejects_a_non_finite_factor_naming_its_layer():
     # a NaN input row gives a NaN row and column in that layer's A factor
     net = _net((3, 4, "tanh"), (4, 2, "identity"), seed=38)
     _captured(net, Rng(39).normal((8, 3)), seed=40)
-    state = kfac_update(kfac_init(net, damping=1e-3), net)
+    state = kfac_update(kfac_init(net, damping=1e-3, ema_decay=0.95), net)
     state.a_factors[1][2, :] = state.a_factors[1][:, 2] = np.nan
     with pytest.raises(FloatingPointError,
                        match="layer 1: damped K-FAC factor A has non-finite"):
@@ -333,7 +334,7 @@ def test_kfac_solve_rejects_a_non_finite_factor_naming_its_layer():
 def test_exact_solves_reject_a_non_finite_gradient():
     net = _net((3, 4, "tanh"), (4, 2, "identity"), seed=38)
     _captured(net, Rng(39).normal((8, 3)), seed=40)
-    state = kfac_update(kfac_init(net, damping=1e-3), net)
+    state = kfac_update(kfac_init(net, damping=1e-3, ema_decay=0.95), net)
     g = np.ones(state.n_params)
     g[5] = np.inf
     with pytest.raises(FloatingPointError, match="gradient has non-finite"):
@@ -343,7 +344,7 @@ def test_exact_solves_reject_a_non_finite_gradient():
 def test_kfac_iteration_cap_requests_a_truncated_solve():
     net = _net((3, 5, "tanh"), (5, 2, "identity"), seed=41)
     _captured(net, Rng(42).normal((16, 3)), seed=43)
-    state = kfac_update(kfac_init(net, damping=1e-3), net)
+    state = kfac_update(kfac_init(net, damping=1e-3, ema_decay=0.95), net)
     g = Rng(44).normal(state.n_params)
     step = natural_gradient(state, g, tol=1e-14, max_iter=2)
     true_res = (np.linalg.norm(fisher_vector_product(state, step.direction) - g)

@@ -7,8 +7,9 @@ CHANGES.md, and pins the new revision's digests in PINNED; an intended
 change to the verify table updates VERIFY_TABLE.  The digests hold on
 numpy 2.4.6 (matmuls in its bundled OpenBLAS 0.3.31) and scipy 1.17.1
 (every Cholesky in its bundled OpenBLAS 0.3.30), on one BLAS thread
-(conftest.py).  A failure names both builds it ran on, so a different
-build can be told apart from a change in behaviour.
+(conftest.py).  A failure names both builds it ran on, the LAPACK
+binding and each build's live thread count, so a different build can be
+told apart from a change in behaviour.
 """
 
 import ctypes
@@ -55,25 +56,53 @@ PINNED = {"r1": {
 VERIFY_TABLE = "162be132874ec3c72b79aa7063ff1bed9b6244565fc4c76f5c8b90796dc3c22b"
 
 
-def _openblas_config(package: str, symbol: str) -> str:
-    """The config string of the OpenBLAS build bundled beside `package`."""
+def _openblas_get(package: str, symbol: str, restype):
+    """`symbol()` of the OpenBLAS build bundled beside `package`, or None
+    when that build or symbol is not there."""
     lib = linalg._bundled_openblas(package)
     if lib is None or not hasattr(lib, symbol):
+        return None
+    getter = getattr(lib, symbol)
+    getter.argtypes, getter.restype = (), restype
+    return getter()
+
+
+def _openblas_config(package: str, symbol: str) -> str:
+    """The config string of the OpenBLAS build bundled beside `package`."""
+    config = _openblas_get(package, symbol, ctypes.c_char_p)
+    if config is None:
         return "none bundled"
-    get_config = getattr(lib, symbol)
-    get_config.argtypes, get_config.restype = (), ctypes.c_char_p
-    return get_config().decode("ascii", "replace").strip()
+    return config.decode("ascii", "replace").strip()
+
+
+def _lapack_binding() -> str:
+    """The library `linalg._lapack` bound: scipy's bundled OpenBLAS, by
+    path, or else scipy's Cython capsules."""
+    lib = linalg._bundled_openblas("scipy")
+    bound = ctypes.cast(linalg._lapack()["dposv"], ctypes.c_void_p).value
+    if lib is not None and hasattr(lib, "scipy_dposv_") and (
+            bound == ctypes.cast(lib.scipy_dposv_, ctypes.c_void_p).value):
+        return lib._name
+    return "scipy.linalg.cython_lapack capsules"
 
 
 def _build() -> str:
-    """numpy's and scipy's versions and bundled OpenBLAS builds: numpy's
-    runs the matmuls, scipy's every Cholesky."""
+    """numpy's and scipy's versions and bundled OpenBLAS builds (numpy's
+    runs the matmuls, scipy's every Cholesky), the LAPACK binding and each
+    build's live thread count."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = []
+    for package, symbol in (("numpy", "scipy_openblas_get_num_threads64_"),
+                            ("scipy", "scipy_openblas_get_num_threads")):
+        n = _openblas_get(package, symbol, ctypes.c_int)
+        threads.append(f"{package} {'none bundled' if n is None else n}")
     return (f"numpy {np.__version__}, BLAS {blas.get('name')} "
             f"{blas.get('version')} "
             f"[{_openblas_config('numpy', 'scipy_openblas_get_config64_')}], "
             f"scipy {importlib.metadata.version('scipy')} "
             f"[{_openblas_config('scipy', 'scipy_openblas_get_config')}], "
+            f"LAPACK from {_lapack_binding()}, "
+            f"OpenBLAS threads {', '.join(threads)}, "
             f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS')}")
 
 

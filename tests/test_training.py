@@ -360,11 +360,11 @@ def test_run_training_takes_geoib_steps_through_gib_step(monkeypatch, method,
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
-                    reason="the heap setting needs glibc's mallopt")
+                    reason="the fault budget was measured on glibc's allocator")
 def test_steady_geoib_steps_do_not_fault_the_heap_in_again(monkeypatch):
-    # glibc's default trim threshold hands a step's temporaries back to the
-    # kernel after every step, costing about 160 minor faults per step on
-    # this config
+    # once the first epoch has grown the heap, steps reuse its pages: under
+    # one minor fault a step on this config, where an allocator handing a
+    # step's temporaries back to the kernel cost about 160
     faults = []
     real = training.gib_step
 
@@ -951,6 +951,15 @@ def test_run_sweep_single_cell(tmp_path):
     assert _csv_rows(out / "info_plane.csv") == [list(CSV_COLUMNS),
                                                  point_row(points[0])]
     assert len(read_points_jsonl(out / "points.jsonl")) == 1
+
+
+@pytest.mark.parametrize("axis", ["betas", "k_dims", "seeds"])
+def test_run_sweep_refuses_an_empty_grid(tmp_path, axis):
+    out = tmp_path / "sweep"
+    grid = {"betas": (1e-4,), "k_dims": (2,), "seeds": (0,), axis: ()}
+    with pytest.raises(ValueError, match=f"no {axis} given"):
+        run_sweep(_SWEEP_CFG, str(out), **grid)
+    assert not out.exists()
 
 
 def test_run_sweep_resumes_from_manifest(tmp_path):
