@@ -17,31 +17,33 @@ Each factor is damped separately, so the layer's system is
 
 rather than (A x G + lam I) v = grad.  Its inverse is
 (G + lam I)^-1 grad (A + lam I)^-1, and the solve is exact: both damped
-factors are Cholesky-factored (`linalg.spd_solve`; the input layer's may
-be factored ahead, below) and each layer block costs two triangular-pair
-solves (Martens & Grosse 2015, arXiv:1503.05671).  A non-finite factor or
-gradient, or a factor that is not positive definite, raises
-FloatingPointError naming the layer.  Gradients, directions and FVP
-operands are flat vectors in the network's parameter layout; each routine
-cuts them into layer blocks with `nets.layer_blocks` and writes its result
-through blocks of one flat output.  Conjugate gradient remains only for
-truncated Kronecker solves requested with an explicit iteration cap.
+factors are Cholesky-factored (`linalg.spd_solve`) and each layer block
+costs two factor-and-solve calls (Martens & Grosse 2015,
+arXiv:1503.05671).  A non-finite factor or gradient, or a factor that is
+not positive definite, raises FloatingPointError naming the layer.
+Gradients, directions and FVP operands are flat vectors in the network's
+parameter layout; each routine cuts them into layer blocks with
+`nets.layer_blocks` and writes its result through blocks of one flat
+output.  Conjugate gradient remains only for truncated Kronecker solves
+requested with an explicit iteration cap.
 
-The input layer's A factor is built from the batch alone, so it does not
-depend on the parameters or the gradient.  `input_factor_update` blends it,
-damps a copy and Cholesky-factors that copy in place (`linalg.spd_factor`,
-which releases the GIL) without touching the state; the resulting
-`InputFactor` holds only the blended factor `a` and the Cholesky factor
-`chol`.  When the encoder input is at least 576 wide
-(`training._OVERLAP_MIN_INPUTS`), training forms it one batch ahead on a
-worker thread that lives as long as the run and reads the run's batch
-order itself, each factor blended from the one before, as Ba, Grosse &
-Martens (2017) compute factor inverses asynchronously.  A step hands its
-`InputFactor` to `kfac_update`, which adopts `a` for layer 0 and keeps
-`chol` as `KfacState.input_chol`; the next `natural_gradient` solves with
-it and lets it go.  The factors, directions and residuals keep their bits.
-Narrower inputs and every other layer stay on the one-thread route, where
-the worker and the ctypes call would cost more than the factor.
+A batch of B rows spans at most B of the d + 1 dimensions of layer 0's
+bias-augmented input.  A state told the configured batch size
+(`kfac_init(batch=)`) decides once whether the batch can span it; when
+it cannot (B < d + 1), layer 0's A is the batch's own, A = X^T X / B
+over the bias-augmented rows X (`KfacState.input_rows`), not an EMA, and
+its block is solved in batch space by Sherman-Morrison-Woodbury (Ren &
+Goldfarb 2019, arXiv:1906.02353):
+
+    grad (A + lam I)^-1 = (1/lam) [grad - (grad X^T) (lam B I + X X^T)^-1 X]
+
+one B-square solve in place of a (d+1)-square one.  On 784-pixel digits
+that is a 128-square system instead of a 785-square one.  Every other
+layer, and an input layer the batch spans, keeps the EMA and its Cholesky
+route.  `KfacState.a_factors` still reads as every layer's A: a
+batch-space layer's is formed from the rows on its first read after an
+update and kept until the next, so that products, dense matrices and
+outside checks see the factor the solve used.  Training never reads it.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import conjugate_gradient, spd_factor, spd_solve
+from .linalg import conjugate_gradient, spd_solve
 from .nets import Network, layer_blocks
 
 # kfac_dense_matrix refuses states with more parameters than this.
@@ -67,7 +69,6 @@ def _damped(m: np.ndarray, lam: float) -> np.ndarray:
 # ---------------------------------------------------------------- K-FAC state
 
 
-@dataclass
 class KfacState:
     """Kronecker factors of a network's Fisher, maintained as EMAs.
 
@@ -75,31 +76,46 @@ class KfacState:
     an (in+1)-square A factor and an out-square G factor.  Factors are
     unset until the first `kfac_update`; the first update adopts the batch
     statistics outright, later ones blend with decay `ema_decay` (a decay
-    of 0 keeps per-batch factors).  `input_chol` is the Cholesky factor of
-    the damped layer-0 A factor that the last `kfac_update` adopted, if
-    any; the next `natural_gradient` takes it and sets it to None.
+    of 0 keeps per-batch factors).
+
+    With `batch_space`, layer 0's A is not blended: each update keeps the
+    batch's bias-augmented input rows as `input_rows`, and the solve works
+    from them.  `a_factors[0]` is then formed from the rows, with the bits
+    of `_second_moment(x, bias=True)`, on its first read after an update.
     """
 
-    shapes: tuple
-    damping: float
-    ema_decay: float
-    a_factors: list | None = None
-    g_factors: list | None = None
-    input_chol: np.ndarray | None = None
+    def __init__(self, shapes, damping: float, ema_decay: float,
+                 a_factors: list | None = None, g_factors: list | None = None,
+                 batch_space: bool = False):
+        if damping < 0.0:
+            raise ValueError(f"damping must be nonnegative, got {damping}")
+        if not 0.0 <= ema_decay < 1.0:
+            raise ValueError(f"ema_decay must lie in [0, 1), got {ema_decay}")
+        self.shapes, self.damping, self.ema_decay = shapes, damping, ema_decay
+        # a batch-space state holds None for layer 0 until a_factors is read
+        self._a_factors, self.g_factors = a_factors, g_factors
+        self.batch_space = batch_space
+        self.input_rows: np.ndarray | None = None
 
-    def __post_init__(self):
-        if self.damping < 0.0:
-            raise ValueError(f"damping must be nonnegative, got {self.damping}")
-        if not 0.0 <= self.ema_decay < 1.0:
-            raise ValueError(f"ema_decay must lie in [0, 1), got {self.ema_decay}")
+    @property
+    def a_factors(self) -> list | None:
+        factors = self._a_factors
+        if factors is not None and factors[0] is None:
+            factors[0] = _second_moment(self.input_rows)
+        return factors
 
     @property
     def n_params(self) -> int:
         return sum(rows * cols for rows, cols in self.shapes)
 
 
-def kfac_init(net: Network, damping: float, ema_decay: float) -> KfacState:
-    return KfacState(shapes=net.shapes, damping=damping, ema_decay=ema_decay)
+def kfac_init(net: Network, damping: float, ema_decay: float,
+              batch: int | None = None) -> KfacState:
+    """An empty state for `net`.  Given the configured batch size, a
+    state whose batches cannot span layer 0's bias-augmented input
+    (batch < in + 1) solves that layer in batch space."""
+    wide = batch is not None and batch < net.shapes[0][1]
+    return KfacState(net.shapes, damping, ema_decay, batch_space=wide)
 
 
 def _second_moment(m: np.ndarray, bias: bool = False) -> np.ndarray:
@@ -107,56 +123,17 @@ def _second_moment(m: np.ndarray, bias: bool = False) -> np.ndarray:
     first when `bias`."""
     batch = m.shape[0]
     if bias:
-        m = np.concatenate([m, np.ones((batch, 1))], axis=1)
+        m = _with_bias(m)
     out = m.T @ m
     out /= batch
     return out
 
 
-@dataclass
-class InputFactor:
-    """Layer 0's updated A factor with the Cholesky factor of its damped form.
-
-    `a` is the factor the state adopts as `a_factors[0]`, and `chol` is
-    `linalg.spd_factor(a + lam I)`, formed in the damped copy's own buffer,
-    which the state keeps as `input_chol` for one solve.
-    """
-
-    a: np.ndarray
-    chol: np.ndarray
+def _with_bias(m: np.ndarray) -> np.ndarray:
+    return np.concatenate([m, np.ones((m.shape[0], 1))], axis=1)
 
 
-def input_factor_update(state: KfacState, x) -> InputFactor:
-    """The input layer's A-factor update, damped and factored, from the
-    batch `x` alone.
-
-    Gives the bits `kfac_update` and `natural_gradient` give for layer 0
-    but leaves `state` untouched: it only reads the current factor, so it
-    can run beside the rest of a step, or of the step before, until
-    `kfac_update(state, net, input_factor=)` adopts the result.  The
-    damped form is exactly symmetric, as `spd_factor` needs: numpy forms
-    m^T m with a symmetric rank-k update and mirrors it, and the blend and
-    the damping act entry by entry.
-
-    Raises:
-        FloatingPointError: if the damped factor holds non-finite entries
-            or is not numerically positive definite, naming layer 0.
-    """
-    a = _second_moment(np.asarray(x, dtype=np.float64), bias=True)
-    if state.a_factors is None:
-        damped = a.copy()
-    else:
-        rho = state.ema_decay
-        damped = np.multiply(state.a_factors[0], rho)
-        a *= 1.0 - rho
-        a += damped
-        np.copyto(damped, a)
-    damped.flat[:: damped.shape[0] + 1] += state.damping
-    return InputFactor(a=a, chol=spd_factor(damped, "layer 0: damped K-FAC factor A"))
-
-
-def kfac_update(state: KfacState, net: Network,
-                input_factor: InputFactor | None = None) -> KfacState:
+def kfac_update(state: KfacState, net: Network) -> KfacState:
     """Absorb the captured forward/backward statistics of `net`.
 
     Per layer, with B the batch size, a the layer inputs augmented by the
@@ -165,32 +142,31 @@ def kfac_update(state: KfacState, net: Network,
         A <- rho A + (1 - rho) (1/B) sum_i a_i a_i^T
         G <- rho G + (1 - rho) (1/B) sum_i g_i g_i^T
 
-    Later updates blend into the existing factor arrays in place.  Given
-    `input_factor` (`input_factor_update` on the batch the net saw), layer
-    0's A factor is replaced by its `a` instead of being computed here, and
-    `state.input_chol` becomes its `chol` (None without one).  Mutates and
+    Later updates blend into the existing factor arrays in place.  A
+    batch-space state keeps layer 0's augmented rows as `input_rows`
+    instead, and forgets the A it formed from the last rows.  Mutates and
     returns `state`.
     """
     acts, grads_pre = net.captured_stats()
     if net.shapes != state.shapes:
         raise ValueError("network layer shapes do not match this KfacState")
-    skip = input_factor is not None
+    skip = int(state.batch_space)
     new = ([_second_moment(a, bias=True) for a in acts[skip:]]
            + [_second_moment(g) for g in grads_pre])
-    if state.a_factors is None:
+    if state._a_factors is None:
         factors = new
     else:
-        factors = state.a_factors[skip:] + state.g_factors
+        factors = state._a_factors[skip:] + state.g_factors
         rho = state.ema_decay
         for old, batch_moment in zip(factors, new):
             batch_moment *= 1.0 - rho
             old *= rho
             old += batch_moment
     if skip:
-        factors = [input_factor.a] + factors
+        factors = [None] + factors
+        state.input_rows = _with_bias(acts[0])
     n_layers = len(state.shapes)
-    state.a_factors, state.g_factors = factors[:n_layers], factors[n_layers:]
-    state.input_chol = input_factor.chol if skip else None
+    state._a_factors, state.g_factors = factors[:n_layers], factors[n_layers:]
     return state
 
 
@@ -261,10 +237,9 @@ def natural_gradient(state: KfacState, grad, tol: float = 1e-6,
     The exact solve gives per layer block (G + lam I)^-1 grad (A + lam I)^-1
     from Cholesky factors of both damped factors, and the relative residual
     ||(G + lam I) V (A + lam I) - grad|| / ||grad|| over all blocks from the
-    same damped factors.  Layer 0 solves with the state's `input_chol` when
-    it holds one, then forms A + lam I for the residual in its buffer, so
-    layer 0 never holds two damped-size arrays at once.  Every solve sets
-    `input_chol` to None.
+    same damped factors.  Layer 0 of a batch-space state is solved and its
+    residual formed from `input_rows` alone (`_batch_space_block`), so the
+    solve forms no (in+1)-square array for it.
 
     Args:
         state: K-FAC factors with their damping.
@@ -286,14 +261,13 @@ def natural_gradient(state: KfacState, grad, tol: float = 1e-6,
             positive definite (zero damping on a rank-deficient factor);
             the message names the layer.
     """
-    chol, state.input_chol = state.input_chol, None
     g = np.asarray(grad, dtype=np.float64).ravel()
     if max_iter is not None:
         res = conjugate_gradient(lambda v: fisher_vector_product(state, v), g,
                                  tol=tol, max_iter=max_iter)
         return NaturalGradStep(direction=res.x, residual=res.residual,
                                iterations=res.iterations)
-    if state.a_factors is None:
+    if state._a_factors is None:
         raise RuntimeError("KfacState has no factors yet; run kfac_update first")
     if not np.isfinite(g).all():
         raise FloatingPointError("gradient has non-finite entries")
@@ -301,26 +275,49 @@ def natural_gradient(state: KfacState, grad, tol: float = 1e-6,
     direction = np.empty_like(g)
     sq_residual = 0.0
     layers = zip(layer_blocks(direction, state.shapes), layer_blocks(g, state.shapes),
-                 state.a_factors, state.g_factors)
+                 state._a_factors, state.g_factors)
     for i, (dir_blk, blk, a_f, g_f) in enumerate(layers):
-        what = f"layer {i}: damped K-FAC factor A"
-        # blk (A + lam I)^-1 = ((A + lam I)^-1 blk^T)^T, A being symmetric
-        if i == 0 and chol is not None:
-            v_a = spd_solve(None, blk.T, what, chol)
-            # the factor's C-ordered buffer takes A + lam I for the residual
-            a_d = chol.T
-            np.copyto(a_d, a_f)
-            a_d.flat[:: a_d.shape[0] + 1] += lam
+        if i == 0 and state.batch_space:
+            v, applied = _batch_space_block(blk, state.input_rows,
+                                            _damped(g_f, lam), lam)
         else:
             a_d = _damped(a_f, lam)
-            v_a = spd_solve(a_d, blk.T, what)
-        g_d = _damped(g_f, lam)
-        v = spd_solve(g_d, v_a.T, f"layer {i}: damped K-FAC factor G")
-        sq_residual += float(np.sum((g_d @ v @ a_d - blk) ** 2))
+            # blk (A + lam I)^-1 = ((A + lam I)^-1 blk^T)^T, A being symmetric
+            v_a = spd_solve(a_d, blk.T, f"layer {i}: damped K-FAC factor A")
+            g_d = _damped(g_f, lam)
+            v = spd_solve(g_d, v_a.T, f"layer {i}: damped K-FAC factor G")
+            applied = g_d @ v @ a_d
+        sq_residual += float(np.sum((applied - blk) ** 2))
         dir_blk[...] = v
     gnorm = float(np.linalg.norm(g))
     residual = float(np.sqrt(sq_residual)) / gnorm if gnorm > 0.0 else 0.0
     return NaturalGradStep(direction=direction, residual=residual, iterations=0)
+
+
+def _batch_space_block(blk: np.ndarray, rows: np.ndarray, g_d: np.ndarray,
+                       lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """(V, (G + lam I) V (A + lam I)) for layer 0's block `blk`, where
+    A = X^T X / B over the B bias-augmented `rows` X and `g_d` is G + lam I.
+
+    blk (A + lam I)^-1 = (1/lam) [blk - (blk X^T) (lam B I + X X^T)^-1 X]
+    by Woodbury, and V (A + lam I) = (V X^T) X / B + lam V, so neither
+    needs A.
+    """
+    what = "layer 0: damped K-FAC factor A"
+    batch = rows.shape[0]
+    if lam == 0.0:
+        raise FloatingPointError(f"{what} is not positive definite: {batch} "
+                                 f"rows span at most {batch} of its "
+                                 f"{rows.shape[1]} dimensions")
+    gram = rows @ rows.T
+    gram.flat[:: batch + 1] += lam * batch
+    v_a = blk - spd_solve(gram, rows @ blk.T, what).T @ rows
+    v_a /= lam
+    v = spd_solve(g_d, v_a, "layer 0: damped K-FAC factor G")
+    spanned = (v @ rows.T) @ rows
+    spanned /= batch
+    spanned += lam * v
+    return v, g_d @ spanned
 
 
 def steepest_descent_margin(fisher_matrix, grad, n_dirs: int, rng) -> float:

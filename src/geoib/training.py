@@ -26,20 +26,11 @@ without gradients captures the encoder pass too, for the penalty's JVPs.
 Only a one-row batch with several probes runs the encoder's primal again,
 padded to two rows (`Network.jvp_captured`).
 
-When the encoder's input is at least `_OVERLAP_MIN_INPUTS` (576) wide, the
-input layer's A factor, its EMA blend and the Cholesky factor of its damped
-form (`fisher.input_factor_update`) are computed one batch ahead, on one
-worker thread that lives as long as `run_training`.  That factor depends
-on the batch order alone, not on the parameters, and on 784-pixel digits
-it is the largest piece of a step.  So the worker reads the run's batch
-order itself (`_InputFactors`): when step t takes its factor, the worker
-begins batch t+1's from it, and overlaps step t's updates and solves and
-step t+1's forward and backward passes.  The worker ends with the run,
-whether the run returns or raises.  A failure in it, such as a non-finite
-batch, is raised from the step whose factor it is, so divergence is blamed
-on that step.  Only `run_training` opens the worker: a `train_step` called
-without the run's `factors`, and every step below the cutoff, forms the
-factor on its caller's thread.  Either way the bits are the same.
+A network whose input is wider than the batch can span (`cfg.batch` <
+in + 1, as on 784-pixel digits) takes its input layer's A factor per batch
+and solves that layer's Fisher block in batch space
+(`fisher.kfac_init(batch=)`): no step forms the layer's (in+1)-square
+factor.
 
 `run_training` pins numpy's and scipy's BLAS to one thread each
 (`linalg.pin_blas_threads`), because the large products and factors give
@@ -49,7 +40,6 @@ outside a run (`geoib eval`).
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import time
@@ -61,14 +51,7 @@ import numpy as np
 from .config import TrainConfig, load_config, save_config
 from .data import DatasetHandle, make_dataset
 from .encoder import fr_quadratic_proxy, kl_to_standard_normal, posterior_head
-from .fisher import (
-    InputFactor,
-    KfacState,
-    input_factor_update,
-    kfac_init,
-    kfac_update,
-    natural_gradient,
-)
+from .fisher import KfacState, kfac_init, kfac_update, natural_gradient
 from .jf import draw_probes, jf_batch, jf_value_and_grad
 from .linalg import pin_blas_threads
 from .mi import (
@@ -87,7 +70,7 @@ from .rng import Rng
 # behaviour made on purpose bumps it (r1 -> r2) and records the before and
 # after in CHANGES.md; a change that keeps every bit keeps it.  Evaluated
 # points record it, and a sweep refuses to reuse a cell of another one.
-REVISION = "r1"
+REVISION = "r2"
 
 # Substream layout of the run seed.
 _STREAM_ENC_INIT = 11
@@ -100,17 +83,6 @@ _STREAM_STEP = 1_000_000
 _MI_CAP_LOW_DIM = 5000
 _MI_CAP_HIGH_DIM = 2000
 _MI_DIM_SWITCH = 64
-
-# Encoder input width from which a run forms the input layer's A factor one
-# batch ahead on a worker thread.  Median step times of the default config
-# with a 2000-row mixture of this width, worker against one thread, on a
-# 2-core machine with both cores free and 2 MiB of L2 cache per core: the
-# worker costs 0.1 ms a step at 64 and 128 inputs, 0.2 ms at 256 and 384
-# and 0.9-1.1 ms at 512; it saves 2-4 ms at 576, 4.3 ms at 640 and 6.5 ms
-# at 704 and 784 (12.8 against 19.4 ms).  Between 512 and 576 the factor,
-# 8 (d+1)^2 bytes, outgrows one core's L2 cache.
-_OVERLAP_MIN_INPUTS = 576
-
 
 class TrainingDiverged(RuntimeError):
     """Raised when a step goes non-finite; carries the last finite params."""
@@ -278,54 +250,9 @@ def _clip_step(delta: np.ndarray, max_norm: float) -> np.ndarray:
     return delta
 
 
-class _InputFactors:
-    """The input layer's factors (`input_factor_update`) of `batches`, the
-    encoder's batches in step order, formed on one worker thread, each
-    from the factor before it.
-
-    `state` is the encoder's `KfacState` before the first batch; the first
-    factor is begun at once.  A context manager that `run_training` opens
-    for the run: leaving it waits for the worker, so no worker outlives
-    the run, and lets go of the state, the batches and a factor never
-    taken, with its error, so none of them lives on into evaluation.
-    """
-
-    def __init__(self, state: KfacState, batches):
-        # imported here, so that a run below the cutoff loads no thread pool
-        from concurrent.futures import ThreadPoolExecutor
-
-        self._pool = ThreadPoolExecutor(max_workers=1,
-                                        thread_name_prefix="geoib-input-factor")
-        self._state, self._batches = state, iter(batches)
-        self._begin(state)
-
-    def __enter__(self) -> _InputFactors:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._state = self._batches = self._future = None
-        self._pool.shutdown()
-
-    def _begin(self, state: KfacState) -> None:
-        x = next(self._batches, None)  # None after the last batch
-        self._future = (None if x is None else
-                        self._pool.submit(input_factor_update, state, x))
-
-    def take(self) -> InputFactor:
-        """The current batch's factor: waits for it, raises the worker's
-        error here, and begins the next batch's factor from it."""
-        factor = self._future.result()
-        # the worker reads only layer 0's A factor, the damping and the
-        # decay, and the step adopts `factor.a` without changing it; the
-        # state's `input_chol` is None, the last solve having let it go
-        self._begin(replace(self._state, a_factors=[factor.a]))
-        return factor
-
-
 def train_step(cfg: TrainConfig, enc: Network, dec: Network,
                kfac_enc: KfacState | None, kfac_dec: KfacState | None,
-               x, y, step_rng: Rng, *,
-               factors: _InputFactors | None = None) -> StepMetrics:
+               x, y, step_rng: Rng) -> StepMetrics:
     """One optimizer step of either method; mutates nets and factors.
 
     geoib draws Hutchinson probes and optimizes the full objective with
@@ -333,11 +260,7 @@ def train_step(cfg: TrainConfig, enc: Network, dec: Network,
     Given K-FAC states, the factors are refreshed from a model-sampled
     backward pass and both gradients are preconditioned by the exact
     natural-gradient solve; without them the step is plain gradient
-    descent.  Given the run's `factors`, whose current batch must be `x`,
-    the encoder's input-layer A factor is taken from that worker, which
-    then begins the next batch's; a non-finite batch then raises
-    FloatingPointError naming layer 0.  Without `factors` every factor is
-    formed on the caller's thread, at any input width.
+    descent.
     """
     x = np.asarray(x, dtype=np.float64)
     batch = x.shape[0]
@@ -352,15 +275,12 @@ def train_step(cfg: TrainConfig, enc: Network, dec: Network,
         eps=eps, probes=probes,
     )
     if not np.isfinite(metrics.total):
-        if factors is not None:
-            factors.take()  # a non-finite batch: name the input layer
         raise FloatingPointError(f"objective went non-finite: {metrics.total!r}")
     dir_enc, dir_dec = g_enc, g_dec
     res_enc = res_dec = 0.0
     if kfac_enc is not None:
         _sampled_capture(enc, dec, *head, step_rng)
-        kfac_update(kfac_enc, enc,
-                    input_factor=factors.take() if factors is not None else None)
+        kfac_update(kfac_enc, enc)
         kfac_update(kfac_dec, dec)
         step_enc = natural_gradient(kfac_enc, g_enc)
         step_dec = natural_gradient(kfac_dec, g_dec)
@@ -377,10 +297,7 @@ def _epoch_batches(root: Rng, n: int, cfg: TrainConfig,
                    epoch: int) -> list[np.ndarray]:
     """The row indices of each step of one epoch, in order.
 
-    The epoch's order comes from its own substream of the run seed, so
-    every call gives the same batches: a wide run draws each epoch's twice,
-    once for its steps and once for its input-factor worker, which reads
-    them a batch ahead (`_InputFactors`).
+    The epoch's order comes from its own substream of the run seed.
     """
     order = root.substream(_STREAM_EPOCH + epoch).permutation(n)
     return [order[start : start + cfg.batch] for start in range(0, n, cfg.batch)]
@@ -421,55 +338,50 @@ def run_training(cfg: TrainConfig, out_dir: str | None = None,
     root = Rng(cfg.seed)
     enc, dec = build_nets(cfg, ds.n_features, ds.n_classes, root)
     need_kfac = cfg.method == "geoib" or cfg.vib_natural_gradient
-    kfac_enc = kfac_init(enc, cfg.damping, cfg.kfac_decay) if need_kfac else None
-    kfac_dec = kfac_init(dec, cfg.damping, cfg.kfac_decay) if need_kfac else None
+    kfac_enc = kfac_dec = None
+    if need_kfac:
+        kfac_enc = kfac_init(enc, cfg.damping, cfg.kfac_decay, cfg.batch)
+        kfac_dec = kfac_init(dec, cfg.damping, cfg.kfac_decay, cfg.batch)
     step = gib_step if cfg.method == "geoib" else train_step
     x_tr, y_tr = ds.split("train")
     history: list[dict] = []
     last_good = (enc.get_params(), dec.get_params())
     global_step = 0
     n_train = x_tr.shape[0]
-    # only a run whose encoder input is wide enough forms the input
-    # layer's factor on a worker; below the cutoff `factors` is None
-    wide = kfac_enc is not None and ds.n_features >= _OVERLAP_MIN_INPUTS
-    inputs = (x_tr[idx] for epoch in range(cfg.epochs)
-              for idx in _epoch_batches(root, n_train, cfg, epoch))
-    with (_InputFactors(kfac_enc, inputs) if wide
-          else contextlib.nullcontext()) as factors:
-        for epoch in range(cfg.epochs):
-            decay = 0.5 * (1.0 + np.cos(np.pi * epoch / cfg.epochs))
-            cfg_epoch = replace(cfg, eta_phi=cfg.eta_phi * decay,
-                                eta_theta=cfg.eta_theta * decay)
-            batches = _epoch_batches(root, n_train, cfg, epoch)
-            sums = dict.fromkeys(_METRIC_NAMES, 0.0)
-            for idx in batches:
-                step_rng = root.substream(_STREAM_STEP + global_step)
-                try:
-                    m = step(cfg_epoch, enc, dec, kfac_enc, kfac_dec, x_tr[idx],
-                             y_tr[idx], step_rng, factors=factors)
-                except FloatingPointError as exc:
-                    enc.set_params(last_good[0])
-                    dec.set_params(last_good[1])
-                    ckpt = None
-                    if out_dir is not None:
-                        os.makedirs(out_dir, exist_ok=True)
-                        enc.save(os.path.join(out_dir, "encoder.last_good.net"))
-                        dec.save(os.path.join(out_dir, "decoder.last_good.net"))
-                        ckpt = out_dir
-                    raise TrainingDiverged(
-                        f"step {global_step} (epoch {epoch}): {exc}",
-                        checkpoint_dir=ckpt,
-                    ) from exc
-                global_step += 1
-                for key in _METRIC_NAMES:
-                    sums[key] += float(getattr(m, key))
-            if batches:  # an empty training split records no epoch
-                record = {"epoch": epoch}
-                record.update({k: v / len(batches) for k, v in sums.items()})
-                history.append(record)
-                last_good = (enc.get_params(), dec.get_params())
-    # the factors end with training: letting them go leaves their memory,
-    # 5 MB on 784-pixel digits, to the evaluation
+    for epoch in range(cfg.epochs):
+        decay = 0.5 * (1.0 + np.cos(np.pi * epoch / cfg.epochs))
+        cfg_epoch = replace(cfg, eta_phi=cfg.eta_phi * decay,
+                            eta_theta=cfg.eta_theta * decay)
+        batches = _epoch_batches(root, n_train, cfg, epoch)
+        sums = dict.fromkeys(_METRIC_NAMES, 0.0)
+        for idx in batches:
+            step_rng = root.substream(_STREAM_STEP + global_step)
+            try:
+                m = step(cfg_epoch, enc, dec, kfac_enc, kfac_dec, x_tr[idx],
+                         y_tr[idx], step_rng)
+            except FloatingPointError as exc:
+                enc.set_params(last_good[0])
+                dec.set_params(last_good[1])
+                ckpt = None
+                if out_dir is not None:
+                    os.makedirs(out_dir, exist_ok=True)
+                    enc.save(os.path.join(out_dir, "encoder.last_good.net"))
+                    dec.save(os.path.join(out_dir, "decoder.last_good.net"))
+                    ckpt = out_dir
+                raise TrainingDiverged(
+                    f"step {global_step} (epoch {epoch}): {exc}",
+                    checkpoint_dir=ckpt,
+                ) from exc
+            global_step += 1
+            for key in _METRIC_NAMES:
+                sums[key] += float(getattr(m, key))
+        if batches:  # an empty training split records no epoch
+            record = {"epoch": epoch}
+            record.update({k: v / len(batches) for k, v in sums.items()})
+            history.append(record)
+            last_good = (enc.get_params(), dec.get_params())
+    # the factors end with training: letting them go leaves their memory
+    # to the evaluation
     del kfac_enc, kfac_dec
     wall = time.perf_counter() - t0
     point = evaluate_run(cfg, enc, dec, ds, wall) if evaluate else None

@@ -15,10 +15,6 @@ ran before its distances became separable and its resampling one pass
 `pythagorean_residual_by_parts`, the discrete-information checks as they
 ran before kl_to_product took stacks (with the package's joint draws and
 i-projection, and the masked sums of that time written out), and
-`kfac_update_inline` / `kfac_solve_inline`, the K-FAC factor update and
-the exact solve of `natural_gradient` as they ran before the input layer's
-factor could be formed on a second thread (with the package's damping
-helper and SPD solve), and
 `replicated_jvp`, the JVP and its adjoint as they ran before the primal
 pass ran once per input row (with the package's activation table), and
 `jf_value_and_grad_replicated`, the Jacobian penalty's gradient route as it
@@ -35,8 +31,6 @@ from scipy.special import digamma
 from geoib.data import _DIGIT_STROKES, _GRID
 from geoib.discrete_info import i_projection
 from geoib.encoder import SIGMA_SQ_FLOOR, posterior_head
-from geoib.fisher import _damped
-from geoib.linalg import spd_solve
 from geoib.nets import _TABLE, layer_blocks
 from geoib.rng import Rng
 from geoib.verify import _random_joint
@@ -222,54 +216,6 @@ def sampled_capture_two_forward(enc, dec, x, eps, k_dim: int, step_rng) -> None:
     up_enc[:, :k_dim] = eps2 / sig
     up_enc[:, k_dim:] = 0.5 * (eps2**2 - 1.0) * clamp_open
     enc.backward(up_enc)
-
-
-def kfac_update_inline(state, net):
-    """Absorb the captured forward/backward statistics of `net`, every
-    layer's factors computed here."""
-    acts, grads_pre = net.captured_stats()
-    if net.shapes != state.shapes:
-        raise ValueError("network layer shapes do not match this KfacState")
-    a_new, g_new = [], []
-    for a, g in zip(acts, grads_pre):
-        batch = a.shape[0]
-        aug = np.concatenate([a, np.ones((batch, 1))], axis=1)
-        a_new.append(aug.T @ aug / batch)
-        g_new.append(g.T @ g / batch)
-    if state.a_factors is None:
-        state.a_factors = a_new
-        state.g_factors = g_new
-    else:
-        rho = state.ema_decay
-        for old, new in zip(state.a_factors + state.g_factors, a_new + g_new):
-            old *= rho
-            old += (1.0 - rho) * new
-    return state
-
-
-def kfac_solve_inline(state, grad):
-    """(direction, residual) of the damped Kronecker solve, every damped
-    factor Cholesky-factored here."""
-    if state.a_factors is None:
-        raise RuntimeError("KfacState has no factors yet; run kfac_update first")
-    g = np.asarray(grad, dtype=np.float64).ravel()
-    if not np.isfinite(g).all():
-        raise FloatingPointError("gradient has non-finite entries")
-    lam = state.damping
-    direction = np.empty_like(g)
-    sq_residual = 0.0
-    layers = zip(layer_blocks(direction, state.shapes), layer_blocks(g, state.shapes),
-                 state.a_factors, state.g_factors)
-    for i, (dir_blk, blk, a_f, g_f) in enumerate(layers):
-        a_d, g_d = _damped(a_f, lam), _damped(g_f, lam)
-        # blk (A + lam I)^-1 = ((A + lam I)^-1 blk^T)^T, A being symmetric
-        v_a = spd_solve(a_d, blk.T, f"layer {i}: damped K-FAC factor A")
-        v = spd_solve(g_d, v_a.T, f"layer {i}: damped K-FAC factor G")
-        sq_residual += float(np.sum((g_d @ v @ a_d - blk) ** 2))
-        dir_blk[...] = v
-    gnorm = float(np.linalg.norm(g))
-    residual = float(np.sqrt(sq_residual)) / gnorm if gnorm > 0.0 else 0.0
-    return direction, residual
 
 
 def densify_per_segment(points: np.ndarray, step: float = 0.02) -> np.ndarray:

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from geoib.fisher import (
+    DENSE_FISHER_GUARD,
     KfacState,
+    _second_moment,
     fisher_vector_product,
-    input_factor_update,
     kfac_dense_matrix,
     kfac_init,
     kfac_update,
@@ -115,46 +116,102 @@ def test_backward_deltas_give_the_factors_of_a_full_backward(specs):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def test_an_adopted_input_factor_gives_the_bits_of_a_full_update_and_solve():
-    # first update adopts, second blends; factors, directions and residuals
-    # must match the route that forms layer 0's factor inside kfac_update
-    net = _net((6, 4, "tanh"), (4, 2, "identity"), seed=53)
-    plain = kfac_init(net, damping=1e-2, ema_decay=0.9)
-    split = kfac_init(net, damping=1e-2, ema_decay=0.9)
-    for seed in (54, 55):
-        x = Rng(seed).normal((8, 6))
-        _captured(net, x, seed=seed + 10)
-        kfac_update(plain, net)
-        first = input_factor_update(split, x)
-        kfac_update(split, net, input_factor=first)
-        assert split.input_chol is first.chol and plain.input_chol is None
-        for got, want in zip(split.a_factors + split.g_factors,
-                             plain.a_factors + plain.g_factors):
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        g = Rng(seed + 20).normal(net.n_params)
-        want = natural_gradient(plain, g)
-        # the solve lets go of the Cholesky factor, so the second one forms
-        # layer 0's from a_factors[0], and must give the same bits
-        for _ in range(2):
-            got = natural_gradient(split, g)
-            assert split.input_chol is None
-            assert np.array_equal(got.direction.view(np.uint64),
-                                  want.direction.view(np.uint64))
-            assert got.residual == want.residual
-    # an update without an input factor clears one no solve has taken
-    kfac_update(split, net, input_factor=input_factor_update(split, x))
-    kfac_update(split, net)
-    assert split.input_chol is None
+# ------------------------------------------- batch-space input layer
+
+# 40 inputs and 16-row batches: the batch cannot span the 41-wide
+# bias-augmented input, so layer 0 is solved in batch space
+WIDE_IN, WIDE_BATCH = 40, 16
 
 
-def test_input_factor_update_leaves_the_state_alone():
-    net = _net((6, 4, "tanh"), (4, 2, "identity"), seed=56)
-    _captured(net, Rng(57).normal((8, 6)), seed=58)
-    state = kfac_update(kfac_init(net, damping=1e-3, ema_decay=0.9), net)
-    before = [m.copy() for m in state.a_factors + state.g_factors]
-    input_factor_update(state, Rng(59).normal((8, 6)))
-    for got, want in zip(state.a_factors + state.g_factors, before):
-        np.testing.assert_array_equal(got, want)
+def _wide_state(seed, damping=1e-2, ema_decay=0.9, updates=2):
+    """A batch-space state after `updates` updates of a small wide net, with
+    the last batch and the net."""
+    net = _net((WIDE_IN, 6, "tanh"), (6, 3, "identity"), seed=seed)
+    state = kfac_init(net, damping=damping, ema_decay=ema_decay,
+                      batch=WIDE_BATCH)
+    assert state.batch_space and state.n_params <= DENSE_FISHER_GUARD
+    for i in range(updates):
+        x = Rng(seed + 1 + i).normal((WIDE_BATCH, WIDE_IN))
+        _captured(net, x, seed=seed + 11 + i)
+        kfac_update(state, net)
+    return state, x, net
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def test_the_batch_decides_the_route_once():
+    # a batch that spans the bias-augmented input keeps the EMA route, and
+    # so does a state told no batch size; a short last batch changes nothing
+    net = _net((WIDE_IN, 6, "tanh"), (6, 3, "identity"), seed=60)
+    assert kfac_init(net, 1e-2, 0.9, batch=WIDE_IN).batch_space
+    assert not kfac_init(net, 1e-2, 0.9, batch=WIDE_IN + 1).batch_space
+    assert not kfac_init(net, 1e-2, 0.9).batch_space
+    state = kfac_init(net, 1e-2, 0.9, batch=WIDE_BATCH)
+    for rows in (WIDE_BATCH, 5):
+        _captured(net, Rng(rows).normal((rows, WIDE_IN)), seed=61)
+        kfac_update(state, net)
+        assert state.input_rows.shape == (rows, WIDE_IN + 1)
+
+
+def test_a_batch_space_direction_matches_a_dense_solve():
+    state, _, _ = _wide_state(62)
+    g = Rng(63).normal(state.n_params)
+    step = natural_gradient(state, g)
+    want = np.linalg.solve(kfac_dense_matrix(state), g)
+    np.testing.assert_allclose(step.direction, want, rtol=0,
+                               atol=1e-10 * np.abs(want).max())
+
+
+def test_a_batch_space_residual_is_the_one_of_the_materialized_factor():
+    state, _, _ = _wide_state(64)
+    g = Rng(65).normal(state.n_params)
+    step = natural_gradient(state, g)
+    true_res = (np.linalg.norm(kfac_dense_matrix(state) @ step.direction - g)
+                / np.linalg.norm(g))
+    assert step.residual <= 1e-12 and true_res <= 1e-12
+    assert abs(step.residual - true_res) <= 1e-13
+    assert step.iterations == 0
+
+
+def test_a_batch_space_factor_reads_as_the_batch_moment():
+    # formed on the first read after an update, kept until the next, with
+    # the bits of the second moment of the last batch alone; the other
+    # layers keep their EMAs
+    state, x, net = _wide_state(66)
+    assert state._a_factors[0] is None
+    first = state.a_factors[0]
+    assert np.array_equal(_bits(first), _bits(_second_moment(x, bias=True)))
+    assert state.a_factors[0] is first
+    ema = state.a_factors[1]
+    _captured(net, Rng(67).normal((WIDE_BATCH, WIDE_IN)), seed=68)
+    kfac_update(state, net)
+    assert state._a_factors[0] is None and state.a_factors[1] is ema
+
+
+def test_reading_the_factors_between_update_and_solve_changes_no_bit():
+    g = Rng(69).normal(_wide_state(70)[0].n_params)
+    unread, _, _ = _wide_state(70)
+    read, _, _ = _wide_state(70)
+    assert read.a_factors[0] is not None
+    want, got = natural_gradient(unread, g), natural_gradient(read, g)
+    assert np.array_equal(_bits(got.direction), _bits(want.direction))
+    assert got.residual == want.residual
+    assert unread._a_factors[0] is None
+
+
+def test_a_batch_space_solve_refuses_zero_damping_and_a_non_finite_row():
+    state, _, _ = _wide_state(71, damping=0.0, updates=1)
+    g = np.ones(state.n_params)
+    with pytest.raises(FloatingPointError,
+                       match="layer 0: damped K-FAC factor A is not positive"):
+        natural_gradient(state, g)
+    state, _, _ = _wide_state(72, updates=1)
+    state.input_rows[3, 5] = np.nan
+    with pytest.raises(FloatingPointError,
+                       match="layer 0: damped K-FAC factor A has non-finite"):
+        natural_gradient(state, g)
 
 
 def test_kfac_update_rejects_mismatched_net():

@@ -1,4 +1,3 @@
-import contextlib
 import csv
 import json
 import os
@@ -7,7 +6,6 @@ import resource
 import subprocess
 import sys
 import threading
-import time
 import weakref
 from dataclasses import asdict, astuple, replace
 
@@ -18,7 +16,7 @@ from geoib.config import TrainConfig
 from geoib.data import gauss_mixture, make_dataset
 from geoib import training
 from geoib.encoder import posterior_head
-from geoib.fisher import NaturalGradStep, fisher_vector_product, kfac_init
+from geoib.fisher import fisher_vector_product, kfac_init
 from geoib.jf import draw_probes
 from geoib.mi import (
     CSV_COLUMNS,
@@ -44,12 +42,7 @@ from geoib.training import (
     run_training,
     train_step,
 )
-from oracles import (
-    jf_value_and_grad_replicated,
-    kfac_solve_inline,
-    kfac_update_inline,
-    sampled_capture_two_forward,
-)
+from oracles import jf_value_and_grad_replicated, sampled_capture_two_forward
 
 TOY = "gauss_mixture:n=600,noise=0.1,classes=2,dim=2"
 
@@ -408,18 +401,18 @@ def test_every_training_solve_is_exact_and_nonzero(monkeypatch):
         assert rec["solve_residual_dec"] <= 1e-10
 
 
-# ------------------------------------------------ input-layer factor thread
+# ---------------------------------------------- batch-space input layer
 
-# 784 features: a run forms the encoder's input-layer A factor on a worker
-# thread (training._OVERLAP_MIN_INPUTS)
+# 784 features and 128-row batches: the batch cannot span the encoder's
+# 785-wide bias-augmented input, so its layer 0 is solved in batch space
 WIDE = "gauss_mixture:n=600,noise=0.14,dim=784"
 
 
 def _step_setup(cfg):
     ds = make_dataset(cfg.dataset, 0)
     enc, dec = build_nets(cfg, ds.n_features, ds.n_classes, Rng(cfg.seed))
-    ke = kfac_init(enc, cfg.damping, cfg.kfac_decay)
-    kd = kfac_init(dec, cfg.damping, cfg.kfac_decay)
+    ke = kfac_init(enc, cfg.damping, cfg.kfac_decay, cfg.batch)
+    kd = kfac_init(dec, cfg.damping, cfg.kfac_decay, cfg.batch)
     x, y = ds.split("train")
     return enc, dec, ke, kd, x, y
 
@@ -427,53 +420,11 @@ def _step_setup(cfg):
 def test_a_first_wide_step_adopts_the_batch_factor():
     cfg = TrainConfig(dataset=WIDE, k_dim=4, kfac_decay=0.95)
     enc, dec, ke, kd, x, y = _step_setup(cfg)
+    assert ke.batch_space and not kd.batch_space
     train_step(cfg, enc, dec, ke, kd, x[:64], y[:64], Rng(3))
     aug = np.concatenate([x[:64], np.ones((64, 1))], axis=1)
     assert np.array_equal(ke.a_factors[0].view(np.uint64),
                           (aug.T @ aug / 64).view(np.uint64))
-
-
-def test_a_bare_wide_step_stays_on_its_callers_thread(monkeypatch):
-    # only run_training opens the input factor's worker: a step called
-    # without the run's factors forms every factor itself, at any width
-    assert make_dataset(WIDE, 0).n_features >= training._OVERLAP_MIN_INPUTS
-    cfg = TrainConfig(dataset=WIDE, k_dim=4)
-    enc, dec, ke, kd, x, y = _step_setup(cfg)
-    offloaded = []
-    monkeypatch.setattr(training, "input_factor_update",
-                        lambda *args: offloaded.append(args))
-    before = threading.active_count()
-    train_step(cfg, enc, dec, ke, kd, x[:64], y[:64], Rng(5))
-    assert threading.active_count() == before
-    enc.set_params(np.full(enc.n_params, np.inf))
-    with np.errstate(all="ignore"):
-        with pytest.raises(FloatingPointError, match="objective went non-finite"):
-            train_step(cfg, enc, dec, ke, kd, x[:64], y[:64], Rng(6))
-    assert threading.active_count() == before
-    assert offloaded == []
-
-
-def test_a_bare_wide_step_given_a_worker_keeps_its_bits():
-    # a step handed a worker over its own batch alone must give the bits
-    # of the same step without one, and leave no thread behind
-    def one_step(worker):
-        cfg = TrainConfig(dataset=WIDE, k_dim=2, enc_hidden="8")
-        enc, dec, ke, kd, x, y = _step_setup(cfg)
-        with (training._InputFactors(ke, [x[:32]]) if worker
-              else contextlib.nullcontext()) as factors:
-            m = train_step(cfg, enc, dec, ke, kd, x[:32], y[:32], Rng(12),
-                           factors=factors)
-        return [_bits(v) for v in (astuple(m), enc.params, dec.params,
-                                   *ke.a_factors, *ke.g_factors,
-                                   *kd.a_factors, *kd.g_factors)]
-
-    before = threading.active_count()
-    got = one_step(True)
-    assert threading.active_count() == before
-    want = one_step(False)
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert np.array_equal(a, b)
 
 
 _THREAD_COUNT_RUN = f"""
@@ -500,8 +451,8 @@ def _at_one_and_two_blas_threads(code):
 
 
 def test_run_training_bits_do_not_depend_on_the_blas_thread_count():
-    # a (128, 785) Gram product and a 785-square Cholesky factor give other
-    # bits at two BLAS threads than at one unless the run pins one
+    # products over 785-wide batches give other bits at two BLAS threads
+    # than at one unless the run pins one
     one, two = _at_one_and_two_blas_threads(_THREAD_COUNT_RUN)
     assert one == two
 
@@ -527,9 +478,6 @@ def test_evaluate_run_bits_do_not_depend_on_the_blas_thread_count():
     assert one == two
 
 
-# ----------------------------------- the run's worker for the input factor
-
-
 def _wide_run_cfg(**overrides):
     # 420 training rows: three batches of 128 and a last one of 36
     return TrainConfig(dataset=WIDE, k_dim=4, **overrides)
@@ -548,186 +496,75 @@ def _recorded_states(monkeypatch):
     return states
 
 
-def _run_bits(cfg, states):
-    res = run_training(cfg, evaluate=False)
-    history = [[rec[k] for k in sorted(rec)] for rec in res.history]
-    return [_bits(v) for v in [res.enc.params, res.dec.params, *history,
-                               *[m for st in states
-                                 for m in st.a_factors + st.g_factors]]]
-
-
-def test_the_pipelined_run_matches_the_one_thread_oracle(monkeypatch):
-    # two epochs of 784-wide steps, each epoch ending on a short batch: the
-    # parameters, every factor and the history must be the bits of the run
-    # that updates and factors every layer in turn on one thread, with the
-    # factors formed one batch ahead on the run's worker, across the epoch
-    # boundary, under a short switch interval
-    cfg = _wide_run_cfg(epochs=2)
+def test_every_wide_training_solve_is_exact_and_nonzero(monkeypatch):
+    # the batch-space solve, judged by the materialized factor it stands
+    # for, over epochs that each end on a short batch
     states = _recorded_states(monkeypatch)
-    calls, handed, held = [], [], []
-    real_update = training.input_factor_update
-    real_step = training.gib_step
+    solves = []
+    orig = training.natural_gradient
 
-    def counting(state, x):
-        calls.append(threading.current_thread() is not threading.main_thread())
-        # the worker's state copies the encoder's: it must not hold the last
-        # factor's Cholesky factor as well
-        held.append(state.input_chol)
-        return real_update(state, x)
+    def recording(state, grad, *args, **kwargs):
+        step = orig(state, grad, *args, **kwargs)
+        applied = fisher_vector_product(state, step.direction)
+        true_res = np.linalg.norm(applied - grad) / np.linalg.norm(grad)
+        solves.append((true_res, step, np.any(grad)))
+        return step
 
-    def step(*args, **kwargs):
-        handed.append(kwargs["factors"] is not None)
-        return real_step(*args, **kwargs)
+    monkeypatch.setattr(training, "natural_gradient", recording)
+    res = run_training(_wide_run_cfg(epochs=3, enc_hidden="8"), evaluate=False)
+    assert states[0].batch_space and not states[1].batch_space
+    assert len(solves) == 2 * 3 * 4  # enc + dec, 3 epochs of 4 steps
+    for true_res, step, grad_nonzero in solves:
+        assert true_res <= 1e-10 and step.residual <= 1e-10
+        assert abs(step.residual - true_res) <= 1e-12
+        assert grad_nonzero and np.any(step.direction)
+    for rec in res.history:
+        assert rec["solve_residual_enc"] <= 1e-10
+        assert rec["solve_residual_dec"] <= 1e-10
 
-    monkeypatch.setattr(training, "input_factor_update", counting)
-    monkeypatch.setattr(training, "gib_step", step)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        got = _run_bits(cfg, states)
-    finally:
-        sys.setswitchinterval(interval)
-    assert calls == [True] * 8 and handed == [True] * 8
-    assert held == [None] * 8 and states[0].input_chol is None
-    states.clear()
-    monkeypatch.setattr(training, "_OVERLAP_MIN_INPUTS", 10**9)
-    monkeypatch.setattr(training, "kfac_update",
-                        lambda state, net, input_factor=None:
-                        kfac_update_inline(state, net))
-    monkeypatch.setattr(training, "natural_gradient",
-                        lambda state, g:
-                        NaturalGradStep(*kfac_solve_inline(state, g), 0))
-    want = _run_bits(cfg, states)
-    assert calls == [True] * 8 and handed == [True] * 8 + [False] * 8
-    assert len(got) == len(want)
+
+def test_a_wide_run_forms_the_input_factor_only_when_read(monkeypatch):
+    # reading a_factors after every solve forms layer 0's A and changes no
+    # bit of the run; a run that never reads it never forms it, and no
+    # run starts a thread
+    cfg = _wide_run_cfg(epochs=2)
+    threads = threading.active_count()
+    seen = []
+
+    def run(read):
+        states = _recorded_states(monkeypatch)
+        orig_solve, orig_step = training.natural_gradient, training.gib_step
+
+        def solve(state, grad):
+            step = orig_solve(state, grad)
+            if read:
+                assert state.a_factors[0] is not None
+            return step
+
+        def step(*args, **kwargs):
+            m = orig_step(*args, **kwargs)
+            seen.append((states[0]._a_factors[0] is not None,
+                         threading.active_count() - threads))
+            return m
+
+        monkeypatch.setattr(training, "natural_gradient", solve)
+        monkeypatch.setattr(training, "gib_step", step)
+        res = run_training(cfg, evaluate=False)
+        monkeypatch.undo()
+        return [_bits(v) for v in (res.enc.params, res.dec.params)]
+
+    got = run(read=True)
+    assert seen == [(True, 0)] * 8
+    seen.clear()
+    want = run(read=False)
+    assert seen == [(False, 0)] * 8
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
 
 
-def test_concurrent_pipelined_runs_keep_their_bits():
-    # three runs at once, each with its own worker, under a short switch
-    # interval: a factor handed to another run's step, or read while that
-    # run adopts its own, would change the bits
-    cfg = _wide_run_cfg(epochs=2)
-    want = _run_bits(cfg, [])
-    results = [None] * 3
-
-    def run(i):
-        results[i] = _run_bits(cfg, [])
-
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(3)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    for got in results:
-        assert got is not None and len(got) == len(want)
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
-
-
-def _slow_factors(monkeypatch):
-    """Count input-factor calls begun and finished; each takes 50 ms longer,
-    so a worker left running after its run would be caught unfinished."""
-    counts = {"begun": 0, "finished": 0}
-    real = training.input_factor_update
-
-    def slow(state, x):
-        counts["begun"] += 1
-        time.sleep(0.05)
-        try:
-            return real(state, x)
-        finally:
-            counts["finished"] += 1
-
-    monkeypatch.setattr(training, "input_factor_update", slow)
-    return counts
-
-
-def _nan_in_step(monkeypatch, step, events=None):
-    """Plant a NaN in the batch of the given step, both where the run's
-    worker reads it, while the step before runs, and where that step reads
-    it; log ("factor", x) as the worker is handed each batch x, and
-    ("begin", x) and ("end", None) of each step, to events."""
-    real_init = training._InputFactors.__init__
-    real_step = training.gib_step
-    seen = []
-
-    def init(self, state, batches):
-        def planted():
-            for i, x in enumerate(batches):
-                if i == step:
-                    x[0, 7] = np.nan
-                if events is not None:
-                    events.append(("factor", x))
-                yield x
-
-        real_init(self, state, planted())
-
-    def planting(*args, **kwargs):
-        if len(seen) == step:
-            args[5][0, 7] = np.nan  # the run slices its own copy of the batch
-        seen.append(None)
-        if events is not None:
-            events.append(("begin", args[5]))
-        m = real_step(*args, **kwargs)
-        if events is not None:
-            events.append(("end", None))
-        return m
-
-    monkeypatch.setattr(training._InputFactors, "__init__", init)
-    monkeypatch.setattr(training, "gib_step", planting)
-
-
-def test_the_worker_ends_with_the_run(monkeypatch):
-    # no factor may still be formed, nor its thread alive, once run_training
-    # has returned or raised
-    counts = _slow_factors(monkeypatch)
-    before = threading.active_count()
-    run_training(_wide_run_cfg(epochs=1), evaluate=False)
-    assert threading.active_count() == before
-    assert counts["finished"] == counts["begun"] == 4
-
-    # diverged: the NaN batch's factor fails on the worker and is raised
-    # from that batch's own step
-    with monkeypatch.context() as m:
-        _nan_in_step(m, 2)
-        with np.errstate(all="ignore"):
-            with pytest.raises(TrainingDiverged):
-                run_training(_wide_run_cfg(epochs=1), evaluate=False)
-    assert threading.active_count() == before
-    assert counts["finished"] == counts["begun"]
-
-    # an unrelated error in the middle of an epoch, while the next batch's
-    # factor is being formed
-    real_step = training.gib_step
-    taken = []
-
-    def failing(*args, **kwargs):
-        if len(taken) == 2:
-            raise KeyError("unrelated")
-        taken.append(real_step(*args, **kwargs))
-        return taken[-1]
-
-    monkeypatch.setattr(training, "gib_step", failing)
-    begun = counts["begun"]
-    with pytest.raises(KeyError, match="unrelated"):
-        run_training(_wide_run_cfg(epochs=1), evaluate=False)
-    assert counts["begun"] == begun + 3  # batches 0, 1 and the one of step 2
-    assert counts["finished"] == counts["begun"]
-    assert threading.active_count() == before
-
-
 def test_the_factors_are_let_go_before_evaluation(monkeypatch):
-    # the run's worker reads the encoder's KfacState; neither state, nor
-    # the factors it holds (5 MB on 784-pixel digits), may live on into
-    # evaluation
+    # neither KfacState, nor the factors and rows it holds, may live on
+    # into evaluation
     refs, alive = [], []
     real_init = training.kfac_init
 
@@ -768,25 +605,25 @@ def _params_after_steps(monkeypatch, cfg, n_steps):
                          ids=["mid_epoch", "first_batch_of_an_epoch"])
 def test_divergence_is_blamed_on_the_step_whose_batch_holds_it(
         monkeypatch, tmp_path, step, epoch, last_good_after):
-    # the worker meets the NaN while the step before runs; that step must
-    # complete, and the step whose batch holds it must raise, naming layer 0
+    # the steps before the NaN batch's complete, and its own step raises
     cfg = _wide_run_cfg(epochs=3)
     want_enc, want_dec = _params_after_steps(monkeypatch, cfg, last_good_after)
-    events = []
-    _nan_in_step(monkeypatch, step, events)
+    real_step = training.gib_step
+    begun = []
+
+    def planting(*args, **kwargs):
+        if len(begun) == step:
+            args[5][0, 7] = np.nan  # the run slices its own copy of the batch
+        begun.append(None)
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(training, "gib_step", planting)
     with np.errstate(all="ignore"):
         with pytest.raises(TrainingDiverged,
-                           match=rf"^step {step} \(epoch {epoch}\): layer 0: "):
+                           match=rf"^step {step} \(epoch {epoch}\): objective "
+                                 "went non-finite"):
             run_training(cfg, out_dir=str(tmp_path), evaluate=False)
-    kinds = [kind for kind, _ in events]
-    assert kinds.count("end") == step and kinds.count("begin") == step + 1
-    # the NaN batch's factor was begun inside the step before, which then
-    # ended; the NaN batch's own step raised
-    bad = [i for i, (kind, x) in enumerate(events)
-           if kind == "factor" and np.isnan(x).any()]
-    assert len(bad) == 1
-    assert kinds[bad[0] - 1 :] == ["begin", "factor", "end", "begin"]
-    assert np.array_equal(events[-1][1], events[bad[0]][1], equal_nan=True)
+    assert len(begun) == step + 1
     enc = Network.load(str(tmp_path / "encoder.last_good.net"))
     dec = Network.load(str(tmp_path / "decoder.last_good.net"))
     assert np.array_equal(enc.get_params().view(np.uint64), want_enc.view(np.uint64))
