@@ -58,9 +58,9 @@ for n_probes in (2, 8, 64, 512, 4096):
 
 # --- probes are replayable ------------------------------------------------
 
-# Probes are one draw from a keyed Philox stream, so a longer draw extends
-# a shorter one, and a gradient evaluated on fixed probes can be replayed
-# bit for bit.
+# Probes are +-1 entries, one draw of packed sign bits from a keyed Philox
+# stream, so a longer draw extends a shorter one, and a gradient evaluated
+# on fixed probes can be replayed bit for bit.
 p8 = draw_probes(Rng(0), 8, 1, 4)
 p64 = draw_probes(Rng(0), 64, 1, 4)
 print("\nfirst 8 of 64 probes match an 8-probe draw:",

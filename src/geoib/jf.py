@@ -11,10 +11,14 @@ is controlled by the chain
 
 where S = diag(noise_cov).  Training penalizes the final Frobenius form,
 estimated without materializing J by Hutchinson probes through forward-mode
-Jacobian-vector products: ||S^-1/2 J v||^2 averaged over v ~ N(0, I) is an
-unbiased estimate of the trace.  One or two probes per step suffice in
-practice.  The exact forms here exist to verify the estimator and the bound
-chain; none of them appear on the training path.
+Jacobian-vector products: ||S^-1/2 J v||^2 averaged over Rademacher probes
+v (independent +-1 entries, E[v v^T] = I) is an unbiased estimate of the
+trace.  With M = J^T S^-1 J its per-probe variance is
+2(||M||_F^2 - sum_j M_jj^2), below the 2||M||_F^2 of Gaussian probes
+(Avron & Toledo 2011), and on a diagonal M every probe returns the exact
+trace.  One or two probes per step suffice in practice.  The exact forms
+here exist to verify the estimator and the bound chain; none of them
+appear on the training path.
 """
 
 from __future__ import annotations
@@ -111,17 +115,19 @@ def bound_chain_check(ch: LocalChannel) -> tuple[float, float, float]:
 
 
 def draw_probes(rng, n_probes: int, batch: int, dim: int) -> np.ndarray:
-    """(n_probes, batch, dim) standard normal probes, one draw from `rng`.
+    """(n_probes, batch, dim) Rademacher (+-1 float64) probes, one draw
+    from `rng`.
 
-    Hutchinson's estimator needs only i.i.d. N(0, I) probes, and all S*B of
-    them go through one folded JVP pass, so they come as one block from the
-    stream handed in (the step's stream in training).  The draw advances
-    that stream; drawing more probes extends the block without changing
-    its leading probes.
+    Hutchinson's estimator needs only i.i.d. probes with E[v v^T] = I, and
+    all S*B of them go through one folded JVP pass, so they come as one
+    block of S*B*dim packed sign bits from the stream handed in (the
+    step's stream in training; `Rng.signs`).  The draw advances that
+    stream; drawing more probes extends the block without changing its
+    leading probes.
     """
     if n_probes <= 0:
         raise ValueError(f"n_probes must be positive, got {n_probes}")
-    return rng.normal((n_probes, batch, dim))
+    return rng.signs((n_probes, batch, dim))
 
 
 def _check_head(net, head_dim: int | None) -> int:

@@ -7,8 +7,9 @@ regardless of platform.  Independent substreams are derived by keying on
 (seed, stream index) rather than by jumping, so a draw site keyed by its
 index (an optimizer step, an epoch, a network's initialization) sees the
 same bits no matter what ran before it.  Within a stream, draws are
-consumed in order: a batch of Hutchinson probes is one normal draw from the
-step's stream, and its prefix does not change when more probes are drawn.
+consumed in order: a batch of Hutchinson probes is one draw of packed sign
+bits from the step's stream, and its prefix does not change when more
+probes are drawn.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ _MASK64 = (1 << 64) - 1
 
 
 class Rng:
-    """Deterministic normal/uniform source keyed by (seed, stream).
+    """Deterministic normal/uniform/sign source keyed by (seed, stream).
 
     Args:
         seed: any Python int; reduced mod 2**64.
@@ -44,6 +45,20 @@ class Rng:
     def normal(self, shape=None) -> np.ndarray:
         """Standard normal draw of the given shape (scalar if None)."""
         return self._gen.standard_normal(size=shape, dtype=np.float64)
+
+    def signs(self, shape) -> np.ndarray:
+        """+-1 float64 draw of the given shape, one stream bit per entry.
+
+        The n = prod(shape) signs are the stream's next ceil(n/8) bytes
+        unpacked most significant bit first, a set bit giving +1, so a
+        longer draw extends a shorter one whatever n is mod 8.
+        """
+        n = int(np.prod(shape))
+        packed = np.frombuffer(self._gen.bytes(-(-n // 8)), dtype=np.uint8)
+        bits = np.unpackbits(packed, count=n).view(np.int8)
+        bits *= 2
+        bits -= 1
+        return bits.astype(np.float64).reshape(shape)
 
     def uniform(self, low: float = 0.0, high: float = 1.0, shape=None) -> np.ndarray:
         return self._gen.uniform(low, high, size=shape)

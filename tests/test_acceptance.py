@@ -39,7 +39,7 @@ CHECK_SIZES_AND_BOUNDS = {
     "BOUND_CHAIN_CHANNELS": 500, "BOUND_CHAIN_EQ_TOL": 1e-10,
     "BOUND_CHAIN_INEQ_TOL": 1e-12,
     "HUTCHINSON_NETS": 20, "HUTCHINSON_PROBES": 10_000, "HUTCHINSON_REPS": 50,
-    "HUTCHINSON_REP_TOL": 0.01,
+    "HUTCHINSON_REP_TOL": 0.01, "HUTCHINSON_EXACT_TOL": 1e-12,
     "GRADIENTS_FD_TOL": 1e-4, "GRADIENTS_FD_STEP": 1e-5,
     "CG_VS_DENSE_SOLVE_TOL": 1e-8, "CG_VS_DENSE_FVP_TOL": 1e-12,
     "STEEPEST_DESCENT_FISHERS": 20, "STEEPEST_DESCENT_DIRS": 10_000,

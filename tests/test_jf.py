@@ -142,19 +142,35 @@ def test_draw_probes_deterministic():
 
 
 def test_draw_probes_prefix_stable():
-    # one block from the stream: growing S extends, never reshuffles
-    small = draw_probes(Rng(4), 2, 3, 5)
-    large = draw_probes(Rng(4), 6, 3, 5)
-    np.testing.assert_array_equal(large[:2], small)
+    # one block from the stream: growing S extends, never reshuffles, also
+    # when neither block's S*B*d fills a whole number of bytes (30 and 90,
+    # 15 and 45, 15 and 105 bits here)
+    for n_small, n_large, batch, dim in ((2, 6, 3, 5), (1, 3, 3, 5),
+                                         (1, 7, 5, 3)):
+        small = draw_probes(Rng(4), n_small, batch, dim)
+        large = draw_probes(Rng(4), n_large, batch, dim)
+        np.testing.assert_array_equal(large[:n_small], small)
 
 
-def test_draw_probes_is_one_normal_draw():
-    # the probes are the stream's next S*B*d normals, including on stream
-    # ids that wrap mod 2**64
+def test_draw_probes_are_the_streams_next_bits_as_signs():
+    # the probes are the stream's next S*B*d bits, most significant first,
+    # a set bit giving +1, including on stream ids that wrap mod 2**64
     for seed, stream in ((0, 0), (7, 3), (2**70 + 1, 0), (5, 2**64 - 3),
                          (11, 2**63 + 17)):
-        np.testing.assert_array_equal(draw_probes(Rng(seed, stream), 9, 3, 4),
-                                      Rng(seed, stream).normal((9, 3, 4)))
+        n = 9 * 3 * 4
+        key = np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)
+        raw = np.random.Generator(np.random.Philox(key=key)).bytes(-(-n // 8))
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n)
+        want = np.where(bits == 1, 1.0, -1.0).reshape(9, 3, 4)
+        got = draw_probes(Rng(seed, stream), 9, 3, 4)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
+
+
+def test_draw_probes_entries_are_exactly_plus_or_minus_one():
+    probes = draw_probes(Rng(8), 3, 64, 37)
+    assert probes.dtype == np.float64
+    assert set(np.unique(probes)) == {-1.0, 1.0}
 
 
 def test_draw_probes_rejects_bad_count():
@@ -173,12 +189,13 @@ def test_hutchinson_zero_net_is_exact_zero():
 
 
 def test_hutchinson_identity_channel_unbiased():
-    # J = I2, Sigma = I: the target is tr(I) = 2
+    # J = I2, Sigma = I: the target is tr(I) = 2, and M = J^T S^-1 J is
+    # diagonal, so every Rademacher probe v gives v^T v = 2 exactly
     net = _net((2, 2, "identity"))
     net.blocks[0][:, :-1] = np.eye(2)
     value, per_probe = jf_hutchinson(net, np.zeros(2), np.ones(2), 10_000, Rng(7))
-    se = float(per_probe.std(ddof=1) / np.sqrt(per_probe.size))
-    assert abs(value - 2.0) < 3.0 * se
+    np.testing.assert_allclose(per_probe, 2.0, rtol=1e-15, atol=0.0)
+    assert abs(value - 2.0) <= 1e-15
 
 
 def test_hutchinson_matches_exact_trace_on_random_nets():
@@ -190,6 +207,28 @@ def test_hutchinson_matches_exact_trace_on_random_nets():
         value, per_probe = jf_hutchinson(net, x, nc, 10_000, Rng(300 + seed))
         se = float(per_probe.std(ddof=1) / np.sqrt(per_probe.size))
         assert abs(value - exact_trace(ch)) < 3.0 * se
+
+
+def test_hutchinson_variance_is_the_rademacher_one():
+    """On a linear channel with a dense M = J^T S^-1 J, the per-probe
+    variance of one-row estimates is 2(||M||_F^2 - sum_j M_jj^2), below the
+    Gaussian 2||M||_F^2.  The sampling bound is four standard errors of
+    the sample variance, estimated from the same probes' fourth central
+    moment."""
+    rng = Rng(14)
+    j = rng.normal((3, 5))
+    nc = np.exp(0.5 * rng.normal(3))
+    net = _net((5, 3, "identity"))
+    net.blocks[0][:, :-1] = j
+    m = j.T @ (j / nc[:, None])
+    want = 2.0 * (np.sum(m * m) - np.sum(np.diag(m) ** 2))
+    n = 40_000
+    _, per_probe = jf_hutchinson(net, np.zeros(5), nc, n, Rng(15))
+    centred = per_probe - per_probe.mean()
+    var = float(np.mean(centred**2))
+    se_var = float(np.sqrt((np.mean(centred**4) - var**2) / n))
+    assert abs(var - want) < 4.0 * se_var
+    assert 2.0 * np.sum(m * m) - want > 8.0 * se_var
 
 
 def test_hutchinson_single_equals_batch_of_one():
@@ -248,8 +287,9 @@ def test_isotropic_identity_exact_value():
     net.blocks[0][:, :-1] = np.eye(2)
     value, per_probe = jf_hutchinson(net, np.zeros(2), np.full(2, 4.0), 4000,
                                      Rng(30))
-    se = float(per_probe.std(ddof=1) / np.sqrt(per_probe.size))
-    assert abs(value - 0.5) < 3.0 * se
+    # a diagonal M: every probe gives the exact value
+    np.testing.assert_allclose(per_probe, 0.5, rtol=1e-15, atol=0.0)
+    assert abs(value - 0.5) <= 1e-15
 
 
 def test_isotropic_floors_variance():
