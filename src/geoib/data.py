@@ -49,7 +49,7 @@ class DatasetHandle:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        f = np.asarray(self.features, dtype=np.float64)
+        f = np.ascontiguousarray(self.features, dtype=np.float64)
         y = np.asarray(self.labels, dtype=np.int64)
         if f.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {f.shape}")
@@ -81,9 +81,24 @@ class DatasetHandle:
         return int(self.labels.max()) + 1 if self.labels.size else 0
 
     def split(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only feature rows and labels of the named split.
+
+        A split whose indices are one ascending run of rows, as every IDX
+        split is, is a view of `features` and `labels`; any other split
+        (the permuted synthetic ones) is gathered into a copy.  Either way
+        the rows equal `features[idx]` bit for bit, and writing to them
+        raises ValueError.
+        """
         idx = {"train": self.train_idx, "val": self.val_idx,
                "test": self.test_idx}[name]
-        return self.features[idx], self.labels[idx]
+        rows = idx
+        if np.all(np.diff(idx) == 1):
+            start = int(idx[0]) if idx.size else 0
+            rows = slice(start, start + idx.size)
+        x, y = self.features[rows], self.labels[rows]
+        x.flags.writeable = False
+        y.flags.writeable = False
+        return x, y
 
 
 def _make_splits(n: int, rng: Rng):
@@ -241,6 +256,8 @@ def _labels_path_for(images_path: str) -> str:
 
 
 def _pair_to_arrays(images_path, labels_path):
+    """The uint8 images, flattened to rows, and int64 labels of an IDX
+    pair, with the image shape."""
     images = read_idx(images_path)
     labels = read_idx(labels_path)
     if images.ndim != 3:
@@ -256,8 +273,8 @@ def _pair_to_arrays(images_path, labels_path):
         raise ValueError(
             f"{labels_path}: label {int(labels.max())} out of range [0, 9]"
         )
-    feats = images.reshape(images.shape[0], -1).astype(np.float64) / 255.0
-    return feats, labels.astype(np.int64), images.shape[1:]
+    return (images.reshape(images.shape[0], -1), labels.astype(np.int64),
+            images.shape[1:])
 
 
 def load_idx(path) -> DatasetHandle:
@@ -269,6 +286,12 @@ def load_idx(path) -> DatasetHandle:
     split and the last tenth of the training rows become validation; or a
     single images file whose labels file is found by substituting 'labels'
     for 'images' in the name, split 80/10/10 in row order.
+
+    Every image set is divided by 255 straight into its rows of one
+    preallocated C-contiguous float64 array (`np.divide(..., out=)`, the
+    bits of `astype(np.float64) / 255.0`), so no split is ever held as a
+    float64 array of its own.  Each split is one ascending run of rows,
+    which `DatasetHandle.split` hands out as a view.
     """
     if os.path.isdir(path):
         names = ["train-images-idx3-ubyte", "train-labels-idx1-ubyte",
@@ -277,34 +300,40 @@ def load_idx(path) -> DatasetHandle:
         for p in paths:
             if not os.path.exists(p):
                 raise ValueError(f"{path}: missing expected IDX file {os.path.basename(p)}")
-        tr_feats, tr_labels, shape = _pair_to_arrays(paths[0], paths[1])
-        te_feats, te_labels, shape2 = _pair_to_arrays(paths[2], paths[3])
+        tr_images, tr_labels, shape = _pair_to_arrays(paths[0], paths[1])
+        te_images, te_labels, shape2 = _pair_to_arrays(paths[2], paths[3])
         if shape != shape2:
             raise ValueError(
                 f"{path}: train images are {shape} but test images are {shape2}"
             )
-        feats = np.concatenate([tr_feats, te_feats], axis=0)
+        image_sets = [tr_images, te_images]
         labels = np.concatenate([tr_labels, te_labels])
-        n_tr = tr_feats.shape[0]
+        n_tr = tr_images.shape[0]
+        n = n_tr + te_images.shape[0]
         n_val = n_tr // 10
         train_idx = np.arange(0, n_tr - n_val)
         val_idx = np.arange(n_tr - n_val, n_tr)
-        test_idx = np.arange(n_tr, feats.shape[0])
-        source = path
+        test_idx = np.arange(n_tr, n)
     else:
-        feats, labels, shape = _pair_to_arrays(path, _labels_path_for(path))
-        n = feats.shape[0]
+        images, labels, shape = _pair_to_arrays(path, _labels_path_for(path))
+        image_sets = [images]
+        n = images.shape[0]
         n_tr = int(round(0.8 * n))
         n_val = int(round(0.1 * n))
         train_idx = np.arange(0, n_tr)
         val_idx = np.arange(n_tr, n_tr + n_val)
         test_idx = np.arange(n_tr + n_val, n)
-        source = path
+    feats = np.empty((n, math.prod(shape)))
+    start = 0
+    for images in image_sets:
+        stop = start + images.shape[0]
+        np.divide(images, 255.0, out=feats[start:stop])
+        start = stop
     return DatasetHandle(
         features=feats, labels=labels,
         train_idx=train_idx, val_idx=val_idx, test_idx=test_idx,
         metadata={
-            "kind": "idx", "source": str(source),
+            "kind": "idx", "source": str(path),
             "image_shape": "x".join(str(d) for d in shape),
             "feature_scaling": "uint8 / 255 into [0, 1]",
         },

@@ -343,11 +343,10 @@ def run_training(cfg: TrainConfig, out_dir: str | None = None,
         kfac_enc = kfac_init(enc, cfg.damping, cfg.kfac_decay, cfg.batch)
         kfac_dec = kfac_init(dec, cfg.damping, cfg.kfac_decay, cfg.batch)
     step = gib_step if cfg.method == "geoib" else train_step
-    x_tr, y_tr = ds.split("train")
     history: list[dict] = []
     last_good = (enc.get_params(), dec.get_params())
     global_step = 0
-    n_train = x_tr.shape[0]
+    n_train = ds.train_idx.size
     for epoch in range(cfg.epochs):
         decay = 0.5 * (1.0 + np.cos(np.pi * epoch / cfg.epochs))
         cfg_epoch = replace(cfg, eta_phi=cfg.eta_phi * decay,
@@ -356,9 +355,11 @@ def run_training(cfg: TrainConfig, out_dir: str | None = None,
         sums = dict.fromkeys(_METRIC_NAMES, 0.0)
         for idx in batches:
             step_rng = root.substream(_STREAM_STEP + global_step)
+            # gathered from the dataset's own arrays: no split copy is held
+            rows = ds.train_idx[idx]
             try:
-                m = step(cfg_epoch, enc, dec, kfac_enc, kfac_dec, x_tr[idx],
-                         y_tr[idx], step_rng)
+                m = step(cfg_epoch, enc, dec, kfac_enc, kfac_dec,
+                         ds.features[rows], ds.labels[rows], step_rng)
             except FloatingPointError as exc:
                 enc.set_params(last_good[0])
                 dec.set_params(last_good[1])
@@ -397,9 +398,15 @@ def posterior_means(enc: Network, x, k_dim: int) -> np.ndarray:
 
 
 def _standardized(x: np.ndarray) -> np.ndarray:
+    """Each column of x less its mean, over its standard deviation (1
+    where that is 0).  The result is built in one new array, centred and
+    then divided in place, with the bits of `(x - mean) / std`; x itself is
+    only read."""
     x = np.asarray(x, dtype=np.float64)
     std = x.std(axis=0)
-    return (x - x.mean(axis=0)) / np.where(std > 0.0, std, 1.0)
+    out = x - x.mean(axis=0)
+    out /= np.where(std > 0.0, std, 1.0)
+    return out
 
 
 def _noise_relative_view(mu: np.ndarray, lv: np.ndarray) -> np.ndarray:
@@ -431,6 +438,13 @@ def evaluate_run(cfg: TrainConfig, enc: Network, dec: Network,
     bits whichever rows share its pass.  Pins BLAS to one thread first
     (`linalg.pin_blas_threads`): the inversion probe's products on wide
     inputs give other bits on more.
+
+    The features are read where they lie: the probe reads the splits
+    `DatasetHandle.split` hands out (views on IDX data), and lets them go
+    before KSG runs; KSG reads `ds.features` itself when it takes every
+    row, and a gathered copy of its rows only when it takes fewer.  So
+    besides the encoder pass, the largest array evaluation allocates is
+    the standardized copy of the KSG rows.
     """
     pin_blas_threads()
     mu, lv, _ = posterior_head(enc.forward(ds.features), cfg.k_dim)
@@ -439,14 +453,15 @@ def evaluate_run(cfg: TrainConfig, enc: Network, dec: Network,
     acc = classification_accuracy(dec, mu_te, y_te)
     x_tr, _ = ds.split("train")
     inv = inversion_probe(mu[ds.train_idx], x_tr, mu_te, x_te, seed=cfg.seed)
+    del x_tr, x_te  # copies on permuted splits: not held across KSG
     joint_dim = ds.n_features + cfg.k_dim
     cap = _MI_CAP_LOW_DIM if joint_dim <= _MI_DIM_SWITCH else _MI_CAP_HIGH_DIM
     # every row when there are at most `cap`, else `cap` rows of the eval
     # stream, the same ones at every evaluation
     n = ds.features.shape[0]
     sel = np.sort(Rng(cfg.seed, stream=_STREAM_EVAL).permutation(n)[:cap])
-    mi = mi_knn(_standardized(ds.features[sel]),
-                _noise_relative_view(mu[sel], lv[sel]))
+    x_mi = ds.features if n <= cap else ds.features[sel]
+    mi = mi_knn(_standardized(x_mi), _noise_relative_view(mu[sel], lv[sel]))
     return InfoPlanePoint(beta=cfg.beta, k_dim=cfg.k_dim, accuracy=acc,
                           mi_xz_nats=mi, inversion_mse=inv, seed=cfg.seed,
                           wall_clock_s=wall_clock_s, probe=PROBE_NAME,

@@ -53,6 +53,32 @@ def test_handle_split_accessor():
     assert ds.n_features == 8 and ds.n_classes == 4
 
 
+@pytest.mark.parametrize("kind", ["idx", "gauss_mixture"])
+def test_split_rows_are_read_only_and_equal_the_gathered_rows(tmp_path, kind):
+    # an IDX split is one ascending run of rows and comes back as a view of
+    # the features; the permuted synthetic splits are gathered
+    if kind == "idx":
+        write_digit_corpus(tmp_path, n_train=20, n_test=5, seed=0)
+        ds = load_idx(tmp_path)
+    else:
+        ds = gauss_mixture(100, 0.1, seed=0)
+    for name in ("train", "val", "test"):
+        idx = getattr(ds, f"{name}_idx")
+        x, y = ds.split(name)
+        assert x.dtype == np.float64 and x.shape == (idx.size, ds.n_features)
+        np.testing.assert_array_equal(x.view(np.uint64),
+                                      ds.features[idx].view(np.uint64))
+        np.testing.assert_array_equal(y, ds.labels[idx])
+        with pytest.raises(ValueError, match="read-only"):
+            x[0, 0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            y[0] = 1
+        assert np.shares_memory(x, ds.features) == (kind == "idx")
+        assert np.shares_memory(y, ds.labels) == (kind == "idx")
+    # the handle's own arrays stay writable
+    assert ds.features.flags.writeable and ds.labels.flags.writeable
+
+
 # -------------------------------------------------------------- generators
 
 
@@ -197,6 +223,31 @@ def test_load_idx_single_file_mode(tmp_path):
     assert ds.metadata["image_shape"] == "2x2"
     # pixels rescaled by exactly 1/255
     assert ds.features[0, 0] == images[0, 0, 0] / 255.0
+
+
+def test_load_idx_features_are_the_bits_of_the_images_over_255(tmp_path):
+    # every uint8 value, in both modes: the features are one C-contiguous
+    # float64 array holding astype(np.float64) / 255.0 bit for bit
+    ramp = np.arange(256, dtype=np.uint8).reshape(16, 4, 4)
+    back = ramp[::-1, ::-1, ::-1].copy()
+    labels = (np.arange(16) % 10).astype(np.uint8)
+    single = tmp_path / "single"
+    single.mkdir()
+    write_idx(single / "ramp-images.idx", ramp)
+    write_idx(single / "ramp-labels.idx", labels)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for prefix, images in (("train", ramp), ("t10k", back)):
+        write_idx(corpus / f"{prefix}-images-idx3-ubyte", images)
+        write_idx(corpus / f"{prefix}-labels-idx1-ubyte", labels)
+    for path, images in ((single / "ramp-images.idx", ramp),
+                         (corpus, np.concatenate([ramp, back]))):
+        ds = load_idx(path)
+        want = images.reshape(images.shape[0], -1).astype(np.float64) / 255.0
+        assert ds.features.dtype == np.float64
+        assert ds.features.flags.c_contiguous and ds.features.flags.owndata
+        np.testing.assert_array_equal(ds.features.view(np.uint64),
+                                      want.view(np.uint64))
 
 
 def test_load_idx_count_mismatch(tmp_path):

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import os
 import platform
@@ -6,6 +7,7 @@ import resource
 import subprocess
 import sys
 import threading
+import tracemalloc
 import weakref
 from dataclasses import asdict, astuple, replace
 
@@ -13,8 +15,8 @@ import numpy as np
 import pytest
 
 from geoib.config import TrainConfig
-from geoib.data import gauss_mixture, make_dataset
-from geoib import training
+from geoib.data import gauss_mixture, make_dataset, write_digit_corpus
+from geoib import mi, training
 from geoib.encoder import posterior_head
 from geoib.fisher import fisher_vector_product, kfac_init
 from geoib.jf import draw_probes
@@ -769,6 +771,55 @@ def test_evaluate_run_subsamples_ksg_rows_to_the_cap(monkeypatch):
     np.testing.assert_array_equal(x1, x2)
     np.testing.assert_array_equal(z1, z2)
     assert points[0] == points[1]
+
+
+# The traced peak of evaluate_run above its baseline, over the features'
+# bytes, on a 500-row rendered digit corpus with KSG on two threads: 4.08
+# when the probe's split copies were held across KSG and KSG read a
+# gathered copy of every row, 1.93 with both gone (the benchmark's
+# 1200-row corpus read 4.06 and 1.49).
+_EVAL_PEAK_OVER_FEATURES = 3.0
+
+
+def test_evaluate_run_allocates_little_beyond_the_features(tmp_path,
+                                                           monkeypatch):
+    write_digit_corpus(tmp_path, n_train=400, n_test=100, seed=0)
+    cfg = TrainConfig(dataset=f"idx:path={tmp_path}", k_dim=32)
+    ds = make_dataset(cfg.dataset, cfg.seed)
+    enc, dec = build_nets(cfg, ds.n_features, ds.n_classes, Rng(cfg.seed))
+    # each KSG thread holds its own distance blocks
+    monkeypatch.setattr(mi, "_usable_cpus", lambda: 2)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        evaluate_run(cfg, enc, dec, ds, wall_clock_s=0.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    ratio = peak / ds.features.nbytes
+    assert ratio <= _EVAL_PEAK_OVER_FEATURES, (
+        f"evaluate_run peaked {ratio:.2f}x the features")
+
+
+def test_run_training_holds_no_copy_of_a_whole_split(monkeypatch):
+    # every batch is gathered from the dataset's one feature array: while
+    # run_training steps, none of its locals but the split's indices holds
+    # as many rows as the training split
+    cfg = TrainConfig(dataset=TOY, k_dim=2, enc_hidden="8", epochs=1)
+    real_step, held = training.gib_step, set()
+
+    def inspecting(*args):
+        local = inspect.currentframe().f_back.f_locals
+        n_train = local["ds"].train_idx.size
+        held.update(name for name, v in local.items()
+                    if isinstance(v, np.ndarray) and v.ndim
+                    and v.shape[0] >= n_train and v is not local["ds"].train_idx)
+        return real_step(*args)
+
+    monkeypatch.setattr(training, "gib_step", inspecting)
+    res = run_training(cfg, evaluate=False)
+    assert len(res.history) == 1
+    assert held == set()
 
 
 # ----------------------------------------------------------------- sweeps
