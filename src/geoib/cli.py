@@ -168,6 +168,8 @@ def _cmd_inspect_idx(args) -> int:
         values, counts = np.unique(arr, return_counts=True)
         hist = ", ".join(f"{v}:{c}" for v, c in zip(values, counts))
         print(f"label histogram: {hist}")
+    elif arr.size == 0:
+        print("no pixels")
     else:
         print(f"pixel range [{arr.min()}, {arr.max()}], "
               f"mean {arr.mean():.2f}")

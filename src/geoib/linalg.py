@@ -2,8 +2,8 @@
 
 Arrays everywhere are C-contiguous numpy float64; there is no sparse path
 and no single-precision path.  This is the one module that calls LAPACK.
-It calls three Cholesky routines, `dposv`, `dpotrf` and `dpotrs`, through
-one ctypes binding built on first use (`_lapack`), from the library that
+It calls two Cholesky routines, `dposv` and `dpotrf`, through one ctypes
+binding built on first use (`_lapack`), from the library that
 `scipy.linalg.lapack` itself links: the OpenBLAS build bundled beside
 scipy's package (`scipy.libs/libscipy_openblas*.so`, symbols
 `scipy_dposv_` and so on).  Finding it there imports neither `scipy` nor
@@ -18,15 +18,12 @@ solution.
 `spd_solve` factors and solves a symmetric positive-definite system in one
 `dposv` call (LAPACK's `dpotrf` followed by `dpotrs`); it serves the K-FAC
 solves and the inversion probe's ridge, and raises FloatingPointError on a
-non-finite or indefinite matrix.  Given a factor, it solves with `dpotrs`
-alone.  `spd_factor` gives that upper factor, formed by `dpotrf` in the
-matrix's own buffer, for a caller that solves one matrix more than once;
-no K-FAC solve does.  `logdet_psd` factors with `dpotrf` and reports a
-failing pivot by index instead of surfacing a generic LinAlgError.
-`pin_blas_threads` runs the bundled OpenBLAS builds on one thread.
-`conjugate_gradient` serves only truncated solves that cap the iteration
-count on purpose; every solve meant to be exact factors its matrix
-instead.
+non-finite or indefinite matrix.  `logdet_psd` factors with `dpotrf` and
+reports a failing pivot by index instead of surfacing a generic
+LinAlgError.  `pin_blas_threads` runs the bundled OpenBLAS builds on one
+thread.  `conjugate_gradient` serves only truncated solves that cap the
+iteration count on purpose; every solve meant to be exact factors its
+matrix instead.
 """
 
 from __future__ import annotations
@@ -61,12 +58,10 @@ _OPENBLAS = {
 _int = ctypes.c_int
 _first_double = ctypes.c_double.from_buffer
 _P_INT, _P_DOUBLE = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
-# dposv and dpotrs take (uplo, n, nrhs, a, lda, b, ldb, info), dpotrf
-# takes (uplo, n, a, lda, info)
-_SOLVE = (ctypes.c_char_p, _P_INT, _P_INT, _P_DOUBLE, _P_INT, _P_DOUBLE, _P_INT, _P_INT)
-_ARGTYPES = {"dposv": _SOLVE,
-             "dpotrf": (ctypes.c_char_p, _P_INT, _P_DOUBLE, _P_INT, _P_INT),
-             "dpotrs": _SOLVE}
+# (uplo, n, nrhs, a, lda, b, ldb, info) and (uplo, n, a, lda, info)
+_ARGTYPES = {"dposv": (ctypes.c_char_p, _P_INT, _P_INT, _P_DOUBLE, _P_INT,
+                       _P_DOUBLE, _P_INT, _P_INT),
+             "dpotrf": (ctypes.c_char_p, _P_INT, _P_DOUBLE, _P_INT, _P_INT)}
 
 
 @functools.cache
@@ -120,83 +115,33 @@ def _column_major(a: np.ndarray) -> np.ndarray:
     return np.array(a.T, dtype=np.float64, order="C")
 
 
-def spd_solve(m: np.ndarray | None, b: np.ndarray, what: str,
-              factor: np.ndarray | None = None) -> np.ndarray:
+def spd_solve(m: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
     """m^-1 b for a symmetric m, from the upper Cholesky factor of m.
 
-    `factor`, when given, is `spd_factor` of m, and m is not read (it may
-    be None).  b is (n,) or (n, k), and so is the result, which is
-    Fortran-ordered.  m and b are left untouched.
+    b is (n,) or (n, k), and so is the result, which is Fortran-ordered.
+    m and b are left untouched.
 
     Raises:
-        ValueError: if m (or the factor) is not square or b does not match it.
+        ValueError: if m is not square or b does not match it.
         FloatingPointError: naming `what`, if m holds non-finite entries or
             is not numerically positive definite.
     """
-    c = m if factor is None else factor
-    if (c.ndim != 2 or c.shape[0] != c.shape[1] or b.ndim not in (1, 2)
-            or b.shape[0] != c.shape[0]):
-        raise ValueError(f"{what}: cannot solve a system of shape {c.shape} "
+    if (m.ndim != 2 or m.shape[0] != m.shape[1] or b.ndim not in (1, 2)
+            or b.shape[0] != m.shape[0]):
+        raise ValueError(f"{what}: cannot solve a system of shape {m.shape} "
                          f"for right-hand sides of shape {b.shape}")
-    if factor is None and not np.isfinite(m).all():
+    if not np.isfinite(m).all():
         raise FloatingPointError(f"{what} has non-finite entries")
     x = _column_major(b)
     if x.size == 0:
         return x.T
-    n, nrhs, info = _int(c.shape[0]), _int(x.size // c.shape[0]), _int()
-    if factor is None:
-        _lapack()["dposv"](b"U", n, nrhs, _first_double(_column_major(m)), n,
-                           _first_double(x), n, info)
-        if info.value != 0:
-            raise FloatingPointError(f"{what} is not positive definite "
-                                     f"(dpotrf info {info.value})")
-    else:
-        # spd_factor's factor is Fortran-ordered already: no copy
-        ct = factor.T
-        if not (ct.flags.c_contiguous and ct.flags.writeable
-                and ct.dtype == np.float64):
-            ct = _column_major(factor)
-        # dpotrs's only failures are illegal arguments, which the shape
-        # checks above rule out
-        _lapack()["dpotrs"](b"U", n, nrhs, _first_double(ct), n,
-                            _first_double(x), n, info)
-    return x.T
-
-
-def spd_factor(m: np.ndarray, what: str) -> np.ndarray:
-    """Upper Cholesky factor of an exactly symmetric m, formed in m's own
-    buffer, for `spd_solve(factor=)`.
-
-    m must be a writeable, C-contiguous float64 square matrix equal to its
-    transpose bit for bit.  LAPACK factors it through its F-contiguous
-    transpose m.T, which is returned: its upper triangle holds the factor
-    and its lower triangle keeps m's entries.  Because m.T equals m, these
-    are the bits of scipy's `dpotrf(m, lower=0, clean=0)`, which factors a
-    Fortran-ordered copy, without the copy.
-
-    Raises:
-        ValueError: if m is not a writeable C-contiguous float64 square
-            matrix, or not exactly symmetric.
-        FloatingPointError: naming `what`, if m holds non-finite entries or
-            is not numerically positive definite.
-    """
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{what} must be a square matrix, got shape {m.shape}")
-    if m.dtype != np.float64 or not (m.flags.c_contiguous and m.flags.writeable):
-        raise ValueError(f"{what} must be a writeable C-contiguous float64 array")
-    if not np.isfinite(m).all():
-        raise FloatingPointError(f"{what} has non-finite entries")
-    c = m.T
-    # LAPACK reads one triangle, so an asymmetric m would be factored as
-    # another matrix than the one spd_solve(m, ...) would factor
-    if not np.array_equal(m, c):
-        raise ValueError(f"{what} is not exactly symmetric")
-    n, info = _int(c.shape[0]), _int()
-    _lapack()["dpotrf"](b"U", n, _first_double(m), n, info)
+    n, nrhs, info = _int(m.shape[0]), _int(x.size // m.shape[0]), _int()
+    _lapack()["dposv"](b"U", n, nrhs, _first_double(_column_major(m)), n,
+                       _first_double(x), n, info)
     if info.value != 0:
         raise FloatingPointError(f"{what} is not positive definite "
                                  f"(dpotrf info {info.value})")
-    return c
+    return x.T
 
 
 def pin_blas_threads() -> None:

@@ -9,7 +9,7 @@ import pytest
 
 from geoib.cli import main
 from geoib.config import TrainConfig, load_config
-from geoib.data import make_dataset, read_idx
+from geoib.data import make_dataset, read_idx, write_idx
 from geoib.mi import CSV_COLUMNS, read_points_jsonl
 from geoib.nets import Network
 from geoib.verify import CheckResult, ALL_CHECKS
@@ -49,6 +49,15 @@ def test_gen_data_digits_then_inspect(tmp_path, capsys):
     assert rc == 0
     assert "label histogram:" in capsys.readouterr().out
     assert read_idx(img_path).shape == (20, 28, 28)
+
+
+def test_inspect_idx_reports_an_image_file_with_no_images(tmp_path, capsys):
+    # write_idx writes it and read_idx reads it, so inspect-idx describes it
+    path = tmp_path / "empty-images-idx3-ubyte"
+    write_idx(path, np.zeros((0, 28, 28), np.uint8))
+    assert main(["inspect-idx", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == ["shape (0, 28, 28), dtype uint8", "no pixels"]
 
 
 def test_train_subcommand_prints_point_and_writes_run(tmp_path, capsys):

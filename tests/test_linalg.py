@@ -15,7 +15,6 @@ from geoib.linalg import (
     conjugate_gradient,
     logdet_psd,
     pin_blas_threads,
-    spd_factor,
     spd_solve,
 )
 from geoib.rng import Rng
@@ -55,7 +54,7 @@ def test_the_binding_takes_the_route_it_is_given(route):
     libs = os.path.dirname(scipy.__file__) + ".libs"
     lib = ctypes.CDLL(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))[0])
     binding = linalg._lapack()
-    assert sorted(binding) == ["dposv", "dpotrf", "dpotrs"]
+    assert sorted(binding) == ["dposv", "dpotrf"]
     for name, fn in binding.items():
         # a CFUNCTYPE call releases the GIL; a PYFUNCTYPE one would hold it
         assert not fn._flags_ & ctypes._FUNCFLAG_PYTHONAPI
@@ -63,9 +62,10 @@ def test_the_binding_takes_the_route_it_is_given(route):
         assert at_library == (route == "bundled")
 
 
-@pytest.mark.parametrize("n", [1, 4, 9, 33, 65])
+@pytest.mark.parametrize("n", [1, 4, 9, 33, 65, 128, 257])
 def test_spd_solve_gives_the_bits_of_scipys_dposv(route, n):
-    # in f2py's layouts: an F-ordered solution, and a vector for a vector
+    # in f2py's layouts: an F-ordered solution, and a vector for a vector;
+    # 128 is the batch-space Gram at batch 128, 257 the probe's ridge
     m = _spd(n, 20 + n)
     rng = Rng(21 + n)
     for rhs in (rng.normal((n, 3)), rng.normal((5, n)).T, rng.normal(n)):
@@ -73,23 +73,6 @@ def test_spd_solve_gives_the_bits_of_scipys_dposv(route, n):
         got = spd_solve(m, rhs, "m")
         assert info == 0 and got.shape == want.shape == rhs.shape
         assert got.flags.f_contiguous and np.array_equal(_bits(got), _bits(want))
-
-
-@pytest.mark.parametrize("n", [1, 9, 33, 257, 785])
-def test_spd_solve_on_a_factor_gives_the_bits_of_scipys_dpotrs(route, n):
-    # spd_factor's factor too: 785 is the digit encoder's input layer
-    m = _spd(n, 30 + n)
-    rng = Rng(31 + n)
-    want_factor, info = dpotrf(m, lower=0, clean=0)
-    got_factor = spd_factor(m.copy(), "m")
-    assert info == 0 and np.array_equal(_bits(got_factor), _bits(want_factor))
-    for rhs in (rng.normal((n, 4)), rng.normal((2, n)).T, rng.normal(n)):
-        want = dpotrs(want_factor, rhs, lower=0)[0]
-        assert want.shape == rhs.shape
-        for factor in (got_factor, want_factor, np.ascontiguousarray(want_factor)):
-            got = spd_solve(None, rhs, "m", factor=factor)
-            assert got.shape == rhs.shape
-            assert np.array_equal(_bits(got), _bits(want))
 
 
 def test_a_failing_pivot_is_named_as_scipys_routines_name_it(route):
@@ -100,8 +83,6 @@ def test_a_failing_pivot_is_named_as_scipys_routines_name_it(route):
     pattern = rf"^m is not positive definite \(dpotrf info {info}\)$"
     with pytest.raises(FloatingPointError, match=pattern):
         spd_solve(m, np.ones(3), "m")
-    with pytest.raises(FloatingPointError, match=pattern):
-        spd_factor(m.copy(), "m")
     low, info = dpotrf(m, lower=1, clean=0)
     with pytest.raises(ValueError, match=re.escape(f"pivot {low[2, 2]:.3e} at index 2")):
         logdet_psd(m)
@@ -122,8 +103,6 @@ def test_spd_solve_refuses_shapes_lapack_would_read_past():
         spd_solve(np.eye(3), np.ones(4), "m")
     with pytest.raises(ValueError, match="shape"):
         spd_solve(np.ones((3, 2)), np.ones(3), "m")
-    with pytest.raises(ValueError, match="shape"):
-        spd_solve(None, np.ones((2, 3)), "m", factor=np.eye(3))
 
 
 def test_pin_blas_threads_reuses_the_bindings_library(monkeypatch):
@@ -200,60 +179,6 @@ def test_spd_solve_gives_the_bits_of_dpotrf_then_dpotrs_on_the_probe_ridge():
     want = dpotrs(factor, cross, lower=0)[0]
     assert np.array_equal(spd_solve(gram, cross, "ridge").view(np.uint64),
                           want.view(np.uint64))
-
-
-def test_spd_factor_gives_the_bits_of_scipys_dpotrf():
-    # a 785-square factor, the size of a digit encoder's input layer,
-    # formed in the matrix's own buffer
-    x = Rng(5).uniform(0.0, 1.0, (128, 785))
-    m = x.T @ x / 128
-    m.flat[:: 786] += 1e-2
-    want, info = dpotrf(m, lower=0, clean=0)
-    rhs = Rng(6).normal((785, 3))
-    want_solve = spd_solve(m, rhs, "m")
-    buf = m.copy()
-    got = spd_factor(buf, "m")
-    assert info == 0 and got.flags.f_contiguous and np.shares_memory(got, buf)
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    assert np.array_equal(spd_solve(None, rhs, "m", factor=got).view(np.uint64),
-                          want_solve.view(np.uint64))
-
-
-def test_spd_factor_rejects_what_spd_solve_rejects():
-    m = np.eye(3)
-    m[0, 1] = m[1, 0] = np.inf
-    with pytest.raises(FloatingPointError, match="^probe m has non-finite entries$"):
-        spd_factor(m, "probe m")
-    with pytest.raises(FloatingPointError,
-                       match=r"^m is not positive definite \(dpotrf info 2\)$"):
-        spd_factor(np.diag([1.0, -1.0]), "m")
-    # LAPACK would read and write past a non-square buffer
-    with pytest.raises(ValueError, match=r"^m must be a square matrix, got shape \(3, 2\)$"):
-        spd_factor(np.ones((3, 2)), "m")
-
-
-def test_spd_factor_refuses_a_matrix_that_is_not_exactly_symmetric():
-    # LAPACK reads only the upper triangle: one ulp off below the diagonal
-    # would be factored as another matrix, so it is refused untouched
-    m = np.diag([2.0, 2.0, 2.0])
-    m[0, 1] = 0.5
-    m[1, 0] = np.nextafter(0.5, 1.0)
-    before = m.copy()
-    with pytest.raises(ValueError, match="^m is not exactly symmetric$"):
-        spd_factor(m, "m")
-    assert np.array_equal(m, before)
-
-
-def test_spd_factor_refuses_a_buffer_it_cannot_factor_in_place():
-    # the factor would land in another layout, or another precision
-    m = np.array([[2.0, 1.0], [1.0, 3.0]])
-    with pytest.raises(ValueError, match="C-contiguous float64"):
-        spd_factor(np.asfortranarray(m), "m")
-    with pytest.raises(ValueError, match="C-contiguous float64"):
-        spd_factor(m.astype(np.float32), "m")
-    m.setflags(write=False)
-    with pytest.raises(ValueError, match="writeable"):
-        spd_factor(m, "m")
 
 
 # ------------------------------------------------------------- logdet_psd
