@@ -84,8 +84,10 @@ def _cmd_train(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
-    betas = _list(args.betas, float) if args.betas else list(DEFAULT_BETA_GRID)
-    k_dims = _list(args.k_dims, int) if args.k_dims else list(DEFAULT_K_GRID)
+    betas = (list(DEFAULT_BETA_GRID) if args.betas is None
+             else _list(args.betas, float))
+    k_dims = (list(DEFAULT_K_GRID) if args.k_dims is None
+              else _list(args.k_dims, int))
     seeds = _list(args.seeds, int)
     points = run_sweep(cfg, args.out, betas=betas, k_dims=k_dims, seeds=seeds)
     n_cells = len(betas) * len(k_dims) * len(seeds)

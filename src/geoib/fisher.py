@@ -17,8 +17,8 @@ Each factor is damped separately, so the layer's system is
 
 rather than (A x G + lam I) v = grad.  Its inverse is
 (G + lam I)^-1 grad (A + lam I)^-1, and the solve is exact: both damped
-factors are Cholesky-factored (`linalg.spd_solve`) and each layer block
-costs two factor-and-solve calls (Martens & Grosse 2015,
+factors are Cholesky-factored (`linalg.spd_solve`) and each EMA layer
+block costs two factor-and-solve calls (Martens & Grosse 2015,
 arXiv:1503.05671).  A non-finite factor or gradient, or a factor that is
 not positive definite, raises FloatingPointError naming the layer.
 Gradients, directions and FVP operands are flat vectors in the network's
@@ -38,12 +38,14 @@ Goldfarb 2019, arXiv:1906.02353):
     grad (A + lam I)^-1 = (1/lam) [grad - (grad X^T) (lam B I + X X^T)^-1 X]
 
 one B-square solve in place of a (d+1)-square one.  On 784-pixel digits
-that is a 128-square system instead of a 785-square one.  Every other
-layer, and an input layer the batch spans, keeps the EMA and its Cholesky
-route.  `KfacState.a_factors` still reads as every layer's A: a
-batch-space layer's is formed from the rows on its first read after an
-update and kept until the next, so that products, dense matrices and
-outside checks see the factor the solve used.  Training never reads it.
+that is a 128-square system instead of a 785-square one.  Its G side is
+solved once against the identity, and (G + lam I)^-1 is applied to the
+(d+1)-wide block as one product.  Every other layer, and an input layer
+the batch spans, keeps the EMA and its Cholesky route.
+`KfacState.a_factors` still reads as every layer's A: a batch-space
+layer's is formed from the rows on its first read after an update and
+kept until the next, so that products, dense matrices and outside checks
+see the factor the solve used.  Training never reads it.
 """
 
 from __future__ import annotations
@@ -301,7 +303,9 @@ def _batch_space_block(blk: np.ndarray, rows: np.ndarray, g_d: np.ndarray,
 
     blk (A + lam I)^-1 = (1/lam) [blk - (blk X^T) (lam B I + X X^T)^-1 X]
     by Woodbury, and V (A + lam I) = (V X^T) X / B + lam V, so neither
-    needs A.
+    needs A.  (G + lam I)^-1 is formed as a matrix, by one solve against
+    the out-square identity, and applied as one product: on digits that
+    is 32 right-hand sides in place of in + 1 = 785.
     """
     what = "layer 0: damped K-FAC factor A"
     batch = rows.shape[0]
@@ -313,7 +317,9 @@ def _batch_space_block(blk: np.ndarray, rows: np.ndarray, g_d: np.ndarray,
     gram.flat[:: batch + 1] += lam * batch
     v_a = blk - spd_solve(gram, rows @ blk.T, what).T @ rows
     v_a /= lam
-    v = spd_solve(g_d, v_a, "layer 0: damped K-FAC factor G")
+    g_inv = spd_solve(g_d, np.eye(g_d.shape[0]),
+                      "layer 0: damped K-FAC factor G")
+    v = g_inv @ v_a
     spanned = (v @ rows.T) @ rows
     spanned /= batch
     spanned += lam * v

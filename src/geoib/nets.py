@@ -17,9 +17,11 @@ route `backward_deltas` (what the Kronecker factors read), and
 `jvp_captured`, the tangents of the captured batch, which is the only JVP.
 Tangents come S per row, as an (S, B, in_dim) array: the primal values
 belong to the B rows, and the tangent products run on the S*B (probe, row)
-pairs.  Identity layers
-hold no derivative array, and the passes skip the products by their unit
-and zero derivatives, which would change no bit.
+pairs.  `jvp_adjoint` sums a layer's primal-track adjoint over a row's S
+probes before the product with the row's input, so no input row is copied
+S times.  Identity layers hold no derivative array, and the passes skip
+the products by their unit and zero derivatives, which would change no
+bit.
 
 A network holds its parameters as one flat float64 vector, `params`.  The
 vector is the layers' augmented blocks [W | b], each of shape (out, in+1),
@@ -346,7 +348,11 @@ class Network:
         `jvp_captured`: adjoints flow through both the primal track (because
         activation derivatives depend on the pre-activations) and the tangent
         track.  The derivatives held for the B rows broadcast over the S
-        probes; every product and sum runs over the folded S*B pairs.
+        probes, and the tangent-track products run over the folded S*B
+        pairs.  The primal values are shared by a row's S probes, so a
+        layer's primal-track weight gradient is (sum_s s_bar_s)^T a_l, one
+        product over the B captured rows, and its bias gradient is the row
+        sum of that probe sum.
 
         The primal-track adjoint is identically +0 above the topmost
         nonlinear layer, since an identity layer's second derivative is 0.
@@ -386,14 +392,14 @@ class Network:
                     s_bar = s_bar + 0.0
                 else:
                     s_bar = (a_bar if d is None else a_bar * d) + s_bar
-                s_bar = _fold(s_bar)
-                a_rep = _fold(np.broadcast_to(acts[l], tangents[l].shape))
-                grad_blocks[l][:, :-1] = s_bar.T @ a_rep + tan_w
-                grad_blocks[l][:, -1] = s_bar.sum(axis=0)
+                # the S probes of a row share its primal input a_l
+                s_sum = s_bar.sum(axis=0)
+                grad_blocks[l][:, :-1] = s_sum.T @ acts[l] + tan_w
+                grad_blocks[l][:, -1] = s_sum.sum(axis=0)
             if l > 0:
                 w = self.blocks[l][:, :-1]
                 if s_bar is not None:
-                    a_bar = (s_bar @ w).reshape(tangents[l].shape)
+                    a_bar = (_fold(s_bar) @ w).reshape(tangents[l].shape)
                 t_bar = (ts_bar @ w).reshape(tangents[l].shape)
         return grad
 

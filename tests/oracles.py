@@ -302,9 +302,14 @@ def projection_margins_loop(seed: int, n_joints: int, n_perturb: int) -> np.ndar
     return margins
 
 
-def replicated_jvp(net, x, probes, u_bar=None):
+def replicated_jvp(net, x, probes, u_bar=None, sum_probes_first=True):
     """J(x_i) v_si by one pass over x replicated S times, and, given u_bar,
     the parameter gradient of sum(u_bar * u) by reverse mode over that pass.
+
+    With `sum_probes_first`, each layer's primal-track weight and bias
+    gradients take the primal adjoint summed over the S probes of a row,
+    against the first copy of the rows; without it, they run over all
+    S*B replicated rows, as the adjoint did before it stopped copying them.
 
     Args:
         x: (B, in) rows; probes: (S, B, in); u_bar: (S, B, out) or None.
@@ -339,8 +344,13 @@ def replicated_jvp(net, x, probes, u_bar=None):
         dd = ddf(pre[l], acts[l + 1])
         ts_bar = t_bar * d
         s_bar = a_bar * d + t_bar * tan_pre[l] * dd
-        grad_blocks[l][:, :-1] = s_bar.T @ acts[l] + ts_bar.T @ tangents[l]
-        grad_blocks[l][:, -1] = s_bar.sum(axis=0)
+        if sum_probes_first:
+            s_sum = s_bar.reshape(n_probes, batch, -1).sum(axis=0)
+            primal_w, bias = s_sum.T @ acts[l][:batch], s_sum.sum(axis=0)
+        else:
+            primal_w, bias = s_bar.T @ acts[l], s_bar.sum(axis=0)
+        grad_blocks[l][:, :-1] = primal_w + ts_bar.T @ tangents[l]
+        grad_blocks[l][:, -1] = bias
         if l > 0:
             w = net.blocks[l][:, :-1]
             a_bar = s_bar @ w
@@ -348,7 +358,8 @@ def replicated_jvp(net, x, probes, u_bar=None):
     return u, grad
 
 
-def jf_value_and_grad_replicated(net, x, noise_cov, probes, head_dim=None):
+def jf_value_and_grad_replicated(net, x, noise_cov, probes, head_dim=None,
+                                 sum_probes_first=True):
     """Per-sample JF estimates at x and the flat gradient of their sum,
     by `replicated_jvp`."""
     head = net.out_dim if head_dim is None else head_dim
@@ -360,7 +371,7 @@ def jf_value_and_grad_replicated(net, x, noise_cov, probes, head_dim=None):
     values = np.sum(u_head**2 / nc, axis=2).mean(axis=0)
     u_bar = np.zeros_like(u)
     u_bar[:, :, :head] = 2.0 * u_head / nc
-    _, grad = replicated_jvp(net, x, probes, u_bar)
+    _, grad = replicated_jvp(net, x, probes, u_bar, sum_probes_first)
     return values, grad / probes.shape[0]
 
 

@@ -155,7 +155,8 @@ def test_sweep_subcommand_reports_cells(tmp_path, capsys):
     assert (out / "info_plane.csv").exists()
 
 
-@pytest.mark.parametrize("flag, value", [("--seeds", ""), ("--betas", ",")])
+@pytest.mark.parametrize("flag, value", [("--seeds", ""), ("--betas", ","),
+                                         ("--betas", ""), ("--k-dims", "")])
 def test_sweep_refuses_an_empty_grid(tmp_path, capsys, flag, value):
     out = tmp_path / "sweep"
     argv = ["sweep", "--dataset", "gauss_mixture:n=200,noise=0.14",

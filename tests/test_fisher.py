@@ -123,15 +123,16 @@ def test_backward_deltas_give_the_factors_of_a_full_backward(specs):
 WIDE_IN, WIDE_BATCH = 40, 16
 
 
-def _wide_state(seed, damping=1e-2, ema_decay=0.9, updates=2):
-    """A batch-space state after `updates` updates of a small wide net, with
-    the last batch and the net."""
+def _wide_state(seed, damping=1e-2, ema_decay=0.9, updates=2,
+                rows=WIDE_BATCH):
+    """A batch-space state after `updates` updates of a small wide net on
+    batches of `rows` rows, with the last batch and the net."""
     net = _net((WIDE_IN, 6, "tanh"), (6, 3, "identity"), seed=seed)
     state = kfac_init(net, damping=damping, ema_decay=ema_decay,
-                      batch=WIDE_BATCH)
+                      batch=rows)
     assert state.batch_space and state.n_params <= DENSE_FISHER_GUARD
     for i in range(updates):
-        x = Rng(seed + 1 + i).normal((WIDE_BATCH, WIDE_IN))
+        x = Rng(seed + 1 + i).normal((rows, WIDE_IN))
         _captured(net, x, seed=seed + 11 + i)
         kfac_update(state, net)
     return state, x, net
@@ -162,6 +163,18 @@ def test_a_batch_space_direction_matches_a_dense_solve():
     want = np.linalg.solve(kfac_dense_matrix(state), g)
     np.testing.assert_allclose(step.direction, want, rtol=0,
                                atol=1e-10 * np.abs(want).max())
+
+
+def test_a_one_row_batch_space_direction_matches_a_dense_solve():
+    # one row spans one of A's 41 dimensions, and G is rank one plus damping
+    state, _, _ = _wide_state(73, rows=1)
+    assert state.input_rows.shape == (1, WIDE_IN + 1)
+    g = Rng(74).normal(state.n_params)
+    step = natural_gradient(state, g)
+    want = np.linalg.solve(kfac_dense_matrix(state), g)
+    np.testing.assert_allclose(step.direction, want, rtol=0,
+                               atol=1e-10 * np.abs(want).max())
+    assert step.residual <= 1e-10
 
 
 def test_a_batch_space_residual_is_the_one_of_the_materialized_factor():
@@ -366,6 +379,14 @@ def test_kfac_solve_reports_true_residual():
     assert step.iterations == 0
     zero = natural_gradient(state, np.zeros(state.n_params))
     assert zero.residual == 0.0 and not np.any(zero.direction)
+
+
+def test_a_batch_space_solve_refuses_a_non_finite_g_factor():
+    state, _, _ = _wide_state(75, updates=1)
+    state.g_factors[0][2, :] = state.g_factors[0][:, 2] = np.nan
+    with pytest.raises(FloatingPointError,
+                       match="layer 0: damped K-FAC factor G has non-finite"):
+        natural_gradient(state, np.ones(state.n_params))
 
 
 def test_kfac_solve_rejects_singular_undamped_factor():

@@ -344,8 +344,10 @@ def _bits(a) -> np.ndarray:
 @pytest.mark.parametrize("n_probes, batch", [(2, 32), (2, 1), (1, 1)])
 def test_value_and_grad_gives_the_replicated_bits(hidden, n_probes, batch):
     """The gradient route reads the captured pass and gives the bits of
-    the replicated-pass oracle; a hidden unit with no outgoing weights and
-    the unpenalized log-variance head leave exact zeros in the gradient."""
+    the replicated-pass oracle, its primal-track weight product summed over
+    the probes first, and agrees with the unsummed pass to round-off; a
+    hidden unit with no outgoing weights and the unpenalized log-variance
+    head leave exact zeros in the gradient."""
     net = _net((3, 5, hidden), (5, 4, "identity"), seed=50)
     net.blocks[1][:, 2] = 0.0
     x = Rng(51).normal((batch, 3))
@@ -358,6 +360,9 @@ def test_value_and_grad_gives_the_replicated_bits(hidden, n_probes, batch):
     assert np.array_equal(_bits(values), _bits(want_values))
     assert np.array_equal(_bits(grad), _bits(want_grad))
     assert np.count_nonzero(grad == 0.0) >= 2 * 6 + 4
+    _, rows_grad = jf_value_and_grad_replicated(net, x, nc, probes, head_dim=2,
+                                                sum_probes_first=False)
+    assert np.max(np.abs(grad - rows_grad)) <= 1e-13 * np.max(np.abs(rows_grad))
 
 
 def test_value_and_grad_requires_a_captured_pass():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,11 @@ SLOTS = [(act, slot) for act in ACTIVATIONS for slot in ("hidden", "output")]
 def _bits(a) -> np.ndarray:
     """The float64 entries of a as integers, so that +0 and -0 differ."""
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _within_round_off(got, want) -> bool:
+    """Every entry of got within 1e-13 of want's largest magnitude."""
+    return float(np.max(np.abs(got - want))) <= 1e-13 * float(np.max(np.abs(want)))
 
 
 def _jvp(net, x, v):
@@ -226,8 +233,10 @@ def _biased_net(specs, seed):
                                              (1, 1), (2, 1), (10_000, 1)])
 def test_jvp_captured_matches_replicated_pass_bit_for_bit(name, n_probes, batch):
     """The JVP read from a captured pass gives the bits of a pass over x
-    replicated S times, in the tangents and in the adjoint gradient; a
-    one-row capture with S > 1 runs its padded primal again."""
+    replicated S times, in the tangents and in the adjoint gradient, whose
+    primal-track weight product is summed over the probes first; a
+    one-row capture with S > 1 runs its padded primal again.  Without
+    that sum the replicated pass agrees to round-off."""
     net = _biased_net(CAPTURED_NETS[name], seed=40)
     rng = Rng(41)
     x = rng.normal((batch, net.in_dim))
@@ -236,15 +245,19 @@ def test_jvp_captured_matches_replicated_pass_bit_for_bit(name, n_probes, batch)
     net.forward(x, capture=True)
     u, cache = net.jvp_captured(v)
     u_ref, grad_ref = replicated_jvp(net, x, v, u_bar)
+    grad = net.jvp_adjoint(cache, u_bar)
     assert np.array_equal(_bits(u), _bits(u_ref))
-    assert np.array_equal(_bits(net.jvp_adjoint(cache, u_bar)), _bits(grad_ref))
+    assert np.array_equal(_bits(grad), _bits(grad_ref))
+    _, grad_rows = replicated_jvp(net, x, v, u_bar, sum_probes_first=False)
+    assert _within_round_off(grad, grad_rows)
 
 
 def test_jvp_adjoint_at_a_negative_zero_second_derivative():
     """A tanh unit at pre-activation 0 has second derivative -0, so its
     tangent-track term is -0 on every (probe, row) pair, where the replicated
     pass adds a +0 primal-track adjoint; the adjoint gradient keeps the
-    replicated bits and the unit's bias gradient is +0."""
+    replicated bits, summed over the probes first, and the unit's bias
+    gradient is +0."""
     net = _net((3, 4, "tanh"), (4, 2, "identity"), seed=45)
     net.blocks[0][0] = [1.0, 0.0, 0.0, 0.0]
     net.blocks[1][:, 0] = np.abs(net.blocks[1][:, 0])
@@ -259,6 +272,30 @@ def test_jvp_adjoint_at_a_negative_zero_second_derivative():
     _, grad_ref = replicated_jvp(net, x, v, u_bar)
     assert np.array_equal(_bits(grad), _bits(grad_ref))
     assert not np.signbit(layer_blocks(grad, net.shapes)[0][0, -1])
+    _, grad_rows = replicated_jvp(net, x, v, u_bar, sum_probes_first=False)
+    assert _within_round_off(grad, grad_rows)
+    assert not np.signbit(layer_blocks(grad_rows, net.shapes)[0][0, -1])
+
+
+def test_jvp_adjoint_holds_no_replicated_input_rows():
+    """On a digits-sized encoder (784 inputs, 2 probes of 128 rows) the
+    adjoint's traced peak stays below one (S*B, 784) float64 array: the
+    input rows are never copied once per probe."""
+    net = _net((784, 32, "tanh"), (32, 64, "identity"), seed=60)
+    rng = Rng(61)
+    x = rng.normal((128, 784))
+    v = rng.normal((2, 128, 784))
+    u_bar = rng.normal((2, 128, 64))
+    net.forward(x, capture=True)
+    _, cache = net.jvp_captured(v)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        net.jvp_adjoint(cache, u_bar)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < v.nbytes
 
 
 def test_jvp_captured_requires_a_matching_capture():

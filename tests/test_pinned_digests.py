@@ -1,15 +1,16 @@
-"""Pinned digests: four small configs train to recorded network bytes, and
-the property suite writes a recorded table.
+"""Pinned digests: four small configs train to recorded network bytes, as
+do two whose encoder input is solved in batch space, and the property
+suite writes a recorded table.
 
 A change that keeps behaviour keeps these digests.  A change in behaviour
 made on purpose bumps `training.REVISION`, records the before and after in
-CHANGES.md, and pins the new revision's digests in PINNED; an intended
-change to the verify table updates VERIFY_TABLE.  The digests hold on
-numpy 2.4.6 (matmuls in its bundled OpenBLAS 0.3.31) and scipy 1.17.1
-(every Cholesky in its bundled OpenBLAS 0.3.30), on one BLAS thread
-(conftest.py).  A failure names both builds it ran on, the LAPACK
-binding and each build's live thread count, so a different build can be
-told apart from a change in behaviour.
+CHANGES.md, and pins the new revision's digests in PINNED and PINNED_WIDE;
+an intended change to the verify table updates VERIFY_TABLE.  The digests
+hold on numpy 2.4.6 (matmuls in its bundled OpenBLAS 0.3.31) and scipy
+1.17.1 (every Cholesky in its bundled OpenBLAS 0.3.30), on one BLAS thread
+(conftest.py).  A failure names both builds it ran on, the LAPACK binding
+and each build's live thread count, so a different build can be told
+apart from a change in behaviour.
 """
 
 import ctypes
@@ -66,6 +67,38 @@ PINNED = {"r1": _R1, "r2": _R1, "r3": {
         {"fr_mode": "fr_quadratic", "beta": 1.0},
         "4a4ef47723e7c1bbfb327a397aec1183f12992806b329b004bfe2068e4ba6255",
         "104102cec155d0fa24733461ab25e4805e6014fe7879b0d1a808b5848f22dbea",
+    ),
+}, "r4": {
+    # r4 sums the JF adjoint's primal-track weight product over the probes
+    # before it meets the input rows: geoib's two configs train to new bits
+    **_R1,
+    "geoib": (
+        {},
+        "f6ed12aabd090b3c2e2b05c756d9528fcdd3f3831bcc940ed40876a46c8a2281",
+        "562b515bcab57b30167c88c6a6d2cf3c9fa494a3981cd28bb98741a120ff2b93",
+    ),
+    "geoib_fr_quadratic_beta1": (
+        {"fr_mode": "fr_quadratic", "beta": 1.0},
+        "ac3fd46a8348949e6dde0865fcc7d9b08d591fd1bbd074b54a47d24f265f89ac",
+        "0af619b83c106c714e429c92a9f500d9a9c3dad0c579deba3934ea6851c21532",
+    ),
+}}
+
+# Inputs wider than the batch: the encoder's input layer is solved in batch
+# space (`fisher._batch_space_block`), which PINNED's narrow configs never
+# reach.  Pinned from r4 on, which applies that layer's (G + lam I)^-1 as a
+# matrix.
+WIDE_DATASET = "gauss_mixture:n=400,dim=784"
+PINNED_WIDE = {"r4": {
+    "geoib": (
+        {},
+        "b036906483802a0827dd9e40a4f99689bca0856035456f5cb306f2084c8e246f",
+        "e2157d496ee0499618389cd0bae8b1ec3ede556814e61bfe0e5f10cd3251b726",
+    ),
+    "vib_natural_gradient": (
+        {"method": "vib", "vib_natural_gradient": True},
+        "f9696dbc0fde63a3f2fee326a749b5bef8b300ed96ba2b6562817f5436cb5b5b",
+        "1a1151409d928b8ff7e22ddc9e258520591abffc3e7f0899ca8eee9c3d3682c0",
     ),
 }}
 
@@ -128,13 +161,15 @@ def _sha256(path) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-@pytest.mark.parametrize("name", next(iter(PINNED.values())))
-def test_small_run_reproduces_pinned_digests(name, tmp_path):
-    assert REVISION in PINNED, (
+def _check_pinned_run(pinned, table, name, tmp_path, **base):
+    """Train `name`'s config of `pinned` for this revision, `base` under
+    its overrides, and compare the network digests; `table` names the
+    dict in a failure."""
+    assert REVISION in pinned, (
         f"no digests are pinned for training revision {REVISION!r}: record "
-        f"its runs' digests in PINNED[{REVISION!r}]")
-    overrides, enc_sha, dec_sha = PINNED[REVISION][name]
-    cfg = TrainConfig(epochs=3, dataset=DATASET, **overrides)
+        f"its runs' digests in {table}[{REVISION!r}]")
+    overrides, enc_sha, dec_sha = pinned[REVISION][name]
+    cfg = TrainConfig(epochs=3, **base, **overrides)
     run_training(cfg, out_dir=str(tmp_path), evaluate=False)
     got = (_sha256(tmp_path / "encoder.net"), _sha256(tmp_path / "decoder.net"))
     assert got == (enc_sha, dec_sha), (
@@ -143,9 +178,20 @@ def test_small_run_reproduces_pinned_digests(name, tmp_path):
         f"numpy 2.4.6 with OpenBLAS 0.3.31 and scipy 1.17.1 with OpenBLAS "
         f"0.3.30, on one thread, this is a change in behaviour: if it is "
         f"intended, bump training.REVISION, record the before/after in "
-        f"CHANGES.md and pin the new revision's digests in PINNED; if not, "
+        f"CHANGES.md and pin the new revision's digests in {table}; if not, "
         f"it is a defect."
     )
+
+
+@pytest.mark.parametrize("name", next(iter(PINNED.values())))
+def test_small_run_reproduces_pinned_digests(name, tmp_path):
+    _check_pinned_run(PINNED, "PINNED", name, tmp_path, dataset=DATASET)
+
+
+@pytest.mark.parametrize("name", next(iter(PINNED_WIDE.values())))
+def test_a_batch_space_run_reproduces_pinned_digests(name, tmp_path):
+    _check_pinned_run(PINNED_WIDE, "PINNED_WIDE", name, tmp_path,
+                      dataset=WIDE_DATASET, k_dim=2, enc_hidden="4")
 
 
 def test_verify_table_reproduces_pinned_digest(tmp_path):

@@ -134,7 +134,9 @@ def _csv_rows(path) -> list[list[str]]:
 def test_loss_and_grads_give_the_bits_of_a_jf_pass_of_its_own(monkeypatch, rows):
     # the penalty's JVPs read the loss's captured encoder pass; a one-row
     # batch with two probes runs its padded primal again.  Either way the
-    # metrics and gradients are those of the replicated-pass route
+    # metrics and gradients are those of the replicated-pass route with its
+    # primal-track weight product summed over the probes first, and agree
+    # with the unsummed route to round-off
     cfg = TrainConfig(k_dim=2, enc_hidden="8", dataset=TOY, beta=0.5)
     _, _, enc, dec, _, _, x, y = _toy_setup(cfg)
     x, y = x[:rows], y[:rows]
@@ -152,6 +154,16 @@ def test_loss_and_grads_give_the_bits_of_a_jf_pass_of_its_own(monkeypatch, rows)
     assert got[0].jf > 0.0
     for g, w in zip(got[1:], want[1:]):
         assert np.array_equal(_bits(g), _bits(w))
+
+    def unsummed_pass(net, nc, probes, head_dim):
+        return jf_value_and_grad_replicated(net, x, nc, probes, head_dim,
+                                            sum_probes_first=False)
+
+    monkeypatch.setattr(training, "jf_value_and_grad", unsummed_pass)
+    unsummed = geoib_loss_and_grads(enc, dec, x, y, **kwargs)
+    assert np.array_equal(_bits(astuple(got[0])), _bits(astuple(unsummed[0])))
+    for g, w in zip(got[1:3], unsummed[1:3]):  # the two flat gradients
+        assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
 
 
 def test_a_stale_capture_is_never_read_without_grads():
