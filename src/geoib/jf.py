@@ -203,21 +203,27 @@ def jf_hutchinson(net, x, noise_cov, n_probes: int, rng) -> tuple[float, np.ndar
     return float(values.mean()), per_probe
 
 
-def jf_value_and_grad(net, noise_cov, probes, head_dim: int | None = None):
+def jf_value_and_grad(net, noise_cov, probes, head_dim: int | None = None,
+                      upstream=None, weight: float = 1.0):
     """Batch JF estimate at the captured batch, with the bits `jf_batch`
-    gives, together with its parameter gradient.
+    gives, together with the parameter gradient of weight * sum_i values_i,
+    plus that of sum(upstream * output) when `upstream` is given.
 
-    It reads the captured pass as `jf_batch` does.  The gradient treats
-    noise_cov as a constant: the only differentiated path runs through the
-    Jacobian-vector products.
+    It reads the captured pass as `jf_batch` does, and both gradients come
+    from one reverse pass (`Network.jvp_adjoint`), so a caller with an
+    output adjoint of its own (the loss's) runs no `backward` of its own.
+    The gradient treats noise_cov as a constant: the only differentiated
+    path of the penalty runs through the Jacobian-vector products.
 
     Args:
         net, noise_cov, probes, head_dim: as in `jf_batch`.
+        upstream: (B, out_dim) adjoint of the captured output, as in
+            `Network.backward`, or None.
+        weight: the penalty's coefficient in the gradient.
 
     Returns:
         (values, grad): values is (B,) per-sample estimates; grad is the
-        flat parameter gradient of sum_i values_i (sum convention, like
-        `Network.backward`).
+        flat parameter gradient (sum convention, like `Network.backward`).
     """
     head = _check_head(net, head_dim)
     u, cache = net.jvp_captured(probes)
@@ -225,7 +231,7 @@ def jf_value_and_grad(net, noise_cov, probes, head_dim: int | None = None):
     u_head = u[:, :, :head]
     values = np.sum(u_head**2 / nc, axis=2).mean(axis=0)
     u_bar = np.zeros_like(u)
-    u_bar[:, :, :u_head.shape[2]] = 2.0 * u_head / nc
-    # adjoint sums over the folded S*B axis; dividing by S leaves the
-    # probe average in the same sum-over-batch convention as backward
-    return values, net.jvp_adjoint(cache, u_bar) / u_head.shape[0]
+    # the adjoint sums over the folded S*B axis; the 1/S leaves the probe
+    # average in the same sum-over-batch convention as backward
+    u_bar[:, :, :head] = (2.0 * weight / u.shape[0]) * u_head / nc
+    return values, net.jvp_adjoint(cache, u_bar, upstream)

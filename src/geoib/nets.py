@@ -5,9 +5,10 @@ the network keeps its internals open: `forward(capture=True)` records the
 per-layer inputs and `backward` records the pre-activation gradients, which
 are exactly the two statistics the Kronecker-factored Fisher needs.  A
 forward-mode `jvp_captured` provides Jacobian-vector products for the
-capacity penalty, and `jvp_adjoint` differentiates a weighted squared JVP with
-respect to the parameters (reverse over forward), which is the gradient
-path of that penalty.
+capacity penalty, and `jvp_adjoint` differentiates a weighted sum of the
+output and of its JVPs with respect to the parameters (reverse over
+forward), which is the gradient path of that penalty and, in the same
+pass, of the loss through the network's output.
 
 A captured forward pass, `forward(x, capture=True)`, is the one primal
 loop of a training step.  It keeps each layer's input, pre-activation and
@@ -17,11 +18,11 @@ route `backward_deltas` (what the Kronecker factors read), and
 `jvp_captured`, the tangents of the captured batch, which is the only JVP.
 Tangents come S per row, as an (S, B, in_dim) array: the primal values
 belong to the B rows, and the tangent products run on the S*B (probe, row)
-pairs.  `jvp_adjoint` sums a layer's primal-track adjoint over a row's S
-probes before the product with the row's input, so no input row is copied
-S times.  Identity layers hold no derivative array, and the passes skip
-the products by their unit and zero derivatives, which would change no
-bit.
+pairs.  `jvp_adjoint` carries the primal-track adjoint once per row,
+summed over the row's S probes, so no input row is copied S times and
+one product with the rows serves the output's adjoint and the tangents'.
+Identity layers hold no derivative array, and the passes skip the
+products by their unit and zero derivatives, which would change no bit.
 
 A network holds its parameters as one flat float64 vector, `params`.  The
 vector is the layers' augmented blocks [W | b], each of shape (out, in+1),
@@ -341,27 +342,35 @@ class Network:
             tangents.append(t)
         return t, (acts, pre, derivs, tangents, tan_pre)
 
-    def jvp_adjoint(self, cache, u_bar) -> np.ndarray:
-        """Parameter gradient of sum(u_bar * u) where u_si = J(x_i) v_si.
+    def jvp_adjoint(self, cache, u_bar, upstream=None) -> np.ndarray:
+        """Parameter gradient of sum(upstream * out) + sum(u_bar * u), where
+        out is the captured output and u_si = J(x_i) v_si, in one reverse
+        pass.
 
-        This is reverse-mode applied to the forward-tangent computation of
-        `jvp_captured`: adjoints flow through both the primal track (because
-        activation derivatives depend on the pre-activations) and the tangent
-        track.  The derivatives held for the B rows broadcast over the S
-        probes, and the tangent-track products run over the folded S*B
-        pairs.  The primal values are shared by a row's S probes, so a
-        layer's primal-track weight gradient is (sum_s s_bar_s)^T a_l, one
-        product over the B captured rows, and its bias gradient is the row
-        sum of that probe sum.
+        This is reverse-mode applied to the captured forward pass together
+        with the forward-tangent computation of `jvp_captured`: adjoints flow
+        through the tangent track and through the primal track, which the
+        output adjoint `upstream` seeds and the tangent track feeds, because
+        activation derivatives depend on the pre-activations.  The
+        derivatives held for the B rows broadcast over the S probes, and the
+        tangent-track products run over the folded S*B pairs.  The primal
+        values are shared by a row's S probes, so the primal-track adjoint
+        is one (B, w) array per layer: at a layer's pre-activation it is
 
-        The primal-track adjoint is identically +0 above the topmost
-        nonlinear layer, since an identity layer's second derivative is 0.
-        While it is, the pass skips the products and sums that would only
-        add +0, and adds 0.0 where the sum would turn a -0 into +0.
+            r = rho * f' + (sum_s t_bar_s * ts_s) * f''
+
+        with rho the primal adjoint of the layer's output, t_bar_s the
+        tangent adjoint of probe s and ts_s its tangent pre-activation (an
+        identity layer gives r = rho).  The weight gradient is
+        r^T a_l + ts_bar^T T_l, one product with the B input rows and one
+        with the folded tangents, the bias gradient is the row sum of r, and
+        the layer below receives rho = r W.
 
         Args:
             cache: second output of `jvp_captured`.
             u_bar: (S, B, out_dim) adjoint of the tangent output.
+            upstream: (B, out_dim) adjoint of the captured output, as in
+                `backward`, or None for zeros.
 
         Returns:
             The flat parameter gradient, laid out like `params`.
@@ -373,33 +382,31 @@ class Network:
             raise ValueError(
                 f"u_bar has shape {u_bar.shape}, expected {shape}"
             )
+        if upstream is None:
+            rho = np.zeros(shape[1:])
+        else:
+            rho = np.asarray(upstream, dtype=np.float64)
+            if rho.shape != shape[1:]:
+                raise ValueError(
+                    f"upstream has shape {rho.shape}, expected {shape[1:]}"
+                )
         grad = np.empty_like(self.params)
         grad_blocks = layer_blocks(grad, self.shapes)
-        a_bar = None  # the primal-track adjoint; None while it is +0
         t_bar = u_bar
         for l in range(self.n_layers - 1, -1, -1):
             d = derivs[l]
-            ts_bar = _fold(t_bar if d is None else t_bar * d)
-            tan_w = ts_bar.T @ _fold(tangents[l])
-            if a_bar is None and d is None:
-                s_bar = None
-                np.add(tan_w, 0.0, out=grad_blocks[l][:, :-1])
-                grad_blocks[l][:, -1] = 0.0
+            if d is None:
+                ts_bar, r = t_bar, rho
             else:
                 dd = _TABLE[self.specs[l].activation][2](pre[l], acts[l + 1])
-                s_bar = t_bar * tan_pre[l] * dd
-                if a_bar is None:
-                    s_bar = s_bar + 0.0
-                else:
-                    s_bar = (a_bar if d is None else a_bar * d) + s_bar
-                # the S probes of a row share its primal input a_l
-                s_sum = s_bar.sum(axis=0)
-                grad_blocks[l][:, :-1] = s_sum.T @ acts[l] + tan_w
-                grad_blocks[l][:, -1] = s_sum.sum(axis=0)
+                ts_bar = t_bar * d
+                r = rho * d + (t_bar * tan_pre[l]).sum(axis=0) * dd
+            ts_bar = _fold(ts_bar)
+            grad_blocks[l][:, :-1] = r.T @ acts[l] + ts_bar.T @ _fold(tangents[l])
+            grad_blocks[l][:, -1] = r.sum(axis=0)
             if l > 0:
                 w = self.blocks[l][:, :-1]
-                if s_bar is not None:
-                    a_bar = (_fold(s_bar) @ w).reshape(tangents[l].shape)
+                rho = r @ w
                 t_bar = (ts_bar @ w).reshape(tangents[l].shape)
         return grad
 

@@ -4,7 +4,9 @@ Both methods share one objective and one step.  A geoib step does, in
 order: (1) draw a minibatch and reparameterized codes z = mu + sigma * eps,
 (2) estimate the rate term and the Jacobian capacity penalty with
 Hutchinson probes, (3) assemble Euclidean gradients for decoder and encoder
-(the encoder gradient carries beta times the two penalties), (4) refresh
+(the encoder gradient carries beta times the two penalties, and one reverse
+pass over the encoder, the penalty's adjoint seeded with the loss's output
+adjoint, forms all of it), (4) refresh
 the Kronecker Fisher factors from the pre-activation gradients of a
 model-sampled backward pass, (5) solve the damped factored systems by an
 exact Kronecker-factored Cholesky solve, and (6) apply additive parameter
@@ -19,7 +21,7 @@ index, so runs are reproducible sample-for-sample and a config uniquely
 determines the final parameters.
 
 Each network runs one primal pass a step: the loss's captured forward.
-The Jacobian penalty's JVPs read it, and so do the gradient's backward pass
+The Jacobian penalty's JVPs read it, and so do the gradient's reverse pass
 and the K-FAC capture's, which backpropagates model-sampled targets through
 the posterior head (sigma and clamp mask) that the loss formed.  The loss
 without gradients captures the encoder pass too, for the penalty's JVPs.
@@ -67,10 +69,10 @@ from .nets import LayerSpec, Network
 from .rng import Rng
 
 # The training revision: what a given config trains to.  Every change in
-# behaviour made on purpose bumps it (r3 -> r4) and records the before and
+# behaviour made on purpose bumps it (r4 -> r5) and records the before and
 # after in CHANGES.md; a change that keeps every bit keeps it.  Evaluated
 # points record it, and a sweep refuses to reuse a cell of another one.
-REVISION = "r4"
+REVISION = "r5"
 
 # Substream layout of the run seed.
 _STREAM_ENC_INIT = 11
@@ -160,7 +162,9 @@ def geoib_loss_and_grads(enc: Network, dec: Network, x, y, *,
 
     The encoder's forward pass is always captured, since the Jacobian
     penalty's JVPs read it (`jf_batch`, `jf_value_and_grad`); the decoder's
-    is captured only for the gradients.
+    is captured only for the gradients.  With probes, the encoder's whole
+    gradient comes from the penalty's adjoint seeded with the loss's
+    encoder upstream, and `Network.backward` runs on the decoder alone.
 
     Returns:
         metrics alone when want_grads is False, else
@@ -182,12 +186,21 @@ def geoib_loss_and_grads(enc: Network, dec: Network, x, y, *,
     fr_vec, dlv_fr = rate(mu, lv)
     fr = float(fr_vec.mean())
 
-    jf, jf_grad = 0.0, None
+    if want_grads:
+        g_dec, dz = dec.backward(up_dec, return_input_grad=True)
+        up_enc = np.zeros((batch, 2 * k_dim))
+        up_enc[:, :k_dim] = dz + beta * mu
+        up_enc[:, k_dim:] = (dz * (0.5 * sig * eps) + beta * dlv_fr) * clamp_open
+        if probes is None:
+            g_enc = enc.backward(up_enc)
+    jf = 0.0
     if probes is not None:
         nc = noise_cov if noise_cov is not None else np.exp(lv)
-        # both read the encoder pass captured above
+        # both read the encoder pass captured above; with gradients, one
+        # reverse pass over the encoder serves the loss and the penalty
         if want_grads:
-            jf_vec, jf_grad = jf_value_and_grad(enc, nc, probes, head_dim=k_dim)
+            jf_vec, g_enc = jf_value_and_grad(enc, nc, probes, head_dim=k_dim,
+                                              upstream=up_enc, weight=beta)
         else:
             jf_vec, _ = jf_batch(enc, nc, probes, head_dim=k_dim)
         jf = float(jf_vec.mean())
@@ -196,14 +209,6 @@ def geoib_loss_and_grads(enc: Network, dec: Network, x, y, *,
     metrics = StepMetrics(total=total, nll=nll, fr=fr, jf=jf)
     if not want_grads:
         return metrics
-
-    g_dec, dz = dec.backward(up_dec, return_input_grad=True)
-    up_enc = np.zeros((batch, 2 * k_dim))
-    up_enc[:, :k_dim] = dz + beta * mu
-    up_enc[:, k_dim:] = (dz * (0.5 * sig * eps) + beta * dlv_fr) * clamp_open
-    g_enc = enc.backward(up_enc)
-    if jf_grad is not None:
-        g_enc = g_enc + beta * jf_grad
     return metrics, g_enc / batch, g_dec / batch, (sig, clamp_open)
 
 
@@ -570,18 +575,24 @@ def run_sweep(base_cfg: TrainConfig, out_dir: str, betas, k_dims,
     its recorded point must name the current training revision and
     inversion probe, or ValueError says what differs.  The aggregate
     info_plane.csv and points.jsonl are rewritten at the end from all
-    successful cells.  An empty axis raises ValueError naming it before
-    out_dir is touched.
+    successful cells.  An empty axis, a value TrainConfig refuses, or two
+    grid values that name the same cell (1e-4 and 0.0001, say) raise
+    ValueError before out_dir is touched.
     """
     for name, axis in (("betas", betas), ("k_dims", k_dims), ("seeds", seeds)):
         if len(axis) == 0:
             raise ValueError(f"the sweep grid is empty: no {name} given")
-    os.makedirs(out_dir, exist_ok=True)
-    manifest_path = os.path.join(out_dir, "manifest.jsonl")
-    done = _read_manifest(manifest_path)
     cells = [(_cell_key(beta, k_dim, seed),
               replace(base_cfg, beta=beta, k_dim=k_dim, seed=seed))
              for beta in betas for k_dim in k_dims for seed in seeds]
+    keys = set()
+    for key, _ in cells:
+        if key in keys:
+            raise ValueError(f"the sweep grid names cell {key} twice")
+        keys.add(key)
+    os.makedirs(out_dir, exist_ok=True)
+    manifest_path = os.path.join(out_dir, "manifest.jsonl")
+    done = _read_manifest(manifest_path)
     reused = {key for key, _ in cells if done.get(key, {}).get("status") == "ok"}
     for key, cfg in cells:
         if key in reused:

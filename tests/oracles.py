@@ -19,8 +19,10 @@ i-projection, and the masked sums of that time written out), and
 pass ran once per input row (with the package's activation table), and
 `jf_value_and_grad_replicated`, the Jacobian penalty's gradient route as it
 ran before it read the loss's captured pass (with `replicated_jvp` for its
-JVP), and `backward_by_layer`, the backward pass as it ran before the
-activation derivatives were kept by the captured forward pass.
+JVP), each also in the order of the time before one reverse pass formed
+the loss's encoder gradient and the penalty's together, and
+`backward_by_layer`, the backward pass as it ran before the activation
+derivatives were kept by the captured forward pass.
 """
 
 import numpy as np
@@ -302,21 +304,29 @@ def projection_margins_loop(seed: int, n_joints: int, n_perturb: int) -> np.ndar
     return margins
 
 
-def replicated_jvp(net, x, probes, u_bar=None, sum_probes_first=True):
+def replicated_jvp(net, x, probes, u_bar=None, upstream=None, fused=True):
     """J(x_i) v_si by one pass over x replicated S times, and, given u_bar,
-    the parameter gradient of sum(u_bar * u) by reverse mode over that pass.
+    the parameter gradient of sum(upstream * net(x)) + sum(u_bar * u) by
+    reverse mode over that pass.
 
-    With `sum_probes_first`, each layer's primal-track weight and bias
-    gradients take the primal adjoint summed over the S probes of a row,
-    against the first copy of the rows; without it, they run over all
-    S*B replicated rows, as the adjoint did before it stopped copying them.
+    With `fused`, the primal-track adjoint is one (B, w) array per layer,
+    seeded by `upstream` (zeros when None): at a nonlinear layer it takes
+    the tangent track's term summed over a row's S probes, with f''
+    applied after the sum, and an identity layer passes it through; its
+    weight product runs against the first copy of the rows.  Without it,
+    the adjoint runs as it did before the loss's upstream joined it: per
+    (probe, row) pair, with f'' applied to each pair, summed over the
+    probes before the weight product, and `upstream` must be None.
 
     Args:
-        x: (B, in) rows; probes: (S, B, in); u_bar: (S, B, out) or None.
+        x: (B, in) rows; probes: (S, B, in); u_bar: (S, B, out) or None;
+        upstream: (B, out) or None.
 
     Returns:
         (u, grad): u is (S, B, out); grad is the flat gradient or None.
     """
+    if upstream is not None and not fused:
+        raise ValueError("the unfused adjoint takes no upstream")
     n_probes, batch = probes.shape[:2]
     rows = np.broadcast_to(x, probes.shape).reshape(n_probes * batch, -1)
     acts, pre = [rows], []
@@ -336,32 +346,42 @@ def replicated_jvp(net, x, probes, u_bar=None, sum_probes_first=True):
         return u, None
     grad = np.empty_like(net.params)
     grad_blocks = layer_blocks(grad, net.shapes)
+    rho = np.zeros((batch, net.out_dim)) if upstream is None else upstream
     a_bar = np.zeros_like(acts[-1])
     t_bar = u_bar.reshape(n_probes * batch, -1)
     for l in range(net.n_layers - 1, -1, -1):
-        _, df, ddf = _TABLE[net.specs[l].activation]
+        sp = net.specs[l]
+        _, df, ddf = _TABLE[sp.activation]
         d = df(pre[l], acts[l + 1])
         dd = ddf(pre[l], acts[l + 1])
         ts_bar = t_bar * d
-        s_bar = a_bar * d + t_bar * tan_pre[l] * dd
-        if sum_probes_first:
-            s_sum = s_bar.reshape(n_probes, batch, -1).sum(axis=0)
-            primal_w, bias = s_sum.T @ acts[l][:batch], s_sum.sum(axis=0)
+        if not fused:
+            s_bar = a_bar * d + t_bar * tan_pre[l] * dd
+            r = s_bar.reshape(n_probes, batch, -1).sum(axis=0)
+        elif sp.activation == "identity":
+            r = rho
         else:
-            primal_w, bias = s_bar.T @ acts[l], s_bar.sum(axis=0)
-        grad_blocks[l][:, :-1] = primal_w + ts_bar.T @ tangents[l]
-        grad_blocks[l][:, -1] = bias
+            t_sum = (t_bar * tan_pre[l]).reshape(n_probes, batch, -1).sum(axis=0)
+            r = rho * d[:batch] + t_sum * dd[:batch]
+        grad_blocks[l][:, :-1] = r.T @ acts[l][:batch] + ts_bar.T @ tangents[l]
+        grad_blocks[l][:, -1] = r.sum(axis=0)
         if l > 0:
             w = net.blocks[l][:, :-1]
-            a_bar = s_bar @ w
+            if fused:
+                rho = r @ w
+            else:
+                a_bar = s_bar @ w
             t_bar = ts_bar @ w
     return u, grad
 
 
 def jf_value_and_grad_replicated(net, x, noise_cov, probes, head_dim=None,
-                                 sum_probes_first=True):
-    """Per-sample JF estimates at x and the flat gradient of their sum,
-    by `replicated_jvp`."""
+                                 upstream=None, weight=1.0, fused=True):
+    """Per-sample JF estimates at x and the flat gradient of weight times
+    their sum plus sum(upstream * net(x)), by `replicated_jvp`.  Without
+    `fused`, the two gradients come as they did before one reverse pass
+    formed both: `backward_by_layer` for the upstream, plus weight times
+    the unfused adjoint of the penalty."""
     head = net.out_dim if head_dim is None else head_dim
     nc = np.maximum(np.asarray(noise_cov, dtype=np.float64), SIGMA_SQ_FLOOR)
     if nc.ndim == 1:
@@ -370,9 +390,14 @@ def jf_value_and_grad_replicated(net, x, noise_cov, probes, head_dim=None,
     u_head = u[:, :, :head]
     values = np.sum(u_head**2 / nc, axis=2).mean(axis=0)
     u_bar = np.zeros_like(u)
+    if fused:
+        u_bar[:, :, :head] = (2.0 * weight / probes.shape[0]) * u_head / nc
+        return values, replicated_jvp(net, x, probes, u_bar, upstream)[1]
     u_bar[:, :, :head] = 2.0 * u_head / nc
-    _, grad = replicated_jvp(net, x, probes, u_bar, sum_probes_first)
-    return values, grad / probes.shape[0]
+    grad = replicated_jvp(net, x, probes, u_bar, fused=False)[1] / probes.shape[0]
+    if upstream is not None:
+        grad = backward_by_layer(net, x, upstream)[0] + weight * grad
+    return values, grad
 
 
 def backward_by_layer(net, x, upstream):

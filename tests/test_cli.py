@@ -170,6 +170,25 @@ def test_sweep_refuses_an_empty_grid(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--betas", "1e-4,0.0001"),
+                                         ("--seeds", "0,0"),
+                                         ("--betas", "1e-4,-1")])
+def test_sweep_refuses_a_grid_it_cannot_train_whole(tmp_path, capsys, flag,
+                                                    value):
+    # a repeated cell or a value the config refuses is one error line,
+    # before the output directory exists
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--dataset", "gauss_mixture:n=200,noise=0.14",
+            "--epochs", "1", "--enc-hidden", "8", "--out", str(out),
+            "--betas", "0.0001", "--k-dims", "2", "--seeds", "0", flag, value]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert "cells succeeded" not in captured.out
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("damaged", [
     "not a JSON line", '{"status": "ok"}',
     '{"cell": "beta0.0001_k2_seed0", "status": "ok"}', "# r\u00e9sum\u00e9"])

@@ -344,15 +344,16 @@ def _bits(a) -> np.ndarray:
 @pytest.mark.parametrize("n_probes, batch", [(2, 32), (2, 1), (1, 1)])
 def test_value_and_grad_gives_the_replicated_bits(hidden, n_probes, batch):
     """The gradient route reads the captured pass and gives the bits of
-    the replicated-pass oracle, its primal-track weight product summed over
-    the probes first, and agrees with the unsummed pass to round-off; a
+    the replicated-pass oracle in the fused order, with and without an
+    output adjoint, and agrees with the unfused order to round-off; a
     hidden unit with no outgoing weights and the unpenalized log-variance
-    head leave exact zeros in the gradient."""
+    head leave exact zeros in the penalty's gradient."""
     net = _net((3, 5, hidden), (5, 4, "identity"), seed=50)
     net.blocks[1][:, 2] = 0.0
     x = Rng(51).normal((batch, 3))
     nc = np.exp(0.3 * Rng(52).normal((batch, 2)))
     probes = draw_probes(Rng(53), n_probes, batch, 3)
+    upstream = Rng(54).normal((batch, 4))
     net.forward(x, capture=True)
     values, grad = jf_value_and_grad(net, nc, probes, head_dim=2)
     want_values, want_grad = jf_value_and_grad_replicated(net, x, nc, probes,
@@ -360,9 +361,42 @@ def test_value_and_grad_gives_the_replicated_bits(hidden, n_probes, batch):
     assert np.array_equal(_bits(values), _bits(want_values))
     assert np.array_equal(_bits(grad), _bits(want_grad))
     assert np.count_nonzero(grad == 0.0) >= 2 * 6 + 4
-    _, rows_grad = jf_value_and_grad_replicated(net, x, nc, probes, head_dim=2,
-                                                sum_probes_first=False)
-    assert np.max(np.abs(grad - rows_grad)) <= 1e-13 * np.max(np.abs(rows_grad))
+    _, unfused = jf_value_and_grad_replicated(net, x, nc, probes, head_dim=2,
+                                              fused=False)
+    assert np.max(np.abs(grad - unfused)) <= 1e-13 * np.max(np.abs(unfused))
+    values, grad = jf_value_and_grad(net, nc, probes, head_dim=2,
+                                     upstream=upstream, weight=0.25)
+    _, want_grad = jf_value_and_grad_replicated(
+        net, x, nc, probes, head_dim=2, upstream=upstream, weight=0.25)
+    assert np.array_equal(_bits(values), _bits(want_values))
+    assert np.array_equal(_bits(grad), _bits(want_grad))
+    _, unfused = jf_value_and_grad_replicated(
+        net, x, nc, probes, head_dim=2, upstream=upstream, weight=0.25,
+        fused=False)
+    assert np.max(np.abs(grad - unfused)) <= 1e-13 * np.max(np.abs(unfused))
+
+
+@pytest.mark.parametrize("hidden", ["tanh", "softplus"])
+@pytest.mark.parametrize("n_probes", [1, 2, 3])
+@pytest.mark.parametrize("batch", [1, 7])
+@pytest.mark.parametrize("head_dim", [None, 2])
+def test_value_and_grad_with_an_upstream_is_the_sum_of_two_passes(
+        hidden, n_probes, batch, head_dim):
+    """One reverse pass seeded with an output adjoint U and the penalty's
+    weight w gives backward(U) + w * (the penalty's own gradient), to
+    round-off, and the penalty's values are unchanged."""
+    net = _net((3, 5, hidden), (5, 4, "identity"), seed=57)
+    x = Rng(58).normal((batch, 3))
+    nc = np.exp(0.3 * Rng(59).normal(2 if head_dim else 4))
+    probes = draw_probes(Rng(60), n_probes, batch, 3)
+    upstream = Rng(61).normal((batch, 4))
+    net.forward(x, capture=True)
+    values, fused = jf_value_and_grad(net, nc, probes, head_dim=head_dim,
+                                      upstream=upstream, weight=0.3)
+    alone_values, alone = jf_value_and_grad(net, nc, probes, head_dim=head_dim)
+    want = net.backward(upstream) + 0.3 * alone
+    assert np.array_equal(_bits(values), _bits(alone_values))
+    assert np.max(np.abs(fused - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_value_and_grad_requires_a_captured_pass():

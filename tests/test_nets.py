@@ -233,31 +233,39 @@ def _biased_net(specs, seed):
                                              (1, 1), (2, 1), (10_000, 1)])
 def test_jvp_captured_matches_replicated_pass_bit_for_bit(name, n_probes, batch):
     """The JVP read from a captured pass gives the bits of a pass over x
-    replicated S times, in the tangents and in the adjoint gradient, whose
-    primal-track weight product is summed over the probes first; a
-    one-row capture with S > 1 runs its padded primal again.  Without
-    that sum the replicated pass agrees to round-off."""
+    replicated S times, in the tangents and in the adjoint gradient, with
+    and without an output adjoint seeding the primal track, whose adjoint
+    is summed over the probes before f''; a one-row capture with S > 1 runs
+    its padded primal again.  The adjoint of the time before the output
+    adjoint joined it, plus a backward pass for that adjoint, agrees to
+    round-off."""
     net = _biased_net(CAPTURED_NETS[name], seed=40)
     rng = Rng(41)
     x = rng.normal((batch, net.in_dim))
     v = rng.normal((n_probes, batch, net.in_dim))
     u_bar = rng.normal((n_probes, batch, net.out_dim))
+    upstream = rng.normal((batch, net.out_dim))
     net.forward(x, capture=True)
     u, cache = net.jvp_captured(v)
     u_ref, grad_ref = replicated_jvp(net, x, v, u_bar)
-    grad = net.jvp_adjoint(cache, u_bar)
     assert np.array_equal(_bits(u), _bits(u_ref))
+    grad = net.jvp_adjoint(cache, u_bar)
     assert np.array_equal(_bits(grad), _bits(grad_ref))
-    _, grad_rows = replicated_jvp(net, x, v, u_bar, sum_probes_first=False)
-    assert _within_round_off(grad, grad_rows)
+    _, unfused = replicated_jvp(net, x, v, u_bar, fused=False)
+    assert _within_round_off(grad, unfused)
+    both = net.jvp_adjoint(cache, u_bar, upstream)
+    _, both_ref = replicated_jvp(net, x, v, u_bar, upstream)
+    assert np.array_equal(_bits(both), _bits(both_ref))
+    two_passes = backward_by_layer(net, x, upstream)[0] + unfused
+    assert _within_round_off(both, two_passes)
 
 
 def test_jvp_adjoint_at_a_negative_zero_second_derivative():
     """A tanh unit at pre-activation 0 has second derivative -0, so its
-    tangent-track term is -0 on every (probe, row) pair, where the replicated
-    pass adds a +0 primal-track adjoint; the adjoint gradient keeps the
-    replicated bits, summed over the probes first, and the unit's bias
-    gradient is +0."""
+    tangent-track term is -0, summed over the probes or not, where the
+    primal-track adjoint adds a +0 from above; the adjoint gradient keeps
+    the replicated bits and the unit's bias gradient is +0, as in the
+    unfused adjoint, which agrees to round-off."""
     net = _net((3, 4, "tanh"), (4, 2, "identity"), seed=45)
     net.blocks[0][0] = [1.0, 0.0, 0.0, 0.0]
     net.blocks[1][:, 0] = np.abs(net.blocks[1][:, 0])
@@ -272,9 +280,9 @@ def test_jvp_adjoint_at_a_negative_zero_second_derivative():
     _, grad_ref = replicated_jvp(net, x, v, u_bar)
     assert np.array_equal(_bits(grad), _bits(grad_ref))
     assert not np.signbit(layer_blocks(grad, net.shapes)[0][0, -1])
-    _, grad_rows = replicated_jvp(net, x, v, u_bar, sum_probes_first=False)
-    assert _within_round_off(grad, grad_rows)
-    assert not np.signbit(layer_blocks(grad_rows, net.shapes)[0][0, -1])
+    _, unfused = replicated_jvp(net, x, v, u_bar, fused=False)
+    assert _within_round_off(grad, unfused)
+    assert not np.signbit(layer_blocks(unfused, net.shapes)[0][0, -1])
 
 
 def test_jvp_adjoint_holds_no_replicated_input_rows():
@@ -307,6 +315,14 @@ def test_jvp_captured_requires_a_matching_capture():
         net.jvp_captured(np.zeros((2, 5, 3)))
     with pytest.raises(ValueError, match="same B"):
         net.jvp_captured(np.zeros((4, 3)))
+
+
+def test_jvp_adjoint_refuses_an_upstream_of_another_shape():
+    net = _net((3, 2, "tanh"), seed=43)
+    net.forward(np.zeros((4, 3)), capture=True)
+    _, cache = net.jvp_captured(np.zeros((2, 4, 3)))
+    with pytest.raises(ValueError, match="upstream has shape"):
+        net.jvp_adjoint(cache, np.zeros((2, 4, 2)), np.zeros((2, 4, 2)))
 
 
 # ------------------------------------------------------- explicit jacobian

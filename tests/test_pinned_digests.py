@@ -82,6 +82,21 @@ PINNED = {"r1": _R1, "r2": _R1, "r3": {
         "ac3fd46a8348949e6dde0865fcc7d9b08d591fd1bbd074b54a47d24f265f89ac",
         "0af619b83c106c714e429c92a9f500d9a9c3dad0c579deba3934ea6851c21532",
     ),
+}, "r5": {
+    # r5 runs one reverse pass over the encoder for the loss and the JF
+    # penalty, with the primal-track adjoint summed over the probes before
+    # the second derivative: geoib's two configs train to new bits
+    **_R1,
+    "geoib": (
+        {},
+        "b15f296b87c9b8873e68d3f6538ff822e484ca1a144ac638404a8c87fc607959",
+        "7950aaa56a0398d54345f538daaf17c90f9bdd54ef03db0093e672c6a5875af3",
+    ),
+    "geoib_fr_quadratic_beta1": (
+        {"fr_mode": "fr_quadratic", "beta": 1.0},
+        "7a95ceb61c816fe15bf0f2d70fc9cf094bdfe1605e114fe8c2afae7c554b0109",
+        "fa83263a0ac5a5ffd00ad22629901beb31ce7701d8311bb0747184cbb72e843c",
+    ),
 }}
 
 # Inputs wider than the batch: the encoder's input layer is solved in batch
@@ -89,7 +104,7 @@ PINNED = {"r1": _R1, "r2": _R1, "r3": {
 # reach.  Pinned from r4 on, which applies that layer's (G + lam I)^-1 as a
 # matrix.
 WIDE_DATASET = "gauss_mixture:n=400,dim=784"
-PINNED_WIDE = {"r4": {
+_WIDE_R4 = {
     "geoib": (
         {},
         "b036906483802a0827dd9e40a4f99689bca0856035456f5cb306f2084c8e246f",
@@ -99,6 +114,16 @@ PINNED_WIDE = {"r4": {
         {"method": "vib", "vib_natural_gradient": True},
         "f9696dbc0fde63a3f2fee326a749b5bef8b300ed96ba2b6562817f5436cb5b5b",
         "1a1151409d928b8ff7e22ddc9e258520591abffc3e7f0899ca8eee9c3d3682c0",
+    ),
+}
+# r5's fused encoder reverse pass moves geoib; vib_natural_gradient, which
+# draws no probes, keeps r4's digests
+PINNED_WIDE = {"r4": _WIDE_R4, "r5": {
+    **_WIDE_R4,
+    "geoib": (
+        {},
+        "7c814601a39228445ed38f190bfdbdbc3b6efd90b2eebe81026b185b8cf28c9b",
+        "14374444c6816bbfbfd07270960480aaaff77db82e0681645754150252af8c2a",
     ),
 }}
 

@@ -134,9 +134,10 @@ def _csv_rows(path) -> list[list[str]]:
 def test_loss_and_grads_give_the_bits_of_a_jf_pass_of_its_own(monkeypatch, rows):
     # the penalty's JVPs read the loss's captured encoder pass; a one-row
     # batch with two probes runs its padded primal again.  Either way the
-    # metrics and gradients are those of the replicated-pass route with its
-    # primal-track weight product summed over the probes first, and agree
-    # with the unsummed route to round-off
+    # metrics and gradients are those of the replicated-pass route in the
+    # fused order, one reverse pass seeded with the loss's encoder
+    # upstream, and agree to round-off with the unfused route, a backward
+    # pass for the loss plus beta times the penalty's own adjoint
     cfg = TrainConfig(k_dim=2, enc_hidden="8", dataset=TOY, beta=0.5)
     _, _, enc, dec, _, _, x, y = _toy_setup(cfg)
     x, y = x[:rows], y[:rows]
@@ -145,8 +146,9 @@ def test_loss_and_grads_give_the_bits_of_a_jf_pass_of_its_own(monkeypatch, rows)
                   probes=draw_probes(Rng(6), 2, rows, 2))
     got = geoib_loss_and_grads(enc, dec, x, y, **kwargs)
 
-    def own_pass(net, nc, probes, head_dim):
-        return jf_value_and_grad_replicated(net, x, nc, probes, head_dim)
+    def own_pass(net, nc, probes, head_dim, upstream, weight):
+        return jf_value_and_grad_replicated(net, x, nc, probes, head_dim,
+                                            upstream, weight)
 
     monkeypatch.setattr(training, "jf_value_and_grad", own_pass)
     want = geoib_loss_and_grads(enc, dec, x, y, **kwargs)
@@ -155,15 +157,36 @@ def test_loss_and_grads_give_the_bits_of_a_jf_pass_of_its_own(monkeypatch, rows)
     for g, w in zip(got[1:], want[1:]):
         assert np.array_equal(_bits(g), _bits(w))
 
-    def unsummed_pass(net, nc, probes, head_dim):
+    def unfused_pass(net, nc, probes, head_dim, upstream, weight):
         return jf_value_and_grad_replicated(net, x, nc, probes, head_dim,
-                                            sum_probes_first=False)
+                                            upstream, weight, fused=False)
 
-    monkeypatch.setattr(training, "jf_value_and_grad", unsummed_pass)
-    unsummed = geoib_loss_and_grads(enc, dec, x, y, **kwargs)
-    assert np.array_equal(_bits(astuple(got[0])), _bits(astuple(unsummed[0])))
-    for g, w in zip(got[1:3], unsummed[1:3]):  # the two flat gradients
-        assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+    monkeypatch.setattr(training, "jf_value_and_grad", unfused_pass)
+    unfused = geoib_loss_and_grads(enc, dec, x, y, **kwargs)
+    assert np.array_equal(_bits(astuple(got[0])), _bits(astuple(unfused[0])))
+    assert np.array_equal(_bits(got[2]), _bits(unfused[2]))
+    assert np.max(np.abs(got[1] - unfused[1])) <= 1e-13 * np.max(np.abs(unfused[1]))
+
+
+@pytest.mark.parametrize("with_probes", [True, False])
+def test_one_encoder_reverse_pass_per_objective(monkeypatch, with_probes):
+    # with probes the encoder's loss gradient comes out of the penalty's
+    # adjoint, so `Network.backward` runs on the decoder alone; without
+    # them the encoder's backward pass forms it
+    cfg = TrainConfig(k_dim=2, enc_hidden="8", dataset=TOY)
+    _, _, enc, dec, _, _, x, y = _toy_setup(cfg)
+    probes = draw_probes(Rng(4), 2, 16, 2) if with_probes else None
+    backward, calls = Network.backward, []
+
+    def counted(net, *args, **kwargs):
+        calls.append(net)
+        return backward(net, *args, **kwargs)
+
+    monkeypatch.setattr(Network, "backward", counted)
+    geoib_loss_and_grads(enc, dec, x[:16], y[:16], beta=cfg.beta,
+                         fr_mode=cfg.fr_mode, k_dim=2,
+                         eps=Rng(3).normal((16, 2)), probes=probes)
+    assert calls == ([dec] if with_probes else [dec, enc])
 
 
 def test_a_stale_capture_is_never_read_without_grads():
@@ -859,6 +882,25 @@ def test_run_sweep_refuses_an_empty_grid(tmp_path, axis):
     grid = {"betas": (1e-4,), "k_dims": (2,), "seeds": (0,), axis: ()}
     with pytest.raises(ValueError, match=f"no {axis} given"):
         run_sweep(_SWEEP_CFG, str(out), **grid)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("axis, values", [("betas", (1e-4, 0.0001)),
+                                          ("k_dims", (2, 2)), ("seeds", (0, 0))])
+def test_run_sweep_refuses_a_repeated_cell(tmp_path, axis, values):
+    # one cell trained twice would append two manifest records and write
+    # its row twice into info_plane.csv
+    out = tmp_path / "sweep"
+    grid = {"betas": (1e-4,), "k_dims": (2,), "seeds": (0,), axis: values}
+    with pytest.raises(ValueError, match="cell beta0.0001_k2_seed0 twice"):
+        run_sweep(_SWEEP_CFG, str(out), **grid)
+    assert not out.exists()
+
+
+def test_run_sweep_refuses_an_invalid_cell_before_touching_out_dir(tmp_path):
+    out = tmp_path / "sweep"
+    with pytest.raises(ValueError, match="beta must be nonnegative"):
+        run_sweep(_SWEEP_CFG, str(out), betas=(1e-4, -1.0), k_dims=(2,))
     assert not out.exists()
 
 
