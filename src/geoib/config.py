@@ -13,13 +13,13 @@ import warnings
 from dataclasses import dataclass, fields, replace
 
 METHODS = ("geoib", "vib")
-FR_MODES = ("closed_form_kl", "fr_quadratic")
 # Keys of older run configs that no longer mean anything, with the reason
 # given when one is skipped.
 LEGACY_KEYS = {
     "cg_tol": "the K-FAC solve is exact",
     "cg_max_iter": "the K-FAC solve is exact",
     "fisher_stats": "factor statistics are always model-sampled",
+    "fr_mode": "the method fixes the rate term",
     "sigma_floor": "noise variances are floored by the log-variance clamp",
 }
 
@@ -29,12 +29,13 @@ class TrainConfig:
     """Everything a training run depends on.
 
     Attributes:
-        method: "geoib" (natural-gradient with the geometric penalties) or
-            "vib" (the variational baseline: NLL + beta KL, no Jacobian
-            term, fr_mode ignored, plain gradient descent).
+        method: "geoib" (natural gradient on NLL + beta times the
+            Fisher-Rao quadratic rate and the Jacobian-Frobenius penalty)
+            or "vib" (the variational baseline: NLL + beta times the
+            closed-form KL, no Jacobian term, plain gradient descent).
+            The method alone fixes the objective.
         beta: compression weight.
         k_dim: representation dimension.
-        fr_mode: "closed_form_kl" or "fr_quadratic" for the rate term.
         jf_probes: Hutchinson probe count per step.
         eta_phi / eta_theta: encoder / decoder step sizes.
         damping: Tikhonov damping added to each Kronecker factor, > 0.
@@ -43,7 +44,8 @@ class TrainConfig:
             1e-3 the digits runs generalized worse than at 1e-2.
         batch: minibatch size.
         epochs: passes over the training split.
-        seed: run seed; fixes data, init, and every stochastic draw.
+        seed: run seed in [0, 2**64); fixes data, init, and every
+            stochastic draw.
         step_clip: per-step cap on the parameter displacement norm, applied
             by scaling (direction preserved); 0 disables.  Guards against
             the huge early steps a barely-warmed Fisher produces.
@@ -62,7 +64,6 @@ class TrainConfig:
     method: str = "geoib"
     beta: float = 1e-4
     k_dim: int = 8
-    fr_mode: str = "closed_form_kl"
     jf_probes: int = 2
     eta_phi: float = 0.2
     eta_theta: float = 0.2
@@ -92,8 +93,8 @@ class TrainConfig:
                                  f"or surrounding blanks, got {value!r}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.fr_mode not in FR_MODES:
-            raise ValueError(f"fr_mode must be one of {FR_MODES}, got {self.fr_mode!r}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.beta < 0.0:
             raise ValueError(f"beta must be nonnegative, got {self.beta}")
         for name in ("k_dim", "jf_probes", "batch", "epochs", "damping"):

@@ -18,7 +18,9 @@ trace.  With M = J^T S^-1 J its per-probe variance is
 (Avron & Toledo 2011), and on a diagonal M every probe returns the exact
 trace.  One or two probes per step suffice in practice.  The exact forms
 here exist to verify the estimator and the bound chain; none of them
-appear on the training path.
+appear on the training path.  In training S is the encoder's own,
+exp of its clamped log-variance head, and `jf_value_and_grad`
+differentiates the penalty through J and through S.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import SIGMA_SQ_FLOOR
+from .encoder import LOG_VAR_MAX, LOG_VAR_MIN, SIGMA_SQ_FLOOR
 from .linalg import logdet_psd
 
 
@@ -130,28 +132,6 @@ def draw_probes(rng, n_probes: int, batch: int, dim: int) -> np.ndarray:
     return rng.signs((n_probes, batch, dim))
 
 
-def _check_head(net, head_dim: int | None) -> int:
-    if head_dim is None:
-        return net.out_dim
-    if not 0 < head_dim <= net.out_dim:
-        raise ValueError(
-            f"head_dim must be in (0, {net.out_dim}], got {head_dim}"
-        )
-    return head_dim
-
-
-def _floored_noise(noise_cov, batch: int, head: int) -> np.ndarray:
-    """The (batch, head) noise variances, floored at SIGMA_SQ_FLOOR."""
-    nc = np.maximum(np.asarray(noise_cov, dtype=np.float64), SIGMA_SQ_FLOOR)
-    if nc.ndim == 1:
-        nc = np.broadcast_to(nc, (batch, head))
-    if nc.shape != (batch, head):
-        raise ValueError(
-            f"noise_cov must broadcast to ({batch}, {head}), got {nc.shape}"
-        )
-    return nc
-
-
 def jf_batch(net, noise_cov, probes, head_dim: int | None = None):
     """Per-sample Hutchinson estimates at the captured batch with explicit
     probes.
@@ -171,10 +151,16 @@ def jf_batch(net, noise_cov, probes, head_dim: int | None = None):
         (values, per_probe): values is (B,) with the probe-averaged estimate
         per sample; per_probe is (S,) with batch means per probe.
     """
-    head = _check_head(net, head_dim)
+    head = net.out_dim if head_dim is None else head_dim
+    if not 0 < head <= net.out_dim:
+        raise ValueError(f"head_dim must be in (0, {net.out_dim}], got {head_dim}")
     u, _ = net.jvp_captured(probes)
-    nc = _floored_noise(noise_cov, u.shape[1], head)
-    per_sample = np.sum(u[:, :, :head]**2 / nc, axis=2)
+    nc = np.maximum(np.asarray(noise_cov, dtype=np.float64), SIGMA_SQ_FLOOR)
+    if nc.shape not in ((head,), (u.shape[1], head)):
+        raise ValueError(f"noise_cov must broadcast to ({u.shape[1]}, {head}), "
+                         f"got {nc.shape}")
+    u_head = u[:, :, :head]
+    per_sample = np.sum(u_head * (u_head / nc), axis=2)
     return per_sample.mean(axis=0), per_sample.mean(axis=1)
 
 
@@ -203,35 +189,50 @@ def jf_hutchinson(net, x, noise_cov, n_probes: int, rng) -> tuple[float, np.ndar
     return float(values.mean()), per_probe
 
 
-def jf_value_and_grad(net, noise_cov, probes, head_dim: int | None = None,
-                      upstream=None, weight: float = 1.0):
-    """Batch JF estimate at the captured batch, with the bits `jf_batch`
-    gives, together with the parameter gradient of weight * sum_i values_i,
-    plus that of sum(upstream * output) when `upstream` is given.
+def jf_value_and_grad(net, log_var, probes, upstream=None, weight: float = 1.0):
+    """Batch JF estimate of a posterior-head encoder at the captured batch,
+    with the bits `jf_batch` gives at noise_cov = exp(log_var), and the
+    parameter gradient of weight * sum_i values_i, plus that of
+    sum(upstream * output) when `upstream` is given.
 
-    It reads the captured pass as `jf_batch` does, and both gradients come
-    from one reverse pass (`Network.jvp_adjoint`), so a caller with an
-    output adjoint of its own (the loss's) runs no `backward` of its own.
-    The gradient treats noise_cov as a constant: the only differentiated
-    path of the penalty runs through the Jacobian-vector products.
+    The net's outputs are [mu | raw log-variance] (`posterior_head`): the
+    penalty's map is mu and its noise s = exp(log_var), and the gradient
+    runs through both.  The noise's part, d/dlv_k = -mean_s u_sk^2 / s_k,
+    joins the output adjoint's log-variance columns where the clamp is
+    open; q = u / s gives it, the values and the tangent adjoint.  Both
+    gradients come from one reverse pass (`Network.jvp_adjoint`) over the
+    captured pass, so a caller with an output adjoint of its own (the
+    loss's) runs no `backward` of its own.
 
     Args:
-        net, noise_cov, probes, head_dim: as in `jf_batch`.
-        upstream: (B, out_dim) adjoint of the captured output, as in
-            `Network.backward`, or None.
+        net: network with 2K outputs.
+        log_var: (B, K) log-variances of the captured output, clamped as
+            `posterior_head` clamps them; a value at a bound passes no
+            gradient.
+        probes: (S, B, in_dim) tangent probes, e.g. from `draw_probes`.
+        upstream: (B, 2K) adjoint of the captured output, as in
+            `Network.backward`, or None; it is not modified.
         weight: the penalty's coefficient in the gradient.
 
     Returns:
         (values, grad): values is (B,) per-sample estimates; grad is the
         flat parameter gradient (sum convention, like `Network.backward`).
     """
-    head = _check_head(net, head_dim)
     u, cache = net.jvp_captured(probes)
-    nc = _floored_noise(noise_cov, u.shape[1], head)
-    u_head = u[:, :, :head]
-    values = np.sum(u_head**2 / nc, axis=2).mean(axis=0)
+    k = net.out_dim // 2
+    if net.out_dim != 2 * k or np.shape(log_var) != (u.shape[1], k):
+        raise ValueError(f"log_var must be ({u.shape[1]}, {k}) for a net with "
+                         f"{net.out_dim} outputs, got {np.shape(log_var)}")
+    u_head = u[:, :, :k]
+    q = u_head / np.exp(log_var)
+    sq = u_head * q
+    values = np.sum(sq, axis=2).mean(axis=0)
     u_bar = np.zeros_like(u)
     # the adjoint sums over the folded S*B axis; the 1/S leaves the probe
     # average in the same sum-over-batch convention as backward
-    u_bar[:, :, :head] = (2.0 * weight / u.shape[0]) * u_head / nc
-    return values, net.jvp_adjoint(cache, u_bar, upstream)
+    u_bar[:, :, :k] = (2.0 * weight / u.shape[0]) * q
+    up = (np.zeros((u.shape[1], net.out_dim)) if upstream is None
+          else np.array(upstream, dtype=np.float64))
+    clamp_open = (log_var > LOG_VAR_MIN) & (log_var < LOG_VAR_MAX)
+    up[:, k:] -= weight * sq.mean(axis=0) * clamp_open
+    return values, net.jvp_adjoint(cache, u_bar, up)

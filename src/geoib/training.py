@@ -1,20 +1,19 @@
 """Training loops: geometry-aware bottleneck runs and the VIB baseline.
 
-Both methods share one objective and one step.  A geoib step does, in
-order: (1) draw a minibatch and reparameterized codes z = mu + sigma * eps,
-(2) estimate the rate term and the Jacobian capacity penalty with
-Hutchinson probes, (3) assemble Euclidean gradients for decoder and encoder
-(the encoder gradient carries beta times the two penalties, and one reverse
-pass over the encoder, the penalty's adjoint seeded with the loss's output
-adjoint, forms all of it), (4) refresh
-the Kronecker Fisher factors from the pre-activation gradients of a
-model-sampled backward pass, (5) solve the damped factored systems by an
-exact Kronecker-factored Cholesky solve, and (6) apply additive parameter
-updates scaled by the two step sizes.  The VIB baseline (Alemi et al.
-2017) is the same objective without the Jacobian term, with the rate fixed
-to the closed-form KL, and skips (2), (4) and (5): plain gradient descent,
-unless the vib_natural_gradient ablation keeps the preconditioning steps
-exactly as geoib runs them.
+Both methods share one objective function and one step.  A geoib step
+does, in order: (1) draw a minibatch and reparameterized codes
+z = mu + sigma * eps, (2) estimate the Fisher-Rao quadratic rate and the
+Jacobian capacity penalty with Hutchinson probes, (3) assemble the
+Euclidean gradients of the objective reported, NLL + beta (FR + JF) (one
+reverse pass over the encoder, the penalty's adjoint seeded with the
+loss's output adjoint, forms the encoder's, through the noise scale
+too), (4) refresh the Kronecker Fisher factors from the pre-activation
+gradients of a model-sampled backward pass, (5) solve the damped factored
+systems by an exact Kronecker-factored Cholesky solve, and (6) apply
+additive parameter updates scaled by the two step sizes.  The VIB
+baseline (Alemi et al. 2017) is NLL + beta KL, with no probes, and skips
+(4) and (5): plain gradient descent, unless the vib_natural_gradient
+ablation keeps the preconditioning steps exactly as geoib runs them.
 
 Everything stochastic draws from substreams of the run seed keyed by step
 index, so runs are reproducible sample-for-sample and a config uniquely
@@ -69,10 +68,10 @@ from .nets import LayerSpec, Network
 from .rng import Rng
 
 # The training revision: what a given config trains to.  Every change in
-# behaviour made on purpose bumps it (r4 -> r5) and records the before and
+# behaviour made on purpose bumps it (r5 -> r6) and records the before and
 # after in CHANGES.md; a change that keeps every bit keeps it.  Evaluated
 # points record it, and a sweep refuses to reuse a cell of another one.
-REVISION = "r5"
+REVISION = "r6"
 
 # Substream layout of the run seed.
 _STREAM_ENC_INIT = 11
@@ -142,20 +141,22 @@ _METRIC_NAMES = tuple(f.name for f in fields(StepMetrics))
 
 
 def geoib_loss_and_grads(enc: Network, dec: Network, x, y, *,
-                         beta: float, fr_mode: str, k_dim: int, eps: np.ndarray,
+                         beta: float, rate, k_dim: int, eps: np.ndarray,
                          probes: np.ndarray | None,
-                         noise_cov: np.ndarray | None = None,
                          want_grads: bool = True):
-    """The objective NLL + beta (FR + JF) and, optionally, its exact
+    """The objective NLL + beta (rate + JF) and, optionally, its exact
     gradients for both networks.
 
-    With `probes=None` the Jacobian term is left out, which with
-    fr_mode="closed_form_kl" is the VIB objective NLL + beta KL.  The
-    Jacobian penalty treats the noise covariance as a constant input: pass
-    `noise_cov` explicitly to freeze it (finite-difference checks), or
-    leave it None to evaluate it from the current log-variances.
+    geoib's objective takes `fr_quadratic_proxy` as its rate and probes;
+    the VIB objective NLL + beta KL takes `kl_to_standard_normal` and
+    `probes=None`, which leaves the Jacobian term out.  The Jacobian
+    penalty's noise variances are exp of the clamped log-variances, and
+    its gradient runs through them (`jf_value_and_grad`), so the gradients
+    are those of the `total` reported.
 
     Args:
+        rate: `(mu, log_var) -> (per-row rate, its log_var gradient)`, as
+            `fr_quadratic_proxy` and `kl_to_standard_normal` are.
         eps: (B, k_dim) reparameterization draws, fixed for this call.
         probes: (S, B, d_in) Hutchinson probes, fixed for this call, or
             None for no Jacobian term.
@@ -182,7 +183,6 @@ def geoib_loss_and_grads(enc: Network, dec: Network, x, y, *,
     nll_vec, up_dec = _nll_and_upstream(logits, y)
     nll = float(nll_vec.mean())
 
-    rate = kl_to_standard_normal if fr_mode == "closed_form_kl" else fr_quadratic_proxy
     fr_vec, dlv_fr = rate(mu, lv)
     fr = float(fr_vec.mean())
 
@@ -195,14 +195,13 @@ def geoib_loss_and_grads(enc: Network, dec: Network, x, y, *,
             g_enc = enc.backward(up_enc)
     jf = 0.0
     if probes is not None:
-        nc = noise_cov if noise_cov is not None else np.exp(lv)
         # both read the encoder pass captured above; with gradients, one
         # reverse pass over the encoder serves the loss and the penalty
         if want_grads:
-            jf_vec, g_enc = jf_value_and_grad(enc, nc, probes, head_dim=k_dim,
-                                              upstream=up_enc, weight=beta)
+            jf_vec, g_enc = jf_value_and_grad(enc, lv, probes, upstream=up_enc,
+                                              weight=beta)
         else:
-            jf_vec, _ = jf_batch(enc, nc, probes, head_dim=k_dim)
+            jf_vec, _ = jf_batch(enc, np.exp(lv), probes, head_dim=k_dim)
         jf = float(jf_vec.mean())
 
     total = nll + beta * (fr + jf)
@@ -260,8 +259,8 @@ def train_step(cfg: TrainConfig, enc: Network, dec: Network,
                x, y, step_rng: Rng) -> StepMetrics:
     """One optimizer step of either method; mutates nets and factors.
 
-    geoib draws Hutchinson probes and optimizes the full objective with
-    cfg.fr_mode; vib optimizes NLL + beta KL whatever cfg.fr_mode says.
+    geoib draws Hutchinson probes and optimizes NLL + beta (FR quadratic +
+    JF); vib optimizes NLL + beta KL.
     Given K-FAC states, the factors are refreshed from a model-sampled
     backward pass and both gradients are preconditioned by the exact
     natural-gradient solve; without them the step is plain gradient
@@ -272,11 +271,11 @@ def train_step(cfg: TrainConfig, enc: Network, dec: Network,
     eps = step_rng.normal((batch, cfg.k_dim))
     if cfg.method == "geoib":
         probes = draw_probes(step_rng, cfg.jf_probes, batch, x.shape[1])
-        fr_mode = cfg.fr_mode
+        rate = fr_quadratic_proxy
     else:
-        probes, fr_mode = None, "closed_form_kl"
+        probes, rate = None, kl_to_standard_normal
     metrics, g_enc, g_dec, head = geoib_loss_and_grads(
-        enc, dec, x, y, beta=cfg.beta, fr_mode=fr_mode, k_dim=cfg.k_dim,
+        enc, dec, x, y, beta=cfg.beta, rate=rate, k_dim=cfg.k_dim,
         eps=eps, probes=probes,
     )
     if not np.isfinite(metrics.total):

@@ -19,7 +19,8 @@ i-projection, and the masked sums of that time written out), and
 pass ran once per input row (with the package's activation table), and
 `jf_value_and_grad_replicated`, the Jacobian penalty's gradient route as it
 ran before it read the loss's captured pass (with `replicated_jvp` for its
-JVP), each also in the order of the time before one reverse pass formed
+JVP, and the penalty's term through the noise scale as the package forms
+it), each also in the order of the time before one reverse pass formed
 the loss's encoder gradient and the penalty's together, and
 `backward_by_layer`, the backward pass as it ran before the activation
 derivatives were kept by the captured forward pass.
@@ -32,7 +33,7 @@ from scipy.special import digamma
 
 from geoib.data import _DIGIT_STROKES, _GRID
 from geoib.discrete_info import i_projection
-from geoib.encoder import SIGMA_SQ_FLOOR, posterior_head
+from geoib.encoder import LOG_VAR_MAX, LOG_VAR_MIN, posterior_head
 from geoib.nets import _TABLE, layer_blocks
 from geoib.rng import Rng
 from geoib.verify import _random_joint
@@ -375,29 +376,32 @@ def replicated_jvp(net, x, probes, u_bar=None, upstream=None, fused=True):
     return u, grad
 
 
-def jf_value_and_grad_replicated(net, x, noise_cov, probes, head_dim=None,
-                                 upstream=None, weight=1.0, fused=True):
-    """Per-sample JF estimates at x and the flat gradient of weight times
-    their sum plus sum(upstream * net(x)), by `replicated_jvp`.  Without
-    `fused`, the two gradients come as they did before one reverse pass
-    formed both: `backward_by_layer` for the upstream, plus weight times
-    the unfused adjoint of the penalty."""
-    head = net.out_dim if head_dim is None else head_dim
-    nc = np.maximum(np.asarray(noise_cov, dtype=np.float64), SIGMA_SQ_FLOOR)
-    if nc.ndim == 1:
-        nc = np.broadcast_to(nc, (x.shape[0], head))
+def jf_value_and_grad_replicated(net, x, log_var, probes, upstream=None,
+                                 weight=1.0, fused=True):
+    """Per-sample JF estimates of a posterior-head encoder at x, noise
+    exp(log_var), and the flat gradient of weight times their sum plus
+    sum(upstream * net(x)), by `replicated_jvp`; the noise term of the
+    log-variance columns joins the upstream.  Without `fused`, the two
+    gradients come as they did before one reverse pass formed both:
+    `backward_by_layer` for the upstream, plus weight times the unfused
+    adjoint of the penalty."""
+    k = log_var.shape[1]
     u, _ = replicated_jvp(net, x, probes)
-    u_head = u[:, :, :head]
-    values = np.sum(u_head**2 / nc, axis=2).mean(axis=0)
+    u_head = u[:, :, :k]
+    q = u_head / np.exp(log_var)
+    sq = u_head * q
+    values = np.sum(sq, axis=2).mean(axis=0)
+    up = (np.zeros((x.shape[0], net.out_dim)) if upstream is None
+          else np.array(upstream, dtype=np.float64))
+    clamp_open = (log_var > LOG_VAR_MIN) & (log_var < LOG_VAR_MAX)
+    up[:, k:] -= weight * sq.mean(axis=0) * clamp_open
     u_bar = np.zeros_like(u)
     if fused:
-        u_bar[:, :, :head] = (2.0 * weight / probes.shape[0]) * u_head / nc
-        return values, replicated_jvp(net, x, probes, u_bar, upstream)[1]
-    u_bar[:, :, :head] = 2.0 * u_head / nc
+        u_bar[:, :, :k] = (2.0 * weight / probes.shape[0]) * q
+        return values, replicated_jvp(net, x, probes, u_bar, up)[1]
+    u_bar[:, :, :k] = 2.0 * q
     grad = replicated_jvp(net, x, probes, u_bar, fused=False)[1] / probes.shape[0]
-    if upstream is not None:
-        grad = backward_by_layer(net, x, upstream)[0] + weight * grad
-    return values, grad
+    return values, backward_by_layer(net, x, up)[0] + weight * grad
 
 
 def backward_by_layer(net, x, upstream):

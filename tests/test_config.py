@@ -60,15 +60,17 @@ def test_legacy_keys_are_ignored_with_a_warning(tmp_path):
     path = tmp_path / "config.resolved"
     path.write_text("beta = 0.5\ncg_tol = 1e-06\ncg_max_iter = 50\n"
                     "fisher_stats = empirical\n"
-                    "sigma_floor = 6.14421235332821e-06\n")
+                    "sigma_floor = 6.14421235332821e-06\n"
+                    "fr_mode = closed_form_kl\n")
     with pytest.warns(UserWarning, match="legacy key") as caught:
         cfg = load_config(path)
     named = [str(w.message).split("'")[1] for w in caught]
-    assert named == ["cg_tol", "cg_max_iter", "fisher_stats", "sigma_floor"]
+    assert named == ["cg_tol", "cg_max_iter", "fisher_stats", "sigma_floor",
+                     "fr_mode"]
     # each warning points at the key's line in the file, not into config.py
-    assert [(w.filename, w.lineno) for w in caught] == [(str(path), n) for n in (2, 3, 4, 5)]
+    assert [(w.filename, w.lineno) for w in caught] == [(str(path), n) for n in (2, 3, 4, 5, 6)]
     assert cfg == TrainConfig(beta=0.5)
-    for key in ("cg_tol", "fisher_stats", "sigma_floor"):
+    for key in ("cg_tol", "fisher_stats", "sigma_floor", "fr_mode"):
         assert not hasattr(cfg, key)
 
 
@@ -135,8 +137,12 @@ def test_file_round_trip(tmp_path):
 def test_validation_rejects_bad_fields():
     with pytest.raises(ValueError, match="method"):
         TrainConfig(method="sgd")
-    with pytest.raises(ValueError, match="fr_mode"):
-        TrainConfig(fr_mode="exact")
+    # Rng reduces a seed mod 2**64, so one outside [0, 2**64) would name
+    # another cell that trains to the same bytes
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            TrainConfig(seed=seed)
+    assert TrainConfig(seed=2**64 - 1).seed == 2**64 - 1
     with pytest.raises(ValueError, match="beta"):
         TrainConfig(beta=-1.0)
     with pytest.raises(ValueError, match="k_dim"):

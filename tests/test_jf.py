@@ -11,7 +11,7 @@ from geoib.jf import (
     jf_hutchinson,
     jf_value_and_grad,
 )
-from geoib.encoder import SIGMA_SQ_FLOOR
+from geoib.encoder import LOG_VAR_MIN, SIGMA_SQ_FLOOR, posterior_head
 from geoib.nets import LayerSpec, Network
 from geoib.rng import Rng
 from oracles import central_difference, jf_value_and_grad_replicated
@@ -305,30 +305,41 @@ def test_isotropic_floors_variance():
 # --------------------------------------------------------------- gradient
 
 
+def _log_var(net, x, k):
+    """The clamped log-variances of the net's captured pass at x."""
+    return posterior_head(net.forward(x, capture=True), k)[1]
+
+
+def _clamp_unit(net, k, unit):
+    """Hold log-variance `unit` below LOG_VAR_MIN on every row."""
+    net.blocks[-1][k + unit] = 0.0
+    net.blocks[-1][k + unit, -1] = LOG_VAR_MIN - 8.0
+
+
 def test_value_and_grad_matches_batch_values():
     net = _net((3, 4, "tanh"), (4, 2, "identity"), seed=34)
     x = Rng(35).normal((5, 3))
     probes = draw_probes(Rng(36), 2, 5, 3)
-    net.forward(x, capture=True)
-    values, grad = jf_value_and_grad(net, np.ones(2), probes)
-    ref, _ = jf_batch(net, np.ones(2), probes)
+    lv = _log_var(net, x, 1)
+    values, grad = jf_value_and_grad(net, lv, probes)
+    ref, _ = jf_batch(net, np.exp(lv), probes, head_dim=1)
     np.testing.assert_array_equal(values, ref)
     assert grad.shape == (net.n_params,)
 
 
 def test_value_and_grad_matches_finite_differences():
-    net = _net((3, 4, "tanh"), (4, 2, "softplus"), seed=37)
+    # the gradient runs through the Jacobian and through the noise scale
+    # exp(log_var) alike
+    net = _net((3, 4, "tanh"), (4, 4, "softplus"), seed=37)
     x = Rng(38).normal((4, 3))
-    nc = np.exp(0.3 * Rng(39).normal(2))
     probes = draw_probes(Rng(40), 2, 4, 3)
-    net.forward(x, capture=True)
-    _, analytic = jf_value_and_grad(net, nc, probes)
+    _, analytic = jf_value_and_grad(net, _log_var(net, x, 2), probes)
 
     def total(flat):
         clone = net.copy()
         clone.set_params(flat)
-        clone.forward(x, capture=True)
-        values, _ = jf_batch(clone, nc, probes)
+        values, _ = jf_batch(clone, np.exp(_log_var(clone, x, 2)), probes,
+                             head_dim=2)
         return float(values.sum())
 
     fd = central_difference(total, net.get_params())
@@ -346,54 +357,53 @@ def test_value_and_grad_gives_the_replicated_bits(hidden, n_probes, batch):
     """The gradient route reads the captured pass and gives the bits of
     the replicated-pass oracle in the fused order, with and without an
     output adjoint, and agrees with the unfused order to round-off; a
-    hidden unit with no outgoing weights and the unpenalized log-variance
-    head leave exact zeros in the penalty's gradient."""
+    hidden unit with no outgoing weights and a log-variance unit clamped
+    on every row leave exact zeros in the penalty's gradient."""
     net = _net((3, 5, hidden), (5, 4, "identity"), seed=50)
     net.blocks[1][:, 2] = 0.0
+    _clamp_unit(net, 2, 1)
     x = Rng(51).normal((batch, 3))
-    nc = np.exp(0.3 * Rng(52).normal((batch, 2)))
     probes = draw_probes(Rng(53), n_probes, batch, 3)
     upstream = Rng(54).normal((batch, 4))
-    net.forward(x, capture=True)
-    values, grad = jf_value_and_grad(net, nc, probes, head_dim=2)
-    want_values, want_grad = jf_value_and_grad_replicated(net, x, nc, probes,
-                                                          head_dim=2)
+    lv = _log_var(net, x, 2)
+    values, grad = jf_value_and_grad(net, lv, probes)
+    want_values, want_grad = jf_value_and_grad_replicated(net, x, lv, probes)
     assert np.array_equal(_bits(values), _bits(want_values))
     assert np.array_equal(_bits(grad), _bits(want_grad))
-    assert np.count_nonzero(grad == 0.0) >= 2 * 6 + 4
-    _, unfused = jf_value_and_grad_replicated(net, x, nc, probes, head_dim=2,
-                                              fused=False)
+    assert np.count_nonzero(grad == 0.0) >= 6 + 4
+    _, unfused = jf_value_and_grad_replicated(net, x, lv, probes, fused=False)
     assert np.max(np.abs(grad - unfused)) <= 1e-13 * np.max(np.abs(unfused))
-    values, grad = jf_value_and_grad(net, nc, probes, head_dim=2,
-                                     upstream=upstream, weight=0.25)
+    values, grad = jf_value_and_grad(net, lv, probes, upstream=upstream,
+                                     weight=0.25)
     _, want_grad = jf_value_and_grad_replicated(
-        net, x, nc, probes, head_dim=2, upstream=upstream, weight=0.25)
+        net, x, lv, probes, upstream=upstream, weight=0.25)
     assert np.array_equal(_bits(values), _bits(want_values))
     assert np.array_equal(_bits(grad), _bits(want_grad))
     _, unfused = jf_value_and_grad_replicated(
-        net, x, nc, probes, head_dim=2, upstream=upstream, weight=0.25,
-        fused=False)
+        net, x, lv, probes, upstream=upstream, weight=0.25, fused=False)
     assert np.max(np.abs(grad - unfused)) <= 1e-13 * np.max(np.abs(unfused))
 
 
 @pytest.mark.parametrize("hidden", ["tanh", "softplus"])
 @pytest.mark.parametrize("n_probes", [1, 2, 3])
 @pytest.mark.parametrize("batch", [1, 7])
-@pytest.mark.parametrize("head_dim", [None, 2])
+@pytest.mark.parametrize("clamped_unit", [None, 2])
 def test_value_and_grad_with_an_upstream_is_the_sum_of_two_passes(
-        hidden, n_probes, batch, head_dim):
+        hidden, n_probes, batch, clamped_unit):
     """One reverse pass seeded with an output adjoint U and the penalty's
     weight w gives backward(U) + w * (the penalty's own gradient), to
-    round-off, and the penalty's values are unchanged."""
-    net = _net((3, 5, hidden), (5, 4, "identity"), seed=57)
+    round-off, with every log-variance inside the clamp or one clamped on
+    every row, and the penalty's values are unchanged."""
+    net = _net((3, 5, hidden), (5, 6, "identity"), seed=57)
+    if clamped_unit is not None:
+        _clamp_unit(net, 3, clamped_unit)
     x = Rng(58).normal((batch, 3))
-    nc = np.exp(0.3 * Rng(59).normal(2 if head_dim else 4))
     probes = draw_probes(Rng(60), n_probes, batch, 3)
-    upstream = Rng(61).normal((batch, 4))
-    net.forward(x, capture=True)
-    values, fused = jf_value_and_grad(net, nc, probes, head_dim=head_dim,
-                                      upstream=upstream, weight=0.3)
-    alone_values, alone = jf_value_and_grad(net, nc, probes, head_dim=head_dim)
+    upstream = Rng(61).normal((batch, 6))
+    lv = _log_var(net, x, 3)
+    values, fused = jf_value_and_grad(net, lv, probes, upstream=upstream,
+                                      weight=0.3)
+    alone_values, alone = jf_value_and_grad(net, lv, probes)
     want = net.backward(upstream) + 0.3 * alone
     assert np.array_equal(_bits(values), _bits(alone_values))
     assert np.max(np.abs(fused - want)) <= 1e-13 * np.max(np.abs(want))
@@ -403,7 +413,18 @@ def test_value_and_grad_requires_a_captured_pass():
     net = _net((3, 2, "tanh"), seed=54)
     probes = draw_probes(Rng(55), 2, 4, 3)
     with pytest.raises(RuntimeError, match="captured forward"):
-        jf_value_and_grad(net, np.ones(2), probes)
+        jf_value_and_grad(net, np.zeros((4, 1)), probes)
     net.forward(Rng(56).normal((5, 3)), capture=True)
     with pytest.raises(ValueError, match="same B"):
-        jf_value_and_grad(net, np.ones(2), probes)
+        jf_value_and_grad(net, np.zeros((4, 1)), probes)
+
+
+def test_value_and_grad_requires_a_mean_and_a_log_variance_head():
+    probes = draw_probes(Rng(64), 2, 5, 3)
+    for out, log_var, msg in ((4, np.zeros((5, 1)), r"\(5, 2\) for a net with 4"),
+                              (4, np.zeros((4, 2)), r"\(5, 2\) for a net with 4"),
+                              (3, np.zeros((5, 1)), r"\(5, 1\) for a net with 3")):
+        net = _net((3, out, "tanh"), seed=62)
+        net.forward(Rng(63).normal((5, 3)), capture=True)
+        with pytest.raises(ValueError, match=msg):
+            jf_value_and_grad(net, log_var, probes)

@@ -29,8 +29,9 @@ from geoib.verify import run_all_checks, write_results
 DATASET = "gauss_mixture:n=1000,noise=0.14"
 
 # revision: {name: (TrainConfig overrides, encoder.net sha256,
-# decoder.net sha256)}; every revision pins the same names.  r2 changed
-# only inputs wider than the batch can span, so these configs keep r1's.
+# decoder.net sha256)}; the tests run the names of the latest revision,
+# whose overrides are the ones TrainConfig takes now.  r2 changed only
+# inputs wider than the batch can span, so these configs keep r1's.
 _R1 = {
     "geoib": (
         {},
@@ -97,6 +98,23 @@ PINNED = {"r1": _R1, "r2": _R1, "r3": {
         "7a95ceb61c816fe15bf0f2d70fc9cf094bdfe1605e114fe8c2afae7c554b0109",
         "fa83263a0ac5a5ffd00ad22629901beb31ce7701d8311bb0747184cbb72e843c",
     ),
+}, "r6": {
+    # r6 descends the JF penalty through the noise scale too, and geoib's
+    # rate is the Fisher-Rao quadratic: there is no fr_mode, so geoib at
+    # beta = 1 takes the place of its fr_quadratic config.  vib and
+    # vib_natural_gradient keep r1's digests.
+    "geoib": (
+        {},
+        "2e96311d0785a97c991eca3b18c77938685977d913f2958fd8aa94c7a3a6d9fd",
+        "86c79970fadd3e16c409775f3b8c432e01b90d0dc37b7c7ce121a5ee06d61a7b",
+    ),
+    "vib": _R1["vib"],
+    "vib_natural_gradient": _R1["vib_natural_gradient"],
+    "geoib_beta1": (
+        {"beta": 1.0},
+        "2e67a6c6d8e60f2aac786e3fc50bd9625d713a581e10ff6e54caf4570f169916",
+        "b89f9fbf3d3ebf8b8bbb806a3d7cbb3feff3dae7ad5951531134dbb004bfbe23",
+    ),
 }}
 
 # Inputs wider than the batch: the encoder's input layer is solved in batch
@@ -116,14 +134,21 @@ _WIDE_R4 = {
         "1a1151409d928b8ff7e22ddc9e258520591abffc3e7f0899ca8eee9c3d3682c0",
     ),
 }
-# r5's fused encoder reverse pass moves geoib; vib_natural_gradient, which
-# draws no probes, keeps r4's digests
+# r5's fused encoder reverse pass and r6's objective move geoib;
+# vib_natural_gradient, which draws no probes, keeps r4's digests
 PINNED_WIDE = {"r4": _WIDE_R4, "r5": {
     **_WIDE_R4,
     "geoib": (
         {},
         "7c814601a39228445ed38f190bfdbdbc3b6efd90b2eebe81026b185b8cf28c9b",
         "14374444c6816bbfbfd07270960480aaaff77db82e0681645754150252af8c2a",
+    ),
+}, "r6": {
+    **_WIDE_R4,
+    "geoib": (
+        {},
+        "34f767816c0dedf50f6f0739a921069f42c27700924d83611a3d0b8ccdc2c669",
+        "262634e7d707883e17ff95452e77f03bd0104f8f46fb99c2188a6e439e3888ed",
     ),
 }}
 
@@ -208,12 +233,12 @@ def _check_pinned_run(pinned, table, name, tmp_path, **base):
     )
 
 
-@pytest.mark.parametrize("name", next(iter(PINNED.values())))
+@pytest.mark.parametrize("name", list(PINNED.values())[-1])
 def test_small_run_reproduces_pinned_digests(name, tmp_path):
     _check_pinned_run(PINNED, "PINNED", name, tmp_path, dataset=DATASET)
 
 
-@pytest.mark.parametrize("name", next(iter(PINNED_WIDE.values())))
+@pytest.mark.parametrize("name", list(PINNED_WIDE.values())[-1])
 def test_a_batch_space_run_reproduces_pinned_digests(name, tmp_path):
     _check_pinned_run(PINNED_WIDE, "PINNED_WIDE", name, tmp_path,
                       dataset=WIDE_DATASET, k_dim=2, enc_hidden="4")

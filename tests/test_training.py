@@ -17,7 +17,12 @@ import pytest
 from geoib.config import TrainConfig
 from geoib.data import gauss_mixture, make_dataset, write_digit_corpus
 from geoib import mi, training
-from geoib.encoder import posterior_head
+from geoib.encoder import (
+    LOG_VAR_MIN,
+    fr_quadratic_proxy,
+    kl_to_standard_normal,
+    posterior_head,
+)
 from geoib.fisher import fisher_vector_product, kfac_init
 from geoib.jf import draw_probes
 from geoib.mi import (
@@ -30,7 +35,7 @@ from geoib.mi import (
     point_row,
     read_points_jsonl,
 )
-from geoib.nets import Network
+from geoib.nets import LayerSpec, Network
 from geoib.rng import Rng
 from geoib.training import (
     REVISION,
@@ -44,7 +49,11 @@ from geoib.training import (
     run_training,
     train_step,
 )
-from oracles import jf_value_and_grad_replicated, sampled_capture_two_forward
+from oracles import (
+    central_difference,
+    jf_value_and_grad_replicated,
+    sampled_capture_two_forward,
+)
 
 TOY = "gauss_mixture:n=600,noise=0.1,classes=2,dim=2"
 
@@ -78,16 +87,18 @@ def test_build_nets_shapes():
 
 
 def test_beta_zero_objectives_agree():
-    # without the multiplier the JF term (and the rate) drop out: the
-    # objective without probes, as VIB uses it, shares loss and gradients
+    # without the multiplier the JF term and the rate drop out: geoib's
+    # objective and VIB's, the KL without probes, share loss and gradients
     cfg = TrainConfig(beta=0.0, k_dim=2, enc_hidden="8", dataset=TOY)
     _, _, enc, dec, _, _, x, y = _toy_setup(cfg)
     x, y = x[:32], y[:32]
     eps = Rng(1).normal((32, 2))
-    kwargs = dict(beta=0.0, fr_mode=cfg.fr_mode, k_dim=2, eps=eps)
+    kwargs = dict(beta=0.0, k_dim=2, eps=eps)
     mg, ge_g, gd_g, _ = geoib_loss_and_grads(
-        enc, dec, x, y, probes=draw_probes(Rng(2), 2, 32, 2), **kwargs)
-    mv, ge_v, gd_v, _ = geoib_loss_and_grads(enc, dec, x, y, probes=None, **kwargs)
+        enc, dec, x, y, rate=fr_quadratic_proxy,
+        probes=draw_probes(Rng(2), 2, 32, 2), **kwargs)
+    mv, ge_v, gd_v, _ = geoib_loss_and_grads(
+        enc, dec, x, y, rate=kl_to_standard_normal, probes=None, **kwargs)
     assert mg.total == mv.total == mg.nll == mv.nll
     assert mv.jf == 0.0 < mg.jf
     np.testing.assert_array_equal(ge_g, ge_v)
@@ -113,7 +124,7 @@ def test_want_grads_false_returns_metrics_only(monkeypatch):
     probes = draw_probes(Rng(4), 2, 16, 2)
     passes = _primal_passes(monkeypatch)
     m = geoib_loss_and_grads(
-        enc, dec, x[:16], y[:16], beta=cfg.beta, fr_mode=cfg.fr_mode,
+        enc, dec, x[:16], y[:16], beta=cfg.beta, rate=fr_quadratic_proxy,
         k_dim=2, eps=eps, probes=probes, want_grads=False)
     assert np.isfinite(m.total) and m.fr >= 0.0 and m.jf >= 0.0
     assert abs(m.total - (m.nll + cfg.beta * (m.fr + m.jf))) < 1e-12
@@ -141,14 +152,14 @@ def test_loss_and_grads_give_the_bits_of_a_jf_pass_of_its_own(monkeypatch, rows)
     cfg = TrainConfig(k_dim=2, enc_hidden="8", dataset=TOY, beta=0.5)
     _, _, enc, dec, _, _, x, y = _toy_setup(cfg)
     x, y = x[:rows], y[:rows]
-    kwargs = dict(beta=cfg.beta, fr_mode=cfg.fr_mode, k_dim=2,
+    kwargs = dict(beta=cfg.beta, rate=fr_quadratic_proxy, k_dim=2,
                   eps=Rng(5).normal((rows, 2)),
                   probes=draw_probes(Rng(6), 2, rows, 2))
     got = geoib_loss_and_grads(enc, dec, x, y, **kwargs)
 
-    def own_pass(net, nc, probes, head_dim, upstream, weight):
-        return jf_value_and_grad_replicated(net, x, nc, probes, head_dim,
-                                            upstream, weight)
+    def own_pass(net, log_var, probes, upstream, weight):
+        return jf_value_and_grad_replicated(net, x, log_var, probes, upstream,
+                                            weight)
 
     monkeypatch.setattr(training, "jf_value_and_grad", own_pass)
     want = geoib_loss_and_grads(enc, dec, x, y, **kwargs)
@@ -157,9 +168,9 @@ def test_loss_and_grads_give_the_bits_of_a_jf_pass_of_its_own(monkeypatch, rows)
     for g, w in zip(got[1:], want[1:]):
         assert np.array_equal(_bits(g), _bits(w))
 
-    def unfused_pass(net, nc, probes, head_dim, upstream, weight):
-        return jf_value_and_grad_replicated(net, x, nc, probes, head_dim,
-                                            upstream, weight, fused=False)
+    def unfused_pass(net, log_var, probes, upstream, weight):
+        return jf_value_and_grad_replicated(net, x, log_var, probes, upstream,
+                                            weight, fused=False)
 
     monkeypatch.setattr(training, "jf_value_and_grad", unfused_pass)
     unfused = geoib_loss_and_grads(enc, dec, x, y, **kwargs)
@@ -184,7 +195,7 @@ def test_one_encoder_reverse_pass_per_objective(monkeypatch, with_probes):
 
     monkeypatch.setattr(Network, "backward", counted)
     geoib_loss_and_grads(enc, dec, x[:16], y[:16], beta=cfg.beta,
-                         fr_mode=cfg.fr_mode, k_dim=2,
+                         rate=fr_quadratic_proxy, k_dim=2,
                          eps=Rng(3).normal((16, 2)), probes=probes)
     assert calls == ([dec] if with_probes else [dec, enc])
 
@@ -195,7 +206,7 @@ def test_a_stale_capture_is_never_read_without_grads():
     cfg = TrainConfig(k_dim=2, enc_hidden="8", dataset=TOY)
     _, _, enc, dec, _, _, x, y = _toy_setup(cfg)
     x, y = x[:16], y[:16]
-    kwargs = dict(beta=cfg.beta, fr_mode=cfg.fr_mode, k_dim=2,
+    kwargs = dict(beta=cfg.beta, rate=fr_quadratic_proxy, k_dim=2,
                   eps=Rng(7).normal((16, 2)), probes=draw_probes(Rng(8), 2, 16, 2))
     geoib_loss_and_grads(enc, dec, x, y, **kwargs)
     enc.params *= 1.25
@@ -205,6 +216,43 @@ def test_a_stale_capture_is_never_read_without_grads():
     want = geoib_loss_and_grads(fresh_enc, fresh_dec, x, y, want_grads=False,
                                 **kwargs)
     assert np.array_equal(_bits(astuple(got)), _bits(astuple(want)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_loss_and_grads_match_central_differences_of_the_reported_total(seed):
+    # the gradients are those of the total reported, the penalty's noise
+    # taken from the log-variances; on the first log-variance unit, row 0's
+    # raw value lies below LOG_VAR_MIN, where the clamp passes no gradient
+    rng = Rng(seed, stream=8)
+    k_dim, batch = 2, 5
+    enc = Network([LayerSpec(3, 4, "tanh"), LayerSpec(4, 2 * k_dim, "identity")],
+                  rng)
+    dec = Network([LayerSpec(k_dim, 4, "softplus"), LayerSpec(4, 3, "identity")],
+                  rng)
+    x = rng.normal((batch, 3))
+    y = rng.integers(0, 3, batch)
+    hidden = np.tanh(x @ enc.blocks[0][:, :-1].T + enc.blocks[0][:, -1])
+    raw = np.array([LOG_VAR_MIN - 8.0, 0.5, -1.0, 1.0, -0.5])
+    enc.blocks[1][k_dim] = np.linalg.solve(np.c_[hidden, np.ones(batch)], raw)
+    _, lv, clamp_open = posterior_head(enc.forward(x), k_dim)
+    assert not clamp_open[0, 0] and clamp_open[1:].all() and clamp_open[:, 1].all()
+    kwargs = dict(beta=0.5, rate=fr_quadratic_proxy, k_dim=k_dim,
+                  eps=rng.normal((batch, k_dim)),
+                  probes=draw_probes(rng, 2, batch, 3))
+    m, g_enc, g_dec, _ = geoib_loss_and_grads(enc, dec, x, y, **kwargs)
+    n_enc = enc.n_params
+
+    def total(flat):
+        e2, d2 = enc.copy(), dec.copy()
+        e2.set_params(flat[:n_enc])
+        d2.set_params(flat[n_enc:])
+        return geoib_loss_and_grads(e2, d2, x, y, want_grads=False, **kwargs).total
+
+    params = np.concatenate([enc.get_params(), dec.get_params()])
+    assert total(params) == m.total
+    fd = central_difference(total, params)
+    analytic = np.concatenate([g_enc, g_dec])
+    assert np.max(np.abs(analytic - fd)) <= 1e-6 * np.max(np.abs(fd))
 
 
 # ------------------------------------------------------------------ steps
@@ -270,7 +318,7 @@ def test_huge_damping_gives_plain_gradient_direction():
     eps = rng.normal((64, 2))
     probes = draw_probes(rng, cfg.jf_probes, 64, 2)
     _, g_enc, g_dec, _ = geoib_loss_and_grads(
-        enc.copy(), dec.copy(), x, y, beta=cfg.beta, fr_mode=cfg.fr_mode,
+        enc.copy(), dec.copy(), x, y, beta=cfg.beta, rate=fr_quadratic_proxy,
         k_dim=2, eps=eps, probes=probes)
     p_e, p_d = enc.get_params().copy(), dec.get_params().copy()
     gib_step(cfg, enc, dec, ke, kd, x, y, Rng(99))
@@ -354,19 +402,6 @@ def test_vib_natural_gradient_step_equals_geoib_step_at_beta_zero():
         params[method] = (enc.get_params(), dec.get_params())
     for a, b in zip(params["geoib"], params["vib"]):
         np.testing.assert_array_equal(a, b)
-
-
-def test_vib_ignores_fr_mode():
-    # VIB is defined by the closed-form KL whatever fr_mode says
-    runs = [run_training(TrainConfig(method="vib", fr_mode=mode, epochs=2,
-                                     k_dim=4, enc_hidden="8", dataset=TOY),
-                         evaluate=False)
-            for mode in ("closed_form_kl", "fr_quadratic")]
-    np.testing.assert_array_equal(runs[0].enc.get_params(),
-                                  runs[1].enc.get_params())
-    np.testing.assert_array_equal(runs[0].dec.get_params(),
-                                  runs[1].dec.get_params())
-    assert runs[0].history == runs[1].history
 
 
 @pytest.mark.parametrize("method,natural", [("geoib", False), ("vib", False),
@@ -901,6 +936,17 @@ def test_run_sweep_refuses_an_invalid_cell_before_touching_out_dir(tmp_path):
     out = tmp_path / "sweep"
     with pytest.raises(ValueError, match="beta must be nonnegative"):
         run_sweep(_SWEEP_CFG, str(out), betas=(1e-4, -1.0), k_dims=(2,))
+    assert not out.exists()
+
+
+def test_run_sweep_refuses_a_seed_outside_64_bits_before_touching_out_dir(
+        tmp_path):
+    # Rng takes a seed mod 2**64, so seeds -1 and 2**64 - 1 would name two
+    # cells that train to the same bytes
+    out = tmp_path / "sweep"
+    with pytest.raises(ValueError, match="seed must lie in"):
+        run_sweep(_SWEEP_CFG, str(out), betas=(1e-4,), k_dims=(2,),
+                  seeds=(-1, 2**64 - 1))
     assert not out.exists()
 
 

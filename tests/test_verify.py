@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from geoib import verify
+from geoib import training, verify
 from geoib.encoder import Gaussian1D
 from geoib.nets import LayerSpec, Network
 from geoib.rng import Rng
@@ -43,3 +43,24 @@ def test_hutchinson_check_holds_a_zero_spread_estimate_to_round_off(
     monkeypatch.setattr(verify, "exact_trace",
                         lambda ch: exact_trace(ch) * (1.0 + 1e-9))
     assert not verify.check_hutchinson(seed=0).passed
+
+
+def _semi_gradient(net, log_var, probes, upstream=None, weight=1.0):
+    # the penalty's gradient with the noise variances held constant: the
+    # JVP path alone, without the term through the log-variances
+    k = log_var.shape[1]
+    u, cache = net.jvp_captured(probes)
+    q = u[:, :, :k] / np.exp(log_var)
+    u_bar = np.zeros_like(u)
+    u_bar[:, :, :k] = (2.0 * weight / u.shape[0]) * q
+    values = np.sum(u[:, :, :k] * q, axis=2).mean(axis=0)
+    return values, net.jvp_adjoint(cache, u_bar, upstream)
+
+
+def test_gradient_check_covers_the_penalty_through_the_noise_scale(
+        monkeypatch):
+    # the check differentiates the reported total with the noise taken from
+    # the log-variances, so a gradient that holds the noise fixed fails it
+    assert verify.check_gradients_fd(seed=0).passed
+    monkeypatch.setattr(training, "jf_value_and_grad", _semi_gradient)
+    assert not verify.check_gradients_fd(seed=0).passed
