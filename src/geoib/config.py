@@ -18,7 +18,7 @@ METHODS = ("geoib", "vib")
 LEGACY_KEYS = {
     "cg_tol": "the K-FAC solve is exact",
     "cg_max_iter": "the K-FAC solve is exact",
-    "fisher_stats": "factor statistics are always model-sampled",
+    "fisher_stats": "factor statistics are always the model's Fisher",
     "fr_mode": "the method fixes the rate term",
     "sigma_floor": "noise variances are floored by the log-variance clamp",
 }
@@ -52,13 +52,13 @@ class TrainConfig:
         dataset: dataset spec string, e.g. "gauss_mixture:n=5000,noise=0.14".
         enc_hidden / dec_hidden: comma-separated hidden widths ('' = none).
         kfac_decay: EMA decay of the Kronecker factors.  Factor
-            statistics come from a model-sampled backward pass, not the
-            loss one: empirical factors shrink with the loss gradient, so
-            as a large-beta code collapses the exact step g / (G + damping)
-            would stop shrinking with g and overshoot.
+            statistics are the model's Fisher (the decoder's exact output
+            Fisher, the encoder's score at the step's codes), not the
+            empirical one: empirical factors shrink with the loss gradient,
+            so as a large-beta code collapses the exact step
+            g / (G + damping) would stop shrinking with g and overshoot.
         vib_natural_gradient: precondition the vib baseline too (ablation),
-            with the same model-sampled factor statistics and exact solve
-            as geoib.
+            with the same factor statistics and exact solve as geoib.
     """
 
     method: str = "geoib"

@@ -14,8 +14,9 @@ A captured forward pass, `forward(x, capture=True)`, is the one primal
 loop of a training step.  It keeps each layer's input, pre-activation and
 activation derivative f'(s, y), and the passes that require it read them
 instead of running the layers again: `backward`, its pre-activation-only
-route `backward_deltas` (what the Kronecker factors read), and
-`jvp_captured`, the tangents of the captured batch, which is the only JVP.
+route `backward_deltas` (what the Kronecker factors read), which takes R
+upstream rows per sample, and `jvp_captured`, the tangents of the
+captured batch, which is the only JVP.
 Tangents come S per row, as an (S, B, in_dim) array: the primal values
 belong to the B rows, and the tangent products run on the S*B (probe, row)
 pairs.  `jvp_adjoint` carries the primal-track adjoint once per row,
@@ -67,7 +68,8 @@ ACTIVATIONS = tuple(_TABLE)
 
 
 def _fold(a: np.ndarray) -> np.ndarray:
-    """An (S, B, w) array of per-(probe, row) values as (S*B, w) rows."""
+    """An (S, B, w) array of per-(probe, row) values, or a (B, R, w) one of
+    R upstream rows per sample, as (S*B, w) or (B*R, w) rows."""
     return a.reshape(-1, a.shape[-1])
 
 
@@ -217,25 +219,28 @@ class Network:
             self._grads_pre = None
         return acts[-1]
 
-    def _deltas(self, upstream, input_grad: bool):
+    def _deltas(self, upstream, input_grad: bool, rows: bool = False):
         """Pre-activation gradients of sum(upstream * output) over the
         captured batch, recorded for `captured_stats`, and d/dx when
-        `input_grad` (else None)."""
+        `input_grad` (else None).  With `rows`, upstream may be
+        (B, R, out_dim): each layer's f' broadcasts over a sample's R rows,
+        and each layer records its (B*R, w) gradients."""
         if self._acts is None:
             raise RuntimeError("backward requires a captured forward pass")
         delta = np.asarray(upstream, dtype=np.float64)
-        batch = self._acts[0].shape[0]
-        if delta.shape != (batch, self.out_dim):
-            raise ValueError(
-                f"upstream has shape {delta.shape}, expected {(batch, self.out_dim)}"
-            )
+        per_sample = delta.shape[1:2] if rows and delta.ndim == 3 else ()
+        shape = (self._acts[0].shape[0], *per_sample, self.out_dim)
+        if delta.shape != shape:
+            raise ValueError(f"upstream has shape {delta.shape}, expected {shape}")
         grads_pre: list[np.ndarray] = [None] * self.n_layers
         for l in range(self.n_layers - 1, -1, -1):
             if self._derivs[l] is not None:
-                delta = delta * self._derivs[l]
-            grads_pre[l] = delta
+                delta = delta * (self._derivs[l][:, None] if per_sample
+                                 else self._derivs[l])
+            grads_pre[l] = _fold(delta)
             if l > 0 or input_grad:
-                delta = delta @ self.blocks[l][:, :-1]
+                delta = (_fold(delta) @ self.blocks[l][:, :-1]).reshape(
+                    *delta.shape[:-1], -1)
         self._grads_pre = grads_pre
         return delta if input_grad else None
 
@@ -244,13 +249,16 @@ class Network:
         over the captured batch, for `captured_stats`, and form nothing
         else: no parameter gradient and no input gradient.
 
-        Requires a preceding `forward(..., capture=True)`; `upstream` is as
-        in `backward`, which records the same bits.
+        Requires a preceding `forward(..., capture=True)`.  `upstream` is
+        (B, out_dim), as in `backward`, which records the same bits, or
+        (B, R, out_dim), R rows per sample: then each layer records (B*R, w)
+        gradients, so `fisher.kfac_update` forms G as the mean of the G
+        factors of R separate passes.
 
         Raises:
             RuntimeError: if no captured forward pass is available.
         """
-        self._deltas(upstream, input_grad=False)
+        self._deltas(upstream, input_grad=False, rows=True)
 
     def backward(self, upstream, return_input_grad: bool = False):
         """Gradients of sum(upstream * output) over the captured batch.
@@ -286,12 +294,6 @@ class Network:
         if self._acts is None or self._grads_pre is None:
             raise RuntimeError("no captured forward/backward pair available")
         return self._acts[:-1], self._grads_pre
-
-    def captured_output(self) -> np.ndarray:
-        """The (B, out_dim) output of the last captured forward pass."""
-        if self._acts is None:
-            raise RuntimeError("no captured forward pass available")
-        return self._acts[-1]
 
     # --------------------------------------------------------------- tangents
 
@@ -342,7 +344,7 @@ class Network:
             tangents.append(t)
         return t, (acts, pre, derivs, tangents, tan_pre)
 
-    def jvp_adjoint(self, cache, u_bar, upstream=None) -> np.ndarray:
+    def jvp_adjoint(self, cache, u_bar, upstream) -> np.ndarray:
         """Parameter gradient of sum(upstream * out) + sum(u_bar * u), where
         out is the captured output and u_si = J(x_i) v_si, in one reverse
         pass.
@@ -370,7 +372,7 @@ class Network:
             cache: second output of `jvp_captured`.
             u_bar: (S, B, out_dim) adjoint of the tangent output.
             upstream: (B, out_dim) adjoint of the captured output, as in
-                `backward`, or None for zeros.
+                `backward`.
 
         Returns:
             The flat parameter gradient, laid out like `params`.
@@ -382,14 +384,11 @@ class Network:
             raise ValueError(
                 f"u_bar has shape {u_bar.shape}, expected {shape}"
             )
-        if upstream is None:
-            rho = np.zeros(shape[1:])
-        else:
-            rho = np.asarray(upstream, dtype=np.float64)
-            if rho.shape != shape[1:]:
-                raise ValueError(
-                    f"upstream has shape {rho.shape}, expected {shape[1:]}"
-                )
+        rho = np.asarray(upstream, dtype=np.float64)
+        if rho.shape != shape[1:]:
+            raise ValueError(
+                f"upstream has shape {rho.shape}, expected {shape[1:]}"
+            )
         grad = np.empty_like(self.params)
         grad_blocks = layer_blocks(grad, self.shapes)
         t_bar = u_bar

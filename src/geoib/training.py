@@ -8,7 +8,7 @@ Euclidean gradients of the objective reported, NLL + beta (FR + JF) (one
 reverse pass over the encoder, the penalty's adjoint seeded with the
 loss's output adjoint, forms the encoder's, through the noise scale
 too), (4) refresh the Kronecker Fisher factors from the pre-activation
-gradients of a model-sampled backward pass, (5) solve the damped factored
+gradients of the model's own scores, (5) solve the damped factored
 systems by an exact Kronecker-factored Cholesky solve, and (6) apply
 additive parameter updates scaled by the two step sizes.  The VIB
 baseline (Alemi et al. 2017) is NLL + beta KL, with no probes, and skips
@@ -21,9 +21,10 @@ determines the final parameters.
 
 Each network runs one primal pass a step: the loss's captured forward.
 The Jacobian penalty's JVPs read it, and so do the gradient's reverse pass
-and the K-FAC capture's, which backpropagates model-sampled targets through
-the posterior head (sigma and clamp mask) that the loss formed.  The loss
-without gradients captures the encoder pass too, for the penalty's JVPs.
+and the K-FAC capture's, which draws nothing: it backpropagates the
+decoder's exact output Fisher at the loss's softmax and the encoder's
+score at the loss's own codes (`_fisher_capture`).  The loss without
+gradients captures the encoder pass too, for the penalty's JVPs.
 Only a one-row batch with several probes runs the encoder's primal again,
 padded to two rows (`Network.jvp_captured`).
 
@@ -68,10 +69,10 @@ from .nets import LayerSpec, Network
 from .rng import Rng
 
 # The training revision: what a given config trains to.  Every change in
-# behaviour made on purpose bumps it (r5 -> r6) and records the before and
-# after in CHANGES.md; a change that keeps every bit keeps it.  Evaluated
-# points record it, and a sweep refuses to reuse a cell of another one.
-REVISION = "r6"
+# behaviour made on purpose bumps it (r7: the K-FAC capture draws nothing)
+# and records the before and after in CHANGES.md; a change that keeps every
+# bit keeps it.  Points record it; a sweep refuses another one's cells.
+REVISION = "r7"
 
 # Substream layout of the run seed.
 _STREAM_ENC_INIT = 11
@@ -108,14 +109,16 @@ def build_nets(cfg: TrainConfig, d_in: int, n_classes: int, root: Rng):
 
 
 def _nll_and_upstream(logits: np.ndarray, y: np.ndarray):
-    """Per-sample softmax cross-entropy and its per-sample logit gradient."""
+    """Per-sample softmax cross-entropy, its per-sample logit gradient and
+    the softmax p itself."""
     m = logits.max(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
     rows = np.arange(logits.shape[0])
     nll = lse - logits[rows, y]
-    upstream = np.exp(logits - lse[:, None])
+    p = np.exp(logits - lse[:, None])
+    upstream = p.copy()
     upstream[rows, y] -= 1.0
-    return nll, upstream
+    return nll, upstream, p
 
 
 @dataclass(frozen=True)
@@ -169,9 +172,10 @@ def geoib_loss_and_grads(enc: Network, dec: Network, x, y, *,
 
     Returns:
         metrics alone when want_grads is False, else
-        (metrics, g_enc, g_dec, (sig, clamp_open)): the mean-over-batch flat
-        parameter gradients, and the posterior head's standard deviations
-        and clamp mask, which `_sampled_capture` reuses.
+        (metrics, g_enc, g_dec, (p, sig, clamp_open)): the mean-over-batch
+        flat parameter gradients, and the decoder's softmax p, the
+        posterior head's standard deviations and its clamp mask, which
+        `_fisher_capture` reuses.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
@@ -180,7 +184,7 @@ def geoib_loss_and_grads(enc: Network, dec: Network, x, y, *,
     sig = np.exp(0.5 * lv)
     z = mu + sig * eps
     logits = dec.forward(z, capture=want_grads)
-    nll_vec, up_dec = _nll_and_upstream(logits, y)
+    nll_vec, up_dec, p = _nll_and_upstream(logits, y)
     nll = float(nll_vec.mean())
 
     fr_vec, dlv_fr = rate(mu, lv)
@@ -208,38 +212,31 @@ def geoib_loss_and_grads(enc: Network, dec: Network, x, y, *,
     metrics = StepMetrics(total=total, nll=nll, fr=fr, jf=jf)
     if not want_grads:
         return metrics
-    return metrics, g_enc / batch, g_dec / batch, (sig, clamp_open)
+    return metrics, g_enc / batch, g_dec / batch, (p, sig, clamp_open)
 
 
-def _sampled_capture(enc: Network, dec: Network, sig: np.ndarray,
-                     clamp_open: np.ndarray, step_rng: Rng) -> None:
-    """Refresh the captured backward statistics with model-sampled targets:
-    decoder targets y ~ p(y|z) at the step's codes z = mu + sigma * eps,
-    encoder scores at fresh codes z ~ q(.|x).
+def _fisher_capture(enc: Network, dec: Network, eps: np.ndarray, p: np.ndarray,
+                    sig: np.ndarray, clamp_open: np.ndarray) -> None:
+    """Refresh the captured backward statistics with the model's own
+    scores, drawing nothing.  Decoder: the C rows sqrt(C p_c) (e_c - p) per
+    sample, whose outer products sum to C (diag(p) - p p^T), so
+    `kfac_update`'s mean over the B*C rows is the batch mean of the exact
+    output Fisher.  Encoder: the score [eps / sigma, (eps^2 - 1) / 2] of
+    q(z|x) at the loss's z = mu + sigma * eps, whose expected outer product
+    is the Gaussian Fisher diag(sigma^-2, 1/2).
 
-    It runs no forward pass: it backpropagates through the forward passes
-    that `geoib_loss_and_grads` captured, with the posterior head's `sig`
-    and `clamp_open` that call returned, so it must follow that call on
-    the same batch with the parameters unchanged.  It records only the
-    pre-activation gradients (`Network.backward_deltas`), the one part of a
-    backward pass that `kfac_update` reads besides the captured inputs.
+    It backpropagates through the forward passes `geoib_loss_and_grads`
+    captured, with that call's `eps` and returned `p`, `sig` and
+    `clamp_open`, so it must follow that call on the same batch with the
+    parameters unchanged.  It records only the pre-activation gradients
+    (`Network.backward_deltas`), which `kfac_update` reads besides the
+    captured inputs.
     """
-    logits = dec.captured_output()
-    batch = logits.shape[0]
-    m = logits.max(axis=1, keepdims=True)
-    p = np.exp(logits - m)
-    p /= p.sum(axis=1, keepdims=True)
-    u = step_rng.substream(771).uniform(0.0, 1.0, (batch, 1))
-    y_samp = (p.cumsum(axis=1) > u).argmax(axis=1)
-    up_dec = p.copy()
-    up_dec[np.arange(batch), y_samp] -= 1.0
-    dec.backward_deltas(up_dec)
-    k_dim = sig.shape[1]
-    eps2 = step_rng.substream(772).normal((batch, k_dim))
-    up_enc = np.zeros((batch, 2 * k_dim))
-    up_enc[:, :k_dim] = eps2 / sig
-    up_enc[:, k_dim:] = 0.5 * (eps2**2 - 1.0) * clamp_open
-    enc.backward_deltas(up_enc)
+    n_classes = p.shape[1]
+    root_p = np.sqrt(n_classes * p)[:, :, None]
+    dec.backward_deltas(root_p * (np.eye(n_classes) - p[:, None, :]))
+    enc.backward_deltas(np.concatenate(
+        [eps / sig, 0.5 * (eps**2 - 1.0) * clamp_open], axis=1))
 
 
 def _clip_step(delta: np.ndarray, max_norm: float) -> np.ndarray:
@@ -261,10 +258,10 @@ def train_step(cfg: TrainConfig, enc: Network, dec: Network,
 
     geoib draws Hutchinson probes and optimizes NLL + beta (FR quadratic +
     JF); vib optimizes NLL + beta KL.
-    Given K-FAC states, the factors are refreshed from a model-sampled
-    backward pass and both gradients are preconditioned by the exact
-    natural-gradient solve; without them the step is plain gradient
-    descent.
+    Given K-FAC states, the factors are refreshed from the model's own
+    scores at the step's batch and codes (`_fisher_capture`), and both
+    gradients are preconditioned by the exact natural-gradient solve;
+    without them the step is plain gradient descent.
     """
     x = np.asarray(x, dtype=np.float64)
     batch = x.shape[0]
@@ -283,7 +280,7 @@ def train_step(cfg: TrainConfig, enc: Network, dec: Network,
     dir_enc, dir_dec = g_enc, g_dec
     res_enc = res_dec = 0.0
     if kfac_enc is not None:
-        _sampled_capture(enc, dec, *head, step_rng)
+        _fisher_capture(enc, dec, eps, *head)
         kfac_update(kfac_enc, enc)
         kfac_update(kfac_dec, dec)
         step_enc = natural_gradient(kfac_enc, g_enc)

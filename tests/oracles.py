@@ -7,8 +7,9 @@ neighbor counts from k-d tree queries, and the ridge probe's readout from
 one least-squares solve of the whole stacked system, so a bug in the
 library cannot hide by agreeing with itself.  The exceptions are kept
 verbatim as references their replacements must match bit for bit:
-`sampled_capture_two_forward`, the K-FAC capture as it ran before training
-reused the loss's forward passes (with the package's posterior head), and
+`fisher_capture_two_forward`, the K-FAC capture with both networks run
+forward again rather than reusing the loss's passes (with the package's
+posterior head and backward passes), and
 `render_digit_meshgrid` / `densify_per_segment`, the digit renderer as it
 ran before its distances became separable and its resampling one pass
 (with the package's stroke table), and `projection_margins_loop` /
@@ -23,7 +24,10 @@ JVP, and the penalty's term through the noise scale as the package forms
 it), each also in the order of the time before one reverse pass formed
 the loss's encoder gradient and the penalty's together, and
 `backward_by_layer`, the backward pass as it ran before the activation
-derivatives were kept by the captured forward pass.
+derivatives were kept by the captured forward pass.  `sampled_capture`
+is the K-FAC capture as it ran before it took the model's exact output
+Fisher: one sampled class and one fresh code per row, whose factors the
+exact ones are the expectation of.
 """
 
 import numpy as np
@@ -199,26 +203,49 @@ def ridge_probe_reference(z_train, x_train, z_test, x_test, w, b,
     return float(np.mean((design(z_te) @ coef - x_te) ** 2))
 
 
-def sampled_capture_two_forward(enc, dec, x, eps, k_dim: int, step_rng) -> None:
-    """Refresh the captured backward statistics with model-sampled targets:
-    decoder targets y ~ p(y|z) at the step's codes z = mu + sigma * eps,
-    encoder scores at fresh codes z ~ q(.|x)."""
+def fisher_capture_two_forward(enc, dec, x, eps, k_dim: int) -> None:
+    """Refresh the captured backward statistics with the decoder's exact
+    output Fisher rows sqrt(C p_c) (e_c - p) and the encoder's score at
+    the codes z = mu + sigma * eps, running both networks forward again."""
     mu, lv, clamp_open = posterior_head(enc.forward(x, capture=True), k_dim)
     sig = np.exp(0.5 * lv)
     logits = dec.forward(mu + sig * eps, capture=True)
     m = logits.max(axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
+    p = np.exp(logits - lse[:, None])
+    n_classes = p.shape[1]
+    root_p = np.sqrt(n_classes * p)[:, :, None]
+    dec.backward_deltas(root_p * (np.eye(n_classes) - p[:, None, :]))
+    up_enc = np.zeros((x.shape[0], 2 * k_dim))
+    up_enc[:, :k_dim] = eps / sig
+    up_enc[:, k_dim:] = 0.5 * (eps**2 - 1.0) * clamp_open
+    enc.backward(up_enc)
+
+
+def sampled_capture(enc, dec, logits, sig, clamp_open, step_rng) -> None:
+    """Refresh the captured backward statistics with model-sampled targets:
+    decoder targets y ~ p(y|z) at the step's codes z = mu + sigma * eps,
+    encoder scores at fresh codes z ~ q(.|x).
+
+    It runs no forward pass: it backpropagates through the captured
+    forward passes whose decoder output is `logits`, with the posterior
+    head's `sig` and `clamp_open` of that pass.
+    """
+    batch = logits.shape[0]
+    m = logits.max(axis=1, keepdims=True)
     p = np.exp(logits - m)
     p /= p.sum(axis=1, keepdims=True)
-    u = step_rng.substream(771).uniform(0.0, 1.0, (x.shape[0], 1))
+    u = step_rng.substream(771).uniform(0.0, 1.0, (batch, 1))
     y_samp = (p.cumsum(axis=1) > u).argmax(axis=1)
     up_dec = p.copy()
-    up_dec[np.arange(x.shape[0]), y_samp] -= 1.0
-    dec.backward(up_dec)
-    eps2 = step_rng.substream(772).normal((x.shape[0], k_dim))
-    up_enc = np.zeros((x.shape[0], 2 * k_dim))
+    up_dec[np.arange(batch), y_samp] -= 1.0
+    dec.backward_deltas(up_dec)
+    k_dim = sig.shape[1]
+    eps2 = step_rng.substream(772).normal((batch, k_dim))
+    up_enc = np.zeros((batch, 2 * k_dim))
     up_enc[:, :k_dim] = eps2 / sig
     up_enc[:, k_dim:] = 0.5 * (eps2**2 - 1.0) * clamp_open
-    enc.backward(up_enc)
+    enc.backward_deltas(up_enc)
 
 
 def densify_per_segment(points: np.ndarray, step: float = 0.02) -> np.ndarray:

@@ -116,6 +116,32 @@ def test_backward_deltas_give_the_factors_of_a_full_backward(specs):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+@pytest.mark.parametrize("specs", [
+    ((5, 7, "tanh"), (7, 4, "identity")),
+    ((5, 7, "softplus"), (7, 6, "identity"), (6, 4, "identity")),
+], ids=["tanh", "softplus_identity_top"])
+def test_backward_deltas_rows_give_the_factors_of_separate_passes(specs):
+    # R upstream rows per sample give each G the mean of the G factors of R
+    # separate (B, out) passes, to round-off, and the A factors of one
+    net = _net(*specs, seed=61)
+    x = Rng(62).normal((16, 5))
+    upstream = Rng(63).normal((16, 3, 4))
+    net.forward(x, capture=True)
+    net.backward_deltas(upstream)
+    rows = kfac_update(kfac_init(net, damping=1e-3, ema_decay=0.0), net)
+    separate = []
+    for r in range(3):
+        net.forward(x, capture=True)
+        net.backward_deltas(upstream[:, r])
+        separate.append(kfac_update(kfac_init(net, 1e-3, 0.0), net))
+    for got, want in zip(rows.a_factors, separate[0].a_factors):
+        assert np.array_equal(got, want)
+    for layer, got in enumerate(rows.g_factors):
+        want = sum(st.g_factors[layer] for st in separate) / 3.0
+        np.testing.assert_allclose(got, want, rtol=1e-13,
+                                   atol=1e-15 * np.abs(want).max())
+
+
 # ------------------------------------------- batch-space input layer
 
 # 40 inputs and 16-row batches: the batch cannot span the 41-wide

@@ -115,6 +115,26 @@ PINNED = {"r1": _R1, "r2": _R1, "r3": {
         "2e67a6c6d8e60f2aac786e3fc50bd9625d713a581e10ff6e54caf4570f169916",
         "b89f9fbf3d3ebf8b8bbb806a3d7cbb3feff3dae7ad5951531134dbb004bfbe23",
     ),
+}, "r7": {
+    # r7's K-FAC capture takes the decoder's exact output Fisher and the
+    # encoder's score at the loss's eps, and draws nothing: the
+    # preconditioned configs train to new bits, and plain vib keeps r1's
+    "geoib": (
+        {},
+        "262a308db6e03a4597229d9e129c6d2724226aa2d9a9a5013b5ad3ad0162f9fd",
+        "2d8dd359dbd415ce9bc376ed8d706799fa19b62d72de6b969da19ed1fb56c132",
+    ),
+    "vib": _R1["vib"],
+    "vib_natural_gradient": (
+        {"method": "vib", "vib_natural_gradient": True},
+        "c7272093ed7776ded9b2baa31e3ae80ec5c4a341e5d5b7bf03d288cc3553263b",
+        "a719f822ccb0c7800d0ca3dc7aea211a2b34fd90fce34cd5b29c1efad7c3b483",
+    ),
+    "geoib_beta1": (
+        {"beta": 1.0},
+        "ce862172c8d5bb726584f219f4c219ef99e6697af1b31bd26ff9a24c149d763b",
+        "013584040ce7f278532ffa067855bf8fe7dac870f554fa7350f81c55e222ef17",
+    ),
 }}
 
 # Inputs wider than the batch: the encoder's input layer is solved in batch
@@ -149,6 +169,18 @@ PINNED_WIDE = {"r4": _WIDE_R4, "r5": {
         {},
         "34f767816c0dedf50f6f0739a921069f42c27700924d83611a3d0b8ccdc2c669",
         "262634e7d707883e17ff95452e77f03bd0104f8f46fb99c2188a6e439e3888ed",
+    ),
+}, "r7": {
+    # r7's capture moves both configs
+    "geoib": (
+        {},
+        "933b113abddfa9c384c7b1eb2de5ad88d4d26073b4ce7b3bda19796180802b4d",
+        "260b698a15e7d0e7c33a20dd1144f43389fc3d30d5849a2038f630b90349f59d",
+    ),
+    "vib_natural_gradient": (
+        {"method": "vib", "vib_natural_gradient": True},
+        "5294e7603432eec6faf0329724db831e6e0c98d49dcd28b5c2cf46071bf546ad",
+        "648bd913276a0e8070198e5b11e9edae40a3e87d74aa3897b3dfdf27c5f2effe",
     ),
 }}
 

@@ -23,7 +23,7 @@ from geoib.encoder import (
     kl_to_standard_normal,
     posterior_head,
 )
-from geoib.fisher import fisher_vector_product, kfac_init
+from geoib.fisher import fisher_vector_product, kfac_init, kfac_update
 from geoib.jf import draw_probes
 from geoib.mi import (
     CSV_COLUMNS,
@@ -51,8 +51,9 @@ from geoib.training import (
 )
 from oracles import (
     central_difference,
+    fisher_capture_two_forward,
     jf_value_and_grad_replicated,
-    sampled_capture_two_forward,
+    sampled_capture,
 )
 
 TOY = "gauss_mixture:n=600,noise=0.1,classes=2,dim=2"
@@ -337,7 +338,7 @@ def test_gib_step_rejects_non_finite_loss():
             gib_step(cfg, enc, dec, ke, kd, x[:8], y[:8], Rng(7))
 
 
-def test_sampled_fisher_stats_step_is_deterministic():
+def test_natural_gradient_step_is_deterministic():
     results = []
     for _ in range(2):
         cfg = TrainConfig(k_dim=2, enc_hidden="8", dataset=TOY)
@@ -358,10 +359,10 @@ def test_vib_natural_gradient_ablation_uses_solver():
 
 
 @pytest.mark.parametrize("method", ["geoib", "vib"])
-def test_sampled_capture_matches_the_two_forward_oracle(monkeypatch, method):
-    # the K-FAC capture reuses the loss's forward passes; the factors and
-    # parameters after one step must be the bits that running both nets
-    # forward again gives
+def test_fisher_capture_matches_the_two_forward_oracle(monkeypatch, method):
+    # the K-FAC capture reuses the loss's forward passes and its eps; the
+    # factors and parameters after one step must be the bits that running
+    # both nets forward again at the loss's eps gives
     def one_step():
         cfg = TrainConfig(method=method, vib_natural_gradient=True, k_dim=2,
                           enc_hidden="8", dataset=TOY)
@@ -378,16 +379,127 @@ def test_sampled_capture_matches_the_two_forward_oracle(monkeypatch, method):
         seen.update(x=x, eps=kwargs["eps"])
         return real_loss(enc, dec, x, y, **kwargs)
 
-    def two_forward(enc, dec, sig, clamp_open, step_rng):
-        sampled_capture_two_forward(enc, dec, seen["x"], seen["eps"],
-                                    sig.shape[1], step_rng)
+    def two_forward(enc, dec, eps, p, sig, clamp_open):
+        assert eps is seen["eps"]
+        fisher_capture_two_forward(enc, dec, seen["x"], seen["eps"],
+                                   sig.shape[1])
 
     monkeypatch.setattr(training, "geoib_loss_and_grads", loss)
-    monkeypatch.setattr(training, "_sampled_capture", two_forward)
+    monkeypatch.setattr(training, "_fisher_capture", two_forward)
     oracle = one_step()
     assert len(reused) == len(oracle)
     for got, want in zip(reused, oracle):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("method", ["geoib", "vib"])
+def test_a_preconditioned_step_draws_no_substream(monkeypatch, method):
+    # the step's eps and probes come from the step's own stream; the
+    # preconditioner's capture draws nothing of its own
+    cfg = TrainConfig(method=method, vib_natural_gradient=True, k_dim=2,
+                      enc_hidden="8", dataset=TOY)
+    _, _, enc, dec, ke, kd, x, y = _toy_setup(cfg)
+
+    def refuse(self, index):
+        raise AssertionError(f"the step drew substream {index}")
+
+    monkeypatch.setattr(Rng, "substream", refuse)
+    train_step(cfg, enc, dec, ke, kd, x[:32], y[:32], Rng(12))
+    assert ke.g_factors is not None and kd.g_factors is not None
+
+
+def _output_fisher_factors(dec: Network, z: np.ndarray) -> list:
+    """Per layer l, mean_i J_i^T (diag p_i - p_i p_i^T) J_i with J_i the
+    Jacobian of sample i's logits in layer l's pre-activation, summed
+    sample by sample from the weights of a tanh/identity decoder."""
+    pre, a = [], z
+    for blk, sp in zip(dec.blocks, dec.specs):
+        s = a @ blk[:, :-1].T + blk[:, -1]
+        pre.append(s)
+        a = np.tanh(s) if sp.activation == "tanh" else s
+    n_classes = a.shape[1]
+    jac = [None] * dec.n_layers
+    jac[-1] = np.broadcast_to(np.eye(n_classes), (z.shape[0], n_classes,
+                                                  n_classes))
+    for l in range(dec.n_layers - 2, -1, -1):
+        slope = 1.0 - np.tanh(pre[l]) ** 2
+        jac[l] = (jac[l + 1] @ dec.blocks[l + 1][:, :-1]) * slope[:, None, :]
+    factors = []
+    for j in jac:
+        total = np.zeros((j.shape[2], j.shape[2]))
+        for j_i, logits_i in zip(j, a):
+            p_i = np.exp(logits_i - logits_i.max())
+            p_i /= p_i.sum()
+            total += j_i.T @ (np.diag(p_i) - np.outer(p_i, p_i)) @ j_i
+        factors.append(total / z.shape[0])
+    return factors
+
+
+@pytest.mark.parametrize("dec_hidden", ["", "5"])
+def test_decoder_factors_are_the_exact_output_fisher(monkeypatch, dec_hidden):
+    # after one step the decoder's G factors hold the batch mean of the
+    # exact output Fisher, pulled back to every layer's pre-activation
+    cfg = TrainConfig(k_dim=2, enc_hidden="8", dec_hidden=dec_hidden,
+                      dataset="gauss_mixture:n=600,noise=0.1,classes=4,dim=4")
+    ds = make_dataset(cfg.dataset, cfg.seed)
+    enc, dec = build_nets(cfg, ds.n_features, ds.n_classes, Rng(cfg.seed))
+    ke = kfac_init(enc, cfg.damping, cfg.kfac_decay)
+    kd = kfac_init(dec, cfg.damping, cfg.kfac_decay)
+    x, y = ds.split("train")
+    x, y = x[:32], y[:32]
+    enc0, dec0 = enc.copy(), dec.copy()
+    seen = {}
+    real_loss = training.geoib_loss_and_grads
+
+    def loss(enc, dec, x, y, **kwargs):
+        seen.update(eps=kwargs["eps"])
+        return real_loss(enc, dec, x, y, **kwargs)
+
+    monkeypatch.setattr(training, "geoib_loss_and_grads", loss)
+    train_step(cfg, enc, dec, ke, kd, x, y, Rng(14))
+    mu, lv, _ = posterior_head(enc0.forward(x), cfg.k_dim)
+    z = mu + np.exp(0.5 * lv) * seen["eps"]
+    want = _output_fisher_factors(dec0, z)
+    assert len(kd.g_factors) == len(want) == dec.n_layers
+    for got, ref in zip(kd.g_factors, want):
+        np.testing.assert_allclose(got, ref, rtol=1e-12,
+                                   atol=1e-15 * np.abs(ref).max())
+
+
+def test_sampled_decoder_captures_average_to_the_exact_factor():
+    # the exact factors are the expectation of the sampled capture's: the
+    # mean of N seeded sampled captures lies within 5 standard errors of
+    # them, a bound that shrinks as 1/sqrt(N)
+    cfg = TrainConfig(k_dim=2, enc_hidden="8", dec_hidden="5",
+                      dataset="gauss_mixture:n=600,noise=0.1,classes=4,dim=4")
+    ds = make_dataset(cfg.dataset, cfg.seed)
+    enc, dec = build_nets(cfg, ds.n_features, ds.n_classes, Rng(cfg.seed))
+    x, y = ds.split("train")
+    x, y = x[:64], y[:64]
+    eps = Rng(15).normal((64, 2))
+    _, _, _, head = geoib_loss_and_grads(
+        enc, dec, x, y, beta=cfg.beta, rate=kl_to_standard_normal, k_dim=2,
+        eps=eps, probes=None)
+    _, sig, clamp_open = head
+    mu, _, _ = posterior_head(enc.forward(x), cfg.k_dim)
+    logits = dec.forward(mu + sig * eps)  # uncaptured: the capture stays
+
+    def decoder_factors():
+        return kfac_update(kfac_init(dec, 1e-2, 0.0), dec).g_factors
+
+    training._fisher_capture(enc, dec, eps, *head)
+    exact = decoder_factors()
+    draws = []
+    for seed in range(1600):
+        sampled_capture(enc, dec, logits, sig, clamp_open, Rng(seed))
+        draws.append(decoder_factors())
+    for layer, ref in enumerate(exact):
+        per_draw = np.stack([d[layer] for d in draws])
+        spread = per_draw.std(axis=0, ddof=1)
+        assert spread.min() > 0.0
+        for n in (100, 1600):
+            err = np.abs(per_draw[:n].mean(axis=0) - ref)
+            assert np.all(err <= 5.0 * spread / np.sqrt(n))
 
 
 def test_vib_natural_gradient_step_equals_geoib_step_at_beta_zero():
