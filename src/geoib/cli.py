@@ -161,9 +161,9 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_inspect_idx(args) -> int:
     arr = read_idx(args.path)
-    with open(args.path, "rb") as fh:
-        magic = int.from_bytes(fh.read(4), "big")
-    kind = {IDX_MAGIC_IMAGES: "images", IDX_MAGIC_LABELS: "labels"}[magic]
+    # read_idx takes only the two magics: rank 3 is images, rank 1 labels
+    kind, magic = (("images", IDX_MAGIC_IMAGES) if arr.ndim == 3
+                   else ("labels", IDX_MAGIC_LABELS))
     print(f"{args.path}: {kind}, magic 0x{magic:08x}")
     print(f"shape {arr.shape}, dtype {arr.dtype}")
     if kind == "labels":

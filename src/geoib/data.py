@@ -293,6 +293,8 @@ def load_idx(path) -> DatasetHandle:
     float64 array of its own.  Each split is one ascending run of rows,
     which `DatasetHandle.split` hands out as a view.
     """
+    if not os.path.exists(path):
+        raise ValueError(f"{path}: no such file or directory")
     if os.path.isdir(path):
         names = ["train-images-idx3-ubyte", "train-labels-idx1-ubyte",
                  "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"]

@@ -189,11 +189,11 @@ def jf_hutchinson(net, x, noise_cov, n_probes: int, rng) -> tuple[float, np.ndar
     return float(values.mean()), per_probe
 
 
-def jf_value_and_grad(net, log_var, probes, upstream=None, weight: float = 1.0):
+def jf_value_and_grad(net, log_var, probes, upstream, weight: float):
     """Batch JF estimate of a posterior-head encoder at the captured batch,
     with the bits `jf_batch` gives at noise_cov = exp(log_var), and the
-    parameter gradient of weight * sum_i values_i, plus that of
-    sum(upstream * output) when `upstream` is given.
+    parameter gradient of weight * sum_i values_i plus that of
+    sum(upstream * output).
 
     The net's outputs are [mu | raw log-variance] (`posterior_head`): the
     penalty's map is mu and its noise s = exp(log_var), and the gradient
@@ -211,7 +211,7 @@ def jf_value_and_grad(net, log_var, probes, upstream=None, weight: float = 1.0):
             gradient.
         probes: (S, B, in_dim) tangent probes, e.g. from `draw_probes`.
         upstream: (B, 2K) adjoint of the captured output, as in
-            `Network.backward`, or None; it is not modified.
+            `Network.backward`; it is not modified.
         weight: the penalty's coefficient in the gradient.
 
     Returns:
@@ -231,8 +231,7 @@ def jf_value_and_grad(net, log_var, probes, upstream=None, weight: float = 1.0):
     # the adjoint sums over the folded S*B axis; the 1/S leaves the probe
     # average in the same sum-over-batch convention as backward
     u_bar[:, :, :k] = (2.0 * weight / u.shape[0]) * q
-    up = (np.zeros((u.shape[1], net.out_dim)) if upstream is None
-          else np.array(upstream, dtype=np.float64))
+    up = np.array(upstream, dtype=np.float64)
     clamp_open = (log_var > LOG_VAR_MIN) & (log_var < LOG_VAR_MAX)
     up[:, k:] -= weight * sq.mean(axis=0) * clamp_open
     return values, net.jvp_adjoint(cache, u_bar, up)

@@ -303,10 +303,8 @@ class Network:
 
         Requires a preceding `forward(x, capture=True)` with the parameters
         unchanged since, as `backward` does, and reads its primal values and
-        activation derivatives.  The tangent products run folded over the
-        S*B (probe, row) pairs, so each pair's bits are those of a pass over
-        the replicated rows.  A one-row capture with S > 1 tangents runs
-        its primal again on two copies of the row.
+        activation derivatives, at any row count: it runs no primal pass.
+        The tangent products run folded over the S*B (probe, row) pairs.
 
         Args:
             v: (S, B, in_dim) tangent vectors, S per captured row.
@@ -327,22 +325,14 @@ class Network:
                 f"v must be (S, B, {self.in_dim}) with the same B as the "
                 f"captured batch, {x.shape[0]}, got {v.shape}"
             )
-        acts, pre, derivs = self._acts, self._pre, self._derivs
-        # A one-row product takes BLAS's matrix-vector route, which rounds
-        # otherwise than the matrix-matrix route that a pass over S > 1
-        # replicated rows takes; a second copy of the row keeps it there.
-        if x.shape[0] == 1 and v.shape[0] > 1:
-            acts, pre, derivs = self._primal(np.repeat(x, 2, axis=0), derivs=True)
-            acts, pre = [a[:1] for a in acts], [s[:1] for s in pre]
-            derivs = [d if d is None else d[:1] for d in derivs]
         t = v
         tangents, tan_pre = [v], []
-        for d, blk in zip(derivs, self.blocks):
+        for d, blk in zip(self._derivs, self.blocks):
             ts = (_fold(t) @ blk[:, :-1].T).reshape(*v.shape[:2], -1)
             tan_pre.append(ts)
             t = ts if d is None else d * ts
             tangents.append(t)
-        return t, (acts, pre, derivs, tangents, tan_pre)
+        return t, (self._acts, self._pre, self._derivs, tangents, tan_pre)
 
     def jvp_adjoint(self, cache, u_bar, upstream) -> np.ndarray:
         """Parameter gradient of sum(upstream * out) + sum(u_bar * u), where
@@ -448,13 +438,16 @@ class Network:
         fields = header.split()
         if not fields or fields[0] != "net":
             raise ValueError(f"{path}: not a network file (header {header!r})")
-        specs = []
-        for tok in fields[1:]:
-            parts = tok.split(":")
-            if len(parts) != 3:
-                raise ValueError(f"{path}: bad layer token {tok!r}")
-            specs.append(LayerSpec(int(parts[0]), int(parts[2]), parts[1]))
-        net = cls(specs)
+        try:
+            specs = []
+            for tok in fields[1:]:
+                parts = tok.split(":")
+                if len(parts) != 3:
+                    raise ValueError(f"bad layer token {tok!r}")
+                specs.append(LayerSpec(int(parts[0]), int(parts[2]), parts[1]))
+            net = cls(specs)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         flat = np.frombuffer(payload, dtype="<f8")
         if flat.shape[0] != net.n_params:
             raise ValueError(

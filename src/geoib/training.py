@@ -25,8 +25,6 @@ and the K-FAC capture's, which draws nothing: it backpropagates the
 decoder's exact output Fisher at the loss's softmax and the encoder's
 score at the loss's own codes (`_fisher_capture`).  The loss without
 gradients captures the encoder pass too, for the penalty's JVPs.
-Only a one-row batch with several probes runs the encoder's primal again,
-padded to two rows (`Network.jvp_captured`).
 
 A network whose input is wider than the batch can span (`cfg.batch` <
 in + 1, as on 784-pixel digits) takes its input layer's A factor per batch
@@ -69,10 +67,11 @@ from .nets import LayerSpec, Network
 from .rng import Rng
 
 # The training revision: what a given config trains to.  Every change in
-# behaviour made on purpose bumps it (r7: the K-FAC capture draws nothing)
-# and records the before and after in CHANGES.md; a change that keeps every
-# bit keeps it.  Points record it; a sweep refuses another one's cells.
-REVISION = "r7"
+# behaviour made on purpose bumps it (r8: a one-row batch's JVPs read the
+# captured pass) and records the before and after in CHANGES.md; a change
+# that keeps every bit keeps it.  Points record it; a sweep refuses another
+# one's cells.
+REVISION = "r8"
 
 # Substream layout of the run seed.
 _STREAM_ENC_INIT = 11

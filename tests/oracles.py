@@ -16,8 +16,9 @@ ran before its distances became separable and its resampling one pass
 `pythagorean_residual_by_parts`, the discrete-information checks as they
 ran before kl_to_product took stacks (with the package's joint draws and
 i-projection, and the masked sums of that time written out), and
-`replicated_jvp`, the JVP and its adjoint as they ran before the primal
-pass ran once per input row (with the package's activation table), and
+`replicated_jvp`, the JVP and its adjoint with the tangent track run over
+S copies of each row's primal values, as they ran before the tangents read
+the captured forward pass (with the package's activation table), and
 `jf_value_and_grad_replicated`, the Jacobian penalty's gradient route as it
 ran before it read the loss's captured pass (with `replicated_jvp` for its
 JVP, and the penalty's term through the noise scale as the package forms
@@ -333,18 +334,19 @@ def projection_margins_loop(seed: int, n_joints: int, n_perturb: int) -> np.ndar
 
 
 def replicated_jvp(net, x, probes, u_bar=None, upstream=None, fused=True):
-    """J(x_i) v_si by one pass over x replicated S times, and, given u_bar,
+    """J(x_i) v_si by a tangent pass over the S*B (probe, row) pairs, with
+    the primal values of the B rows replicated S times, and, given u_bar,
     the parameter gradient of sum(upstream * net(x)) + sum(u_bar * u) by
-    reverse mode over that pass.
+    reverse mode over that pass.  The primal runs once, over the B rows.
 
     With `fused`, the primal-track adjoint is one (B, w) array per layer,
     seeded by `upstream` (zeros when None): at a nonlinear layer it takes
     the tangent track's term summed over a row's S probes, with f''
-    applied after the sum, and an identity layer passes it through; its
-    weight product runs against the first copy of the rows.  Without it,
-    the adjoint runs as it did before the loss's upstream joined it: per
-    (probe, row) pair, with f'' applied to each pair, summed over the
-    probes before the weight product, and `upstream` must be None.
+    applied after the sum, and an identity layer passes it through.
+    Without it, the adjoint runs as it did before the loss's upstream
+    joined it: per (probe, row) pair, with f'' applied to each pair,
+    summed over the probes before the weight product, and `upstream` must
+    be None.
 
     Args:
         x: (B, in) rows; probes: (S, B, in); u_bar: (S, B, out) or None;
@@ -356,18 +358,27 @@ def replicated_jvp(net, x, probes, u_bar=None, upstream=None, fused=True):
     if upstream is not None and not fused:
         raise ValueError("the unfused adjoint takes no upstream")
     n_probes, batch = probes.shape[:2]
-    rows = np.broadcast_to(x, probes.shape).reshape(n_probes * batch, -1)
-    acts, pre = [rows], []
+
+    def per_pair(a):
+        """(B, w) values of the rows, repeated per probe as (S*B, w) pairs."""
+        return np.broadcast_to(a, (n_probes, *a.shape)).reshape(
+            n_probes * batch, -1)
+
+    def derivative(table, l):
+        """f' or f'' of layer l at the B rows, as a (B, w) array."""
+        return np.broadcast_to(table(pre[l], acts[l + 1]), pre[l].shape)
+
+    acts, pre = [x], []
     t = probes.reshape(n_probes * batch, -1)
     tangents, tan_pre = [t], []
-    for sp, blk in zip(net.specs, net.blocks):
+    for l, (sp, blk) in enumerate(zip(net.specs, net.blocks)):
         f, df, _ = _TABLE[sp.activation]
         s = acts[-1] @ blk[:, :-1].T + blk[:, -1]
         pre.append(s)
         acts.append(f(s))
         ts = t @ blk[:, :-1].T
         tan_pre.append(ts)
-        t = df(s, acts[-1]) * ts
+        t = per_pair(derivative(df, l)) * ts
         tangents.append(t)
     u = t.reshape(n_probes, batch, -1)
     if u_bar is None:
@@ -375,23 +386,22 @@ def replicated_jvp(net, x, probes, u_bar=None, upstream=None, fused=True):
     grad = np.empty_like(net.params)
     grad_blocks = layer_blocks(grad, net.shapes)
     rho = np.zeros((batch, net.out_dim)) if upstream is None else upstream
-    a_bar = np.zeros_like(acts[-1])
+    a_bar = np.zeros((n_probes * batch, net.out_dim))
     t_bar = u_bar.reshape(n_probes * batch, -1)
     for l in range(net.n_layers - 1, -1, -1):
         sp = net.specs[l]
         _, df, ddf = _TABLE[sp.activation]
-        d = df(pre[l], acts[l + 1])
-        dd = ddf(pre[l], acts[l + 1])
-        ts_bar = t_bar * d
+        d, dd = derivative(df, l), derivative(ddf, l)
+        ts_bar = t_bar * per_pair(d)
         if not fused:
-            s_bar = a_bar * d + t_bar * tan_pre[l] * dd
+            s_bar = a_bar * per_pair(d) + t_bar * tan_pre[l] * per_pair(dd)
             r = s_bar.reshape(n_probes, batch, -1).sum(axis=0)
         elif sp.activation == "identity":
             r = rho
         else:
             t_sum = (t_bar * tan_pre[l]).reshape(n_probes, batch, -1).sum(axis=0)
-            r = rho * d[:batch] + t_sum * dd[:batch]
-        grad_blocks[l][:, :-1] = r.T @ acts[l][:batch] + ts_bar.T @ tangents[l]
+            r = rho * d + t_sum * dd
+        grad_blocks[l][:, :-1] = r.T @ acts[l] + ts_bar.T @ tangents[l]
         grad_blocks[l][:, -1] = r.sum(axis=0)
         if l > 0:
             w = net.blocks[l][:, :-1]

@@ -51,6 +51,21 @@ def test_gen_data_digits_then_inspect(tmp_path, capsys):
     assert read_idx(img_path).shape == (20, 28, 28)
 
 
+def test_inspect_idx_prints_each_kind_exactly(tmp_path, capsys):
+    images, labels = tmp_path / "a-images.idx", tmp_path / "a-labels.idx"
+    write_idx(images, np.arange(12, dtype=np.uint8).reshape(3, 2, 2))
+    write_idx(labels, np.array([3, 1, 3], np.uint8))
+    assert main(["inspect-idx", str(images)]) == 0
+    assert main(["inspect-idx", str(labels)]) == 0
+    assert capsys.readouterr().out == (
+        f"{images}: images, magic 0x00000803\n"
+        "shape (3, 2, 2), dtype uint8\n"
+        "pixel range [0, 11], mean 5.50\n"
+        f"{labels}: labels, magic 0x00000801\n"
+        "shape (3,), dtype uint8\n"
+        "label histogram: 1:1, 3:2\n")
+
+
 def test_inspect_idx_reports_an_image_file_with_no_images(tmp_path, capsys):
     # write_idx writes it and read_idx reads it, so inspect-idx describes it
     path = tmp_path / "empty-images-idx3-ubyte"

@@ -272,6 +272,15 @@ def test_load_idx_needs_images_in_name(tmp_path):
         load_idx(tmp_path / "plain.idx")
 
 
+@pytest.mark.parametrize("name", ["no_such_dir", "no-such-images.idx"])
+def test_load_idx_names_a_path_that_does_not_exist(tmp_path, name):
+    # said before a layout is chosen, for a directory or a file name alike
+    path = tmp_path / name
+    with pytest.raises(ValueError) as info:
+        make_dataset(f"idx:path={path}", seed=0)
+    assert str(info.value) == f"{path}: no such file or directory"
+
+
 def test_load_idx_directory_mode(tmp_path):
     write_digit_corpus(tmp_path, n_train=40, n_test=10, seed=0)
     ds = load_idx(tmp_path)

@@ -321,7 +321,7 @@ def test_value_and_grad_matches_batch_values():
     x = Rng(35).normal((5, 3))
     probes = draw_probes(Rng(36), 2, 5, 3)
     lv = _log_var(net, x, 1)
-    values, grad = jf_value_and_grad(net, lv, probes)
+    values, grad = jf_value_and_grad(net, lv, probes, np.zeros((5, 2)), 1.0)
     ref, _ = jf_batch(net, np.exp(lv), probes, head_dim=1)
     np.testing.assert_array_equal(values, ref)
     assert grad.shape == (net.n_params,)
@@ -333,7 +333,8 @@ def test_value_and_grad_matches_finite_differences():
     net = _net((3, 4, "tanh"), (4, 4, "softplus"), seed=37)
     x = Rng(38).normal((4, 3))
     probes = draw_probes(Rng(40), 2, 4, 3)
-    _, analytic = jf_value_and_grad(net, _log_var(net, x, 2), probes)
+    _, analytic = jf_value_and_grad(net, _log_var(net, x, 2), probes,
+                                    np.zeros((4, 4)), 1.0)
 
     def total(flat):
         clone = net.copy()
@@ -366,7 +367,8 @@ def test_value_and_grad_gives_the_replicated_bits(hidden, n_probes, batch):
     probes = draw_probes(Rng(53), n_probes, batch, 3)
     upstream = Rng(54).normal((batch, 4))
     lv = _log_var(net, x, 2)
-    values, grad = jf_value_and_grad(net, lv, probes)
+    values, grad = jf_value_and_grad(net, lv, probes, np.zeros((batch, 4)),
+                                     1.0)
     want_values, want_grad = jf_value_and_grad_replicated(net, x, lv, probes)
     assert np.array_equal(_bits(values), _bits(want_values))
     assert np.array_equal(_bits(grad), _bits(want_grad))
@@ -403,7 +405,8 @@ def test_value_and_grad_with_an_upstream_is_the_sum_of_two_passes(
     lv = _log_var(net, x, 3)
     values, fused = jf_value_and_grad(net, lv, probes, upstream=upstream,
                                       weight=0.3)
-    alone_values, alone = jf_value_and_grad(net, lv, probes)
+    alone_values, alone = jf_value_and_grad(net, lv, probes,
+                                            np.zeros((batch, 6)), 1.0)
     want = net.backward(upstream) + 0.3 * alone
     assert np.array_equal(_bits(values), _bits(alone_values))
     assert np.max(np.abs(fused - want)) <= 1e-13 * np.max(np.abs(want))
@@ -413,10 +416,10 @@ def test_value_and_grad_requires_a_captured_pass():
     net = _net((3, 2, "tanh"), seed=54)
     probes = draw_probes(Rng(55), 2, 4, 3)
     with pytest.raises(RuntimeError, match="captured forward"):
-        jf_value_and_grad(net, np.zeros((4, 1)), probes)
+        jf_value_and_grad(net, np.zeros((4, 1)), probes, np.zeros((4, 2)), 1.0)
     net.forward(Rng(56).normal((5, 3)), capture=True)
     with pytest.raises(ValueError, match="same B"):
-        jf_value_and_grad(net, np.zeros((4, 1)), probes)
+        jf_value_and_grad(net, np.zeros((4, 1)), probes, np.zeros((4, 2)), 1.0)
 
 
 def test_value_and_grad_requires_a_mean_and_a_log_variance_head():
@@ -427,4 +430,4 @@ def test_value_and_grad_requires_a_mean_and_a_log_variance_head():
         net = _net((3, out, "tanh"), seed=62)
         net.forward(Rng(63).normal((5, 3)), capture=True)
         with pytest.raises(ValueError, match=msg):
-            jf_value_and_grad(net, log_var, probes)
+            jf_value_and_grad(net, log_var, probes, np.zeros((5, out)), 1.0)

@@ -232,13 +232,12 @@ def _biased_net(specs, seed):
 @pytest.mark.parametrize("n_probes, batch", [(2, 128), (2, 44), (2, 5), (3, 7),
                                              (1, 1), (2, 1), (10_000, 1)])
 def test_jvp_captured_matches_replicated_pass_bit_for_bit(name, n_probes, batch):
-    """The JVP read from a captured pass gives the bits of a pass over x
-    replicated S times, in the tangents and in the adjoint gradient, with
-    and without an output adjoint seeding the primal track, whose adjoint
-    is summed over the probes before f''; a one-row capture with S > 1 runs
-    its padded primal again.  The adjoint of the time before the output
-    adjoint joined it, plus a backward pass for that adjoint, agrees to
-    round-off."""
+    """The JVP read from a captured pass, at every row count, gives the
+    bits of a tangent pass over x replicated S times, in the tangents and
+    in the adjoint gradient, with and without an output adjoint seeding
+    the primal track, whose adjoint is summed over the probes before f''.
+    The adjoint of the time before the output adjoint joined it, plus a
+    backward pass for that adjoint, agrees to round-off."""
     net = _biased_net(CAPTURED_NETS[name], seed=40)
     rng = Rng(41)
     x = rng.normal((batch, net.in_dim))
@@ -517,6 +516,23 @@ def test_load_rejects_bad_header(tmp_path):
     path.write_bytes(b"nope 3:tanh:4\n" + b"\x00" * 8)
     with pytest.raises(ValueError, match="not a network file"):
         Network.load(path)
+
+
+@pytest.mark.parametrize("header, reason", [
+    ("net a:tanh:3", "invalid literal for int"),
+    ("net 2:relu:3", "activation must be one of"),
+    ("net 0:tanh:3", "layer dims must be positive"),
+    ("net 2:tanh:3 4:identity:1", "layer dims do not chain: 3 -> 4"),
+    ("net 2:tanh", "bad layer token"),
+    ("net", "network needs at least one layer"),
+])
+def test_load_names_the_file_for_a_malformed_header(tmp_path, header, reason):
+    path = tmp_path / "bad.net"
+    path.write_bytes(header.encode("ascii") + b"\n" + b"\x00" * 8)
+    with pytest.raises(ValueError) as info:
+        Network.load(path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert reason in str(info.value)
 
 
 def test_load_rejects_short_payload(tmp_path):

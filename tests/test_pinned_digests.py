@@ -115,7 +115,8 @@ PINNED = {"r1": _R1, "r2": _R1, "r3": {
         "2e67a6c6d8e60f2aac786e3fc50bd9625d713a581e10ff6e54caf4570f169916",
         "b89f9fbf3d3ebf8b8bbb806a3d7cbb3feff3dae7ad5951531134dbb004bfbe23",
     ),
-}, "r7": {
+}}
+_R7 = {
     # r7's K-FAC capture takes the decoder's exact output Fisher and the
     # encoder's score at the loss's eps, and draws nothing: the
     # preconditioned configs train to new bits, and plain vib keeps r1's
@@ -135,7 +136,10 @@ PINNED = {"r1": _R1, "r2": _R1, "r3": {
         "ce862172c8d5bb726584f219f4c219ef99e6697af1b31bd26ff9a24c149d763b",
         "013584040ce7f278532ffa067855bf8fe7dac870f554fa7350f81c55e222ef17",
     ),
-}}
+}
+# r8's one-row JVPs read the captured pass instead of a two-row replay of
+# it; none of these configs has a one-row batch, so each keeps r7's bits
+PINNED.update({"r7": _R7, "r8": _R7})
 
 # Inputs wider than the batch: the encoder's input layer is solved in batch
 # space (`fisher._batch_space_block`), which PINNED's narrow configs never
@@ -170,7 +174,8 @@ PINNED_WIDE = {"r4": _WIDE_R4, "r5": {
         "34f767816c0dedf50f6f0739a921069f42c27700924d83611a3d0b8ccdc2c669",
         "262634e7d707883e17ff95452e77f03bd0104f8f46fb99c2188a6e439e3888ed",
     ),
-}, "r7": {
+}}
+_WIDE_R7 = {
     # r7's capture moves both configs
     "geoib": (
         {},
@@ -182,7 +187,8 @@ PINNED_WIDE = {"r4": _WIDE_R4, "r5": {
         "5294e7603432eec6faf0329724db831e6e0c98d49dcd28b5c2cf46071bf546ad",
         "648bd913276a0e8070198e5b11e9edae40a3e87d74aa3897b3dfdf27c5f2effe",
     ),
-}}
+}
+PINNED_WIDE.update({"r7": _WIDE_R7, "r8": _WIDE_R7})
 
 # sha256 of the table `geoib verify --seed 0 --out F` writes
 VERIFY_TABLE = "548f86979a29983cbbfa01635631361ef95e83d520e9c6f3de20d44ea81bc6c2"

@@ -24,7 +24,7 @@ from geoib.encoder import (
     posterior_head,
 )
 from geoib.fisher import fisher_vector_product, kfac_init, kfac_update
-from geoib.jf import draw_probes
+from geoib.jf import draw_probes, jf_hutchinson
 from geoib.mi import (
     CSV_COLUMNS,
     PROBE_NAME,
@@ -133,6 +133,30 @@ def test_want_grads_false_returns_metrics_only(monkeypatch):
     assert passes == [enc, dec]
 
 
+def test_a_one_row_step_runs_one_primal_pass_per_network(monkeypatch):
+    # a tail batch of one row: the two probes' JVPs read the loss's
+    # one-row capture, so the encoder's primal runs once, as at any B
+    cfg = TrainConfig(k_dim=2, enc_hidden="8", dataset=TOY, jf_probes=2)
+    _, _, enc, dec, ke, kd, x, y = _toy_setup(cfg)
+    passes = _primal_passes(monkeypatch)
+    train_step(cfg, enc, dec, ke, kd, x[:1], y[:1], Rng(7))
+    assert passes == [enc, dec]
+
+
+@pytest.mark.parametrize("route", ["jf_hutchinson", "explicit_jacobian"])
+def test_one_row_tangent_routes_run_one_primal_pass(monkeypatch, route):
+    # the Hutchinson check's and the Jacobian's many tangents of one row
+    # read the one capture each route takes
+    cfg = TrainConfig(k_dim=2, enc_hidden="8", dataset=TOY)
+    _, _, enc, _, _, _, x, _ = _toy_setup(cfg)
+    passes = _primal_passes(monkeypatch)
+    if route == "jf_hutchinson":
+        jf_hutchinson(enc, x[0], np.ones(enc.out_dim), 100, Rng(8))
+    else:
+        enc.explicit_jacobian(x[0])
+    assert passes == [enc]
+
+
 def _bits(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
@@ -144,12 +168,12 @@ def _csv_rows(path) -> list[list[str]]:
 
 @pytest.mark.parametrize("rows", [1, 32])
 def test_loss_and_grads_give_the_bits_of_a_jf_pass_of_its_own(monkeypatch, rows):
-    # the penalty's JVPs read the loss's captured encoder pass; a one-row
-    # batch with two probes runs its padded primal again.  Either way the
-    # metrics and gradients are those of the replicated-pass route in the
-    # fused order, one reverse pass seeded with the loss's encoder
-    # upstream, and agree to round-off with the unfused route, a backward
-    # pass for the loss plus beta times the penalty's own adjoint
+    # the penalty's JVPs read the loss's captured encoder pass, one row or
+    # many.  Either way the metrics and gradients are those of the
+    # replicated-pass route in the fused order, one reverse pass seeded
+    # with the loss's encoder upstream, and agree to round-off with the
+    # unfused route, a backward pass for the loss plus beta times the
+    # penalty's own adjoint
     cfg = TrainConfig(k_dim=2, enc_hidden="8", dataset=TOY, beta=0.5)
     _, _, enc, dec, _, _, x, y = _toy_setup(cfg)
     x, y = x[:rows], y[:rows]
